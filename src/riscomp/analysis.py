@@ -109,8 +109,3 @@ def analytic_outage(scn: CoordinatedScenario) -> dict[str, float]:
             scn.threshold_center,
         )
     return out
-
-
-def analytic_sum_rate(scn: CoordinatedScenario) -> float:
-    er = analytic_ergodic_rates(scn)
-    return er["center1"] + er["center2"] + er["edge"]

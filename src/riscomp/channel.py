@@ -1,5 +1,5 @@
-"""Fading channel generation: Rayleigh, Rician vectors, Nakagami-m magnitudes,
-distance-based path loss, and reproducible RNG substreams.
+"""Fading channel generation: Rayleigh draws, Rician vectors, Nakagami-m and
+Rician link parameters, and reproducible RNG substreams.
 
 All sampling is pure given a numpy Generator; substreams derived from one
 master seed keep every downstream experiment reproducible.
@@ -14,23 +14,6 @@ import numpy as np
 from numpy.random import Generator
 
 _SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Reference gain at 1 m (linear) and path-loss exponent."""
-
-    rho_o: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.rho_o <= 0:
-            raise ValueError("rho_o must be positive")
-        if self.alpha < 2:
-            raise ValueError("alpha must be >= 2")
-
-    def gain(self, d: float) -> float:
-        return path_gain(self, d)
 
 
 @dataclass(frozen=True)
@@ -61,25 +44,12 @@ class RicianParams:
             raise ValueError("aoa must lie in [-pi, pi)")
 
 
-def path_gain(model: PathLossModel, d: float) -> float:
-    """Linear power gain rho_o / d^alpha; undefined below the 1 m reference."""
-    if d < 1.0:
-        raise ValueError(f"distance {d} below the 1 m reference distance")
-    return model.rho_o / d**model.alpha
-
-
 def sample_rayleigh(rng: Generator, size=None) -> np.ndarray | complex:
     """Circularly symmetric complex Gaussian with E[|v|^2] = 1."""
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
     v = (re + 1j * im) * _SQRT_HALF
     return v if size is not None else complex(v)
-
-
-def sample_nakagami(p: NakagamiParams, rng: Generator, size=None):
-    """Nakagami magnitude; its square is Gamma(m, omega/m)."""
-    power = rng.gamma(p.m, p.omega / p.m, size)
-    return np.sqrt(power)
 
 
 def los_steering(k_elements: int, aoa: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, dump_config, load_config
+from .config import ConfigError, dump_config, load_config, validate
 from .experiments import PRESETS, reproduce, run_experiment
 
 
@@ -28,6 +28,7 @@ def _apply_overrides(cfg, args):
         cfg.out = args.out
     elif cfg.out == "runs" and os.environ.get("RISCOMP_OUTDIR"):
         cfg.out = os.environ["RISCOMP_OUTDIR"]
+    validate(cfg)
     return cfg
 
 
@@ -80,8 +81,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every library failure ends as one line
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     parser.error("unknown command")
     return 2

@@ -8,6 +8,7 @@ scenario constructors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -109,14 +110,14 @@ _TOP_KEYS = {
     "checkpoint": str,
 }
 
-_SWEEP_KEYS = {
-    "p_t_dbm": list,
-    "j_values": list,
-    "k_values": list,
-    "r_th_values": list,
-    "splits": list,
-    "beta_t_values": list,
-    "assignment_values": list,
+# Sweep keys each kind's runner reads.
+_SWEEP_KEYS_BY_KIND = {
+    "er-sweep": ("p_t_dbm",),
+    "outage-sweep": ("p_t_dbm",),
+    "exhaustive-star": ("assignment_values", "beta_t_values"),
+    "ee-sweep": ("j_values", "k_values", "p_t_dbm", "r_th_values"),
+    "osum-sweep": ("p_t_dbm",),
+    "split-sweep": ("splits", "j_values"),
 }
 
 _SCENARIO_KEYS_BY_KIND = {
@@ -269,10 +270,10 @@ def from_mapping(flat: dict) -> ExperimentConfig:
                 cfg.scenario[sub] = _coerce(value, scenario_schema[sub], key, errors)
         elif key.startswith("sweep."):
             sub = key[len("sweep."):]
-            if sub not in _SWEEP_KEYS:
-                errors.append(f"unknown sweep key {sub!r}")
+            if sub not in _SWEEP_KEYS_BY_KIND.get(kind, ()):
+                errors.append(f"unknown sweep key {sub!r} for kind {kind}")
             else:
-                cfg.sweep[sub] = _coerce(value, _SWEEP_KEYS[sub], key, errors)
+                cfg.sweep[sub] = _coerce(value, list, key, errors)
         elif key.startswith("train."):
             sub = key[len("train."):]
             if sub not in _TRAIN_KEYS:
@@ -281,20 +282,68 @@ def from_mapping(flat: dict) -> ExperimentConfig:
                 cfg.train[sub] = _coerce(value, _TRAIN_KEYS[sub], key, errors)
         else:
             errors.append(f"unknown key {key!r}")
-    # Construct the scenario once to surface invariant violations.
-    if not errors:
-        try:
-            if kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):
-                cfg.coordinated_scenario()
-            elif kind in ("ee-sweep", "osum-sweep", "split-sweep"):
-                cfg.multicell_scenario()
-            else:
-                cfg.aerial_scenario()
-        except (TypeError, ValueError) as exc:
-            errors.append(str(exc))
     if errors:
         raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
+    validate(cfg)
     return cfg
+
+
+def _sweep_bounds(cfg: ExperimentConfig) -> dict[str, tuple[type, float, float]]:
+    """Element type and closed range of every sweep list."""
+    k = cfg.scenario.get("k_elements", CoordinatedScenario.k_elements)
+    n_cells = cfg.scenario.get("n_cells", MultiCellScenario.n_cells)
+    return {
+        "p_t_dbm": (float, -math.inf, math.inf),
+        "r_th_values": (float, 0.0, math.inf),
+        "splits": (float, 0.0, 1.0),
+        "beta_t_values": (float, 0.0, 1.0),
+        "j_values": (int, 1, n_cells),
+        "k_values": (int, 0, math.inf),
+        "assignment_values": (int, 0, k),
+    }
+
+
+def _describe(typ: type, lo: float, hi: float) -> str:
+    name = "integer" if typ is int else "finite number"
+    if math.isinf(hi):
+        return name if math.isinf(lo) else f"{name} >= {lo}"
+    return f"{name} in [{lo}, {hi}]"
+
+
+def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
+    errors = []
+    bounds = _sweep_bounds(cfg)
+    for key, values in cfg.sweep.items():
+        typ, lo, hi = bounds[key]
+        if not values:
+            errors.append(f"sweep.{key}: needs at least one value")
+        for i, v in enumerate(values):
+            number = isinstance(v, int if typ is int else (int, float)) and not isinstance(v, bool)
+            if not (number and math.isfinite(v) and lo <= v <= hi):
+                errors.append(f"sweep.{key}[{i}]: expected {_describe(typ, lo, hi)}, got {v!r}")
+    return errors
+
+
+def validate(cfg: ExperimentConfig) -> None:
+    """Range and invariant checks; also re-run after the CLI overrides fields."""
+    errors = []
+    if cfg.trials is not None and cfg.trials < 1:
+        errors.append(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        errors.append(f"seed must be >= 0, got {cfg.seed}")
+    errors.extend(_sweep_errors(cfg))
+    # Construct the scenario once to surface invariant violations.
+    try:
+        if cfg.kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):
+            cfg.coordinated_scenario()
+        elif cfg.kind in ("ee-sweep", "osum-sweep", "split-sweep"):
+            cfg.multicell_scenario()
+        else:
+            cfg.aerial_scenario()
+    except (TypeError, ValueError) as exc:
+        errors.append(str(exc))
+    if errors:
+        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 
 
 def load_config(path) -> ExperimentConfig:

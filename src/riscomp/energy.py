@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, ris
+from . import kernels
 from .channel import substream
 from .montecarlo import CHUNK
 from .scenarios import MultiCellScenario
@@ -58,13 +58,11 @@ class PowerModel:
 
 @dataclass(frozen=True)
 class CoopStructure:
-    """Cooperative set, total cell count, per-BS RIS mode, and the
-    cancellation/enhancement element split."""
+    """Cooperative set, total cell count, and per-BS RIS mode."""
 
     cooperating: tuple[int, ...]
     total_cells: int
     ris_mode: tuple[str, ...]
-    co_eo_split: float = 0.0
 
     def __post_init__(self):
         coop = tuple(sorted(set(self.cooperating)))
@@ -76,8 +74,6 @@ class CoopStructure:
             raise ValueError("one RIS mode per cell required")
         if any(m not in _MODE_CODE for m in self.ris_mode):
             raise ValueError(f"RIS modes must be among {sorted(_MODE_CODE)}")
-        if not 0.0 <= self.co_eo_split <= 1.0:
-            raise ValueError("split fraction must lie in [0, 1]")
         object.__setattr__(self, "cooperating", coop)
 
 
@@ -124,50 +120,6 @@ def energy_efficiency(
         p_ris = 0.0 if cs.ris_mode[j - 1] == "off" else pm.ris_power(k_elements)
         total += edge_outage_rate / (base + p_ris)
     return total
-
-
-def assign_pbf(cs: CoopStructure, channels: dict) -> list[ris.PhaseMatrix]:
-    """Per-RIS phase operators for one channel realization.
-
-    channels[i] (1-based cell index) must hold 'direct', 'ris_user', 'bs_ris'
-    complex entries for the BS_i -> edge link through RIS_i. Cooperative
-    surfaces co-phase toward the edge user, cancellation surfaces anti-phase,
-    random surfaces draw uniform phases from channels['rng'], off surfaces
-    zero their amplitudes.
-    """
-    rng = channels.get("rng")
-    out = []
-    for i in range(1, cs.total_cells + 1):
-        mode = cs.ris_mode[i - 1]
-        if i not in channels:
-            raise ValueError(f"missing channel data for cell {i}")
-        ch = channels[i]
-        k = np.asarray(ch["bs_ris"]).size
-        if mode == "off":
-            out.append(ris.PhaseMatrix(np.zeros(k), np.zeros(k)))
-            continue
-        if mode == "random":
-            if rng is None:
-                raise ValueError("random mode requires channels['rng']")
-            phases = rng.uniform(-math.pi, math.pi, k)
-        elif mode == "eo":
-            phases = ris.eo_phases(ch["direct"], ch["ris_user"], ch["bs_ris"])
-        else:
-            phases = ris.ec_phases(ch["direct"], ch["ris_user"], ch["bs_ris"])
-        out.append(ris.PhaseMatrix(np.ones(k), phases))
-    return out
-
-
-def co_eo_split_assign(split: float, h_direct, h_ris_user, h_bs_ris) -> ris.PhaseMatrix:
-    """First ceil(split*K) elements anti-phase (cancellation), rest co-phase."""
-    if not 0.0 <= split <= 1.0:
-        raise ValueError("split fraction must lie in [0, 1]")
-    k = np.asarray(h_bs_ris).size
-    n_co = math.ceil(split * k)
-    eo = ris.eo_phases(h_direct, h_ris_user, h_bs_ris)
-    ec = ris.ec_phases(h_direct, h_ris_user, h_bs_ris)
-    phases = np.concatenate([ec[:n_co], eo[n_co:]])
-    return ris.PhaseMatrix(np.ones(k), phases)
 
 
 @dataclass(frozen=True)

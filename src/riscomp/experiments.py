@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,9 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
         f"config sha256/16 = {digest}"
     )
     path = outdir / "manifest.cfg"
-    path.write_text(dump_config(cfg, header=header))
+    tmp = outdir / "manifest.cfg.tmp"
+    tmp.write_text(dump_config(cfg, header=header))
+    os.replace(tmp, path)
     return path
 
 
@@ -277,13 +280,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the experiment, returning the written artifact paths.
 
     The output directory receives the result CSVs plus manifest.cfg; running
-    the manifest reproduces the CSVs byte-for-byte.
+    the manifest reproduces the CSVs byte-for-byte. The manifest is written
+    only once the runner has returned, so a failed run writes none.
     """
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(cfg, outdir)
     outputs = _RUNNERS[cfg.kind](cfg, outdir)
-    return [manifest, *outputs]
+    return [_manifest(cfg, outdir), *outputs]
 
 
 # Figure-style presets -------------------------------------------------------

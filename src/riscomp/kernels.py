@@ -1,38 +1,13 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the two Monte Carlo engines, in numpy.
 
-Backend selection: numba is used when importable unless the environment
-variable RISCOMP_NUMBA is set to "0" (force numpy) -- "1" forces numba and
-raises if it is unavailable.
-
-Both backends are bit-identical by construction: kernels receive pre-drawn
-variates and perform only +, -, *, /, sqrt with the same accumulation order
-(sequential over elements / cells), and every transcendental (log2, phases,
-gamma draws) happens in shared numpy code outside the kernels.
+Kernels receive pre-drawn variates and perform only +, -, *, /, sqrt with a
+fixed accumulation order (sequential over elements / cells); every
+transcendental (log2, phases, gamma draws) happens in the calling engine.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV = os.environ.get("RISCOMP_NUMBA", "").strip()
-
-if _ENV == "0":
-    _HAVE_NUMBA = False
-else:
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        if _ENV == "1":
-            raise
-        _HAVE_NUMBA = False
-
-
-def backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
 
 
 # Row roles for the coordinated two-cell SINR kernel. Each Z row holds the
@@ -153,117 +128,6 @@ def _multicell_edge_np(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
     return edge, edge_oma, c_own, c_cf, c_oma
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _coordinated_sinr_nb(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):  # pragma: no cover
-        n = z_pow.shape[2]
-        z = np.empty((N_Z_ROWS, n))
-        for r in range(N_Z_ROWS):
-            for t in range(n):
-                h = np.sqrt(z_pow[r, 0, t])
-                a = np.sqrt(z_pow[r, 1, t])
-                b = np.sqrt(z_pow[r, 2, t])
-                s = h + amp[r] * a * b
-                z[r, t] = s * s
-        out = np.empty((N_OUT_ROWS, n))
-        for t in range(n):
-            out[OUT_CF1, t] = (rho * zeta_f * z[Z_CF1_S, t]) / (
-                rho * zeta_c1 * z[Z_CF1_I, t] + rho * x_pow[X_CF1, t] + 1.0
-            )
-            out[OUT_C1, t] = (rho * zeta_c1 * z[Z_C1_S, t]) / (
-                rho * x_pow[X_C1, t] + 1.0
-            )
-            out[OUT_CF2, t] = (rho * zeta_f * z[Z_CF2_S, t]) / (
-                rho * zeta_c2 * z[Z_CF2_I, t] + rho * x_pow[X_CF2, t] + 1.0
-            )
-            out[OUT_C2, t] = (rho * zeta_c2 * z[Z_C2_S, t]) / (
-                rho * x_pow[X_C2, t] + 1.0
-            )
-            out[OUT_F, t] = (
-                rho * zeta_f * z[Z_F1_V, t] + rho * zeta_f * z[Z_F2_V, t]
-            ) / (rho * zeta_c1 * z[Z_F1_W, t] + rho * zeta_c2 * z[Z_F2_W, t] + 1.0)
-            out[OUT_F_NC, t] = (rho * zeta_f * z[Z_NC1_V, t]) / (
-                rho * zeta_c1 * z[Z_NC1_W, t] + rho * z[Z_NC2_W, t] + 1.0
-            )
-        return out
-
-    @numba.njit(cache=True)
-    def _multicell_edge_nb(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
-                           coop, mode, zeta_f, p_w, sigma2):  # pragma: no cover
-        n, n_cells, k = casc_re.shape
-        g_edge = np.empty((n, n_cells))
-        for i in range(n_cells):
-            if mode[i] == 0:
-                for t in range(n):
-                    g_edge[t, i] = ed_re[t, i] * ed_re[t, i] + ed_im[t, i] * ed_im[t, i]
-            elif mode[i] == 1:
-                for t in range(n):
-                    hre = ed_re[t, i]
-                    him = ed_im[t, i]
-                    for q in range(k):
-                        hre += rnd_re[t, i, q] * casc_re[t, i, q] - rnd_im[t, i, q] * casc_im[t, i, q]
-                        him += rnd_re[t, i, q] * casc_im[t, i, q] + rnd_im[t, i, q] * casc_re[t, i, q]
-                    g_edge[t, i] = hre * hre + him * him
-            else:
-                for t in range(n):
-                    amp = np.sqrt(ed_re[t, i] * ed_re[t, i] + ed_im[t, i] * ed_im[t, i])
-                    s = 0.0
-                    for q in range(k):
-                        s += np.sqrt(
-                            casc_re[t, i, q] * casc_re[t, i, q]
-                            + casc_im[t, i, q] * casc_im[t, i, q]
-                        )
-                    d = amp + s if mode[i] == 2 else amp - s
-                    g_edge[t, i] = d * d
-        edge = np.empty(n)
-        edge_oma = np.empty(n)
-        c_own = np.empty((n, n_cells))
-        c_cf = np.empty((n, n_cells))
-        c_oma = np.empty((n, n_cells))
-        for t in range(n):
-            sig_e = 0.0
-            intra_e = 0.0
-            ici_e = 0.0
-            for i in range(n_cells):
-                if coop[i]:
-                    sig_e += zeta_f * p_w * g_edge[t, i]
-                    intra_e += (1.0 - zeta_f) * p_w * g_edge[t, i]
-                else:
-                    ici_e += p_w * g_edge[t, i]
-            edge[t] = sig_e / (intra_e + ici_e + sigma2)
-            edge_oma[t] = (sig_e + intra_e) / (ici_e + sigma2)
-            for i in range(n_cells):
-                coop_g = 0.0
-                ici_g = 0.0
-                oma_ici = 0.0
-                for j in range(n_cells):
-                    if j != i:
-                        oma_ici += p_w * cg[t, j, i]
-                    if coop[j]:
-                        if j != i:
-                            coop_g += (1.0 - zeta_f) * p_w * cg[t, j, i]
-                    else:
-                        if j != i:
-                            ici_g += p_w * cg[t, j, i]
-                own_sig = cg[t, i, i] * p_w
-                if coop[i]:
-                    c_own[t, i] = (1.0 - zeta_f) * own_sig / (coop_g + ici_g + sigma2)
-                    num_cf = 0.0
-                    den_cf = 0.0
-                    for j in range(n_cells):
-                        if coop[j]:
-                            num_cf += zeta_f * p_w * cg[t, j, i]
-                            den_cf += (1.0 - zeta_f) * p_w * cg[t, j, i]
-                    c_cf[t, i] = num_cf / (den_cf + ici_g + sigma2)
-                else:
-                    den = oma_ici + sigma2
-                    c_own[t, i] = (1.0 - zeta_f) * own_sig / den
-                    c_cf[t, i] = zeta_f * own_sig / ((1.0 - zeta_f) * own_sig + den)
-                c_oma[t, i] = own_sig / (oma_ici + sigma2)
-        return edge, edge_oma, c_own, c_cf, c_oma
-
-
 def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
     """Two-cell coordinated-cluster SINRs from pre-drawn power variates.
 
@@ -274,10 +138,8 @@ def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
     z_pow = np.ascontiguousarray(z_pow, dtype=np.float64)
     x_pow = np.ascontiguousarray(x_pow, dtype=np.float64)
     amp = np.ascontiguousarray(amp, dtype=np.float64)
-    args = (z_pow, x_pow, amp, float(zeta_c1), float(zeta_c2), float(zeta_f), float(rho))
-    if _HAVE_NUMBA:
-        return _coordinated_sinr_nb(*args)
-    return _coordinated_sinr_np(*args)
+    return _coordinated_sinr_np(z_pow, x_pow, amp, float(zeta_c1), float(zeta_c2),
+                                float(zeta_f), float(rho))
 
 
 def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
@@ -285,12 +147,14 @@ def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
     """Multi-cell CoMP-NOMA SINRs for one RIS phase-assignment mode.
 
     mode codes per cell: 0 no-RIS, 1 random phases, 2 enhancement (co-phased),
-    3 cancellation (anti-phased). Returns (edge, edge_oma, c_own, c_cf, c_oma);
-    c_cf is +inf for non-cooperative cells (no SIC stage).
+    3 cancellation (anti-phased). Returns (edge, edge_oma, c_own, c_cf, c_oma).
+    For a non-cooperative cell, c_cf is the center user's SIC stage against its
+    own cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
+    with own = p_w*cg[:, i, i] and every other cell interfering at full power.
     """
     coop = np.ascontiguousarray(coop, dtype=np.uint8)
     mode = np.ascontiguousarray(mode, dtype=np.uint8)
-    args = (
+    return _multicell_edge_np(
         np.ascontiguousarray(ed_re, dtype=np.float64),
         np.ascontiguousarray(ed_im, dtype=np.float64),
         np.ascontiguousarray(casc_re, dtype=np.float64),
@@ -304,6 +168,3 @@ def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
         float(p_w),
         float(sigma2),
     )
-    if _HAVE_NUMBA:
-        return _multicell_edge_nb(*args)
-    return _multicell_edge_np(*args)

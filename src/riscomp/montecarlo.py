@@ -18,7 +18,6 @@ worker count and scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -223,22 +222,3 @@ def estimate_ergodic_rate(batch: TrialBatch) -> dict[str, float]:
         "edge": float(np.mean(achievable_rate(s["edge"]))),
         "edge_nocomp": float(np.mean(achievable_rate(s["edge_nocomp"]))),
     }
-
-
-def write_batch_csv(path, batch: TrialBatch, aggregated: bool = False,
-                    thr: RateThresholds | None = None) -> None:
-    """Serialize a batch: one row per trial, or one aggregated row."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if aggregated:
-            if thr is None:
-                raise ValueError("aggregated output needs thresholds")
-            er = estimate_ergodic_rate(batch)
-            po = estimate_outage(batch, thr)
-            w.writerow(["user", "ergodic_rate", "outage"])
-            for user in ("center1", "center2", "edge"):
-                w.writerow([user, f"{er[user]:.17g}", f"{po[user]:.17g}"])
-        else:
-            w.writerow(["trial", *SINR_KINDS])
-            for t in range(batch.n_trials):
-                w.writerow([t, *(f"{batch.sinr[k][t]:.17g}" for k in SINR_KINDS)])

@@ -1,56 +1,11 @@
-"""NOMA superposition arithmetic: SINRs under SIC decoding order,
-achievable rates, and outage events, for single-cell and CoMP multi-cell
-link budgets.
-
-Conventions: effective gains are raw |H|^2 toward the user, with transmit
-powers supplied by the serving NomaPair entries; interference entries are
-received powers (interferer transmit power already applied).
-"""
+"""NOMA rate arithmetic: target-rate SINR thresholds and Shannon rates."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NomaPair:
-    """Power-allocation split of one BS: center factor, edge factor, power."""
-
-    zeta_center: float
-    zeta_edge: float
-    tx_power: float
-
-    def __post_init__(self):
-        if abs(self.zeta_center + self.zeta_edge - 1.0) > 1e-12:
-            raise ValueError("allocation factors must sum to 1")
-        if not (0.0 < self.zeta_center < 0.5 < self.zeta_edge < 1.0):
-            raise ValueError("decoding order requires zeta_center < 0.5 < zeta_edge")
-        if self.tx_power <= 0:
-            raise ValueError("transmit power must be positive")
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Per-BS effective gains toward one user, received interference powers,
-    and noise power (all linear)."""
-
-    effective_gains: np.ndarray
-    interference_gains: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    noise_power: float = 1.0
-
-    def __post_init__(self):
-        eff = np.atleast_1d(np.asarray(self.effective_gains, dtype=float))
-        ici = np.atleast_1d(np.asarray(self.interference_gains, dtype=float))
-        if np.any(eff < 0) or np.any(ici < 0):
-            raise ValueError("gains must be nonnegative")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
-        object.__setattr__(self, "effective_gains", eff)
-        object.__setattr__(self, "interference_gains", ici)
 
 
 @dataclass(frozen=True)
@@ -73,58 +28,6 @@ class RateThresholds:
         return 2.0**self.r_edge_min - 1.0
 
 
-def _as_pairs(pairs) -> Sequence[NomaPair]:
-    if isinstance(pairs, NomaPair):
-        return (pairs,)
-    pairs = tuple(pairs)
-    if not pairs:
-        raise ValueError("at least one serving BS is required")
-    return pairs
-
-
-def _check(pairs: Sequence[NomaPair], budget: LinkBudget):
-    if len(pairs) != budget.effective_gains.size:
-        raise ValueError("one NomaPair per effective gain is required")
-
-
-def sinr_center_decode_edge(pairs, budget: LinkBudget) -> float:
-    """SINR for the center user decoding the edge message (SIC stage 1):
-    cooperating edge-signal powers over intra-cluster + ICI + noise."""
-    pairs = _as_pairs(pairs)
-    _check(pairs, budget)
-    g = budget.effective_gains
-    num = sum(p.zeta_edge * p.tx_power * g[j] for j, p in enumerate(pairs))
-    den = sum(p.zeta_center * p.tx_power * g[j] for j, p in enumerate(pairs))
-    den += float(np.sum(budget.interference_gains)) + budget.noise_power
-    return num / den
-
-
-def sinr_center_own(pairs, budget: LinkBudget, own: int = 0) -> float:
-    """SINR for the center user decoding its own message after SIC removed
-    every cooperating edge component."""
-    pairs = _as_pairs(pairs)
-    _check(pairs, budget)
-    g = budget.effective_gains
-    num = pairs[own].zeta_center * pairs[own].tx_power * g[own]
-    den = sum(
-        p.zeta_center * p.tx_power * g[j] for j, p in enumerate(pairs) if j != own
-    )
-    den += float(np.sum(budget.interference_gains)) + budget.noise_power
-    return num / den
-
-
-def sinr_edge_comp(pairs, budget: LinkBudget) -> float:
-    """Non-coherent JT-CoMP edge SINR: received edge powers add, center
-    components remain as intra-cluster interference."""
-    pairs = _as_pairs(pairs)
-    _check(pairs, budget)
-    g = budget.effective_gains
-    num = sum(p.zeta_edge * p.tx_power * g[j] for j, p in enumerate(pairs))
-    den = sum(p.zeta_center * p.tx_power * g[j] for j, p in enumerate(pairs))
-    den += float(np.sum(budget.interference_gains)) + budget.noise_power
-    return num / den
-
-
 def achievable_rate(sinr) -> float:
     """Shannon rate log2(1 + sinr) in bps/Hz."""
     sinr = np.asarray(sinr, dtype=float)
@@ -132,21 +35,3 @@ def achievable_rate(sinr) -> float:
         raise ValueError("SINR must be nonnegative")
     out = np.log1p(sinr) / math.log(2.0)
     return float(out) if out.ndim == 0 else out
-
-
-def outage_event_center(pairs, budget: LinkBudget, thr: RateThresholds, own: int = 0) -> bool:
-    """Outage when SIC fails (gamma_cf < threshold) or, SIC succeeding, the
-    own-message SINR falls short. Ties (gamma == threshold) are non-outage."""
-    g_cf = sinr_center_decode_edge(pairs, budget)
-    if g_cf < thr.gamma_edge:
-        return True
-    return sinr_center_own(pairs, budget, own) < thr.gamma_center
-
-
-def outage_event_edge(pairs, budget: LinkBudget, thr: RateThresholds) -> bool:
-    return sinr_edge_comp(pairs, budget) < thr.gamma_edge
-
-
-def sum_rate(rates: Iterable[float]) -> float:
-    """Network sum rate: per-user achievable rates added over all users."""
-    return float(np.sum(np.fromiter(rates, dtype=float)))

@@ -2,12 +2,11 @@
 
 Bisects the interval with the largest embedded error estimate until the
 summed estimate meets the absolute+relative target. Callers integrating over
-(0, inf) map through x = t / (1 - t) first.
+(0, inf) map the half line onto a finite interval first.
 """
 
 import heapq
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 # K15 abscissae (symmetric; positive half and center) and weights. G7 uses
 # every other node.
@@ -103,25 +102,3 @@ def integrate(
         heapq.heappush(heap, (-e2, mid, hi, v2))
         splits += 1
     return total
-
-
-def integrate_half_line(
-    f: Callable[[float], float],
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-    breakpoints: Sequence[float] = (),
-    limit: int = 4000,
-) -> float:
-    """Integral of f over (0, inf) via x = t/(1-t)."""
-
-    def g(t: float) -> float:
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
-        one_m = 1.0 - t
-        x = t / one_m
-        if math.isinf(x):
-            return 0.0
-        return f(x) / (one_m * one_m)
-
-    pts = [x / (1.0 + x) for x in breakpoints if x > 0 and math.isfinite(x)]
-    return integrate(g, 0.0, 1.0, rtol=rtol, atol=atol, breakpoints=pts, limit=limit)

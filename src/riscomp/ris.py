@@ -1,14 +1,8 @@
-"""STAR-RIS / conventional RIS configuration and phase design.
-
-Energy-splitting amplitude/phase operators, effective-channel composition
-(direct link plus conjugate-composed cascade), and the closed-form
-enhancement (co-phasing) and cancellation (anti-phasing) phase rules.
-"""
+"""RIS phase arithmetic shared by the aerial environment and the agent."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,130 +12,3 @@ _TWO_PI = 2.0 * math.pi
 def wrap_phase(theta):
     """Wrap angles into [-pi, pi)."""
     return np.mod(np.asarray(theta, dtype=float) + math.pi, _TWO_PI) - math.pi
-
-
-@dataclass(frozen=True)
-class PhaseMatrix:
-    """Diagonal operator: elementwise multiply by amplitude * e^{j phase}."""
-
-    amplitudes: np.ndarray
-    phases: np.ndarray
-
-    def __post_init__(self):
-        amp = np.atleast_1d(np.asarray(self.amplitudes, dtype=float))
-        ph = wrap_phase(np.atleast_1d(self.phases))
-        if amp.shape != ph.shape:
-            raise ValueError("amplitudes and phases must have equal length")
-        if np.any(amp < 0) or np.any(amp > 1):
-            raise ValueError("amplitudes must lie in [0, 1]")
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "phases", ph)
-
-    @property
-    def k_elements(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.amplitudes * np.exp(1j * self.phases)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec)
-        if vec.size != self.k_elements:
-            raise ValueError("vector length does not match element count")
-        return self.values * vec
-
-
-@dataclass(frozen=True)
-class StarRisConfig:
-    """Energy-splitting STAR-RIS: shared amplitudes, independent phase banks,
-    contiguous per-BS element assignment."""
-
-    k_elements: int
-    beta_t: float
-    beta_r: float
-    phases_t: np.ndarray = field(default=None)
-    phases_r: np.ndarray = field(default=None)
-    assignment: tuple[int, ...] = None
-
-    def __post_init__(self):
-        if self.k_elements < 0:
-            raise ValueError("element count must be >= 0")
-        if not (0 <= self.beta_t <= 1 and 0 <= self.beta_r <= 1):
-            raise ValueError("amplitude shares must lie in [0, 1]")
-        if abs(self.beta_t + self.beta_r - 1.0) > 1e-12:
-            raise ValueError("energy conservation requires beta_t + beta_r = 1")
-        for name in ("phases_t", "phases_r"):
-            ph = getattr(self, name)
-            ph = np.zeros(self.k_elements) if ph is None else wrap_phase(ph)
-            if ph.size != self.k_elements:
-                raise ValueError(f"{name} must have k_elements entries")
-            object.__setattr__(self, name, ph)
-        assignment = self.assignment
-        if assignment is None:
-            assignment = (self.k_elements,)
-        assignment = tuple(int(n) for n in assignment)
-        if any(n < 0 for n in assignment) or sum(assignment) != self.k_elements:
-            raise ValueError("assignment entries must be >= 0 and sum to k_elements")
-        object.__setattr__(self, "assignment", assignment)
-
-
-def es_matrices(cfg: StarRisConfig) -> tuple[PhaseMatrix, PhaseMatrix]:
-    """Transmission and reflection operators with amplitudes sqrt(beta_t),
-    sqrt(beta_r) shared across elements."""
-    amp_t = np.full(cfg.k_elements, math.sqrt(cfg.beta_t))
-    amp_r = np.full(cfg.k_elements, math.sqrt(cfg.beta_r))
-    return PhaseMatrix(amp_t, cfg.phases_t), PhaseMatrix(amp_r, cfg.phases_r)
-
-
-def cascade_terms(h_ris_user: np.ndarray, h_bs_ris: np.ndarray) -> np.ndarray:
-    """Per-element cascade factor conj(h_ru) * h_br (unit phase shift)."""
-    h_ru = np.asarray(h_ris_user)
-    h_br = np.asarray(h_bs_ris)
-    if h_ru.shape != h_br.shape:
-        raise ValueError("cascade vectors must have equal length")
-    return np.conj(h_ru) * h_br
-
-
-def effective_channel(
-    h_direct: complex,
-    h_ris_user: np.ndarray,
-    theta: PhaseMatrix,
-    h_bs_ris: np.ndarray,
-) -> complex:
-    """h_direct + h_ru^H Theta h_br; an empty operator returns h_direct."""
-    h_ru = np.asarray(h_ris_user)
-    h_br = np.asarray(h_bs_ris)
-    if h_ru.size != theta.k_elements or h_br.size != theta.k_elements:
-        raise ValueError("channel vectors must match the operator element count")
-    if theta.k_elements == 0:
-        return complex(h_direct)
-    return complex(h_direct + np.sum(cascade_terms(h_ru, h_br) * theta.values))
-
-
-def eo_phases(h_direct: complex, h_ris_user, h_bs_ris) -> np.ndarray:
-    """Co-phasing: rotate every cascade term onto arg(h_direct), so the
-    effective magnitude reaches |h_direct| + sum_k |cascade_k|.
-
-    arg(0) is taken as 0 (blocked direct link); zero cascade entries get
-    phase 0 since their contribution vanishes either way.
-    """
-    terms = cascade_terms(h_ris_user, h_bs_ris)
-    target = float(np.angle(h_direct)) if h_direct != 0 else 0.0
-    phases = wrap_phase(target - np.angle(terms))
-    phases[terms == 0] = 0.0
-    return phases
-
-
-def ec_phases(h_direct: complex, h_ris_user, h_bs_ris) -> np.ndarray:
-    """Anti-phasing: every cascade term opposes arg(h_direct), so the
-    effective magnitude drops to | |h_direct| - sum_k |cascade_k| |."""
-    return wrap_phase(eo_phases(h_direct, h_ris_user, h_bs_ris) + math.pi)
-
-
-def element_split(cfg: StarRisConfig, bs_index: int) -> slice:
-    """Contiguous element slice assigned to BS bs_index (1-based)."""
-    if not 1 <= bs_index <= len(cfg.assignment):
-        raise IndexError(f"bs_index {bs_index} out of range for {len(cfg.assignment)} BSs")
-    start = sum(cfg.assignment[: bs_index - 1])
-    return slice(start, start + cfg.assignment[bs_index - 1])

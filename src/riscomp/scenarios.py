@@ -8,7 +8,7 @@ quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class CoordinatedScenario:
     def __post_init__(self):
         if abs(self.beta_t + self.beta_r - 1.0) > 1e-12:
             raise ValueError("beta_t + beta_r must equal 1")
-        if sum(self.assignment) != self.k_elements:
-            raise ValueError("assignment must sum to k_elements")
+        if min(self.assignment) < 0 or sum(self.assignment) != self.k_elements:
+            raise ValueError("assignment entries must be >= 0 and sum to k_elements")
         if not 0.0 < self.zeta_center < 0.5 < self.zeta_edge < 1.0:
             raise ValueError("allocation factors violate the decoding order")
         if abs(self.zeta_center + self.zeta_edge - 1.0) > 1e-12:
@@ -188,6 +188,8 @@ class MultiCellScenario:
             raise ValueError("cooperative set must satisfy 1 <= J <= I")
         if not 0.5 < self.zeta_edge < 1.0:
             raise ValueError("edge allocation factor must lie in (0.5, 1)")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
 
     @property
     def rho_o(self) -> float:
@@ -336,15 +338,3 @@ def tiny_aerial_scenario(k_elements: int = 4, t_slots: int = 40, **kw) -> Aerial
     )
     base.update(kw)
     return AerialScenario(**base)
-
-
-def coordinated_default() -> CoordinatedScenario:
-    return CoordinatedScenario()
-
-
-def multicell_default() -> MultiCellScenario:
-    return MultiCellScenario()
-
-
-def aerial_default() -> AerialScenario:
-    return AerialScenario()

@@ -312,10 +312,6 @@ def sinr_dist_edge_high_snr(
     return BetaPrimeParams(v.k, vt.k, v.theta / vt.theta)
 
 
-def beta_prime_cdf(p: BetaPrimeParams, x: float) -> float:
-    return p.cdf(x)
-
-
 def _er_breakpoints(a: float, b: float) -> list[float]:
     """Support landmarks (in Beta u-space) seeding the adaptive subdivision;
     critical for near-degenerate fits whose density is a narrow spike."""
@@ -353,16 +349,11 @@ def ergodic_rate(p: BetaPrimeParams, rtol: float = 1e-8) -> float:
     )
 
 
-def ergodic_rate_high_snr(p_high: BetaPrimeParams, rtol: float = 1e-8) -> float:
-    """Ergodic rate of the interference-limited (noise-free) edge law."""
-    return ergodic_rate(p_high, rtol=rtol)
-
-
 def outage_edge_closed(p: BetaPrimeParams, threshold: float) -> float:
     """Pr(gamma_f < threshold); shares the Beta-prime CDF code path."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return beta_prime_cdf(p, threshold)
+    return p.cdf(threshold)
 
 
 def outage_center_closed(
@@ -378,13 +369,13 @@ def outage_center_closed(
     failure), floored by the interference-free noise-only outage."""
     if threshold_edge < 0 or threshold_center < 0:
         raise ValueError("thresholds must be >= 0")
-    p1 = beta_prime_cdf(dist_cf, threshold_edge)
+    p1 = dist_cf.cdf(threshold_edge)
     if threshold_edge == 0.0:
         p_pass = 1.0
     else:
         # I_{psi}(b, a) with psi = scale/(scale+thr) equals Pr(gamma_cf > thr).
         psi_pass = dist_cf.scale / (dist_cf.scale + threshold_edge)
         p_pass = betainc_reg(dist_cf.b, dist_cf.a, psi_pass)
-    p2 = p_pass * beta_prime_cdf(dist_c, threshold_center)
+    p2 = p_pass * dist_c.cdf(threshold_center)
     floor = z.cdf(threshold_center / (rho * zeta_center)) if threshold_center > 0 else 0.0
     return max(p1 + p2, floor)

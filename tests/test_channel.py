@@ -7,28 +7,30 @@ from hypothesis import strategies as st
 
 from riscomp.channel import (
     NakagamiParams,
-    PathLossModel,
     RicianParams,
     los_steering,
-    path_gain,
-    sample_nakagami,
     sample_rayleigh,
     sample_rician_vector,
     substream,
 )
+from riscomp.montecarlo import _nakagami_pow
+from riscomp.scenarios import MultiCellScenario
 
 N_BIG = 100_000
+# Reference gains rho_o of 1e-3 (-30 dB) and 1 (0 dB) at 1 m.
+SCN_30DB = MultiCellScenario(rho_o_db=-30.0)
+SCN_0DB = MultiCellScenario(rho_o_db=0.0)
+
+
+def _sample_nakagami(p, rng, size):
+    """Nakagami magnitude: square root of the engine's Gamma power draws."""
+    return np.sqrt(_nakagami_pow(rng, p, size))
 
 
 def test_path_gain_examples():
-    assert path_gain(PathLossModel(1e-3, 3.0), 1.0) == pytest.approx(1e-3)
-    assert path_gain(PathLossModel(1.0, 2.0), 1.0) == pytest.approx(1.0)
-    assert path_gain(PathLossModel(1e-3, 3.0), 100.0) == pytest.approx(1e-9)
-
-
-def test_path_gain_below_reference_distance():
-    with pytest.raises(ValueError):
-        path_gain(PathLossModel(1.0, 2.0), 0.5)
+    assert SCN_30DB.gain(1.0, 3.0) == pytest.approx(1e-3)
+    assert SCN_0DB.gain(1.0, 2.0) == pytest.approx(1.0)
+    assert SCN_30DB.gain(100.0, 3.0) == pytest.approx(1e-9)
 
 
 @given(
@@ -37,18 +39,13 @@ def test_path_gain_below_reference_distance():
 )
 @settings(max_examples=200, deadline=None)
 def test_path_gain_monotonicity(d1, d2, a1, a2):
-    m = PathLossModel(1e-3, a1)
     if d1 < d2:
-        assert path_gain(m, d1) >= path_gain(m, d2)
+        assert SCN_30DB.gain(d1, a1) >= SCN_30DB.gain(d2, a1)
     if a1 < a2 and d1 > 1.0:
-        assert path_gain(PathLossModel(1e-3, a1), d1) >= path_gain(PathLossModel(1e-3, a2), d1)
+        assert SCN_30DB.gain(d1, a1) >= SCN_30DB.gain(d1, a2)
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        PathLossModel(0.0, 3.0)
-    with pytest.raises(ValueError):
-        PathLossModel(1.0, 1.5)
     with pytest.raises(ValueError):
         NakagamiParams(0.3, 1.0)
     with pytest.raises(ValueError):
@@ -75,10 +72,10 @@ def test_rayleigh_determinism():
 
 def test_nakagami_moments():
     rng = substream(11, 2)
-    m1 = sample_nakagami(NakagamiParams(1.0, 1.0), rng, N_BIG)
+    m1 = _sample_nakagami(NakagamiParams(1.0, 1.0), rng, N_BIG)
     assert np.mean(m1**2) == pytest.approx(1.0, abs=0.02)
     assert np.mean(m1) == pytest.approx(math.sqrt(math.pi) / 2, abs=0.01)
-    m2 = sample_nakagami(NakagamiParams(2.0, 2.0), rng, N_BIG)
+    m2 = _sample_nakagami(NakagamiParams(2.0, 2.0), rng, N_BIG)
     assert np.var(m2**2) == pytest.approx(2.0, abs=0.1)
 
 
@@ -118,7 +115,7 @@ def test_second_moment_within_three_standard_errors():
     rng = substream(21, 8)
     cases = [
         ("rayleigh", np.abs(sample_rayleigh(rng, N_BIG)) ** 2, 1.0),
-        ("nakagami", sample_nakagami(NakagamiParams(2.5, 3.0), rng, N_BIG) ** 2, 3.0),
+        ("nakagami", _sample_nakagami(NakagamiParams(2.5, 3.0), rng, N_BIG) ** 2, 3.0),
         (
             "rician",
             np.abs(sample_rician_vector(N_BIG, RicianParams(2.0, 0.1), rng)) ** 2,
@@ -132,7 +129,7 @@ def test_second_moment_within_three_standard_errors():
 
 def test_nakagami_m1_matches_rayleigh_ks():
     rng = substream(33, 9)
-    a = np.sort(sample_nakagami(NakagamiParams(1.0, 1.0), rng, N_BIG))
+    a = np.sort(_sample_nakagami(NakagamiParams(1.0, 1.0), rng, N_BIG))
     b = np.sort(np.abs(sample_rayleigh(rng, N_BIG)))
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / N_BIG

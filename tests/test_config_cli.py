@@ -1,13 +1,20 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riscomp import experiments
 from riscomp.cli import main
 from riscomp.config import (
+    KINDS,
     ConfigError,
     dump_config,
     from_mapping,
     load_config,
     parse_text,
 )
+from riscomp.quadrature import QuadratureError
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -136,3 +143,91 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     path.write_text("kind = pdf-validation\ntrials = 300\n")
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "envout" / "manifest.cfg").exists()
+
+
+def test_trials_must_be_positive_for_every_kind():
+    for kind in KINDS:
+        for trials in (0, -3):
+            with pytest.raises(ConfigError, match="trials must be >= 1"):
+                from_mapping({"kind": kind, "trials": trials})
+    with pytest.raises(ConfigError, match="n_trials must be >= 1"):
+        from_mapping({"kind": "osum-sweep", "scenario.n_trials": 0})
+
+
+def test_cli_trials_zero_override_rejected(tmp_path, capsys):
+    assert main(["reproduce", "fig4.3", "--trials", "0", "--out", str(tmp_path)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_trials_negative_override_rejected(tmp_path, capsys):
+    assert main(["reproduce", "fig4.3", "--trials", "-3", "--out", str(tmp_path)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "outage_sum_rate.csv").exists()
+
+
+def test_cli_validate_rejects_bad_sweep_elements(tmp_path, capsys):
+    path = tmp_path / "j.cfg"
+    path.write_text("kind = ee-sweep\nsweep.j_values = a, b\n")
+    assert main(["validate", str(path)]) == 2
+    assert "sweep.j_values[0]: expected integer" in capsys.readouterr().err
+    path.write_text("kind = split-sweep\nsweep.splits = 0.5, 2.5\n")
+    assert main(["validate", str(path)]) == 2
+    assert "sweep.splits[1]" in capsys.readouterr().err
+    # A sweep key the kind does not read is rejected, not ignored.
+    path.write_text("kind = er-sweep\nsweep.splits = 0.5\n")
+    assert main(["validate", str(path)]) == 2
+    assert "unknown sweep key 'splits' for kind er-sweep" in capsys.readouterr().err
+
+
+_WRONG_TYPE = st.one_of(st.text("abcxyz", min_size=1), st.booleans())
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_ANY_FLOAT = st.floats(allow_nan=False)
+_COUNT = st.one_of(_WRONG_TYPE, _ANY_FLOAT)
+_FRACTION = st.one_of(_WRONG_TYPE, _NONFINITE, st.floats(max_value=-1e-9),
+                      st.floats(min_value=1.0 + 1e-9))
+_DBM = st.one_of(_WRONG_TYPE, _NONFINITE)
+
+# (kind, sweep key) -> (a valid element, strategy of invalid elements). The
+# defaults give n_cells = 6 and, for exhaustive-star, k_elements = 34.
+SWEEP_CASES = {
+    ("ee-sweep", "j_values"): (2, st.one_of(_COUNT, st.integers(max_value=0),
+                                           st.integers(min_value=7))),
+    ("split-sweep", "j_values"): (1, st.one_of(_COUNT, st.integers(max_value=0),
+                                              st.integers(min_value=7))),
+    ("ee-sweep", "k_values"): (30, st.one_of(_COUNT, st.integers(max_value=-1))),
+    ("exhaustive-star", "assignment_values"): (
+        17, st.one_of(_COUNT, st.integers(max_value=-1), st.integers(min_value=35))),
+    ("split-sweep", "splits"): (0.5, _FRACTION),
+    ("exhaustive-star", "beta_t_values"): (0.3, _FRACTION),
+    ("ee-sweep", "r_th_values"): (0.5, st.one_of(_DBM, st.floats(max_value=-1e-9))),
+    ("ee-sweep", "p_t_dbm"): (0, _DBM),
+    ("er-sweep", "p_t_dbm"): (-10, _DBM),
+    ("outage-sweep", "p_t_dbm"): (5.5, _DBM),
+    ("osum-sweep", "p_t_dbm"): (20, _DBM),
+}
+
+
+@given(case=st.sampled_from(sorted(SWEEP_CASES)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_sweep_elements_rejected(case, data):
+    kind, key = case
+    valid, invalid = SWEEP_CASES[case]
+    from_mapping({"kind": kind, f"sweep.{key}": [valid, valid]})
+    pos = data.draw(st.integers(0, 2))
+    values = [valid, valid]
+    values.insert(pos, data.draw(invalid))
+    with pytest.raises(ConfigError, match=rf"sweep\.{key}\[{pos}\]"):
+        from_mapping({"kind": kind, f"sweep.{key}": values})
+
+
+def test_cli_library_error_is_one_line(tmp_path, monkeypatch, capsys):
+    def failing(cfg, outdir):
+        raise QuadratureError("quadrature did not reach tolerance")
+
+    monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
+    path = tmp_path / "q.cfg"
+    path.write_text(f"kind = pdf-validation\nout = {tmp_path / 'out'}\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: quadrature did not reach tolerance"]

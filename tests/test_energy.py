@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases
 from riscomp.channel import sample_rayleigh, substream
 from riscomp.energy import (
     CoopStructure,
     PowerModel,
-    assign_pbf,
-    co_eo_split_assign,
+    _split_mode_sinr,
     energy_efficiency,
     ee_sweep,
     network_coop,
@@ -17,7 +17,6 @@ from riscomp.energy import (
     simulate_network,
     split_sweep,
 )
-from riscomp.ris import effective_channel
 from riscomp.scenarios import MultiCellScenario
 
 PM = PowerModel(amp_efficiency=0.4, static_cell_power=1.0, per_element_power=3.16e-3,
@@ -66,36 +65,6 @@ def test_coop_structure_validation():
         CoopStructure((1,), 2, ("eo", "bogus"))
 
 
-def _channels(rng, cells, k):
-    out = {"rng": rng}
-    for i in range(1, cells + 1):
-        out[i] = {
-            "direct": complex(sample_rayleigh(rng)),
-            "ris_user": sample_rayleigh(rng, k),
-            "bs_ris": sample_rayleigh(rng, k) * 0.05,
-        }
-    return out
-
-
-def test_assign_pbf_modes():
-    rng = substream(1, 1)
-    ch = _channels(rng, 4, 1)
-    cs = CoopStructure((1, 2), 4, ("eo", "eo", "ec", "off"))
-    mats = assign_pbf(cs, ch)
-    # Cooperative single-element surface reaches (|h| + |cascade|)^2.
-    c1 = ch[1]
-    got = abs(effective_channel(c1["direct"], c1["ris_user"], mats[0], c1["bs_ris"])) ** 2
-    want = (abs(c1["direct"]) + abs(c1["ris_user"][0]) * abs(c1["bs_ris"][0])) ** 2
-    assert got == pytest.approx(want, rel=1e-12)
-    # Cancellation surface reaches (|h| - |cascade|)^2.
-    c3 = ch[3]
-    got = abs(effective_channel(c3["direct"], c3["ris_user"], mats[2], c3["bs_ris"])) ** 2
-    want = (abs(c3["direct"]) - abs(c3["ris_user"][0]) * abs(c3["bs_ris"][0])) ** 2
-    assert got == pytest.approx(want, rel=1e-10)
-    # Off surfaces have zero amplitude.
-    assert np.all(mats[3].amplitudes == 0.0)
-
-
 def test_network_modes_coincide_at_full_cooperation():
     scn = SCN.with_overrides(n_coop=SCN.n_cells)
     eo = network_coop(scn, "eo")
@@ -103,22 +72,29 @@ def test_network_modes_coincide_at_full_cooperation():
     assert eo.ris_mode == ec.ris_mode
 
 
-def test_co_eo_split_assign():
+def test_split_mode_matches_phase_oracle():
+    # The split engine's on-axis shortcut |h| - S_co + S_eo must equal the
+    # channel magnitude under explicit element phases: the first ceil(split*K)
+    # elements anti-phased (EC), the rest co-phased (EO).
+    scn = MultiCellScenario(n_cells=1, n_coop=1, k_elements=72)
+    p, s2, zf = scn.tx_power_w, scn.noise_w, scn.zeta_edge
+    k = scn.k_elements
     rng = substream(2, 2)
-    k = 72
-    h = complex(sample_rayleigh(rng))
-    h_ru = sample_rayleigh(rng, k)
-    h_br = sample_rayleigh(rng, k)
-    pure_eo = co_eo_split_assign(0.0, h, h_ru, h_br)
-    val = abs(effective_channel(h, h_ru, pure_eo, h_br))
-    assert val == pytest.approx(abs(h) + np.sum(np.abs(h_ru) * np.abs(h_br)), rel=1e-12)
-    pure_co = co_eo_split_assign(1.0, h, h_ru, h_br)
-    val = abs(effective_channel(h, h_ru, pure_co, h_br))
-    assert val == pytest.approx(abs(abs(h) - np.sum(np.abs(h_ru) * np.abs(h_br))), rel=1e-9)
-    half = co_eo_split_assign(0.5, h, h_ru, h_br)
-    eo_ref = co_eo_split_assign(0.0, h, h_ru, h_br)
-    flipped = np.isclose(np.abs((half.phases - eo_ref.phases + math.pi) % (2 * math.pi) - math.pi), math.pi, atol=1e-9)
-    assert np.sum(flipped) == 36
+    c = math.sqrt(s2 / p)  # keeps p*|h|^2 near the noise floor
+    h = c * complex(sample_rayleigh(rng))
+    h_ru = sample_rayleigh(rng, k) / math.sqrt(k)
+    h_br = c * sample_rayleigh(rng, k)
+    casc = (np.conj(h_ru) * h_br)[None, None, :]
+    eo, ec = eo_phases(h, h_ru, h_br), ec_phases(h, h_ru, h_br)
+    for split in (0.0, 0.25, 0.5, 1.0):
+        n_co = math.ceil(split * k)
+        theta = PhaseMatrix(np.ones(k), np.concatenate([ec[:n_co], eo[n_co:]]))
+        g = abs(effective_channel(h, h_ru, theta, h_br)) ** 2
+        edge = _split_mode_sinr(
+            scn, np.array([[h]]), casc, np.ones_like(casc), np.ones((1, 1, 1)),
+            np.array([1], dtype=np.uint8), split,
+        )[0]
+        assert edge[0] == pytest.approx(zf * p * g / ((1 - zf) * p * g + s2), rel=1e-9)
 
 
 def test_simulate_network_deterministic():

@@ -1,5 +1,8 @@
 import filecmp
 
+import pytest
+
+from riscomp import experiments
 from riscomp.config import from_mapping, load_config
 from riscomp.experiments import PRESETS, reproduce, run_experiment
 
@@ -145,3 +148,15 @@ def test_ee_joint_grid(tmp_path):
     rows = grid.read_text().splitlines()
     assert rows[0] == "p_t_dbm,r_th,mode,ee,outage_sum_rate"
     assert len(rows) == 1 + 2 * 2 * 4  # P_t x R_th x four modes
+
+
+def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
+    def failing(cfg, outdir):
+        raise ValueError("runner failed")
+
+    monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
+    cfg = from_mapping({"kind": "pdf-validation"})
+    cfg.out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="runner failed"):
+        run_experiment(cfg)
+    assert list((tmp_path / "out").iterdir()) == []

@@ -150,21 +150,3 @@ def test_outage_monotone_in_power_common_random_numbers():
 def test_invalid_coupling():
     with pytest.raises(ValueError):
         run_trials(SCN, 10, seed=0, coupling="other")
-
-
-def test_write_batch_csv(tmp_path):
-    from riscomp.montecarlo import write_batch_csv
-
-    batch = run_trials(SCN, 50, seed=13)
-    per_trial = tmp_path / "trials.csv"
-    write_batch_csv(per_trial, batch)
-    lines = per_trial.read_text().splitlines()
-    assert lines[0].startswith("trial,")
-    assert len(lines) == 51
-    agg = tmp_path / "agg.csv"
-    write_batch_csv(agg, batch, aggregated=True, thr=RateThresholds(1.0, 1.0))
-    lines = agg.read_text().splitlines()
-    assert lines[0] == "user,ergodic_rate,outage"
-    assert len(lines) == 4
-    with pytest.raises(ValueError):
-        write_batch_csv(agg, batch, aggregated=True)

@@ -1,21 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riscomp.noma import (
-    LinkBudget,
-    NomaPair,
-    RateThresholds,
-    achievable_rate,
-    outage_event_center,
-    outage_event_edge,
-    sinr_center_decode_edge,
-    sinr_center_own,
-    sinr_edge_comp,
-    sum_rate,
-)
+from oracles import LinkBudget, NomaPair, sinr_edge_comp
+from riscomp.montecarlo import SINR_KINDS, TrialBatch, estimate_outage
+from riscomp.noma import RateThresholds, achievable_rate
 
 PAIR = NomaPair(zeta_center=0.3, zeta_edge=0.7, tx_power=1.0)
+
+
+def _batch(**sinr) -> TrialBatch:
+    """One-trial batch: the given SINRs, every other kind at 1.0."""
+    full = {k: np.array([float(sinr.get(k, 1.0))]) for k in SINR_KINDS}
+    return TrialBatch(sinr=full, n_trials=1, seed=0, coupling="physical")
 
 
 def test_pair_validation():
@@ -32,24 +30,6 @@ def test_budget_validation():
         LinkBudget([-1.0], noise_power=1.0)
     with pytest.raises(ValueError):
         LinkBudget([1.0], noise_power=0.0)
-
-
-def test_sinr_center_decode_edge_examples():
-    assert sinr_center_decode_edge(PAIR, LinkBudget([0.0], noise_power=0.1)) == 0.0
-    val = sinr_center_decode_edge(PAIR, LinkBudget([1.0], noise_power=0.1))
-    assert val == pytest.approx(0.7 / 0.4)
-    # Saturation as SNR grows without interference.
-    val = sinr_center_decode_edge(PAIR, LinkBudget([1e12], noise_power=1.0))
-    assert val == pytest.approx(7.0 / 3.0, rel=1e-9)
-
-
-def test_sinr_center_own_examples():
-    assert sinr_center_own(PAIR, LinkBudget([0.0], noise_power=1.0)) == 0.0
-    pair = NomaPair(0.3, 0.7, 10.0)
-    assert sinr_center_own(pair, LinkBudget([1.0], noise_power=1.0)) == pytest.approx(3.0)
-    lo = sinr_center_own(pair, LinkBudget([1.0], [2.0], 1.0))
-    hi = sinr_center_own(pair, LinkBudget([1.0], [4.0], 1.0))
-    assert hi < lo
 
 
 def test_sinr_edge_comp_examples():
@@ -70,36 +50,23 @@ def test_achievable_rate_examples():
 
 
 def test_outage_center_examples():
+    # Two-stage center outage: SIC failure alone is an outage, and so is an
+    # own-message failure after SIC succeeded.
     thr = RateThresholds(1.0, 1.0)  # both SINR thresholds = 1
-    ok = LinkBudget([100.0], noise_power=1.0)
-    assert not outage_event_center(PAIR, ok, thr)
-    # SIC failure regardless of own-message SINR.
-    sic_fail = LinkBudget([0.1], noise_power=1.0)
-    assert outage_event_center(PAIR, sic_fail, thr)
-    # SIC passes (gamma_cf > 1) but the own message fails (gamma_c < 1).
-    mid = LinkBudget([10.0], [2.5], 1.0)
-    g_cf = sinr_center_decode_edge(PAIR, mid)
-    g_c = sinr_center_own(PAIR, mid)
-    assert g_cf > 1.0 > g_c
-    assert outage_event_center(PAIR, mid, thr)
+    for sic, own, want in ((2.0, 2.0, 0.0), (0.5, 2.0, 1.0), (2.0, 0.5, 1.0)):
+        out = estimate_outage(_batch(center1_sic=sic, center1_own=own), thr)
+        assert out["center1"] == want, (sic, own)
 
 
 def test_outage_edge_boundary_is_non_outage():
     # Exact tie in binary floating point: 0.75/(0.25 + 0.5) == 1.0 == 2^1 - 1.
     thr = RateThresholds(1.0, 1.0)
-    pair = NomaPair(0.25, 0.75, 1.0)
-    budget = LinkBudget([1.0], noise_power=0.5)
-    assert sinr_edge_comp(pair, budget) == thr.gamma_edge == 1.0
-    assert not outage_event_edge(pair, budget, thr)
-    assert outage_event_edge(pair, LinkBudget([0.0], noise_power=1.0), thr)
+    tie = sinr_edge_comp(NomaPair(0.25, 0.75, 1.0), LinkBudget([1.0], noise_power=0.5))
+    assert tie == thr.gamma_edge == 1.0
+    assert estimate_outage(_batch(edge=tie), thr)["edge"] == 0.0
+    assert estimate_outage(_batch(edge=0.0), thr)["edge"] == 1.0
     # Threshold derived from R = 0.5 bps/Hz.
     assert RateThresholds(0.5, 0.5).gamma_edge == pytest.approx(2**0.5 - 1)
-
-
-def test_sum_rate():
-    assert sum_rate([]) == 0.0
-    assert sum_rate([achievable_rate(3.0)]) == pytest.approx(2.0)
-    assert sum_rate([1.0, 2.0]) + sum_rate([3.0]) == pytest.approx(sum_rate([1.0, 2.0, 3.0]))
 
 
 @given(
@@ -124,19 +91,19 @@ def test_scale_invariance_and_saturation(g1, g2, ici, noise, scale):
 
 
 @given(
-    g=st.floats(1e-6, 1e6), ici=st.floats(0.0, 1e3), noise=st.floats(1e-6, 1e3),
+    sic=st.floats(0.0, 1e3), own=st.floats(0.0, 1e3),
     r_base=st.floats(0.01, 3.0), r_delta=st.floats(0.0, 2.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_outage_threshold_monotonicity(g, ici, noise, r_base, r_delta):
-    # Lowering either threshold alone never turns a non-outage into one.
-    budget = LinkBudget([g], [ici], noise)
+def test_outage_threshold_monotonicity(sic, own, r_base, r_delta):
+    # Raising either threshold alone never turns an outage into a non-outage.
+    batch = _batch(center1_sic=sic, center1_own=own)
     hi_center = RateThresholds(r_base + r_delta, r_base)
     hi_edge = RateThresholds(r_base, r_base + r_delta)
     lo = RateThresholds(r_base, r_base)
-    if outage_event_center(PAIR, budget, lo):
-        assert outage_event_center(PAIR, budget, hi_center)
-        assert outage_event_center(PAIR, budget, hi_edge)
+    if estimate_outage(batch, lo)["center1"] == 1.0:
+        assert estimate_outage(batch, hi_center)["center1"] == 1.0
+        assert estimate_outage(batch, hi_edge)["center1"] == 1.0
 
 
 def test_edge_comp_monotonicity():

