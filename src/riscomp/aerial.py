@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RicianParams, sample_rician_vector, substream
+from .channel import substream
 from .ris import wrap_phase
 from .scenarios import AerialScenario
 
 _STREAM_ENV = 501
+_SQRT_HALF = math.sqrt(0.5)
 
 MOVES = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (0.0, 0.0))
 MOVE_NAMES = ("left", "right", "down", "up", "hover")
@@ -70,6 +71,13 @@ class ArisEnv:
         self._users.append(np.asarray(scenario.edge_position, dtype=float))
         self._bs = [np.asarray(p, dtype=float) for p in scenario.bs_positions]
         self._obstacles = [np.asarray(p[:2], dtype=float) for p in scenario.obstacle_positions]
+        # Direct BS-center link amplitudes: the UAV is on none of these links.
+        self._amp_direct = np.empty((scenario.n_bs, len(self._users) - 1))
+        for i, bs in enumerate(self._bs):
+            for u, pu in enumerate(self._users[:-1]):
+                alpha = scenario.alpha_direct if u == i else scenario.alpha_ici
+                d = float(np.linalg.norm(bs - pu))
+                self._amp_direct[i, u] = math.sqrt(scenario.rho_o / d**alpha)
         self._rng = None
         self._t = 0
         self._pos = None
@@ -79,9 +87,6 @@ class ArisEnv:
         self.last_qos = None
 
     # Geometry ------------------------------------------------------------
-    def _uav_point(self):
-        return np.array([self._pos[0], self._pos[1], self.scn.ris_altitude])
-
     def _obstacle_dists(self) -> np.ndarray:
         return np.array([float(np.linalg.norm(self._pos - o)) for o in self._obstacles])
 
@@ -95,66 +100,75 @@ class ArisEnv:
         )
 
     # Channels ------------------------------------------------------------
-    def _rician_vec(self, endpoint: np.ndarray) -> np.ndarray:
-        """RIS-side channel vector toward endpoint, with azimuth steering."""
-        uav = self._uav_point()
-        d = float(np.linalg.norm(uav - endpoint))
-        aoa = float(wrap_phase(math.atan2(endpoint[1] - uav[1], endpoint[0] - uav[0])))
-        gain = self.scn.rho_o / d**self.scn.alpha_ris
-        vec = sample_rician_vector(
-            self.scn.k_elements, RicianParams(self.scn.kappa, aoa), self._rng
-        )
-        return math.sqrt(gain) * vec
+    def _draw_channels(self, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """n i.i.d. slots: RIS-side Rician vectors (n, n_bs + n_users, K), BSs
+        first, and direct BS-center Rayleigh links (n, n_bs, n_centers); the
+        BS-edge links are blocked by obstacles.
 
-    def _rayleigh(self, p: np.ndarray, q: np.ndarray, alpha: float) -> complex:
-        d = float(np.linalg.norm(p - q))
-        gain = self.scn.rho_o / d**alpha
-        v = (self._rng.standard_normal() + 1j * self._rng.standard_normal()) * math.sqrt(0.5)
-        return math.sqrt(gain) * v
-
-    def _draw_channels(self) -> dict:
+        Each slot reads K real then K imaginary normals per RIS link, then
+        each direct link's real and imaginary part, so one batch of n equals
+        n single draws. Per-link geometry stays scalar: numpy's vectorized
+        norm, arctan2 and power round some inputs differently.
+        """
         scn = self.scn
-        ch = {
-            "bs_ris": [self._rician_vec(bs) for bs in self._bs],
-            "ris_user": [self._rician_vec(u) for u in self._users],
-            "direct": np.zeros((scn.n_bs, len(self._users)), dtype=complex),
-        }
-        for i, bs in enumerate(self._bs):
-            for u, pu in enumerate(self._users[:-1]):
-                alpha = scn.alpha_direct if u == i else scn.alpha_ici
-                ch["direct"][i, u] = self._rayleigh(bs, pu, alpha)
-            # Direct BS-edge links are blocked by obstacles.
-        return ch
+        k = scn.k_elements
+        uav = np.array([self._pos[0], self._pos[1], scn.ris_altitude])
+        amp, sines = [], []
+        for p in self._bs + self._users:
+            d = float(np.linalg.norm(uav - p))
+            aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
+            amp.append(math.sqrt(scn.rho_o / d**scn.alpha_ris))
+            sines.append(np.sin(aoa))
+        n_ris = 2 * k * len(amp)
+        z = self._rng.standard_normal((n, n_ris + 2 * self._amp_direct.size))
+        zr = z[:, :n_ris].reshape(n, len(amp), 2, k)
+        los = np.exp(1j * np.arange(k) * np.pi * np.array(sines)[:, None])
+        nlos = (zr[:, :, 0] + 1j * zr[:, :, 1]) * _SQRT_HALF
+        kappa = scn.kappa
+        w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
+        w_nlos = math.sqrt(1.0 / (1.0 + kappa))
+        ris = np.array(amp)[:, None] * (w_los * los + w_nlos * nlos)
+        zd = z[:, n_ris:].reshape(n, scn.n_bs, -1, 2)
+        direct = self._amp_direct * ((zd[..., 0] + 1j * zd[..., 1]) * _SQRT_HALF)
+        return ris, direct
 
-    def _rates(self, ch: dict, phases: np.ndarray, alloc: np.ndarray) -> np.ndarray:
+    def _gains(self, ris: np.ndarray, direct: np.ndarray, phasors: np.ndarray) -> np.ndarray:
+        """|direct + sum_k conj(ris_user) * phasor * bs_ris|^2: (..., n, n_bs,
+        n_users) for phasors (..., K) and the n slots of _draw_channels."""
+        n_bs = self.scn.n_bs
+        bs_ris, ris_user = ris[:, :n_bs], ris[:, n_bs:]
+        cascade = np.conj(ris_user)[:, None] * phasors[..., None, None, None, :]
+        eff = np.sum(cascade * bs_ris[:, :, None], axis=-1)
+        eff[..., : direct.shape[-1]] += direct
+        return np.abs(eff) ** 2
+
+    def _rates(self, g: np.ndarray, alloc: np.ndarray) -> np.ndarray:
+        """Per-user rates (..., n_bs + 1), centers then edge, from gains
+        g (..., n_bs, n_users) and allocation factors alloc (n_bs,).
+
+        NOMA, or with scenario.oma equal-time TDMA: centers in slot 1 under
+        full-power interference, cooperative JT toward the edge in slot 2.
+        One slot, g (n_bs, n_users), takes math.log2: np.log2 rounds some
+        inputs differently.
+        """
         scn = self.scn
         rho = scn.rho
-        phasor = np.exp(1j * phases)
-        n_users = len(self._users)
-        eff = np.empty((scn.n_bs, n_users), dtype=complex)
-        for i in range(scn.n_bs):
-            for u in range(n_users):
-                cascade = np.conj(ch["ris_user"][u]) * phasor * ch["bs_ris"][i]
-                eff[i, u] = ch["direct"][i, u] + np.sum(cascade)
-        g = np.abs(eff) ** 2
-        edge = n_users - 1
-        rates = np.empty(n_users)
+        n_bs = scn.n_bs
+        log2 = math.log2 if g.ndim == 2 else np.log2
+        slot = 0.5 if scn.oma else 1.0
+        share = np.ones(n_bs) if scn.oma else 1.0 - alloc
+        rates = []
+        for i in range(n_bs):
+            ici = rho * sum(g[..., j, i] for j in range(n_bs) if j != i)
+            rates.append(slot * log2(1.0 + share[i] * rho * g[..., i, i] / (ici + 1.0)))
         if scn.oma:
-            # Equal-time TDMA: centers in slot 1 (mutual full-power
-            # interference), cooperative JT toward the edge in slot 2.
-            for i in range(scn.n_bs):
-                ici = sum(g[j, i] for j in range(scn.n_bs) if j != i)
-                rates[i] = 0.5 * math.log2(1.0 + rho * g[i, i] / (rho * ici + 1.0))
-            rates[edge] = 0.5 * math.log2(1.0 + rho * float(np.sum(g[:, edge])))
-            return rates
-        num_f = sum(alloc[i] * rho * g[i, edge] for i in range(scn.n_bs))
-        den_f = sum((1.0 - alloc[i]) * rho * g[i, edge] for i in range(scn.n_bs)) + 1.0
-        rates[edge] = math.log2(1.0 + num_f / den_f)
-        for i in range(scn.n_bs):
-            other = 1 - i
-            ici = rho * g[other, i]
-            rates[i] = math.log2(1.0 + (1.0 - alloc[i]) * rho * g[i, i] / (ici + 1.0))
-        return rates
+            sinr_edge = rho * sum(g[..., i, -1] for i in range(n_bs))
+        else:
+            num = sum(alloc[i] * rho * g[..., i, -1] for i in range(n_bs))
+            den = sum((1.0 - alloc[i]) * rho * g[..., i, -1] for i in range(n_bs)) + 1.0
+            sinr_edge = num / den
+        rates.append(slot * log2(1.0 + sinr_edge))
+        return np.stack(rates, axis=-1)
 
     # MDP interface ---------------------------------------------------------
     def reset(self) -> MdpState:
@@ -166,8 +180,8 @@ class ArisEnv:
             raise ValueError("start position violates the safety constraints")
         self._t = 0
         self._alloc = np.full(self.scn.n_bs, self.scn.default_alloc)
-        ch = self._draw_channels()
-        rates = self._rates(ch, np.zeros(self.scn.k_elements), self._alloc)
+        g = self._gains(*self._draw_channels(), np.ones(self.scn.k_elements, dtype=complex))
+        rates = self._rates(g[0], self._alloc)
         return MdpState(self._pos.copy(), self._obstacle_dists(), self._alloc.copy(), rates)
 
     def qos_indicators(self, rates: np.ndarray) -> np.ndarray:
@@ -196,8 +210,8 @@ class ArisEnv:
         if not violated:
             self._pos = candidate
         self._alloc = action.alloc_factors.copy()
-        ch = self._draw_channels()
-        rates = self._rates(ch, action.phases, self._alloc)
+        g = self._gains(*self._draw_channels(), np.exp(1j * action.phases))
+        rates = self._rates(g[0], self._alloc)
         qos = self.qos_indicators(rates)
         reward = self.reward(rates, qos, violated)
         self._t += 1

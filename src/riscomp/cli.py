@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>          execute an experiment config (or a run manifest)
-  reproduce <figure-id> run a figure-style preset (fig3.2 ... fig5.5)
+  reproduce <figure-id> run a figure-style preset (fig3.2 ... fig5.2-tiny)
   validate <config>     parse + validate, print the resolved config
 
 Flags --seed / --trials / --out override the corresponding config fields;

@@ -331,6 +331,8 @@ def validate(cfg: ExperimentConfig) -> None:
         errors.append(f"trials must be >= 1, got {cfg.trials}")
     if cfg.seed < 0:
         errors.append(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.kind == "drl-eval" and not cfg.checkpoint:
+        errors.append("drl-eval requires checkpoint = <policy.bin path>")
     errors.extend(_sweep_errors(cfg))
     # Construct the scenario once to surface invariant violations.
     try:

@@ -47,8 +47,6 @@ class PowerModel:
     tx_power: float
 
     def __post_init__(self):
-        if not 0 < self.amp_efficiency <= 1:
-            raise ValueError("amplifier efficiency must lie in (0, 1]")
         if min(self.static_cell_power, self.per_element_power, self.tx_power) <= 0:
             raise ValueError("powers must be positive")
 
@@ -86,15 +84,6 @@ def network_coop(scn: MultiCellScenario, mode: str) -> CoopStructure:
         coop_mode if (i + 1) in coop else noncoop_mode for i in range(scn.n_cells)
     )
     return CoopStructure(coop, scn.n_cells, per_bs)
-
-
-def outage_rate(rate: float, outage_prob: float) -> float:
-    """Effective rate (1 - P_out) * rate."""
-    if not 0.0 <= outage_prob <= 1.0:
-        raise ValueError("outage probability must lie in [0, 1]")
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    return (1.0 - outage_prob) * rate
 
 
 def energy_efficiency(
@@ -200,9 +189,9 @@ def simulate_network(
 ) -> ModeAggregates:
     """Monte Carlo aggregates for one network RIS configuration.
 
-    split, when given, replaces the EO/EC assignment of cooperative cells by
-    the cancellation/enhancement element split (non-cooperative cells keep
-    their mode); used by the split-ratio experiment.
+    split, when given, replaces the mode's RIS assignment of every cell,
+    cooperative or not, by the cancellation/enhancement element split; used
+    by the split-ratio experiment.
     """
     n = scn.n_trials if n is None else n
     cs = network_coop(scn, mode)

@@ -245,8 +245,6 @@ def _run_drl_train(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _run_drl_eval(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.aerial_scenario()
     tc = _train_config(cfg)
-    if not cfg.checkpoint:
-        raise ConfigError("drl-eval requires checkpoint = <policy.bin path>")
     params = load_params(cfg.checkpoint)
     ev = evaluate(scn, params, tc, seed=cfg.seed, episodes=10)
     rows = [tuple(t) for t in ev["traces"]]
@@ -395,14 +393,6 @@ PRESETS: dict[str, dict] = {
         "train.episodes_per_update": 6,
         "train.kl_stop": 0.02,
         "train.gamma": 0.95,
-    },
-    # Trajectory trace of a trained policy (expects checkpoint=...).
-    "fig5.5": {
-        "kind": "drl-eval",
-        "seed": 1,
-        "scenario.k_elements": 120,
-        "scenario.t_slots": 250,
-        "scenario.p_t_dbm": 20.0,
     },
 }
 

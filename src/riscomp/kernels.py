@@ -28,7 +28,13 @@ OUT_CF1, OUT_C1, OUT_CF2, OUT_C2, OUT_F, OUT_F_NC = 0, 1, 2, 3, 4, 5
 N_OUT_ROWS = 6
 
 
-def _coordinated_sinr_np(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
+def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
+    """Two-cell coordinated-cluster SINRs from pre-drawn power variates.
+
+    z_pow: (N_Z_ROWS, 3, n) gamma power draws (h^2, a^2, b^2) per block,
+    x_pow: (N_X_ROWS, n) interference power draws, amp: per-row cascade
+    multiplier K*sqrt(beta). Returns (N_OUT_ROWS, n) SINRs.
+    """
     n = z_pow.shape[2]
     z = np.empty((N_Z_ROWS, n))
     for r in range(N_Z_ROWS):
@@ -55,8 +61,16 @@ def _coordinated_sinr_np(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
     return out
 
 
-def _multicell_edge_np(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
-                       coop, mode, zeta_f, p_w, sigma2):
+def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
+                        coop, mode, zeta_f, p_w, sigma2):
+    """Multi-cell CoMP-NOMA SINRs for one RIS phase-assignment mode.
+
+    mode codes per cell: 0 no-RIS, 1 random phases, 2 enhancement (co-phased),
+    3 cancellation (anti-phased). Returns (edge, edge_oma, c_own, c_cf, c_oma).
+    For a non-cooperative cell, c_cf is the center user's SIC stage against its
+    own cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
+    with own = p_w*cg[:, i, i] and every other cell interfering at full power.
+    """
     n, n_cells, k = casc_re.shape
     g_edge = np.empty((n, n_cells))
     for i in range(n_cells):
@@ -126,45 +140,3 @@ def _multicell_edge_np(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
             c_cf[:, i] = zeta_f * own_sig / ((1.0 - zeta_f) * own_sig + den)
         c_oma[:, i] = own_sig / (oma_ici + sigma2)
     return edge, edge_oma, c_own, c_cf, c_oma
-
-
-def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
-    """Two-cell coordinated-cluster SINRs from pre-drawn power variates.
-
-    z_pow: (N_Z_ROWS, 3, n) gamma power draws (h^2, a^2, b^2) per block,
-    x_pow: (N_X_ROWS, n) interference power draws, amp: per-row cascade
-    multiplier K*sqrt(beta). Returns (N_OUT_ROWS, n) SINRs.
-    """
-    z_pow = np.ascontiguousarray(z_pow, dtype=np.float64)
-    x_pow = np.ascontiguousarray(x_pow, dtype=np.float64)
-    amp = np.ascontiguousarray(amp, dtype=np.float64)
-    return _coordinated_sinr_np(z_pow, x_pow, amp, float(zeta_c1), float(zeta_c2),
-                                float(zeta_f), float(rho))
-
-
-def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
-                        coop, mode, zeta_f, p_w, sigma2):
-    """Multi-cell CoMP-NOMA SINRs for one RIS phase-assignment mode.
-
-    mode codes per cell: 0 no-RIS, 1 random phases, 2 enhancement (co-phased),
-    3 cancellation (anti-phased). Returns (edge, edge_oma, c_own, c_cf, c_oma).
-    For a non-cooperative cell, c_cf is the center user's SIC stage against its
-    own cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
-    with own = p_w*cg[:, i, i] and every other cell interfering at full power.
-    """
-    coop = np.ascontiguousarray(coop, dtype=np.uint8)
-    mode = np.ascontiguousarray(mode, dtype=np.uint8)
-    return _multicell_edge_np(
-        np.ascontiguousarray(ed_re, dtype=np.float64),
-        np.ascontiguousarray(ed_im, dtype=np.float64),
-        np.ascontiguousarray(casc_re, dtype=np.float64),
-        np.ascontiguousarray(casc_im, dtype=np.float64),
-        np.ascontiguousarray(rnd_re, dtype=np.float64),
-        np.ascontiguousarray(rnd_im, dtype=np.float64),
-        np.ascontiguousarray(cg, dtype=np.float64),
-        coop,
-        mode,
-        float(zeta_f),
-        float(p_w),
-        float(sigma2),
-    )

@@ -165,10 +165,6 @@ class EmpiricalCdf:
         return np.searchsorted(self.sorted, np.asarray(x, dtype=float), side="left") / self.n
 
 
-def empirical_cdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)
-
-
 def ks_statistic(
     samples,
     cdf: Callable[[float], float],

@@ -4,8 +4,9 @@ per-head clipped surrogate objectives and Adam. Everything (forward,
 backprop, Adam) is implemented directly on numpy arrays; gradients are
 verified against central finite differences in the test suite.
 
-Baselines: a hover variant (position pinned, discrete head disabled) and an
-exhaustive grid search over static configurations for desk-scale instances.
+Baselines: a hover variant (`train`/`evaluate` with hover=True: position
+pinned, discrete head disabled) and an exhaustive grid search over static
+configurations for desk-scale instances.
 """
 
 from __future__ import annotations
@@ -494,12 +495,6 @@ def train(
     return TrainResult(rewards=curve, params=params, config=cfg)
 
 
-def hover_baseline(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainResult:
-    """Training with the UAV pinned at the user centroid and the discrete
-    head disabled (continuous action space only)."""
-    return train(scenario, cfg, seed=seed, hover=True)
-
-
 def evaluate(
     scenario: AerialScenario,
     params: PolicyParams,
@@ -547,8 +542,10 @@ def exhaustive_baseline(
     """Global grid search over static (position, phases, allocation) triples.
 
     Evaluates the mean per-slot sum rate over n_eval channel draws per
-    position and enumerates the full product grid. Intended for tiny
-    instances (phase grid is phase_levels**K)."""
+    position and enumerates the full product grid. Draws and rates are the
+    environment's own (NOMA or, with scenario.oma, OMA). Intended for tiny
+    instances: the phase grid is phase_levels**K and the gains of all phase
+    combinations and draws of one position are held at once."""
     k = scenario.k_elements
     n_bs = scenario.n_bs
     n_phase = phase_levels**k
@@ -580,41 +577,17 @@ def exhaustive_baseline(
                 continue
             env._pos = pos
             env._rng = substream(seed, _STREAM_GRID, xi, yi)
-            # Per-draw cascade products and direct gains.
-            casc = np.empty((n_eval, n_bs, scenario.n_users, k), dtype=complex)
-            direct = np.empty((n_eval, n_bs, scenario.n_users), dtype=complex)
-            for d in range(n_eval):
-                ch = env._draw_channels()
-                for i in range(n_bs):
-                    for u in range(scenario.n_users):
-                        casc[d, i, u] = np.conj(ch["ris_user"][u]) * ch["bs_ris"][i]
-                direct[d] = ch["direct"]
-            # Effective gains for all phase combos: (n_phase, draws, bs, user)
-            eff = np.tensordot(phasors, casc, axes=([1], [3])) + direct[None]
-            gain = np.abs(eff) ** 2
-            rho = scenario.rho
-            edge = scenario.n_users - 1
-            for ai, alloc in enumerate(alloc_combos):
-                num_f = np.zeros(gain.shape[:2])
-                den_f = np.ones(gain.shape[:2])
-                for i in range(n_bs):
-                    num_f += alloc[i] * rho * gain[:, :, i, edge]
-                    den_f += (1.0 - alloc[i]) * rho * gain[:, :, i, edge]
-                r_sum = np.log2(1.0 + num_f / den_f)
-                for i in range(n_bs):
-                    other = 1 - i
-                    ici = rho * gain[:, :, other, i]
-                    r_sum += np.log2(
-                        1.0 + (1.0 - alloc[i]) * rho * gain[:, :, i, i] / (ici + 1.0)
-                    )
-                mean_rates = np.mean(r_sum, axis=1)  # per phase combo
+            # Gains for every phase combo and draw: (n_phase, n_eval, bs, user).
+            gain = env._gains(*env._draw_channels(n_eval), phasors)
+            for alloc in alloc_combos:
+                mean_rates = np.mean(np.sum(env._rates(gain, alloc), axis=-1), axis=1)
                 pi = int(np.argmax(mean_rates))
                 if mean_rates[pi] > best["value"]:
                     best = {
                         "value": float(mean_rates[pi]),
                         "position": (float(x), float(y)),
                         "phases": phase_combos[pi].copy(),
-                        "alloc": alloc_combos[ai].copy(),
+                        "alloc": alloc.copy(),
                     }
     return best
 
@@ -666,10 +639,15 @@ def load_params(path) -> PolicyParams:
         off += 1
         shape = struct.unpack_from(f"<{ndim}q", data, off)
         off += 8 * ndim
-        shapes.append((name, shape))
+        shapes.append((name, shape, math.prod(shape)))
+    expected = 3 * 8 * sum(count for _, _, count in shapes)
+    if len(data) - off != expected:
+        raise ValueError(
+            f"{path}: checkpoint payload holds {len(data) - off} bytes, "
+            f"its shape table needs {expected}"
+        )
     weights, adam_m, adam_v = {}, {}, {}
-    for name, shape in shapes:
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape, count in shapes:
         for target in (weights, adam_m, adam_v):
             arr = np.frombuffer(data, dtype=np.float64, count=count, offset=off)
             off += 8 * count

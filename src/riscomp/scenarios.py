@@ -190,6 +190,8 @@ class MultiCellScenario:
             raise ValueError("edge allocation factor must lie in (0.5, 1)")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if not 0 < self.amp_efficiency <= 1:
+            raise ValueError("amplifier efficiency must lie in (0, 1]")
 
     @property
     def rho_o(self) -> float:

@@ -207,12 +207,6 @@ def weighted_sum_moments(
     return MomentPair(m1, m2)
 
 
-def weighted_sum_gamma(
-    a: float, z: GammaParams, b: float, interferer: NakagamiParams
-) -> GammaParams:
-    return gamma_from_moments(weighted_sum_moments(a, z.moments(), b, interferer))
-
-
 def sinr_dist_center_decode_edge(
     z: MomentPair,
     interferer: NakagamiParams,

@@ -14,20 +14,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError("linear value must be positive")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(w: float) -> float:
-    if w <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(w) + 30.0
 
 
 def noise_power_watts(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

@@ -1,6 +1,7 @@
 """Independent reference implementations that the tests check the engines
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
-effective-channel composition, and half-line quadrature.
+effective-channel composition, half-line quadrature, and per-link Rayleigh
+and Rician channel draws.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import Generator
 
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
@@ -179,3 +181,52 @@ def integrate_half_line(
 
     pts = [x / (1.0 + x) for x in breakpoints if x > 0 and math.isfinite(x)]
     return integrate(g, 0.0, 1.0, rtol=rtol, atol=atol, breakpoints=pts, limit=limit)
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@dataclass(frozen=True)
+class RicianParams:
+    """Linear K-factor and angle of arrival of the LoS component."""
+
+    kappa: float
+    aoa: float
+
+    def __post_init__(self):
+        if self.kappa < 0:
+            raise ValueError("Rician factor must be >= 0")
+        if not (-math.pi <= self.aoa < math.pi):
+            raise ValueError("aoa must lie in [-pi, pi)")
+
+
+def sample_rayleigh(rng: Generator, size=None) -> np.ndarray | complex:
+    """Circularly symmetric complex Gaussian with E[|v|^2] = 1."""
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    v = (re + 1j * im) * _SQRT_HALF
+    return v if size is not None else complex(v)
+
+
+def los_steering(k_elements: int, aoa: float) -> np.ndarray:
+    """Progressive-phase steering vector, k-th entry e^{j(k-1) pi sin(aoa)}."""
+    if k_elements < 0:
+        raise ValueError("element count must be >= 0")
+    k = np.arange(k_elements)
+    return np.exp(1j * k * np.pi * np.sin(aoa))
+
+
+def sample_rician_vector(k_elements: int, p: RicianParams, rng: Generator) -> np.ndarray:
+    """LoS steering plus Rayleigh scatter, per-element E[|.|^2] = 1.
+
+    k_elements = 0 returns an empty vector (the no-RIS degenerate case).
+    """
+    if k_elements == 0:
+        return np.zeros(0, dtype=np.complex128)
+    los = los_steering(k_elements, p.aoa)
+    if math.isinf(p.kappa):
+        return los
+    nlos = sample_rayleigh(rng, k_elements)
+    w_los = math.sqrt(p.kappa / (1.0 + p.kappa))
+    w_nlos = math.sqrt(1.0 / (1.0 + p.kappa))
+    return w_los * los + w_nlos * nlos

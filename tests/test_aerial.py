@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from oracles import RicianParams, sample_rayleigh, sample_rician_vector
 from riscomp.aerial import ArisEnv, MdpAction
 from riscomp.channel import substream
+from riscomp.ris import wrap_phase
 from riscomp.scenarios import AerialScenario, tiny_aerial_scenario
 
 
@@ -161,3 +165,66 @@ def test_safety_invariant_random_actions():
             assert abs(x) <= half and abs(y) <= half
             for o in obstacles:
                 assert np.hypot(x - o[0], y - o[1]) >= scn.d_min
+
+
+def _reference_draw(scn, xy, rng):
+    """One slot drawn link by link: Rician RIS vectors (BSs, then centers and
+    edge) and Rayleigh direct BS-center links, each scaled by its path gain."""
+    uav = np.array([xy[0], xy[1], scn.ris_altitude])
+    users = [np.asarray(p, dtype=float) for p in (*scn.center_positions, scn.edge_position)]
+    bss = [np.asarray(p, dtype=float) for p in scn.bs_positions]
+    ris = []
+    for p in bss + users:
+        d = float(np.linalg.norm(uav - p))
+        aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
+        vec = sample_rician_vector(scn.k_elements, RicianParams(scn.kappa, aoa), rng)
+        ris.append(math.sqrt(scn.rho_o / d**scn.alpha_ris) * vec)
+    direct = np.zeros((scn.n_bs, len(users)), dtype=complex)  # edge column blocked
+    for i, bs in enumerate(bss):
+        for u, pu in enumerate(users[:-1]):
+            alpha = scn.alpha_direct if u == i else scn.alpha_ici
+            gain = scn.rho_o / float(np.linalg.norm(bs - pu)) ** alpha
+            direct[i, u] = math.sqrt(gain) * sample_rayleigh(rng)
+    return ris, direct
+
+
+def _reference_gains(scn, ris, direct, phasor):
+    bs_ris, ris_user = ris[: scn.n_bs], ris[scn.n_bs :]
+    eff = np.empty(direct.shape, dtype=complex)
+    for i in range(scn.n_bs):
+        for u in range(scn.n_users):
+            eff[i, u] = direct[i, u] + np.sum(np.conj(ris_user[u]) * phasor * bs_ris[i])
+    # numpy's array abs, as the environment takes it; the scalar complex abs
+    # (hypot) rounds differently on some inputs.
+    return np.abs(eff) ** 2
+
+
+@pytest.mark.parametrize("k", [0, 4, 120])
+def test_batched_draw_and_gains_equal_per_link_reference(k):
+    scn = AerialScenario(k_elements=k)
+    env = ArisEnv(scn, seed=0)
+    env.reset()
+    n = 5
+    phase_rng = substream(12, k)
+    for xy in ((0.0, 35.0), (-60.0, 20.0), (41.5, -73.0)):
+        env._pos = np.array(xy)
+        env._rng = substream(13, k)
+        ris, direct = env._draw_channels(n)
+        assert ris.shape == (n, scn.n_bs + scn.n_users, k)
+        assert direct.shape == (n, scn.n_bs, scn.n_users - 1)
+        env._rng = substream(13, k)
+        singles = [env._draw_channels() for _ in range(n)]
+        phasors = np.exp(1j * phase_rng.uniform(-np.pi, np.pi, (3, k)))
+        gains = env._gains(ris, direct, phasors)
+        assert gains.shape == (3, n, scn.n_bs, scn.n_users)
+        ref_rng = substream(13, k)
+        for d in range(n):
+            ref_ris, ref_direct = _reference_draw(scn, xy, ref_rng)
+            assert np.array_equal(ris[d], np.array(ref_ris))
+            assert np.array_equal(singles[d][0][0], ris[d])
+            assert np.array_equal(direct[d], ref_direct[:, :-1])
+            assert np.array_equal(singles[d][1][0], direct[d])
+            for p, phasor in enumerate(phasors):
+                ref = _reference_gains(scn, ref_ris, ref_direct, phasor)
+                assert np.array_equal(gains[p, d], ref)
+                assert np.array_equal(env._gains(*singles[d], phasor)[0], ref)

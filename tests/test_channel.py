@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riscomp.channel import (
-    NakagamiParams,
-    RicianParams,
-    los_steering,
-    sample_rayleigh,
-    sample_rician_vector,
-    substream,
-)
+from oracles import RicianParams, los_steering, sample_rayleigh, sample_rician_vector
+from riscomp.channel import NakagamiParams, substream
 from riscomp.montecarlo import _nakagami_pow
 from riscomp.scenarios import MultiCellScenario
 

@@ -231,3 +231,27 @@ def test_cli_library_error_is_one_line(tmp_path, monkeypatch, capsys):
     assert main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: quadrature did not reach tolerance"]
+
+
+def _validate_error_lines(tmp_path, capsys, text):
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")], path
+
+
+def test_cli_validate_rejects_drl_eval_without_checkpoint(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = drl-eval\nscenario.tiny = true\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match="requires checkpoint"):
+        load_config(path)
+
+
+def test_cli_validate_rejects_zero_amplifier_efficiency(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = ee-sweep\nscenario.amp_efficiency = 0\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match="amplifier efficiency"):
+        load_config(path)

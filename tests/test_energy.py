@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases
-from riscomp.channel import sample_rayleigh, substream
+from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases, sample_rayleigh
+from riscomp.channel import substream
 from riscomp.energy import (
     CoopStructure,
     PowerModel,
@@ -13,7 +13,6 @@ from riscomp.energy import (
     ee_sweep,
     network_coop,
     osum_sweep,
-    outage_rate,
     simulate_network,
     split_sweep,
 )
@@ -22,14 +21,6 @@ from riscomp.scenarios import MultiCellScenario
 PM = PowerModel(amp_efficiency=0.4, static_cell_power=1.0, per_element_power=3.16e-3,
                 tx_power=1.0)
 SCN = MultiCellScenario(n_trials=2000)
-
-
-def test_outage_rate_examples():
-    assert outage_rate(5.0, 1.0) == 0.0
-    assert outage_rate(5.0, 0.0) == 5.0
-    assert outage_rate(2.0, 0.25) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        outage_rate(2.0, 1.5)
 
 
 def test_energy_efficiency_single_cell():
@@ -95,6 +86,34 @@ def test_split_mode_matches_phase_oracle():
             np.array([1], dtype=np.uint8), split,
         )[0]
         assert edge[0] == pytest.approx(zf * p * g / ((1 - zf) * p * g + s2), rel=1e-9)
+
+
+def test_split_applies_to_non_cooperative_cells():
+    # With J < I the split replaces every cell's RIS assignment: the
+    # non-cooperative cells' edge gains, which enter the edge SINR as
+    # interference, are the split amplitude (|h| - S_co + S_eo)^2 too.
+    scn = MultiCellScenario(n_cells=3, n_coop=1, k_elements=8)
+    p, s2, zf = scn.tx_power_w, scn.noise_w, scn.zeta_edge
+    rng = substream(3, 3)
+    c = math.sqrt(s2 / p)
+    m, cells, k = 50, scn.n_cells, scn.k_elements
+    ed = c * sample_rayleigh(rng, (m, cells))
+    casc = (c / k) * sample_rayleigh(rng, (m, cells, k))
+    cg = np.ones((m, cells, cells))
+    coop = np.array([1, 0, 0], dtype=np.uint8)
+    split = 0.5
+    edge = _split_mode_sinr(scn, ed, casc, np.ones_like(casc), cg, coop, split)[0]
+    n_co = math.ceil(split * k)
+    mag = np.abs(casc)
+    g = (np.abs(ed) - mag[:, :, :n_co].sum(axis=2) + mag[:, :, n_co:].sum(axis=2)) ** 2
+    ici = p * (g[:, 1] + g[:, 2])
+    assert np.allclose(edge, zf * p * g[:, 0] / ((1 - zf) * p * g[:, 0] + ici + s2),
+                       rtol=1e-12, atol=0)
+    # Non-cooperative cells keeping the "ec" mode would give other gains.
+    g_ec = (np.abs(ed) - mag.sum(axis=2)) ** 2
+    ici_ec = p * (g_ec[:, 1] + g_ec[:, 2])
+    assert not np.allclose(edge, zf * p * g[:, 0] / ((1 - zf) * p * g[:, 0] + ici_ec + s2),
+                           rtol=1e-6, atol=0)
 
 
 def test_simulate_network_deterministic():

@@ -6,8 +6,8 @@ import pytest
 from riscomp.channel import substream
 from riscomp.montecarlo import (
     SINR_KINDS,
+    EmpiricalCdf,
     TrialBatch,
-    empirical_cdf,
     estimate_ergodic_rate,
     estimate_outage,
     ks_statistic,
@@ -61,11 +61,11 @@ def test_vanishing_power_means_outage_everywhere():
 
 
 def test_empirical_cdf_steps():
-    cdf = empirical_cdf([2.0])
+    cdf = EmpiricalCdf([2.0])
     assert cdf(1.9999) == 0.0
     assert cdf(2.0) == 1.0
     samples = substream(1, 1).exponential(1.0, 100_000)
-    cdf = empirical_cdf(samples)
+    cdf = EmpiricalCdf(samples)
     assert cdf(np.max(samples)) == 1.0
     median = np.sort(samples)[50_000]
     assert median == pytest.approx(math.log(2.0), abs=0.01)
@@ -89,7 +89,7 @@ def test_ks_power_against_shift():
 
 def test_ks_zero_distance_against_own_step_cdf():
     samples = substream(4, 4).exponential(1.0, 500)
-    d, ok, _ = ks_statistic(samples, empirical_cdf(samples), alpha=0.01)
+    d, ok, _ = ks_statistic(samples, EmpiricalCdf(samples), alpha=0.01)
     assert d == 0.0 and ok
 
 

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
 from riscomp.moppo import (
+    _STREAM_GRID,
     Minibatch,
     TrainConfig,
     advantage,
@@ -200,6 +204,22 @@ def test_checkpoint_roundtrip(tmp_path):
         load_params(bad)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "policy.bin"
+    save_params(path, _params())
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="policy.bin"):
+        load_params(path)
+
+
+def test_checkpoint_truncated_payload_rejected(tmp_path):
+    path = tmp_path / "policy.bin"
+    save_params(path, _params())
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="policy.bin"):
+        load_params(path)
+
+
 def test_to_env_action_mapping():
     scn = tiny_aerial_scenario(k_elements=3)
     raw = np.array([4.0, -4.0, 0.5, 10.0, -10.0])
@@ -240,12 +260,32 @@ def test_exhaustive_baseline_single_point():
     assert best["value"] > 0
 
 
-def test_exhaustive_baseline_is_maximum_of_grid():
-    scn = tiny_aerial_scenario(k_elements=1, uav_start=(0.0, 0.0))
+@pytest.mark.parametrize("oma", [False, True])
+def test_exhaustive_baseline_is_maximum_of_grid(oma):
+    # Re-evaluate every grid point slot by slot through the environment's
+    # one-step path, on the substream the baseline uses for that position.
+    scn = tiny_aerial_scenario(k_elements=1, uav_start=(0.0, 0.0), oma=oma)
+    n_eval, seed = 40, 4
     best = exhaustive_baseline(scn, n_positions=4, phase_levels=2, alloc_levels=2,
-                               n_eval=40, seed=4)
-    # Re-enumerate by calling with grids restricted to each position.
-    assert best["value"] >= 0
+                               n_eval=n_eval, seed=seed)
+    env = ArisEnv(scn, seed=seed)
+    coords = np.linspace(-scn.half_extent, scn.half_extent, 4)[1:-1]
+    allocs = list(itertools.product([0.55, 0.95], repeat=scn.n_bs))
+    values = []
+    for (xi, x), (yi, y) in itertools.product(enumerate(coords), repeat=2):
+        pos = np.array([x, y])
+        if not env._safe(pos):
+            continue
+        env._pos = pos
+        env._rng = substream(seed, _STREAM_GRID, xi, yi)
+        draws = [env._draw_channels() for _ in range(n_eval)]
+        for phase in (-np.pi, 0.0):
+            phasor = np.exp(1j * np.array([phase]))
+            gains = [env._gains(ris, direct, phasor)[0] for ris, direct in draws]
+            for alloc in allocs:
+                sums = [np.sum(env._rates(g, np.array(alloc))) for g in gains]
+                values.append(float(np.mean(sums)))
+    assert best["value"] == pytest.approx(max(values), rel=1e-12)
     with pytest.raises(ValueError):
         exhaustive_baseline(scn, n_positions=25, phase_levels=8, alloc_levels=5,
                             n_eval=10, max_evaluations=10)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases
-from riscomp.channel import sample_rayleigh, substream
+from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases, sample_rayleigh
+from riscomp.channel import substream
 from riscomp.ris import wrap_phase
 from riscomp.scenarios import CoordinatedScenario
 

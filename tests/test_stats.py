@@ -24,7 +24,6 @@ from riscomp.stats import (
     sinr_dist_center_own,
     sinr_dist_edge,
     sinr_dist_edge_high_snr,
-    weighted_sum_gamma,
     weighted_sum_moments,
 )
 
@@ -96,13 +95,13 @@ def test_effective_power_moments_against_mc():
 
 def test_weighted_sum_gamma_examples():
     z = GammaParams(2.0, 1.5)
-    same = weighted_sum_gamma(1.0, z, 0.0, UNIT)
+    same = gamma_from_moments(weighted_sum_moments(1.0, z.moments(), 0.0, UNIT))
     assert same.k == pytest.approx(2.0, rel=1e-12)
     assert same.theta == pytest.approx(1.5, rel=1e-12)
-    expo = weighted_sum_gamma(0.0, z, 1.0, UNIT)
+    expo = gamma_from_moments(weighted_sum_moments(0.0, z.moments(), 1.0, UNIT))
     assert expo.k == pytest.approx(1.0, rel=1e-12)
     assert expo.theta == pytest.approx(1.0, rel=1e-12)
-    scaled = weighted_sum_gamma(2.0, z, 0.0, UNIT)
+    scaled = gamma_from_moments(weighted_sum_moments(2.0, z.moments(), 0.0, UNIT))
     assert scaled.k == pytest.approx(2.0, rel=1e-12)
     assert scaled.theta == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(FitError):

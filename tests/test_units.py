@@ -2,27 +2,21 @@ import math
 
 import pytest
 
-from riscomp.units import (
-    db_to_linear,
-    dbm_to_watts,
-    linear_to_db,
-    noise_power_watts,
-    watts_to_dbm,
-)
+from riscomp.units import db_to_linear, dbm_to_watts, noise_power_watts
 
 
 def test_db_roundtrip():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(-30.0) == pytest.approx(1e-3)
-    assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3)
+    assert 10 * math.log10(db_to_linear(7.3)) == pytest.approx(7.3)
 
 
 def test_dbm_to_watts():
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3)
     assert dbm_to_watts(5.0) == pytest.approx(3.1623e-3, rel=1e-4)
-    assert watts_to_dbm(dbm_to_watts(-17.0)) == pytest.approx(-17.0)
+    assert 10 * math.log10(dbm_to_watts(-17.0)) + 30 == pytest.approx(-17.0)
 
 
 def test_noise_power():
@@ -34,9 +28,5 @@ def test_noise_power():
 
 
 def test_invalid_inputs():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1.0)
     with pytest.raises(ValueError):
         noise_power_watts(0.0)
