@@ -334,6 +334,10 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.kind == "drl-eval" and not cfg.checkpoint:
         errors.append("drl-eval requires checkpoint = <policy.bin path>")
     errors.extend(_sweep_errors(cfg))
+    schema = _SCENARIO_KEYS_BY_KIND[cfg.kind]
+    for key, value in cfg.scenario.items():
+        if schema.get(key) is float and not math.isfinite(value):
+            errors.append(f"scenario.{key}: expected a finite number, got {value!r}")
     # Construct the scenario once to surface invariant violations.
     try:
         if cfg.kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):

@@ -4,7 +4,10 @@ assignment (enhancement / cancellation) experiments.
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
 RIS links), assigns per-RIS phases according to the network configuration,
 and aggregates rates and outage over trials; energy efficiency is formed
-from trial-averaged quantities (ratio of means).
+from trial-averaged quantities (ratio of means). A sweep hands its points to
+one simulate_network call (one per element count K, which the draws depend
+on): each chunk is drawn once per call and shared by every point and mode,
+and its element-axis reductions are formed once before any point is scored.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ def _draw_channels(scn: MultiCellScenario, rng, m: int):
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
     casc = (g_br * g_ru) * np.conj(h_ru) * h_br
+    del h_br, h_ru
     phi = rng.uniform(-math.pi, math.pi, shape)
     rnd = np.cos(phi) + 1j * np.sin(phi)
     # Center-user direct gains |h_{j -> center_i}|^2 with own-cell distance
@@ -180,95 +184,140 @@ def _draw_channels(scn: MultiCellScenario, rng, m: int):
     return ed, casc, rnd, cg
 
 
+# MultiCellScenario fields _draw_channels reads: points of one
+# simulate_network call must agree on them to share its draws.
+_DRAW_FIELDS = (
+    "n_cells", "k_elements", "kappa_db", "rho_o_db", "d_center", "d_edge",
+    "d_ici", "d_bs_ris", "d_ris_edge", "alpha_center", "alpha_edge",
+    "alpha_ris", "alpha_ici",
+)
+
+
+class _Point:
+    """Per-point constants and running sums of one simulate_network point."""
+
+    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None):
+        cs = network_coop(scn, mode)
+        self.scn, self.mode = scn, mode
+        self.code = [_MODE_CODE[m_] for m_ in cs.ris_mode]
+        self.coop = np.array([1 if (i + 1) in cs.cooperating else 0
+                              for i in range(scn.n_cells)], dtype=np.uint8)
+        self.n_co = None if split is None else math.ceil(split * scn.k_elements)
+        self.thr_c = 2.0**scn.r_center_min - 1.0
+        self.thr_f = 2.0**scn.r_edge_min - 1.0
+        # OMA rates are half-slot; outage compares the halved rate to the targets.
+        self.thr_c_oma = 2.0 ** (2.0 * scn.r_center_min) - 1.0
+        self.thr_f_oma = 2.0 ** (2.0 * scn.r_edge_min) - 1.0
+        self.c_rate = np.zeros(scn.n_cells)
+        self.c_out = np.zeros(scn.n_cells)
+        self.c_rate_oma = np.zeros(scn.n_cells)
+        self.c_out_oma = np.zeros(scn.n_cells)
+        self.e_rate = self.e_out = self.e_rate_oma = self.e_out_oma = 0.0
+
+    def edge_gains(self, by_code, by_split):
+        if self.n_co is not None:
+            return by_split[self.n_co]
+        return np.stack([by_code[c][:, i] for i, c in enumerate(self.code)], axis=1)
+
+    def add(self, edge, edge_oma, c_own, c_cf, c_oma):
+        self.e_rate += float(np.sum(np.log2(1.0 + edge)))
+        self.e_out += float(np.sum(edge < self.thr_f))
+        self.e_rate_oma += 0.5 * float(np.sum(np.log2(1.0 + edge_oma)))
+        self.e_out_oma += float(np.sum(edge_oma < self.thr_f_oma))
+        self.c_rate += np.sum(np.log2(1.0 + c_own), axis=0)
+        self.c_out += np.sum((c_cf < self.thr_f) | (c_own < self.thr_c), axis=0)
+        self.c_rate_oma += 0.5 * np.sum(np.log2(1.0 + c_oma), axis=0)
+        self.c_out_oma += np.sum(c_oma < self.thr_c_oma, axis=0)
+
+    def aggregates(self, n: int) -> ModeAggregates:
+        return ModeAggregates(
+            mode=self.mode,
+            center_rates=self.c_rate / n,
+            center_outage=self.c_out / n,
+            edge_rate=self.e_rate / n,
+            edge_outage=self.e_out / n,
+            oma_center_rates=self.c_rate_oma / n,
+            oma_center_outage=self.c_out_oma / n,
+            oma_edge_rate=self.e_rate_oma / n,
+            oma_edge_outage=self.e_out_oma / n,
+        )
+
+
 def simulate_network(
     scn: MultiCellScenario,
-    mode: str,
+    points,
     n: int | None = None,
     seed: int = 0,
-    split: float | None = None,
-) -> ModeAggregates:
-    """Monte Carlo aggregates for one network RIS configuration.
+) -> list[ModeAggregates]:
+    """Monte Carlo aggregates of several network RIS configurations over one
+    set of channel draws: one ModeAggregates per point, in order.
 
-    split, when given, replaces the mode's RIS assignment of every cell,
-    cooperative or not, by the cancellation/enhancement element split; used
-    by the split-ratio experiment.
+    Each point is (scn_v, mode, split). scn fixes the draws (and n_trials
+    when n is None); every scn_v must agree with it on the fields the draws
+    read (_DRAW_FIELDS), else ValueError. Each chunk is drawn once per call
+    and shared by every point and mode; the powers, thresholds, cooperative
+    set and mode of a point come from its scn_v. split, when not None,
+    replaces the mode's RIS assignment of every cell, cooperative or not, by
+    the cancellation/enhancement element split; used by the split-ratio
+    experiment.
     """
     n = scn.n_trials if n is None else n
-    cs = network_coop(scn, mode)
-    code = np.array([_MODE_CODE[m_] for m_ in cs.ris_mode], dtype=np.uint8)
-    coop = np.array([1 if (i + 1) in cs.cooperating else 0 for i in range(scn.n_cells)],
-                    dtype=np.uint8)
-    thr_c = 2.0**scn.r_center_min - 1.0
-    thr_f = 2.0**scn.r_edge_min - 1.0
-    # OMA rates are half-slot; outage compares the halved rate to the targets.
-    thr_c_oma = 2.0 ** (2.0 * scn.r_center_min) - 1.0
-    thr_f_oma = 2.0 ** (2.0 * scn.r_edge_min) - 1.0
-
-    sums = {
-        "c_rate": np.zeros(scn.n_cells),
-        "c_out": np.zeros(scn.n_cells),
-        "c_rate_oma": np.zeros(scn.n_cells),
-        "c_out_oma": np.zeros(scn.n_cells),
-        "e_rate": 0.0,
-        "e_out": 0.0,
-        "e_rate_oma": 0.0,
-        "e_out_oma": 0.0,
-    }
+    pts = []
+    for scn_v, mode, split in points:
+        differ = [f for f in _DRAW_FIELDS if getattr(scn_v, f) != getattr(scn, f)]
+        if differ:
+            raise ValueError(
+                f"point ({mode!r}) differs from the drawn scenario in {', '.join(differ)}"
+            )
+        pts.append(_Point(scn_v, mode, split))
+    codes = {c for p in pts if p.n_co is None for c in p.code}
+    n_cos = sorted({p.n_co for p in pts if p.n_co is not None})
     start = 0
     while start < n:
-        chunk_index = start // CHUNK
         m = min(CHUNK, n - start)
-        rng = substream(seed, _STREAM_MC, chunk_index)
-        ed, casc, rnd, cg = _draw_channels(scn, rng, m)
-        if split is not None:
-            edge, edge_oma, c_own, c_cf, c_oma = _split_mode_sinr(
-                scn, ed, casc, rnd, cg, coop, split
-            )
-        else:
-            edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
-                ed.real, ed.imag, casc.real, casc.imag, rnd.real, rnd.imag, cg,
-                coop, code, scn.zeta_edge, scn.tx_power_w, scn.noise_w,
-            )
-        sums["e_rate"] += float(np.sum(np.log2(1.0 + edge)))
-        sums["e_out"] += float(np.sum(edge < thr_f))
-        sums["e_rate_oma"] += 0.5 * float(np.sum(np.log2(1.0 + edge_oma)))
-        sums["e_out_oma"] += float(np.sum(edge_oma < thr_f_oma))
-        sums["c_rate"] += np.sum(np.log2(1.0 + c_own), axis=0)
-        sums["c_out"] += np.sum((c_cf < thr_f) | (c_own < thr_c), axis=0)
-        sums["c_rate_oma"] += 0.5 * np.sum(np.log2(1.0 + c_oma), axis=0)
-        sums["c_out_oma"] += np.sum(c_oma < thr_c_oma, axis=0)
+        ed, casc, rnd, cg = _draw_channels(scn, substream(seed, _STREAM_MC, start // CHUNK), m)
+        by_code, by_split = kernels.multicell_edge_gains(ed, casc, rnd, codes, n_cos)
+        del ed, casc, rnd
+        for p in pts:
+            p.add(*kernels.multicell_edge_sinr(
+                p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
+                p.scn.tx_power_w, p.scn.noise_w,
+            ))
         start += m
-    return ModeAggregates(
-        mode=mode,
-        center_rates=sums["c_rate"] / n,
-        center_outage=sums["c_out"] / n,
-        edge_rate=sums["e_rate"] / n,
-        edge_outage=sums["e_out"] / n,
-        oma_center_rates=sums["c_rate_oma"] / n,
-        oma_center_outage=sums["c_out_oma"] / n,
-        oma_edge_rate=sums["e_rate_oma"] / n,
-        oma_edge_outage=sums["e_out_oma"] / n,
-    )
+    return [p.aggregates(n) for p in pts]
 
 
-def _split_mode_sinr(scn, ed, casc, rnd, cg, coop, split):
-    """Every RIS runs the element split: the first ceil(split*K) elements
-    anti-phase against the direct link, the rest co-phase. The resultant
-    on-axis amplitude is |h| - S_co + S_eo (squared for the gain)."""
-    n_co = math.ceil(split * scn.k_elements)
-    amp_d = np.abs(ed)
-    mag = np.abs(casc)
-    s_co = np.sum(mag[:, :, :n_co], axis=2)
-    s_eo = np.sum(mag[:, :, n_co:], axis=2)
-    d = amp_d - s_co + s_eo
-    # The kernel's no-RIS mode squares the supplied direct components, so the
-    # split gain rides in as a (possibly negative) real amplitude.
-    zeros = np.zeros_like(d)
-    code_eff = np.zeros(scn.n_cells, dtype=np.uint8)
-    return kernels.multicell_edge_sinr(
-        d, zeros, casc.real, casc.imag, rnd.real, rnd.imag, cg,
-        coop, code_eff, scn.zeta_edge, scn.tx_power_w, scn.noise_w,
-    )
+def _ee_rows(keyed, modes, n, seed) -> list[dict]:
+    """EE rows of every (key, scenario) pair and mode, pair-major, each row
+    starting with its key's fields; one simulate_network call, so the
+    scenarios must share their draw fields."""
+    if not keyed:
+        return []
+    points = [(key, scn_v, mode) for key, scn_v in keyed for mode in modes]
+    aggs = simulate_network(keyed[0][1], [(s, m, None) for _, s, m in points],
+                            n=n, seed=seed)
+    rows = []
+    for (key, scn_v, mode), agg in zip(points, aggs):
+        pm = PowerModel(
+            scn_v.amp_efficiency, scn_v.static_power_w, scn_v.element_power_w,
+            scn_v.tx_power_w,
+        )
+        ee = energy_efficiency(
+            (1.0 - agg.center_outage) * agg.center_rates,
+            (1.0 - agg.edge_outage) * agg.edge_rate,
+            pm, network_coop(scn_v, mode), scn_v.k_elements,
+        )
+        rows.append(
+            {
+                **key,
+                "mode": mode,
+                "ee": ee,
+                "outage_sum_rate": agg.outage_sum_rate,
+                "edge_outage": agg.edge_outage,
+                "mean_center_outage": float(np.mean(agg.center_outage)),
+            }
+        )
+    return rows
 
 
 def ee_sweep(
@@ -282,7 +331,9 @@ def ee_sweep(
     """Energy-efficiency sweep along one axis (J, K, P_t, or R_th).
 
     Sweep points share trial substreams (common random numbers), so
-    per-seed orderings are not noise artifacts.
+    per-seed orderings are not noise artifacts. Each chunk is drawn once per
+    simulate_network call and shared by every point and mode: one call for
+    the whole J, P_t or R_th sweep, one per value of K (the draws depend on K).
     """
     field_by_axis = {
         "J": "n_coop",
@@ -292,37 +343,34 @@ def ee_sweep(
     }
     if axis not in field_by_axis:
         raise ValueError(f"axis must be one of {sorted(field_by_axis)}")
-    rows = []
+    keyed = []
     for value in values:
         if axis == "R_th":
             scn_v = scn.with_overrides(r_center_min=float(value), r_edge_min=float(value))
         else:
             caster = int if axis in ("J", "K") else float
             scn_v = scn.with_overrides(**{field_by_axis[axis]: caster(value)})
-        pm = PowerModel(
-            scn_v.amp_efficiency, scn_v.static_power_w, scn_v.element_power_w,
-            scn_v.tx_power_w,
-        )
-        for mode in modes:
-            agg = simulate_network(scn_v, mode, n=n, seed=seed)
-            cs = network_coop(scn_v, mode)
-            ee = energy_efficiency(
-                (1.0 - agg.center_outage) * agg.center_rates,
-                (1.0 - agg.edge_outage) * agg.edge_rate,
-                pm, cs, scn_v.k_elements,
-            )
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "mode": mode,
-                    "ee": ee,
-                    "outage_sum_rate": agg.outage_sum_rate,
-                    "edge_outage": agg.edge_outage,
-                    "mean_center_outage": float(np.mean(agg.center_outage)),
-                }
-            )
-    return rows
+        keyed.append(({"axis": axis, "value": value}, scn_v))
+    groups = [[pair] for pair in keyed] if axis == "K" else [keyed]
+    return [row for group in groups for row in _ee_rows(group, modes, n, seed)]
+
+
+def ee_grid(
+    scn: MultiCellScenario,
+    p_t_values,
+    r_th_values,
+    modes=MODES,
+    n: int | None = None,
+    seed: int = 0,
+) -> list[dict]:
+    """Energy efficiency over the joint transmit-power x rate-threshold grid
+    (power-major, then threshold, then mode), from one simulate_network call."""
+    keyed = [
+        ({"p_t_dbm": p_t, "r_th": r},
+         scn.with_overrides(p_t_dbm=float(p_t), r_center_min=float(r), r_edge_min=float(r)))
+        for p_t in p_t_values for r in r_th_values
+    ]
+    return _ee_rows(keyed, modes, n, seed)
 
 
 def osum_sweep(
@@ -334,21 +382,28 @@ def osum_sweep(
     n: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline."""
+    """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline,
+    from one simulate_network call."""
+    modes = tuple(modes)
+    point_modes = modes + ((oma_mode,) if include_oma and oma_mode not in modes else ())
+    p_t_values = list(p_t_values)
+    points = [
+        (scn.with_overrides(p_t_dbm=float(p_t)), mode, None)
+        for p_t in p_t_values for mode in point_modes
+    ]
+    aggs = iter(simulate_network(scn, points, n=n, seed=seed))
     rows = []
     for p_t in p_t_values:
-        scn_v = scn.with_overrides(p_t_dbm=float(p_t))
-        aggs = {mode: simulate_network(scn_v, mode, n=n, seed=seed) for mode in modes}
+        by_mode = {mode: next(aggs) for mode in point_modes}
         for mode in modes:
             rows.append(
                 {"p_t_dbm": p_t, "mode": f"noma-{mode}",
-                 "outage_sum_rate": aggs[mode].outage_sum_rate}
+                 "outage_sum_rate": by_mode[mode].outage_sum_rate}
             )
         if include_oma:
-            agg = aggs.get(oma_mode) or simulate_network(scn_v, oma_mode, n=n, seed=seed)
             rows.append(
                 {"p_t_dbm": p_t, "mode": f"oma-{oma_mode}",
-                 "outage_sum_rate": agg.oma_outage_sum_rate}
+                 "outage_sum_rate": by_mode[oma_mode].oma_outage_sum_rate}
             )
     return rows
 
@@ -360,13 +415,12 @@ def split_sweep(
     n: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Outage sum rate vs cancellation/enhancement element split ratio."""
-    rows = []
-    for j in coop_counts:
-        scn_j = scn.with_overrides(n_coop=int(j))
-        for split in splits:
-            agg = simulate_network(scn_j, "ec", n=n, seed=seed, split=float(split))
-            rows.append(
-                {"split": split, "J": j, "outage_sum_rate": agg.outage_sum_rate}
-            )
-    return rows
+    """Outage sum rate vs cancellation/enhancement element split ratio, from
+    one simulate_network call."""
+    keys = [(j, split) for j in coop_counts for split in splits]
+    points = [(scn.with_overrides(n_coop=int(j)), "ec", float(split)) for j, split in keys]
+    aggs = simulate_network(scn, points, n=n, seed=seed)
+    return [
+        {"split": split, "J": j, "outage_sum_rate": agg.outage_sum_rate}
+        for (j, split), agg in zip(keys, aggs)
+    ]

@@ -19,7 +19,7 @@ from .analysis import (
     coordinated_distributions,
 )
 from .config import ConfigError, ExperimentConfig, dump_config, from_mapping
-from .energy import ee_sweep, osum_sweep, split_sweep
+from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
 from .montecarlo import (
     estimate_ergodic_rate,
     estimate_outage,
@@ -28,6 +28,7 @@ from .montecarlo import (
 )
 from .moppo import (
     TrainConfig,
+    check_checkpoint,
     evaluate,
     load_params,
     save_params,
@@ -159,11 +160,11 @@ def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     outputs = []
     # Joint power/threshold grid (contour) when both axes are requested.
     if "r_th_values" in cfg.sweep and "p_t_dbm" in cfg.sweep:
-        rows = []
-        for p_t in cfg.sweep["p_t_dbm"]:
-            scn_p = scn.with_overrides(p_t_dbm=float(p_t))
-            for r in ee_sweep(scn_p, "R_th", cfg.sweep["r_th_values"], n=n, seed=cfg.seed):
-                rows.append((p_t, r["value"], r["mode"], r["ee"], r["outage_sum_rate"]))
+        rows = [
+            (r["p_t_dbm"], r["r_th"], r["mode"], r["ee"], r["outage_sum_rate"])
+            for r in ee_grid(scn, cfg.sweep["p_t_dbm"], cfg.sweep["r_th_values"],
+                             n=n, seed=cfg.seed)
+        ]
         path = outdir / "ee_grid.csv"
         _write_csv(path, ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], rows)
         return [path]
@@ -246,6 +247,7 @@ def _run_drl_eval(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.aerial_scenario()
     tc = _train_config(cfg)
     params = load_params(cfg.checkpoint)
+    check_checkpoint(params, scn, tc, cfg.checkpoint)
     ev = evaluate(scn, params, tc, seed=cfg.seed, episodes=10)
     rows = [tuple(t) for t in ev["traces"]]
     path = outdir / "trajectory.csv"

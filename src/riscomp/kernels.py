@@ -1,8 +1,9 @@
 """Hot numeric kernels of the two Monte Carlo engines, in numpy.
 
-Kernels receive pre-drawn variates and perform only +, -, *, /, sqrt with a
-fixed accumulation order (sequential over elements / cells); every
-transcendental (log2, phases, gamma draws) happens in the calling engine.
+Kernels receive pre-drawn variates and perform only +, -, *, /, sqrt and
+complex magnitudes with a fixed accumulation order (sequential over elements
+/ cells); every transcendental (log2, phases, gamma draws) happens in the
+calling engine.
 """
 
 from __future__ import annotations
@@ -61,38 +62,69 @@ def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
     return out
 
 
-def multicell_edge_sinr(ed_re, ed_im, casc_re, casc_im, rnd_re, rnd_im, cg,
-                        coop, mode, zeta_f, p_w, sigma2):
-    """Multi-cell CoMP-NOMA SINRs for one RIS phase-assignment mode.
+def multicell_edge_gains(ed, casc, rnd, codes, n_cos=()):
+    """Per-cell edge-user channel gains of one chunk of multicell draws under
+    each RIS assignment; the only multicell code that walks the element axis.
 
-    mode codes per cell: 0 no-RIS, 1 random phases, 2 enhancement (co-phased),
-    3 cancellation (anti-phased). Returns (edge, edge_oma, c_own, c_cf, c_oma).
-    For a non-cooperative cell, c_cf is the center user's SIC stage against its
-    own cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
+    ed: (n, I) complex direct links, casc: (n, I, K) complex cascade products,
+    rnd: (n, I, K) random unit phasors. codes: the mode codes to form, of
+    0 no-RIS |h|^2, 1 random phases |h + sum_k rnd_k casc_k|^2,
+    2 enhancement (|h| + S)^2 and 3 cancellation (|h| - S)^2 with
+    S = sum_k |casc_k|. n_cos: element splits, each the gain
+    (|h| - S_co + S_eo)^2 with the first n_co elements anti-phased (S_co) and
+    the rest co-phased (S_eo). Element sums run sequentially over k, except
+    the split sums (numpy's pairwise sum of |casc|). Returns
+    ({code: (n, I)}, {n_co: (n, I)}).
+    """
+    ed_re, ed_im = ed.real, ed.imag
+    h2 = ed_re * ed_re + ed_im * ed_im
+    k = casc.shape[2]
+    by_code = {}
+    if 0 in codes:
+        by_code[0] = h2
+    if 1 in codes:
+        hre = ed_re.copy()
+        parts = rnd.real * casc.real - rnd.imag * casc.imag
+        for q in range(k):
+            hre += parts[:, :, q]
+        him = ed_im.copy()
+        parts = rnd.real * casc.imag + rnd.imag * casc.real
+        for q in range(k):
+            him += parts[:, :, q]
+        del parts
+        by_code[1] = hre * hre + him * him
+    if 2 in codes or 3 in codes:
+        c_re, c_im = casc.real, casc.imag
+        mag = np.sqrt(c_re * c_re + c_im * c_im)
+        s = np.zeros(h2.shape)
+        for q in range(k):
+            s += mag[:, :, q]
+        del mag
+        amp = np.sqrt(h2)
+        for code, d in ((2, amp + s), (3, amp - s)):
+            if code in codes:
+                by_code[code] = d * d
+    by_split = {}
+    if n_cos:
+        amp = np.abs(ed)
+        mag = np.abs(casc)
+        for n_co in n_cos:
+            d = amp - np.sum(mag[:, :, :n_co], axis=2) + np.sum(mag[:, :, n_co:], axis=2)
+            by_split[n_co] = d * d
+    return by_code, by_split
+
+
+def multicell_edge_sinr(g_edge, cg, coop, zeta_f, p_w, sigma2):
+    """Multi-cell CoMP-NOMA SINRs from per-cell edge gains, in O(n I^2).
+
+    g_edge: (n, I) edge-user gain of each cell's link (multicell_edge_gains),
+    cg: (n, I, I) center gains, cg[:, j, i] from BS j to center i; coop: 1 for
+    cooperating cells. Returns (edge, edge_oma, c_own, c_cf, c_oma). For a
+    non-cooperative cell, c_cf is the center user's SIC stage against its own
+    cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
     with own = p_w*cg[:, i, i] and every other cell interfering at full power.
     """
-    n, n_cells, k = casc_re.shape
-    g_edge = np.empty((n, n_cells))
-    for i in range(n_cells):
-        if mode[i] == 0:
-            g_edge[:, i] = ed_re[:, i] * ed_re[:, i] + ed_im[:, i] * ed_im[:, i]
-        elif mode[i] == 1:
-            hre = ed_re[:, i].copy()
-            him = ed_im[:, i].copy()
-            for q in range(k):
-                hre += rnd_re[:, i, q] * casc_re[:, i, q] - rnd_im[:, i, q] * casc_im[:, i, q]
-                him += rnd_re[:, i, q] * casc_im[:, i, q] + rnd_im[:, i, q] * casc_re[:, i, q]
-            g_edge[:, i] = hre * hre + him * him
-        else:
-            amp = np.sqrt(ed_re[:, i] * ed_re[:, i] + ed_im[:, i] * ed_im[:, i])
-            s = np.zeros(n)
-            for q in range(k):
-                s += np.sqrt(
-                    casc_re[:, i, q] * casc_re[:, i, q]
-                    + casc_im[:, i, q] * casc_im[:, i, q]
-                )
-            d = amp + s if mode[i] == 2 else amp - s
-            g_edge[:, i] = d * d
+    n, n_cells = g_edge.shape
     sig_e = np.zeros(n)
     intra_e = np.zeros(n)
     ici_e = np.zeros(n)

@@ -401,6 +401,10 @@ def state_scale(scn: AerialScenario) -> np.ndarray:
     )
 
 
+def _input_dim(scenario: AerialScenario) -> int:
+    return scenario.state_dim + 1
+
+
 def _net_input(svec: np.ndarray, scale: np.ndarray, t: int, t_total: int) -> np.ndarray:
     """Network input: scaled state plus a remaining-time feature. The value of
     a fixed-horizon episode depends on the remaining slots, which the
@@ -423,7 +427,7 @@ def train(
     env = ArisEnv(scenario, seed=seed, pin_position=pin)
     rng = substream(seed, _STREAM_AGENT)
     params = init_policy(
-        scenario.state_dim + 1, scenario.action_dim_continuous, rng,
+        _input_dim(scenario), scenario.action_dim_continuous, rng,
         hidden=cfg.hidden, head_hidden=cfg.head_hidden,
         log_std_init=cfg.log_std_init,
     )
@@ -615,6 +619,26 @@ def save_params(path, params: PolicyParams) -> None:
         buf.write(np.ascontiguousarray(params.adam_v[name], dtype=np.float64).tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
+
+
+def check_checkpoint(params: PolicyParams, scenario: AerialScenario, cfg: TrainConfig,
+                     path) -> None:
+    """Raise ValueError, naming the array and both shapes, when a loaded
+    checkpoint is not the network train builds for scenario and cfg."""
+    expected = {
+        name: w.shape for name, w in init_policy(
+            _input_dim(scenario), scenario.action_dim_continuous, np.random.default_rng(0),
+            hidden=cfg.hidden, head_hidden=cfg.head_hidden,
+        ).weights.items()
+    }
+    for name in [*expected, *(k for k in params.weights if k not in expected)]:
+        got = params.weights[name].shape if name in params.weights else None
+        if got != expected.get(name):
+            raise ValueError(
+                f"{path}: checkpoint array {name} has shape {got}, but hidden = "
+                f"{cfg.hidden}, head_hidden = {cfg.head_hidden} and the scenario "
+                f"need {expected.get(name)}"
+            )
 
 
 def load_params(path) -> PolicyParams:

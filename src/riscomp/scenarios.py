@@ -259,6 +259,8 @@ class AerialScenario:
     oma: bool = False
 
     def __post_init__(self):
+        if len(self.center_positions) != len(self.bs_positions):
+            raise ValueError("one center user per BS required")
         half = self.half_extent
         for p in (*self.bs_positions, *self.center_positions, self.edge_position):
             if abs(p[0]) > half or abs(p[1]) > half:

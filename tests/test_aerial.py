@@ -228,3 +228,11 @@ def test_batched_draw_and_gains_equal_per_link_reference(k):
                 ref = _reference_gains(scn, ref_ris, ref_direct, phasor)
                 assert np.array_equal(gains[p, d], ref)
                 assert np.array_equal(env._gains(*singles[d], phasor)[0], ref)
+
+
+def test_center_count_must_match_bs_count():
+    # Rates index center i by BS i: a third BS without a third center user
+    # would read the edge user's column as a center rate.
+    bs = (*AerialScenario.bs_positions, (0.0, -60.0, 25.0))
+    with pytest.raises(ValueError, match="one center user per BS"):
+        AerialScenario(bs_positions=bs)

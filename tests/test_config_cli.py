@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riscomp import config as config_module
 from riscomp import experiments
 from riscomp.cli import main
 from riscomp.config import (
@@ -255,3 +256,30 @@ def test_cli_validate_rejects_zero_amplifier_efficiency(tmp_path, capsys):
     assert len(errors) == 1
     with pytest.raises(ConfigError, match="amplifier efficiency"):
         load_config(path)
+
+
+def test_cli_validate_rejects_infinite_kappa(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = ee-sweep\nscenario.kappa_db = inf\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"scenario\.kappa_db: expected a finite number"):
+        load_config(path)
+
+
+def test_cli_validate_rejects_nan_power(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = osum-sweep\nscenario.p_t_dbm = nan\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"scenario\.p_t_dbm: expected a finite number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind in ("pdf-validation", "ee-sweep", "drl-train")
+     for key, typ in config_module._SCENARIO_KEYS_BY_KIND[kind].items() if typ is float],
+)
+def test_nonfinite_scenario_floats_rejected(kind, key):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=rf"scenario\.{key}: expected a finite"):
+            from_mapping({"kind": kind, f"scenario.{key}": value})

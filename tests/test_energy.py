@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import riscomp.energy
 from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases, sample_rayleigh
+from riscomp import kernels
 from riscomp.channel import substream
 from riscomp.energy import (
+    MODES,
     CoopStructure,
     PowerModel,
-    _split_mode_sinr,
     energy_efficiency,
     ee_sweep,
     network_coop,
@@ -16,11 +18,25 @@ from riscomp.energy import (
     simulate_network,
     split_sweep,
 )
+from riscomp.montecarlo import CHUNK
 from riscomp.scenarios import MultiCellScenario
 
 PM = PowerModel(amp_efficiency=0.4, static_cell_power=1.0, per_element_power=3.16e-3,
                 tx_power=1.0)
 SCN = MultiCellScenario(n_trials=2000)
+
+
+def _split_sinr(scn, ed, casc, cg, coop, split):
+    # The engine's split path: the split gain of every cell, then the SINRs.
+    n_co = math.ceil(split * scn.k_elements)
+    _, by_split = kernels.multicell_edge_gains(ed, casc, np.ones_like(casc), (), [n_co])
+    return kernels.multicell_edge_sinr(
+        by_split[n_co], cg, coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
+    )
+
+
+def _one(scn, mode, n, seed):
+    return simulate_network(scn, [(scn, mode, None)], n=n, seed=seed)[0]
 
 
 def test_energy_efficiency_single_cell():
@@ -81,8 +97,8 @@ def test_split_mode_matches_phase_oracle():
         n_co = math.ceil(split * k)
         theta = PhaseMatrix(np.ones(k), np.concatenate([ec[:n_co], eo[n_co:]]))
         g = abs(effective_channel(h, h_ru, theta, h_br)) ** 2
-        edge = _split_mode_sinr(
-            scn, np.array([[h]]), casc, np.ones_like(casc), np.ones((1, 1, 1)),
+        edge = _split_sinr(
+            scn, np.array([[h]]), casc, np.ones((1, 1, 1)),
             np.array([1], dtype=np.uint8), split,
         )[0]
         assert edge[0] == pytest.approx(zf * p * g / ((1 - zf) * p * g + s2), rel=1e-9)
@@ -102,7 +118,7 @@ def test_split_applies_to_non_cooperative_cells():
     cg = np.ones((m, cells, cells))
     coop = np.array([1, 0, 0], dtype=np.uint8)
     split = 0.5
-    edge = _split_mode_sinr(scn, ed, casc, np.ones_like(casc), cg, coop, split)[0]
+    edge = _split_sinr(scn, ed, casc, cg, coop, split)[0]
     n_co = math.ceil(split * k)
     mag = np.abs(casc)
     g = (np.abs(ed) - mag[:, :, :n_co].sum(axis=2) + mag[:, :, n_co:].sum(axis=2)) ** 2
@@ -117,16 +133,16 @@ def test_split_applies_to_non_cooperative_cells():
 
 
 def test_simulate_network_deterministic():
-    a = simulate_network(SCN, "ec", n=1000, seed=4)
-    b = simulate_network(SCN, "ec", n=1000, seed=4)
+    a = _one(SCN, "ec", n=1000, seed=4)
+    b = _one(SCN, "ec", n=1000, seed=4)
     assert a.edge_rate == b.edge_rate
     assert np.array_equal(a.center_rates, b.center_rates)
 
 
 def test_eo_ec_identical_at_full_cooperation():
     scn = SCN.with_overrides(n_coop=SCN.n_cells)
-    eo = simulate_network(scn, "eo", n=1000, seed=5)
-    ec = simulate_network(scn, "ec", n=1000, seed=5)
+    eo = _one(scn, "eo", n=1000, seed=5)
+    ec = _one(scn, "ec", n=1000, seed=5)
     assert eo.edge_rate == ec.edge_rate
     assert eo.outage_sum_rate == ec.outage_sum_rate
 
@@ -134,8 +150,8 @@ def test_eo_ec_identical_at_full_cooperation():
 def test_ec_not_worse_than_eo():
     for j in (1, 3, 5):
         scn = SCN.with_overrides(n_coop=j)
-        eo = simulate_network(scn, "eo", n=4000, seed=6)
-        ec = simulate_network(scn, "ec", n=4000, seed=6)
+        eo = _one(scn, "eo", n=4000, seed=6)
+        ec = _one(scn, "ec", n=4000, seed=6)
         assert ec.outage_sum_rate >= eo.outage_sum_rate
 
 
@@ -164,3 +180,56 @@ def test_split_sweep_runs():
     # Full cooperation loses sum rate as cancellation elements grow.
     full = {r["split"]: r["outage_sum_rate"] for r in rows if r["J"] == 6}
     assert full[0.0] > full[1.0]
+
+
+SMALL = MultiCellScenario(n_cells=3, n_coop=2, k_elements=8)
+
+
+def _count_mc_draws(monkeypatch):
+    labels = []
+
+    def counting(seed, *key):
+        labels.append(key[0])
+        return substream(seed, *key)
+
+    monkeypatch.setattr(riscomp.energy, "substream", counting)
+    return lambda: labels.count(riscomp.energy._STREAM_MC)
+
+
+def test_sweeps_draw_each_chunk_once(monkeypatch):
+    draws = _count_mc_draws(monkeypatch)
+    osum_sweep(SMALL, [-10, 0, 10, 20], modes=MODES, include_oma=True, oma_mode="ec",
+               n=CHUNK + 1, seed=3)
+    assert draws() == 2
+    # The draws depend on K: one call, and so one pass over the chunks, per K.
+    ee_sweep(SMALL, "K", [4, 8], n=CHUNK + 1, seed=3)
+    assert draws() == 2 + 4
+
+
+def test_mixed_points_equal_single_point_calls():
+    # One call over many points shares the draws but no accumulator: every
+    # point's aggregates are bitwise those of its own single-point call.
+    points = [
+        (SMALL.with_overrides(p_t_dbm=p_t, n_coop=j), mode, None)
+        for p_t, j in ((0.0, 1), (10.0, 2), (-5.0, 3)) for mode in MODES
+    ]
+    points += [(SMALL.with_overrides(n_coop=j), "ec", split)
+               for j, split in ((1, 0.25), (3, 0.75))]
+    joint = simulate_network(SMALL, points, n=CHUNK + 1, seed=11)
+    assert len(joint) == len(points)
+    for point, agg in zip(points, joint):
+        single = simulate_network(SMALL, [point], n=CHUNK + 1, seed=11)[0]
+        assert agg.mode == single.mode
+        for field in ("edge_rate", "edge_outage", "oma_edge_rate", "oma_edge_outage"):
+            assert getattr(agg, field) == getattr(single, field), (point, field)
+        for field in ("center_rates", "center_outage", "oma_center_rates",
+                      "oma_center_outage"):
+            assert np.array_equal(getattr(agg, field), getattr(single, field)), (point, field)
+
+
+@pytest.mark.parametrize("override", [{"k_elements": 4}, {"d_edge": 120.0},
+                                      {"kappa_db": 6.0}, {"alpha_ici": 3.5}])
+def test_point_with_other_draw_fields_rejected(override):
+    points = [(SMALL, "ec", None), (SMALL.with_overrides(**override), "ec", None)]
+    with pytest.raises(ValueError, match=next(iter(override))):
+        simulate_network(SMALL, points, n=10, seed=0)

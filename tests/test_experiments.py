@@ -1,10 +1,14 @@
 import filecmp
 
+import numpy as np
 import pytest
 
 from riscomp import experiments
+from riscomp.cli import main
 from riscomp.config import from_mapping, load_config
 from riscomp.experiments import PRESETS, reproduce, run_experiment
+from riscomp.moppo import init_policy, save_params
+from riscomp.scenarios import tiny_aerial_scenario
 
 
 def _run(tmp_path, name, mapping):
@@ -160,3 +164,27 @@ def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="runner failed"):
         run_experiment(cfg)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_drl_eval_rejects_checkpoint_of_other_width(tmp_path, monkeypatch, capsys):
+    scn = tiny_aerial_scenario(k_elements=2, t_slots=8)
+    ckpt = tmp_path / "policy.bin"
+    # The network input is the state plus a remaining-time feature.
+    save_params(ckpt, init_policy(scn.state_dim + 1, scn.action_dim_continuous,
+                                  np.random.default_rng(0), hidden=8))
+
+    def never(*args, **kwargs):
+        raise AssertionError("evaluate must not run on a mismatched checkpoint")
+
+    monkeypatch.setattr(experiments, "evaluate", never)
+    path = tmp_path / "eval.cfg"
+    path.write_text(
+        f"kind = drl-eval\ncheckpoint = {ckpt}\nout = {tmp_path / 'eval'}\n"
+        "scenario.tiny = true\nscenario.k_elements = 2\nscenario.t_slots = 8\n"
+        "train.hidden = 16\n"
+    )
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "array w1 has shape (8, 9)" in err[0] and "need (16, 9)" in err[0]
+    assert not (tmp_path / "eval" / "trajectory.csv").exists()

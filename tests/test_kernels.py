@@ -46,8 +46,12 @@ def test_multicell_matches_reference():
     ed_re, ed_im, c_re, c_im, r_re, r_im, cg, coop, mode, zf, p, s2 = args
     mode = np.array([2, 3, 1], dtype=np.uint8)
     coop = np.array([1, 0, 0], dtype=np.uint8)
+    gains, _ = kernels.multicell_edge_gains(
+        ed_re + 1j * ed_im, c_re + 1j * c_im, r_re + 1j * r_im, set(mode.tolist())
+    )
+    g_edge = np.stack([gains[c][:, i] for i, c in enumerate(mode)], axis=1)
     edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
-        ed_re, ed_im, c_re, c_im, r_re, r_im, cg, coop, mode, zf, p, s2
+        g_edge, cg, coop, zf, p, s2
     )
     n, cells, k = c_re.shape
     for t in range(n):
