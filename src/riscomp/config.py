@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .moppo import TrainConfig
 from .scenarios import (
     AerialScenario,
     CoordinatedScenario,
@@ -338,7 +339,13 @@ def validate(cfg: ExperimentConfig) -> None:
     for key, value in cfg.scenario.items():
         if schema.get(key) is float and not math.isfinite(value):
             errors.append(f"scenario.{key}: expected a finite number, got {value!r}")
-    # Construct the scenario once to surface invariant violations.
+    drl = cfg.kind in ("drl-train", "drl-eval")
+    if drl:
+        for key, value in cfg.train.items():
+            if _TRAIN_KEYS.get(key) is float and not math.isfinite(value):
+                errors.append(f"train.{key}: expected a finite number, got {value!r}")
+    # Construct the scenario (and training setup) once to surface invariant
+    # violations.
     try:
         if cfg.kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):
             cfg.coordinated_scenario()
@@ -348,6 +355,11 @@ def validate(cfg: ExperimentConfig) -> None:
             cfg.aerial_scenario()
     except (TypeError, ValueError) as exc:
         errors.append(str(exc))
+    if drl:
+        try:
+            TrainConfig(**cfg.train)
+        except (TypeError, ValueError) as exc:
+            errors.append(f"train: {exc}")
     if errors:
         raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 
@@ -377,7 +389,9 @@ def dump_config(cfg: ExperimentConfig, header: str = "") -> str:
         if isinstance(v, list):
             return ", ".join(fmt(x) for x in v)
         if isinstance(v, float):
-            return f"{v:.17g}"
+            text = f"{v:.17g}"
+            # "-0" would load back as the integer 0 and lose the sign.
+            return "-0.0" if text == "-0" else text
         return str(v)
 
     for section, data in (("scenario", cfg.scenario), ("sweep", cfg.sweep),

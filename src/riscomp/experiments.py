@@ -320,7 +320,9 @@ PRESETS: dict[str, dict] = {
         "scenario.threshold_edge_db": 0.0,
         "sweep.p_t_dbm": [-15, -10, -5, 0, 5, 10, 15, 20],
     },
-    # Ergodic-rate surface over element assignment and amplitude split.
+    # Ergodic-rate surface over element assignment and amplitude split. The
+    # rates depend on beta_t only: `analysis` does not read the assignment, so
+    # the k1/k2 columns do not change them.
     "fig3.5": {
         "kind": "exhaustive-star",
         "seed": 1,

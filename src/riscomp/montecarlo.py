@@ -167,10 +167,14 @@ class EmpiricalCdf:
 
 def ks_statistic(
     samples,
-    cdf: Callable[[float], float],
+    cdf: Callable[[np.ndarray], np.ndarray],
     alpha: float = 0.01,
 ) -> tuple[float, bool, float]:
     """One-sample KS sup-distance against an analytic CDF.
+
+    `cdf` maps an array of points to an array of probabilities of the same
+    shape; it is called once, on the sorted sample. A callable that does not
+    (a scalar-only function) raises ValueError.
 
     Returns (D, passed, critical) with critical = c(alpha)/sqrt(n).
     """
@@ -181,7 +185,15 @@ def ks_statistic(
     if alpha not in _KS_COEFF:
         raise ValueError(f"alpha must be one of {sorted(_KS_COEFF)}")
     s = np.sort(samples)
-    f = np.array([cdf(x) for x in s])
+    contract = "the KS cdf must map an array of points to an array of probabilities"
+    try:
+        f = np.asarray(cdf(s), dtype=float)
+    except (TypeError, ValueError) as exc:
+        # What scalar-only code raises on an array: math.* a TypeError, an
+        # `if x <= 0` test a ValueError.
+        raise ValueError(f"{contract}; on the sample array it raised: {exc}") from exc
+    if f.shape != s.shape:
+        raise ValueError(f"{contract}: got shape {f.shape} for {s.shape} points")
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     # The lower gap compares against the model's left limit; only step

@@ -39,6 +39,10 @@ class CoordinatedScenario:
     k_elements: int = 34
     beta_t: float = 0.5
     beta_r: float = 0.5
+    # Elements assigned to cell 1 and cell 2. Validated (entries >= 0, summing
+    # to k_elements) but read by nothing else: the closed forms in `analysis`
+    # and the trial engine use the full cascade amplitude K sqrt(beta), so the
+    # assignment does not change any rate.
     assignment: tuple[int, int] = (17, 17)
     # Nakagami shapes: direct/interfering BS-user links, BS-RIS, RIS-user.
     m_direct: float = 1.0

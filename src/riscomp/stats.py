@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import NakagamiParams
 from .quadrature import integrate
 from .special import betainc_reg, betaln, gammainc_lower_reg
@@ -104,12 +106,15 @@ class BetaPrimeParams:
         ln = (self.a - 1.0) * math.log(y) - (self.a + self.b) * math.log1p(y)
         return math.exp(ln - betaln(self.a, self.b)) / self.scale
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        if math.isinf(x):
-            return 1.0
-        return betainc_reg(self.a, self.b, x / (x + self.scale))
+    def cdf(self, x):
+        """Pr(X <= x), elementwise: 0 for x <= 0, 1 for x = +inf, otherwise
+        I_{x/(x+scale)}(a, b). A scalar x returns a Python float, an array x
+        an array of its shape."""
+        x = np.asarray(x, dtype=float)
+        inner = ~(x <= 0) & (x != math.inf)
+        y = np.where(x == math.inf, 1.0, 0.0)
+        np.divide(x, x + self.scale, out=y, where=inner)
+        return betainc_reg(self.a, self.b, y)
 
 
 def gamma_from_moments(m: MomentPair) -> GammaParams:

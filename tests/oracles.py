@@ -1,7 +1,7 @@
 """Independent reference implementations that the tests check the engines
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
-effective-channel composition, half-line quadrature, and per-link Rayleigh
-and Rician channel draws.
+effective-channel composition, half-line quadrature, per-link Rayleigh
+and Rician channel draws, and the scalar incomplete beta.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -19,6 +19,7 @@ from numpy.random import Generator
 
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
+from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
 
 
 @dataclass(frozen=True)
@@ -230,3 +231,56 @@ def sample_rician_vector(k_elements: int, p: RicianParams, rng: Generator) -> np
     w_los = math.sqrt(p.kappa / (1.0 + p.kappa))
     w_nlos = math.sqrt(1.0 / (1.0 + p.kappa))
     return w_los * los + w_nlos * nlos
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise ConvergenceError(f"incomplete beta continued fraction (a={a}, b={b}, x={x})")
+
+
+def betainc_reg(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b)."""
+    if a <= 0 or b <= 0:
+        raise ValueError("betainc_reg requires a, b > 0")
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = a * math.log(x) + b * math.log1p(-x) - betaln(a, b)
+    front = math.exp(ln_front)
+    # Symmetry transform keeps the continued fraction in its convergent region.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b

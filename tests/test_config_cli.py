@@ -283,3 +283,130 @@ def test_nonfinite_scenario_floats_rejected(kind, key):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match=rf"scenario\.{key}: expected a finite"):
             from_mapping({"kind": kind, f"scenario.{key}": value})
+
+
+def test_cli_validate_rejects_train_clip_out_of_range(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = drl-train\nscenario.tiny = true\ntrain.clip_eps = 5\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"clip epsilon must lie in \(0, 1\)"):
+        load_config(path)
+
+
+def test_cli_validate_rejects_nan_learning_rate(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = drl-train\nscenario.tiny = true\ntrain.learning_rate = nan\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"train\.learning_rate: expected a finite number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("kind", ["drl-train", "drl-eval"])
+@pytest.mark.parametrize(
+    "key", [key for key, typ in config_module._TRAIN_KEYS.items() if typ is float])
+def test_nonfinite_train_floats_rejected(kind, key):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=rf"train\.{key}: expected a finite"):
+            from_mapping({"kind": kind, "checkpoint": "p.bin", f"train.{key}": value})
+
+
+_DB = st.floats(-200.0, 200.0)
+_OPEN_HALF_TO_ONE = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+# Valid values of the constrained scenario keys; a _db/_dbm key takes _DB, a
+# bool key either value, any other key a positive number.
+_SCENARIO_VALUES = {
+    "amp_efficiency": st.floats(0.0, 1.0, exclude_min=True),
+    "default_alloc": _OPEN_HALF_TO_ONE,
+    "uav_start_x": st.floats(-50.0, 50.0),  # inside the tiny scenario's area
+    "uav_start_y": st.floats(-50.0, 50.0),
+    "n_trials": st.integers(1, 10**6),
+    "t_slots": st.integers(1, 500),
+    "k_elements": st.integers(0, 300),
+}
+
+
+def _one_minus(key, partner, lo, hi):
+    """key drawn in [lo, hi] with partner = 1 - key, as the sum checks need."""
+    return st.floats(lo, hi).map(lambda v: {key: v, partner: 1.0 - v})
+
+
+def _scenario_draws(kind):
+    """Strategies of valid scenario entries for kind, each a dict of keys."""
+    schema = config_module._SCENARIO_KEYS_BY_KIND[kind]
+    if schema is config_module._COORDINATED_KEYS:
+        draws = [_one_minus("zeta_center", "zeta_edge", 1e-6, 0.5 - 1e-6),
+                 _one_minus("beta_t", "beta_r", 0.0, 1.0)]
+    elif "zeta_edge" in schema:
+        draws = [_OPEN_HALF_TO_ONE.map(lambda v: {"zeta_edge": v})]
+    else:
+        draws = []
+    fixed = {"zeta_center", "zeta_edge", "beta_t", "beta_r",
+             "assignment_1", "assignment_2", "n_cells", "n_coop"}
+    for key, typ in schema.items():
+        if key in fixed:
+            continue
+        if key in _SCENARIO_VALUES:
+            values = _SCENARIO_VALUES[key]
+        elif typ is bool:
+            values = st.booleans()
+        elif key.endswith(("_db", "_dbm")):
+            values = _DB
+        else:
+            values = st.floats(1e-6, 1e6)
+        draws.append(values.map(lambda v, key=key: {key: v}))
+    return draws
+
+
+_TRAIN_DRAWS = {
+    "learning_rate": st.floats(1e-8, 1.0),
+    "clip_eps": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "gamma": st.floats(0.0, 1.0, exclude_min=True),
+    "episodes": st.integers(1, 1000),
+    "epochs": st.integers(1, 100),
+    "batch": st.integers(1, 512),
+    "rollout": st.integers(1, 512),
+    "hidden": st.integers(1, 256),
+    "head_hidden": st.integers(1, 256),
+    "value_coef": st.floats(0.0, 10.0),
+    "entropy_coef": st.floats(0.0, 10.0),
+    "episodes_per_update": st.integers(1, 10),
+    "kl_stop": st.floats(0.0, 1.0),
+    "entropy_decay": st.booleans(),
+}
+
+
+def _sweep_draws(kind, flat):
+    k = flat.get("scenario.k_elements", 34)
+    elements = {
+        "p_t_dbm": st.one_of(_DB, st.integers(-200, 200)),
+        "r_th_values": st.floats(0.0, 1e3),
+        "splits": st.floats(0.0, 1.0),
+        "beta_t_values": st.floats(0.0, 1.0),
+        "j_values": st.integers(1, 6),
+        "k_values": st.integers(0, 500),
+        "assignment_values": st.integers(0, k),
+    }
+    return {key: st.lists(elements[key], min_size=1, max_size=4)
+            for key in config_module._SWEEP_KEYS_BY_KIND.get(kind, ())}
+
+
+@given(kind=st.sampled_from(config_module.KINDS), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_dump_parse_roundtrip_property(kind, data):
+    flat = {"kind": kind, "seed": data.draw(st.integers(0, 2**63)), "out": "runs/x"}
+    if data.draw(st.booleans()):
+        flat["trials"] = data.draw(st.integers(1, 10**9))
+    if kind == "drl-eval":
+        flat["checkpoint"] = "runs/train/policy.bin"
+    for entry in _scenario_draws(kind):
+        if data.draw(st.booleans()):
+            flat.update({f"scenario.{k}": v for k, v in data.draw(entry).items()})
+    for key, strat in _sweep_draws(kind, flat).items():
+        if data.draw(st.booleans()):
+            flat[f"sweep.{key}"] = data.draw(strat)
+    if kind in ("drl-train", "drl-eval"):
+        for key, strat in _TRAIN_DRAWS.items():
+            if data.draw(st.booleans()):
+                flat[f"train.{key}"] = data.draw(strat)
+    text = dump_config(from_mapping(flat))
+    assert dump_config(from_mapping(parse_text(text))) == text

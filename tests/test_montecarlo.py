@@ -15,6 +15,7 @@ from riscomp.montecarlo import (
 )
 from riscomp.noma import RateThresholds
 from riscomp.scenarios import CoordinatedScenario
+from riscomp.stats import GammaParams
 
 SCN = CoordinatedScenario(p_t_dbm=-20.0)
 
@@ -76,14 +77,14 @@ def test_ks_calibration():
     passes = 0
     for seed in range(20):
         samples = substream(seed, 2).exponential(1.0, 10_000)
-        _, ok, _ = ks_statistic(samples, lambda x: 1.0 - math.exp(-x), alpha=0.01)
+        _, ok, _ = ks_statistic(samples, lambda x: 1.0 - np.exp(-x), alpha=0.01)
         passes += ok
     assert passes >= 19
 
 
 def test_ks_power_against_shift():
     samples = substream(3, 3).exponential(1.0, 10_000) + 0.05
-    d, ok, crit = ks_statistic(samples, lambda x: 1.0 - math.exp(-x), alpha=0.01)
+    d, ok, crit = ks_statistic(samples, lambda x: 1.0 - np.exp(-x), alpha=0.01)
     assert not ok and d > crit
 
 
@@ -96,6 +97,30 @@ def test_ks_zero_distance_against_own_step_cdf():
 def test_ks_needs_samples():
     with pytest.raises(ValueError):
         ks_statistic(np.ones(50), lambda x: x)
+
+
+@pytest.mark.parametrize("cdf", [
+    lambda x: 1.0 - math.exp(-x),  # scalar-only: math rejects an array
+    GammaParams(2.0, 1.0).cdf,  # scalar-only: `if x <= 0` on an array
+    lambda x: 0.5,  # a scalar for the whole sample
+    lambda x: (1.0 - np.exp(-x))[:-1],  # one point short
+])
+def test_ks_rejects_cdf_not_mapping_arrays(cdf):
+    samples = substream(5, 5).exponential(1.0, 200)
+    with pytest.raises(ValueError, match="must map an array of points to an array"):
+        ks_statistic(samples, cdf)
+
+
+def test_ks_calls_cdf_once_on_sorted_sample():
+    samples = substream(6, 6).exponential(1.0, 300)
+    calls = []
+
+    def cdf(x):
+        calls.append(x.copy())
+        return 1.0 - np.exp(-x)
+
+    ks_statistic(samples, cdf)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(samples))
 
 
 def test_estimate_outage_extremes():

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+import oracles
+from riscomp import special
+from riscomp.analysis import coordinated_distributions
+from riscomp.config import from_mapping
+from riscomp.experiments import PRESETS
+from riscomp.montecarlo import run_trials
 from riscomp.special import betainc_reg, betaln, gammainc_lower_reg, gammaln
 
 
@@ -64,3 +70,52 @@ def test_gammainc_edges():
         gammainc_lower_reg(-1.0, 1.0)
     with pytest.raises(ValueError):
         gammainc_lower_reg(1.0, -1.0)
+
+
+def _fig32_laws_and_points():
+    """The fig3.2 fitted Beta-prime laws and their CDF arguments x/(x+scale)
+    at the preset's Monte Carlo samples (preset seed, 2,000 trials)."""
+    cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
+    scn = cfg.coordinated_scenario()
+    dists = coordinated_distributions(scn)
+    batch = run_trials(scn, 2000, cfg.seed, coupling="physical")
+    laws = [(dists.center_own[0], "center1_own"), (dists.center_sic[0], "center1_sic"),
+            (dists.center_own[1], "center2_own"), (dists.center_sic[1], "center2_sic"),
+            (dists.edge, "edge")]
+    points = []
+    for p, kind in laws:
+        s = np.sort(batch.sinr[kind])
+        points.append((p, s / (s + p.scale)))
+    return points
+
+
+def test_array_betainc_equals_scalar_oracle():
+    cases = []
+    grid = np.linspace(0.0, 1.0, 201)  # includes x = 0 and x = 1
+    for a, b in [(0.5, 0.5), (2.0, 3.0), (30.0, 2.5), (1.0, 1.0), (0.2, 40.0)]:
+        cases.append((a, b, grid))
+    for a, b, x in [(0.9, 4.5e4, 2e-5), (1.2, 4.4e5, 1e-6), (300.0, 2.0, 0.995)]:
+        cases.append((a, b, np.array([x, 0.0, 1.0])))
+    for p, y in _fig32_laws_and_points():
+        cases.append((p.a, p.b, y))
+    branches = set()
+    for a, b, x in cases:
+        got = betainc_reg(a, b, x)
+        want = np.array([oracles.betainc_reg(a, b, float(v)) for v in x])
+        assert np.array_equal(got, want), (a, b)
+        inner = x[(x > 0) & (x < 1)]
+        branches.update(inner < (a + 1.0) / (a + b + 2.0))
+    assert branches == {True, False}
+
+
+def test_betainc_scalar_returns_float():
+    r = betainc_reg(2.0, 3.0, 0.25)
+    assert type(r) is float and r == oracles.betainc_reg(2.0, 3.0, 0.25)
+    assert type(betainc_reg(2.0, 3.0, 0.0)) is float
+    assert betainc_reg(2.0, 3.0, np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_betainc_nonconvergence_names_arguments(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_ITER", 3)
+    with pytest.raises(special.ConvergenceError, match=r"a=30\.0, b=2\.5, x=0\.5\)"):
+        betainc_reg(30.0, 2.5, np.array([0.0, 0.5, 0.6]))
