@@ -21,6 +21,10 @@ from .scenarios import AerialScenario
 
 _STREAM_ENV = 501
 _SQRT_HALF = math.sqrt(0.5)
+# Positions a geometry cache holds before it is emptied: more than the
+# default scenario's 31 x 31 lattice, and a bound on memory when off-lattice
+# positions (a step length that drifts in floating point) keep arriving.
+_POSITION_CACHE_MAX = 2048
 
 MOVES = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (0.0, 0.0))
 MOVE_NAMES = ("left", "right", "down", "up", "hover")
@@ -59,6 +63,12 @@ class MdpAction:
         object.__setattr__(self, "alloc_factors", alloc)
 
 
+def _store(cache: dict, key: bytes, value) -> None:
+    if len(cache) >= _POSITION_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+
+
 class ArisEnv:
     """Single-agent environment; one instance is single-threaded."""
 
@@ -78,6 +88,16 @@ class ArisEnv:
                 alpha = scenario.alpha_direct if u == i else scenario.alpha_ici
                 d = float(np.linalg.norm(bs - pu))
                 self._amp_direct[i, u] = math.sqrt(scenario.rho_o / d**alpha)
+        kappa = scenario.kappa
+        self._w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
+        self._w_nlos = math.sqrt(1.0 / (1.0 + kappa))
+        self._rate_mins = np.array([scenario.r_center_min] * scenario.n_bs
+                                   + [scenario.r_edge_min])
+        # Per-position geometry, keyed by the bytes of the UAV's (x, y): the
+        # UAV moves on a lattice, so the entries are few, and every hit is
+        # the same bits the scalar code computes on a miss.
+        self._link_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._dist_cache: dict[bytes, np.ndarray] = {}
         self._rng = None
         self._t = 0
         self._pos = None
@@ -87,17 +107,45 @@ class ArisEnv:
         self.last_qos = None
 
     # Geometry ------------------------------------------------------------
-    def _obstacle_dists(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(self._pos - o)) for o in self._obstacles])
+    def _obstacle_dists(self, xy: np.ndarray) -> np.ndarray:
+        """Horizontal distances from xy to every obstacle (cached, read-only)."""
+        key = xy.tobytes()
+        dists = self._dist_cache.get(key)
+        if dists is None:
+            dists = np.array([float(np.linalg.norm(xy - o)) for o in self._obstacles])
+            dists.flags.writeable = False
+            _store(self._dist_cache, key, dists)
+        return dists
 
     def _inside(self, xy) -> bool:
         half = self.scn.half_extent
         return abs(xy[0]) <= half and abs(xy[1]) <= half
 
-    def _safe(self, xy) -> bool:
-        return self._inside(xy) and all(
-            np.linalg.norm(xy - o) >= self.scn.d_min for o in self._obstacles
-        )
+    def _safe(self, xy: np.ndarray) -> bool:
+        return self._inside(xy) and bool(np.all(self._obstacle_dists(xy) >= self.scn.d_min))
+
+    def _link_geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Path amplitudes (n_links, 1) and weighted LoS steering vectors
+        (n_links, K) of the RIS links, BSs first, at the UAV's position.
+
+        Per-link geometry stays scalar: numpy's vectorized norm, arctan2 and
+        power round some inputs differently.
+        """
+        key = self._pos.tobytes()
+        geometry = self._link_cache.get(key)
+        if geometry is None:
+            scn = self.scn
+            uav = np.array([self._pos[0], self._pos[1], scn.ris_altitude])
+            amp, sines = [], []
+            for p in self._bs + self._users:
+                d = float(np.linalg.norm(uav - p))
+                aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
+                amp.append(math.sqrt(scn.rho_o / d**scn.alpha_ris))
+                sines.append(np.sin(aoa))
+            los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.array(sines)[:, None])
+            geometry = (np.array(amp)[:, None], self._w_los * los)
+            _store(self._link_cache, key, geometry)
+        return geometry
 
     # Channels ------------------------------------------------------------
     def _draw_channels(self, n: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -107,27 +155,16 @@ class ArisEnv:
 
         Each slot reads K real then K imaginary normals per RIS link, then
         each direct link's real and imaginary part, so one batch of n equals
-        n single draws. Per-link geometry stays scalar: numpy's vectorized
-        norm, arctan2 and power round some inputs differently.
+        n single draws.
         """
         scn = self.scn
         k = scn.k_elements
-        uav = np.array([self._pos[0], self._pos[1], scn.ris_altitude])
-        amp, sines = [], []
-        for p in self._bs + self._users:
-            d = float(np.linalg.norm(uav - p))
-            aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
-            amp.append(math.sqrt(scn.rho_o / d**scn.alpha_ris))
-            sines.append(np.sin(aoa))
-        n_ris = 2 * k * len(amp)
+        amp, los = self._link_geometry()
+        n_ris = 2 * k * amp.shape[0]
         z = self._rng.standard_normal((n, n_ris + 2 * self._amp_direct.size))
-        zr = z[:, :n_ris].reshape(n, len(amp), 2, k)
-        los = np.exp(1j * np.arange(k) * np.pi * np.array(sines)[:, None])
+        zr = z[:, :n_ris].reshape(n, amp.shape[0], 2, k)
         nlos = (zr[:, :, 0] + 1j * zr[:, :, 1]) * _SQRT_HALF
-        kappa = scn.kappa
-        w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
-        w_nlos = math.sqrt(1.0 / (1.0 + kappa))
-        ris = np.array(amp)[:, None] * (w_los * los + w_nlos * nlos)
+        ris = amp * (los + self._w_nlos * nlos)
         zd = z[:, n_ris:].reshape(n, scn.n_bs, -1, 2)
         direct = self._amp_direct * ((zd[..., 0] + 1j * zd[..., 1]) * _SQRT_HALF)
         return ris, direct
@@ -182,13 +219,12 @@ class ArisEnv:
         self._alloc = np.full(self.scn.n_bs, self.scn.default_alloc)
         g = self._gains(*self._draw_channels(), np.ones(self.scn.k_elements, dtype=complex))
         rates = self._rates(g[0], self._alloc)
-        return MdpState(self._pos.copy(), self._obstacle_dists(), self._alloc.copy(), rates)
+        return MdpState(self._pos.copy(), self._obstacle_dists(self._pos),
+                        self._alloc.copy(), rates)
 
     def qos_indicators(self, rates: np.ndarray) -> np.ndarray:
         """1 when the rate is at or below its target (violation uses <=)."""
-        scn = self.scn
-        mins = np.array([scn.r_center_min] * scn.n_bs + [scn.r_edge_min])
-        return (rates <= mins).astype(float)
+        return (rates <= self._rate_mins).astype(float)
 
     def reward(self, rates: np.ndarray, qos: np.ndarray, safety_flag: bool) -> float:
         r_sum = float(np.sum(rates))
@@ -218,5 +254,6 @@ class ArisEnv:
         done = self._t >= self.scn.t_slots
         self.last_violation = violated
         self.last_qos = qos
-        state = MdpState(self._pos.copy(), self._obstacle_dists(), self._alloc.copy(), rates)
+        state = MdpState(self._pos.copy(), self._obstacle_dists(self._pos),
+                         self._alloc.copy(), rates)
         return state, reward, done

@@ -19,6 +19,7 @@ from .scenarios import (
     MultiCellScenario,
     tiny_aerial_scenario,
 )
+from .units import db_to_linear, dbm_to_watts
 
 KINDS = (
     "pdf-validation",
@@ -311,6 +312,15 @@ def _describe(typ: type, lo: float, hi: float) -> str:
     return f"{name} in [{lo}, {hi}]"
 
 
+def _overflows(key: str, value: float) -> bool:
+    """True when a _db/_dbm value has no finite linear-scale value."""
+    to_linear = dbm_to_watts if key.endswith("_dbm") else db_to_linear
+    try:
+        return not math.isfinite(to_linear(value))
+    except OverflowError:
+        return True
+
+
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
     bounds = _sweep_bounds(cfg)
@@ -322,6 +332,8 @@ def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
             number = isinstance(v, int if typ is int else (int, float)) and not isinstance(v, bool)
             if not (number and math.isfinite(v) and lo <= v <= hi):
                 errors.append(f"sweep.{key}[{i}]: expected {_describe(typ, lo, hi)}, got {v!r}")
+            elif key.endswith("_dbm") and _overflows(key, v):
+                errors.append(f"sweep.{key}[{i}]: {v!r} overflows on conversion to linear scale")
     return errors
 
 
@@ -337,8 +349,12 @@ def validate(cfg: ExperimentConfig) -> None:
     errors.extend(_sweep_errors(cfg))
     schema = _SCENARIO_KEYS_BY_KIND[cfg.kind]
     for key, value in cfg.scenario.items():
-        if schema.get(key) is float and not math.isfinite(value):
+        if schema.get(key) is not float:
+            continue
+        if not math.isfinite(value):
             errors.append(f"scenario.{key}: expected a finite number, got {value!r}")
+        elif key.endswith(("_db", "_dbm")) and _overflows(key, value):
+            errors.append(f"scenario.{key}: {value!r} overflows on conversion to linear scale")
     drl = cfg.kind in ("drl-train", "drl-eval")
     if drl:
         for key, value in cfg.train.items():

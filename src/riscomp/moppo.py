@@ -4,6 +4,11 @@ per-head clipped surrogate objectives and Adam. Everything (forward,
 backprop, Adam) is implemented directly on numpy arrays; gradients are
 verified against central finite differences in the test suite.
 
+The weights and both Adam moments each live in one flat float64 vector
+(`PolicyParams`); the named arrays are views into it, and `update` rewrites
+the vectors in place through preallocated gradient and scratch vectors, so
+a training step allocates nothing of the network's size.
+
 Baselines: a hover variant (`train`/`evaluate` with hover=True: position
 pinned, discrete head disabled) and an exhaustive grid search over static
 configurations for desk-scale instances.
@@ -15,12 +20,12 @@ import io
 import math
 import struct
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from .aerial import MOVES, ArisEnv, MdpAction
 from .channel import substream
-from .ris import wrap_phase
 from .scenarios import AerialScenario
 
 _STREAM_AGENT = 601
@@ -68,26 +73,44 @@ class TrainConfig:
             raise ValueError("counts must be >= 1")
 
 
-@dataclass
 class PolicyParams:
-    """Network weights plus Adam moment accumulators and step counter."""
+    """Network weights plus Adam moment accumulators and step counter.
 
-    weights: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    step: int
-    state_dim: int
-    n_cont: int
+    Layout: `theta` (weights), `m` and `v` (Adam moments) are each one
+    contiguous float64 vector; every named array is a row-major slice of
+    it, in the order the names were given. `weights`, `adam_m` and
+    `adam_v` map each name to its view and are read-only, so an array
+    cannot be rebound and detached from its buffer; write through the
+    views (`params.weights["w1"][...] = x`) or the vectors. `grad` is the
+    flat gradient of the last `update`; `_tmp` holds two scratch vectors
+    of the same length for Adam.
+    """
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            {k: v.copy() for k, v in self.weights.items()},
-            {k: v.copy() for k, v in self.adam_m.items()},
-            {k: v.copy() for k, v in self.adam_v.items()},
-            self.step,
-            self.state_dim,
-            self.n_cont,
-        )
+    def __init__(self, shapes: dict[str, tuple], step: int, state_dim: int,
+                 n_cont: int):
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.theta = np.zeros(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        # Adam works in preallocated vectors: at hidden = 64 one is ~146 KB,
+        # above glibc's 128 KiB mmap threshold, so each temporary of that
+        # size would be a fresh mapping whose pages fault in on every update.
+        self.grad = np.empty(size)
+        self._tmp = (np.empty(size), np.empty(size))
+        self.weights, self.adam_m, self.adam_v = (
+            _views(flat, shapes) for flat in (self.theta, self.m, self.v))
+        self.step = step
+        self.state_dim = state_dim
+        self.n_cont = n_cont
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> MappingProxyType:
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        views[name] = flat[off : off + count].reshape(shape)
+        off += count
+    return MappingProxyType(views)
 
 
 def _orthogonal(rng, shape, gain):
@@ -128,9 +151,10 @@ def init_policy(
         "bvo": np.zeros(1),
         "log_std": np.full(n_cont, log_std_init),
     }
-    zeros = {k: np.zeros_like(v) for k, v in w.items()}
-    return PolicyParams(w, zeros, {k: v.copy() for k, v in zeros.items()},
-                        0, state_dim, n_cont)
+    params = PolicyParams({k: v.shape for k, v in w.items()}, 0, state_dim, n_cont)
+    for k, v in w.items():
+        params.weights[k][...] = v
+    return params
 
 
 def _softmax(z):
@@ -188,12 +212,12 @@ def sample_action(probs, mu, std, rng, discrete_enabled: bool = True):
 
 def to_env_action(move: int, raw: np.ndarray, scenario: AerialScenario) -> MdpAction:
     """Map raw policy outputs into the environment's action space: phases are
-    wrapped into [-pi, pi), allocation factors squashed into (0.5, 1)."""
+    wrapped into [-pi, pi) (by MdpAction), allocation factors squashed into
+    (0.5, 1)."""
     k = scenario.k_elements
-    phases = wrap_phase(raw[:k])
     alloc = 0.5 + 0.5 / (1.0 + np.exp(-raw[k:]))
     alloc = np.clip(alloc, 0.5 + 1e-9, 1.0 - 1e-9)
-    return MdpAction(move=move, phases=phases, alloc_factors=alloc)
+    return MdpAction(move=move, phases=raw[:k], alloc_factors=alloc)
 
 
 def advantage(rewards, values, dones, gamma: float, t_hat: int) -> np.ndarray:
@@ -342,27 +366,40 @@ def _backward(params, cache, dlogits, dmu, dlog_std, dv):
 
 
 def update(params: PolicyParams, mb: Minibatch, cfg: TrainConfig) -> PolicyParams:
-    """One Adam ascent step on the PPO objective; returns updated params."""
+    """One Adam ascent step on the PPO objective, in place; returns params.
+
+    The gradients are gathered into `params.grad`, checked once for
+    finiteness, and every Adam operation writes into the flat vectors
+    (`out=`). Per element the arithmetic is that of the textbook per-array
+    update, so the results are the same bits.
+    """
     j, grads, info = objective_and_grads(params, mb, cfg)
-    for k, gv in grads.items():
-        if not np.all(np.isfinite(gv)):
-            raise RuntimeError(
-                f"non-finite gradient in {k}: objective parts {info}"
-            )
+    g = params.grad
+    np.concatenate([grads[k].reshape(-1) for k in params.weights], out=g)
+    if not np.all(np.isfinite(g)):
+        bad = next(k for k, gv in grads.items() if not np.all(np.isfinite(gv)))
+        raise RuntimeError(f"non-finite gradient in {bad}: objective parts {info}")
     params.step += 1
     t = params.step
-    lr = cfg.learning_rate
-    for k in params.weights:
-        g_loss = -grads[k]  # descend on -J
-        m = params.adam_m[k]
-        vv = params.adam_v[k]
-        m[...] = _ADAM_B1 * m + (1.0 - _ADAM_B1) * g_loss
-        vv[...] = _ADAM_B2 * vv + (1.0 - _ADAM_B2) * g_loss**2
-        m_hat = m / (1.0 - _ADAM_B1**t)
-        v_hat = vv / (1.0 - _ADAM_B2**t)
-        params.weights[k] = params.weights[k] - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    np.clip(params.weights["log_std"], LOG_STD_MIN, LOG_STD_MAX,
-            out=params.weights["log_std"])
+    m, v, s1, s2 = params.m, params.v, *params._tmp
+    # Descend on -J: m + (1 - b1) * (-g) is m - (1 - b1) * g to the bit, and
+    # (-g)**2 is g**2, so g is never negated.
+    np.multiply(m, _ADAM_B1, out=m)
+    np.multiply(g, 1.0 - _ADAM_B1, out=s1)
+    np.subtract(m, s1, out=m)
+    np.multiply(v, _ADAM_B2, out=v)
+    np.square(g, out=s1)
+    np.multiply(s1, 1.0 - _ADAM_B2, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(m, 1.0 - _ADAM_B1**t, out=s1)  # m_hat
+    np.multiply(s1, cfg.learning_rate, out=s1)
+    np.divide(v, 1.0 - _ADAM_B2**t, out=s2)  # v_hat
+    np.sqrt(s2, out=s2)
+    np.add(s2, _ADAM_EPS, out=s2)
+    np.divide(s1, s2, out=s1)
+    np.subtract(params.theta, s1, out=params.theta)
+    log_std = params.weights["log_std"]
+    np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX, out=log_std)
     return params
 
 
@@ -614,9 +651,8 @@ def save_params(path, params: PolicyParams) -> None:
         buf.write(struct.pack("<B", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
     for name in ordered:
-        buf.write(np.ascontiguousarray(params.weights[name], dtype=np.float64).tobytes())
-        buf.write(np.ascontiguousarray(params.adam_m[name], dtype=np.float64).tobytes())
-        buf.write(np.ascontiguousarray(params.adam_v[name], dtype=np.float64).tobytes())
+        for views in (params.weights, params.adam_m, params.adam_v):
+            buf.write(views[name].tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -670,10 +706,11 @@ def load_params(path) -> PolicyParams:
             f"{path}: checkpoint payload holds {len(data) - off} bytes, "
             f"its shape table needs {expected}"
         )
-    weights, adam_m, adam_v = {}, {}, {}
+    params = PolicyParams({name: shape for name, shape, _ in shapes}, step,
+                          state_dim, n_cont)
     for name, shape, count in shapes:
-        for target in (weights, adam_m, adam_v):
+        for views in (params.weights, params.adam_m, params.adam_v):
             arr = np.frombuffer(data, dtype=np.float64, count=count, offset=off)
+            views[name][...] = arr.reshape(shape)
             off += 8 * count
-            target[name] = arr.reshape(shape).copy()
-    return PolicyParams(weights, adam_m, adam_v, step, state_dim, n_cont)
+    return params

@@ -1,7 +1,8 @@
 """Independent reference implementations that the tests check the engines
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
-and Rician channel draws, and the scalar incomplete beta.
+and Rician channel draws, one aerial slot drawn link by link, the scalar
+incomplete beta and the per-array Adam step.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -17,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator
 
+from riscomp.moppo import _ADAM_B1, _ADAM_B2, _ADAM_EPS, LOG_STD_MAX, LOG_STD_MIN
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
@@ -233,6 +235,27 @@ def sample_rician_vector(k_elements: int, p: RicianParams, rng: Generator) -> np
     return w_los * los + w_nlos * nlos
 
 
+def aerial_slot_draw(scn, xy, rng):
+    """One slot drawn link by link: Rician RIS vectors (BSs, then centers and
+    edge) and Rayleigh direct BS-center links, each scaled by its path gain."""
+    uav = np.array([xy[0], xy[1], scn.ris_altitude])
+    users = [np.asarray(p, dtype=float) for p in (*scn.center_positions, scn.edge_position)]
+    bss = [np.asarray(p, dtype=float) for p in scn.bs_positions]
+    ris = []
+    for p in bss + users:
+        d = float(np.linalg.norm(uav - p))
+        aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
+        vec = sample_rician_vector(scn.k_elements, RicianParams(scn.kappa, aoa), rng)
+        ris.append(math.sqrt(scn.rho_o / d**scn.alpha_ris) * vec)
+    direct = np.zeros((scn.n_bs, len(users)), dtype=complex)  # edge column blocked
+    for i, bs in enumerate(bss):
+        for u, pu in enumerate(users[:-1]):
+            alpha = scn.alpha_direct if u == i else scn.alpha_ici
+            gain = scn.rho_o / float(np.linalg.norm(bs - pu)) ** alpha
+            direct[i, u] = math.sqrt(gain) * sample_rayleigh(rng)
+    return ris, direct
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -284,3 +307,21 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def adam_step(weights: dict, adam_m: dict, adam_v: dict, grads: dict, t: int,
+              lr: float) -> None:
+    """Adam descent on -J for step t, array by array, then the log_std clip.
+
+    Updates the three dicts in place: moments in place, weights rebound.
+    """
+    for k in weights:
+        g_loss = -grads[k]  # descend on -J
+        m = adam_m[k]
+        vv = adam_v[k]
+        m[...] = _ADAM_B1 * m + (1.0 - _ADAM_B1) * g_loss
+        vv[...] = _ADAM_B2 * vv + (1.0 - _ADAM_B2) * g_loss**2
+        m_hat = m / (1.0 - _ADAM_B1**t)
+        v_hat = vv / (1.0 - _ADAM_B2**t)
+        weights[k] = weights[k] - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    np.clip(weights["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=weights["log_std"])

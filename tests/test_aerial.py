@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from oracles import RicianParams, sample_rayleigh, sample_rician_vector
+from oracles import aerial_slot_draw
+from riscomp import aerial
 from riscomp.aerial import ArisEnv, MdpAction
 from riscomp.channel import substream
-from riscomp.ris import wrap_phase
 from riscomp.scenarios import AerialScenario, tiny_aerial_scenario
 
 
@@ -167,27 +165,6 @@ def test_safety_invariant_random_actions():
                 assert np.hypot(x - o[0], y - o[1]) >= scn.d_min
 
 
-def _reference_draw(scn, xy, rng):
-    """One slot drawn link by link: Rician RIS vectors (BSs, then centers and
-    edge) and Rayleigh direct BS-center links, each scaled by its path gain."""
-    uav = np.array([xy[0], xy[1], scn.ris_altitude])
-    users = [np.asarray(p, dtype=float) for p in (*scn.center_positions, scn.edge_position)]
-    bss = [np.asarray(p, dtype=float) for p in scn.bs_positions]
-    ris = []
-    for p in bss + users:
-        d = float(np.linalg.norm(uav - p))
-        aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
-        vec = sample_rician_vector(scn.k_elements, RicianParams(scn.kappa, aoa), rng)
-        ris.append(math.sqrt(scn.rho_o / d**scn.alpha_ris) * vec)
-    direct = np.zeros((scn.n_bs, len(users)), dtype=complex)  # edge column blocked
-    for i, bs in enumerate(bss):
-        for u, pu in enumerate(users[:-1]):
-            alpha = scn.alpha_direct if u == i else scn.alpha_ici
-            gain = scn.rho_o / float(np.linalg.norm(bs - pu)) ** alpha
-            direct[i, u] = math.sqrt(gain) * sample_rayleigh(rng)
-    return ris, direct
-
-
 def _reference_gains(scn, ris, direct, phasor):
     bs_ris, ris_user = ris[: scn.n_bs], ris[scn.n_bs :]
     eff = np.empty(direct.shape, dtype=complex)
@@ -219,7 +196,7 @@ def test_batched_draw_and_gains_equal_per_link_reference(k):
         assert gains.shape == (3, n, scn.n_bs, scn.n_users)
         ref_rng = substream(13, k)
         for d in range(n):
-            ref_ris, ref_direct = _reference_draw(scn, xy, ref_rng)
+            ref_ris, ref_direct = aerial_slot_draw(scn, xy, ref_rng)
             assert np.array_equal(ris[d], np.array(ref_ris))
             assert np.array_equal(singles[d][0][0], ris[d])
             assert np.array_equal(direct[d], ref_direct[:, :-1])
@@ -228,6 +205,63 @@ def test_batched_draw_and_gains_equal_per_link_reference(k):
                 ref = _reference_gains(scn, ref_ris, ref_direct, phasor)
                 assert np.array_equal(gains[p, d], ref)
                 assert np.array_equal(env._gains(*singles[d], phasor)[0], ref)
+
+
+def _assert_draws_as_first_visit(env, state, k):
+    """Draws and obstacle distances at the env's position equal those of a
+    fresh env placed there and of the link-by-link reference."""
+    xy = state.uav_xy
+    n = 3
+    env._rng = substream(22, k)
+    ris, direct = env._draw_channels(n)
+    fresh = ArisEnv(env.scn, seed=env.seed)
+    fresh._pos = xy.copy()
+    fresh._rng = substream(22, k)
+    fresh_ris, fresh_direct = fresh._draw_channels(n)
+    assert np.array_equal(ris, fresh_ris)
+    assert np.array_equal(direct, fresh_direct)
+    ref_rng = substream(22, k)
+    for d in range(n):
+        ref_ris, ref_direct = aerial_slot_draw(env.scn, xy, ref_rng)
+        assert np.array_equal(ris[d], np.array(ref_ris).reshape(ris[d].shape))
+        assert np.array_equal(direct[d], ref_direct[:, :-1])
+    expect = [np.linalg.norm(xy - np.asarray(o)) for o in env.scn.obstacle_positions]
+    assert np.array_equal(state.obstacle_dists, expect)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_revisited_position_draws_equal_fresh_env_and_reference(k):
+    # The UAV goes A -> B -> A -> B: each second visit reads the cached
+    # geometry, which must give the bits of a first visit.
+    scn = tiny_aerial_scenario(k_elements=k, uav_start=(-40.0, -40.0))
+    env = ArisEnv(scn, seed=21)
+    a = env.reset()
+    b = env.step(_action(scn, move=1))[0]  # right
+    assert not np.array_equal(a.uav_xy, b.uav_xy)
+    a_again = env.step(_action(scn, move=0))[0]  # left
+    assert np.array_equal(a_again.uav_xy, a.uav_xy)
+    _assert_draws_as_first_visit(env, a_again, k)
+    b_again = env.step(_action(scn, move=1))[0]
+    assert np.array_equal(b_again.uav_xy, b.uav_xy)
+    _assert_draws_as_first_visit(env, b_again, k)
+
+
+def test_geometry_caches_stay_bounded(monkeypatch):
+    monkeypatch.setattr(aerial, "_POSITION_CACHE_MAX", 4)
+    scn = tiny_aerial_scenario(r_center_min=0.0, r_edge_min=0.0)
+    env = ArisEnv(scn, seed=0)
+    env.reset()
+    for _ in range(10):
+        state = env.step(_action(scn, move=1))[0]  # ten new positions
+        assert len(env._link_cache) <= 4 and len(env._dist_cache) <= 4
+    _assert_draws_as_first_visit(env, state, scn.k_elements)
+
+
+def test_cached_obstacle_distances_are_read_only():
+    scn = tiny_aerial_scenario()
+    state = ArisEnv(scn, seed=0).reset()
+    with pytest.raises(ValueError):
+        state.obstacle_dists[0] = 0.0
 
 
 def test_center_count_must_match_bs_count():

@@ -301,6 +301,35 @@ def test_cli_validate_rejects_nan_learning_rate(tmp_path, capsys):
         load_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    # One case per scenario family; each ran into an OverflowError naming no
+    # key at run time.
+    ("kind = pdf-validation\nscenario.p_t_dbm = 1e6\n", r"scenario\.p_t_dbm"),
+    ("kind = osum-sweep\nscenario.kappa_db = 1e5\n", r"scenario\.kappa_db"),
+    ("kind = drl-train\nscenario.tiny = true\nscenario.p_t_dbm = 1e6\n",
+     r"scenario\.p_t_dbm"),
+    ("kind = er-sweep\nsweep.p_t_dbm = 0, 1e6\n", r"sweep\.p_t_dbm\[1\]"),
+])
+def test_cli_validate_rejects_db_overflow(tmp_path, capsys, text, key):
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=key + r": 1000\d+\.0 overflows"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ("pdf-validation", "ee-sweep", "drl-train"))
+def test_every_db_scenario_key_checked_for_overflow(kind):
+    keys = [key for key, typ in config_module._SCENARIO_KEYS_BY_KIND[kind].items()
+            if typ is float and key.endswith(("_db", "_dbm"))]
+    assert keys
+    for key in keys:
+        with pytest.raises(ConfigError, match=rf"scenario\.{key}: .* overflows"):
+            from_mapping({"kind": kind, f"scenario.{key}": 4000.0})
+        from_mapping({"kind": kind, f"scenario.{key}": -4000.0})  # underflow to 0 is finite
+
+
 @pytest.mark.parametrize("kind", ["drl-train", "drl-eval"])
 @pytest.mark.parametrize(
     "key", [key for key, typ in config_module._TRAIN_KEYS.items() if typ is float])

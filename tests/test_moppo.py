@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import adam_step
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
 from riscomp.moppo import (
     _STREAM_GRID,
+    LOG_STD_MAX,
     Minibatch,
     TrainConfig,
     advantage,
@@ -50,8 +52,7 @@ def _batch(params, b=6, seed=5):
 
 def test_forward_uniform_probs_for_zero_weights():
     params = _params()
-    for k in params.weights:
-        params.weights[k] = np.zeros_like(params.weights[k])
+    params.theta[...] = 0.0
     probs, mu, std, v, _ = forward(params, np.ones(9))
     assert np.allclose(probs, 0.2)
     assert np.allclose(mu, 0.0)
@@ -146,6 +147,55 @@ def test_update_no_change_for_zero_advantage():
         assert np.max(np.abs(params.weights[k] - before[k])) < 1e-8, k
 
 
+def test_update_equals_per_array_adam_oracle():
+    # Five updates on random minibatches against the per-array Adam step;
+    # log_std[0] starts at the clip and the entropy bonus pushes it above.
+    params = _params(hidden=8)
+    params.weights["log_std"][...] = [LOG_STD_MAX, 0.0, -1.0]
+    w_ref, m_ref, v_ref = ({k: a.copy() for k, a in views.items()}
+                           for views in (params.weights, params.adam_m, params.adam_v))
+    cfg = TrainConfig(learning_rate=0.05, entropy_coef=1.0)
+    for step in range(1, 6):
+        states, moves, raws, lpd, lpc = _batch(params, b=16, seed=30 + step)
+        rng = substream(31, step)
+        mb = Minibatch(states, moves, raws, lpd, lpc, rng.standard_normal(16),
+                       rng.standard_normal(16))
+        _, grads, _ = objective_and_grads(params, mb, cfg)
+        assert grads["log_std"][0] > 0  # ascent would leave the clip range
+        update(params, mb, cfg)
+        adam_step(w_ref, m_ref, v_ref, grads, step, cfg.learning_rate)
+        assert params.step == step
+        assert params.weights["log_std"][0] == LOG_STD_MAX
+        for k in w_ref:
+            assert np.array_equal(params.weights[k], w_ref[k]), k
+            assert np.array_equal(params.adam_m[k], m_ref[k]), k
+            assert np.array_equal(params.adam_v[k], v_ref[k]), k
+
+
+def _assert_views_tile_buffers(params):
+    for views, flat in ((params.weights, params.theta), (params.adam_m, params.m),
+                        (params.adam_v, params.v)):
+        assert flat.flags.c_contiguous and flat.dtype == np.float64
+        assert sum(a.size for a in views.values()) == flat.size
+        for k, arr in views.items():
+            assert np.shares_memory(arr, flat), k
+        with pytest.raises(TypeError):
+            views["w1"] = np.zeros_like(views["w1"])
+
+
+def test_params_are_views_of_flat_buffers(tmp_path):
+    params = _params()
+    _assert_views_tile_buffers(params)
+    states, moves, raws, lpd, lpc = _batch(params)
+    mb = Minibatch(states, moves, raws, lpd, lpc, np.ones(len(moves)), np.zeros(len(moves)))
+    before = params.theta.copy()
+    update(params, mb, TrainConfig())
+    _assert_views_tile_buffers(params)
+    assert not np.array_equal(params.theta, before)
+    save_params(tmp_path / "p.bin", params)
+    _assert_views_tile_buffers(load_params(tmp_path / "p.bin"))
+
+
 def test_gradcheck_toy_network():
     # 9-4-5 toy: input 9, hidden 4, 5 discrete outputs (+3 continuous dims).
     # clip_eps = 0.5 keeps every ratio strictly inside the clip region: the
@@ -185,6 +235,21 @@ def test_nonfinite_gradient_raises():
                    np.full(len(moves), np.inf), np.zeros(len(moves)))
     with pytest.raises(RuntimeError):
         update(params, mb, TrainConfig(normalize_adv=False))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_gradient_names_first_array_and_leaves_params():
+    # A NaN value target reaches the value head first (in backprop order).
+    params = _params()
+    states, moves, raws, lpd, lpc = _batch(params)
+    mb = Minibatch(states, moves, raws, lpd, lpc, np.zeros(len(moves)),
+                   np.full(len(moves), np.nan))
+    before = [flat.copy() for flat in (params.theta, params.m, params.v)]
+    with pytest.raises(RuntimeError, match="non-finite gradient in wvo: objective parts"):
+        update(params, mb, TrainConfig(normalize_adv=False))
+    assert params.step == 0
+    for flat, old in zip((params.theta, params.m, params.v), before):
+        assert np.array_equal(flat, old)
 
 
 def test_checkpoint_roundtrip(tmp_path):

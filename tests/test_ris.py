@@ -136,3 +136,39 @@ def test_wrap_phase_interval(x):
     assert -math.pi <= w < math.pi
     assert math.cos(w) == pytest.approx(math.cos(x), abs=1e-9)
     assert math.sin(w) == pytest.approx(math.sin(x), abs=1e-9)
+
+
+_BELOW_MINUS_PI = float(np.nextafter(-math.pi, -math.inf))
+_WRAP_EDGES = [math.pi, -math.pi, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1e300, -1e300, 1e-15, -1e-15, 3e-16, -3e-16,
+               _BELOW_MINUS_PI, float(np.nextafter(math.pi, math.inf)),
+               float(np.nextafter(math.pi, 0.0)), 0.5 * math.pi, -0.5 * math.pi,
+               3 * math.pi, -3 * math.pi, 1.7976931348623157e308]
+
+
+def _assert_wrap_idempotent(x):
+    once = wrap_phase(x)
+    assert -math.pi <= once < math.pi
+    assert wrap_phase(once).tobytes() == once.tobytes()
+
+
+@pytest.mark.parametrize("x", _WRAP_EDGES)
+def test_wrap_phase_idempotent_edges(x):
+    _assert_wrap_idempotent(x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.floats(-1e-15, 1e-15) | st.floats(-10.0, 10.0))
+@settings(max_examples=500, deadline=None)
+def test_wrap_phase_idempotent_property(x):
+    # The agent's phases are wrapped once, by MdpAction; this is what makes
+    # that single wrap equal to wrapping twice.
+    _assert_wrap_idempotent(x)
+
+
+def test_wrap_phase_just_below_minus_pi():
+    # theta + pi is -2**-51 here, and mod rounds it up to 2 pi itself.
+    assert float(wrap_phase(_BELOW_MINUS_PI)) == -math.pi
+    assert float(wrap_phase(math.pi)) == -math.pi
+    arr = wrap_phase(np.array([_BELOW_MINUS_PI, 1.0, -0.0]))
+    assert arr.tobytes() == np.array([-math.pi, 1.0, 0.0]).tobytes()
