@@ -337,6 +337,27 @@ def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     return errors
 
 
+def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
+    """sigma^2 from the bandwidth and noise figure must be finite and > 0, and
+    rho = P_t / sigma^2 finite at every transmit power of the run (powers
+    already reported as invalid are skipped)."""
+    try:
+        noise = scn.noise_w
+    except (ValueError, OverflowError):
+        noise = math.nan
+    if not 0.0 < noise < math.inf:
+        named = " and ".join(f"scenario.{key} = {getattr(scn, key)!r}"
+                             for key in ("bandwidth_hz", "noise_figure_db")
+                             if key in _SCENARIO_KEYS_BY_KIND[cfg.kind])
+        return [f"noise power sigma^2 from {named} is not finite and > 0"]
+    powers = [("scenario.p_t_dbm", scn.p_t_dbm),
+              *((f"sweep.p_t_dbm[{i}]", p) for i, p in enumerate(cfg.sweep.get("p_t_dbm", ())))]
+    return [f"{key}: {p!r} gives rho = P_t / sigma^2 beyond the float range "
+            f"(sigma^2 = {noise!r} W)" for key, p in powers
+            if isinstance(p, (int, float)) and math.isfinite(p) and not _overflows(key, p)
+            and not math.isfinite(dbm_to_watts(p) / noise)]
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Range and invariant checks; also re-run after the CLI overrides fields."""
     errors = []
@@ -364,13 +385,15 @@ def validate(cfg: ExperimentConfig) -> None:
     # violations.
     try:
         if cfg.kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):
-            cfg.coordinated_scenario()
+            scn = cfg.coordinated_scenario()
         elif cfg.kind in ("ee-sweep", "osum-sweep", "split-sweep"):
-            cfg.multicell_scenario()
+            scn = cfg.multicell_scenario()
         else:
-            cfg.aerial_scenario()
+            scn = cfg.aerial_scenario()
     except (TypeError, ValueError) as exc:
         errors.append(str(exc))
+    else:
+        errors.extend(_link_budget_errors(cfg, scn))
     if drl:
         try:
             TrainConfig(**cfg.train)

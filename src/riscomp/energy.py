@@ -377,15 +377,13 @@ def osum_sweep(
     scn: MultiCellScenario,
     p_t_values,
     modes=MODES,
-    include_oma: bool = True,
-    oma_mode: str = "ec",
     n: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline,
-    from one simulate_network call."""
+    """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline
+    (on the "ec" draws), from one simulate_network call."""
     modes = tuple(modes)
-    point_modes = modes + ((oma_mode,) if include_oma and oma_mode not in modes else ())
+    point_modes = modes + (("ec",) if "ec" not in modes else ())
     p_t_values = list(p_t_values)
     points = [
         (scn.with_overrides(p_t_dbm=float(p_t)), mode, None)
@@ -395,16 +393,10 @@ def osum_sweep(
     rows = []
     for p_t in p_t_values:
         by_mode = {mode: next(aggs) for mode in point_modes}
-        for mode in modes:
-            rows.append(
-                {"p_t_dbm": p_t, "mode": f"noma-{mode}",
-                 "outage_sum_rate": by_mode[mode].outage_sum_rate}
-            )
-        if include_oma:
-            rows.append(
-                {"p_t_dbm": p_t, "mode": f"oma-{oma_mode}",
-                 "outage_sum_rate": by_mode[oma_mode].oma_outage_sum_rate}
-            )
+        rows += [{"p_t_dbm": p_t, "mode": f"noma-{mode}",
+                  "outage_sum_rate": by_mode[mode].outage_sum_rate} for mode in modes]
+        rows.append({"p_t_dbm": p_t, "mode": "oma-ec",
+                     "outage_sum_rate": by_mode["ec"].oma_outage_sum_rate})
     return rows
 
 

@@ -5,9 +5,12 @@ backprop, Adam) is implemented directly on numpy arrays; gradients are
 verified against central finite differences in the test suite.
 
 The weights and both Adam moments each live in one flat float64 vector
-(`PolicyParams`); the named arrays are views into it, and `update` rewrites
-the vectors in place through preallocated gradient and scratch vectors, so
-a training step allocates nothing of the network's size.
+(`PolicyParams`); the named arrays are views into it, in the order and
+shapes of `_layout`, and `update` rewrites the vectors in place through
+preallocated gradient and scratch vectors, so a training step allocates
+nothing of the network's size. A checkpoint holds the weights only: the
+magic, (version 2, state_dim, n_cont, hidden, head_hidden) as uint32, then
+theta. Version 1 files (a shape table, weights and Adam moments) still load.
 
 Baselines: a hover variant (`train`/`evaluate` with hover=True: position
 pinned, discrete head disabled) and an exhaustive grid search over static
@@ -16,7 +19,6 @@ configurations for desk-scale instances.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -29,7 +31,6 @@ from .channel import substream
 from .scenarios import AerialScenario
 
 _STREAM_AGENT = 601
-_STREAM_EVAL = 701
 _STREAM_GRID = 801
 
 N_MOVES = len(MOVES)
@@ -38,7 +39,7 @@ _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_MAGIC = b"RCPPO1\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -73,22 +74,36 @@ class TrainConfig:
             raise ValueError("counts must be >= 1")
 
 
-class PolicyParams:
-    """Network weights plus Adam moment accumulators and step counter.
+def _layout(state_dim: int, n_cont: int, hidden: int, head_hidden: int) -> dict:
+    """Name -> shape of every network array, in the order they tile theta."""
+    return {
+        "w1": (hidden, state_dim), "b1": (hidden,),
+        "w2": (hidden, hidden), "b2": (hidden,),
+        "wd": (head_hidden, hidden), "bd": (head_hidden,),
+        "wdo": (N_MOVES, head_hidden), "bdo": (N_MOVES,),
+        "wc": (head_hidden, hidden), "bc": (head_hidden,),
+        "wco": (n_cont, head_hidden), "bco": (n_cont,),
+        "wv": (head_hidden, hidden), "bv": (head_hidden,),
+        "wvo": (1, head_hidden), "bvo": (1,),
+        "log_std": (n_cont,),
+    }
 
-    Layout: `theta` (weights), `m` and `v` (Adam moments) are each one
-    contiguous float64 vector; every named array is a row-major slice of
-    it, in the order the names were given. `weights`, `adam_m` and
-    `adam_v` map each name to its view and are read-only, so an array
-    cannot be rebound and detached from its buffer; write through the
-    views (`params.weights["w1"][...] = x`) or the vectors. `grad` is the
-    flat gradient of the last `update`; `_tmp` holds two scratch vectors
-    of the same length for Adam.
+
+def _size(shapes: dict) -> int:
+    return sum(math.prod(shape) for shape in shapes.values())
+
+
+class PolicyParams:
+    """Weights `theta` and Adam moments `m`, `v` (flat float64 vectors) and
+    the Adam step. `weights`, `adam_m` and `adam_v` map each name of
+    `_layout` to its row-major view and are read-only, so an array cannot be
+    rebound and detached; write through the views or the vectors. `grad` is
+    the flat gradient of the last `update`; `_tmp` is Adam's scratch.
     """
 
-    def __init__(self, shapes: dict[str, tuple], step: int, state_dim: int,
-                 n_cont: int):
-        size = sum(math.prod(shape) for shape in shapes.values())
+    def __init__(self, state_dim: int, n_cont: int, hidden: int, head_hidden: int):
+        shapes = _layout(state_dim, n_cont, hidden, head_hidden)
+        size = _size(shapes)
         self.theta = np.zeros(size)
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -99,9 +114,9 @@ class PolicyParams:
         self._tmp = (np.empty(size), np.empty(size))
         self.weights, self.adam_m, self.adam_v = (
             _views(flat, shapes) for flat in (self.theta, self.m, self.v))
-        self.step = step
-        self.state_dim = state_dim
-        self.n_cont = n_cont
+        self.step = 0
+        self.state_dim, self.n_cont = state_dim, n_cont
+        self.sizes = (state_dim, n_cont, hidden, head_hidden)  # _layout's arguments
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> MappingProxyType:
@@ -115,8 +130,6 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> MappingProxyType:
 
 def _orthogonal(rng, shape, gain):
     a = rng.standard_normal(shape)
-    if a.ndim != 2:
-        raise ValueError("orthogonal init needs a matrix")
     q, r = np.linalg.qr(a if shape[0] >= shape[1] else a.T)
     q = q * np.sign(np.diag(r))
     if shape[0] < shape[1]:
@@ -132,28 +145,14 @@ def init_policy(
     head_hidden: int = 64,
     log_std_init: float = -0.5,
 ) -> PolicyParams:
-    w = {
-        "w1": _orthogonal(rng, (hidden, state_dim), math.sqrt(2.0)),
-        "b1": np.zeros(hidden),
-        "w2": _orthogonal(rng, (hidden, hidden), math.sqrt(2.0)),
-        "b2": np.zeros(hidden),
-        "wd": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
-        "bd": np.zeros(head_hidden),
-        "wdo": _orthogonal(rng, (N_MOVES, head_hidden), 0.01),
-        "bdo": np.zeros(N_MOVES),
-        "wc": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
-        "bc": np.zeros(head_hidden),
-        "wco": _orthogonal(rng, (n_cont, head_hidden), 0.01),
-        "bco": np.zeros(n_cont),
-        "wv": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
-        "bv": np.zeros(head_hidden),
-        "wvo": _orthogonal(rng, (1, head_hidden), 1.0),
-        "bvo": np.zeros(1),
-        "log_std": np.full(n_cont, log_std_init),
-    }
-    params = PolicyParams({k: v.shape for k, v in w.items()}, 0, state_dim, n_cont)
-    for k, v in w.items():
-        params.weights[k][...] = v
+    """Orthogonal matrices drawn in layout order (gain sqrt(2); 0.01 for the
+    action outputs, 1 for the value output), zero biases, constant log_std."""
+    params = PolicyParams(state_dim, n_cont, hidden, head_hidden)
+    gains = {"wdo": 0.01, "wco": 0.01, "wvo": 1.0}
+    for name, view in params.weights.items():
+        if view.ndim == 2:
+            view[...] = _orthogonal(rng, view.shape, gains.get(name, math.sqrt(2.0)))
+    params.weights["log_std"][...] = log_std_init
     return params
 
 
@@ -410,10 +409,8 @@ class TrainResult:
     config: TrainConfig
 
     def moving_average(self, window: int = 100) -> np.ndarray:
-        r = self.rewards
-        if r.size < window:
-            window = r.size
-        c = np.cumsum(np.insert(r, 0, 0.0))
+        window = min(window, self.rewards.size)
+        c = np.cumsum(np.insert(self.rewards, 0, 0.0))
         return (c[window:] - c[:-window]) / window
 
 
@@ -635,82 +632,82 @@ def exhaustive_baseline(
 
 # Checkpoint serialization -------------------------------------------------
 
+_HEADER = struct.Struct("<5I")  # version, then PolicyParams.sizes
+
+
 def save_params(path, params: PolicyParams) -> None:
-    """Flat binary layout: magic, version, counts, shape table, row-major
-    float64 payloads (weights, then Adam moments)."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<II", CHECKPOINT_VERSION, len(params.weights)))
-    buf.write(struct.pack("<qII", params.step, params.state_dim, params.n_cont))
-    ordered = sorted(params.weights)
-    for name in ordered:
-        arr = params.weights[name]
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    for name in ordered:
-        for views in (params.weights, params.adam_m, params.adam_v):
-            buf.write(views[name].tobytes())
+    """Checkpoint version 2: magic, header, theta as float64."""
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC + _HEADER.pack(CHECKPOINT_VERSION, *params.sizes)
+                 + params.theta.tobytes())
 
 
 def check_checkpoint(params: PolicyParams, scenario: AerialScenario, cfg: TrainConfig,
                      path) -> None:
-    """Raise ValueError, naming the array and both shapes, when a loaded
-    checkpoint is not the network train builds for scenario and cfg."""
-    expected = {
-        name: w.shape for name, w in init_policy(
-            _input_dim(scenario), scenario.action_dim_continuous, np.random.default_rng(0),
-            hidden=cfg.hidden, head_hidden=cfg.head_hidden,
-        ).weights.items()
-    }
-    for name in [*expected, *(k for k in params.weights if k not in expected)]:
-        got = params.weights[name].shape if name in params.weights else None
-        if got != expected.get(name):
+    """Raise ValueError, naming the array, both shapes and the file's sizes,
+    when a loaded checkpoint is not the network train builds for scenario
+    and cfg."""
+    expected = _layout(_input_dim(scenario), scenario.action_dim_continuous,
+                       cfg.hidden, cfg.head_hidden)
+    for name, shape in expected.items():
+        if params.weights[name].shape != shape:
             raise ValueError(
-                f"{path}: checkpoint array {name} has shape {got}, but hidden = "
-                f"{cfg.hidden}, head_hidden = {cfg.head_hidden} and the scenario "
-                f"need {expected.get(name)}"
+                f"{path}: checkpoint array {name} has shape {params.weights[name].shape}, "
+                f"but hidden = {cfg.hidden}, head_hidden = {cfg.head_hidden} and the "
+                f"scenario need {shape}; the file was trained with (state_dim, n_cont, "
+                f"hidden, head_hidden) = {params.sizes}"
             )
 
 
-def load_params(path) -> PolicyParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = len(CHECKPOINT_MAGIC)
-    if data[:off] != CHECKPOINT_MAGIC:
-        raise ValueError("not a policy checkpoint (bad magic)")
-    version, n_arrays = struct.unpack_from("<II", data, off)
-    off += 8
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    step, state_dim, n_cont = struct.unpack_from("<qII", data, off)
-    off += 16
-    shapes = []
+def _payload(path, data: bytes, off: int, count: int) -> np.ndarray:
+    """The float64 values from off to the end, which must number count."""
+    if len(data) - off != 8 * count:
+        raise ValueError(f"{path}: checkpoint payload holds {len(data) - off} bytes, "
+                         f"its header needs {8 * count}")
+    return np.frombuffer(data, np.float64, count, off)
+
+
+def _read_v1(path, data: bytes) -> tuple[tuple, np.ndarray]:
+    """Sizes and theta of a version 1 checkpoint: a shape table in name
+    order, then per array its weights and both Adam moments (skipped)."""
+    # After the magic: version, n_arrays, step (int64), state_dim, n_cont.
+    n_arrays, state_dim, n_cont = struct.unpack_from("<I8xII", data, 11)
+    off, table = 31, {}
     for _ in range(n_arrays):
         (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}q", data, off)
-        off += 8 * ndim
-        shapes.append((name, shape, math.prod(shape)))
-    expected = 3 * 8 * sum(count for _, _, count in shapes)
-    if len(data) - off != expected:
-        raise ValueError(
-            f"{path}: checkpoint payload holds {len(data) - off} bytes, "
-            f"its shape table needs {expected}"
-        )
-    params = PolicyParams({name: shape for name, shape, _ in shapes}, step,
-                          state_dim, n_cont)
-    for name, shape, count in shapes:
-        for views in (params.weights, params.adam_m, params.adam_v):
-            arr = np.frombuffer(data, dtype=np.float64, count=count, offset=off)
-            views[name][...] = arr.reshape(shape)
-            off += 8 * count
+        name = data[off + 2 : off + 2 + nlen].decode()
+        (ndim,) = struct.unpack_from("<B", data, off + 2 + nlen)
+        table[name] = struct.unpack_from(f"<{ndim}q", data, off + 3 + nlen)
+        off += 3 + nlen + 8 * ndim
+    sizes = (state_dim, n_cont, *(table.get(k, (0,))[0] for k in ("b1", "bd")))
+    if table != _layout(*sizes):
+        raise ValueError(f"{path}: version 1 shape table is not the policy network")
+    payload, weights = _payload(path, data, off, 3 * _size(table)), {}
+    for name, shape in table.items():
+        weights[name] = payload[: math.prod(shape)]
+        payload = payload[3 * math.prod(shape) :]
+    return sizes, np.concatenate([weights[name] for name in _layout(*sizes)])
+
+
+def load_params(path) -> PolicyParams:
+    """Weights of a version 2 or version 1 checkpoint; Adam starts afresh.
+    Raise ValueError, naming the file, on a bad magic, an unknown version,
+    a malformed header or a payload of the wrong length."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a policy checkpoint (bad magic)")
+    try:
+        version, *sizes = _HEADER.unpack_from(data, len(CHECKPOINT_MAGIC))
+        if version == 1:
+            sizes, theta = _read_v1(path, data)
+        elif version == CHECKPOINT_VERSION:
+            theta = _payload(path, data, len(CHECKPOINT_MAGIC) + _HEADER.size,
+                             _size(_layout(*sizes)))
+        else:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc})") from exc
+    params = PolicyParams(*sizes)
+    params.theta[...] = theta
     return params

@@ -24,12 +24,6 @@ class ConvergenceError(ArithmeticError):
     """Continued fraction / series failed to converge."""
 
 
-def gammaln(x: float) -> float:
-    if x <= 0:
-        raise ValueError("gammaln requires x > 0")
-    return math.lgamma(x)
-
-
 def betaln(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         raise ValueError("betaln requires a, b > 0")

@@ -43,9 +43,6 @@ class MomentPair:
     def variance(self) -> float:
         return self.m2 - self.m1**2
 
-    def scaled(self, a: float) -> "MomentPair":
-        return MomentPair(a * self.m1, a * a * self.m2)
-
     def shifted(self, c: float = 1.0) -> "MomentPair":
         """Moments of X + c."""
         return MomentPair(self.m1 + c, self.m2 + 2.0 * c * self.m1 + c * c)

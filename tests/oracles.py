@@ -2,7 +2,8 @@
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
-incomplete beta and the per-array Adam step.
+incomplete beta, the per-array Adam step, the policy initialisation as
+one literal dict of arrays and the version 1 checkpoint writer.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -11,14 +12,25 @@ directly, so agreement between the two is evidence for both.
 
 from __future__ import annotations
 
+import io
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator
 
-from riscomp.moppo import _ADAM_B1, _ADAM_B2, _ADAM_EPS, LOG_STD_MAX, LOG_STD_MIN
+from riscomp.moppo import (
+    _ADAM_B1,
+    _ADAM_B2,
+    _ADAM_EPS,
+    CHECKPOINT_MAGIC,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    N_MOVES,
+    _orthogonal,
+)
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
@@ -325,3 +337,49 @@ def adam_step(weights: dict, adam_m: dict, adam_v: dict, grads: dict, t: int,
         v_hat = vv / (1.0 - _ADAM_B2**t)
         weights[k] = weights[k] - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     np.clip(weights["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=weights["log_std"])
+
+
+def init_policy_arrays(state_dim: int, n_cont: int, rng, hidden: int = 64,
+                       head_hidden: int = 64, log_std_init: float = -0.5) -> dict:
+    """The policy's initial arrays, written out name by name."""
+    return {
+        "w1": _orthogonal(rng, (hidden, state_dim), math.sqrt(2.0)),
+        "b1": np.zeros(hidden),
+        "w2": _orthogonal(rng, (hidden, hidden), math.sqrt(2.0)),
+        "b2": np.zeros(hidden),
+        "wd": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
+        "bd": np.zeros(head_hidden),
+        "wdo": _orthogonal(rng, (N_MOVES, head_hidden), 0.01),
+        "bdo": np.zeros(N_MOVES),
+        "wc": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
+        "bc": np.zeros(head_hidden),
+        "wco": _orthogonal(rng, (n_cont, head_hidden), 0.01),
+        "bco": np.zeros(n_cont),
+        "wv": _orthogonal(rng, (head_hidden, hidden), math.sqrt(2.0)),
+        "bv": np.zeros(head_hidden),
+        "wvo": _orthogonal(rng, (1, head_hidden), 1.0),
+        "bvo": np.zeros(1),
+        "log_std": np.full(n_cont, log_std_init),
+    }
+
+
+def save_params_v1(path, params) -> None:
+    """Checkpoint version 1. Flat binary layout: magic, version, counts,
+    shape table, row-major float64 payloads (weights, then Adam moments)."""
+    buf = io.BytesIO()
+    buf.write(CHECKPOINT_MAGIC)
+    buf.write(struct.pack("<II", 1, len(params.weights)))
+    buf.write(struct.pack("<qII", params.step, params.state_dim, params.n_cont))
+    ordered = sorted(params.weights)
+    for name in ordered:
+        arr = params.weights[name]
+        nb = name.encode()
+        buf.write(struct.pack("<H", len(nb)))
+        buf.write(nb)
+        buf.write(struct.pack("<B", arr.ndim))
+        buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+    for name in ordered:
+        for views in (params.weights, params.adam_m, params.adam_v):
+            buf.write(views[name].tobytes())
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())

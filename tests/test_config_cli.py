@@ -327,7 +327,29 @@ def test_every_db_scenario_key_checked_for_overflow(kind):
     for key in keys:
         with pytest.raises(ConfigError, match=rf"scenario\.{key}: .* overflows"):
             from_mapping({"kind": kind, f"scenario.{key}": 4000.0})
-        from_mapping({"kind": kind, f"scenario.{key}": -4000.0})  # underflow to 0 is finite
+        if key == "noise_figure_db":  # sigma^2 underflows to 0: no finite rho
+            with pytest.raises(ConfigError, match=r"noise power .* is not finite and > 0"):
+                from_mapping({"kind": kind, f"scenario.{key}": -4000.0})
+        else:
+            from_mapping({"kind": kind, f"scenario.{key}": -4000.0})  # underflow to 0 is finite
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = er-sweep\ntrials = 200\nsweep.p_t_dbm = 0, 3000\n",
+     r"sweep\.p_t_dbm\[1\]: 3000 gives rho = P_t / sigma\^2 beyond the float range"),
+    ("kind = pdf-validation\ntrials = 200\nscenario.p_t_dbm = 3000\n",
+     r"scenario\.p_t_dbm: 3000\.0 gives rho = P_t / sigma\^2 beyond the float range"),
+    ("kind = pdf-validation\ntrials = 200\nscenario.bandwidth_hz = 0\n",
+     r"noise power sigma\^2 from scenario\.bandwidth_hz = 0\.0 and "
+     r"scenario\.noise_figure_db = 12\.0 is not finite and > 0"),
+])
+def test_cli_validate_rejects_uncomputable_link_budget(tmp_path, capsys, text, message):
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["drl-train", "drl-eval"])

@@ -156,7 +156,7 @@ def test_ec_not_worse_than_eo():
 
 
 def test_osum_monotone_in_power_per_seed():
-    rows = osum_sweep(SCN, [-10, 0, 10, 20], modes=("ec",), include_oma=True, n=1500, seed=7)
+    rows = osum_sweep(SCN, [-10, 0, 10, 20], modes=("ec",), n=1500, seed=7)
     by_mode = {}
     for r in rows:
         by_mode.setdefault(r["mode"], []).append((r["p_t_dbm"], r["outage_sum_rate"]))
@@ -198,8 +198,7 @@ def _count_mc_draws(monkeypatch):
 
 def test_sweeps_draw_each_chunk_once(monkeypatch):
     draws = _count_mc_draws(monkeypatch)
-    osum_sweep(SMALL, [-10, 0, 10, 20], modes=MODES, include_oma=True, oma_mode="ec",
-               n=CHUNK + 1, seed=3)
+    osum_sweep(SMALL, [-10, 0, 10, 20], modes=MODES, n=CHUNK + 1, seed=3)
     assert draws() == 2
     # The draws depend on K: one call, and so one pass over the chunks, per K.
     ee_sweep(SMALL, "K", [4, 8], n=CHUNK + 1, seed=3)

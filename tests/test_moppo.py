@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import adam_step
+from oracles import adam_step, init_policy_arrays, save_params_v1
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
 from riscomp.moppo import (
     _STREAM_GRID,
+    CHECKPOINT_MAGIC,
     LOG_STD_MAX,
     Minibatch,
     TrainConfig,
@@ -252,21 +253,81 @@ def test_nonfinite_gradient_names_first_array_and_leaves_params():
         assert np.array_equal(flat, old)
 
 
+def test_init_policy_equals_literal_arrays():
+    for sizes in ((9, 3, 4, 4), (12, 5, 8, 6), (7, 2, 3, 16)):
+        rng, rng_ref = substream(0, 1), substream(0, 1)
+        params = init_policy(*sizes[:2], rng, hidden=sizes[2], head_hidden=sizes[3],
+                             log_std_init=-0.4)
+        ref = init_policy_arrays(*sizes[:2], rng_ref, hidden=sizes[2],
+                                 head_hidden=sizes[3], log_std_init=-0.4)
+        assert list(params.weights) == list(ref)
+        assert np.array_equal(params.theta, np.concatenate([a.ravel() for a in ref.values()]))
+        assert rng.standard_normal() == rng_ref.standard_normal()  # same draws used
+
+
 def test_checkpoint_roundtrip(tmp_path):
     params = _params(state_dim=12, n_cont=5, hidden=8)
-    params.step = 17
     path = tmp_path / "policy.bin"
     save_params(path, params)
     loaded = load_params(path)
-    assert loaded.step == 17
     assert loaded.state_dim == 12 and loaded.n_cont == 5
     for k in params.weights:
         assert np.array_equal(params.weights[k], loaded.weights[k])
-        assert np.array_equal(params.adam_m[k], loaded.adam_m[k])
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_params(bad)
+
+
+def test_checkpoint_v2_is_header_plus_theta(tmp_path):
+    params = init_policy(11, 4, substream(0, 2), hidden=6, head_hidden=5)
+    path = tmp_path / "policy.bin"
+    save_params(path, params)
+    assert path.stat().st_size == 7 + 20 + 8 * params.theta.size
+    loaded = load_params(path)
+    assert np.array_equal(loaded.theta, params.theta)
+    assert loaded.sizes == (11, 4, 6, 5)
+
+
+def test_checkpoint_v1_loads_weights(tmp_path):
+    params = init_policy(11, 4, substream(0, 3), hidden=6, head_hidden=5)
+    states, moves, raws, lpd, lpc = _batch(params)
+    update(params, Minibatch(states, moves, raws, lpd, lpc, np.ones(len(moves)),
+                             np.zeros(len(moves))), TrainConfig())
+    assert np.any(params.m != 0)  # the v1 file carries nonzero moments
+    path = tmp_path / "policy.bin"
+    save_params_v1(path, params)
+    loaded = load_params(path)
+    assert np.array_equal(loaded.theta, params.theta)
+    assert loaded.sizes == (11, 4, 6, 5)
+    assert loaded.step == 0 and not np.any(loaded.m) and not np.any(loaded.v)
+    data = path.read_bytes()
+    for bad in (data + b"\0" * 8, data[:-8], data.replace(b"w1", b"w9", 1)):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="policy.bin"):
+            load_params(path)
+
+
+@pytest.mark.parametrize("writer", [save_params, save_params_v1])
+@pytest.mark.parametrize("cut", [7, 12, 26, 40])  # v2 header: 27 B; v1 header and table: 327 B
+def test_checkpoint_truncated_header_rejected(tmp_path, writer, cut):
+    path = tmp_path / "policy.bin"
+    writer(path, _params())
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="policy.bin"):
+        load_params(path)
+
+
+def test_checkpoint_bad_magic_and_version_rejected(tmp_path):
+    path = tmp_path / "policy.bin"
+    save_params(path, _params())
+    data = path.read_bytes()
+    path.write_bytes(b"X" + data[1:])
+    with pytest.raises(ValueError, match="policy.bin: not a policy checkpoint"):
+        load_params(path)
+    path.write_bytes(CHECKPOINT_MAGIC + b"\3" + data[len(CHECKPOINT_MAGIC) + 1:])
+    with pytest.raises(ValueError, match="policy.bin: unsupported checkpoint version 3"):
+        load_params(path)
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
