@@ -1,15 +1,20 @@
 """Experiment configuration: a line-oriented key=value format with dotted
-keys, comments, and exhaustive validation against per-kind schemas.
+keys and comments, typed and validated against per-kind schemas.
+
+Every value is converted once, in `from_mapping`, to the type of its key:
+config text arrives as strings and is parsed by that type (a string key
+keeps its text), and Python values (presets, tests) must already have it.
+Only `sweep.*` values are comma-separated lists.
 
 All decibel quantities carry unit suffixes in their key names (_db / _dbm)
-so units are always explicit; conversion to linear scale happens in the
-scenario constructors.
+so units are always explicit; the scenario classes convert them to linear
+scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .moppo import TrainConfig
@@ -112,14 +117,15 @@ _TOP_KEYS = {
     "checkpoint": str,
 }
 
-# Sweep keys each kind's runner reads.
-_SWEEP_KEYS_BY_KIND = {
-    "er-sweep": ("p_t_dbm",),
-    "outage-sweep": ("p_t_dbm",),
-    "exhaustive-star": ("assignment_values", "beta_t_values"),
-    "ee-sweep": ("j_values", "k_values", "p_t_dbm", "r_th_values"),
-    "osum-sweep": ("p_t_dbm",),
-    "split-sweep": ("splits", "j_values"),
+# Element type of every sweep list and the kinds whose runners read it.
+_SWEEP_KEYS = {
+    "p_t_dbm": (float, ("er-sweep", "outage-sweep", "ee-sweep", "osum-sweep")),
+    "r_th_values": (float, ("ee-sweep",)),
+    "splits": (float, ("split-sweep",)),
+    "beta_t_values": (float, ("exhaustive-star",)),
+    "j_values": (int, ("ee-sweep", "split-sweep")),
+    "k_values": (int, ("ee-sweep",)),
+    "assignment_values": (int, ("exhaustive-star",)),
 }
 
 _SCENARIO_KEYS_BY_KIND = {
@@ -175,55 +181,39 @@ class ExperimentConfig:
         tiny = kw.pop("tiny", False)
         x = kw.pop("uav_start_x", None)
         y = kw.pop("uav_start_y", None)
-        if x is not None or y is not None:
-            base = tiny_aerial_scenario(**kw) if tiny else AerialScenario(**kw)
-            start = (
-                x if x is not None else base.uav_start[0],
-                y if y is not None else base.uav_start[1],
-            )
-            return base.with_overrides(uav_start=start)
-        return tiny_aerial_scenario(**kw) if tiny else AerialScenario(**kw)
+        scn = tiny_aerial_scenario(**kw) if tiny else AerialScenario(**kw)
+        if x is None and y is None:
+            return scn
+        return replace(scn, uav_start=(scn.uav_start[0] if x is None else x,
+                                       scn.uav_start[1] if y is None else y))
 
 
-def _parse_value(raw: str, lineno: int):
-    raw = raw.strip()
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    if "," in raw:
-        return [_parse_value(part, lineno) for part in raw.split(",") if part.strip()]
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+_TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
 
 
-def _coerce(value, typ, key: str, errors: list[str]):
-    if typ is list:
-        return value if isinstance(value, list) else [value]
-    if typ is bool:
-        if isinstance(value, bool):
-            return value
-        errors.append(f"key {key}: expected true/false, got {value!r}")
-        return False
-    if typ is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"key {key}: expected integer, got {value!r}")
-            return 0
-        return value
-    if typ is str:
-        return str(value)
-    if not isinstance(value, typ):
-        errors.append(f"key {key}: expected {typ.__name__}, got {value!r}")
-        return typ()
-    return value
+def _convert(value, typ: type, key: str, errors: list[str]):
+    """value as typ, or None with an error appended. A string is parsed by
+    typ, except that a str key keeps it as is; any other value must already
+    be a typ, where an int also counts as a float and a bool is no number."""
+    if isinstance(value, str) and typ is not str:
+        value = value.strip()
+        if typ is not bool:
+            try:
+                return typ(value)
+            except ValueError:
+                pass
+        elif value.lower() in ("true", "false"):
+            return value.lower() == "true"
+    elif (isinstance(value, (int, float) if typ is float else typ)
+          and isinstance(value, bool) == (typ is bool)):
+        return typ(value)
+    errors.append(f"{key}: expected {_TYPE_NAMES[typ]}, got {value!r}")
+    return None
 
 
 def parse_text(text: str) -> dict:
-    """Flat dotted-key dictionary from config text."""
+    """Flat dotted-key dictionary of the raw value strings of config text
+    (surrounding whitespace removed); `from_mapping` types them."""
     out: dict[str, object] = {}
     errors = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -241,7 +231,7 @@ def parse_text(text: str) -> dict:
         if key in out:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        out[key] = _parse_value(raw, lineno)
+        out[key] = raw.strip()
     if errors:
         raise ConfigError("config parse failed:\n  " + "\n  ".join(errors))
     return out
@@ -250,7 +240,10 @@ def parse_text(text: str) -> dict:
 def from_mapping(flat: dict) -> ExperimentConfig:
     """Validated ExperimentConfig from a flat dotted-key mapping.
 
-    Unknown keys are rejected; every violation is reported at once.
+    Each value is converted to its key's type (see `_convert`); a `sweep.*`
+    string is first split on commas, and each element is converted to the
+    key's element type. Unknown keys and values of the wrong type are
+    reported together, before the range and invariant checks of `validate`.
     """
     errors: list[str] = []
     kind = flat.get("kind", "pdf-validation")
@@ -263,25 +256,31 @@ def from_mapping(flat: dict) -> ExperimentConfig:
         if key == "kind":
             continue
         if key in _TOP_KEYS:
-            setattr(cfg, key, _coerce(value, _TOP_KEYS[key], key, errors))
+            setattr(cfg, key, _convert(value, _TOP_KEYS[key], key, errors))
         elif key.startswith("scenario."):
             sub = key[len("scenario."):]
             if sub not in scenario_schema:
                 errors.append(f"unknown scenario key {sub!r} for kind {kind}")
             else:
-                cfg.scenario[sub] = _coerce(value, scenario_schema[sub], key, errors)
+                cfg.scenario[sub] = _convert(value, scenario_schema[sub], key, errors)
         elif key.startswith("sweep."):
             sub = key[len("sweep."):]
-            if sub not in _SWEEP_KEYS_BY_KIND.get(kind, ()):
+            typ, kinds = _SWEEP_KEYS.get(sub, (None, ()))
+            if kind not in kinds:
                 errors.append(f"unknown sweep key {sub!r} for kind {kind}")
+            elif isinstance(value, (str, list)):
+                if isinstance(value, str):
+                    value = [part for part in value.split(",") if part.strip()]
+                cfg.sweep[sub] = [_convert(v, typ, f"{key}[{i}]", errors)
+                                  for i, v in enumerate(value)]
             else:
-                cfg.sweep[sub] = _coerce(value, list, key, errors)
+                errors.append(f"{key}: expected a list, got {value!r}")
         elif key.startswith("train."):
             sub = key[len("train."):]
             if sub not in _TRAIN_KEYS:
                 errors.append(f"unknown train key {sub!r}")
             else:
-                cfg.train[sub] = _coerce(value, _TRAIN_KEYS[sub], key, errors)
+                cfg.train[sub] = _convert(value, _TRAIN_KEYS[sub], key, errors)
         else:
             errors.append(f"unknown key {key!r}")
     if errors:
@@ -290,18 +289,18 @@ def from_mapping(flat: dict) -> ExperimentConfig:
     return cfg
 
 
-def _sweep_bounds(cfg: ExperimentConfig) -> dict[str, tuple[type, float, float]]:
-    """Element type and closed range of every sweep list."""
+def _sweep_ranges(cfg: ExperimentConfig) -> dict[str, tuple[float, float]]:
+    """Closed range of the elements of every sweep list."""
     k = cfg.scenario.get("k_elements", CoordinatedScenario.k_elements)
     n_cells = cfg.scenario.get("n_cells", MultiCellScenario.n_cells)
     return {
-        "p_t_dbm": (float, -math.inf, math.inf),
-        "r_th_values": (float, 0.0, math.inf),
-        "splits": (float, 0.0, 1.0),
-        "beta_t_values": (float, 0.0, 1.0),
-        "j_values": (int, 1, n_cells),
-        "k_values": (int, 0, math.inf),
-        "assignment_values": (int, 0, k),
+        "p_t_dbm": (-math.inf, math.inf),
+        "r_th_values": (0.0, math.inf),
+        "splits": (0.0, 1.0),
+        "beta_t_values": (0.0, 1.0),
+        "j_values": (1, n_cells),
+        "k_values": (0, math.inf),
+        "assignment_values": (0, k),
     }
 
 
@@ -323,15 +322,15 @@ def _overflows(key: str, value: float) -> bool:
 
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
-    bounds = _sweep_bounds(cfg)
+    ranges = _sweep_ranges(cfg)
     for key, values in cfg.sweep.items():
-        typ, lo, hi = bounds[key]
+        lo, hi = ranges[key]
         if not values:
             errors.append(f"sweep.{key}: needs at least one value")
         for i, v in enumerate(values):
-            number = isinstance(v, int if typ is int else (int, float)) and not isinstance(v, bool)
-            if not (number and math.isfinite(v) and lo <= v <= hi):
-                errors.append(f"sweep.{key}[{i}]: expected {_describe(typ, lo, hi)}, got {v!r}")
+            if not (math.isfinite(v) and lo <= v <= hi):
+                errors.append(f"sweep.{key}[{i}]: expected "
+                              f"{_describe(_SWEEP_KEYS[key][0], lo, hi)}, got {v!r}")
             elif key.endswith("_dbm") and _overflows(key, v):
                 errors.append(f"sweep.{key}[{i}]: {v!r} overflows on conversion to linear scale")
     return errors
@@ -354,7 +353,7 @@ def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
               *((f"sweep.p_t_dbm[{i}]", p) for i, p in enumerate(cfg.sweep.get("p_t_dbm", ())))]
     return [f"{key}: {p!r} gives rho = P_t / sigma^2 beyond the float range "
             f"(sigma^2 = {noise!r} W)" for key, p in powers
-            if isinstance(p, (int, float)) and math.isfinite(p) and not _overflows(key, p)
+            if math.isfinite(p) and not _overflows(key, p)
             and not math.isfinite(dbm_to_watts(p) / noise)]
 
 
@@ -367,6 +366,11 @@ def validate(cfg: ExperimentConfig) -> None:
         errors.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.kind == "drl-eval" and not cfg.checkpoint:
         errors.append("drl-eval requires checkpoint = <policy.bin path>")
+    for key in ("out", "checkpoint"):
+        text = getattr(cfg, key)
+        if text != text.strip() or len(text.splitlines()) > 1:
+            errors.append(f"{key}: {text!r} has surrounding whitespace or a line break, "
+                          "which the manifest cannot record")
     errors.extend(_sweep_errors(cfg))
     schema = _SCENARIO_KEYS_BY_KIND[cfg.kind]
     for key, value in cfg.scenario.items():
@@ -410,7 +414,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig, header: str = "") -> str:
-    """Canonical serialization; re-loading reproduces the config exactly."""
+    """Canonical serialization; loading it back reproduces a validated
+    config exactly (floats are written with 17 significant digits)."""
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())
@@ -427,11 +432,7 @@ def dump_config(cfg: ExperimentConfig, header: str = "") -> str:
             return "true" if v else "false"
         if isinstance(v, list):
             return ", ".join(fmt(x) for x in v)
-        if isinstance(v, float):
-            text = f"{v:.17g}"
-            # "-0" would load back as the integer 0 and lose the sign.
-            return "-0.0" if text == "-0" else text
-        return str(v)
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
 
     for section, data in (("scenario", cfg.scenario), ("sweep", cfg.sweep),
                           ("train", cfg.train)):

@@ -13,7 +13,7 @@ and its element-axis reductions are formed once before any point is scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -346,10 +346,9 @@ def ee_sweep(
     keyed = []
     for value in values:
         if axis == "R_th":
-            scn_v = scn.with_overrides(r_center_min=float(value), r_edge_min=float(value))
+            scn_v = replace(scn, r_center_min=value, r_edge_min=value)
         else:
-            caster = int if axis in ("J", "K") else float
-            scn_v = scn.with_overrides(**{field_by_axis[axis]: caster(value)})
+            scn_v = replace(scn, **{field_by_axis[axis]: value})
         keyed.append(({"axis": axis, "value": value}, scn_v))
     groups = [[pair] for pair in keyed] if axis == "K" else [keyed]
     return [row for group in groups for row in _ee_rows(group, modes, n, seed)]
@@ -367,7 +366,7 @@ def ee_grid(
     (power-major, then threshold, then mode), from one simulate_network call."""
     keyed = [
         ({"p_t_dbm": p_t, "r_th": r},
-         scn.with_overrides(p_t_dbm=float(p_t), r_center_min=float(r), r_edge_min=float(r)))
+         replace(scn, p_t_dbm=p_t, r_center_min=r, r_edge_min=r))
         for p_t in p_t_values for r in r_th_values
     ]
     return _ee_rows(keyed, modes, n, seed)
@@ -386,7 +385,7 @@ def osum_sweep(
     point_modes = modes + (("ec",) if "ec" not in modes else ())
     p_t_values = list(p_t_values)
     points = [
-        (scn.with_overrides(p_t_dbm=float(p_t)), mode, None)
+        (replace(scn, p_t_dbm=p_t), mode, None)
         for p_t in p_t_values for mode in point_modes
     ]
     aggs = iter(simulate_network(scn, points, n=n, seed=seed))
@@ -410,7 +409,7 @@ def split_sweep(
     """Outage sum rate vs cancellation/enhancement element split ratio, from
     one simulate_network call."""
     keys = [(j, split) for j in coop_counts for split in splits]
-    points = [(scn.with_overrides(n_coop=int(j)), "ec", float(split)) for j, split in keys]
+    points = [(replace(scn, n_coop=j), "ec", split) for j, split in keys]
     aggs = simulate_network(scn, points, n=n, seed=seed)
     return [
         {"split": split, "J": j, "outage_sum_rate": agg.outage_sum_rate}

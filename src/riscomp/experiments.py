@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +90,10 @@ def _run_pdf_validation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _run_er_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 100_000)
-    p_values = cfg.sweep.get("p_t_dbm", [-20, -15, -10, -5, 0, 5, 10])
+    p_values = cfg.sweep.get("p_t_dbm", [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0])
     rows = []
     for p_t in p_values:
-        scn_p = scn.with_overrides(p_t_dbm=float(p_t))
+        scn_p = replace(scn, p_t_dbm=p_t)
         er = analytic_ergodic_rates(scn_p)
         batch = run_trials(scn_p, n, cfg.seed, coupling="fitted")
         mc = estimate_ergodic_rate(batch)
@@ -109,14 +110,14 @@ def _run_er_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _run_outage_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 10_000)
-    p_values = cfg.sweep.get("p_t_dbm", [-15, -10, -5, 0, 5, 10, 15, 20])
+    p_values = cfg.sweep.get("p_t_dbm", [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
     thr = RateThresholds(
         r_center_min=float(np.log2(1 + scn.threshold_center)),
         r_edge_min=float(np.log2(1 + scn.threshold_edge)),
     )
     rows = []
     for p_t in p_values:
-        scn_p = scn.with_overrides(p_t_dbm=float(p_t))
+        scn_p = replace(scn, p_t_dbm=p_t)
         closed = analytic_outage(scn_p)
         batch = run_trials(scn_p, n, cfg.seed, coupling="fitted")
         mc = estimate_outage(batch, thr)
@@ -135,9 +136,8 @@ def _run_exhaustive_star(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     k1_values = cfg.sweep.get("assignment_values", list(range(0, k + 1, max(1, k // 8))))
     beta_values = cfg.sweep.get("beta_t_values", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     # `analysis` does not read the assignment: the rates depend on beta_t only.
-    ers = [analytic_ergodic_rates(scn.with_overrides(beta_t=float(b), beta_r=1.0 - float(b)))
-           for b in beta_values]
-    rows = [(int(k1), k - int(k1), beta_t, 1.0 - beta_t, er["center1"], er["center2"],
+    ers = [analytic_ergodic_rates(replace(scn, beta_t=b, beta_r=1.0 - b)) for b in beta_values]
+    rows = [(k1, k - k1, beta_t, 1.0 - beta_t, er["center1"], er["center2"],
              er["edge"], er["center1"] + er["center2"] + er["edge"])
             for k1 in k1_values for beta_t, er in zip(beta_values, ers)]
     path = outdir / "exhaustive_star.csv"
@@ -194,7 +194,7 @@ def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 def _run_osum_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, scn.n_trials)
-    p_values = cfg.sweep.get("p_t_dbm", [-10, -5, 0, 5, 10, 15, 20])
+    p_values = cfg.sweep.get("p_t_dbm", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
     rows = [
         (r["p_t_dbm"], r["mode"], r["outage_sum_rate"])
         for r in osum_sweep(scn, p_values, n=n, seed=cfg.seed)

@@ -8,7 +8,7 @@ quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,9 +150,6 @@ class CoordinatedScenario:
     def cascade_amp_edge(self) -> float:
         return self.k_elements * math.sqrt(self.beta_t)
 
-    def with_overrides(self, **kw) -> "CoordinatedScenario":
-        return replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class MultiCellScenario:
@@ -223,9 +220,6 @@ class MultiCellScenario:
 
     def gain(self, d: float, alpha: float) -> float:
         return self.rho_o / d**alpha
-
-    def with_overrides(self, **kw) -> "MultiCellScenario":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -321,9 +315,6 @@ class AerialScenario:
     @property
     def kappa(self) -> float:
         return db_to_linear(self.kappa_db)
-
-    def with_overrides(self, **kw) -> "AerialScenario":
-        return replace(self, **kw)
 
 
 def tiny_aerial_scenario(k_elements: int = 4, t_slots: int = 40, **kw) -> AerialScenario:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -336,7 +337,7 @@ def test_every_db_scenario_key_checked_for_overflow(kind):
 
 @pytest.mark.parametrize("text, message", [
     ("kind = er-sweep\ntrials = 200\nsweep.p_t_dbm = 0, 3000\n",
-     r"sweep\.p_t_dbm\[1\]: 3000 gives rho = P_t / sigma\^2 beyond the float range"),
+     r"sweep\.p_t_dbm\[1\]: 3000\.0 gives rho = P_t / sigma\^2 beyond the float range"),
     ("kind = pdf-validation\ntrials = 200\nscenario.p_t_dbm = 3000\n",
      r"scenario\.p_t_dbm: 3000\.0 gives rho = P_t / sigma\^2 beyond the float range"),
     ("kind = pdf-validation\ntrials = 200\nscenario.bandwidth_hz = 0\n",
@@ -438,17 +439,23 @@ def _sweep_draws(kind, flat):
         "assignment_values": st.integers(0, k),
     }
     return {key: st.lists(elements[key], min_size=1, max_size=4)
-            for key in config_module._SWEEP_KEYS_BY_KIND.get(kind, ())}
+            for key, (_, kinds) in config_module._SWEEP_KEYS.items() if kind in kinds}
+
+
+def _manifest_safe(text):
+    """dump_config writes text on one line after "key = ", so it loads back
+    only without surrounding whitespace or a line break."""
+    return text == text.strip() and len(text.splitlines()) <= 1
 
 
 @given(kind=st.sampled_from(config_module.KINDS), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_dump_parse_roundtrip_property(kind, data):
-    flat = {"kind": kind, "seed": data.draw(st.integers(0, 2**63)), "out": "runs/x"}
+    flat = {"kind": kind, "seed": data.draw(st.integers(0, 2**63)), "out": data.draw(st.text())}
     if data.draw(st.booleans()):
         flat["trials"] = data.draw(st.integers(1, 10**9))
-    if kind == "drl-eval":
-        flat["checkpoint"] = "runs/train/policy.bin"
+    if kind == "drl-eval" or data.draw(st.booleans()):
+        flat["checkpoint"] = data.draw(st.text(min_size=kind == "drl-eval"))
     for entry in _scenario_draws(kind):
         if data.draw(st.booleans()):
             flat.update({f"scenario.{k}": v for k, v in data.draw(entry).items()})
@@ -459,5 +466,100 @@ def test_dump_parse_roundtrip_property(kind, data):
         for key, strat in _TRAIN_DRAWS.items():
             if data.draw(st.booleans()):
                 flat[f"train.{key}"] = data.draw(strat)
-    text = dump_config(from_mapping(flat))
-    assert dump_config(from_mapping(parse_text(text))) == text
+    unsafe = [key for key in ("out", "checkpoint") if not _manifest_safe(flat.get(key, ""))]
+    if unsafe:
+        with pytest.raises(ConfigError, match=rf"\n  {unsafe[0]}: .* surrounding whitespace"):
+            from_mapping(flat)
+        return
+    cfg = from_mapping(flat)
+    text = dump_config(cfg)
+    loaded = from_mapping(parse_text(text))
+    assert loaded == cfg
+    assert dump_config(loaded) == text
+
+
+@pytest.mark.parametrize("line, key, value", [
+    ("out = 1.50", "out", "1.50"),
+    ("out = a,b", "out", "a,b"),
+    ("out = true", "out", "true"),
+    ("out = Infinity", "out", "Infinity"),
+    ("out = runs/a,b", "out", "runs/a,b"),
+    ("checkpoint = 007", "checkpoint", "007"),
+])
+def test_string_values_kept_verbatim(line, key, value):
+    # Each of these used to be typed by a guess before the key was known.
+    lines = ["kind = drl-eval", "scenario.tiny = true", line]
+    if key != "checkpoint":
+        lines.append("checkpoint = p.bin")
+    cfg = from_mapping(parse_text("\n".join(lines)))
+    assert getattr(cfg, key) == value
+    dumped = dump_config(cfg)
+    assert f"\n{line}\n" in dumped
+    assert from_mapping(parse_text(dumped)) == cfg
+
+
+@pytest.mark.parametrize("key, value", [
+    # Text is parsed by the key's type.
+    ("seed", "1.0"), ("scenario.k_elements", "4.5"), ("scenario.oma", "1"),
+    ("scenario.p_t_dbm", "true"), ("train.episodes", "1e3"),
+    # Any other value must have the type already: a bool is never a number,
+    # a float never an int, and a str key takes only text.
+    ("scenario.p_t_dbm", True), ("scenario.k_elements", 34.0), ("seed", False),
+    ("out", 5), ("sweep.p_t_dbm", 0.5),
+])
+def test_value_of_other_type_rejected(key, value):
+    flat = ({"kind": "er-sweep"} if key.startswith("sweep.")
+            else {"kind": "drl-train", "scenario.tiny": True})
+    with pytest.raises(ConfigError, match=rf"failed:\n  {re.escape(key)}: expected [^\n]*$"):
+        from_mapping({**flat, key: value})
+
+
+def test_negative_zero_keeps_its_sign():
+    cfg = from_mapping(parse_text("kind = er-sweep\nscenario.p_t_dbm = -0\n"))
+    assert math.copysign(1.0, cfg.scenario["p_t_dbm"]) == -1.0
+    reloaded = from_mapping(parse_text(dump_config(cfg)))
+    assert math.copysign(1.0, reloaded.scenario["p_t_dbm"]) == -1.0
+
+
+def test_cli_validate_prints_sweep_as_floats(tmp_path, capsys):
+    path = tmp_path / "p.cfg"
+    path.write_text("kind = er-sweep\nsweep.p_t_dbm = -10, -5.5, 0\n")
+    assert main(["validate", str(path)]) == 0
+    assert "\nsweep.p_t_dbm = -10, -5.5, 0\n" in capsys.readouterr().out
+    assert load_config(path).sweep["p_t_dbm"] == [-10.0, -5.5, 0.0]
+    assert {type(v) for v in load_config(path).sweep["p_t_dbm"]} == {float}
+
+
+@pytest.mark.parametrize("out", [" runs", "runs ", "a\nb", "runs\r"])
+def test_cli_run_rejects_out_the_manifest_cannot_record(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("kind = pdf-validation\ntrials = 200\n")
+    assert main(["run", "c.cfg", "--out", out]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+    with pytest.raises(ConfigError, match=rf"\n  out: {re.escape(repr(out))} has surrounding"):
+        from_mapping({"kind": "pdf-validation", "out": out})
+
+
+def test_checkpoint_the_manifest_cannot_record_rejected():
+    with pytest.raises(ConfigError, match=r"\n  checkpoint: 'p\.bin ' has surrounding"):
+        from_mapping({"kind": "drl-eval", "scenario.tiny": True, "checkpoint": "p.bin "})
+
+
+@pytest.mark.parametrize("name", sorted(experiments.PRESETS))
+def test_preset_dump_roundtrips_with_schema_types(name):
+    cfg = from_mapping(dict(experiments.PRESETS[name]))
+    text = dump_config(cfg)
+    loaded = from_mapping(parse_text(text))
+    assert dump_config(loaded) == text
+    scenario_schema = config_module._SCENARIO_KEYS_BY_KIND[cfg.kind]
+    for c in (cfg, loaded):
+        assert (type(c.seed), type(c.out)) == (int, str)
+        assert c.trials is None or type(c.trials) is int
+        for key, value in c.scenario.items():
+            assert type(value) is scenario_schema[key], key
+        for key, values in c.sweep.items():
+            assert all(type(v) is config_module._SWEEP_KEYS[key][0] for v in values), key
+        for key, value in c.train.items():
+            assert type(value) is config_module._TRAIN_KEYS[key], key

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_coop_structure_validation():
 
 
 def test_network_modes_coincide_at_full_cooperation():
-    scn = SCN.with_overrides(n_coop=SCN.n_cells)
+    scn = replace(SCN, n_coop=SCN.n_cells)
     eo = network_coop(scn, "eo")
     ec = network_coop(scn, "ec")
     assert eo.ris_mode == ec.ris_mode
@@ -140,7 +141,7 @@ def test_simulate_network_deterministic():
 
 
 def test_eo_ec_identical_at_full_cooperation():
-    scn = SCN.with_overrides(n_coop=SCN.n_cells)
+    scn = replace(SCN, n_coop=SCN.n_cells)
     eo = _one(scn, "eo", n=1000, seed=5)
     ec = _one(scn, "ec", n=1000, seed=5)
     assert eo.edge_rate == ec.edge_rate
@@ -149,7 +150,7 @@ def test_eo_ec_identical_at_full_cooperation():
 
 def test_ec_not_worse_than_eo():
     for j in (1, 3, 5):
-        scn = SCN.with_overrides(n_coop=j)
+        scn = replace(SCN, n_coop=j)
         eo = _one(scn, "eo", n=4000, seed=6)
         ec = _one(scn, "ec", n=4000, seed=6)
         assert ec.outage_sum_rate >= eo.outage_sum_rate
@@ -209,10 +210,10 @@ def test_mixed_points_equal_single_point_calls():
     # One call over many points shares the draws but no accumulator: every
     # point's aggregates are bitwise those of its own single-point call.
     points = [
-        (SMALL.with_overrides(p_t_dbm=p_t, n_coop=j), mode, None)
+        (replace(SMALL, p_t_dbm=p_t, n_coop=j), mode, None)
         for p_t, j in ((0.0, 1), (10.0, 2), (-5.0, 3)) for mode in MODES
     ]
-    points += [(SMALL.with_overrides(n_coop=j), "ec", split)
+    points += [(replace(SMALL, n_coop=j), "ec", split)
                for j, split in ((1, 0.25), (3, 0.75))]
     joint = simulate_network(SMALL, points, n=CHUNK + 1, seed=11)
     assert len(joint) == len(points)
@@ -229,6 +230,6 @@ def test_mixed_points_equal_single_point_calls():
 @pytest.mark.parametrize("override", [{"k_elements": 4}, {"d_edge": 120.0},
                                       {"kappa_db": 6.0}, {"alpha_ici": 3.5}])
 def test_point_with_other_draw_fields_rejected(override):
-    points = [(SMALL, "ec", None), (SMALL.with_overrides(**override), "ec", None)]
+    points = [(SMALL, "ec", None), (replace(SMALL, **override), "ec", None)]
     with pytest.raises(ValueError, match=next(iter(override))):
         simulate_network(SMALL, points, n=10, seed=0)

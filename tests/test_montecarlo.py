@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_chunking_invariance():
 def test_vanishing_power_means_outage_everywhere():
     # Degenerate scenario: transmit power so low every link is effectively
     # blocked; all SINRs ~ 0 and every outage indicator is true.
-    scn = SCN.with_overrides(p_t_dbm=-200.0)
+    scn = replace(SCN, p_t_dbm=-200.0)
     batch = run_trials(scn, 500, seed=5)
     thr = RateThresholds(0.5, 0.5)
     for kind in SINR_KINDS:
@@ -153,7 +154,7 @@ def test_estimator_consistency_sqrt_n():
     # Doubling n shrinks the standard error of the outage estimate by
     # ~1/sqrt(2); 40 seeds keep the std-of-std noise inside the 20% band.
     thr = RateThresholds(1.0, 1.0)
-    scn = SCN.with_overrides(p_t_dbm=-22.0)
+    scn = replace(SCN, p_t_dbm=-22.0)
     est1, est2 = [], []
     for seed in range(40):
         est1.append(estimate_outage(run_trials(scn, 1000, seed=seed), thr)["center1"])
@@ -166,7 +167,7 @@ def test_outage_monotone_in_power_common_random_numbers():
     thr = RateThresholds(1.0, 1.0)
     prev = None
     for p_t in (-20, -15, -10, -5, 0, 5):
-        out = estimate_outage(run_trials(SCN.with_overrides(p_t_dbm=float(p_t)), 10_000, seed=11), thr)
+        out = estimate_outage(run_trials(replace(SCN, p_t_dbm=float(p_t)), 10_000, seed=11), thr)
         if prev is not None:
             assert out["edge"] <= prev + 1e-12
         prev = out["edge"]
