@@ -26,8 +26,8 @@ _SQRT_HALF = math.sqrt(0.5)
 # positions (a step length that drifts in floating point) keep arriving.
 _POSITION_CACHE_MAX = 2048
 
+# Left, right, down, up, hover.
 MOVES = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (0.0, 0.0))
-MOVE_NAMES = ("left", "right", "down", "up", "hover")
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,9 @@ def _store(cache: dict, key: bytes, value) -> None:
 class ArisEnv:
     """Single-agent environment; one instance is single-threaded."""
 
-    def __init__(self, scenario: AerialScenario, seed: int = 0,
-                 pin_position: tuple[float, float] | None = None):
+    def __init__(self, scenario: AerialScenario, seed: int = 0):
         self.scn = scenario
         self.seed = seed
-        self.pin_position = pin_position
         self._users = [np.asarray(p, dtype=float) for p in scenario.center_positions]
         self._users.append(np.asarray(scenario.edge_position, dtype=float))
         self._bs = [np.asarray(p, dtype=float) for p in scenario.bs_positions]
@@ -211,8 +209,7 @@ class ArisEnv:
     def reset(self) -> MdpState:
         self._episode += 1
         self._rng = substream(self.seed, _STREAM_ENV, self._episode)
-        start = self.pin_position if self.pin_position is not None else self.scn.uav_start
-        self._pos = np.asarray(start, dtype=float).copy()
+        self._pos = np.asarray(self.scn.uav_start, dtype=float).copy()
         if not self._safe(self._pos):
             raise ValueError("start position violates the safety constraints")
         self._t = 0
@@ -239,8 +236,6 @@ class ArisEnv:
         if action.alloc_factors.size != self.scn.n_bs:
             raise ValueError("one allocation factor per BS required")
         move = np.asarray(MOVES[action.move])
-        if self.pin_position is not None:
-            move = np.zeros(2)
         candidate = self._pos + self.scn.step_length * move
         violated = not self._safe(candidate)
         if not violated:

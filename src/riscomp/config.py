@@ -14,10 +14,12 @@ scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .moppo import TrainConfig
+from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
     AerialScenario,
     CoordinatedScenario,
@@ -320,6 +322,18 @@ def _overflows(key: str, value: float) -> bool:
         return True
 
 
+def _int_range_errors(cfg: ExperimentConfig) -> list[str]:
+    """Integers that no float can hold, each named. The seed is exempt: it
+    only seeds the generators, which take any nonnegative integer."""
+    named = [("trials", cfg.trials),
+             *((f"scenario.{k}", v) for k, v in cfg.scenario.items()),
+             *((f"train.{k}", v) for k, v in cfg.train.items()),
+             *((f"sweep.{k}[{i}]", v) for k, vs in cfg.sweep.items()
+               for i, v in enumerate(vs))]
+    return [f"{key}: integer beyond the float range" for key, value in named
+            if type(value) is int and abs(value) > sys.float_info.max]
+
+
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
     ranges = _sweep_ranges(cfg)
@@ -359,9 +373,14 @@ def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
 
 def validate(cfg: ExperimentConfig) -> None:
     """Range and invariant checks; also re-run after the CLI overrides fields."""
-    errors = []
-    if cfg.trials is not None and cfg.trials < 1:
-        errors.append(f"trials must be >= 1, got {cfg.trials}")
+    # The checks below do float arithmetic, which such integers would crash.
+    errors = _int_range_errors(cfg)
+    if errors:
+        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
+    # pdf-validation runs a KS test on each SINR sample of `trials` draws.
+    least = KS_MIN_SAMPLES if cfg.kind == "pdf-validation" else 1
+    if cfg.trials is not None and cfg.trials < least:
+        errors.append(f"trials must be >= {least}, got {cfg.trials}")
     if cfg.seed < 0:
         errors.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.kind == "drl-eval" and not cfg.checkpoint:

@@ -39,6 +39,7 @@ SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
               "edge", "edge_nocomp")
 
 _KS_COEFF = {0.1: 1.22, 0.05: 1.36, 0.01: 1.63}
+KS_MIN_SAMPLES = 100  # below this the asymptotic critical values do not hold
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,6 @@ class TrialBatch:
         for name, arr in self.sinr.items():
             if arr.shape != (self.n_trials,):
                 raise ValueError(f"sample array {name} does not match n_trials")
-
-    def rates(self) -> dict[str, np.ndarray]:
-        return {k: achievable_rate(v) for k, v in self.sinr.items()}
 
 
 def _nakagami_pow(rng, p, size):
@@ -180,8 +178,8 @@ def ks_statistic(
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    if n < 100:
-        raise ValueError("KS test needs at least 100 samples")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
     if alpha not in _KS_COEFF:
         raise ValueError(f"alpha must be one of {sorted(_KS_COEFF)}")
     s = np.sort(samples)

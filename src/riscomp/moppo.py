@@ -12,9 +12,9 @@ nothing of the network's size. A checkpoint holds the weights only: the
 magic, (version 2, state_dim, n_cont, hidden, head_hidden) as uint32, then
 theta. Version 1 files (a shape table, weights and Adam moments) still load.
 
-Baselines: a hover variant (`train`/`evaluate` with hover=True: position
-pinned, discrete head disabled) and an exhaustive grid search over static
-configurations for desk-scale instances.
+There is one agent: it moves the UAV (discrete head) and sets the RIS phases
+and allocation factors (Gaussian head). The exhaustive grid search that the
+acceptance tests compare it against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .channel import substream
 from .scenarios import AerialScenario
 
 _STREAM_AGENT = 601
-_STREAM_GRID = 801
 
 N_MOVES = len(MOVES)
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
@@ -59,7 +58,6 @@ class TrainConfig:
     entropy_coef: float = 0.01
     log_std_init: float = -0.5
     normalize_adv: bool = True
-    discrete_enabled: bool = True
     episodes_per_update: int = 1
     kl_stop: float = 0.05
     entropy_decay: bool = False
@@ -193,17 +191,13 @@ def gaussian_logp(x, mu, std):
     return np.sum(-0.5 * z * z - np.log(std) - 0.5 * _LOG_2PI, axis=-1)
 
 
-def sample_action(probs, mu, std, rng, discrete_enabled: bool = True):
+def sample_action(probs, mu, std, rng):
     """Draw (move, raw continuous vector, discrete log-prob, continuous
     log-prob) from the policy outputs for a single state."""
     probs = np.asarray(probs, dtype=float).ravel()
     mu = np.asarray(mu, dtype=float).ravel()
-    if discrete_enabled:
-        move = int(rng.choice(N_MOVES, p=probs))
-        lp_d = float(np.log(probs[move]))
-    else:
-        move = N_MOVES - 1  # hover
-        lp_d = 0.0
+    move = int(rng.choice(N_MOVES, p=probs))
+    lp_d = float(np.log(probs[move]))
     raw = mu + std * rng.standard_normal(mu.size)
     lp_c = float(gaussian_logp(raw, mu, std))
     return move, raw, lp_d, lp_c
@@ -297,21 +291,16 @@ def objective_and_grads(params: PolicyParams, mb: Minibatch, cfg: TrainConfig):
     dlog_std = np.sum((mask_c * r_c * adv)[:, None] * (z2 - 1.0), axis=0) / b
     dlog_std += cfg.entropy_coef
 
-    if cfg.discrete_enabled:
-        lp_d = np.log(probs[np.arange(b), mb.moves])
-        r_d = np.exp(lp_d - mb.logp_d_old)
-        mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
-        j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
-        ent_d = float(np.mean(-np.sum(probs * np.log(probs + 1e-12), axis=1)))
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(b), mb.moves] = 1.0
-        dlogits = (mask_d * r_d * adv)[:, None] * (onehot - probs) / b
-        h_rows = -np.sum(probs * np.log(probs + 1e-12), axis=1, keepdims=True)
-        dlogits += cfg.entropy_coef * (-probs * (np.log(probs + 1e-12) + h_rows)) / b
-    else:
-        j_disc = 0.0
-        ent_d = 0.0
-        dlogits = np.zeros_like(probs)
+    lp_d = np.log(probs[np.arange(b), mb.moves])
+    r_d = np.exp(lp_d - mb.logp_d_old)
+    mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
+    j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
+    ent_d = float(np.mean(-np.sum(probs * np.log(probs + 1e-12), axis=1)))
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(b), mb.moves] = 1.0
+    dlogits = (mask_d * r_d * adv)[:, None] * (onehot - probs) / b
+    h_rows = -np.sum(probs * np.log(probs + 1e-12), axis=1, keepdims=True)
+    dlogits += cfg.entropy_coef * (-probs * (np.log(probs + 1e-12) + h_rows)) / b
 
     v_err = v - mb.v_target
     j_value = float(np.mean(v_err**2))
@@ -414,11 +403,6 @@ class TrainResult:
         return (c[window:] - c[:-window]) / window
 
 
-def _user_centroid(scn: AerialScenario) -> tuple[float, float]:
-    pts = np.array([p[:2] for p in (*scn.center_positions, scn.edge_position)])
-    return float(np.mean(pts[:, 0])), float(np.mean(pts[:, 1]))
-
-
 def state_scale(scn: AerialScenario) -> np.ndarray:
     """Per-component scale bringing state vectors to O(1) network inputs
     (positions by the half extent, distances by the area diagonal, rates by
@@ -446,19 +430,13 @@ def _net_input(svec: np.ndarray, scale: np.ndarray, t: int, t_total: int) -> np.
     return np.concatenate([svec / scale, [(t_total - t) / t_total]])
 
 
-def train(
-    scenario: AerialScenario,
-    cfg: TrainConfig,
-    seed: int = 0,
-    hover: bool = False,
-) -> TrainResult:
+def train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainResult:
     """Full MO-PPO loop: per-episode rollouts, n-step advantages, E epochs of
     minibatch updates, then the sampling policy synchronizes (fresh log-probs
-    next episode). Deterministic given (scenario, cfg, seed)."""
-    if hover:
-        cfg = replace(cfg, discrete_enabled=False)
-    pin = _user_centroid(scenario) if hover else None
-    env = ArisEnv(scenario, seed=seed, pin_position=pin)
+    next episode). After every epoch an approximate-KL check on the whole
+    buffer (discrete and continuous heads) ends the epochs early when either
+    exceeds cfg.kl_stop. Deterministic given (scenario, cfg, seed)."""
+    env = ArisEnv(scenario, seed=seed)
     rng = substream(seed, _STREAM_AGENT)
     params = init_policy(
         _input_dim(scenario), scenario.action_dim_continuous, rng,
@@ -482,9 +460,7 @@ def train(
         total = 0.0
         for t in range(n):
             probs, mu, std, v, _ = forward(params, svec)
-            move, raw, lp_d, lp_c = sample_action(
-                probs[0], mu[0], std, rng, discrete_enabled=cfg.discrete_enabled
-            )
+            move, raw, lp_d, lp_c = sample_action(probs[0], mu[0], std, rng)
             nstate, r, done = env.step(to_env_action(move, raw, scenario))
             states[t] = svec
             moves[t] = move
@@ -511,7 +487,6 @@ def train(
         buffers = []
         all_states, all_moves, all_raws, all_lpd, all_lpc, all_adv, all_vt = cat
         m = all_states.shape[0]
-        stop = False
         for _ in range(cfg.epochs):
             order = rng.permutation(m)
             for start in range(0, m, cfg.batch):
@@ -524,11 +499,9 @@ def train(
             probs_n, mu_n, std_n, _, _ = forward(params, all_states)
             lpd_n = np.log(probs_n[np.arange(m), all_moves] + 1e-12)
             lpc_n = gaussian_logp(all_raws, mu_n, std_n)
-            kl_d = float(np.mean(all_lpd - lpd_n)) if cfg.discrete_enabled else 0.0
+            kl_d = float(np.mean(all_lpd - lpd_n))
             kl_c = float(np.mean(all_lpc - lpc_n))
             if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:
-                stop = True
-            if stop:
                 break
     return TrainResult(rewards=curve, params=params, config=cfg)
 
@@ -539,11 +512,11 @@ def evaluate(
     cfg: TrainConfig,
     seed: int = 0,
     episodes: int = 5,
-    hover: bool = False,
 ) -> dict:
-    """Deterministic-policy evaluation: mean per-slot sum rate and reward."""
-    pin = _user_centroid(scenario) if hover else None
-    env = ArisEnv(scenario, seed=seed, pin_position=pin)
+    """Deterministic-policy evaluation (the most probable move and the mean
+    continuous action): mean per-slot sum rate and reward. cfg is not read;
+    the network is the one params holds."""
+    env = ArisEnv(scenario, seed=seed)
     scale = state_scale(scenario)
     sum_rates = []
     rewards = []
@@ -553,7 +526,7 @@ def evaluate(
         svec = _net_input(state.vector(), scale, 0, scenario.t_slots)
         for t in range(scenario.t_slots):
             probs, mu, std, v, _ = forward(params, svec)
-            move = int(np.argmax(probs[0])) if cfg.discrete_enabled else N_MOVES - 1
+            move = int(np.argmax(probs[0]))
             nstate, r, done = env.step(to_env_action(move, mu[0], scenario))
             sum_rates.append(float(np.sum(nstate.rates)))
             rewards.append(r)
@@ -566,68 +539,6 @@ def evaluate(
         "mean_reward": float(np.mean(rewards)),
         "traces": traces,
     }
-
-
-def exhaustive_baseline(
-    scenario: AerialScenario,
-    n_positions: int = 25,
-    phase_levels: int = 8,
-    alloc_levels: int = 5,
-    n_eval: int = 256,
-    seed: int = 0,
-    max_evaluations: int = 10_000_000,
-) -> dict:
-    """Global grid search over static (position, phases, allocation) triples.
-
-    Evaluates the mean per-slot sum rate over n_eval channel draws per
-    position and enumerates the full product grid. Draws and rates are the
-    environment's own (NOMA or, with scenario.oma, OMA). Intended for tiny
-    instances: the phase grid is phase_levels**K and the gains of all phase
-    combinations and draws of one position are held at once."""
-    k = scenario.k_elements
-    n_bs = scenario.n_bs
-    n_phase = phase_levels**k
-    n_alloc = alloc_levels**n_bs
-    total = n_positions * n_phase * n_alloc
-    if total > max_evaluations:
-        raise ValueError(f"grid of {total} configurations exceeds the cap")
-    side = int(round(math.sqrt(n_positions)))
-    if side * side != n_positions:
-        raise ValueError("n_positions must be a perfect square")
-    half = scenario.half_extent
-    coords = np.linspace(-half, half, side + 2)[1:-1]
-    phase_grid = np.linspace(-math.pi, math.pi, phase_levels, endpoint=False)
-    alloc_grid = np.linspace(0.55, 0.95, alloc_levels)
-    phase_combos = np.stack(
-        np.meshgrid(*([phase_grid] * k), indexing="ij"), axis=-1
-    ).reshape(-1, k)
-    alloc_combos = np.stack(
-        np.meshgrid(*([alloc_grid] * n_bs), indexing="ij"), axis=-1
-    ).reshape(-1, n_bs)
-    phasors = np.exp(1j * phase_combos)  # (n_phase, k)
-
-    best = {"value": -np.inf}
-    env = ArisEnv(scenario, seed=seed)
-    for xi, x in enumerate(coords):
-        for yi, y in enumerate(coords):
-            pos = np.array([x, y])
-            if not env._safe(pos):
-                continue
-            env._pos = pos
-            env._rng = substream(seed, _STREAM_GRID, xi, yi)
-            # Gains for every phase combo and draw: (n_phase, n_eval, bs, user).
-            gain = env._gains(*env._draw_channels(n_eval), phasors)
-            for alloc in alloc_combos:
-                mean_rates = np.mean(np.sum(env._rates(gain, alloc), axis=-1), axis=1)
-                pi = int(np.argmax(mean_rates))
-                if mean_rates[pi] > best["value"]:
-                    best = {
-                        "value": float(mean_rates[pi]),
-                        "position": (float(x), float(y)),
-                        "phases": phase_combos[pi].copy(),
-                        "alloc": alloc.copy(),
-                    }
-    return best
 
 
 # Checkpoint serialization -------------------------------------------------

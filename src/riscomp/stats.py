@@ -63,10 +63,6 @@ class GammaParams:
     def mean(self) -> float:
         return self.k * self.theta
 
-    @property
-    def variance(self) -> float:
-        return self.k * self.theta**2
-
     def moments(self) -> MomentPair:
         return MomentPair(self.mean, self.k * (self.k + 1.0) * self.theta**2)
 
@@ -89,12 +85,6 @@ class BetaPrimeParams:
             raise ValueError("Beta-prime shapes must be positive")
         if self.scale <= 0:
             raise ValueError("Beta-prime scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        if self.b <= 1:
-            raise FitError("Beta-prime mean undefined for b <= 1")
-        return self.scale * self.a / (self.b - 1.0)
 
     def pdf(self, x: float) -> float:
         if x <= 0:
@@ -248,8 +238,8 @@ def edge_ratio_moments(
     zeta_f2: float,
     rho: float,
 ) -> tuple[MomentPair, MomentPair]:
-    """Moments of V = rho(zf1 Z1 + zf2 Z2) and W = rho(zc1 Z1 + zc2 Z2) + 1
-    for independent Z1, Z2."""
+    """Moments of V = rho(zf1 Z1 + zf2 Z2) and of the interference
+    W = rho(zc1 Z1 + zc2 Z2), without the noise term, for independent Z1, Z2."""
     v1 = rho * (zeta_f1 * z1.m1 + zeta_f2 * z2.m1)
     v2 = rho * rho * (
         zeta_f1**2 * z1.m2
@@ -265,7 +255,7 @@ def edge_ratio_moments(
             + 2.0 * zeta_c1 * zeta_c2 * z1.m1 * z2.m1
             + zeta_c2**2 * z2.m2
         ),
-    ).shifted(1.0)
+    )
     return MomentPair(v1, v2), w
 
 
@@ -278,10 +268,10 @@ def sinr_dist_edge(
     zeta_f2: float,
     rho: float,
 ) -> BetaPrimeParams:
-    """Law of the non-coherent JT-CoMP edge SINR gamma_f = V / W."""
+    """Law of the non-coherent JT-CoMP edge SINR gamma_f = V / (W + 1)."""
     mv, mw = edge_ratio_moments(z1, z2, zeta_c1, zeta_c2, zeta_f1, zeta_f2, rho)
     v = gamma_from_moments(mv)
-    w = gamma_from_moments(mw)
+    w = gamma_from_moments(mw.shifted(1.0))
     return BetaPrimeParams(v.k, w.k, v.theta / w.theta)
 
 
@@ -294,18 +284,12 @@ def sinr_dist_edge_high_snr(
     zeta_f2: float,
     rho: float,
 ) -> BetaPrimeParams:
-    """High-SNR edge law: the +1 noise term of W is dropped, leaving the
-    interference-limited ratio V / V~ (rho cancels from the scale)."""
-    mv, _ = edge_ratio_moments(z1, z2, zeta_c1, zeta_c2, zeta_f1, zeta_f2, rho)
-    vt1 = rho * (zeta_c1 * z1.m1 + zeta_c2 * z2.m1)
-    vt2 = rho * rho * (
-        zeta_c1**2 * z1.m2
-        + 2.0 * zeta_c1 * zeta_c2 * z1.m1 * z2.m1
-        + zeta_c2**2 * z2.m2
-    )
+    """High-SNR edge law: the +1 noise term is dropped, leaving the
+    interference-limited ratio V / W (rho cancels from the scale)."""
+    mv, mw = edge_ratio_moments(z1, z2, zeta_c1, zeta_c2, zeta_f1, zeta_f2, rho)
     v = gamma_from_moments(mv)
-    vt = gamma_from_moments(MomentPair(vt1, vt2))
-    return BetaPrimeParams(v.k, vt.k, v.theta / vt.theta)
+    w = gamma_from_moments(mw)
+    return BetaPrimeParams(v.k, w.k, v.theta / w.theta)
 
 
 def _er_breakpoints(a: float, b: float) -> list[float]:

@@ -3,7 +3,9 @@ against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the per-array Adam step, the policy initialisation as
-one literal dict of arrays and the version 1 checkpoint writer.
+one literal dict of arrays, the version 1 checkpoint writer and the
+exhaustive grid search over static aerial configurations that the trained
+policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -21,6 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Generator
 
+from riscomp.aerial import ArisEnv
+from riscomp.channel import substream
 from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
@@ -33,7 +37,10 @@ from riscomp.moppo import (
 )
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
+from riscomp.scenarios import AerialScenario
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
+
+_STREAM_GRID = 801
 
 
 @dataclass(frozen=True)
@@ -383,3 +390,65 @@ def save_params_v1(path, params) -> None:
             buf.write(views[name].tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
+
+
+def exhaustive_baseline(
+    scenario: AerialScenario,
+    n_positions: int = 25,
+    phase_levels: int = 8,
+    alloc_levels: int = 5,
+    n_eval: int = 256,
+    seed: int = 0,
+    max_evaluations: int = 10_000_000,
+) -> dict:
+    """Global grid search over static (position, phases, allocation) triples.
+
+    Evaluates the mean per-slot sum rate over n_eval channel draws per
+    position and enumerates the full product grid. Draws and rates are the
+    environment's own (NOMA or, with scenario.oma, OMA). Intended for tiny
+    instances: the phase grid is phase_levels**K and the gains of all phase
+    combinations and draws of one position are held at once."""
+    k = scenario.k_elements
+    n_bs = scenario.n_bs
+    n_phase = phase_levels**k
+    n_alloc = alloc_levels**n_bs
+    total = n_positions * n_phase * n_alloc
+    if total > max_evaluations:
+        raise ValueError(f"grid of {total} configurations exceeds the cap")
+    side = int(round(math.sqrt(n_positions)))
+    if side * side != n_positions:
+        raise ValueError("n_positions must be a perfect square")
+    half = scenario.half_extent
+    coords = np.linspace(-half, half, side + 2)[1:-1]
+    phase_grid = np.linspace(-math.pi, math.pi, phase_levels, endpoint=False)
+    alloc_grid = np.linspace(0.55, 0.95, alloc_levels)
+    phase_combos = np.stack(
+        np.meshgrid(*([phase_grid] * k), indexing="ij"), axis=-1
+    ).reshape(-1, k)
+    alloc_combos = np.stack(
+        np.meshgrid(*([alloc_grid] * n_bs), indexing="ij"), axis=-1
+    ).reshape(-1, n_bs)
+    phasors = np.exp(1j * phase_combos)  # (n_phase, k)
+
+    best = {"value": -np.inf}
+    env = ArisEnv(scenario, seed=seed)
+    for xi, x in enumerate(coords):
+        for yi, y in enumerate(coords):
+            pos = np.array([x, y])
+            if not env._safe(pos):
+                continue
+            env._pos = pos
+            env._rng = substream(seed, _STREAM_GRID, xi, yi)
+            # Gains for every phase combo and draw: (n_phase, n_eval, bs, user).
+            gain = env._gains(*env._draw_channels(n_eval), phasors)
+            for alloc in alloc_combos:
+                mean_rates = np.mean(np.sum(env._rates(gain, alloc), axis=-1), axis=1)
+                pi = int(np.argmax(mean_rates))
+                if mean_rates[pi] > best["value"]:
+                    best = {
+                        "value": float(mean_rates[pi]),
+                        "position": (float(x), float(y)),
+                        "phases": phase_combos[pi].copy(),
+                        "alloc": alloc.copy(),
+                    }
+    return best

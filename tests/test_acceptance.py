@@ -25,6 +25,7 @@ from oracles import (
     ec_phases,
     effective_channel,
     eo_phases,
+    exhaustive_baseline,
     sinr_edge_comp,
 )
 from riscomp.analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
@@ -35,7 +36,6 @@ from riscomp.moppo import (
     Minibatch,
     TrainConfig,
     evaluate,
-    exhaustive_baseline,
     forward,
     gaussian_logp,
     init_policy,

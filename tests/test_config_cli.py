@@ -16,6 +16,7 @@ from riscomp.config import (
     load_config,
     parse_text,
 )
+from riscomp.montecarlo import KS_MIN_SAMPLES
 from riscomp.quadrature import QuadratureError
 
 
@@ -353,6 +354,38 @@ def test_cli_validate_rejects_uncomputable_link_budget(tmp_path, capsys, text, m
     assert not (tmp_path / "out").exists()
 
 
+_BEYOND_FLOAT = "1" + "0" * 400  # 10**400: no float holds it
+
+
+@pytest.mark.parametrize("text, key", [
+    (f"kind = ee-sweep\nsweep.k_values = {_BEYOND_FLOAT}\n", r"sweep\.k_values\[0\]"),
+    (f"kind = pdf-validation\nscenario.k_elements = {_BEYOND_FLOAT}\n",
+     r"scenario\.k_elements"),
+], ids=["ee-sweep", "pdf-validation"])
+def test_cli_validate_rejects_integers_beyond_float_range(tmp_path, capsys, text, key):
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=key + ": integer beyond the float range"):
+        load_config(path)
+    if "pdf-validation" in text:  # an ee-sweep at such a K would allocate without bound
+        assert main(["run", str(path), "--trials", "200", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_rejects_pdf_validation_below_ks_minimum(tmp_path, capsys):
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, "kind = pdf-validation\ntrials = 10\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"trials must be >= 100, got 10"):
+        load_config(path)
+
+
+def test_cli_reproduce_rejects_trials_below_ks_minimum(tmp_path, capsys):
+    assert main(["reproduce", "fig3.2", "--trials", "50", "--out", str(tmp_path / "out")]) == 2
+    assert "trials must be >= 100, got 50" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["drl-train", "drl-eval"])
 @pytest.mark.parametrize(
     "key", [key for key, typ in config_module._TRAIN_KEYS.items() if typ is float])
@@ -453,7 +486,8 @@ def _manifest_safe(text):
 def test_dump_parse_roundtrip_property(kind, data):
     flat = {"kind": kind, "seed": data.draw(st.integers(0, 2**63)), "out": data.draw(st.text())}
     if data.draw(st.booleans()):
-        flat["trials"] = data.draw(st.integers(1, 10**9))
+        least = KS_MIN_SAMPLES if kind == "pdf-validation" else 1
+        flat["trials"] = data.draw(st.integers(least, 10**9))
     if kind == "drl-eval" or data.draw(st.booleans()):
         flat["checkpoint"] = data.draw(st.text(min_size=kind == "drl-eval"))
     for entry in _scenario_draws(kind):

@@ -3,19 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import adam_step, init_policy_arrays, save_params_v1
+from oracles import (
+    _STREAM_GRID,
+    adam_step,
+    exhaustive_baseline,
+    init_policy_arrays,
+    save_params_v1,
+)
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
 from riscomp.moppo import (
-    _STREAM_GRID,
     CHECKPOINT_MAGIC,
     LOG_STD_MAX,
     Minibatch,
     TrainConfig,
     advantage,
     clipped_loss,
-    evaluate,
-    exhaustive_baseline,
     forward,
     gaussian_logp,
     init_policy,
@@ -363,19 +366,6 @@ def test_train_determinism():
     assert np.array_equal(a.rewards, b.rewards)
     for k in a.params.weights:
         assert np.array_equal(a.params.weights[k], b.params.weights[k])
-
-
-def test_hover_trajectory_constant_and_reduced_action_space():
-    scn = tiny_aerial_scenario(t_slots=8)
-    cfg = TrainConfig(episodes=4, epochs=2, rollout=4, discrete_enabled=False)
-    res = train(scn, cfg, seed=13, hover=True)
-    ev = evaluate(scn, res.params, res.config, seed=14, episodes=1, hover=True)
-    xs = {(round(x, 6), round(y, 6)) for _, x, y, *_ in ev["traces"]}
-    assert len(xs) == 1
-    move, raw, lp_d, _ = sample_action(np.full(5, 0.2), np.zeros(5), np.ones(5),
-                                       substream(15, 0), discrete_enabled=False)
-    assert move == 4 and lp_d == 0.0
-    assert raw.size == 5  # continuous dimensions only (K + I)
 
 
 def test_exhaustive_baseline_single_point():
