@@ -35,7 +35,6 @@ class CoordinatedDistributions:
     edge: BetaPrimeParams
     edge_high_snr: BetaPrimeParams
     z_center: tuple[GammaParams, GammaParams]
-    z_edge: tuple[GammaParams, GammaParams]
 
 
 def center_power_moments(scn: CoordinatedScenario, i: int) -> MomentPair:
@@ -81,7 +80,6 @@ def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributi
         edge=edge,
         edge_high_snr=edge_hs,
         z_center=tuple(z_c),
-        z_edge=(gamma_from_moments(zf1), gamma_from_moments(zf2)),
     )
 
 

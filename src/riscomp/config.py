@@ -73,7 +73,6 @@ _MULTICELL_KEYS = {
     "amp_efficiency": float,
     "static_power_dbm": float,
     "element_power_dbm": float,
-    "n_trials": int,
 }
 
 _AERIAL_KEYS = {
@@ -371,6 +370,23 @@ def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
             and not math.isfinite(dbm_to_watts(p) / noise)]
 
 
+def _ee_power_errors(cfg: ExperimentConfig, scn) -> list[str]:
+    """Energy efficiency divides by P_Q, P_element and every transmit power
+    a point uses, so none may be 0 W (a dBm value far below 0 underflows).
+    scenario.p_t_dbm is unused when sweep.p_t_dbm is the only axis or forms
+    the grid with sweep.r_th_values; powers already reported are skipped."""
+    sweep = cfg.sweep
+    keys = ["scenario.static_power_dbm", "scenario.element_power_dbm"]
+    if "p_t_dbm" not in sweep or ("r_th_values" not in sweep
+                                  and sweep.keys() & {"j_values", "k_values"}):
+        keys.append("scenario.p_t_dbm")
+    powers = [(key, getattr(scn, key[len("scenario."):])) for key in keys]
+    powers += [(f"sweep.p_t_dbm[{i}]", p) for i, p in enumerate(sweep.get("p_t_dbm", ()))]
+    return [f"{key}: {p!r} dBm is 0 W; energy efficiency needs a positive power"
+            for key, p in powers
+            if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Range and invariant checks; also re-run after the CLI overrides fields."""
     # The checks below do float arithmetic, which such integers would crash.
@@ -417,6 +433,8 @@ def validate(cfg: ExperimentConfig) -> None:
         errors.append(str(exc))
     else:
         errors.extend(_link_budget_errors(cfg, scn))
+        if cfg.kind == "ee-sweep":
+            errors.extend(_ee_power_errors(cfg, scn))
     if drl:
         try:
             TrainConfig(**cfg.train)

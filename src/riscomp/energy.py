@@ -3,11 +3,13 @@ assignment (enhancement / cancellation) experiments.
 
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
 RIS links), assigns per-RIS phases according to the network configuration,
-and aggregates rates and outage over trials; energy efficiency is formed
-from trial-averaged quantities (ratio of means). A sweep hands its points to
-one simulate_network call (one per element count K, which the draws depend
-on): each chunk is drawn once per call and shared by every point and mode,
-and its element-axis reductions are formed once before any point is scored.
+and aggregates rates and outage over trials into one Aggregates record per
+access scheme (NOMA, and the OMA baseline on the same draws); energy
+efficiency is formed from the trial-averaged NOMA record and the powers of
+the point's scenario (ratio of means). A sweep hands its points to one
+simulate_network call (one per element count K, which the draws depend on):
+each chunk is drawn once per call and shared by every point and mode, and
+its element-axis reductions are formed once before any point is scored.
 """
 
 from __future__ import annotations
@@ -25,122 +27,52 @@ from .scenarios import MultiCellScenario
 _STREAM_MC = 301
 
 MODES = ("no-ris", "random", "eo", "ec")
-_MODE_CODE = {"off": 0, "random": 1, "eo": 2, "ec": 3}
 
-# Network-level configurations: per-cell RIS mode for cooperative /
-# non-cooperative cells. Under "eo" only cooperative surfaces are optimized;
-# non-cooperative ones keep random phases. Under "ec" they anti-phase their
-# own interference cascade. At J = I the two coincide.
+# Network-level configurations: the kernel's RIS mode code
+# (kernels.multicell_edge_gains: 0 off, 1 random, 2 enhancement,
+# 3 cancellation) of cooperative / non-cooperative cells. Under "eo" only
+# cooperative surfaces are optimized; non-cooperative ones keep random
+# phases. Under "ec" they anti-phase their own interference cascade. At
+# J = I the two coincide.
 _NETWORK_MODES = {
-    "no-ris": ("off", "off"),
-    "random": ("random", "random"),
-    "eo": ("eo", "random"),
-    "ec": ("eo", "ec"),
+    "no-ris": (0, 0),
+    "random": (1, 1),
+    "eo": (2, 1),
+    "ec": (2, 3),
 }
 
 
 @dataclass(frozen=True)
-class PowerModel:
-    """Amplifier efficiency, static cell power, per-element RIS power, and
-    per-BS transmit power (all linear watts)."""
+class Aggregates:
+    """Trial-averaged results of one access scheme at one point: per-cell
+    center-user rates and outage probabilities, and the edge user's."""
 
-    amp_efficiency: float
-    static_cell_power: float
-    per_element_power: float
-    tx_power: float
-
-    def __post_init__(self):
-        if min(self.static_cell_power, self.per_element_power, self.tx_power) <= 0:
-            raise ValueError("powers must be positive")
-
-    def ris_power(self, k_elements: int) -> float:
-        return k_elements * self.per_element_power
-
-
-@dataclass(frozen=True)
-class CoopStructure:
-    """Cooperative set, total cell count, and per-BS RIS mode."""
-
-    cooperating: tuple[int, ...]
-    total_cells: int
-    ris_mode: tuple[str, ...]
-
-    def __post_init__(self):
-        coop = tuple(sorted(set(self.cooperating)))
-        if not coop:
-            raise ValueError("at least one cooperating BS is required")
-        if any(not 1 <= j <= self.total_cells for j in coop):
-            raise ValueError("cooperating indices must lie in 1..total_cells")
-        if len(self.ris_mode) != self.total_cells:
-            raise ValueError("one RIS mode per cell required")
-        if any(m not in _MODE_CODE for m in self.ris_mode):
-            raise ValueError(f"RIS modes must be among {sorted(_MODE_CODE)}")
-        object.__setattr__(self, "cooperating", coop)
-
-
-def network_coop(scn: MultiCellScenario, mode: str) -> CoopStructure:
-    if mode not in _NETWORK_MODES:
-        raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
-    coop_mode, noncoop_mode = _NETWORK_MODES[mode]
-    coop = tuple(range(1, scn.n_coop + 1))
-    per_bs = tuple(
-        coop_mode if (i + 1) in coop else noncoop_mode for i in range(scn.n_cells)
-    )
-    return CoopStructure(coop, scn.n_cells, per_bs)
-
-
-def energy_efficiency(
-    center_outage_rates,
-    edge_outage_rate: float,
-    pm: PowerModel,
-    cs: CoopStructure,
-    k_elements: int,
-) -> float:
-    """Sum of per-cell center terms plus per-cooperative-BS edge terms.
-
-    Every cell contributes its center outage rate over P_i/lambda + P_Q; each
-    cooperating BS additionally carries the edge outage rate over
-    P_j/lambda + P_Q + P_R. Only RIS-bearing (non "off") cooperative terms
-    include P_R.
-    """
-    center_outage_rates = np.asarray(center_outage_rates, dtype=float)
-    if center_outage_rates.size != cs.total_cells:
-        raise ValueError("one center outage rate per cell required")
-    base = pm.tx_power / pm.amp_efficiency + pm.static_cell_power
-    total = float(np.sum(center_outage_rates / base))
-    for j in cs.cooperating:
-        p_ris = 0.0 if cs.ris_mode[j - 1] == "off" else pm.ris_power(k_elements)
-        total += edge_outage_rate / (base + p_ris)
-    return total
-
-
-@dataclass(frozen=True)
-class ModeAggregates:
-    """Trial-averaged per-mode results."""
-
-    mode: str
     center_rates: np.ndarray
     center_outage: np.ndarray
     edge_rate: float
     edge_outage: float
-    oma_center_rates: np.ndarray
-    oma_center_outage: np.ndarray
-    oma_edge_rate: float
-    oma_edge_outage: float
 
     @property
     def outage_sum_rate(self) -> float:
-        total = float(
-            np.sum((1.0 - self.center_outage) * self.center_rates)
-        )
+        total = float(np.sum((1.0 - self.center_outage) * self.center_rates))
         return total + (1.0 - self.edge_outage) * self.edge_rate
 
-    @property
-    def oma_outage_sum_rate(self) -> float:
-        total = float(
-            np.sum((1.0 - self.oma_center_outage) * self.oma_center_rates)
-        )
-        return total + (1.0 - self.oma_edge_outage) * self.oma_edge_rate
+
+def energy_efficiency(scn: MultiCellScenario, mode: str, agg: Aggregates) -> float:
+    """Sum of per-cell center terms plus per-cooperative-BS edge terms.
+
+    Every cell contributes its center outage rate (1 - p_out) * R over
+    P_t/lambda + P_Q; each of the J cooperating BSs additionally carries the
+    edge outage rate over P_t/lambda + P_Q + P_R, with P_R = K * P_element
+    except under "no-ris", where it is 0. The powers are scn's.
+    """
+    base = scn.tx_power_w / scn.amp_efficiency + scn.static_power_w
+    total = float(np.sum(((1.0 - agg.center_outage) * agg.center_rates) / base))
+    edge = (1.0 - agg.edge_outage) * agg.edge_rate
+    p_ris = 0.0 if mode == "no-ris" else scn.k_elements * scn.element_power_w
+    for _ in range(scn.n_coop):  # one term per BS: J * term would round differently
+        total += edge / (base + p_ris)
+    return total
 
 
 def _draw_channels(scn: MultiCellScenario, rng, m: int):
@@ -193,75 +125,73 @@ _DRAW_FIELDS = (
 )
 
 
-class _Point:
-    """Per-point constants and running sums of one simulate_network point."""
+class _Sums:
+    """Running sums of one access scheme whose users hold a share of the
+    slot (1.0 NOMA, 0.5 OMA): a rate is share * log2(1 + SINR), and its
+    outage threshold on the SINR is 2^(R_min / share) - 1."""
 
-    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None):
-        cs = network_coop(scn, mode)
-        self.scn, self.mode = scn, mode
-        self.code = [_MODE_CODE[m_] for m_ in cs.ris_mode]
-        self.coop = np.array([1 if (i + 1) in cs.cooperating else 0
-                              for i in range(scn.n_cells)], dtype=np.uint8)
-        self.n_co = None if split is None else math.ceil(split * scn.k_elements)
-        self.thr_c = 2.0**scn.r_center_min - 1.0
-        self.thr_f = 2.0**scn.r_edge_min - 1.0
-        # OMA rates are half-slot; outage compares the halved rate to the targets.
-        self.thr_c_oma = 2.0 ** (2.0 * scn.r_center_min) - 1.0
-        self.thr_f_oma = 2.0 ** (2.0 * scn.r_edge_min) - 1.0
+    def __init__(self, scn: MultiCellScenario, share: float):
+        self.share = share
+        self.thr_c = 2.0 ** (scn.r_center_min / share) - 1.0
+        self.thr_f = 2.0 ** (scn.r_edge_min / share) - 1.0
         self.c_rate = np.zeros(scn.n_cells)
         self.c_out = np.zeros(scn.n_cells)
-        self.c_rate_oma = np.zeros(scn.n_cells)
-        self.c_out_oma = np.zeros(scn.n_cells)
-        self.e_rate = self.e_out = self.e_rate_oma = self.e_out_oma = 0.0
+        self.e_rate = self.e_out = 0.0
+
+    def add(self, edge, center, center_sic=None):
+        """One chunk's SINRs. A NOMA center user is also in outage when its
+        SIC stage (center_sic) misses the edge user's target."""
+        out = center < self.thr_c
+        if center_sic is not None:
+            out |= center_sic < self.thr_f
+        self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
+        self.e_out += float(np.sum(edge < self.thr_f))
+        self.c_rate += self.share * np.sum(np.log2(1.0 + center), axis=0)
+        self.c_out += np.sum(out, axis=0)
+
+    def aggregates(self, n: int) -> Aggregates:
+        return Aggregates(self.c_rate / n, self.c_out / n, self.e_rate / n, self.e_out / n)
+
+
+class _Point:
+    """Per-point constants and the NOMA and OMA sums of one simulate_network
+    point."""
+
+    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None):
+        if mode not in _NETWORK_MODES:
+            raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
+        self.scn = scn
+        self.coop = np.arange(scn.n_cells) < scn.n_coop
+        coop_code, noncoop_code = _NETWORK_MODES[mode]
+        self.code = [coop_code if c else noncoop_code for c in self.coop]
+        self.n_co = None if split is None else math.ceil(split * scn.k_elements)
+        self.noma, self.oma = _Sums(scn, 1.0), _Sums(scn, 0.5)
 
     def edge_gains(self, by_code, by_split):
         if self.n_co is not None:
             return by_split[self.n_co]
         return np.stack([by_code[c][:, i] for i, c in enumerate(self.code)], axis=1)
 
-    def add(self, edge, edge_oma, c_own, c_cf, c_oma):
-        self.e_rate += float(np.sum(np.log2(1.0 + edge)))
-        self.e_out += float(np.sum(edge < self.thr_f))
-        self.e_rate_oma += 0.5 * float(np.sum(np.log2(1.0 + edge_oma)))
-        self.e_out_oma += float(np.sum(edge_oma < self.thr_f_oma))
-        self.c_rate += np.sum(np.log2(1.0 + c_own), axis=0)
-        self.c_out += np.sum((c_cf < self.thr_f) | (c_own < self.thr_c), axis=0)
-        self.c_rate_oma += 0.5 * np.sum(np.log2(1.0 + c_oma), axis=0)
-        self.c_out_oma += np.sum(c_oma < self.thr_c_oma, axis=0)
-
-    def aggregates(self, n: int) -> ModeAggregates:
-        return ModeAggregates(
-            mode=self.mode,
-            center_rates=self.c_rate / n,
-            center_outage=self.c_out / n,
-            edge_rate=self.e_rate / n,
-            edge_outage=self.e_out / n,
-            oma_center_rates=self.c_rate_oma / n,
-            oma_center_outage=self.c_out_oma / n,
-            oma_edge_rate=self.e_rate_oma / n,
-            oma_edge_outage=self.e_out_oma / n,
-        )
-
 
 def simulate_network(
     scn: MultiCellScenario,
     points,
-    n: int | None = None,
+    n: int,
     seed: int = 0,
-) -> list[ModeAggregates]:
+) -> list[tuple[Aggregates, Aggregates]]:
     """Monte Carlo aggregates of several network RIS configurations over one
-    set of channel draws: one ModeAggregates per point, in order.
+    set of n trials' channel draws: one (NOMA, OMA) pair of Aggregates per
+    point, in order.
 
-    Each point is (scn_v, mode, split). scn fixes the draws (and n_trials
-    when n is None); every scn_v must agree with it on the fields the draws
-    read (_DRAW_FIELDS), else ValueError. Each chunk is drawn once per call
+    Each point is (scn_v, mode, split). scn fixes the draws; every scn_v
+    must agree with it on the fields the draws read (_DRAW_FIELDS), else
+    ValueError, as for a mode not in MODES. Each chunk is drawn once per call
     and shared by every point and mode; the powers, thresholds, cooperative
-    set and mode of a point come from its scn_v. split, when not None,
-    replaces the mode's RIS assignment of every cell, cooperative or not, by
-    the cancellation/enhancement element split; used by the split-ratio
-    experiment.
+    set (the first n_coop cells) and mode of a point come from its scn_v.
+    split, when not None, replaces the mode's RIS assignment of every cell,
+    cooperative or not, by the cancellation/enhancement element split; used
+    by the split-ratio experiment. OMA is equal-time TDMA on the same draws.
     """
-    n = scn.n_trials if n is None else n
     pts = []
     for scn_v, mode, split in points:
         differ = [f for f in _DRAW_FIELDS if getattr(scn_v, f) != getattr(scn, f)]
@@ -279,12 +209,14 @@ def simulate_network(
         by_code, by_split = kernels.multicell_edge_gains(ed, casc, rnd, codes, n_cos)
         del ed, casc, rnd
         for p in pts:
-            p.add(*kernels.multicell_edge_sinr(
+            edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
                 p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
                 p.scn.tx_power_w, p.scn.noise_w,
-            ))
+            )
+            p.noma.add(edge, c_own, c_cf)
+            p.oma.add(edge_oma, c_oma)
         start += m
-    return [p.aggregates(n) for p in pts]
+    return [(p.noma.aggregates(n), p.oma.aggregates(n)) for p in pts]
 
 
 def _ee_rows(keyed, modes, n, seed) -> list[dict]:
@@ -294,30 +226,18 @@ def _ee_rows(keyed, modes, n, seed) -> list[dict]:
     if not keyed:
         return []
     points = [(key, scn_v, mode) for key, scn_v in keyed for mode in modes]
-    aggs = simulate_network(keyed[0][1], [(s, m, None) for _, s, m in points],
-                            n=n, seed=seed)
-    rows = []
-    for (key, scn_v, mode), agg in zip(points, aggs):
-        pm = PowerModel(
-            scn_v.amp_efficiency, scn_v.static_power_w, scn_v.element_power_w,
-            scn_v.tx_power_w,
-        )
-        ee = energy_efficiency(
-            (1.0 - agg.center_outage) * agg.center_rates,
-            (1.0 - agg.edge_outage) * agg.edge_rate,
-            pm, network_coop(scn_v, mode), scn_v.k_elements,
-        )
-        rows.append(
-            {
-                **key,
-                "mode": mode,
-                "ee": ee,
-                "outage_sum_rate": agg.outage_sum_rate,
-                "edge_outage": agg.edge_outage,
-                "mean_center_outage": float(np.mean(agg.center_outage)),
-            }
-        )
-    return rows
+    aggs = simulate_network(keyed[0][1], [(s, m, None) for _, s, m in points], n, seed)
+    return [
+        {
+            **key,
+            "mode": mode,
+            "ee": energy_efficiency(scn_v, mode, noma),
+            "outage_sum_rate": noma.outage_sum_rate,
+            "edge_outage": noma.edge_outage,
+            "mean_center_outage": float(np.mean(noma.center_outage)),
+        }
+        for (key, scn_v, mode), (noma, _) in zip(points, aggs)
+    ]
 
 
 def ee_sweep(
@@ -325,10 +245,12 @@ def ee_sweep(
     axis: str,
     values,
     modes=MODES,
-    n: int | None = None,
+    *,
+    n: int,
     seed: int = 0,
 ) -> list[dict]:
-    """Energy-efficiency sweep along one axis (J, K, P_t, or R_th).
+    """Energy-efficiency sweep along one axis (J, K, P_t, or R_th) over n
+    trials.
 
     Sweep points share trial substreams (common random numbers), so
     per-seed orderings are not noise artifacts. Each chunk is drawn once per
@@ -359,11 +281,13 @@ def ee_grid(
     p_t_values,
     r_th_values,
     modes=MODES,
-    n: int | None = None,
+    *,
+    n: int,
     seed: int = 0,
 ) -> list[dict]:
     """Energy efficiency over the joint transmit-power x rate-threshold grid
-    (power-major, then threshold, then mode), from one simulate_network call."""
+    (power-major, then threshold, then mode), from one simulate_network call
+    of n trials."""
     keyed = [
         ({"p_t_dbm": p_t, "r_th": r},
          replace(scn, p_t_dbm=p_t, r_center_min=r, r_edge_min=r))
@@ -376,11 +300,12 @@ def osum_sweep(
     scn: MultiCellScenario,
     p_t_values,
     modes=MODES,
-    n: int | None = None,
+    *,
+    n: int,
     seed: int = 0,
 ) -> list[dict]:
     """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline
-    (on the "ec" draws), from one simulate_network call."""
+    (on the "ec" draws), from one simulate_network call of n trials."""
     modes = tuple(modes)
     point_modes = modes + (("ec",) if "ec" not in modes else ())
     p_t_values = list(p_t_values)
@@ -388,14 +313,14 @@ def osum_sweep(
         (replace(scn, p_t_dbm=p_t), mode, None)
         for p_t in p_t_values for mode in point_modes
     ]
-    aggs = iter(simulate_network(scn, points, n=n, seed=seed))
+    aggs = iter(simulate_network(scn, points, n, seed))
     rows = []
     for p_t in p_t_values:
         by_mode = {mode: next(aggs) for mode in point_modes}
         rows += [{"p_t_dbm": p_t, "mode": f"noma-{mode}",
-                  "outage_sum_rate": by_mode[mode].outage_sum_rate} for mode in modes]
+                  "outage_sum_rate": by_mode[mode][0].outage_sum_rate} for mode in modes]
         rows.append({"p_t_dbm": p_t, "mode": "oma-ec",
-                     "outage_sum_rate": by_mode["ec"].oma_outage_sum_rate})
+                     "outage_sum_rate": by_mode["ec"][1].outage_sum_rate})
     return rows
 
 
@@ -403,15 +328,15 @@ def split_sweep(
     scn: MultiCellScenario,
     splits,
     coop_counts,
-    n: int | None = None,
+    n: int,
     seed: int = 0,
 ) -> list[dict]:
     """Outage sum rate vs cancellation/enhancement element split ratio, from
-    one simulate_network call."""
+    one simulate_network call of n trials."""
     keys = [(j, split) for j in coop_counts for split in splits]
     points = [(replace(scn, n_coop=j), "ec", split) for j, split in keys]
-    aggs = simulate_network(scn, points, n=n, seed=seed)
+    aggs = simulate_network(scn, points, n, seed)
     return [
-        {"split": split, "J": j, "outage_sum_rate": agg.outage_sum_rate}
-        for (j, split), agg in zip(keys, aggs)
+        {"split": split, "J": j, "outage_sum_rate": noma.outage_sum_rate}
+        for (j, split), (noma, _) in zip(keys, aggs)
     ]

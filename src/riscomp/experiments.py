@@ -151,7 +151,7 @@ def _run_exhaustive_star(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.multicell_scenario()
-    n = _trials(cfg, scn.n_trials)
+    n = _trials(cfg, 10_000)
     outputs = []
     # Joint power/threshold grid (contour) when both axes are requested.
     if "r_th_values" in cfg.sweep and "p_t_dbm" in cfg.sweep:
@@ -193,7 +193,7 @@ def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_osum_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.multicell_scenario()
-    n = _trials(cfg, scn.n_trials)
+    n = _trials(cfg, 10_000)
     p_values = cfg.sweep.get("p_t_dbm", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
     rows = [
         (r["p_t_dbm"], r["mode"], r["outage_sum_rate"])
@@ -206,7 +206,7 @@ def _run_osum_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_split_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.multicell_scenario()
-    n = _trials(cfg, scn.n_trials)
+    n = _trials(cfg, 10_000)
     splits = cfg.sweep.get("splits", [0.0, 0.25, 0.5, 0.75, 1.0])
     coop_counts = cfg.sweep.get("j_values", [1, scn.n_cells // 2, scn.n_cells])
     rows = [
@@ -218,14 +218,9 @@ def _run_split_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     return [path]
 
 
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(**cfg.train)
-
-
 def _run_drl_train(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.aerial_scenario()
-    tc = _train_config(cfg)
-    result = train(scn, tc, seed=cfg.seed)
+    result = train(scn, TrainConfig(**cfg.train), seed=cfg.seed)
     ma = result.moving_average(100)
     rows = []
     for ep, r in enumerate(result.rewards):
@@ -240,10 +235,9 @@ def _run_drl_train(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
 
 def _run_drl_eval(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     scn = cfg.aerial_scenario()
-    tc = _train_config(cfg)
     params = load_params(cfg.checkpoint)
-    check_checkpoint(params, scn, tc, cfg.checkpoint)
-    ev = evaluate(scn, params, tc, seed=cfg.seed, episodes=10)
+    check_checkpoint(params, scn, TrainConfig(**cfg.train), cfg.checkpoint)
+    ev = evaluate(scn, params, seed=cfg.seed, episodes=10)
     rows = [tuple(t) for t in ev["traces"]]
     path = outdir / "trajectory.csv"
     user_cols = [f"rate_center{i + 1}" for i in range(scn.n_bs)] + ["rate_edge"]

@@ -34,7 +34,6 @@ CHUNK = 4096
 # Stream labels (part of the documented substream scheme).
 _STREAM_TRIALS = 101
 
-USERS = ("center1", "center2", "edge")
 SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
               "edge", "edge_nocomp")
 

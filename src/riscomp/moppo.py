@@ -509,13 +509,12 @@ def train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainRes
 def evaluate(
     scenario: AerialScenario,
     params: PolicyParams,
-    cfg: TrainConfig,
     seed: int = 0,
     episodes: int = 5,
 ) -> dict:
     """Deterministic-policy evaluation (the most probable move and the mean
-    continuous action): mean per-slot sum rate and reward. cfg is not read;
-    the network is the one params holds."""
+    continuous action) of the network params holds: mean per-slot sum rate
+    and reward."""
     env = ArisEnv(scenario, seed=seed)
     scale = state_scale(scenario)
     sum_rates = []

@@ -182,15 +182,12 @@ class MultiCellScenario:
     amp_efficiency: float = 0.4
     static_power_dbm: float = 30.0
     element_power_dbm: float = 5.0
-    n_trials: int = 10000
 
     def __post_init__(self):
         if not 1 <= self.n_coop <= self.n_cells:
             raise ValueError("cooperative set must satisfy 1 <= J <= I")
         if not 0.5 < self.zeta_edge < 1.0:
             raise ValueError("edge allocation factor must lie in (0.5, 1)")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
         if not 0 < self.amp_efficiency <= 1:
             raise ValueError("amplifier efficiency must lie in (0, 1]")
 

@@ -327,7 +327,7 @@ def test_criterion_9_drl_learning():
     best = exhaustive_baseline(grid_scn, n_positions=25, phase_levels=8,
                                alloc_levels=5, n_eval=200, seed=7)
     res = train(grid_scn, OPTIMALITY_CFG, seed=0)
-    ev = evaluate(grid_scn, res.params, OPTIMALITY_CFG, seed=7, episodes=5)
+    ev = evaluate(grid_scn, res.params, seed=7, episodes=5)
     ratio = ev["mean_sum_rate"] / best["value"]
     ok = _report("9 >= 90% of exhaustive optimum", ratio >= 0.90,
                  f"ratio={ratio:.3f}") and ok

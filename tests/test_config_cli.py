@@ -153,7 +153,7 @@ def test_trials_must_be_positive_for_every_kind():
         for trials in (0, -3):
             with pytest.raises(ConfigError, match="trials must be >= 1"):
                 from_mapping({"kind": kind, "trials": trials})
-    with pytest.raises(ConfigError, match="n_trials must be >= 1"):
+    with pytest.raises(ConfigError, match="unknown scenario key 'n_trials' for kind osum-sweep"):
         from_mapping({"kind": "osum-sweep", "scenario.n_trials": 0})
 
 
@@ -332,6 +332,10 @@ def test_every_db_scenario_key_checked_for_overflow(kind):
         if key == "noise_figure_db":  # sigma^2 underflows to 0: no finite rho
             with pytest.raises(ConfigError, match=r"noise power .* is not finite and > 0"):
                 from_mapping({"kind": kind, f"scenario.{key}": -4000.0})
+        elif kind == "ee-sweep" and key in ("p_t_dbm", "static_power_dbm", "element_power_dbm"):
+            # Finite, but energy efficiency divides by the 0 W it underflows to.
+            with pytest.raises(ConfigError, match=rf"scenario\.{key}: -4000\.0 dBm is 0 W"):
+                from_mapping({"kind": kind, f"scenario.{key}": -4000.0})
         else:
             from_mapping({"kind": kind, f"scenario.{key}": -4000.0})  # underflow to 0 is finite
 
@@ -372,6 +376,27 @@ def test_cli_validate_rejects_integers_beyond_float_range(tmp_path, capsys, text
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scenario.element_power_dbm = -4000\n", r"scenario\.element_power_dbm: -4000\.0"),
+    ("scenario.static_power_dbm = -4000\n", r"scenario\.static_power_dbm: -4000\.0"),
+    ("scenario.p_t_dbm = -4000\nsweep.k_values = 4\n", r"scenario\.p_t_dbm: -4000\.0"),
+    ("sweep.p_t_dbm = 0, -4000\n", r"sweep\.p_t_dbm\[1\]: -4000\.0"),
+], ids=["element", "static", "p_t", "sweep-p_t"])
+def test_cli_validate_rejects_zero_watt_ee_powers(tmp_path, capsys, text, key):
+    # Energy efficiency divides by these powers; -4000 dBm underflows to 0 W.
+    errors, path = _validate_error_lines(tmp_path, capsys, "kind = ee-sweep\n" + text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=key + " dBm is 0 W"):
+        load_config(path)
+    assert main(["run", str(path), "--trials", "10", "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_ee_power_of_an_unused_scenario_p_t_not_checked():
+    # With sweep.p_t_dbm as the only axis no point uses scenario.p_t_dbm.
+    from_mapping({"kind": "ee-sweep", "scenario.p_t_dbm": -4000.0, "sweep.p_t_dbm": [0.0]})
+
+
 def test_cli_validate_rejects_pdf_validation_below_ks_minimum(tmp_path, capsys):
     errors, path = _validate_error_lines(
         tmp_path, capsys, "kind = pdf-validation\ntrials = 10\n")
@@ -404,7 +429,6 @@ _SCENARIO_VALUES = {
     "default_alloc": _OPEN_HALF_TO_ONE,
     "uav_start_x": st.floats(-50.0, 50.0),  # inside the tiny scenario's area
     "uav_start_y": st.floats(-50.0, 50.0),
-    "n_trials": st.integers(1, 10**6),
     "t_slots": st.integers(1, 500),
     "k_elements": st.integers(0, 300),
 }

@@ -10,11 +10,9 @@ from riscomp import kernels
 from riscomp.channel import substream
 from riscomp.energy import (
     MODES,
-    CoopStructure,
-    PowerModel,
+    Aggregates,
     energy_efficiency,
     ee_sweep,
-    network_coop,
     osum_sweep,
     simulate_network,
     split_sweep,
@@ -22,9 +20,18 @@ from riscomp.energy import (
 from riscomp.montecarlo import CHUNK
 from riscomp.scenarios import MultiCellScenario
 
-PM = PowerModel(amp_efficiency=0.4, static_cell_power=1.0, per_element_power=3.16e-3,
-                tx_power=1.0)
-SCN = MultiCellScenario(n_trials=2000)
+SCN = MultiCellScenario()
+SMALL = MultiCellScenario(n_cells=3, n_coop=2, k_elements=8)
+# P_t = 1 W, lambda = 0.4, P_Q = 1 W and P_element = 3.16e-3 W (about 5 dBm),
+# so every cell's base power P_t/lambda + P_Q is 3.5 W.
+EE_SCN = MultiCellScenario(p_t_dbm=30.0, amp_efficiency=0.4, static_power_dbm=30.0,
+                           element_power_dbm=10.0 * math.log10(3.16))
+
+
+def _agg(center_outage_rates, edge_outage_rate):
+    # Outage-free aggregates whose outage rates (1 - p_out) * R are the rates.
+    center = np.array(center_outage_rates, dtype=float)
+    return Aggregates(center, np.zeros_like(center), edge_outage_rate, 0.0)
 
 
 def _split_sinr(scn, ed, casc, cg, coop, split):
@@ -37,47 +44,48 @@ def _split_sinr(scn, ed, casc, cg, coop, split):
 
 
 def _one(scn, mode, n, seed):
-    return simulate_network(scn, [(scn, mode, None)], n=n, seed=seed)[0]
+    return simulate_network(scn, [(scn, mode, None)], n=n, seed=seed)[0][0]
 
 
 def test_energy_efficiency_single_cell():
-    cs = CoopStructure((1,), 1, ("off",))
-    val = energy_efficiency([1.0], 0.0, PM, cs, k_elements=0)
+    scn = replace(EE_SCN, n_cells=1, n_coop=1, k_elements=0)
+    val = energy_efficiency(scn, "no-ris", _agg([1.0], 0.0))
     assert val == pytest.approx(1.0 / 3.5)
 
 
 def test_energy_efficiency_linearity_and_zero():
-    cs = CoopStructure((1, 2), 3, ("eo", "eo", "ec"))
-    base = energy_efficiency([1.0, 2.0, 0.5], 1.5, PM, cs, 70)
-    doubled = energy_efficiency([2.0, 4.0, 1.0], 3.0, PM, cs, 70)
+    scn = replace(EE_SCN, n_cells=3, n_coop=2, k_elements=70)
+    base = energy_efficiency(scn, "ec", _agg([1.0, 2.0, 0.5], 1.5))
+    doubled = energy_efficiency(scn, "ec", _agg([2.0, 4.0, 1.0], 3.0))
     assert doubled == pytest.approx(2.0 * base)
-    assert energy_efficiency([0.0, 0.0, 0.0], 0.0, PM, cs, 70) == 0.0
+    assert energy_efficiency(scn, "ec", _agg([0.0, 0.0, 0.0], 0.0)) == 0.0
 
 
 def test_energy_efficiency_decreasing_in_power_overheads():
-    cs = CoopStructure((1,), 2, ("eo", "ec"))
-    rates = [1.0, 1.0]
-    lo = energy_efficiency(rates, 1.0, PM, cs, 10)
-    hi_pq = PowerModel(0.4, 2.0, 3.16e-3, 1.0)
-    hi_pele = PowerModel(0.4, 1.0, 6.32e-3, 1.0)
-    assert energy_efficiency(rates, 1.0, hi_pq, cs, 10) < lo
-    assert energy_efficiency(rates, 1.0, hi_pele, cs, 10) < lo
+    scn = replace(EE_SCN, n_cells=2, n_coop=1, k_elements=10)
+    agg = _agg([1.0, 1.0], 1.0)
+    lo = energy_efficiency(scn, "ec", agg)
+    hi_pq = replace(scn, static_power_dbm=10.0 * math.log10(2.0) + 30.0)
+    hi_pele = replace(scn, element_power_dbm=10.0 * math.log10(6.32))
+    assert energy_efficiency(hi_pq, "ec", agg) < lo
+    assert energy_efficiency(hi_pele, "ec", agg) < lo
 
 
 def test_coop_structure_validation():
-    with pytest.raises(ValueError):
-        CoopStructure((), 2, ("eo", "eo"))
-    with pytest.raises(ValueError):
-        CoopStructure((3,), 2, ("eo", "eo"))
-    with pytest.raises(ValueError):
-        CoopStructure((1,), 2, ("eo", "bogus"))
+    # The cooperative set (the first n_coop cells) is checked by the
+    # scenario; what simulate_network itself refuses is an unknown mode.
+    with pytest.raises(ValueError, match="unknown network mode 'bogus'"):
+        simulate_network(SMALL, [(SMALL, "bogus", None)], n=10, seed=0)
 
 
 def test_network_modes_coincide_at_full_cooperation():
-    scn = replace(SCN, n_coop=SCN.n_cells)
-    eo = network_coop(scn, "eo")
-    ec = network_coop(scn, "ec")
-    assert eo.ris_mode == ec.ris_mode
+    scn = replace(SMALL, n_coop=SMALL.n_cells)
+    (eo, eo_oma), (ec, ec_oma) = simulate_network(
+        scn, [(scn, "eo", None), (scn, "ec", None)], n=200, seed=1)
+    for a, b in ((eo, ec), (eo_oma, ec_oma)):
+        assert a.edge_rate == b.edge_rate and a.edge_outage == b.edge_outage
+        assert np.array_equal(a.center_rates, b.center_rates)
+        assert np.array_equal(a.center_outage, b.center_outage)
 
 
 def test_split_mode_matches_phase_oracle():
@@ -183,9 +191,6 @@ def test_split_sweep_runs():
     assert full[0.0] > full[1.0]
 
 
-SMALL = MultiCellScenario(n_cells=3, n_coop=2, k_elements=8)
-
-
 def _count_mc_draws(monkeypatch):
     labels = []
 
@@ -217,14 +222,14 @@ def test_mixed_points_equal_single_point_calls():
                for j, split in ((1, 0.25), (3, 0.75))]
     joint = simulate_network(SMALL, points, n=CHUNK + 1, seed=11)
     assert len(joint) == len(points)
-    for point, agg in zip(points, joint):
+    for point, pair in zip(points, joint):
         single = simulate_network(SMALL, [point], n=CHUNK + 1, seed=11)[0]
-        assert agg.mode == single.mode
-        for field in ("edge_rate", "edge_outage", "oma_edge_rate", "oma_edge_outage"):
-            assert getattr(agg, field) == getattr(single, field), (point, field)
-        for field in ("center_rates", "center_outage", "oma_center_rates",
-                      "oma_center_outage"):
-            assert np.array_equal(getattr(agg, field), getattr(single, field)), (point, field)
+        for scheme, agg, one in zip(("noma", "oma"), pair, single):
+            for field in ("edge_rate", "edge_outage"):
+                assert getattr(agg, field) == getattr(one, field), (point, scheme, field)
+            for field in ("center_rates", "center_outage"):
+                assert np.array_equal(getattr(agg, field), getattr(one, field)), (
+                    point, scheme, field)
 
 
 @pytest.mark.parametrize("override", [{"k_elements": 4}, {"d_edge": 120.0},
