@@ -1,6 +1,9 @@
 """Experiment configuration: a line-oriented key=value format with dotted
 keys and comments, typed and validated against per-kind schemas.
 
+The type of every scenario and train key is the annotation of its field in
+the scenario dataclass or `TrainConfig`; only the top-level keys, the sweep
+lists and the few scenario pseudo-keys that are no field are typed here.
 Every value is converted once, in `from_mapping`, to the type of its key:
 config text arrives as strings and is parsed by that type (a string key
 keeps its text), and Python values (presets, tests) must already have it.
@@ -17,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .moppo import TrainConfig
 from .montecarlo import KS_MIN_SAMPLES
@@ -28,87 +32,43 @@ from .scenarios import (
 )
 from .units import db_to_linear, dbm_to_watts
 
-KINDS = (
-    "pdf-validation",
-    "er-sweep",
-    "outage-sweep",
-    "exhaustive-star",
-    "ee-sweep",
-    "osum-sweep",
-    "split-sweep",
-    "drl-train",
-    "drl-eval",
+
+def _schema(cls: type, names: tuple[str, ...], **pseudo: type) -> dict[str, type]:
+    """Key -> type of the exposed fields `names` of cls, as annotated, then
+    of the pseudo-keys, which are no field of cls; the scenario methods of
+    `ExperimentConfig` turn them into fields (`tiny` picks the base scenario)."""
+    hints = get_type_hints(cls)
+    return {**{name: hints[name] for name in names}, **pseudo}
+
+
+_COORDINATED_KEYS = _schema(
+    CoordinatedScenario,
+    ("p_t_dbm", "rho_o_db", "bandwidth_hz", "noise_figure_db", "zeta_center",
+     "zeta_edge", "k_elements", "beta_t", "beta_r", "m_direct", "m_bs_ris",
+     "m_ris_user"),
+    threshold_center_db=float, threshold_edge_db=float, assignment_1=int, assignment_2=int,
 )
 
-_COORDINATED_KEYS = {
-    "p_t_dbm": float,
-    "rho_o_db": float,
-    "bandwidth_hz": float,
-    "noise_figure_db": float,
-    "zeta_center": float,
-    "zeta_edge": float,
-    "k_elements": int,
-    "beta_t": float,
-    "beta_r": float,
-    "m_direct": float,
-    "m_bs_ris": float,
-    "m_ris_user": float,
-    "threshold_center_db": float,
-    "threshold_edge_db": float,
-    "assignment_1": int,
-    "assignment_2": int,
-}
+_MULTICELL_KEYS = _schema(
+    MultiCellScenario,
+    ("n_cells", "n_coop", "k_elements", "p_t_dbm", "rho_o_db", "bandwidth_hz",
+     "zeta_edge", "kappa_db", "r_center_min", "r_edge_min", "amp_efficiency",
+     "static_power_dbm", "element_power_dbm"),
+)
 
-_MULTICELL_KEYS = {
-    "n_cells": int,
-    "n_coop": int,
-    "k_elements": int,
-    "p_t_dbm": float,
-    "rho_o_db": float,
-    "bandwidth_hz": float,
-    "zeta_edge": float,
-    "kappa_db": float,
-    "r_center_min": float,
-    "r_edge_min": float,
-    "amp_efficiency": float,
-    "static_power_dbm": float,
-    "element_power_dbm": float,
-}
+_AERIAL_KEYS = _schema(
+    AerialScenario,
+    ("k_elements", "t_slots", "p_t_dbm", "rho_o_db", "kappa_db", "d_min",
+     "step_length", "k_viol", "r_center_min", "r_edge_min", "default_alloc", "oma"),
+    tiny=bool, uav_start_x=float, uav_start_y=float,
+)
 
-_AERIAL_KEYS = {
-    "k_elements": int,
-    "t_slots": int,
-    "p_t_dbm": float,
-    "rho_o_db": float,
-    "kappa_db": float,
-    "d_min": float,
-    "step_length": float,
-    "k_viol": float,
-    "r_center_min": float,
-    "r_edge_min": float,
-    "default_alloc": float,
-    "oma": bool,
-    "tiny": bool,
-    "uav_start_x": float,
-    "uav_start_y": float,
-}
-
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "clip_eps": float,
-    "gamma": float,
-    "episodes": int,
-    "epochs": int,
-    "batch": int,
-    "rollout": int,
-    "hidden": int,
-    "head_hidden": int,
-    "value_coef": float,
-    "entropy_coef": float,
-    "episodes_per_update": int,
-    "kl_stop": float,
-    "entropy_decay": bool,
-}
+_TRAIN_KEYS = _schema(
+    TrainConfig,
+    ("learning_rate", "clip_eps", "gamma", "episodes", "epochs", "batch",
+     "rollout", "hidden", "head_hidden", "value_coef", "entropy_coef",
+     "episodes_per_update", "kl_stop", "entropy_decay"),
+)
 
 _TOP_KEYS = {
     "kind": str,
@@ -129,6 +89,7 @@ _SWEEP_KEYS = {
     "assignment_values": (int, ("exhaustive-star",)),
 }
 
+# The scenario family of every kind, named by its key schema.
 _SCENARIO_KEYS_BY_KIND = {
     "pdf-validation": _COORDINATED_KEYS,
     "er-sweep": _COORDINATED_KEYS,
@@ -140,6 +101,8 @@ _SCENARIO_KEYS_BY_KIND = {
     "drl-train": _AERIAL_KEYS,
     "drl-eval": _AERIAL_KEYS,
 }
+
+KINDS = tuple(_SCENARIO_KEYS_BY_KIND)
 
 
 class ConfigError(ValueError):
@@ -408,24 +371,25 @@ def validate(cfg: ExperimentConfig) -> None:
                           "which the manifest cannot record")
     errors.extend(_sweep_errors(cfg))
     schema = _SCENARIO_KEYS_BY_KIND[cfg.kind]
-    for key, value in cfg.scenario.items():
-        if schema.get(key) is not float:
-            continue
-        if not math.isfinite(value):
-            errors.append(f"scenario.{key}: expected a finite number, got {value!r}")
-        elif key.endswith(("_db", "_dbm")) and _overflows(key, value):
-            errors.append(f"scenario.{key}: {value!r} overflows on conversion to linear scale")
-    drl = cfg.kind in ("drl-train", "drl-eval")
+    drl = schema is _AERIAL_KEYS
+    sections = [("scenario", cfg.scenario, schema)]
     if drl:
-        for key, value in cfg.train.items():
-            if _TRAIN_KEYS.get(key) is float and not math.isfinite(value):
-                errors.append(f"train.{key}: expected a finite number, got {value!r}")
+        sections.append(("train", cfg.train, _TRAIN_KEYS))
+    for section, values, keys in sections:
+        for key, value in values.items():
+            if keys.get(key) is not float:
+                continue
+            if not math.isfinite(value):
+                errors.append(f"{section}.{key}: expected a finite number, got {value!r}")
+            elif key.endswith(("_db", "_dbm")) and _overflows(key, value):
+                errors.append(f"{section}.{key}: {value!r} overflows on conversion to "
+                              "linear scale")
     # Construct the scenario (and training setup) once to surface invariant
     # violations.
     try:
-        if cfg.kind in ("pdf-validation", "er-sweep", "outage-sweep", "exhaustive-star"):
+        if schema is _COORDINATED_KEYS:
             scn = cfg.coordinated_scenario()
-        elif cfg.kind in ("ee-sweep", "osum-sweep", "split-sweep"):
+        elif schema is _MULTICELL_KEYS:
             scn = cfg.multicell_scenario()
         else:
             scn = cfg.aerial_scenario()

@@ -10,7 +10,7 @@ shapes of `_layout`, and `update` rewrites the vectors in place through
 preallocated gradient and scratch vectors, so a training step allocates
 nothing of the network's size. A checkpoint holds the weights only: the
 magic, (version 2, state_dim, n_cont, hidden, head_hidden) as uint32, then
-theta. Version 1 files (a shape table, weights and Adam moments) still load.
+theta. Only version 2 loads; an older file is refused with its version named.
 
 There is one agent: it moves the UAV (discrete head) and sets the RIS phases
 and allocation factors (Gaussian head). The exhaustive grid search that the
@@ -63,12 +63,14 @@ class TrainConfig:
     entropy_decay: bool = False
 
     def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError("learning rate must be > 0")
         if not 0 < self.clip_eps < 1:
             raise ValueError("clip epsilon must lie in (0, 1)")
         if not 0 < self.gamma <= 1:
             raise ValueError("discount must lie in (0, 1]")
-        if min(self.episodes, self.epochs, self.batch, self.rollout,
-               self.episodes_per_update) < 1:
+        if min(self.episodes, self.epochs, self.batch, self.rollout, self.hidden,
+               self.head_hidden, self.episodes_per_update) < 1:
             raise ValueError("counts must be >= 1")
 
 
@@ -577,47 +579,21 @@ def _payload(path, data: bytes, off: int, count: int) -> np.ndarray:
     return np.frombuffer(data, np.float64, count, off)
 
 
-def _read_v1(path, data: bytes) -> tuple[tuple, np.ndarray]:
-    """Sizes and theta of a version 1 checkpoint: a shape table in name
-    order, then per array its weights and both Adam moments (skipped)."""
-    # After the magic: version, n_arrays, step (int64), state_dim, n_cont.
-    n_arrays, state_dim, n_cont = struct.unpack_from("<I8xII", data, 11)
-    off, table = 31, {}
-    for _ in range(n_arrays):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        name = data[off + 2 : off + 2 + nlen].decode()
-        (ndim,) = struct.unpack_from("<B", data, off + 2 + nlen)
-        table[name] = struct.unpack_from(f"<{ndim}q", data, off + 3 + nlen)
-        off += 3 + nlen + 8 * ndim
-    sizes = (state_dim, n_cont, *(table.get(k, (0,))[0] for k in ("b1", "bd")))
-    if table != _layout(*sizes):
-        raise ValueError(f"{path}: version 1 shape table is not the policy network")
-    payload, weights = _payload(path, data, off, 3 * _size(table)), {}
-    for name, shape in table.items():
-        weights[name] = payload[: math.prod(shape)]
-        payload = payload[3 * math.prod(shape) :]
-    return sizes, np.concatenate([weights[name] for name in _layout(*sizes)])
-
-
 def load_params(path) -> PolicyParams:
-    """Weights of a version 2 or version 1 checkpoint; Adam starts afresh.
-    Raise ValueError, naming the file, on a bad magic, an unknown version,
-    a malformed header or a payload of the wrong length."""
+    """Weights of a version 2 checkpoint; Adam starts afresh. Raise
+    ValueError, naming the file, on a bad magic, any other version (older
+    files included), a malformed header or a payload of the wrong length."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path}: not a policy checkpoint (bad magic)")
     try:
         version, *sizes = _HEADER.unpack_from(data, len(CHECKPOINT_MAGIC))
-        if version == 1:
-            sizes, theta = _read_v1(path, data)
-        elif version == CHECKPOINT_VERSION:
-            theta = _payload(path, data, len(CHECKPOINT_MAGIC) + _HEADER.size,
-                             _size(_layout(*sizes)))
-        else:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+    except struct.error as exc:
         raise ValueError(f"{path}: malformed checkpoint header ({exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    theta = _payload(path, data, len(CHECKPOINT_MAGIC) + _HEADER.size, _size(_layout(*sizes)))
     params = PolicyParams(*sizes)
     params.theta[...] = theta
     return params

@@ -55,9 +55,6 @@ class CoordinatedScenario:
     alpha_ris_center: float = 2.7
     alpha_ris_edge: float = 2.3
     alpha_ici: float = 4.0
-    # Rician factors (dB) for the RIS-side links of the complex-channel model.
-    kappa_ris_center_db: float = 3.0
-    kappa_ris_edge_db: float = 4.0
     # Geometry (meters).
     bs1: tuple = (-50.0, 0.0, 25.0)
     bs2: tuple = (50.0, 0.0, 25.0)
@@ -186,6 +183,8 @@ class MultiCellScenario:
     def __post_init__(self):
         if not 1 <= self.n_coop <= self.n_cells:
             raise ValueError("cooperative set must satisfy 1 <= J <= I")
+        if self.k_elements < 0:
+            raise ValueError("k_elements must be >= 0")
         if not 0.5 < self.zeta_edge < 1.0:
             raise ValueError("edge allocation factor must lie in (0.5, 1)")
         if not 0 < self.amp_efficiency <= 1:
@@ -267,6 +266,8 @@ class AerialScenario:
             raise ValueError("UAV start outside the operating area")
         if self.d_min <= 0:
             raise ValueError("d_min must be positive")
+        if self.k_elements < 0:
+            raise ValueError("k_elements must be >= 0")
         if self.t_slots < 1:
             raise ValueError("episode length must be >= 1")
         if not 0.5 < self.default_alloc < 1.0:

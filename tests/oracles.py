@@ -3,9 +3,8 @@ against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the per-array Adam step, the policy initialisation as
-one literal dict of arrays, the version 1 checkpoint writer and the
-exhaustive grid search over static aerial configurations that the trained
-policy is measured against.
+one literal dict of arrays and the exhaustive grid search over static
+aerial configurations that the trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -14,9 +13,7 @@ directly, so agreement between the two is evidence for both.
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -29,7 +26,6 @@ from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
     _ADAM_EPS,
-    CHECKPOINT_MAGIC,
     LOG_STD_MAX,
     LOG_STD_MIN,
     N_MOVES,
@@ -368,28 +364,6 @@ def init_policy_arrays(state_dim: int, n_cont: int, rng, hidden: int = 64,
         "bvo": np.zeros(1),
         "log_std": np.full(n_cont, log_std_init),
     }
-
-
-def save_params_v1(path, params) -> None:
-    """Checkpoint version 1. Flat binary layout: magic, version, counts,
-    shape table, row-major float64 payloads (weights, then Adam moments)."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<II", 1, len(params.weights)))
-    buf.write(struct.pack("<qII", params.step, params.state_dim, params.n_cont))
-    ordered = sorted(params.weights)
-    for name in ordered:
-        arr = params.weights[name]
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-    for name in ordered:
-        for views in (params.weights, params.adam_m, params.adam_v):
-            buf.write(views[name].tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
 
 
 def exhaustive_baseline(

@@ -29,7 +29,6 @@ def test_empty_file_gives_defaults(tmp_path):
     # Defaults trace the two-cell setup: exponents and allocation factors.
     assert scn.alpha_edge == 3.5
     assert scn.zeta_center == 0.3
-    assert scn.kappa_ris_edge_db == 4.0
 
 
 def test_parse_comments_and_types(tmp_path):
@@ -287,11 +286,20 @@ def test_nonfinite_scenario_floats_rejected(kind, key):
             from_mapping({"kind": kind, f"scenario.{key}": value})
 
 
-def test_cli_validate_rejects_train_clip_out_of_range(tmp_path, capsys):
+@pytest.mark.parametrize("line, message", [
+    ("train.clip_eps = 5", r"clip epsilon must lie in \(0, 1\)"),
+    # A network without units ignores its input; a step of 0 or less never
+    # moves the weights or moves them uphill.
+    ("train.hidden = 0", "counts must be >= 1"),
+    ("train.head_hidden = 0", "counts must be >= 1"),
+    ("train.learning_rate = 0", "learning rate must be > 0"),
+    ("train.learning_rate = -1e-3", "learning rate must be > 0"),
+], ids=["clip_eps", "hidden", "head_hidden", "learning_rate-0", "learning_rate-negative"])
+def test_cli_validate_rejects_train_out_of_range(tmp_path, capsys, line, message):
     errors, path = _validate_error_lines(
-        tmp_path, capsys, "kind = drl-train\nscenario.tiny = true\ntrain.clip_eps = 5\n")
+        tmp_path, capsys, f"kind = drl-train\nscenario.tiny = true\n{line}\n")
     assert len(errors) == 1
-    with pytest.raises(ConfigError, match=r"clip epsilon must lie in \(0, 1\)"):
+    with pytest.raises(ConfigError, match=rf"train: {message}"):
         load_config(path)
 
 
@@ -316,6 +324,19 @@ def test_cli_validate_rejects_db_overflow(tmp_path, capsys, text, key):
     errors, path = _validate_error_lines(tmp_path, capsys, text)
     assert len(errors) == 1
     with pytest.raises(ConfigError, match=key + r": 1000\d+\.0 overflows"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ("osum-sweep", "ee-sweep", "drl-train"))
+def test_cli_validate_rejects_negative_k_elements(tmp_path, capsys, kind):
+    # Each used to validate and then fail at run time naming no key.
+    tiny = "scenario.tiny = true\n" if kind == "drl-train" else ""
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, f"kind = {kind}\n{tiny}scenario.k_elements = -1\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match="k_elements must be >= 0"):
         load_config(path)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()

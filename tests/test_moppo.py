@@ -8,7 +8,6 @@ from oracles import (
     adam_step,
     exhaustive_baseline,
     init_policy_arrays,
-    save_params_v1,
 )
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
@@ -292,27 +291,8 @@ def test_checkpoint_v2_is_header_plus_theta(tmp_path):
     assert loaded.sizes == (11, 4, 6, 5)
 
 
-def test_checkpoint_v1_loads_weights(tmp_path):
-    params = init_policy(11, 4, substream(0, 3), hidden=6, head_hidden=5)
-    states, moves, raws, lpd, lpc = _batch(params)
-    update(params, Minibatch(states, moves, raws, lpd, lpc, np.ones(len(moves)),
-                             np.zeros(len(moves))), TrainConfig())
-    assert np.any(params.m != 0)  # the v1 file carries nonzero moments
-    path = tmp_path / "policy.bin"
-    save_params_v1(path, params)
-    loaded = load_params(path)
-    assert np.array_equal(loaded.theta, params.theta)
-    assert loaded.sizes == (11, 4, 6, 5)
-    assert loaded.step == 0 and not np.any(loaded.m) and not np.any(loaded.v)
-    data = path.read_bytes()
-    for bad in (data + b"\0" * 8, data[:-8], data.replace(b"w1", b"w9", 1)):
-        path.write_bytes(bad)
-        with pytest.raises(ValueError, match="policy.bin"):
-            load_params(path)
-
-
-@pytest.mark.parametrize("writer", [save_params, save_params_v1])
-@pytest.mark.parametrize("cut", [7, 12, 26, 40])  # v2 header: 27 B; v1 header and table: 327 B
+@pytest.mark.parametrize("writer", [save_params])
+@pytest.mark.parametrize("cut", [7, 12, 26, 40])  # magic and header: 27 B
 def test_checkpoint_truncated_header_rejected(tmp_path, writer, cut):
     path = tmp_path / "policy.bin"
     writer(path, _params())
@@ -328,9 +308,11 @@ def test_checkpoint_bad_magic_and_version_rejected(tmp_path):
     path.write_bytes(b"X" + data[1:])
     with pytest.raises(ValueError, match="policy.bin: not a policy checkpoint"):
         load_params(path)
-    path.write_bytes(CHECKPOINT_MAGIC + b"\3" + data[len(CHECKPOINT_MAGIC) + 1:])
-    with pytest.raises(ValueError, match="policy.bin: unsupported checkpoint version 3"):
-        load_params(path)
+    for version in (1, 3):  # version 1 carried Adam moments and is no longer read
+        path.write_bytes(CHECKPOINT_MAGIC + bytes([version]) + data[len(CHECKPOINT_MAGIC) + 1:])
+        with pytest.raises(ValueError,
+                           match=f"policy.bin: unsupported checkpoint version {version}"):
+            load_params(path)
 
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
