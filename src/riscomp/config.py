@@ -375,6 +375,9 @@ def validate(cfg: ExperimentConfig) -> None:
     sections = [("scenario", cfg.scenario, schema)]
     if drl:
         sections.append(("train", cfg.train, _TRAIN_KEYS))
+    else:
+        errors.extend(f"train.{key}: kind {cfg.kind} reads no train keys (only "
+                      "drl-train and drl-eval do)" for key in cfg.train)
     for section, values, keys in sections:
         for key, value in values.items():
             if keys.get(key) is not float:

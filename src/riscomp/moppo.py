@@ -36,6 +36,7 @@ N_MOVES = len(MOVES)
 LOG_STD_MIN, LOG_STD_MAX = -5.0, 2.0
 _ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _LOG_2PI = math.log(2.0 * math.pi)
+_P_ATOL = math.sqrt(np.finfo(float).eps)  # rng.choice's tolerance on sum(p)
 
 CHECKPOINT_MAGIC = b"RCPPO1\n"
 CHECKPOINT_VERSION = 2
@@ -163,14 +164,18 @@ def _softmax(z):
 
 
 def forward(params: PolicyParams, states) -> tuple:
-    """Batch forward pass.
+    """Forward pass over states (S,), one row, or (..., S).
 
-    Returns (probs, means, stds, values, cache); states may be (S,) or (B,S).
+    Returns (probs (..., 5), means (..., n_cont), stds (n_cont,), values
+    (...), cache). Stacked states go through numpy's matmul, which runs one
+    BLAS product per trailing (B, S) matrix: the rows of an (E, 1, S) stack
+    are the bits of E one-row calls, whereas the rows of one (E, S) matrix
+    may differ from those in the last bits.
     """
     x = np.atleast_2d(np.asarray(states, dtype=float))
-    if x.shape[1] != params.state_dim:
+    if x.shape[-1] != params.state_dim:
         raise ValueError(
-            f"state dimension {x.shape[1]} does not match network ({params.state_dim})"
+            f"state dimension {x.shape[-1]} does not match network ({params.state_dim})"
         )
     w = params.weights
     t1 = np.tanh(x @ w["w1"].T + w["b1"])
@@ -181,7 +186,7 @@ def forward(params: PolicyParams, states) -> tuple:
     hc = np.tanh(t2 @ w["wc"].T + w["bc"])
     mu = hc @ w["wco"].T + w["bco"]
     hv = np.tanh(t2 @ w["wv"].T + w["bv"])
-    v = (hv @ w["wvo"].T + w["bvo"])[:, 0]
+    v = (hv @ w["wvo"].T + w["bvo"])[..., 0]
     std = np.exp(np.clip(w["log_std"], LOG_STD_MIN, LOG_STD_MAX))
     cache = {"x": x, "t1": t1, "t2": t2, "hd": hd, "hc": hc, "hv": hv,
              "probs": probs, "mu": mu, "v": v, "std": std}
@@ -193,26 +198,47 @@ def gaussian_logp(x, mu, std):
     return np.sum(-0.5 * z * z - np.log(std) - 0.5 * _LOG_2PI, axis=-1)
 
 
-def sample_action(probs, mu, std, rng):
-    """Draw (move, raw continuous vector, discrete log-prob, continuous
-    log-prob) from the policy outputs for a single state."""
-    probs = np.asarray(probs, dtype=float).ravel()
-    mu = np.asarray(mu, dtype=float).ravel()
-    move = int(rng.choice(N_MOVES, p=probs))
-    lp_d = float(np.log(probs[move]))
-    raw = mu + std * rng.standard_normal(mu.size)
-    lp_c = float(gaussian_logp(raw, mu, std))
-    return move, raw, lp_d, lp_c
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise the ValueError of rng.choice(p=row) unless every row of probs
+    is a probability vector: no NaN, no negative entry, a sum within
+    sqrt(eps) of 1."""
+    p_sum = probs.sum(axis=-1)
+    if (np.abs(p_sum - 1.0) <= _P_ATOL).all() and probs.min() >= 0.0:
+        return
+    if np.isnan(p_sum).any():
+        raise ValueError("Probabilities contain NaN")
+    if (probs < 0.0).any():
+        raise ValueError("Probabilities are not non-negative")
+    raise ValueError("Probabilities do not sum to 1")
 
 
-def to_env_action(move: int, raw: np.ndarray, scenario: AerialScenario) -> MdpAction:
-    """Map raw policy outputs into the environment's action space: phases are
-    wrapped into [-pi, pi) (by MdpAction), allocation factors squashed into
-    (0.5, 1)."""
+def sample_action(probs, mu, std, uniforms, normals):
+    """Draw one action per row of the policy outputs probs (E, 5) and mu
+    (E, n_cont) from the row's noise: a uniform (E,) for the move and
+    normals (E, n_cont). Returns (moves, raw continuous vectors, discrete
+    log-probs, continuous log-probs).
+
+    The move is the first index whose normalized cumulative probability
+    exceeds the uniform, which is what rng.choice(5, p=row) draws from the
+    same uniform; the rows are checked as rng.choice checks p.
+    """
+    _check_probs(probs)
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[:, -1:]
+    moves = (cdf <= uniforms[:, None]).sum(axis=-1)
+    lp_d = np.log(probs[np.arange(moves.size), moves])
+    raw = mu + std * normals
+    return moves, raw, lp_d, gaussian_logp(raw, mu, std)
+
+
+def to_env_action(moves: np.ndarray, raw: np.ndarray, scenario: AerialScenario) -> MdpAction:
+    """Map raw policy outputs, moves (E,) and raw (E, n_cont), into the
+    environment's action space: phases are wrapped into [-pi, pi) (by
+    MdpAction), allocation factors squashed into (0.5, 1)."""
     k = scenario.k_elements
-    alloc = 0.5 + 0.5 / (1.0 + np.exp(-raw[k:]))
+    alloc = 0.5 + 0.5 / (1.0 + np.exp(-raw[:, k:]))
     alloc = np.clip(alloc, 0.5 + 1e-9, 1.0 - 1e-9)
-    return MdpAction(move=move, phases=raw[:k], alloc_factors=alloc)
+    return MdpAction(move=moves, phases=raw[:, :k], alloc_factors=alloc)
 
 
 def advantage(rewards, values, dones, gamma: float, t_hat: int) -> np.ndarray:
@@ -426,18 +452,74 @@ def _input_dim(scenario: AerialScenario) -> int:
 
 
 def _net_input(svec: np.ndarray, scale: np.ndarray, t: int, t_total: int) -> np.ndarray:
-    """Network input: scaled state plus a remaining-time feature. The value of
-    a fixed-horizon episode depends on the remaining slots, which the
-    environment state cannot expose; the extra feature makes it learnable."""
-    return np.concatenate([svec / scale, [(t_total - t) / t_total]])
+    """Network inputs (E, S): scaled states (E, state_dim) plus a
+    remaining-time feature. The value of a fixed-horizon episode depends on
+    the remaining slots, which the environment state cannot expose; the
+    extra feature makes it learnable."""
+    remaining = np.full((svec.shape[0], 1), (t_total - t) / t_total)
+    return np.concatenate([svec / scale, remaining], axis=1)
+
+
+def _round_config(cfg: TrainConfig, last_episode: int) -> TrainConfig:
+    """The configuration of the update after episode last_episode: with
+    cfg.entropy_decay the entropy coefficient falls linearly to 0 at the
+    last episode."""
+    if not cfg.entropy_decay:
+        return cfg
+    frac = 1.0 - last_episode / max(cfg.episodes - 1, 1)
+    return replace(cfg, entropy_coef=cfg.entropy_coef * frac)
+
+
+def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) -> PolicyParams:
+    """Up to cfg.epochs epochs of minibatch updates on one round's buffer,
+    each over a fresh rng permutation of its rows. After every epoch an
+    approximate-KL check on the whole buffer (discrete and continuous
+    heads) ends the epochs early when either exceeds cfg.kl_stop."""
+    m = buffer.states.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch):
+            sel = order[start : start + cfg.batch]
+            mb = Minibatch(buffer.states[sel], buffer.moves[sel], buffer.raw_actions[sel],
+                           buffer.logp_d_old[sel], buffer.logp_c_old[sel], buffer.adv[sel],
+                           buffer.v_target[sel])
+            params = update(params, mb, cfg)
+        # Approximate-KL brake against policy churn on small buffers.
+        probs_n, mu_n, std_n, _, _ = forward(params, buffer.states)
+        lpd_n = np.log(probs_n[np.arange(m), buffer.moves] + 1e-12)
+        lpc_n = gaussian_logp(buffer.raw_actions, mu_n, std_n)
+        kl_d = float(np.mean(buffer.logp_d_old - lpd_n))
+        kl_c = float(np.mean(buffer.logp_c_old - lpc_n))
+        if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:
+            break
+    return params
+
+
+def _agent_noise(rng, episodes: int, slots: int, n_cont: int) -> tuple:
+    """A round's sampling noise: uniforms (episodes, slots) and normals
+    (episodes, slots, n_cont), drawn episode by episode and slot by slot, a
+    uniform before its normals, which is the order in which rolling the
+    episodes out one at a time with rng.choice draws them."""
+    uniforms = np.empty((episodes, slots))
+    normals = np.empty((episodes, slots, n_cont))
+    for e in range(episodes):
+        for t in range(slots):
+            uniforms[e, t] = rng.random()
+            normals[e, t] = rng.standard_normal(n_cont)
+    return uniforms, normals
 
 
 def train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainResult:
-    """Full MO-PPO loop: per-episode rollouts, n-step advantages, E epochs of
-    minibatch updates, then the sampling policy synchronizes (fresh log-probs
-    next episode). After every epoch an approximate-KL check on the whole
-    buffer (discrete and continuous heads) ends the epochs early when either
-    exceeds cfg.kl_stop. Deterministic given (scenario, cfg, seed)."""
+    """Full MO-PPO loop over update rounds. A round rolls out its E =
+    min(episodes_per_update, episodes left) episodes in lockstep: one
+    environment steps all E (`ArisEnv.reset(E)`), one forward per slot
+    evaluates the policy on the E states stacked (E, 1, S), and the round's
+    sampling noise is drawn ahead (`_agent_noise`). Every bit therefore
+    equals rolling the episodes out one after another. Then come n-step
+    advantages and `_ppo_epochs` on the round's buffer, and the next round
+    samples from the updated policy. A last round shorter than
+    episodes_per_update is rolled out but not trained on. Deterministic
+    given (scenario, cfg, seed)."""
     env = ArisEnv(scenario, seed=seed)
     rng = substream(seed, _STREAM_AGENT)
     params = init_policy(
@@ -446,65 +528,44 @@ def train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainRes
         log_std_init=cfg.log_std_init,
     )
     scale = state_scale(scenario)
+    n, n_cont = scenario.t_slots, scenario.action_dim_continuous
+    dones = np.zeros(n, dtype=bool)
+    dones[-1] = True
     curve = np.empty(cfg.episodes)
-    buffers = []
-    for ep in range(cfg.episodes):
-        n = scenario.t_slots
-        svec = _net_input(env.reset().vector(), scale, 0, n)
-        states = np.empty((n, svec.size))
-        moves = np.empty(n, dtype=int)
-        raws = np.empty((n, scenario.action_dim_continuous))
-        lpd = np.empty(n)
-        lpc = np.empty(n)
-        rewards = np.empty(n)
-        values = np.empty(n + 1)
-        dones = np.zeros(n, dtype=bool)
-        total = 0.0
+    for first in range(0, cfg.episodes, cfg.episodes_per_update):
+        e = min(cfg.episodes_per_update, cfg.episodes - first)
+        uniforms, normals = _agent_noise(rng, e, n, n_cont)
+        svec = _net_input(env.reset(e).vector(), scale, 0, n)
+        states = np.empty((e, n, svec.shape[1]))
+        moves = np.empty((e, n), dtype=int)
+        raws = np.empty((e, n, n_cont))
+        lpd = np.empty((e, n))
+        lpc = np.empty((e, n))
+        rewards = np.empty((e, n))
+        values = np.zeros((e, n + 1))  # the terminal value stays 0
+        totals = np.zeros(e)
         for t in range(n):
-            probs, mu, std, v, _ = forward(params, svec)
-            move, raw, lp_d, lp_c = sample_action(probs[0], mu[0], std, rng)
-            nstate, r, done = env.step(to_env_action(move, raw, scenario))
-            states[t] = svec
-            moves[t] = move
-            raws[t] = raw
-            lpd[t] = lp_d
-            lpc[t] = lp_c
-            rewards[t] = r
-            values[t] = v[0]
-            dones[t] = done
-            total += r
+            probs, mu, std, v, _ = forward(params, svec[:, None])
+            move, raw, lp_d, lp_c = sample_action(probs[:, 0], mu[:, 0], std,
+                                                  uniforms[:, t], normals[:, t])
+            nstate, r, _ = env.step(to_env_action(move, raw, scenario))
+            states[:, t] = svec
+            moves[:, t] = move
+            raws[:, t] = raw
+            lpd[:, t] = lp_d
+            lpc[:, t] = lp_c
+            rewards[:, t] = r
+            values[:, t] = v[:, 0]
+            totals += r
             svec = _net_input(nstate.vector(), scale, t + 1, n)
-        values[n] = 0.0  # terminal
-        adv = advantage(rewards, values, dones, cfg.gamma, cfg.rollout)
-        v_target = adv + values[:n]
-        buffers.append((states, moves, raws, lpd, lpc, adv, v_target))
-        curve[ep] = total
-        if len(buffers) < cfg.episodes_per_update:
-            continue
-        update_cfg = cfg
-        if cfg.entropy_decay:
-            frac = 1.0 - ep / max(cfg.episodes - 1, 1)
-            update_cfg = replace(cfg, entropy_coef=cfg.entropy_coef * frac)
-        cat = [np.concatenate(parts) for parts in zip(*buffers)]
-        buffers = []
-        all_states, all_moves, all_raws, all_lpd, all_lpc, all_adv, all_vt = cat
-        m = all_states.shape[0]
-        for _ in range(cfg.epochs):
-            order = rng.permutation(m)
-            for start in range(0, m, cfg.batch):
-                sel = order[start : start + cfg.batch]
-                mb = Minibatch(all_states[sel], all_moves[sel], all_raws[sel],
-                               all_lpd[sel], all_lpc[sel], all_adv[sel],
-                               all_vt[sel])
-                params = update(params, mb, update_cfg)
-            # Approximate-KL brake against policy churn on small buffers.
-            probs_n, mu_n, std_n, _, _ = forward(params, all_states)
-            lpd_n = np.log(probs_n[np.arange(m), all_moves] + 1e-12)
-            lpc_n = gaussian_logp(all_raws, mu_n, std_n)
-            kl_d = float(np.mean(all_lpd - lpd_n))
-            kl_c = float(np.mean(all_lpc - lpc_n))
-            if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:
-                break
+        curve[first : first + e] = totals
+        if e < cfg.episodes_per_update:
+            break
+        adv = np.stack([advantage(rewards[i], values[i], dones, cfg.gamma, cfg.rollout)
+                        for i in range(e)])
+        buffer = Minibatch(states.reshape(e * n, -1), moves.ravel(), raws.reshape(e * n, -1),
+                           lpd.ravel(), lpc.ravel(), adv.ravel(), (adv + values[:, :n]).ravel())
+        params = _ppo_epochs(params, buffer, _round_config(cfg, first + e - 1), rng)
     return TrainResult(rewards=curve, params=params, config=cfg)
 
 
@@ -515,29 +576,30 @@ def evaluate(
     episodes: int = 5,
 ) -> dict:
     """Deterministic-policy evaluation (the most probable move and the mean
-    continuous action) of the network params holds: mean per-slot sum rate
-    and reward."""
+    continuous action) of the network params holds, over `episodes`
+    episodes run in lockstep as in train: mean per-slot sum rate and
+    reward, and one trace row per slot, episode after episode."""
     env = ArisEnv(scenario, seed=seed)
     scale = state_scale(scenario)
-    sum_rates = []
-    rewards = []
-    traces = []
-    for _ in range(episodes):
-        state = env.reset()
-        svec = _net_input(state.vector(), scale, 0, scenario.t_slots)
-        for t in range(scenario.t_slots):
-            probs, mu, std, v, _ = forward(params, svec)
-            move = int(np.argmax(probs[0]))
-            nstate, r, done = env.step(to_env_action(move, mu[0], scenario))
-            sum_rates.append(float(np.sum(nstate.rates)))
-            rewards.append(r)
-            traces.append((t, nstate.uav_xy[0], nstate.uav_xy[1], r,
-                           *nstate.rates, int(env.last_violation),
-                           int(np.sum(env.last_qos))))
-            svec = _net_input(nstate.vector(), scale, t + 1, scenario.t_slots)
+    n = scenario.t_slots
+    sum_rates = np.empty((episodes, n))
+    rewards = np.empty((episodes, n))
+    steps = []
+    svec = _net_input(env.reset(episodes).vector(), scale, 0, n)
+    for t in range(n):
+        probs, mu, _, _, _ = forward(params, svec[:, None])
+        moves = np.argmax(probs[:, 0], axis=-1)
+        nstate, r, _ = env.step(to_env_action(moves, mu[:, 0], scenario))
+        sum_rates[:, t] = np.sum(nstate.rates, axis=-1)
+        rewards[:, t] = r
+        steps.append((nstate, r, env.last_violation, np.sum(env.last_qos, axis=-1)))
+        svec = _net_input(nstate.vector(), scale, t + 1, n)
+    traces = [(t, s.uav_xy[i, 0], s.uav_xy[i, 1], float(r[i]), *s.rates[i],
+               int(viol[i]), int(qos[i]))
+              for i in range(episodes) for t, (s, r, viol, qos) in enumerate(steps)]
     return {
-        "mean_sum_rate": float(np.mean(sum_rates)),
-        "mean_reward": float(np.mean(rewards)),
+        "mean_sum_rate": float(np.mean(sum_rates.ravel())),
+        "mean_reward": float(np.mean(rewards.ravel())),
         "traces": traces,
     }
 

@@ -3,8 +3,9 @@ against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the per-array Adam step, the policy initialisation as
-one literal dict of arrays and the exhaustive grid search over static
-aerial configurations that the trained policy is measured against.
+one literal dict of arrays, MO-PPO training with its episodes rolled out
+one at a time, and the exhaustive grid search over static aerial
+configurations that the trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -26,10 +27,23 @@ from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
     _ADAM_EPS,
+    _STREAM_AGENT,
     LOG_STD_MAX,
     LOG_STD_MIN,
     N_MOVES,
+    Minibatch,
+    TrainConfig,
+    _input_dim,
+    _net_input,
     _orthogonal,
+    _ppo_epochs,
+    _round_config,
+    advantage,
+    forward,
+    gaussian_logp,
+    init_policy,
+    state_scale,
+    to_env_action,
 )
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
@@ -379,7 +393,8 @@ def exhaustive_baseline(
 
     Evaluates the mean per-slot sum rate over n_eval channel draws per
     position and enumerates the full product grid. Draws and rates are the
-    environment's own (NOMA or, with scenario.oma, OMA). Intended for tiny
+    environment's own (NOMA or, with scenario.oma, OMA), the rates in bulk
+    with np.log2. Intended for tiny
     instances: the phase grid is phase_levels**K and the gains of all phase
     combinations and draws of one position are held at once."""
     k = scenario.k_elements
@@ -411,12 +426,12 @@ def exhaustive_baseline(
             pos = np.array([x, y])
             if not env._safe(pos):
                 continue
-            env._pos = pos
-            env._rng = substream(seed, _STREAM_GRID, xi, yi)
+            z = substream(seed, _STREAM_GRID, xi, yi).standard_normal((n_eval, env.n_normals))
             # Gains for every phase combo and draw: (n_phase, n_eval, bs, user).
-            gain = env._gains(*env._draw_channels(n_eval), phasors)
+            gain = env._gains(*env._channels(pos[None], z), phasors[:, None])
             for alloc in alloc_combos:
-                mean_rates = np.mean(np.sum(env._rates(gain, alloc), axis=-1), axis=1)
+                rates = env._rates(gain, alloc, log2=np.log2)
+                mean_rates = np.mean(np.sum(rates, axis=-1), axis=1)
                 pi = int(np.argmax(mean_rates))
                 if mean_rates[pi] > best["value"]:
                     best = {
@@ -426,3 +441,52 @@ def exhaustive_baseline(
                         "alloc": alloc.copy(),
                     }
     return best
+
+
+def reference_train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0):
+    """MO-PPO training with every episode rolled out on its own: the
+    environment runs one episode at a time, the policy sees one state per
+    forward, and the move is drawn by rng.choice, then the raw continuous
+    action from one standard_normal call. Rounds of episodes_per_update
+    episodes feed the package's PPO epochs. Returns (reward curve, params);
+    `riscomp.moppo.train`, which steps a round's episodes in lockstep, must
+    give the same bits."""
+    env = ArisEnv(scenario, seed=seed)
+    rng = substream(seed, _STREAM_AGENT)
+    params = init_policy(
+        _input_dim(scenario), scenario.action_dim_continuous, rng,
+        hidden=cfg.hidden, head_hidden=cfg.head_hidden, log_std_init=cfg.log_std_init,
+    )
+    scale = state_scale(scenario)
+    n = scenario.t_slots
+    curve = np.empty(cfg.episodes)
+    buffers = []
+    for ep in range(cfg.episodes):
+        svec = _net_input(env.reset().vector(), scale, 0, n)[0]
+        states = np.empty((n, svec.size))
+        moves = np.empty(n, dtype=int)
+        raws = np.empty((n, scenario.action_dim_continuous))
+        lpd, lpc, rewards = np.empty(n), np.empty(n), np.empty(n)
+        values = np.empty(n + 1)
+        dones = np.zeros(n, dtype=bool)
+        total = 0.0
+        for t in range(n):
+            probs, mu, std, v, _ = forward(params, svec)
+            move = int(rng.choice(N_MOVES, p=probs[0]))
+            raw = mu[0] + std * rng.standard_normal(mu.shape[1])
+            nstate, r, done = env.step(to_env_action(np.array([move]), raw[None], scenario))
+            states[t], moves[t], raws[t] = svec, move, raw
+            lpd[t] = float(np.log(probs[0, move]))
+            lpc[t] = float(gaussian_logp(raw, mu[0], std))
+            rewards[t], values[t], dones[t] = r[0], v[0], done
+            total += float(r[0])
+            svec = _net_input(nstate.vector(), scale, t + 1, n)[0]
+        values[n] = 0.0  # terminal
+        adv = advantage(rewards, values, dones, cfg.gamma, cfg.rollout)
+        buffers.append((states, moves, raws, lpd, lpc, adv, adv + values[:n]))
+        curve[ep] = total
+        if len(buffers) == cfg.episodes_per_update:
+            buffer = Minibatch(*(np.concatenate(parts) for parts in zip(*buffers)))
+            params = _ppo_epochs(params, buffer, _round_config(cfg, ep), rng)
+            buffers = []
+    return curve, params

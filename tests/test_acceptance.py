@@ -347,10 +347,10 @@ def test_criterion_10_safety_invariant():
     for _ in range(1000):
         env.reset()
         for _ in range(100):
-            action = MdpAction(int(rng.integers(5)), np.zeros(0),
-                               rng.uniform(0.51, 0.99, scn.n_bs))
+            action = MdpAction(np.array([rng.integers(5)]), np.zeros((1, 0)),
+                               rng.uniform(0.51, 0.99, (1, scn.n_bs)))
             state, _, _ = env.step(action)
-            x, y = state.uav_xy
+            x, y = state.uav_xy[0]
             inside = abs(x) <= half and abs(y) <= half
             clear = all(np.hypot(x - o[0], y - o[1]) >= scn.d_min for o in obstacles)
             violations += not (inside and clear)

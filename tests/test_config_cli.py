@@ -311,6 +311,24 @@ def test_cli_validate_rejects_nan_learning_rate(tmp_path, capsys):
         load_config(path)
 
 
+@pytest.mark.parametrize("kind", [k for k in KINDS if k not in ("drl-train", "drl-eval")])
+def test_train_keys_rejected_on_non_drl_kinds(kind, tmp_path, capsys):
+    # Only drl-train and drl-eval read train keys; elsewhere they would be
+    # unchecked and still written into the manifest.
+    with pytest.raises(ConfigError) as err:
+        from_mapping({"kind": kind, "train.hidden": 0, "train.gamma": math.nan})
+    for key in ("hidden", "gamma"):
+        assert f"train.{key}: kind {kind} reads no train keys" in str(err.value)
+    cfg = from_mapping({"kind": kind})
+    cfg.train["episodes"] = 10
+    with pytest.raises(ConfigError, match=r"train\.episodes: kind .* reads no train keys"):
+        config_module.validate(cfg)
+    path = tmp_path / "c.cfg"
+    path.write_text(f"kind = {kind}\ntrain.epochs = 4\n")
+    assert main(["validate", str(path)]) == 2
+    assert f"train.epochs: kind {kind} reads no train keys" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, key", [
     # One case per scenario family; each ran into an OverflowError naming no
     # key at run time.

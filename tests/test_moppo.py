@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     adam_step,
     exhaustive_baseline,
     init_policy_arrays,
+    reference_train,
 )
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
@@ -77,28 +79,80 @@ def test_forward_dimension_mismatch():
         forward(_params(), np.ones(8))
 
 
+def _sample(probs, mu, std, rng):
+    """sample_action on rows, with a row's noise drawn from rng."""
+    probs, mu = np.atleast_2d(probs), np.atleast_2d(mu)
+    return sample_action(probs, mu, std, rng.random(len(probs)),
+                         rng.standard_normal(mu.shape))
+
+
 def test_sample_action_degenerate_discrete():
     rng = substream(2, 4)
     for _ in range(20):
-        move, _, lp_d, _ = sample_action([1.0, 0.0, 0.0, 0.0, 0.0],
-                                         np.zeros(3), np.full(3, 1.0), rng)
-        assert move == 0
-        assert lp_d == pytest.approx(0.0)
+        move, _, lp_d, _ = _sample([1.0, 0.0, 0.0, 0.0, 0.0],
+                                   np.zeros(3), np.full(3, 1.0), rng)
+        assert move[0] == 0
+        assert lp_d[0] == pytest.approx(0.0)
 
 
 def test_sample_action_small_std_reaches_mean():
     rng = substream(3, 5)
     mu = np.array([0.3, -1.2])
-    _, raw, _, lp_c = sample_action([0.2] * 5, mu, np.full(2, 1e-7), rng)
-    assert np.allclose(raw, mu, atol=1e-5)
-    assert lp_c == pytest.approx(float(gaussian_logp(raw, mu, np.full(2, 1e-7))))
+    _, raw, _, lp_c = _sample([0.2] * 5, mu, np.full(2, 1e-7), rng)
+    assert np.allclose(raw[0], mu, atol=1e-5)
+    assert lp_c[0] == pytest.approx(float(gaussian_logp(raw[0], mu, np.full(2, 1e-7))))
 
 
 def test_sample_action_logp_matches_probability():
     rng = substream(4, 6)
     probs = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-    move, _, lp_d, _ = sample_action(probs, np.zeros(1), np.ones(1), rng)
-    assert lp_d == pytest.approx(np.log(probs[move]))
+    move, _, lp_d, _ = _sample(probs, np.zeros(1), np.ones(1), rng)
+    assert lp_d[0] == pytest.approx(np.log(probs[move[0]]))
+
+
+def test_sample_action_move_equals_rng_choice():
+    # The move is the one rng.choice draws from the same uniform, on
+    # softmax rows and on rows with exact zeros and ties.
+    rows = substream(5, 7)
+    probs = np.exp(rows.standard_normal((300, 5)) * 3.0)
+    probs[::7, 2] = 0.0
+    probs[1::5, :] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    a, b = substream(5, 8), substream(5, 8)
+    expect = [int(a.choice(5, p=row)) for row in probs]
+    moves, _, _, _ = sample_action(probs, np.zeros((300, 1)), np.ones(1),
+                                   b.random(300), np.zeros((300, 1)))
+    assert moves.tolist() == expect
+
+
+@pytest.mark.parametrize("bad", [
+    [math.nan, 0.5, 0.5, 0.0, 0.0],
+    [-0.1, 0.6, 0.5, 0.0, 0.0],
+    [0.3, 0.3, 0.3, 0.0, 0.0],
+], ids=["nan", "negative", "unnormalized"])
+def test_sample_action_rejects_what_rng_choice_rejects(bad):
+    with pytest.raises(ValueError) as expected:
+        substream(6, 0).choice(5, p=np.array(bad))
+    probs = np.array([[0.2] * 5, bad])
+    with pytest.raises(ValueError) as raised:
+        sample_action(probs, np.zeros((2, 1)), np.ones(1), np.full(2, 0.5), np.zeros((2, 1)))
+    assert str(expected.value).startswith(str(raised.value))
+
+
+@pytest.mark.parametrize("e", [1, 2, 6, 7])
+def test_forward_stacked_rows_equal_one_row_calls(e):
+    # The rollout evaluates E states stacked (E, 1, S); each row must be the
+    # bits of a forward on that state alone.
+    params = init_policy(12, 6, substream(0, 2))
+    states = substream(9, e).standard_normal((e, 12))
+    probs, mu, std, v, _ = forward(params, states[:, None])
+    assert probs.shape == (e, 1, 5) and mu.shape == (e, 1, 6) and v.shape == (e, 1)
+    for i in range(e):
+        p1, mu1, std1, v1, _ = forward(params, states[i])
+        assert np.array_equal(probs[i], p1)
+        assert np.array_equal(mu[i], mu1)
+        assert np.array_equal(v[i], v1)
+        assert np.array_equal(std, std1)
 
 
 def test_advantage_examples():
@@ -334,10 +388,10 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
 def test_to_env_action_mapping():
     scn = tiny_aerial_scenario(k_elements=3)
     raw = np.array([4.0, -4.0, 0.5, 10.0, -10.0])
-    action = to_env_action(1, raw, scn)
+    action = to_env_action(np.array([1]), raw[None], scn)
     assert np.all(action.phases >= -np.pi) and np.all(action.phases < np.pi)
     assert np.all((action.alloc_factors > 0.5) & (action.alloc_factors < 1.0))
-    assert action.alloc_factors[0] > 0.99  # large raw saturates near 1
+    assert action.alloc_factors[0, 0] > 0.99  # large raw saturates near 1
 
 
 def test_train_determinism():
@@ -374,9 +428,9 @@ def test_exhaustive_baseline_is_maximum_of_grid(oma):
         pos = np.array([x, y])
         if not env._safe(pos):
             continue
-        env._pos = pos
-        env._rng = substream(seed, _STREAM_GRID, xi, yi)
-        draws = [env._draw_channels() for _ in range(n_eval)]
+        rng = substream(seed, _STREAM_GRID, xi, yi)
+        draws = [env._channels(pos[None], rng.standard_normal((1, env.n_normals)))
+                 for _ in range(n_eval)]
         for phase in (-np.pi, 0.0):
             phasor = np.exp(1j * np.array([phase]))
             gains = [env._gains(ris, direct, phasor)[0] for ris, direct in draws]
@@ -395,3 +449,24 @@ def test_trained_reward_curve_shape():
     assert res.rewards.shape == (TINY_CFG.episodes,)
     ma = res.moving_average(10)
     assert ma.size == TINY_CFG.episodes - 9
+
+
+@pytest.mark.parametrize("oma, k, per_update, episodes, decay", [
+    (False, 4, 6, 12, False),
+    (True, 4, 6, 13, False),   # a partial last round, rolled out untrained
+    (False, 2, 1, 4, False),
+    (False, 3, 3, 7, True),
+    (True, 3, 3, 6, True),
+    (True, 16, 7, 9, False),
+    (False, 16, 7, 7, False),
+], ids=["noma-k4-e6", "oma-k4-e6-partial", "noma-k2-e1", "noma-k3-e3-decay-partial",
+        "oma-k3-e3-decay", "oma-k16-e7-partial", "noma-k16-e7"])
+def test_lockstep_train_equals_episode_by_episode_reference(oma, k, per_update, episodes,
+                                                            decay):
+    scn = tiny_aerial_scenario(k_elements=k, t_slots=10, oma=oma)
+    cfg = TrainConfig(episodes=episodes, epochs=3, batch=16, rollout=3,
+                      episodes_per_update=per_update, entropy_decay=decay, kl_stop=0.05)
+    res = train(scn, cfg, seed=19)
+    curve, params = reference_train(scn, cfg, seed=19)
+    assert np.array_equal(res.rewards, curve)
+    assert np.array_equal(res.params.theta, params.theta)
