@@ -62,16 +62,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _apply_overrides(load_config(args.config), args)
-            outputs = run_experiment(cfg)
-            for path in outputs:
-                print(path)
-            return 0
-        if args.command == "reproduce":
-            cfg = _apply_overrides(reproduce(args.figure), args)
-            outputs = run_experiment(cfg)
-            for path in outputs:
+        if args.command in ("run", "reproduce"):
+            cfg = (load_config(args.config) if args.command == "run"
+                   else reproduce(args.figure))
+            for path in run_experiment(_apply_overrides(cfg, args)):
                 print(path)
             return 0
         if args.command == "validate":

@@ -404,9 +404,15 @@ def validate(cfg: ExperimentConfig) -> None:
             errors.extend(_ee_power_errors(cfg, scn))
     if drl:
         try:
-            TrainConfig(**cfg.train)
+            tc = TrainConfig(**cfg.train)
         except (TypeError, ValueError) as exc:
             errors.append(f"train: {exc}")
+        else:
+            # PPO updates once per full round of episodes_per_update episodes.
+            if cfg.kind == "drl-train" and tc.episodes < tc.episodes_per_update:
+                errors.append(f"train.episodes = {tc.episodes} is below "
+                              f"train.episodes_per_update = {tc.episodes_per_update}, "
+                              "so no update round fills and the policy is never trained")
     if errors:
         raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 

@@ -1,6 +1,9 @@
-"""Experiment orchestration: run a validated config, write CSV artifacts and
-a manifest that reproduces the run byte-for-byte, and provide the
-figure-style presets.
+"""Experiment orchestration and the figure-style presets.
+
+Each runner maps a validated config to its outputs, an ordered mapping from
+file name to content, and writes nothing. `run_experiment` alone touches the
+disk: once the runner has returned it writes every output and a manifest
+that reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .montecarlo import (
     run_trials,
 )
 from .moppo import (
+    PolicyParams,
     TrainConfig,
     check_checkpoint,
     evaluate,
@@ -36,6 +40,9 @@ from .moppo import (
     train,
 )
 from .noma import RateThresholds
+
+# File name -> content: a CSV (header, rows) or a policy checkpoint.
+Outputs = dict[str, tuple[list[str], list[tuple]] | PolicyParams]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -65,7 +72,7 @@ def _trials(cfg: ExperimentConfig, default: int) -> int:
     return cfg.trials if cfg.trials is not None else default
 
 
-def _run_pdf_validation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 10_000)
     dists = coordinated_distributions(scn)
@@ -82,12 +89,10 @@ def _run_pdf_validation(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         for kind, dist in analytic.items():
             d, passed, crit = ks_statistic(batch.sinr[kind], dist.cdf, alpha=0.01)
             rows.append((coupling, kind, n, d, crit, int(passed)))
-    path = outdir / "ks_table.csv"
-    _write_csv(path, ["coupling", "sinr", "n", "ks_stat", "critical", "pass"], rows)
-    return [path]
+    return {"ks_table.csv": (["coupling", "sinr", "n", "ks_stat", "critical", "pass"], rows)}
 
 
-def _run_er_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_er_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 100_000)
     p_values = cfg.sweep.get("p_t_dbm", [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0])
@@ -102,12 +107,10 @@ def _run_er_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             rows.append((p_t, user, er[user], mc[user], rel))
         rows.append((p_t, "edge_high_snr", er["edge_high_snr"], mc["edge"],
                      abs(er["edge_high_snr"] / mc["edge"] - 1.0)))
-    path = outdir / "ergodic_rates.csv"
-    _write_csv(path, ["p_t_dbm", "user", "er_analytic", "er_mc", "rel_err"], rows)
-    return [path]
+    return {"ergodic_rates.csv": (["p_t_dbm", "user", "er_analytic", "er_mc", "rel_err"], rows)}
 
 
-def _run_outage_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_outage_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 10_000)
     p_values = cfg.sweep.get("p_t_dbm", [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
@@ -125,12 +128,10 @@ def _run_outage_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             rows.append((p_t, user, closed[user], mc[user],
                          abs(closed[user] - mc[user])))
         rows.append((p_t, "edge_nocomp", float("nan"), mc["edge_nocomp"], float("nan")))
-    path = outdir / "outage.csv"
-    _write_csv(path, ["p_t_dbm", "user", "outage_closed", "outage_mc", "abs_err"], rows)
-    return [path]
+    return {"outage.csv": (["p_t_dbm", "user", "outage_closed", "outage_mc", "abs_err"], rows)}
 
 
-def _run_exhaustive_star(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_exhaustive_star(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     k = scn.k_elements
     k1_values = cfg.sweep.get("assignment_values", list(range(0, k + 1, max(1, k // 8))))
@@ -140,19 +141,15 @@ def _run_exhaustive_star(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
     rows = [(k1, k - k1, beta_t, 1.0 - beta_t, er["center1"], er["center2"],
              er["edge"], er["center1"] + er["center2"] + er["edge"])
             for k1 in k1_values for beta_t, er in zip(beta_values, ers)]
-    path = outdir / "exhaustive_star.csv"
-    _write_csv(
-        path,
+    return {"exhaustive_star.csv": (
         ["k1", "k2", "beta_t", "beta_r", "er_center1", "er_center2", "er_edge", "er_sum"],
         rows,
-    )
-    return [path]
+    )}
 
 
-def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_ee_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
-    outputs = []
     # Joint power/threshold grid (contour) when both axes are requested.
     if "r_th_values" in cfg.sweep and "p_t_dbm" in cfg.sweep:
         rows = [
@@ -160,9 +157,7 @@ def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
             for r in ee_grid(scn, cfg.sweep["p_t_dbm"], cfg.sweep["r_th_values"],
                              n=n, seed=cfg.seed)
         ]
-        path = outdir / "ee_grid.csv"
-        _write_csv(path, ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], rows)
-        return [path]
+        return {"ee_grid.csv": (["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], rows)}
     sweeps = []
     if "j_values" in cfg.sweep:
         sweeps.append(("J", cfg.sweep["j_values"]))
@@ -174,24 +169,19 @@ def _run_ee_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         sweeps.append(("R_th", cfg.sweep["r_th_values"]))
     if not sweeps:
         sweeps = [("J", list(range(1, scn.n_cells + 1)))]
-    for axis, values in sweeps:
-        rows = [
+    header = ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
+              "mean_center_outage"]
+    return {
+        f"ee_sweep_{axis.lower()}.csv": (header, [
             (r["axis"], r["value"], r["mode"], r["ee"], r["outage_sum_rate"],
              r["edge_outage"], r["mean_center_outage"])
             for r in ee_sweep(scn, axis, values, n=n, seed=cfg.seed)
-        ]
-        path = outdir / f"ee_sweep_{axis.lower()}.csv"
-        _write_csv(
-            path,
-            ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
-             "mean_center_outage"],
-            rows,
-        )
-        outputs.append(path)
-    return outputs
+        ])
+        for axis, values in sweeps
+    }
 
 
-def _run_osum_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_osum_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
     p_values = cfg.sweep.get("p_t_dbm", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
@@ -199,12 +189,10 @@ def _run_osum_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         (r["p_t_dbm"], r["mode"], r["outage_sum_rate"])
         for r in osum_sweep(scn, p_values, n=n, seed=cfg.seed)
     ]
-    path = outdir / "outage_sum_rate.csv"
-    _write_csv(path, ["p_t_dbm", "mode", "outage_sum_rate"], rows)
-    return [path]
+    return {"outage_sum_rate.csv": (["p_t_dbm", "mode", "outage_sum_rate"], rows)}
 
 
-def _run_split_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_split_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
     splits = cfg.sweep.get("splits", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -213,43 +201,34 @@ def _run_split_sweep(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
         (r["split"], r["J"], r["outage_sum_rate"])
         for r in split_sweep(scn, splits, coop_counts, n=n, seed=cfg.seed)
     ]
-    path = outdir / "split_sweep.csv"
-    _write_csv(path, ["split", "J", "outage_sum_rate"], rows)
-    return [path]
+    return {"split_sweep.csv": (["split", "J", "outage_sum_rate"], rows)}
 
 
-def _run_drl_train(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_drl_train(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.aerial_scenario()
     result = train(scn, TrainConfig(**cfg.train), seed=cfg.seed)
     ma = result.moving_average(100)
-    rows = []
-    for ep, r in enumerate(result.rewards):
-        ma_val = ma[ep - (len(result.rewards) - len(ma))] if ep >= len(result.rewards) - len(ma) else float("nan")
-        rows.append((ep, float(r), float(ma_val)))
-    curve = outdir / "learning_curve.csv"
-    _write_csv(curve, ["episode", "reward", "ma100"], rows)
-    ckpt = outdir / "policy.bin"
-    save_params(ckpt, result.params)
-    return [curve, ckpt]
+    offset = len(result.rewards) - len(ma)
+    rows = [(ep, float(r), float(ma[ep - offset]) if ep >= offset else float("nan"))
+            for ep, r in enumerate(result.rewards)]
+    return {"learning_curve.csv": (["episode", "reward", "ma100"], rows),
+            "policy.bin": result.params}
 
 
-def _run_drl_eval(cfg: ExperimentConfig, outdir: Path) -> list[Path]:
+def _run_drl_eval(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.aerial_scenario()
     params = load_params(cfg.checkpoint)
     check_checkpoint(params, scn, TrainConfig(**cfg.train), cfg.checkpoint)
     ev = evaluate(scn, params, seed=cfg.seed, episodes=10)
-    rows = [tuple(t) for t in ev["traces"]]
-    path = outdir / "trajectory.csv"
     user_cols = [f"rate_center{i + 1}" for i in range(scn.n_bs)] + ["rate_edge"]
-    _write_csv(
-        path,
-        ["t", "x", "y", "reward", *user_cols, "safety_violation", "qos_violations"],
-        rows,
-    )
-    summary = outdir / "eval_summary.csv"
-    _write_csv(summary, ["mean_sum_rate", "mean_reward"],
-               [(ev["mean_sum_rate"], ev["mean_reward"])])
-    return [path, summary]
+    return {
+        "trajectory.csv": (
+            ["t", "x", "y", "reward", *user_cols, "safety_violation", "qos_violations"],
+            [tuple(t) for t in ev["traces"]],
+        ),
+        "eval_summary.csv": (["mean_sum_rate", "mean_reward"],
+                             [(ev["mean_sum_rate"], ev["mean_reward"])]),
+    }
 
 
 _RUNNERS = {
@@ -266,16 +245,28 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    """Execute the experiment, returning the written artifact paths.
+    """Run the experiment, then write its outputs; return their paths,
+    manifest.cfg first.
 
-    The output directory receives the result CSVs plus manifest.cfg; running
-    the manifest reproduces the CSVs byte-for-byte. The manifest is written
-    only once the runner has returned, so a failed run writes none.
+    The runner computes every output in memory. Only once it has returned is
+    `cfg.out` created and each output written, in the runner's order,
+    followed by manifest.cfg; running the manifest reproduces the outputs
+    byte-for-byte. A run that fails therefore creates and writes nothing. An
+    I/O error while writing (a full disk, `out` naming a file) can still
+    leave the outputs written before it.
     """
+    outputs = _RUNNERS[cfg.kind](cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[cfg.kind](cfg, outdir)
-    return [_manifest(cfg, outdir), *outputs]
+    paths = []
+    for name, content in outputs.items():
+        path = outdir / name
+        if isinstance(content, PolicyParams):
+            save_params(path, content)
+        else:
+            _write_csv(path, *content)
+        paths.append(path)
+    return [_manifest(cfg, outdir), *paths]
 
 
 # Figure-style presets -------------------------------------------------------

@@ -64,22 +64,15 @@ def _nakagami_pow(rng, p, size):
 def _fill_z_rows(rng, z_pow, rows, links, n, shared):
     """Fill kernel Z rows for one (BS,user) block.
 
-    shared=True draws once and copies into every row; otherwise each row gets
-    independent draws.
+    The first row always draws; each later row draws afresh unless shared,
+    in which case it reuses the first row's arrays.
     """
-    if shared:
-        h = _nakagami_pow(rng, links["direct"], n)
-        a = _nakagami_pow(rng, links["bs_ris"], n)
-        b = _nakagami_pow(rng, links["ris_user"], n)
-        for r in rows:
-            z_pow[r, 0] = h
-            z_pow[r, 1] = a
-            z_pow[r, 2] = b
-    else:
-        for r in rows:
-            z_pow[r, 0] = _nakagami_pow(rng, links["direct"], n)
-            z_pow[r, 1] = _nakagami_pow(rng, links["bs_ris"], n)
-            z_pow[r, 2] = _nakagami_pow(rng, links["ris_user"], n)
+    for i, r in enumerate(rows):
+        if i == 0 or not shared:
+            h = _nakagami_pow(rng, links["direct"], n)
+            a = _nakagami_pow(rng, links["bs_ris"], n)
+            b = _nakagami_pow(rng, links["ris_user"], n)
+        z_pow[r, 0], z_pow[r, 1], z_pow[r, 2] = h, a, b
 
 
 def run_trials(
@@ -117,18 +110,13 @@ def run_trials(
                                   kernels.Z_NC1_W), e1, m, shared)
         _fill_z_rows(rng, z_pow, (kernels.Z_F2_V, kernels.Z_F2_W, kernels.Z_NC2_W),
                      e2, m, shared)
-        if shared:
-            x1 = _nakagami_pow(rng, c1["ici"], m)
-            x2 = _nakagami_pow(rng, c2["ici"], m)
-            x_pow[kernels.X_CF1] = x1
-            x_pow[kernels.X_C1] = x1
-            x_pow[kernels.X_CF2] = x2
-            x_pow[kernels.X_C2] = x2
-        else:
-            x_pow[kernels.X_CF1] = _nakagami_pow(rng, c1["ici"], m)
-            x_pow[kernels.X_C1] = _nakagami_pow(rng, c1["ici"], m)
-            x_pow[kernels.X_CF2] = _nakagami_pow(rng, c2["ici"], m)
-            x_pow[kernels.X_C2] = _nakagami_pow(rng, c2["ici"], m)
+        # Interference rows, coupled as the Z rows are.
+        for links, rows in ((c1, (kernels.X_CF1, kernels.X_C1)),
+                            (c2, (kernels.X_CF2, kernels.X_C2))):
+            for i, r in enumerate(rows):
+                if i == 0 or not shared:
+                    x = _nakagami_pow(rng, links["ici"], m)
+                x_pow[r] = x
         res = kernels.coordinated_sinr(
             z_pow, x_pow, amp,
             scenario.zeta_center, scenario.zeta_center, scenario.zeta_edge,

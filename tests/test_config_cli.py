@@ -17,6 +17,7 @@ from riscomp.config import (
     parse_text,
 )
 from riscomp.montecarlo import KS_MIN_SAMPLES
+from riscomp.moppo import TrainConfig
 from riscomp.quadrature import QuadratureError
 
 
@@ -224,7 +225,7 @@ def test_fuzzed_sweep_elements_rejected(case, data):
 
 
 def test_cli_library_error_is_one_line(tmp_path, monkeypatch, capsys):
-    def failing(cfg, outdir):
+    def failing(cfg):
         raise QuadratureError("quadrature did not reach tolerance")
 
     monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
@@ -301,6 +302,23 @@ def test_cli_validate_rejects_train_out_of_range(tmp_path, capsys, line, message
     assert len(errors) == 1
     with pytest.raises(ConfigError, match=rf"train: {message}"):
         load_config(path)
+
+
+def test_cli_validate_rejects_training_that_never_updates(tmp_path, capsys):
+    # PPO updates once per full round of episodes_per_update episodes, so
+    # fewer episodes than that train nothing.
+    text = ("kind = drl-train\nscenario.tiny = true\ntrain.episodes = 5\n"
+            "train.episodes_per_update = 6\n")
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=r"train\.episodes = 5 is below "
+                                          r"train\.episodes_per_update = 6"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    # drl-eval trains nothing, so the same train keys are fine there.
+    from_mapping({"kind": "drl-eval", "checkpoint": "p.bin", "scenario.tiny": True,
+                  "train.episodes": 5, "train.episodes_per_update": 6})
 
 
 def test_cli_validate_rejects_nan_learning_rate(tmp_path, capsys):
@@ -566,6 +584,13 @@ def test_dump_parse_roundtrip_property(kind, data):
     unsafe = [key for key in ("out", "checkpoint") if not _manifest_safe(flat.get(key, ""))]
     if unsafe:
         with pytest.raises(ConfigError, match=rf"\n  {unsafe[0]}: .* surrounding whitespace"):
+            from_mapping(flat)
+        return
+    if kind == "drl-train" and (flat.get("train.episodes", TrainConfig.episodes)
+                                < flat.get("train.episodes_per_update",
+                                           TrainConfig.episodes_per_update)):
+        with pytest.raises(ConfigError, match=r"\n  train\.episodes = \d+ is below "
+                                              r"train\.episodes_per_update"):
             from_mapping(flat)
         return
     cfg = from_mapping(flat)

@@ -155,7 +155,7 @@ def test_ee_joint_grid(tmp_path):
 
 
 def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
-    def failing(cfg, outdir):
+    def failing(cfg):
         raise ValueError("runner failed")
 
     monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
@@ -163,7 +163,28 @@ def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
     cfg.out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="runner failed"):
         run_experiment(cfg)
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_failed_run_creates_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def failing(cfg):
+        raise ValueError("runner failed")
+
+    monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
+    path = tmp_path / "c.cfg"
+    path.write_text("kind = pdf-validation\n")
+    nested = tmp_path / "a" / "b" / "out"
+    assert main(["run", str(path), "--out", str(nested)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: runner failed"]
+    assert not (tmp_path / "a").exists()
+    # An existing output directory keeps exactly what it held.
+    existing = tmp_path / "out"
+    existing.mkdir()
+    kept = existing / "ks_table.csv"
+    kept.write_bytes(b"earlier run\n")
+    assert main(["run", str(path), "--out", str(existing)]) == 1
+    assert list(existing.iterdir()) == [kept]
+    assert kept.read_bytes() == b"earlier run\n"
 
 
 def test_drl_eval_rejects_checkpoint_of_other_width(tmp_path, monkeypatch, capsys):
