@@ -2,13 +2,14 @@
 
 Maps a CoordinatedScenario onto the fitted Gamma / Beta-prime distributions
 of every user SINR, and evaluates ergodic rates and outage probabilities
-from them.
+from them, at the scenario's own SINR thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .channel import NakagamiParams
 from .scenarios import CoordinatedScenario
 from .stats import (
     BetaPrimeParams,
@@ -18,11 +19,8 @@ from .stats import (
     ergodic_rate,
     gamma_from_moments,
     outage_center_closed,
-    outage_edge_closed,
-    sinr_dist_center_decode_edge,
-    sinr_dist_center_own,
+    sinr_dist_center,
     sinr_dist_edge,
-    sinr_dist_edge_high_snr,
 )
 
 
@@ -37,48 +35,33 @@ class CoordinatedDistributions:
     z_center: tuple[GammaParams, GammaParams]
 
 
-def center_power_moments(scn: CoordinatedScenario, i: int) -> MomentPair:
-    links = scn.center_links(i)
+def _power_moments(
+    scn: CoordinatedScenario, links: dict[str, NakagamiParams], beta: float
+) -> MomentPair:
+    """Moments of Z for one BS-user link set, at the RIS side's beta."""
     return effective_power_moments(
-        links["direct"], scn.k_elements, scn.beta_r,
-        links["bs_ris"], links["ris_user"],
-    )
-
-
-def edge_power_moments(scn: CoordinatedScenario, i: int) -> MomentPair:
-    links = scn.edge_links(i)
-    return effective_power_moments(
-        links["direct"], scn.k_elements, scn.beta_t,
-        links["bs_ris"], links["ris_user"],
+        links["direct"], scn.k_elements, beta, links["bs_ris"], links["ris_user"],
     )
 
 
 def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributions:
-    rho = scn.rho
+    rho, zc, zf = scn.rho, scn.zeta_center, scn.zeta_edge
     own = []
     sic = []
     z_c = []
     for i in (1, 2):
-        zm = center_power_moments(scn, i)
-        ici = scn.center_links(i)["ici"]
-        own.append(sinr_dist_center_own(zm, ici, rho, scn.zeta_center))
-        sic.append(
-            sinr_dist_center_decode_edge(zm, ici, rho, scn.zeta_center, scn.zeta_edge)
-        )
+        links = scn.center_links(i)
+        zm = _power_moments(scn, links, scn.beta_r)
+        own.append(sinr_dist_center(zm, links["ici"], rho, zc, 0.0))
+        sic.append(sinr_dist_center(zm, links["ici"], rho, zf, zc))
         z_c.append(gamma_from_moments(zm))
-    zf1 = edge_power_moments(scn, 1)
-    zf2 = edge_power_moments(scn, 2)
-    edge = sinr_dist_edge(
-        zf1, zf2, scn.zeta_center, scn.zeta_center, scn.zeta_edge, scn.zeta_edge, rho
-    )
-    edge_hs = sinr_dist_edge_high_snr(
-        zf1, zf2, scn.zeta_center, scn.zeta_center, scn.zeta_edge, scn.zeta_edge, rho
-    )
+    z1 = _power_moments(scn, scn.edge_links(1), scn.beta_t)
+    z2 = _power_moments(scn, scn.edge_links(2), scn.beta_t)
     return CoordinatedDistributions(
         center_own=tuple(own),
         center_sic=tuple(sic),
-        edge=edge,
-        edge_high_snr=edge_hs,
+        edge=sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=1.0),
+        edge_high_snr=sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=0.0),
         z_center=tuple(z_c),
     )
 
@@ -95,7 +78,7 @@ def analytic_ergodic_rates(scn: CoordinatedScenario) -> dict[str, float]:
 
 def analytic_outage(scn: CoordinatedScenario) -> dict[str, float]:
     d = coordinated_distributions(scn)
-    out = {"edge": outage_edge_closed(d.edge, scn.threshold_edge)}
+    out = {"edge": d.edge.cdf(scn.threshold_edge)}
     for i in (1, 2):
         out[f"center{i}"] = outage_center_closed(
             d.center_sic[i - 1],

@@ -3,9 +3,12 @@
 Effective channel powers Z = (|h| + K sqrt(beta) |h_iR||h_Ru|)^2 are fitted
 to Gamma laws from their first two raw moments; weighted interference sums
 get Gamma fits the same way; SINRs, as ratios of (approximately) independent
-Gamma variables, follow Beta-prime laws. Ergodic rates come from adaptive
-quadrature of the defining integral, outage probabilities from regularized
-incomplete beta evaluations of the Beta-prime CDF.
+Gamma variables, follow Beta-prime laws. One builder per law: the center
+SINR (`sinr_dist_center`, own message or SIC of the edge message) and the
+JT-CoMP edge SINR (`sinr_dist_edge`, with or without the noise term). Ergodic
+rates come from adaptive quadrature of the defining integral, outage
+probabilities from regularized incomplete beta evaluations of the Beta-prime
+CDF.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class MomentPair:
     def variance(self) -> float:
         return self.m2 - self.m1**2
 
-    def shifted(self, c: float = 1.0) -> "MomentPair":
+    def shifted(self, c: float) -> "MomentPair":
         """Moments of X + c."""
         return MomentPair(self.m1 + c, self.m2 + 2.0 * c * self.m1 + c * c)
 
@@ -58,13 +61,6 @@ class GammaParams:
     def __post_init__(self):
         if self.k <= 0 or self.theta <= 0:
             raise ValueError("Gamma shape and scale must be positive")
-
-    @property
-    def mean(self) -> float:
-        return self.k * self.theta
-
-    def moments(self) -> MomentPair:
-        return MomentPair(self.mean, self.k * (self.k + 1.0) * self.theta**2)
 
     def cdf(self, x: float) -> float:
         if x <= 0:
@@ -85,13 +81,6 @@ class BetaPrimeParams:
             raise ValueError("Beta-prime shapes must be positive")
         if self.scale <= 0:
             raise ValueError("Beta-prime scale must be positive")
-
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        y = x / self.scale
-        ln = (self.a - 1.0) * math.log(y) - (self.a + self.b) * math.log1p(y)
-        return math.exp(ln - betaln(self.a, self.b)) / self.scale
 
     def cdf(self, x):
         """Pr(X <= x), elementwise: 0 for x <= 0, 1 for x = +inf, otherwise
@@ -152,20 +141,14 @@ def cascade_moment(
 
 
 def effective_power_moments(
-    direct: NakagamiParams | None,
+    direct: NakagamiParams,
     k_elements: int,
     beta: float,
     i_r: NakagamiParams,
     r_u: NakagamiParams,
 ) -> MomentPair:
-    """Raw moments of Z = (|h| + cascade)^2 via the binomial expansion.
-
-    direct=None models a blocked direct link (|h| = 0).
-    """
-    if direct is None:
-        mh = [1.0, 0.0, 0.0, 0.0, 0.0]
-    else:
-        mh = [1.0] + [nakagami_moment(direct, p) for p in (1, 2, 3, 4)]
+    """Raw moments of Z = (|h| + cascade)^2 via the binomial expansion."""
+    mh = [1.0] + [nakagami_moment(direct, p) for p in (1, 2, 3, 4)]
     if k_elements == 0 or beta == 0.0:
         mg = [1.0, 0.0, 0.0, 0.0, 0.0]
     else:
@@ -199,64 +182,21 @@ def weighted_sum_moments(
     return MomentPair(m1, m2)
 
 
-def sinr_dist_center_decode_edge(
+def sinr_dist_center(
     z: MomentPair,
     interferer: NakagamiParams,
     rho: float,
-    zeta_center: float,
-    zeta_edge: float,
+    zeta_signal: float,
+    zeta_intra: float,
 ) -> BetaPrimeParams:
-    """Law of gamma_{c->f} = rho zeta_f Z / (rho zeta_c Z + rho X + 1)."""
+    """Law of rho zeta_signal Z / (rho zeta_intra Z + rho X + 1) at a center
+    user: its own message with zeta_intra = 0, or the edge message it decodes
+    first for SIC (zeta_signal = zeta_edge, zeta_intra = zeta_center)."""
     zg = gamma_from_moments(z)
     w = gamma_from_moments(
-        weighted_sum_moments(rho * zeta_center, z, rho, interferer).shifted(1.0)
+        weighted_sum_moments(rho * zeta_intra, z, rho, interferer).shifted(1.0)
     )
-    return BetaPrimeParams(zg.k, w.k, rho * zeta_edge * zg.theta / w.theta)
-
-
-def sinr_dist_center_own(
-    z: MomentPair,
-    interferer: NakagamiParams,
-    rho: float,
-    zeta_center: float,
-) -> BetaPrimeParams:
-    """Law of gamma_c = rho zeta_c Z / (rho X + 1); the decode-edge form with
-    the intra-cluster weight dropped."""
-    zg = gamma_from_moments(z)
-    w = gamma_from_moments(
-        weighted_sum_moments(0.0, z, rho, interferer).shifted(1.0)
-    )
-    return BetaPrimeParams(zg.k, w.k, rho * zeta_center * zg.theta / w.theta)
-
-
-def edge_ratio_moments(
-    z1: MomentPair,
-    z2: MomentPair,
-    zeta_c1: float,
-    zeta_c2: float,
-    zeta_f1: float,
-    zeta_f2: float,
-    rho: float,
-) -> tuple[MomentPair, MomentPair]:
-    """Moments of V = rho(zf1 Z1 + zf2 Z2) and of the interference
-    W = rho(zc1 Z1 + zc2 Z2), without the noise term, for independent Z1, Z2."""
-    v1 = rho * (zeta_f1 * z1.m1 + zeta_f2 * z2.m1)
-    v2 = rho * rho * (
-        zeta_f1**2 * z1.m2
-        + 2.0 * zeta_f1 * zeta_f2 * z1.m1 * z2.m1
-        + zeta_f2**2 * z2.m2
-    )
-    w = MomentPair(
-        rho * (zeta_c1 * z1.m1 + zeta_c2 * z2.m1),
-        rho
-        * rho
-        * (
-            zeta_c1**2 * z1.m2
-            + 2.0 * zeta_c1 * zeta_c2 * z1.m1 * z2.m1
-            + zeta_c2**2 * z2.m2
-        ),
-    )
-    return MomentPair(v1, v2), w
+    return BetaPrimeParams(zg.k, w.k, rho * zeta_signal * zg.theta / w.theta)
 
 
 def sinr_dist_edge(
@@ -267,29 +207,31 @@ def sinr_dist_edge(
     zeta_f1: float,
     zeta_f2: float,
     rho: float,
+    noise: float,
 ) -> BetaPrimeParams:
-    """Law of the non-coherent JT-CoMP edge SINR gamma_f = V / (W + 1)."""
-    mv, mw = edge_ratio_moments(z1, z2, zeta_c1, zeta_c2, zeta_f1, zeta_f2, rho)
-    v = gamma_from_moments(mv)
-    w = gamma_from_moments(mw.shifted(1.0))
-    return BetaPrimeParams(v.k, w.k, v.theta / w.theta)
-
-
-def sinr_dist_edge_high_snr(
-    z1: MomentPair,
-    z2: MomentPair,
-    zeta_c1: float,
-    zeta_c2: float,
-    zeta_f1: float,
-    zeta_f2: float,
-    rho: float,
-) -> BetaPrimeParams:
-    """High-SNR edge law: the +1 noise term is dropped, leaving the
-    interference-limited ratio V / W (rho cancels from the scale)."""
-    mv, mw = edge_ratio_moments(z1, z2, zeta_c1, zeta_c2, zeta_f1, zeta_f2, rho)
-    v = gamma_from_moments(mv)
-    w = gamma_from_moments(mw)
-    return BetaPrimeParams(v.k, w.k, v.theta / w.theta)
+    """Law of the non-coherent JT-CoMP edge SINR gamma_f = V / (W + noise),
+    V = rho(zf1 Z1 + zf2 Z2) and W = rho(zc1 Z1 + zc2 Z2) for independent
+    Z1, Z2. noise = 1 is the SINR; noise = 0 is the interference-limited
+    high-SNR law V / W, whose scale does not depend on rho."""
+    v = MomentPair(
+        rho * (zeta_f1 * z1.m1 + zeta_f2 * z2.m1),
+        rho * rho * (
+            zeta_f1**2 * z1.m2
+            + 2.0 * zeta_f1 * zeta_f2 * z1.m1 * z2.m1
+            + zeta_f2**2 * z2.m2
+        ),
+    )
+    w = MomentPair(
+        rho * (zeta_c1 * z1.m1 + zeta_c2 * z2.m1),
+        rho * rho * (
+            zeta_c1**2 * z1.m2
+            + 2.0 * zeta_c1 * zeta_c2 * z1.m1 * z2.m1
+            + zeta_c2**2 * z2.m2
+        ),
+    )
+    vg = gamma_from_moments(v)
+    wg = gamma_from_moments(w.shifted(noise))
+    return BetaPrimeParams(vg.k, wg.k, vg.theta / wg.theta)
 
 
 def _er_breakpoints(a: float, b: float) -> list[float]:
@@ -327,13 +269,6 @@ def ergodic_rate(p: BetaPrimeParams, rtol: float = 1e-8) -> float:
     return integrate(
         integrand, 0.0, 1.0, rtol=rtol, atol=1e-12, breakpoints=_er_breakpoints(a, b)
     )
-
-
-def outage_edge_closed(p: BetaPrimeParams, threshold: float) -> float:
-    """Pr(gamma_f < threshold); shares the Beta-prime CDF code path."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return p.cdf(threshold)
 
 
 def outage_center_closed(

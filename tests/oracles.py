@@ -215,6 +215,15 @@ def integrate_half_line(
     return integrate(g, 0.0, 1.0, rtol=rtol, atol=atol, breakpoints=pts, limit=limit)
 
 
+def beta_prime_pdf(p, x: float) -> float:
+    """Density at x of a scaled Beta-prime law p (X/p.scale ~ BetaPrime(p.a, p.b))."""
+    if x <= 0:
+        return 0.0
+    y = x / p.scale
+    ln = (p.a - 1.0) * math.log(y) - (p.a + p.b) * math.log1p(y)
+    return math.exp(ln - betaln(p.a, p.b)) / p.scale
+
+
 _SQRT_HALF = math.sqrt(0.5)
 
 

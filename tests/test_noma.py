@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from oracles import LinkBudget, NomaPair, sinr_edge_comp
 from riscomp.montecarlo import SINR_KINDS, TrialBatch, estimate_outage
-from riscomp.noma import RateThresholds, achievable_rate
+from riscomp.scenarios import CoordinatedScenario
 
 PAIR = NomaPair(zeta_center=0.3, zeta_edge=0.7, tx_power=1.0)
+SCN = CoordinatedScenario()  # 0 dB thresholds: both SINR thresholds = 1
 
 
 def _batch(**sinr) -> TrialBatch:
     """One-trial batch: the given SINRs, every other kind at 1.0."""
     full = {k: np.array([float(sinr.get(k, 1.0))]) for k in SINR_KINDS}
-    return TrialBatch(sinr=full, n_trials=1, seed=0, coupling="physical")
+    return TrialBatch(sinr=full, n_trials=1)
 
 
 def test_pair_validation():
@@ -41,32 +42,20 @@ def test_sinr_edge_comp_examples():
     assert val == pytest.approx(2.1 / 1.9)
 
 
-def test_achievable_rate_examples():
-    assert achievable_rate(0.0) == 0.0
-    assert achievable_rate(1.0) == pytest.approx(1.0)
-    assert achievable_rate(3.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        achievable_rate(-0.5)
-
-
 def test_outage_center_examples():
     # Two-stage center outage: SIC failure alone is an outage, and so is an
     # own-message failure after SIC succeeded.
-    thr = RateThresholds(1.0, 1.0)  # both SINR thresholds = 1
     for sic, own, want in ((2.0, 2.0, 0.0), (0.5, 2.0, 1.0), (2.0, 0.5, 1.0)):
-        out = estimate_outage(_batch(center1_sic=sic, center1_own=own), thr)
+        out = estimate_outage(_batch(center1_sic=sic, center1_own=own), SCN)
         assert out["center1"] == want, (sic, own)
 
 
 def test_outage_edge_boundary_is_non_outage():
-    # Exact tie in binary floating point: 0.75/(0.25 + 0.5) == 1.0 == 2^1 - 1.
-    thr = RateThresholds(1.0, 1.0)
+    # Exact tie in binary floating point: 0.75/(0.25 + 0.5) == 1.0 == 0 dB.
     tie = sinr_edge_comp(NomaPair(0.25, 0.75, 1.0), LinkBudget([1.0], noise_power=0.5))
-    assert tie == thr.gamma_edge == 1.0
-    assert estimate_outage(_batch(edge=tie), thr)["edge"] == 0.0
-    assert estimate_outage(_batch(edge=0.0), thr)["edge"] == 1.0
-    # Threshold derived from R = 0.5 bps/Hz.
-    assert RateThresholds(0.5, 0.5).gamma_edge == pytest.approx(2**0.5 - 1)
+    assert tie == SCN.threshold_edge == 1.0
+    assert estimate_outage(_batch(edge=tie), SCN)["edge"] == 0.0
+    assert estimate_outage(_batch(edge=0.0), SCN)["edge"] == 1.0
 
 
 @given(
@@ -92,15 +81,16 @@ def test_scale_invariance_and_saturation(g1, g2, ici, noise, scale):
 
 @given(
     sic=st.floats(0.0, 1e3), own=st.floats(0.0, 1e3),
-    r_base=st.floats(0.01, 3.0), r_delta=st.floats(0.0, 2.0),
+    t_base=st.floats(-20.0, 10.0), t_delta=st.floats(0.0, 10.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_outage_threshold_monotonicity(sic, own, r_base, r_delta):
-    # Raising either threshold alone never turns an outage into a non-outage.
+def test_outage_threshold_monotonicity(sic, own, t_base, t_delta):
+    # Raising either threshold (dB) alone never turns an outage into a
+    # non-outage.
     batch = _batch(center1_sic=sic, center1_own=own)
-    hi_center = RateThresholds(r_base + r_delta, r_base)
-    hi_edge = RateThresholds(r_base, r_base + r_delta)
-    lo = RateThresholds(r_base, r_base)
+    hi_center = CoordinatedScenario(thresholds_db=(t_base + t_delta, t_base))
+    hi_edge = CoordinatedScenario(thresholds_db=(t_base, t_base + t_delta))
+    lo = CoordinatedScenario(thresholds_db=(t_base, t_base))
     if estimate_outage(batch, lo)["center1"] == 1.0:
         assert estimate_outage(batch, hi_center)["center1"] == 1.0
         assert estimate_outage(batch, hi_edge)["center1"] == 1.0

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from oracles import integrate_half_line
+from oracles import beta_prime_pdf, integrate_half_line
+from riscomp.analysis import analytic_outage, coordinated_distributions
 from riscomp.channel import NakagamiParams, substream
 from riscomp.scenarios import CoordinatedScenario
 from riscomp.special import betainc_reg
@@ -13,22 +15,23 @@ from riscomp.stats import (
     GammaParams,
     MomentPair,
     cascade_moment,
-    edge_ratio_moments,
     effective_power_moments,
     ergodic_rate,
     gamma_from_moments,
     nakagami_moment,
     outage_center_closed,
-    outage_edge_closed,
-    sinr_dist_center_decode_edge,
-    sinr_dist_center_own,
+    sinr_dist_center,
     sinr_dist_edge,
-    sinr_dist_edge_high_snr,
     weighted_sum_moments,
 )
 
 UNIT = NakagamiParams(1.0, 1.0)
 M2 = NakagamiParams(2.0, 1.0)
+
+
+def _moments(g: GammaParams) -> MomentPair:
+    """Raw moments of a Gamma law: k theta and k (k + 1) theta^2."""
+    return MomentPair(g.k * g.theta, g.k * (g.k + 1.0) * g.theta**2)
 
 
 def test_nakagami_moment_examples():
@@ -52,7 +55,7 @@ def test_gamma_from_moments_examples():
     g = gamma_from_moments(MomentPair(2.0, 6.0))
     assert (g.k, g.theta) == (pytest.approx(2.0), pytest.approx(1.0))
     src = GammaParams(3.0, 0.5)
-    back = gamma_from_moments(src.moments())
+    back = gamma_from_moments(_moments(src))
     assert back.k == pytest.approx(3.0, rel=1e-12)
     assert back.theta == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(FitError):
@@ -61,9 +64,9 @@ def test_gamma_from_moments_examples():
 
 def test_moment_roundtrip_tight():
     for k, theta in [(0.3, 2.0), (7.0, 1e-6), (120.0, 3.0)]:
-        m = GammaParams(k, theta).moments()
+        m = _moments(GammaParams(k, theta))
         g = gamma_from_moments(m)
-        m2 = g.moments()
+        m2 = _moments(g)
         assert m2.m1 == pytest.approx(m.m1, rel=1e-12)
         assert m2.m2 == pytest.approx(m.m2, rel=1e-12)
 
@@ -72,11 +75,6 @@ def test_effective_power_moments_no_ris():
     m = effective_power_moments(NakagamiParams(2.0, 3.0), 0, 0.5, M2, M2)
     assert m.m1 == pytest.approx(3.0)
     assert m.m2 == pytest.approx(9.0 * (1 + 0.5))  # omega^2 (1 + 1/m)
-
-
-def test_effective_power_moments_blocked_direct():
-    m = effective_power_moments(None, 1, 1.0, UNIT, UNIT)
-    assert m.m1 == pytest.approx(1.0)
 
 
 def test_effective_power_moments_against_mc():
@@ -95,33 +93,39 @@ def test_effective_power_moments_against_mc():
 
 def test_weighted_sum_gamma_examples():
     z = GammaParams(2.0, 1.5)
-    same = gamma_from_moments(weighted_sum_moments(1.0, z.moments(), 0.0, UNIT))
+    same = gamma_from_moments(weighted_sum_moments(1.0, _moments(z), 0.0, UNIT))
     assert same.k == pytest.approx(2.0, rel=1e-12)
     assert same.theta == pytest.approx(1.5, rel=1e-12)
-    expo = gamma_from_moments(weighted_sum_moments(0.0, z.moments(), 1.0, UNIT))
+    expo = gamma_from_moments(weighted_sum_moments(0.0, _moments(z), 1.0, UNIT))
     assert expo.k == pytest.approx(1.0, rel=1e-12)
     assert expo.theta == pytest.approx(1.0, rel=1e-12)
-    scaled = gamma_from_moments(weighted_sum_moments(2.0, z.moments(), 0.0, UNIT))
+    scaled = gamma_from_moments(weighted_sum_moments(2.0, _moments(z), 0.0, UNIT))
     assert scaled.k == pytest.approx(2.0, rel=1e-12)
     assert scaled.theta == pytest.approx(3.0, rel=1e-12)
     with pytest.raises(FitError):
-        weighted_sum_moments(0.0, z.moments(), 0.0, UNIT)
+        weighted_sum_moments(0.0, _moments(z), 0.0, UNIT)
 
 
 def _fig_style_dists(p_t_dbm=-30.0):
     scn = CoordinatedScenario(p_t_dbm=p_t_dbm)
-    from riscomp.analysis import coordinated_distributions
-
     return scn, coordinated_distributions(scn)
 
 
 def test_densities_normalize():
+    # The fitted laws' densities integrate to 1, and the CDF at the scale
+    # equals the density's integral up to it.
     _, dists = _fig_style_dists()
     for dist in (dists.center_own[0], dists.center_sic[0], dists.edge):
+        pdf = functools.partial(beta_prime_pdf, dist)
         total = integrate_half_line(
-            dist.pdf, rtol=1e-9, breakpoints=[dist.scale * 0.01, dist.scale, dist.scale * 100]
+            pdf, rtol=1e-9, breakpoints=[dist.scale * 0.01, dist.scale, dist.scale * 100]
         )
         assert total == pytest.approx(1.0, abs=1e-6)
+        below = integrate_half_line(
+            lambda x: pdf(x) if x <= dist.scale else 0.0, rtol=1e-9,
+            breakpoints=[dist.scale * 0.01, dist.scale],
+        )
+        assert dist.cdf(dist.scale) == pytest.approx(below, abs=1e-6)
 
 
 def test_beta_prime_cdf_examples():
@@ -129,16 +133,6 @@ def test_beta_prime_cdf_examples():
     assert p.cdf(0.0) == 0.0
     assert p.cdf(math.inf) == 1.0
     assert p.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_beta_prime_mode_matches_dense_search():
-    # Analytic mode of the scaled Beta-prime is scale*(a-1)/(b+1); dense
-    # numerical maximization of the density must land on it.
-    p = BetaPrimeParams(2.7, 4.1, 1.9)
-    mode = p.scale * (p.a - 1.0) / (p.b + 1.0)
-    grid = np.linspace(max(mode - 0.5, 1e-9), mode + 0.5, 100_001)
-    vals = np.array([p.pdf(x) for x in grid])
-    assert grid[np.argmax(vals)] == pytest.approx(mode, abs=1e-4)
 
 
 def test_ergodic_rate_degenerate_concentration():
@@ -169,25 +163,23 @@ def test_ergodic_rate_vs_mc_sampling():
 def test_ergodic_rate_symmetry_under_bs_swap():
     z1 = effective_power_moments(UNIT, 8, 0.5, M2, M2)
     z2 = effective_power_moments(NakagamiParams(1.0, 2.0), 8, 0.5, M2, M2)
-    a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 100.0)
-    b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 100.0)
+    a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
+    b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
     assert ergodic_rate(a) == pytest.approx(ergodic_rate(b), rel=1e-12)
 
 
 def test_high_snr_agreement_at_rho_1e6():
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
     rho = 1e6
-    exact = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho))
-    approx = ergodic_rate(
-        sinr_dist_edge_high_snr(z, z, 0.3, 0.3, 0.7, 0.7, rho)
-    )
+    exact = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=1.0))
+    approx = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=0.0))
     assert abs(exact - approx) < 0.05
 
 
 def test_high_snr_scale_cancellation():
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
-    a = sinr_dist_edge_high_snr(z, z, 0.3, 0.3, 0.7, 0.7, 1e4)
-    b = sinr_dist_edge_high_snr(z, z, 0.3, 0.3, 0.7, 0.7, 1e7)
+    a = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e4, noise=0.0)
+    b = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e7, noise=0.0)
     assert a.scale == pytest.approx(b.scale, rel=1e-12)
     assert ergodic_rate(a) == pytest.approx(ergodic_rate(b), rel=1e-10)
 
@@ -197,17 +189,17 @@ def test_high_snr_saturation_with_concentrated_fits():
     # value approaches log2(1 + zeta_f / zeta_c).
     conc = NakagamiParams(50.0, 1.0)
     z = effective_power_moments(conc, 0, 0.0, M2, M2)
-    p = sinr_dist_edge_high_snr(z, z, 0.3, 0.3, 0.7, 0.7, 1e9)
+    p = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e9, noise=0.0)
     assert ergodic_rate(p) == pytest.approx(math.log2(1 + 0.7 / 0.3), abs=0.05)
 
 
 def test_outage_edge_examples():
-    _, dists = _fig_style_dists()
+    scn, dists = _fig_style_dists()
     p = dists.edge
-    assert outage_edge_closed(p, 0.0) == 0.0
-    assert outage_edge_closed(p, 1e12) == pytest.approx(1.0, abs=1e-9)
-    x = 0.37
-    assert outage_edge_closed(p, x) == p.cdf(x)  # shared code path
+    assert p.cdf(0.0) == 0.0
+    assert p.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
+    # The closed-form edge outage is the law's CDF at the scenario threshold.
+    assert analytic_outage(scn)["edge"] == p.cdf(scn.threshold_edge)
 
 
 def test_outage_center_closed_limits():
@@ -237,22 +229,23 @@ def test_outage_center_floor_applies():
     assert val >= floor
 
 
-def test_edge_ratio_moments_symmetric():
+def test_sinr_dist_edge_symmetric():
+    # Swapping the two serving links leaves the edge law unchanged, with and
+    # without the noise term.
     z1 = MomentPair(1.0, 2.5)
     z2 = MomentPair(2.0, 9.0)
-    v12, w12 = edge_ratio_moments(z1, z2, 0.3, 0.3, 0.7, 0.7, 10.0)
-    v21, w21 = edge_ratio_moments(z2, z1, 0.3, 0.3, 0.7, 0.7, 10.0)
-    assert v12.m1 == pytest.approx(v21.m1)
-    assert v12.m2 == pytest.approx(v21.m2)
-    assert w12.m1 == pytest.approx(w21.m1)
-    assert w12.m2 == pytest.approx(w21.m2)
+    for noise in (1.0, 0.0):
+        a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 10.0, noise)
+        b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 10.0, noise)
+        assert (b.a, b.b, b.scale) == (
+            pytest.approx(a.a), pytest.approx(a.b), pytest.approx(a.scale))
 
 
 def test_center_dist_construction():
     z = effective_power_moments(UNIT, 4, 0.5, M2, M2)
     ici = NakagamiParams(1.0, 0.1)
-    sic = sinr_dist_center_decode_edge(z, ici, 10.0, 0.3, 0.7)
-    own = sinr_dist_center_own(z, ici, 10.0, 0.3)
+    sic = sinr_dist_center(z, ici, 10.0, 0.7, 0.3)
+    own = sinr_dist_center(z, ici, 10.0, 0.3, 0.0)
     assert sic.a == pytest.approx(own.a)  # both built on the same Z fit
     # Scale assembles as rho * zeta * theta_Z / theta_W from the fitted parts.
     zg = gamma_from_moments(z)
@@ -262,4 +255,4 @@ def test_center_dist_construction():
     # Degenerate fits (variance lost to rounding) raise rather than clamp.
     weak = NakagamiParams(1.0, 1e-12)
     with pytest.raises(FitError):
-        sinr_dist_center_own(z, weak, 1e-9, 0.3)
+        sinr_dist_center(z, weak, 1e-9, 0.3, 0.0)
