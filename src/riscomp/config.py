@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
 
+from .analysis import coordinated_distributions
 from .moppo import TrainConfig
 from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
@@ -89,6 +90,16 @@ _SWEEP_KEYS = {
     "assignment_values": (int, ("exhaustive-star",)),
 }
 
+# The fixed lists the runners sweep when the config sets none; the other
+# defaults (assignment_values, j_values) are computed from the scenario.
+_SWEEP_DEFAULTS = {
+    "er-sweep": {"p_t_dbm": [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0]},
+    "outage-sweep": {"p_t_dbm": [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]},
+    "exhaustive-star": {"beta_t_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+    "osum-sweep": {"p_t_dbm": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]},
+    "split-sweep": {"splits": [0.0, 0.25, 0.5, 0.75, 1.0]},
+}
+
 # The scenario family of every kind, named by its key schema.
 _SCENARIO_KEYS_BY_KIND = {
     "pdf-validation": _COORDINATED_KEYS,
@@ -119,6 +130,11 @@ class ExperimentConfig:
     scenario: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
+
+    def sweep_values(self, key: str) -> list:
+        """The values of sweep.<key> the runner uses: the config's list, or
+        the kind's fixed default."""
+        return self.sweep.get(key, _SWEEP_DEFAULTS[self.kind][key])
 
     def coordinated_scenario(self) -> CoordinatedScenario:
         kw = dict(self.scenario)
@@ -350,6 +366,29 @@ def _ee_power_errors(cfg: ExperimentConfig, scn) -> list[str]:
             if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
 
 
+def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
+    """Fit the closed-form SINR laws at every power and beta_t the
+    coordinated runner fits them at; a point whose fit fails is named by the
+    key that sets it."""
+    if cfg.kind == "exhaustive-star":
+        points = [(f"sweep.beta_t_values[{i}]", {"beta_t": b, "beta_r": 1.0 - b})
+                  for i, b in enumerate(cfg.sweep_values("beta_t_values"))]
+    elif cfg.kind == "pdf-validation":
+        points = [("scenario.p_t_dbm", {})]
+    else:
+        points = [(f"sweep.p_t_dbm[{i}]", {"p_t_dbm": p})
+                  for i, p in enumerate(cfg.sweep_values("p_t_dbm"))]
+    errors = []
+    for key, changes in points:
+        at = ", ".join(f"{k} = {v!r}" for k, v in
+                       {"p_t_dbm": scn.p_t_dbm, "beta_t": scn.beta_t, **changes}.items())
+        try:
+            coordinated_distributions(replace(scn, **changes))
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"{key}: the closed-form SINR laws cannot be fitted at {at}: {exc}")
+    return errors
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Range and invariant checks; also re-run after the CLI overrides fields."""
     # The checks below do float arithmetic, which such integers would crash.
@@ -402,6 +441,9 @@ def validate(cfg: ExperimentConfig) -> None:
         errors.extend(_link_budget_errors(cfg, scn))
         if cfg.kind == "ee-sweep":
             errors.extend(_ee_power_errors(cfg, scn))
+        # The fits need every value above to be usable.
+        if schema is _COORDINATED_KEYS and not errors:
+            errors.extend(_fit_errors(cfg, scn))
     if drl:
         try:
             tc = TrainConfig(**cfg.train)

@@ -82,7 +82,7 @@ def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
     }
     rows = []
     for coupling in ("fitted", "physical"):
-        batch = run_trials(scn, n, cfg.seed, coupling=coupling)
+        batch = run_trials(scn, n, cfg.seed, coupling=coupling).batch(scn)
         for kind, dist in analytic.items():
             d, passed, crit = ks_statistic(batch.sinr[kind], dist.cdf)
             rows.append((coupling, kind, n, d, crit, int(passed)))
@@ -92,13 +92,13 @@ def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
 def _run_er_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 100_000)
-    p_values = cfg.sweep.get("p_t_dbm", [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0])
+    p_values = cfg.sweep_values("p_t_dbm")
+    draws = run_trials(scn, n, cfg.seed, coupling="fitted")
     rows = []
     for p_t in p_values:
         scn_p = replace(scn, p_t_dbm=p_t)
         er = analytic_ergodic_rates(scn_p)
-        batch = run_trials(scn_p, n, cfg.seed, coupling="fitted")
-        mc = estimate_ergodic_rate(batch)
+        mc = estimate_ergodic_rate(draws.batch(scn_p))
         for user in ("center1", "center2", "edge"):
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
             rows.append((p_t, user, er[user], mc[user], rel))
@@ -110,13 +110,13 @@ def _run_er_sweep(cfg: ExperimentConfig) -> Outputs:
 def _run_outage_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     n = _trials(cfg, 10_000)
-    p_values = cfg.sweep.get("p_t_dbm", [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
+    p_values = cfg.sweep_values("p_t_dbm")
+    draws = run_trials(scn, n, cfg.seed, coupling="fitted")
     rows = []
     for p_t in p_values:
         scn_p = replace(scn, p_t_dbm=p_t)
         closed = analytic_outage(scn_p)
-        batch = run_trials(scn_p, n, cfg.seed, coupling="fitted")
-        mc = estimate_outage(batch, scn_p)
+        mc = estimate_outage(draws.batch(scn_p), scn_p)
         for user in ("center1", "center2", "edge"):
             rows.append((p_t, user, closed[user], mc[user],
                          abs(closed[user] - mc[user])))
@@ -128,7 +128,7 @@ def _run_exhaustive_star(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.coordinated_scenario()
     k = scn.k_elements
     k1_values = cfg.sweep.get("assignment_values", list(range(0, k + 1, max(1, k // 8))))
-    beta_values = cfg.sweep.get("beta_t_values", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    beta_values = cfg.sweep_values("beta_t_values")
     # `analysis` does not read the assignment: the rates depend on beta_t only.
     ers = [analytic_ergodic_rates(replace(scn, beta_t=b, beta_r=1.0 - b)) for b in beta_values]
     rows = [(k1, k - k1, beta_t, 1.0 - beta_t, er["center1"], er["center2"],
@@ -177,7 +177,7 @@ def _run_ee_sweep(cfg: ExperimentConfig) -> Outputs:
 def _run_osum_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
-    p_values = cfg.sweep.get("p_t_dbm", [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
+    p_values = cfg.sweep_values("p_t_dbm")
     rows = [
         (r["p_t_dbm"], r["mode"], r["outage_sum_rate"])
         for r in osum_sweep(scn, p_values, n=n, seed=cfg.seed)
@@ -188,7 +188,7 @@ def _run_osum_sweep(cfg: ExperimentConfig) -> Outputs:
 def _run_split_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
-    splits = cfg.sweep.get("splits", [0.0, 0.25, 0.5, 0.75, 1.0])
+    splits = cfg.sweep_values("splits")
     coop_counts = cfg.sweep.get("j_values", [1, scn.n_cells // 2, scn.n_cells])
     rows = [
         (r["split"], r["J"], r["outage_sum_rate"])

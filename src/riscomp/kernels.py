@@ -23,28 +23,27 @@ N_Z_ROWS = 13
 X_CF1, X_C1, X_CF2, X_C2 = 0, 1, 2, 3
 N_X_ROWS = 4
 
-# Output rows: SIC-stage and own-message SINR per center, CoMP edge SINR,
+# Output rows: own-message and SIC-stage SINR per center, CoMP edge SINR,
 # and the no-CoMP edge SINR.
-OUT_CF1, OUT_C1, OUT_CF2, OUT_C2, OUT_F, OUT_F_NC = 0, 1, 2, 3, 4, 5
+OUT_C1, OUT_CF1, OUT_C2, OUT_CF2, OUT_F, OUT_F_NC = 0, 1, 2, 3, 4, 5
 N_OUT_ROWS = 6
 
 
-def coordinated_sinr(z_pow, x_pow, amp, zeta_c1, zeta_c2, zeta_f, rho):
-    """Two-cell coordinated-cluster SINRs from pre-drawn power variates.
-
-    z_pow: (N_Z_ROWS, 3, n) gamma power draws (h^2, a^2, b^2) per block,
-    x_pow: (N_X_ROWS, n) interference power draws, amp: per-row cascade
-    multiplier K*sqrt(beta). Returns (N_OUT_ROWS, n) SINRs.
-    """
-    n = z_pow.shape[2]
-    z = np.empty((N_Z_ROWS, n))
+def coordinated_z(z_pow, amp):
+    """Combined rows (sqrt(h^2) + amp*sqrt(a^2)*sqrt(b^2))^2, (N_Z_ROWS, n),
+    of z_pow: (N_Z_ROWS, 3, n) gamma power draws (h^2, a^2, b^2) per block,
+    amp: per-row cascade multiplier K*sqrt(beta)."""
+    z = np.empty((N_Z_ROWS, z_pow.shape[2]))
     for r in range(N_Z_ROWS):
-        h = np.sqrt(z_pow[r, 0])
-        a = np.sqrt(z_pow[r, 1])
-        b = np.sqrt(z_pow[r, 2])
-        s = h + amp[r] * a * b
+        s = np.sqrt(z_pow[r, 0]) + amp[r] * np.sqrt(z_pow[r, 1]) * np.sqrt(z_pow[r, 2])
         z[r] = s * s
-    out = np.empty((N_OUT_ROWS, n))
+    return z
+
+
+def coordinated_sinr(z, x_pow, zeta_c1, zeta_c2, zeta_f, rho):
+    """Two-cell coordinated-cluster SINRs, (N_OUT_ROWS, n), from the rows z
+    of coordinated_z and x_pow: (N_X_ROWS, n) interference power draws."""
+    out = np.empty((N_OUT_ROWS, z.shape[1]))
     out[OUT_CF1] = (rho * zeta_f * z[Z_CF1_S]) / (
         rho * zeta_c1 * z[Z_CF1_I] + rho * x_pow[X_CF1] + 1.0
     )

@@ -15,6 +15,9 @@ Reproducibility: trials are partitioned into fixed chunks of CHUNK trials;
 chunk j draws from substream (seed, label, j), so results are independent of
 worker count and scheduling.
 
+No draw depends on power or allocation: `run_trials` draws once, 17 float64
+per trial held until a sweep ends, and `TrialDraws.batch` scores per scenario.
+
 The estimators score a batch at the scenario's own SINR thresholds, the
 numbers the closed forms in `analysis` read, and the KS test compares a
 sample with a fitted CDF at the fixed level alpha = 0.01.
@@ -37,6 +40,7 @@ CHUNK = 4096
 # Stream labels (part of the documented substream scheme).
 _STREAM_TRIALS = 101
 
+# In the order of the kernel's output rows.
 SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
               "edge", "edge_nocomp")
 
@@ -55,6 +59,32 @@ class TrialBatch:
         for name, arr in self.sinr.items():
             if arr.shape != (self.n_trials,):
                 raise ValueError(f"sample array {name} does not match n_trials")
+
+
+def _drawn_from(scn: CoordinatedScenario) -> tuple:
+    """The links (center 1, 2, edge 1, 2) and cascade amplitudes (center,
+    edge) that a scenario's trials are drawn from."""
+    return (scn.center_links(1), scn.center_links(2), scn.edge_links(1), scn.edge_links(2),
+            scn.cascade_amp_center(), scn.cascade_amp_edge())
+
+
+@dataclass(frozen=True)
+class TrialDraws:
+    """Combined cascade rows z (N_Z_ROWS, n) and interference powers x
+    (N_X_ROWS, n) of n trials, and what they were drawn from."""
+
+    z: np.ndarray
+    x: np.ndarray
+    drawn_from: tuple
+
+    def batch(self, scenario: CoordinatedScenario) -> TrialBatch:
+        """The trials' SINRs at the scenario's rho and zeta; ValueError if
+        its links or cascade amplitudes are not those drawn from."""
+        if _drawn_from(scenario) != self.drawn_from:
+            raise ValueError("the scenario's links or cascade amplitudes are not those drawn from")
+        res = kernels.coordinated_sinr(self.z, self.x, scenario.zeta_center, scenario.zeta_center,
+                                       scenario.zeta_edge, scenario.rho)
+        return TrialBatch(sinr=dict(zip(SINR_KINDS, res)), n_trials=self.z.shape[1])
 
 
 def _nakagami_pow(rng, p, size):
@@ -81,28 +111,24 @@ def run_trials(
     n: int,
     seed: int,
     coupling: str = "physical",
-) -> TrialBatch:
-    """n independent channel realizations evaluated through every SINR."""
+) -> TrialDraws:
+    """n independent channel realizations, drawn once: 17 float64 per
+    trial, which `TrialDraws.batch` scores at any power and allocation."""
     if n < 0:
         raise ValueError("trial count must be >= 0")
     if coupling not in ("physical", "fitted"):
         raise ValueError("coupling must be 'physical' or 'fitted'")
     shared = coupling == "physical"
-    out = {k: np.empty(n) for k in SINR_KINDS}
-    amp = np.empty(kernels.N_Z_ROWS)
-    amp[:6] = scenario.cascade_amp_center()
-    amp[6:] = scenario.cascade_amp_edge()
-    c1 = scenario.center_links(1)
-    c2 = scenario.center_links(2)
-    e1 = scenario.edge_links(1)
-    e2 = scenario.edge_links(2)
+    c1, c2, e1, e2, amp_center, amp_edge = drawn_from = _drawn_from(scenario)
+    amp = np.repeat([amp_center, amp_edge], [6, kernels.N_Z_ROWS - 6])
+    z = np.empty((kernels.N_Z_ROWS, n))
+    x = np.empty((kernels.N_X_ROWS, n))
     start = 0
     while start < n:
         chunk_index = start // CHUNK
         m = min(CHUNK, n - start)
         rng = substream(seed, _STREAM_TRIALS, chunk_index)
         z_pow = np.empty((kernels.N_Z_ROWS, 3, m))
-        x_pow = np.empty((kernels.N_X_ROWS, m))
         _fill_z_rows(rng, z_pow, (kernels.Z_CF1_S, kernels.Z_CF1_I, kernels.Z_C1_S),
                      c1, m, shared)
         _fill_z_rows(rng, z_pow, (kernels.Z_CF2_S, kernels.Z_CF2_I, kernels.Z_C2_S),
@@ -116,22 +142,11 @@ def run_trials(
                             (c2, (kernels.X_CF2, kernels.X_C2))):
             for i, r in enumerate(rows):
                 if i == 0 or not shared:
-                    x = _nakagami_pow(rng, links["ici"], m)
-                x_pow[r] = x
-        res = kernels.coordinated_sinr(
-            z_pow, x_pow, amp,
-            scenario.zeta_center, scenario.zeta_center, scenario.zeta_edge,
-            scenario.rho,
-        )
-        sl = slice(start, start + m)
-        out["center1_sic"][sl] = res[kernels.OUT_CF1]
-        out["center1_own"][sl] = res[kernels.OUT_C1]
-        out["center2_sic"][sl] = res[kernels.OUT_CF2]
-        out["center2_own"][sl] = res[kernels.OUT_C2]
-        out["edge"][sl] = res[kernels.OUT_F]
-        out["edge_nocomp"][sl] = res[kernels.OUT_F_NC]
+                    draw = _nakagami_pow(rng, links["ici"], m)
+                x[r, start:start + m] = draw
+        z[:, start:start + m] = kernels.coordinated_z(z_pow, amp)
         start += m
-    return TrialBatch(sinr=out, n_trials=n)
+    return TrialDraws(z=z, x=x, drawn_from=drawn_from)
 
 
 def ks_statistic(

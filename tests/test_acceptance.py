@@ -84,7 +84,7 @@ def test_criterion_1_distribution_fit_ks():
     }
     ok = True
     for coupling in ("fitted", "physical"):
-        batch = run_trials(FIG32, 10_000, seed=1, coupling=coupling)
+        batch = run_trials(FIG32, 10_000, seed=1, coupling=coupling).batch(FIG32)
         for kind, dist in analytic.items():
             d, passed, crit = ks_statistic(batch.sinr[kind], dist.cdf)
             _report(f"1 KS {coupling} {kind}", passed, f"D={d:.4f} < {crit:.4f}")
@@ -97,10 +97,13 @@ def test_criterion_2_ergodic_rate_consistency():
     """Quadrature vs MC within 2% for all users across P_t in {-20..10} dBm;
     high-SNR approximation within 0.05 bps/Hz at rho = 1e6."""
     ok = True
+    # The draws do not depend on P_t: drawn once, scored at every power.
+    draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
+                       100_000, seed=2, coupling="fitted")
     for p_t in range(-20, 11, 5):
         scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
         er = analytic_ergodic_rates(scn)
-        mc = estimate_ergodic_rate(run_trials(scn, 100_000, seed=2, coupling="fitted"))
+        mc = estimate_ergodic_rate(draws.batch(scn))
         for user in ("center1", "center2", "edge"):
             rel = abs(er[user] / mc[user] - 1.0)
             passed = rel < 0.02
@@ -119,11 +122,13 @@ def test_criterion_3_outage_closed_forms():
     """Closed forms within 0.03 absolute of MC at 0 dB thresholds across the
     power sweep; no-CoMP edge outage strictly above the CoMP case."""
     ok = True
+    draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
+                       10_000, seed=3, coupling="fitted")
     for p_t in range(-15, 21, 5):
         scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
         closed = analytic_outage(scn)
         # The scenario's default thresholds_db = (0, 0): 0 dB SINR thresholds.
-        mc = estimate_outage(run_trials(scn, 10_000, seed=3, coupling="fitted"), scn)
+        mc = estimate_outage(draws.batch(scn), scn)
         for user in ("center1", "center2", "edge"):
             err = abs(closed[user] - mc[user])
             ok = _report(f"3 outage P_t={p_t} {user}", err < 0.03, f"|err|={err:.4f}") and ok

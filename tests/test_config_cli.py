@@ -393,6 +393,11 @@ def test_every_db_scenario_key_checked_for_overflow(kind):
             # Finite, but energy efficiency divides by the 0 W it underflows to.
             with pytest.raises(ConfigError, match=rf"scenario\.{key}: -4000\.0 dBm is 0 W"):
                 from_mapping({"kind": kind, f"scenario.{key}": -4000.0})
+        elif kind == "pdf-validation" and key in ("p_t_dbm", "rho_o_db"):
+            # Finite, but no received power leaves no SINR law to fit.
+            with pytest.raises(ConfigError, match=r"scenario\.p_t_dbm: the closed-form "
+                                                  r"SINR laws cannot be fitted"):
+                from_mapping({"kind": kind, f"scenario.{key}": -4000.0})
         else:
             from_mapping({"kind": kind, f"scenario.{key}": -4000.0})  # underflow to 0 is finite
 
@@ -413,6 +418,34 @@ def test_cli_validate_rejects_uncomputable_link_budget(tmp_path, capsys, text, m
         load_config(path)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind = er-sweep\nsweep.p_t_dbm = -10, -80\n", r"sweep\.p_t_dbm\[1\]"),
+    ("kind = outage-sweep\nsweep.p_t_dbm = -80\n", r"sweep\.p_t_dbm\[0\]"),
+    ("kind = pdf-validation\nscenario.p_t_dbm = -80\n", r"scenario\.p_t_dbm"),
+    ("kind = exhaustive-star\nscenario.p_t_dbm = -80\nsweep.beta_t_values = 0.5\n",
+     r"sweep\.beta_t_values\[0\]"),
+], ids=["er-sweep", "outage-sweep", "pdf-validation", "exhaustive-star"])
+def test_cli_validate_rejects_degenerate_moment_fits(tmp_path, capsys, text, key):
+    # Each used to validate and then fail at run time naming no key.
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError, match=key + r": the closed-form SINR laws cannot be "
+                                          r"fitted at p_t_dbm = -80\.0, .*degenerate moments"):
+        load_config(path)
+    assert main(["run", str(path), "--trials", "100", "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_fits_the_default_sweep():
+    # With no sweep.p_t_dbm the runner sweeps its default powers, and each
+    # is fitted; at rho_o = -200 dB every one of the seven degenerates.
+    with pytest.raises(ConfigError) as info:
+        from_mapping({"kind": "er-sweep", "scenario.rho_o_db": -200.0})
+    lines = str(info.value).splitlines()[1:]
+    assert [line.split(":")[0].strip() for line in lines] == [
+        f"sweep.p_t_dbm[{i}]" for i in range(7)]
 
 
 _BEYOND_FLOAT = "1" + "0" * 400  # 10**400: no float holds it
@@ -488,6 +521,7 @@ _SCENARIO_VALUES = {
     "uav_start_y": st.floats(-50.0, 50.0),
     "t_slots": st.integers(1, 500),
     "k_elements": st.integers(0, 300),
+    **dict.fromkeys(("m_direct", "m_bs_ris", "m_ris_user"), st.floats(0.5, 1e6)),  # Nakagami
 }
 
 
@@ -593,7 +627,14 @@ def test_dump_parse_roundtrip_property(kind, data):
                                               r"train\.episodes_per_update"):
             from_mapping(flat)
         return
-    cfg = from_mapping(flat)
+    try:
+        cfg = from_mapping(flat)
+    except ConfigError as exc:
+        # At extreme powers and shapes the coordinated moment fits degenerate;
+        # validate rejects each such point, and nothing else may be rejected.
+        assert all(": the closed-form SINR laws cannot be fitted at " in line
+                   for line in str(exc).splitlines()[1:]), exc
+        return
     text = dump_config(cfg)
     loaded = from_mapping(parse_text(text))
     assert loaded == cfg

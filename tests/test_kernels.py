@@ -27,18 +27,35 @@ def _multicell_case(n=101, cells=4, k=7):
             coop, mode, 0.7, 1e-3, 4e-14)
 
 
+def test_coordinated_z_matches_direct_formula():
+    z, _, amp, *_ = _coordinated_case(64)
+    out = kernels.coordinated_z(z, amp)
+    for r in range(kernels.N_Z_ROWS):
+        for t in range(64):
+            s = np.sqrt(z[r, 0, t]) + amp[r] * np.sqrt(z[r, 1, t]) * np.sqrt(z[r, 2, t])
+            assert out[r, t] == pytest.approx(s * s, rel=1e-14)
+
+
 def test_coordinated_matches_direct_formula():
-    z, x, amp, zc1, zc2, zf, rho = _coordinated_case(64)
-    out = kernels.coordinated_sinr(z, x, amp, zc1, zc2, zf, rho)
-    zz = (np.sqrt(z[:, 0]) + amp[:, None] * np.sqrt(z[:, 1]) * np.sqrt(z[:, 2])) ** 2
-    expect = (rho * zf * zz[kernels.Z_CF1_S]) / (
-        rho * zc1 * zz[kernels.Z_CF1_I] + rho * x[kernels.X_CF1] + 1.0
-    )
-    assert np.allclose(out[kernels.OUT_CF1], expect, rtol=1e-14)
-    expect_f = (rho * zf * (zz[kernels.Z_F1_V] + zz[kernels.Z_F2_V])) / (
-        rho * zc1 * zz[kernels.Z_F1_W] + rho * zc2 * zz[kernels.Z_F2_W] + 1.0
-    )
-    assert np.allclose(out[kernels.OUT_F], expect_f, rtol=1e-14)
+    # The SINR half, fed the combined rows of the direct formula.
+    z_pow, x, amp, zc1, zc2, zf, rho = _coordinated_case(64)
+    zz = (np.sqrt(z_pow[:, 0]) + amp[:, None] * np.sqrt(z_pow[:, 1]) * np.sqrt(z_pow[:, 2])) ** 2
+    out = kernels.coordinated_sinr(zz, x, zc1, zc2, zf, rho)
+    expect = {
+        kernels.OUT_CF1: (rho * zf * zz[kernels.Z_CF1_S]) / (
+            rho * zc1 * zz[kernels.Z_CF1_I] + rho * x[kernels.X_CF1] + 1.0),
+        kernels.OUT_C1: rho * zc1 * zz[kernels.Z_C1_S] / (rho * x[kernels.X_C1] + 1.0),
+        kernels.OUT_CF2: (rho * zf * zz[kernels.Z_CF2_S]) / (
+            rho * zc2 * zz[kernels.Z_CF2_I] + rho * x[kernels.X_CF2] + 1.0),
+        kernels.OUT_C2: rho * zc2 * zz[kernels.Z_C2_S] / (rho * x[kernels.X_C2] + 1.0),
+        kernels.OUT_F: (rho * zf * (zz[kernels.Z_F1_V] + zz[kernels.Z_F2_V])) / (
+            rho * zc1 * zz[kernels.Z_F1_W] + rho * zc2 * zz[kernels.Z_F2_W] + 1.0),
+        kernels.OUT_F_NC: (rho * zf * zz[kernels.Z_NC1_V]) / (
+            rho * zc1 * zz[kernels.Z_NC1_W] + rho * zz[kernels.Z_NC2_W] + 1.0),
+    }
+    assert sorted(expect) == list(range(kernels.N_OUT_ROWS))
+    for row, e in expect.items():
+        assert np.allclose(out[row], e, rtol=1e-14), row
 
 
 def test_multicell_matches_reference():

@@ -26,7 +26,7 @@ def _synthetic_batch(arrays: dict) -> TrialBatch:
 
 
 def test_empty_batch():
-    batch = run_trials(SCN, 0, seed=1)
+    batch = run_trials(SCN, 0, seed=1).batch(SCN)
     assert batch.n_trials == 0
     with pytest.raises(ValueError):
         estimate_ergodic_rate(batch)
@@ -34,16 +34,16 @@ def test_empty_batch():
 
 def test_determinism_both_couplings():
     for coupling in ("physical", "fitted"):
-        a = run_trials(SCN, 5000, seed=3, coupling=coupling)
-        b = run_trials(SCN, 5000, seed=3, coupling=coupling)
+        a = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
+        b = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
         for kind in SINR_KINDS:
             assert np.array_equal(a.sinr[kind], b.sinr[kind]), (coupling, kind)
 
 
 def test_chunking_invariance():
     # Results must not depend on how many chunks the trial range spans.
-    a = run_trials(SCN, 5000, seed=9)
-    b = run_trials(SCN, 4096, seed=9)
+    a = run_trials(SCN, 5000, seed=9).batch(SCN)
+    b = run_trials(SCN, 4096, seed=9).batch(SCN)
     for kind in SINR_KINDS:
         assert np.array_equal(a.sinr[kind][:4096], b.sinr[kind])
 
@@ -52,7 +52,7 @@ def test_vanishing_power_means_outage_everywhere():
     # Degenerate scenario: transmit power so low every link is effectively
     # blocked; all SINRs ~ 0 and every outage indicator is true.
     scn = replace(SCN, p_t_dbm=-200.0)
-    batch = run_trials(scn, 500, seed=5)
+    batch = run_trials(scn, 500, seed=5).batch(scn)
     for kind in SINR_KINDS:
         assert np.all(batch.sinr[kind] < 1e-9)
     outage = estimate_outage(batch, scn)
@@ -147,17 +147,19 @@ def test_estimator_consistency_sqrt_n():
     scn = replace(SCN, p_t_dbm=-22.0)
     est1, est2 = [], []
     for seed in range(40):
-        est1.append(estimate_outage(run_trials(scn, 1000, seed=seed), scn)["center1"])
-        est2.append(estimate_outage(run_trials(scn, 2000, seed=1000 + seed), scn)["center1"])
+        est1.append(estimate_outage(run_trials(scn, 1000, seed=seed).batch(scn), scn)["center1"])
+        est2.append(estimate_outage(run_trials(scn, 2000, seed=1000 + seed).batch(scn),
+                                    scn)["center1"])
     ratio = np.std(est2) / np.std(est1)
     assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.20)
 
 
 def test_outage_monotone_in_power_common_random_numbers():
+    draws = run_trials(SCN, 10_000, seed=11)
     prev = None
     for p_t in (-20, -15, -10, -5, 0, 5):
         scn = replace(SCN, p_t_dbm=float(p_t))
-        out = estimate_outage(run_trials(scn, 10_000, seed=11), scn)
+        out = estimate_outage(draws.batch(scn), scn)
         if prev is not None:
             assert out["edge"] <= prev + 1e-12
         prev = out["edge"]
@@ -166,3 +168,33 @@ def test_outage_monotone_in_power_common_random_numbers():
 def test_invalid_coupling():
     with pytest.raises(ValueError):
         run_trials(SCN, 10, seed=0, coupling="other")
+
+
+@pytest.mark.parametrize("coupling", ["physical", "fitted"])
+def test_draws_do_not_depend_on_power_or_allocation(coupling):
+    # Scoring one power's draws at another scenario equals drawing there.
+    draws = run_trials(SCN, 5000, seed=4, coupling=coupling)
+    for other in (replace(SCN, p_t_dbm=7.5),
+                  replace(SCN, p_t_dbm=-33.0, zeta_center=0.2, zeta_edge=0.8)):
+        scored = draws.batch(other)
+        direct = run_trials(other, 5000, seed=4, coupling=coupling).batch(other)
+        for kind in SINR_KINDS:
+            assert np.array_equal(scored.sinr[kind], direct.sinr[kind]), (coupling, kind)
+
+
+@pytest.mark.parametrize("changes", [
+    {"k_elements": 36, "assignment": (18, 18)},
+    {"beta_t": 0.6, "beta_r": 0.4},
+    {"m_direct": 2.0},
+    {"m_bs_ris": 3.0},
+    {"m_ris_user": 1.5},
+    {"edge": (0.0, 36.0, 1.0)},
+    {"ris": (0.0, 25.0, 6.0)},
+    {"alpha_ici": 3.8},
+    {"alpha_ris_edge": 2.4},
+    {"rho_o_db": -31.0},
+])
+def test_scoring_at_other_links_or_amplitudes_raises(changes):
+    draws = run_trials(SCN, 100, seed=4)
+    with pytest.raises(ValueError, match="drawn from"):
+        draws.batch(replace(SCN, **changes))

@@ -81,7 +81,7 @@ def _fig32_laws_and_points():
     cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
     scn = cfg.coordinated_scenario()
     dists = coordinated_distributions(scn)
-    batch = run_trials(scn, 2000, cfg.seed, coupling="physical")
+    batch = run_trials(scn, 2000, cfg.seed, coupling="physical").batch(scn)
     laws = [(dists.center_own[0], "center1_own"), (dists.center_sic[0], "center1_sic"),
             (dists.center_own[1], "center2_own"), (dists.center_sic[1], "center2_sic"),
             (dists.edge, "edge")]
