@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .analysis import coordinated_distributions
+from .energy import chunk_bytes
 from .moppo import TrainConfig
 from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
@@ -366,6 +367,29 @@ def _ee_power_errors(cfg: ExperimentConfig, scn) -> list[str]:
             if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
 
 
+# Ceiling on what one multicell chunk may hold (energy.chunk_bytes): 1 GiB.
+_CHUNK_BUDGET = 1 << 30
+
+
+def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
+    """Every element count the multicell engine would run at, named by its
+    key, whose per-chunk normal stream plus trial block
+    (energy.chunk_bytes, at scn's n_cells and the run's trials) exceeds
+    _CHUNK_BUDGET. The size is computed, never allocated. An ee-sweep's
+    power x threshold grid runs at scenario.k_elements alone, which is
+    unused when sweep.k_values is the only axis."""
+    sweep = cfg.sweep
+    keys = [] if {"p_t_dbm", "r_th_values"} <= sweep.keys() else [
+        (f"sweep.k_values[{i}]", k) for i, k in enumerate(sweep.get("k_values", ()))]
+    if not keys or sweep.keys() & {"j_values", "p_t_dbm", "r_th_values"}:
+        keys.insert(0, ("scenario.k_elements", scn.k_elements))
+    # Trials default to at least a full chunk.
+    n = math.inf if cfg.trials is None else cfg.trials
+    return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n) / 2**30:.3g} GiB "
+            f"per chunk of draws, above the budget of {_CHUNK_BUDGET / 2**30:g} GiB"
+            for key, k in keys if chunk_bytes(scn.n_cells, k, n) > _CHUNK_BUDGET]
+
+
 def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
     """Fit the closed-form SINR laws at every power and beta_t the
     coordinated runner fits them at; a point whose fit fails is named by the
@@ -441,6 +465,8 @@ def validate(cfg: ExperimentConfig) -> None:
         errors.extend(_link_budget_errors(cfg, scn))
         if cfg.kind == "ee-sweep":
             errors.extend(_ee_power_errors(cfg, scn))
+        if schema is _MULTICELL_KEYS:
+            errors.extend(_chunk_errors(cfg, scn))
         # The fits need every value above to be usable.
         if schema is _COORDINATED_KEYS and not errors:
             errors.extend(_fit_errors(cfg, scn))

@@ -6,10 +6,11 @@ RIS links), assigns per-RIS phases according to the network configuration,
 and aggregates rates and outage over trials into one Aggregates record per
 access scheme (NOMA, and the OMA baseline on the same draws); energy
 efficiency is formed from the trial-averaged NOMA record and the powers of
-the point's scenario (ratio of means). A sweep hands its points to one
-simulate_network call (one per element count K, which the draws depend on):
-each chunk is drawn once per call and shared by every point and mode, and
-its element-axis reductions are formed once before any point is scored.
+the point's scenario (ratio of means). A sweep, over K too, hands its points
+to one simulate_network call: each chunk's normals are drawn once and shared
+by every point and mode, each element count K reading its own prefix of
+them, and each K's element-axis reductions are formed once, in trial
+blocks, before any of its points is scored.
 """
 
 from __future__ import annotations
@@ -75,34 +76,26 @@ def energy_efficiency(scn: MultiCellScenario, mode: str, agg: Aggregates) -> flo
     return total
 
 
-def _draw_channels(scn: MultiCellScenario, rng, m: int):
-    """Complex channel draws for m trials: edge-direct, per-element cascade
-    products, random unit phasors, and center direct gains."""
-    n_cells, k = scn.n_cells, scn.k_elements
+# Trial x cell x element entries of one trial block: each K's element-axis
+# work (Rician vectors, cascades, phasors, kernels.multicell_edge_gains) runs
+# one block of trials at a time, so its temporaries stay this small while the
+# chunk's normal stream is held.
+_BLOCK = 1 << 15
+
+
+def _rician(re, im, w_los: float, w_nlos: float, out):
+    """Rician vectors w_los + w_nlos sqrt(1/2) (re + j im), written to out."""
+    out.real = re
+    out.imag = im
+    np.multiply(out, w_nlos * math.sqrt(0.5), out=out)
+    return np.add(out, w_los, out=out)
+
+
+def _center_gains(scn: MultiCellScenario, rng, m: int):
+    """Center-user direct gains |h_{j -> center_i}|^2, (m, I, I), with
+    own-cell distance d_center and cross distances d_ici."""
+    n_cells = scn.n_cells
     sqrt_half = math.sqrt(0.5)
-    g_edge_direct = math.sqrt(scn.gain(scn.d_edge, scn.alpha_edge))
-    ed = (rng.standard_normal((m, n_cells)) + 1j * rng.standard_normal((m, n_cells)))
-    ed *= sqrt_half * g_edge_direct
-    # Rician BS->RIS and RIS->edge vectors, per cell. The LoS steering phase
-    # profile is arbitrary for the statistics; a fixed broadside profile keeps
-    # draws cheap. Cascade product folds both path losses.
-    w_los = math.sqrt(scn.kappa / (1.0 + scn.kappa))
-    w_nlos = math.sqrt(1.0 / (1.0 + scn.kappa))
-    g_br = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris))
-    g_ru = math.sqrt(scn.gain(scn.d_ris_edge, scn.alpha_ris))
-    shape = (m, n_cells, k)
-    h_br = w_los + w_nlos * sqrt_half * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-    h_ru = w_los + w_nlos * sqrt_half * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-    casc = (g_br * g_ru) * np.conj(h_ru) * h_br
-    del h_br, h_ru
-    phi = rng.uniform(-math.pi, math.pi, shape)
-    rnd = np.cos(phi) + 1j * np.sin(phi)
-    # Center-user direct gains |h_{j -> center_i}|^2 with own-cell distance
-    # d_center and cross distances d_ici.
     hij = sqrt_half * (
         rng.standard_normal((m, n_cells, n_cells))
         + 1j * rng.standard_normal((m, n_cells, n_cells))
@@ -112,17 +105,68 @@ def _draw_channels(scn: MultiCellScenario, rng, m: int):
     cross = scn.gain(scn.d_ici, scn.alpha_ici)
     scale = np.full((n_cells, n_cells), cross)
     np.fill_diagonal(scale, own)
-    cg = cg * scale[None, :, :]
-    return ed, casc, rnd, cg
+    return cg * scale[None, :, :]
 
 
-# MultiCellScenario fields _draw_channels reads: points of one
-# simulate_network call must agree on them to share its draws.
+def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
+    """Per-cell edge gains of m trials at K = k elements under each mode code
+    and element split (kernels.multicell_edge_gains), formed one trial block
+    at a time into full (m, I) arrays.
+
+    ed: (m, I) edge-direct links; normals: the 4 mIK normals of h_br re/im,
+    then h_ru re/im. The random phases are drawn from rng, block by block."""
+    m, n_cells = ed.shape
+    # Rician BS->RIS and RIS->edge vectors, per cell. The LoS steering phase
+    # profile is arbitrary for the statistics; a fixed broadside profile keeps
+    # draws cheap. Cascade product folds both path losses.
+    w_los = math.sqrt(scn.kappa / (1.0 + scn.kappa))
+    w_nlos = math.sqrt(1.0 / (1.0 + scn.kappa))
+    g_casc = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris)) * math.sqrt(
+        scn.gain(scn.d_ris_edge, scn.alpha_ris))
+    br_re, br_im, ru_re, ru_im = normals.reshape(4, m, n_cells, k)
+    by_code = {c: np.empty((m, n_cells)) for c in codes}
+    by_split = {n_co: np.empty((m, n_cells)) for n_co in n_cos}
+    step = max(1, _BLOCK // max(1, n_cells * k))
+    for t0 in range(0, m, step):
+        t = slice(t0, t0 + step)
+        shape = br_re[t].shape
+        # casc = (g conj(h_ru)) h_br and rnd = cos(phi) + j sin(phi) by the
+        # whole-chunk operations, holding few block-sized arrays at once.
+        casc = _rician(ru_re[t], ru_im[t], w_los, w_nlos, np.empty(shape, complex))
+        np.conjugate(casc, out=casc)
+        np.multiply(casc, g_casc, out=casc)
+        h_br = _rician(br_re[t], br_im[t], w_los, w_nlos, np.empty(shape, complex))
+        casc = np.multiply(casc, h_br, out=h_br)
+        phi = rng.uniform(-math.pi, math.pi, shape)
+        rnd = np.empty(shape, complex)
+        rnd.real = np.cos(phi)
+        rnd.imag = np.sin(phi)
+        del phi
+        codes_t, splits_t = kernels.multicell_edge_gains(ed[t], casc, rnd, codes, n_cos)
+        for full, part in ((by_code, codes_t), (by_split, splits_t)):
+            for key, g in part.items():
+                full[key][t] = g
+    return by_code, by_split
+
+
+# MultiCellScenario fields the draws read besides k_elements: points of one
+# simulate_network call must agree on them to share its draws. Each point's
+# K cuts its own prefix of the chunk's normal stream.
 _DRAW_FIELDS = (
-    "n_cells", "k_elements", "kappa_db", "rho_o_db", "d_center", "d_edge",
+    "n_cells", "kappa_db", "rho_o_db", "d_center", "d_edge",
     "d_ici", "d_bs_ris", "d_ris_edge", "alpha_center", "alpha_edge",
     "alpha_ris", "alpha_ici",
 )
+
+
+def chunk_bytes(n_cells: int, k_max: int, n: int) -> int:
+    """Bytes simulate_network holds per chunk of min(n, CHUNK) = m trials of
+    n_cells = I cells at element counts up to k_max: the normal stream,
+    8 (2mI + 4mI k_max), plus one trial block's arrays, at most 8 complex
+    arrays of max(_BLOCK, I k_max) entries."""
+    m = min(n, CHUNK)
+    return 8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 8 * 16 * max(
+        _BLOCK, n_cells * k_max)
 
 
 class _Sums:
@@ -185,12 +229,23 @@ def simulate_network(
 
     Each point is (scn_v, mode, split). scn fixes the draws; every scn_v
     must agree with it on the fields the draws read (_DRAW_FIELDS), else
-    ValueError, as for a mode not in MODES. Each chunk is drawn once per call
-    and shared by every point and mode; the powers, thresholds, cooperative
-    set (the first n_coop cells) and mode of a point come from its scn_v.
-    split, when not None, replaces the mode's RIS assignment of every cell,
-    cooperative or not, by the cancellation/enhancement element split; used
-    by the split-ratio experiment. OMA is equal-time TDMA on the same draws.
+    ValueError, as for a mode not in MODES. The powers, thresholds,
+    cooperative set (the first n_coop cells), element count K and mode of a
+    point come from its scn_v. split, when not None, replaces the mode's RIS
+    assignment of every cell, cooperative or not, by the
+    cancellation/enhancement element split; used by the split-ratio
+    experiment. OMA is equal-time TDMA on the same draws.
+
+    Chunk c of m trials comes from substream (seed, 301, c), and a point's
+    draws are those of a call at its K alone: edge-direct normals (2mI),
+    h_br and h_ru normals (4mIK), K's phases (mIK uniforms), then its center
+    gains (2mI^2 normals). The first 2mI + 4mIK normals are shared by every
+    K, so they fill one buffer of 2mI + 4mI K_max float64 in ascending K;
+    each K draws its phases and center gains from the generator state saved
+    at the end of its prefix, restored before the buffer grows. The buffer
+    (118 MB at m = 4096, I = 6, K_max = 150; chunk_bytes) is held while the
+    chunk is scored, so each K's element work runs in trial blocks
+    (_edge_gains).
     """
     pts = []
     for scn_v, mode, split in points:
@@ -200,22 +255,42 @@ def simulate_network(
                 f"point ({mode!r}) differs from the drawn scenario in {', '.join(differ)}"
             )
         pts.append(_Point(scn_v, mode, split))
-    codes = {c for p in pts if p.n_co is None for c in p.code}
-    n_cos = sorted({p.n_co for p in pts if p.n_co is not None})
-    start = 0
-    while start < n:
+    by_k = {}
+    for p in pts:
+        by_k.setdefault(p.scn.k_elements, []).append(p)
+    n_cells = scn.n_cells
+    g_edge_direct = math.sqrt(scn.gain(scn.d_edge, scn.alpha_edge))
+    for start in range(0, n, CHUNK):
         m = min(CHUNK, n - start)
-        ed, casc, rnd, cg = _draw_channels(scn, substream(seed, _STREAM_MC, start // CHUNK), m)
-        by_code, by_split = kernels.multicell_edge_gains(ed, casc, rnd, codes, n_cos)
-        del ed, casc, rnd
-        for p in pts:
-            edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
-                p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
-                p.scn.tx_power_w, p.scn.noise_w,
+        rng = substream(seed, _STREAM_MC, start // CHUNK)
+        mi = m * n_cells
+        stream = np.empty(2 * mi + 4 * mi * max(by_k, default=0))
+        rng.standard_normal(out=stream[:2 * mi])
+        ed = stream[:mi].reshape(m, n_cells) + 1j * stream[mi:2 * mi].reshape(m, n_cells)
+        ed *= math.sqrt(0.5) * g_edge_direct
+        filled = 2 * mi
+        for k in sorted(by_k):
+            end = 2 * mi + 4 * mi * k
+            rng.standard_normal(out=stream[filled:end])
+            filled = end
+            # K's phases and center gains come next in its stream; the next
+            # K's normals continue from here.
+            state = rng.bit_generator.state
+            group = by_k[k]
+            by_code, by_split = _edge_gains(
+                scn, ed, stream[2 * mi:end], rng, k,
+                {c for p in group if p.n_co is None for c in p.code},
+                sorted({p.n_co for p in group if p.n_co is not None}),
             )
-            p.noma.add(edge, c_own, c_cf)
-            p.oma.add(edge_oma, c_oma)
-        start += m
+            cg = _center_gains(scn, rng, m)
+            rng.bit_generator.state = state
+            for p in group:
+                edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
+                    p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
+                    p.scn.tx_power_w, p.scn.noise_w,
+                )
+                p.noma.add(edge, c_own, c_cf)
+                p.oma.add(edge_oma, c_oma)
     return [(p.noma.aggregates(n), p.oma.aggregates(n)) for p in pts]
 
 
@@ -253,9 +328,10 @@ def ee_sweep(
     trials.
 
     Sweep points share trial substreams (common random numbers), so
-    per-seed orderings are not noise artifacts. Each chunk is drawn once per
-    simulate_network call and shared by every point and mode: one call for
-    the whole J, P_t or R_th sweep, one per value of K (the draws depend on K).
+    per-seed orderings are not noise artifacts. The whole sweep is one
+    simulate_network call: each chunk is drawn once and shared by every
+    point and mode, and along K each value reads its own prefix of the
+    chunk's normal stream (see simulate_network).
     """
     field_by_axis = {
         "J": "n_coop",
@@ -272,8 +348,7 @@ def ee_sweep(
         else:
             scn_v = replace(scn, **{field_by_axis[axis]: value})
         keyed.append(({"axis": axis, "value": value}, scn_v))
-    groups = [[pair] for pair in keyed] if axis == "K" else [keyed]
-    return [row for group in groups for row in _ee_rows(group, modes, n, seed)]
+    return _ee_rows(keyed, modes, n, seed)
 
 
 def ee_grid(

@@ -65,6 +65,11 @@ class CoordinatedScenario:
     thresholds_db: tuple[float, float] = (0.0, 0.0)  # (center, edge) SINR thresholds
 
     def __post_init__(self):
+        if self.k_elements < 0:
+            raise ValueError("k_elements must be >= 0")
+        for key in ("m_direct", "m_bs_ris", "m_ris_user"):
+            if not getattr(self, key) >= 0.5:
+                raise ValueError(f"{key} = {getattr(self, key)!r}: Nakagami shape must be >= 0.5")
         if abs(self.beta_t + self.beta_r - 1.0) > 1e-12:
             raise ValueError("beta_t + beta_r must equal 1")
         if min(self.assignment) < 0 or sum(self.assignment) != self.k_elements:

@@ -4,8 +4,9 @@ effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the per-array Adam step, the policy initialisation as
 one literal dict of arrays, MO-PPO training with its episodes rolled out
-one at a time, and the exhaustive grid search over static aerial
-configurations that the trained policy is measured against.
+one at a time, the multicell engine drawing every element count's channels
+afresh, and the exhaustive grid search over static aerial configurations
+that the trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -23,6 +24,8 @@ from numpy.random import Generator
 
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
+from riscomp.energy import _STREAM_MC, _Point
+from riscomp.kernels import multicell_edge_gains, multicell_edge_sinr
 from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
@@ -45,9 +48,10 @@ from riscomp.moppo import (
     state_scale,
     to_env_action,
 )
+from riscomp.montecarlo import CHUNK
 from riscomp.quadrature import integrate
 from riscomp.ris import wrap_phase
-from riscomp.scenarios import AerialScenario
+from riscomp.scenarios import AerialScenario, MultiCellScenario
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
 
 _STREAM_GRID = 801
@@ -499,3 +503,62 @@ def reference_train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0):
             params = _ppo_epochs(params, buffer, _round_config(cfg, ep), rng)
             buffers = []
     return curve, params
+
+
+def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
+    """Complex channel draws for m trials at the element count scn.k_elements,
+    each array drawn whole in turn: edge-direct links, the per-element
+    cascade products, random unit phasors and the center direct gains."""
+    n_cells, k = scn.n_cells, scn.k_elements
+    sqrt_half = math.sqrt(0.5)
+    g_edge_direct = math.sqrt(scn.gain(scn.d_edge, scn.alpha_edge))
+    ed = (rng.standard_normal((m, n_cells)) + 1j * rng.standard_normal((m, n_cells)))
+    ed *= sqrt_half * g_edge_direct
+    w_los = math.sqrt(scn.kappa / (1.0 + scn.kappa))
+    w_nlos = math.sqrt(1.0 / (1.0 + scn.kappa))
+    g_br = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris))
+    g_ru = math.sqrt(scn.gain(scn.d_ris_edge, scn.alpha_ris))
+    shape = (m, n_cells, k)
+    h_br = w_los + w_nlos * sqrt_half * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    h_ru = w_los + w_nlos * sqrt_half * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    casc = (g_br * g_ru) * np.conj(h_ru) * h_br
+    phi = rng.uniform(-math.pi, math.pi, shape)
+    rnd = np.cos(phi) + 1j * np.sin(phi)
+    hij = sqrt_half * (
+        rng.standard_normal((m, n_cells, n_cells))
+        + 1j * rng.standard_normal((m, n_cells, n_cells))
+    )
+    cg = hij.real**2 + hij.imag**2
+    scale = np.full((n_cells, n_cells), scn.gain(scn.d_ici, scn.alpha_ici))
+    np.fill_diagonal(scale, scn.gain(scn.d_center, scn.alpha_center))
+    cg = cg * scale[None, :, :]
+    return ed, casc, rnd, cg
+
+
+def reference_simulate_network(scn: MultiCellScenario, points, n: int, seed: int = 0):
+    """The multicell engine at one element count: every chunk drawn whole by
+    multicell_draws from its substream, at scn.k_elements, which every
+    point shares, and scored on all its trials at once. Returns one (NOMA,
+    OMA) pair of Aggregates per point; `riscomp.energy.simulate_network`,
+    which draws each chunk's normals once for every K and scores each K in
+    trial blocks, must give the same bits."""
+    pts = [_Point(scn_v, mode, split) for scn_v, mode, split in points]
+    assert all(p.scn.k_elements == scn.k_elements for p in pts)
+    codes = {c for p in pts if p.n_co is None for c in p.code}
+    n_cos = sorted({p.n_co for p in pts if p.n_co is not None})
+    for start in range(0, n, CHUNK):
+        m = min(CHUNK, n - start)
+        ed, casc, rnd, cg = multicell_draws(scn, substream(seed, _STREAM_MC, start // CHUNK), m)
+        by_code, by_split = multicell_edge_gains(ed, casc, rnd, codes, n_cos)
+        for p in pts:
+            edge, edge_oma, c_own, c_cf, c_oma = multicell_edge_sinr(
+                p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
+                p.scn.tx_power_w, p.scn.noise_w,
+            )
+            p.noma.add(edge, c_own, c_cf)
+            p.oma.add(edge_oma, c_oma)
+    return [(p.noma.aggregates(n), p.oma.aggregates(n)) for p in pts]

@@ -365,7 +365,7 @@ def test_cli_validate_rejects_db_overflow(tmp_path, capsys, text, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ("osum-sweep", "ee-sweep", "drl-train"))
+@pytest.mark.parametrize("kind", ("osum-sweep", "ee-sweep", "drl-train", "pdf-validation"))
 def test_cli_validate_rejects_negative_k_elements(tmp_path, capsys, kind):
     # Each used to validate and then fail at run time naming no key.
     tiny = "scenario.tiny = true\n" if kind == "drl-train" else ""
@@ -446,6 +446,47 @@ def test_validate_fits_the_default_sweep():
     lines = str(info.value).splitlines()[1:]
     assert [line.split(":")[0].strip() for line in lines] == [
         f"sweep.p_t_dbm[{i}]" for i in range(7)]
+
+
+@pytest.mark.parametrize("kind", ("er-sweep", "pdf-validation", "exhaustive-star"))
+@pytest.mark.parametrize("key", ("m_direct", "m_bs_ris", "m_ris_user"))
+def test_cli_validate_names_a_bad_nakagami_shape_once(tmp_path, capsys, kind, key):
+    # The scenario refuses the shape itself, so no point's fit is blamed.
+    _, path = _validate_error_lines(tmp_path, capsys, f"kind = {kind}\nscenario.{key} = 0.2\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).splitlines()[1:] == [f"  {key} = 0.2: Nakagami shape must be >= 0.5"]
+
+
+_HUGE_K = 10**11
+
+
+@pytest.mark.parametrize("text, key", [
+    ("kind = ee-sweep\nscenario.k_elements = {k}\n", "scenario.k_elements"),
+    ("kind = osum-sweep\nscenario.k_elements = {k}\n", "scenario.k_elements"),
+    ("kind = split-sweep\nscenario.k_elements = {k}\n", "scenario.k_elements"),
+    ("kind = ee-sweep\nsweep.k_values = 30, {k}\n", r"sweep\.k_values\[1\]"),
+    ("kind = ee-sweep\nscenario.k_elements = {k}\nsweep.j_values = 1\nsweep.k_values = 30\n",
+     "scenario.k_elements"),
+], ids=["ee", "osum", "split", "ee-k_values", "ee-j-and-k"])
+def test_cli_validate_bounds_the_multicell_chunk(tmp_path, capsys, text, key):
+    # Only the size is computed: 10^11 elements would need about 19 TB of
+    # normals for even one trial.
+    _, path = _validate_error_lines(tmp_path, capsys, "trials = 1\n" + text.format(k=_HUGE_K))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    [line] = str(info.value).splitlines()[1:]
+    assert re.fullmatch(rf"  {key}: {_HUGE_K} elements need \S+ GiB per chunk of draws, "
+                        r"above the budget of 1 GiB", line)
+
+
+def test_unused_element_counts_are_not_bounded():
+    # A K sweep alone replaces the scenario's K, which then draws nothing,
+    # and the power x threshold grid reads no sweep.k_values.
+    from_mapping({"kind": "ee-sweep", "trials": 1, "scenario.k_elements": _HUGE_K,
+                  "sweep.k_values": [30]})
+    from_mapping({"kind": "ee-sweep", "trials": 1, "sweep.k_values": [_HUGE_K],
+                  "sweep.p_t_dbm": [0.0], "sweep.r_th_values": [1.0]})
 
 
 _BEYOND_FLOAT = "1" + "0" * 400  # 10**400: no float holds it

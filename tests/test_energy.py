@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import riscomp.energy
-from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases, sample_rayleigh
+from oracles import (
+    PhaseMatrix,
+    ec_phases,
+    effective_channel,
+    eo_phases,
+    reference_simulate_network,
+    sample_rayleigh,
+)
 from riscomp import kernels
 from riscomp.channel import substream
 from riscomp.energy import (
@@ -206,9 +213,9 @@ def test_sweeps_draw_each_chunk_once(monkeypatch):
     draws = _count_mc_draws(monkeypatch)
     osum_sweep(SMALL, [-10, 0, 10, 20], modes=MODES, n=CHUNK + 1, seed=3)
     assert draws() == 2
-    # The draws depend on K: one call, and so one pass over the chunks, per K.
+    # Every K reads its prefix of one stream per chunk: one call, one pass.
     ee_sweep(SMALL, "K", [4, 8], n=CHUNK + 1, seed=3)
-    assert draws() == 2 + 4
+    assert draws() == 2 + 2
 
 
 def test_mixed_points_equal_single_point_calls():
@@ -232,7 +239,28 @@ def test_mixed_points_equal_single_point_calls():
                     point, scheme, field)
 
 
-@pytest.mark.parametrize("override", [{"k_elements": 4}, {"d_edge": 120.0},
+def test_mixed_k_points_equal_per_k_oracle():
+    # One call over points of several K, whose trial blocks split each chunk
+    # unevenly, gives bitwise the aggregates of drawing every K afresh.
+    points = []
+    for k in (33, 1, 8, 5):
+        points += [(replace(SMALL, k_elements=k, n_coop=j, p_t_dbm=5.0), mode, None)
+                   for j, mode in ((1, "no-ris"), (2, "random"), (2, "eo"), (1, "ec"))]
+        points += [(replace(SMALL, k_elements=k, n_coop=j), "ec", split)
+                   for j, split in ((2, 0.3), (3, 0.75))]
+    joint = simulate_network(SMALL, points, n=CHUNK + 1, seed=11)
+    for k in (1, 5, 8, 33):
+        idx = [i for i, (scn_v, _, _) in enumerate(points) if scn_v.k_elements == k]
+        oracle = reference_simulate_network(replace(SMALL, k_elements=k),
+                                            [points[i] for i in idx], n=CHUNK + 1, seed=11)
+        for i, pair in zip(idx, oracle):
+            for agg, ref in zip(joint[i], pair):
+                for field in ("center_rates", "center_outage", "edge_rate", "edge_outage"):
+                    assert np.array_equal(getattr(agg, field), getattr(ref, field)), (
+                        points[i][1:], k, field)
+
+
+@pytest.mark.parametrize("override", [{"d_edge": 120.0},
                                       {"kappa_db": 6.0}, {"alpha_ici": 3.5}])
 def test_point_with_other_draw_fields_rejected(override):
     points = [(SMALL, "ec", None), (replace(SMALL, **override), "ec", None)]
