@@ -93,6 +93,14 @@ def _log2_each(x: np.ndarray) -> np.ndarray:
     return np.array([math.log2(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
+def slot_normals(scenario: AerialScenario, episodes: int) -> int:
+    """Standard normals one slot of `episodes` episodes in lockstep draws:
+    per episode K real and K imaginary per RIS link (BSs and users), then
+    two per direct BS-center link. Computed from the sizes alone."""
+    n_links = scenario.n_bs + scenario.n_users
+    n_direct = scenario.n_bs * (scenario.n_users - 1)
+    return episodes * (2 * scenario.k_elements * n_links + 2 * n_direct)
+
 
 class ArisEnv:
     """Environment stepping a batch of episodes in lockstep; one instance is
@@ -124,10 +132,7 @@ class ArisEnv:
         self._w_nlos = math.sqrt(1.0 / (1.0 + kappa))
         self._rate_mins = np.array([scenario.r_center_min] * scenario.n_bs
                                    + [scenario.r_edge_min])
-        # Normals of one slot: K real and K imaginary per RIS link, then two
-        # per direct link.
-        self.n_normals = (2 * scenario.k_elements * (scenario.n_bs + len(self._users))
-                          + 2 * self._amp_direct.size)
+        self.n_normals = slot_normals(scenario, 1)
         self._rho = scenario.rho
         self._move_steps = scenario.step_length * np.array(MOVES)
         # Flat (bs, user) indices of the gains the rates read. Column i serves

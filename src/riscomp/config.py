@@ -22,9 +22,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import get_type_hints
 
+from .aerial import slot_normals
 from .analysis import coordinated_distributions
 from .energy import chunk_bytes
-from .moppo import TrainConfig
+from .moppo import TrainConfig, policy_bytes
 from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
     AerialScenario,
@@ -315,6 +316,11 @@ def _int_range_errors(cfg: ExperimentConfig) -> list[str]:
 
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
+    if cfg.kind == "ee-sweep" and {"p_t_dbm", "r_th_values"} <= cfg.sweep.keys():
+        # _run_ee_sweep then runs the power x threshold grid alone.
+        errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
+                      "sweep.r_th_values runs only their grid" for key in ("j_values", "k_values")
+                      if key in cfg.sweep)
     ranges = _sweep_ranges(cfg)
     for key, values in cfg.sweep.items():
         lo, hi = ranges[key]
@@ -367,15 +373,16 @@ def _ee_power_errors(cfg: ExperimentConfig, scn) -> list[str]:
             if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
 
 
-# Ceiling on what one multicell chunk may hold (energy.chunk_bytes): 1 GiB.
-_CHUNK_BUDGET = 1 << 30
+# Ceiling on what one multicell chunk (energy.chunk_bytes), one aerial slot's
+# normals or one policy network may hold: 1 GiB.
+_MEMORY_BUDGET = 1 << 30
 
 
 def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
     """Every element count the multicell engine would run at, named by its
     key, whose per-chunk normal stream plus trial block
     (energy.chunk_bytes, at scn's n_cells and the run's trials) exceeds
-    _CHUNK_BUDGET. The size is computed, never allocated. An ee-sweep's
+    _MEMORY_BUDGET. The size is computed, never allocated. An ee-sweep's
     power x threshold grid runs at scenario.k_elements alone, which is
     unused when sweep.k_values is the only axis."""
     sweep = cfg.sweep
@@ -386,8 +393,34 @@ def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
     # Trials default to at least a full chunk.
     n = math.inf if cfg.trials is None else cfg.trials
     return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n) / 2**30:.3g} GiB "
-            f"per chunk of draws, above the budget of {_CHUNK_BUDGET / 2**30:g} GiB"
-            for key, k in keys if chunk_bytes(scn.n_cells, k, n) > _CHUNK_BUDGET]
+            f"per chunk of draws, above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
+            for key, k in keys if chunk_bytes(scn.n_cells, k, n) > _MEMORY_BUDGET]
+
+
+# Episodes a drl-eval run evaluates in lockstep.
+DRL_EVAL_EPISODES = 10
+
+
+def _aerial_errors(cfg: ExperimentConfig, scn: AerialScenario, tc: TrainConfig) -> list[str]:
+    """The aerial engine's two K-sized allocations, each refused above
+    _MEMORY_BUDGET: one lockstep slot's normals (aerial.slot_normals, for a
+    round of train.episodes_per_update episodes or drl-eval's episodes) and
+    the policy network (moppo.policy_bytes). The sizes are computed, never
+    allocated."""
+    episodes = tc.episodes_per_update if cfg.kind == "drl-train" else DRL_EVAL_EPISODES
+    budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
+    errors = []
+    normals = 8 * slot_normals(scn, episodes)
+    if normals > _MEMORY_BUDGET:
+        errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
+                      f"{normals / 2**30:.3g} GiB of normals per slot of {episodes} "
+                      f"episodes, {budget}")
+    weights = policy_bytes(scn, tc)
+    if weights > _MEMORY_BUDGET:
+        errors.append(f"scenario.k_elements = {scn.k_elements}, train.hidden = {tc.hidden} "
+                      f"and train.head_hidden = {tc.head_hidden} give a policy network "
+                      f"of {weights / 2**30:.3g} GiB, {budget}")
+    return errors
 
 
 def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
@@ -452,6 +485,7 @@ def validate(cfg: ExperimentConfig) -> None:
                               "linear scale")
     # Construct the scenario (and training setup) once to surface invariant
     # violations.
+    scn = None
     try:
         if schema is _COORDINATED_KEYS:
             scn = cfg.coordinated_scenario()
@@ -481,6 +515,8 @@ def validate(cfg: ExperimentConfig) -> None:
                 errors.append(f"train.episodes = {tc.episodes} is below "
                               f"train.episodes_per_update = {tc.episodes_per_update}, "
                               "so no update round fills and the policy is never trained")
+            if scn is not None:
+                errors.extend(_aerial_errors(cfg, scn, tc))
     if errors:
         raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 

@@ -114,7 +114,8 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
     at a time into full (m, I) arrays.
 
     ed: (m, I) edge-direct links; normals: the 4 mIK normals of h_br re/im,
-    then h_ru re/im. The random phases are drawn from rng, block by block."""
+    then h_ru re/im. The random phases are drawn from rng, block by block,
+    and become phasors only when codes holds 1."""
     m, n_cells = ed.shape
     # Rician BS->RIS and RIS->edge vectors, per cell. The LoS steering phase
     # profile is arbitrary for the statistics; a fixed broadside profile keeps
@@ -137,10 +138,15 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
         np.multiply(casc, g_casc, out=casc)
         h_br = _rician(br_re[t], br_im[t], w_los, w_nlos, np.empty(shape, complex))
         casc = np.multiply(casc, h_br, out=h_br)
+        # The phases are drawn whether or not a code reads them, so the
+        # stream stays where every K's center gains expect it; only code 1
+        # (random phases) turns them into phasors.
         phi = rng.uniform(-math.pi, math.pi, shape)
-        rnd = np.empty(shape, complex)
-        rnd.real = np.cos(phi)
-        rnd.imag = np.sin(phi)
+        rnd = None
+        if 1 in codes:
+            rnd = np.empty(shape, complex)
+            rnd.real = np.cos(phi)
+            rnd.imag = np.sin(phi)
         del phi
         codes_t, splits_t = kernels.multicell_edge_gains(ed[t], casc, rnd, codes, n_cos)
         for full, part in ((by_code, codes_t), (by_split, splits_t)):

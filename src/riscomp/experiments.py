@@ -20,7 +20,7 @@ from .analysis import (
     analytic_outage,
     coordinated_distributions,
 )
-from .config import ConfigError, ExperimentConfig, dump_config, from_mapping
+from .config import DRL_EVAL_EPISODES, ConfigError, ExperimentConfig, dump_config, from_mapping
 from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
 from .montecarlo import (
     estimate_ergodic_rate,
@@ -212,7 +212,7 @@ def _run_drl_eval(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.aerial_scenario()
     params = load_params(cfg.checkpoint)
     check_checkpoint(params, scn, TrainConfig(**cfg.train), cfg.checkpoint)
-    ev = evaluate(scn, params, seed=cfg.seed, episodes=10)
+    ev = evaluate(scn, params, seed=cfg.seed, episodes=DRL_EVAL_EPISODES)
     user_cols = [f"rate_center{i + 1}" for i in range(scn.n_bs)] + ["rate_edge"]
     return {
         "trajectory.csv": (

@@ -4,11 +4,15 @@ per-head clipped surrogate objectives and Adam. Everything (forward,
 backprop, Adam) is implemented directly on numpy arrays; gradients are
 verified against central finite differences in the test suite.
 
-The weights and both Adam moments each live in one flat float64 vector
-(`PolicyParams`); the named arrays are views into it, in the order and
-shapes of `_layout`, and `update` rewrites the vectors in place through
-preallocated gradient and scratch vectors, so a training step allocates
-nothing of the network's size. A checkpoint holds the weights only: the
+The weights, their gradient and both Adam moments each live in one flat
+float64 vector (`PolicyParams`); the named arrays are views into it, in the
+order and shapes of `_layout`. Backprop writes each gradient array straight
+into its view of `grad`, where it stays until the next gradient is formed,
+and `update` rewrites the vectors in place through preallocated scratch
+vectors, so a training step allocates nothing of the network's size. The
+dense layers add their bias and apply tanh in the product's own array, and
+the approximate-KL brake between PPO epochs runs the trunk and the policy
+heads only, not the value head. A checkpoint holds the weights only: the
 magic, (version 2, state_dim, n_cont, hidden, head_hidden) as uint32, then
 theta. Only version 2 loads; an older file is refused with its version named.
 
@@ -95,11 +99,13 @@ def _size(shapes: dict) -> int:
 
 
 class PolicyParams:
-    """Weights `theta` and Adam moments `m`, `v` (flat float64 vectors) and
-    the Adam step. `weights`, `adam_m` and `adam_v` map each name of
-    `_layout` to its row-major view and are read-only, so an array cannot be
-    rebound and detached; write through the views or the vectors. `grad` is
-    the flat gradient of the last `update`; `_tmp` is Adam's scratch.
+    """Weights `theta`, gradient `grad` and Adam moments `m`, `v` (flat
+    float64 vectors) and the Adam step. `weights`, `grads`, `adam_m` and
+    `adam_v` map each name of `_layout` to its row-major view and are
+    read-only, so an array cannot be rebound and detached; write through the
+    views or the vectors. `grad` holds the gradient of the last
+    `objective_and_grads` (or `update`) until the next one; `_tmp` is
+    Adam's scratch.
     """
 
     def __init__(self, state_dim: int, n_cont: int, hidden: int, head_hidden: int):
@@ -113,8 +119,8 @@ class PolicyParams:
         # size would be a fresh mapping whose pages fault in on every update.
         self.grad = np.empty(size)
         self._tmp = (np.empty(size), np.empty(size))
-        self.weights, self.adam_m, self.adam_v = (
-            _views(flat, shapes) for flat in (self.theta, self.m, self.v))
+        self.weights, self.grads, self.adam_m, self.adam_v = (
+            _views(flat, shapes) for flat in (self.theta, self.grad, self.m, self.v))
         self.step = 0
         self.state_dim, self.n_cont = state_dim, n_cont
         self.sizes = (state_dim, n_cont, hidden, head_hidden)  # _layout's arguments
@@ -158,9 +164,38 @@ def init_policy(
 
 
 def _softmax(z):
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in z's own array."""
+    z -= np.max(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=-1, keepdims=True)
+    return z
+
+
+def _linear(x, w, b):
+    """x @ w.T + b, the bias added in place."""
+    y = x @ w.T
+    y += b
+    return y
+
+
+def _tanh_layer(x, w, b):
+    """tanh(x @ w.T + b), written into the product's array."""
+    y = _linear(x, w, b)
+    return np.tanh(y, out=y)
+
+
+def _policy(params: PolicyParams, x: np.ndarray) -> dict:
+    """The trunk and both policy heads on inputs x (..., S): the cache of
+    `forward` without the value head's hv and v."""
+    w = params.weights
+    t1 = _tanh_layer(x, w["w1"], w["b1"])
+    t2 = _tanh_layer(t1, w["w2"], w["b2"])
+    hd = _tanh_layer(t2, w["wd"], w["bd"])
+    hc = _tanh_layer(t2, w["wc"], w["bc"])
+    return {"x": x, "t1": t1, "t2": t2, "hd": hd, "hc": hc,
+            "probs": _softmax(_linear(hd, w["wdo"], w["bdo"])),
+            "mu": _linear(hc, w["wco"], w["bco"]),
+            "std": np.exp(np.clip(w["log_std"], LOG_STD_MIN, LOG_STD_MAX))}
 
 
 def forward(params: PolicyParams, states) -> tuple:
@@ -170,7 +205,10 @@ def forward(params: PolicyParams, states) -> tuple:
     (...), cache). Stacked states go through numpy's matmul, which runs one
     BLAS product per trailing (B, S) matrix: the rows of an (E, 1, S) stack
     are the bits of E one-row calls, whereas the rows of one (E, S) matrix
-    may differ from those in the last bits.
+    may differ from those in the last bits. Each layer forms x @ W.T, adds
+    its bias and applies tanh in place, which gives the bits of
+    tanh(x @ W.T + b). The PPO epochs' KL brake runs the policy heads
+    alone (`_policy`), without the value head.
     """
     x = np.atleast_2d(np.asarray(states, dtype=float))
     if x.shape[-1] != params.state_dim:
@@ -178,19 +216,10 @@ def forward(params: PolicyParams, states) -> tuple:
             f"state dimension {x.shape[-1]} does not match network ({params.state_dim})"
         )
     w = params.weights
-    t1 = np.tanh(x @ w["w1"].T + w["b1"])
-    t2 = np.tanh(t1 @ w["w2"].T + w["b2"])
-    hd = np.tanh(t2 @ w["wd"].T + w["bd"])
-    logits = hd @ w["wdo"].T + w["bdo"]
-    probs = _softmax(logits)
-    hc = np.tanh(t2 @ w["wc"].T + w["bc"])
-    mu = hc @ w["wco"].T + w["bco"]
-    hv = np.tanh(t2 @ w["wv"].T + w["bv"])
-    v = (hv @ w["wvo"].T + w["bvo"])[..., 0]
-    std = np.exp(np.clip(w["log_std"], LOG_STD_MIN, LOG_STD_MAX))
-    cache = {"x": x, "t1": t1, "t2": t2, "hd": hd, "hc": hc, "hv": hv,
-             "probs": probs, "mu": mu, "v": v, "std": std}
-    return probs, mu, std, v, cache
+    cache = _policy(params, x)
+    cache["hv"] = _tanh_layer(cache["t2"], w["wv"], w["bv"])
+    cache["v"] = _linear(cache["hv"], w["wvo"], w["bvo"])[..., 0]
+    return cache["probs"], cache["mu"], cache["std"], cache["v"], cache
 
 
 def gaussian_logp(x, mu, std):
@@ -301,7 +330,12 @@ class Minibatch:
 
 
 def objective_and_grads(params: PolicyParams, mb: Minibatch, cfg: TrainConfig):
-    """PPO objective J (to be maximized) and dJ/dtheta for every weight."""
+    """PPO objective J (to be maximized), dJ/dtheta and the objective's parts.
+
+    The gradient is written into `params.grad`; the returned mapping is
+    `params.grads`, its per-array views, which the next call overwrites
+    (copy them to keep them).
+    """
     b = mb.states.shape[0]
     probs, mu, std, v, cache = forward(params, mb.states)
     adv = mb.adv
@@ -314,21 +348,24 @@ def objective_and_grads(params: PolicyParams, mb: Minibatch, cfg: TrainConfig):
     j_cont = float(np.mean(clipped_loss(r_c, adv, cfg.clip_eps)))
     ent_c = float(np.sum(np.log(std) + 0.5 * (_LOG_2PI + 1.0)))
 
-    dmu = (mask_c * r_c * adv)[:, None] * (mb.raw_actions - mu) / (std**2) / b
-    z2 = ((mb.raw_actions - mu) / std) ** 2
-    dlog_std = np.sum((mask_c * r_c * adv)[:, None] * (z2 - 1.0), axis=0) / b
+    w_c = (mask_c * r_c * adv)[:, None]
+    diff = mb.raw_actions - mu
+    dmu = w_c * diff / (std**2) / b
+    z2 = (diff / std) ** 2
+    dlog_std = np.sum(w_c * (z2 - 1.0), axis=0) / b
     dlog_std += cfg.entropy_coef
 
     lp_d = np.log(probs[np.arange(b), mb.moves])
     r_d = np.exp(lp_d - mb.logp_d_old)
     mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
     j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
-    ent_d = float(np.mean(-np.sum(probs * np.log(probs + 1e-12), axis=1)))
+    log_probs = np.log(probs + 1e-12)
+    h_rows = -np.sum(probs * log_probs, axis=1, keepdims=True)
+    ent_d = float(np.mean(h_rows[:, 0]))
     onehot = np.zeros_like(probs)
     onehot[np.arange(b), mb.moves] = 1.0
     dlogits = (mask_d * r_d * adv)[:, None] * (onehot - probs) / b
-    h_rows = -np.sum(probs * np.log(probs + 1e-12), axis=1, keepdims=True)
-    dlogits += cfg.entropy_coef * (-probs * (np.log(probs + 1e-12) + h_rows)) / b
+    dlogits += cfg.entropy_coef * (-probs * (log_probs + h_rows)) / b
 
     v_err = v - mb.v_target
     j_value = float(np.mean(v_err**2))
@@ -340,60 +377,72 @@ def objective_and_grads(params: PolicyParams, mb: Minibatch, cfg: TrainConfig):
         + cfg.entropy_coef * (ent_d + ent_c)
         - cfg.value_coef * j_value
     )
-    grads = _backward(params, cache, dlogits, dmu, dlog_std, dv)
+    _backward(params, cache, dlogits, dmu, dlog_std, dv)
     info = {"j": j, "j_disc": j_disc, "j_cont": j_cont, "value_loss": j_value,
             "entropy_d": ent_d, "entropy_c": ent_c}
-    return j, grads, info
+    return j, params.grads, info
+
+
+# The order in which _backward forms the gradient arrays.
+_BACKPROP_ORDER = ("wdo", "bdo", "wd", "bd", "wco", "bco", "wc", "bc",
+                   "wvo", "bvo", "wv", "bv", "w2", "b2", "w1", "b1", "log_std")
+
+
+def _head_grads(g, head, d_out, h, w_out, t2):
+    """Gradients of one head ("d", "c" or "v": hidden layer w<head>, output
+    layer w<head>o) from the output gradient d_out; returns the gradient at
+    the hidden layer, (d_out @ w_out) * (1 - h**2), formed in place (h is
+    overwritten)."""
+    np.matmul(d_out.T, h, out=g[f"w{head}o"])
+    np.sum(d_out, axis=0, out=g[f"b{head}o"])
+    d_h = d_out @ w_out
+    _times_tanh_slope(d_h, h)
+    np.matmul(d_h.T, t2, out=g[f"w{head}"])
+    np.sum(d_h, axis=0, out=g[f"b{head}"])
+    return d_h
+
+
+def _times_tanh_slope(d, h):
+    """d *= 1 - h**2, in place; h is overwritten."""
+    np.square(h, out=h)
+    np.subtract(1.0, h, out=h)
+    d *= h
 
 
 def _backward(params, cache, dlogits, dmu, dlog_std, dv):
-    w = params.weights
+    """Backprop of the output gradients into `params.grads`, in the order
+    of _BACKPROP_ORDER. The cache's hidden activations are overwritten."""
+    w, g = params.weights, params.grads
     x, t1, t2 = cache["x"], cache["t1"], cache["t2"]
-    hd, hc, hv = cache["hd"], cache["hc"], cache["hv"]
-    g = {}
-    # Discrete head
-    g["wdo"] = dlogits.T @ hd
-    g["bdo"] = dlogits.sum(axis=0)
-    d_hd = (dlogits @ w["wdo"]) * (1.0 - hd**2)
-    g["wd"] = d_hd.T @ t2
-    g["bd"] = d_hd.sum(axis=0)
-    # Continuous head
-    g["wco"] = dmu.T @ hc
-    g["bco"] = dmu.sum(axis=0)
-    d_hc = (dmu @ w["wco"]) * (1.0 - hc**2)
-    g["wc"] = d_hc.T @ t2
-    g["bc"] = d_hc.sum(axis=0)
-    # Value head
-    dv2 = dv[:, None]
-    g["wvo"] = dv2.T @ hv
-    g["bvo"] = dv2.sum(axis=0)
-    d_hv = (dv2 @ w["wvo"]) * (1.0 - hv**2)
-    g["wv"] = d_hv.T @ t2
-    g["bv"] = d_hv.sum(axis=0)
+    d_hd = _head_grads(g, "d", dlogits, cache["hd"], w["wdo"], t2)
+    d_hc = _head_grads(g, "c", dmu, cache["hc"], w["wco"], t2)
+    d_hv = _head_grads(g, "v", dv[:, None], cache["hv"], w["wvo"], t2)
     # Trunk
-    d_t2 = (d_hd @ w["wd"] + d_hc @ w["wc"] + d_hv @ w["wv"]) * (1.0 - t2**2)
-    g["w2"] = d_t2.T @ t1
-    g["b2"] = d_t2.sum(axis=0)
-    d_t1 = (d_t2 @ w["w2"]) * (1.0 - t1**2)
-    g["w1"] = d_t1.T @ x
-    g["b1"] = d_t1.sum(axis=0)
-    g["log_std"] = dlog_std
-    return g
+    d_t2 = d_hd @ w["wd"]
+    d_t2 += d_hc @ w["wc"]
+    d_t2 += d_hv @ w["wv"]
+    _times_tanh_slope(d_t2, t2)
+    np.matmul(d_t2.T, t1, out=g["w2"])
+    np.sum(d_t2, axis=0, out=g["b2"])
+    d_t1 = d_t2 @ w["w2"]
+    _times_tanh_slope(d_t1, t1)
+    np.matmul(d_t1.T, x, out=g["w1"])
+    np.sum(d_t1, axis=0, out=g["b1"])
+    g["log_std"][...] = dlog_std
 
 
 def update(params: PolicyParams, mb: Minibatch, cfg: TrainConfig) -> PolicyParams:
     """One Adam ascent step on the PPO objective, in place; returns params.
 
-    The gradients are gathered into `params.grad`, checked once for
-    finiteness, and every Adam operation writes into the flat vectors
-    (`out=`). Per element the arithmetic is that of the textbook per-array
-    update, so the results are the same bits.
+    `objective_and_grads` writes the gradient into `params.grad`, which is
+    checked once for finiteness, and every Adam operation writes into the
+    flat vectors (`out=`). Per element the arithmetic is that of the
+    textbook per-array update, so the results are the same bits.
     """
     j, grads, info = objective_and_grads(params, mb, cfg)
     g = params.grad
-    np.concatenate([grads[k].reshape(-1) for k in params.weights], out=g)
     if not np.all(np.isfinite(g)):
-        bad = next(k for k, gv in grads.items() if not np.all(np.isfinite(gv)))
+        bad = next(k for k in _BACKPROP_ORDER if not np.all(np.isfinite(grads[k])))
         raise RuntimeError(f"non-finite gradient in {bad}: objective parts {info}")
     params.step += 1
     t = params.step
@@ -460,6 +509,15 @@ def _net_input(svec: np.ndarray, scale: np.ndarray, t: int, t_total: int) -> np.
     return np.concatenate([svec / scale, remaining], axis=1)
 
 
+def policy_bytes(scenario: AerialScenario, cfg: TrainConfig) -> int:
+    """Bytes the PolicyParams that train builds for scenario and cfg hold:
+    six float64 vectors of the network's size (theta, grad, m, v and Adam's
+    two scratch vectors). Computed from the sizes alone."""
+    shapes = _layout(_input_dim(scenario), scenario.action_dim_continuous,
+                     cfg.hidden, cfg.head_hidden)
+    return 6 * 8 * _size(shapes)
+
+
 def _round_config(cfg: TrainConfig, last_episode: int) -> TrainConfig:
     """The configuration of the update after episode last_episode: with
     cfg.entropy_decay the entropy coefficient falls linearly to 0 at the
@@ -474,7 +532,8 @@ def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) 
     """Up to cfg.epochs epochs of minibatch updates on one round's buffer,
     each over a fresh rng permutation of its rows. After every epoch an
     approximate-KL check on the whole buffer (discrete and continuous
-    heads) ends the epochs early when either exceeds cfg.kl_stop."""
+    heads, from a forward without the value head) ends the epochs early
+    when either exceeds cfg.kl_stop."""
     m = buffer.states.shape[0]
     for _ in range(cfg.epochs):
         order = rng.permutation(m)
@@ -484,10 +543,11 @@ def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) 
                            buffer.logp_d_old[sel], buffer.logp_c_old[sel], buffer.adv[sel],
                            buffer.v_target[sel])
             params = update(params, mb, cfg)
-        # Approximate-KL brake against policy churn on small buffers.
-        probs_n, mu_n, std_n, _, _ = forward(params, buffer.states)
-        lpd_n = np.log(probs_n[np.arange(m), buffer.moves] + 1e-12)
-        lpc_n = gaussian_logp(buffer.raw_actions, mu_n, std_n)
+        # Approximate-KL brake against policy churn on small buffers; it
+        # reads the policy heads only.
+        pol = _policy(params, buffer.states)
+        lpd_n = np.log(pol["probs"][np.arange(m), buffer.moves] + 1e-12)
+        lpc_n = gaussian_logp(buffer.raw_actions, pol["mu"], pol["std"])
         kl_d = float(np.mean(buffer.logp_d_old - lpd_n))
         kl_c = float(np.mean(buffer.logp_c_old - lpc_n))
         if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:

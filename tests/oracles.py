@@ -2,8 +2,9 @@
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
-incomplete beta, the per-array Adam step, the policy initialisation as
-one literal dict of arrays, MO-PPO training with its episodes rolled out
+incomplete beta, the PPO objective and its backprop with every
+intermediate a fresh array, the per-array Adam step, the policy
+initialisation as one literal dict of arrays, MO-PPO training with its episodes rolled out
 one at a time, the multicell engine drawing every element count's channels
 afresh, and the exhaustive grid search over static aerial configurations
 that the trained policy is measured against.
@@ -30,6 +31,7 @@ from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
     _ADAM_EPS,
+    _LOG_2PI,
     _STREAM_AGENT,
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -41,7 +43,9 @@ from riscomp.moppo import (
     _orthogonal,
     _ppo_epochs,
     _round_config,
+    _surrogate_grad_mask,
     advantage,
+    clipped_loss,
     forward,
     gaussian_logp,
     init_policy,
@@ -367,6 +371,104 @@ def adam_step(weights: dict, adam_m: dict, adam_v: dict, grads: dict, t: int,
         v_hat = vv / (1.0 - _ADAM_B2**t)
         weights[k] = weights[k] - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     np.clip(weights["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=weights["log_std"])
+
+
+def reference_forward(weights, x: np.ndarray) -> dict:
+    """The network on inputs x (B, S), each layer tanh(x @ W.T + b) as one
+    expression: the hidden activations, probs, mu, std and v by name."""
+    w = weights
+    t1 = np.tanh(x @ w["w1"].T + w["b1"])
+    t2 = np.tanh(t1 @ w["w2"].T + w["b2"])
+    hd = np.tanh(t2 @ w["wd"].T + w["bd"])
+    logits = hd @ w["wdo"].T + w["bdo"]
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    hc = np.tanh(t2 @ w["wc"].T + w["bc"])
+    mu = hc @ w["wco"].T + w["bco"]
+    hv = np.tanh(t2 @ w["wv"].T + w["bv"])
+    v = (hv @ w["wvo"].T + w["bvo"])[..., 0]
+    std = np.exp(np.clip(w["log_std"], LOG_STD_MIN, LOG_STD_MAX))
+    return {"x": x, "t1": t1, "t2": t2, "hd": hd, "hc": hc, "hv": hv,
+            "probs": probs, "mu": mu, "v": v, "std": std}
+
+
+def reference_objective_and_grads(weights, mb: Minibatch, cfg: TrainConfig):
+    """The PPO objective J, dJ/dtheta as a fresh dict of arrays, and the
+    objective's parts, each term written out where it is used;
+    `riscomp.moppo.objective_and_grads` must give the same bits."""
+    b = mb.states.shape[0]
+    c = reference_forward(weights, mb.states)
+    probs, mu, std, v = c["probs"], c["mu"], c["std"], c["v"]
+    adv = mb.adv
+    if cfg.normalize_adv and b > 1:
+        adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
+
+    lp_c = gaussian_logp(mb.raw_actions, mu, std)
+    r_c = np.exp(lp_c - mb.logp_c_old)
+    mask_c = _surrogate_grad_mask(r_c, adv, cfg.clip_eps)
+    j_cont = float(np.mean(clipped_loss(r_c, adv, cfg.clip_eps)))
+    ent_c = float(np.sum(np.log(std) + 0.5 * (_LOG_2PI + 1.0)))
+
+    dmu = (mask_c * r_c * adv)[:, None] * (mb.raw_actions - mu) / (std**2) / b
+    z2 = ((mb.raw_actions - mu) / std) ** 2
+    dlog_std = np.sum((mask_c * r_c * adv)[:, None] * (z2 - 1.0), axis=0) / b
+    dlog_std += cfg.entropy_coef
+
+    lp_d = np.log(probs[np.arange(b), mb.moves])
+    r_d = np.exp(lp_d - mb.logp_d_old)
+    mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
+    j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
+    ent_d = float(np.mean(-np.sum(probs * np.log(probs + 1e-12), axis=1)))
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(b), mb.moves] = 1.0
+    dlogits = (mask_d * r_d * adv)[:, None] * (onehot - probs) / b
+    h_rows = -np.sum(probs * np.log(probs + 1e-12), axis=1, keepdims=True)
+    dlogits += cfg.entropy_coef * (-probs * (np.log(probs + 1e-12) + h_rows)) / b
+
+    v_err = v - mb.v_target
+    j_value = float(np.mean(v_err**2))
+    dv = -2.0 * cfg.value_coef * v_err / b
+
+    j = (
+        j_disc
+        + j_cont
+        + cfg.entropy_coef * (ent_d + ent_c)
+        - cfg.value_coef * j_value
+    )
+    w = weights
+    x, t1, t2, hd, hc, hv = (c[k] for k in ("x", "t1", "t2", "hd", "hc", "hv"))
+    g = {}
+    # Discrete head
+    g["wdo"] = dlogits.T @ hd
+    g["bdo"] = dlogits.sum(axis=0)
+    d_hd = (dlogits @ w["wdo"]) * (1.0 - hd**2)
+    g["wd"] = d_hd.T @ t2
+    g["bd"] = d_hd.sum(axis=0)
+    # Continuous head
+    g["wco"] = dmu.T @ hc
+    g["bco"] = dmu.sum(axis=0)
+    d_hc = (dmu @ w["wco"]) * (1.0 - hc**2)
+    g["wc"] = d_hc.T @ t2
+    g["bc"] = d_hc.sum(axis=0)
+    # Value head
+    dv2 = dv[:, None]
+    g["wvo"] = dv2.T @ hv
+    g["bvo"] = dv2.sum(axis=0)
+    d_hv = (dv2 @ w["wvo"]) * (1.0 - hv**2)
+    g["wv"] = d_hv.T @ t2
+    g["bv"] = d_hv.sum(axis=0)
+    # Trunk
+    d_t2 = (d_hd @ w["wd"] + d_hc @ w["wc"] + d_hv @ w["wv"]) * (1.0 - t2**2)
+    g["w2"] = d_t2.T @ t1
+    g["b2"] = d_t2.sum(axis=0)
+    d_t1 = (d_t2 @ w["w2"]) * (1.0 - t1**2)
+    g["w1"] = d_t1.T @ x
+    g["b1"] = d_t1.sum(axis=0)
+    g["log_std"] = dlog_std
+    info = {"j": j, "j_disc": j_disc, "j_cont": j_cont, "value_loss": j_value,
+            "entropy_d": ent_d, "entropy_c": ent_c}
+    return j, g, info
 
 
 def init_policy_arrays(state_dim: int, n_cont: int, rng, hidden: int = 64,

@@ -282,6 +282,7 @@ def test_criterion_8_gradient_correctness():
     # Wide clip keeps every sample off the surrogate's non-differentiable kink.
     cfg = TrainConfig(normalize_adv=False, clip_eps=0.5)
     _, grads, _ = objective_and_grads(params, mb, cfg)
+    grads = {k: g.copy() for k, g in grads.items()}
     h = 1e-5
     worst = 0.0
     for key, w in params.weights.items():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -482,11 +483,67 @@ def test_cli_validate_bounds_the_multicell_chunk(tmp_path, capsys, text, key):
 
 def test_unused_element_counts_are_not_bounded():
     # A K sweep alone replaces the scenario's K, which then draws nothing,
-    # and the power x threshold grid reads no sweep.k_values.
+    # and the power x threshold grid reads no sweep.k_values: that key is
+    # refused as unread, not as too large.
     from_mapping({"kind": "ee-sweep", "trials": 1, "scenario.k_elements": _HUGE_K,
                   "sweep.k_values": [30]})
-    from_mapping({"kind": "ee-sweep", "trials": 1, "sweep.k_values": [_HUGE_K],
-                  "sweep.p_t_dbm": [0.0], "sweep.r_th_values": [1.0]})
+    with pytest.raises(ConfigError) as info:
+        from_mapping({"kind": "ee-sweep", "trials": 1, "sweep.k_values": [_HUGE_K],
+                      "sweep.p_t_dbm": [0.0], "sweep.r_th_values": [1.0]})
+    [line] = str(info.value).splitlines()[1:]
+    assert line.startswith("  sweep.k_values: not read")
+
+
+@pytest.mark.parametrize("extra, keys", [
+    ("sweep.k_values = 3, 5\n", ["k_values"]),
+    ("sweep.j_values = 1, 2\n", ["j_values"]),
+    ("sweep.k_values = 3, 5\nsweep.j_values = 1, 2\n", ["j_values", "k_values"]),
+], ids=["k", "j", "j-and-k"])
+def test_cli_validate_refuses_axes_the_ee_grid_ignores(tmp_path, capsys, extra, keys):
+    # With both grid axes set, the ee-sweep runner writes ee_grid.csv alone.
+    text = "kind = ee-sweep\ntrials = 4\nsweep.p_t_dbm = 0\nsweep.r_th_values = 1\n" + extra
+    errors, path = _validate_error_lines(tmp_path, capsys, text)
+    assert len(errors) == 1
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).splitlines()[1:] == [
+        f"  sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
+        "sweep.r_th_values runs only their grid" for key in keys]
+    from_mapping(experiments.PRESETS["fig4.5"])  # the grid alone still validates
+
+
+@pytest.mark.parametrize("text, episodes", [
+    ("kind = drl-train\nscenario.k_elements = {k}\n", 1),
+    ("kind = drl-train\nscenario.tiny = true\nscenario.k_elements = {k}\n"
+     "train.episodes = 6\ntrain.episodes_per_update = 6\n", 6),
+    ("kind = drl-eval\ncheckpoint = policy.bin\nscenario.k_elements = {k}\n", 10),
+], ids=["train", "train-tiny-e6", "eval"])
+def test_cli_validate_bounds_the_aerial_engine(tmp_path, capsys, text, episodes):
+    # Only the sizes are computed: at 10^11 elements one slot's normals and
+    # the policy would need thousands of GiB; validate allocates under 1 MB.
+    tracemalloc.start()
+    try:
+        _, path = _validate_error_lines(tmp_path, capsys, text.format(k=_HUGE_K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    normals, policy = str(info.value).splitlines()[1:]
+    assert re.fullmatch(rf"  scenario\.k_elements: {_HUGE_K} elements need \S+ GiB of normals "
+                        rf"per slot of {episodes} episodes, above the budget of 1 GiB", normals)
+    assert re.fullmatch(rf"  scenario\.k_elements = {_HUGE_K}, train\.hidden = 64 and "
+                        r"train\.head_hidden = 64 give a policy network of \S+ GiB, above "
+                        r"the budget of 1 GiB", policy)
+
+
+def test_validate_bounds_the_policy_width():
+    # A wide network alone is refused; fig5.2's K = 120 at hidden 64 is not.
+    with pytest.raises(ConfigError, match=r"train\.hidden = 100000 and train\.head_hidden = "
+                                          r"64 give a policy network of 448 GiB"):
+        from_mapping({"kind": "drl-train", "train.hidden": 100_000})
+    from_mapping(experiments.PRESETS["fig5.2"])
 
 
 _BEYOND_FLOAT = "1" + "0" * 400  # 10**400: no float holds it
@@ -666,6 +723,11 @@ def test_dump_parse_roundtrip_property(kind, data):
                                            TrainConfig.episodes_per_update)):
         with pytest.raises(ConfigError, match=r"\n  train\.episodes = \d+ is below "
                                               r"train\.episodes_per_update"):
+            from_mapping(flat)
+        return
+    if kind == "ee-sweep" and {"sweep.p_t_dbm", "sweep.r_th_values"} <= flat.keys() and (
+            flat.keys() & {"sweep.j_values", "sweep.k_values"}):
+        with pytest.raises(ConfigError, match=r"\n  sweep\.[jk]_values: not read"):
             from_mapping(flat)
         return
     try:

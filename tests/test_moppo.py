@@ -9,6 +9,8 @@ from oracles import (
     adam_step,
     exhaustive_baseline,
     init_policy_arrays,
+    reference_forward,
+    reference_objective_and_grads,
     reference_train,
 )
 from riscomp.aerial import ArisEnv
@@ -18,6 +20,8 @@ from riscomp.moppo import (
     LOG_STD_MAX,
     Minibatch,
     TrainConfig,
+    _input_dim,
+    _policy,
     advantage,
     clipped_loss,
     forward,
@@ -218,6 +222,7 @@ def test_update_equals_per_array_adam_oracle():
         mb = Minibatch(states, moves, raws, lpd, lpc, rng.standard_normal(16),
                        rng.standard_normal(16))
         _, grads, _ = objective_and_grads(params, mb, cfg)
+        grads = {k: g.copy() for k, g in grads.items()}
         assert grads["log_std"][0] > 0  # ascent would leave the clip range
         update(params, mb, cfg)
         adam_step(w_ref, m_ref, v_ref, grads, step, cfg.learning_rate)
@@ -227,6 +232,58 @@ def test_update_equals_per_array_adam_oracle():
             assert np.array_equal(params.weights[k], w_ref[k]), k
             assert np.array_equal(params.adam_m[k], m_ref[k]), k
             assert np.array_equal(params.adam_v[k], v_ref[k]), k
+
+
+def _drl_tiny_params(seed):
+    # fig5.2-tiny's network: the tiny scenario at K = 4, hidden 64.
+    scn = tiny_aerial_scenario(k_elements=4, t_slots=40)
+    return init_policy(_input_dim(scn), scn.action_dim_continuous, substream(seed, 0))
+
+
+@pytest.mark.parametrize("normalize", [True, False], ids=["norm-adv", "raw-adv"])
+def test_update_equals_allocating_oracle_at_drl_tiny_shapes(normalize):
+    # Six updates on minibatches of 128 and 112 rows (a 240-row round): the
+    # objective, its parts, every gradient array, and theta, m and v after
+    # each Adam step are the bits of the allocating reference.
+    params = _drl_tiny_params(40)
+    w_ref, m_ref, v_ref = ({k: a.copy() for k, a in views.items()}
+                           for views in (params.weights, params.adam_m, params.adam_v))
+    cfg = TrainConfig(normalize_adv=normalize, entropy_coef=0.005, learning_rate=3e-3)
+    for step, b in enumerate((128, 112, 128, 112, 128, 112), start=1):
+        states, moves, raws, lpd, lpc = _batch(params, b=b, seed=40 + step)
+        rng = substream(41, step)
+        # Old log-probs off by up to ~0.3, so some ratios leave the clip range.
+        mb = Minibatch(states, moves, raws, lpd + 0.15 * rng.standard_normal(b),
+                       lpc + 0.15 * rng.standard_normal(b), rng.standard_normal(b) * 2.0,
+                       rng.standard_normal(b))
+        j_ref, g_ref, info_ref = reference_objective_and_grads(w_ref, mb, cfg)
+        j, grads, info = objective_and_grads(params, mb, cfg)
+        assert j == j_ref and info == info_ref
+        assert set(grads) == set(g_ref)
+        for k in g_ref:
+            assert np.array_equal(grads[k], g_ref[k]), k
+        update(params, mb, cfg)
+        adam_step(w_ref, m_ref, v_ref, g_ref, step, cfg.learning_rate)
+        for views, ref in ((params.weights, w_ref), (params.adam_m, m_ref),
+                           (params.adam_v, v_ref)):
+            for k in ref:
+                assert np.array_equal(views[k], ref[k]), (step, k)
+
+
+@pytest.mark.parametrize("shape", [(240,), (128,), (112,), (6, 1), (1,)])
+def test_forward_and_policy_only_forward_equal_allocating_oracle(shape):
+    # The in-place layers give the bits of tanh(x @ W.T + b), and the policy
+    # heads alone (the KL brake's forward) give the full forward's probs and mu.
+    params = _drl_tiny_params(42)
+    states = substream(43, len(shape)).standard_normal((*shape, params.state_dim))
+    probs, mu, std, v, _ = forward(params, states)
+    ref = reference_forward(params.weights, states)
+    pol = _policy(params, states)
+    assert "hv" not in pol and "v" not in pol
+    for name, out in (("probs", probs), ("mu", mu), ("std", std), ("v", v)):
+        assert np.array_equal(out, ref[name]), name
+    for name in ("probs", "mu", "std"):
+        assert np.array_equal(pol[name], ref[name]), name
 
 
 def _assert_views_tile_buffers(params):
@@ -265,6 +322,7 @@ def test_gradcheck_toy_network():
     mb = Minibatch(states, moves, raws, lpd + 0.05, lpc - 0.03, adv, vt)
     cfg = TrainConfig(normalize_adv=False, clip_eps=0.5)
     _, grads, _ = objective_and_grads(params, mb, cfg)
+    grads = {k: g.copy() for k, g in grads.items()}
     h = 1e-5
     worst = 0.0
     for key in ("w1", "wdo", "wco", "wvo", "log_std", "b2"):
