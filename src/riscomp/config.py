@@ -379,21 +379,27 @@ _MEMORY_BUDGET = 1 << 30
 
 
 def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
-    """Every element count the multicell engine would run at, named by its
-    key, whose per-chunk normal stream plus trial block
-    (energy.chunk_bytes, at scn's n_cells and the run's trials) exceeds
-    _MEMORY_BUDGET. The size is computed, never allocated. An ee-sweep's
-    power x threshold grid runs at scenario.k_elements alone, which is
-    unused when sweep.k_values is the only axis."""
+    """What the multicell engine would hold per chunk (energy.chunk_bytes,
+    at scn's n_cells and the run's trials) above _MEMORY_BUDGET, named by
+    its key: scenario.n_cells when the cells alone exceed it, else every
+    element count the engine would run at that does. The size is computed,
+    never allocated. An ee-sweep's power x threshold grid runs at
+    scenario.k_elements alone, which is unused when sweep.k_values is the
+    only axis."""
+    budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
+    # Trials default to at least a full chunk.
+    n = math.inf if cfg.trials is None else cfg.trials
+    cells = chunk_bytes(scn.n_cells, 0, n)
+    if cells > _MEMORY_BUDGET:
+        return [f"scenario.n_cells: {scn.n_cells} cells need {cells / 2**30:.3g} GiB per "
+                f"chunk of draws at any element count, {budget}"]
     sweep = cfg.sweep
     keys = [] if {"p_t_dbm", "r_th_values"} <= sweep.keys() else [
         (f"sweep.k_values[{i}]", k) for i, k in enumerate(sweep.get("k_values", ()))]
     if not keys or sweep.keys() & {"j_values", "p_t_dbm", "r_th_values"}:
         keys.insert(0, ("scenario.k_elements", scn.k_elements))
-    # Trials default to at least a full chunk.
-    n = math.inf if cfg.trials is None else cfg.trials
     return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n) / 2**30:.3g} GiB "
-            f"per chunk of draws, above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
+            f"per chunk of draws, {budget}"
             for key, k in keys if chunk_bytes(scn.n_cells, k, n) > _MEMORY_BUDGET]
 
 
@@ -402,11 +408,12 @@ DRL_EVAL_EPISODES = 10
 
 
 def _aerial_errors(cfg: ExperimentConfig, scn: AerialScenario, tc: TrainConfig) -> list[str]:
-    """The aerial engine's two K-sized allocations, each refused above
+    """The aerial engine's K-sized allocations, each refused above
     _MEMORY_BUDGET: one lockstep slot's normals (aerial.slot_normals, for a
-    round of train.episodes_per_update episodes or drl-eval's episodes) and
-    the policy network (moppo.policy_bytes). The sizes are computed, never
-    allocated."""
+    round of train.episodes_per_update episodes or drl-eval's episodes), the
+    policy network (moppo.policy_bytes) and, for drl-train, one round's raw
+    actions and sampling noise, two arrays of E T (K + n_bs) floats. The
+    sizes are computed, never allocated."""
     episodes = tc.episodes_per_update if cfg.kind == "drl-train" else DRL_EVAL_EPISODES
     budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
     errors = []
@@ -415,6 +422,11 @@ def _aerial_errors(cfg: ExperimentConfig, scn: AerialScenario, tc: TrainConfig) 
         errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
                       f"{normals / 2**30:.3g} GiB of normals per slot of {episodes} "
                       f"episodes, {budget}")
+    actions = 2 * 8 * episodes * scn.t_slots * scn.action_dim_continuous
+    if cfg.kind == "drl-train" and actions > _MEMORY_BUDGET:
+        errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
+                      f"{actions / 2**30:.3g} GiB of raw actions and sampling noise per "
+                      f"round of {episodes} episodes of {scn.t_slots} slots, {budget}")
     weights = policy_bytes(scn, tc)
     if weights > _MEMORY_BUDGET:
         errors.append(f"scenario.k_elements = {scn.k_elements}, train.hidden = {tc.hidden} "
@@ -435,6 +447,17 @@ def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
     else:
         points = [(f"sweep.p_t_dbm[{i}]", {"p_t_dbm": p})
                   for i, p in enumerate(cfg.sweep_values("p_t_dbm"))]
+    # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
+    # (stats.cascade_moment), which no power changes: a K at which that
+    # leaves the float range is named once, not as every point's fit.
+    betas = {changes.get(b, getattr(scn, b)) for _, changes in points
+             for b in ("beta_t", "beta_r")}
+    try:
+        for beta in betas:
+            (scn.k_elements * math.sqrt(beta)) ** 4
+    except OverflowError:
+        return [f"scenario.k_elements: {scn.k_elements} elements overflow the cascade "
+                "moments of the closed-form SINR laws, (K sqrt(beta))^4"]
     errors = []
     for key, changes in points:
         at = ", ".join(f"{k} = {v!r}" for k, v in

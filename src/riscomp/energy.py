@@ -10,7 +10,11 @@ the point's scenario (ratio of means). A sweep, over K too, hands its points
 to one simulate_network call: each chunk's normals are drawn once and shared
 by every point and mode, each element count K reading its own prefix of
 them, and each K's element-axis reductions are formed once, in trial
-blocks, before any of its points is scored.
+blocks, before any of its points is scored, each element sum one ordered
+reduce (kernels.multicell_edge_gains). The mode changes only the edge
+user's gains, so per K the center SINRs are formed once per center key
+(cooperative set, zeta_edge, transmit and noise powers) and their sums once
+per center key and rate thresholds; each point scores only its edge user.
 """
 
 from __future__ import annotations
@@ -93,19 +97,24 @@ def _rician(re, im, w_los: float, w_nlos: float, out):
 
 def _center_gains(scn: MultiCellScenario, rng, m: int):
     """Center-user direct gains |h_{j -> center_i}|^2, (m, I, I), with
-    own-cell distance d_center and cross distances d_ici."""
+    own-cell distance d_center and cross distances d_ici: |h|^2 of
+    h = sqrt(1/2) (re + j im), formed in place on the real and imaginary
+    normals."""
     n_cells = scn.n_cells
     sqrt_half = math.sqrt(0.5)
-    hij = sqrt_half * (
-        rng.standard_normal((m, n_cells, n_cells))
-        + 1j * rng.standard_normal((m, n_cells, n_cells))
-    )
-    cg = hij.real**2 + hij.imag**2
+    re = rng.standard_normal((m, n_cells, n_cells))
+    im = rng.standard_normal((m, n_cells, n_cells))
+    for part in (re, im):
+        part *= sqrt_half
+        np.multiply(part, part, out=part)
+    re += im
+    del im
     own = scn.gain(scn.d_center, scn.alpha_center)
     cross = scn.gain(scn.d_ici, scn.alpha_ici)
     scale = np.full((n_cells, n_cells), cross)
     np.fill_diagonal(scale, own)
-    return cg * scale[None, :, :]
+    re *= scale[None, :, :]
+    return re
 
 
 def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
@@ -168,17 +177,23 @@ _DRAW_FIELDS = (
 def chunk_bytes(n_cells: int, k_max: int, n: int) -> int:
     """Bytes simulate_network holds per chunk of min(n, CHUNK) = m trials of
     n_cells = I cells at element counts up to k_max: the normal stream,
-    8 (2mI + 4mI k_max), plus one trial block's arrays, at most 8 complex
-    arrays of max(_BLOCK, I k_max) entries."""
+    8 (2mI + 4mI k_max); the center gains, 16 mI^2 while drawn
+    (_center_gains); 16 per-cell (m, I) float arrays for the edge-direct
+    links, each mode's edge gains, the center SINRs and the temporaries of
+    their sums; and one trial block's arrays, at most 8 complex arrays of
+    max(_BLOCK, I k_max) entries. Each element split adds one more (m, I)
+    array of edge gains, 8 mI bytes, which is not counted."""
     m = min(n, CHUNK)
-    return 8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 8 * 16 * max(
-        _BLOCK, n_cells * k_max)
+    return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2
+            + 8 * 16 * m * n_cells + 8 * 16 * max(_BLOCK, n_cells * k_max))
 
 
 class _Sums:
     """Running sums of one access scheme whose users hold a share of the
     slot (1.0 NOMA, 0.5 OMA): a rate is share * log2(1 + SINR), and its
-    outage threshold on the SINR is 2^(R_min / share) - 1."""
+    outage threshold on the SINR is 2^(R_min / share) - 1. A point sums its
+    edge user in its own _Sums (add_edge); its center users are summed in
+    the _Sums its center key shares (add_center)."""
 
     def __init__(self, scn: MultiCellScenario, share: float):
         self.share = share
@@ -188,26 +203,33 @@ class _Sums:
         self.c_out = np.zeros(scn.n_cells)
         self.e_rate = self.e_out = 0.0
 
-    def add(self, edge, center, center_sic=None):
-        """One chunk's SINRs. A NOMA center user is also in outage when its
-        SIC stage (center_sic) misses the edge user's target."""
+    def add_edge(self, edge):
+        self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
+        self.e_out += float(np.sum(edge < self.thr_f))
+
+    def add_center(self, center, center_sic=None):
+        """One chunk's center SINRs. A NOMA center user is also in outage
+        when its SIC stage (center_sic) misses the edge user's target."""
         out = center < self.thr_c
         if center_sic is not None:
             out |= center_sic < self.thr_f
-        self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
-        self.e_out += float(np.sum(edge < self.thr_f))
         self.c_rate += self.share * np.sum(np.log2(1.0 + center), axis=0)
         self.c_out += np.sum(out, axis=0)
 
-    def aggregates(self, n: int) -> Aggregates:
-        return Aggregates(self.c_rate / n, self.c_out / n, self.e_rate / n, self.e_out / n)
+
+def _center_key(scn: MultiCellScenario):
+    """What a point's center SINRs read besides the draws: the cooperative
+    set (the first n_coop cells), zeta_edge, the transmit power and the
+    noise power."""
+    return scn.n_coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
 
 
 class _Point:
-    """Per-point constants and the NOMA and OMA sums of one simulate_network
-    point."""
+    """Per-point constants, the NOMA and OMA edge sums of one
+    simulate_network point, and the center sums (center: NOMA, OMA) it
+    shares with every point of its K, center key and rate thresholds."""
 
-    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None):
+    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None, center):
         if mode not in _NETWORK_MODES:
             raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
         self.scn = scn
@@ -216,11 +238,18 @@ class _Point:
         self.code = [coop_code if c else noncoop_code for c in self.coop]
         self.n_co = None if split is None else math.ceil(split * scn.k_elements)
         self.noma, self.oma = _Sums(scn, 1.0), _Sums(scn, 0.5)
+        self.center = center
 
     def edge_gains(self, by_code, by_split):
         if self.n_co is not None:
             return by_split[self.n_co]
         return np.stack([by_code[c][:, i] for i, c in enumerate(self.code)], axis=1)
+
+    def aggregates(self, n: int) -> tuple[Aggregates, Aggregates]:
+        return tuple(
+            Aggregates(c.c_rate / n, c.c_out / n, e.e_rate / n, e.e_out / n)
+            for e, c in zip((self.noma, self.oma), self.center)
+        )
 
 
 def simulate_network(
@@ -252,7 +281,15 @@ def simulate_network(
     (118 MB at m = 4096, I = 6, K_max = 150; chunk_bytes) is held while the
     chunk is scored, so each K's element work runs in trial blocks
     (_edge_gains).
+
+    The RIS mode and split change only the edge user's gains. So, per chunk
+    and K, the center SINRs are formed once per distinct center key
+    (_center_key), and their NOMA and OMA rate and outage sums once per
+    center key and (r_center_min, r_edge_min); each point keeps only its
+    edge sums. Every sum adds its chunks in order, so a point's aggregates
+    are bitwise those of a call with that point alone.
     """
+    by_k = {}  # K -> (points, {center key: {thresholds: (NOMA, OMA) center sums}})
     pts = []
     for scn_v, mode, split in points:
         differ = [f for f in _DRAW_FIELDS if getattr(scn_v, f) != getattr(scn, f)]
@@ -260,10 +297,13 @@ def simulate_network(
             raise ValueError(
                 f"point ({mode!r}) differs from the drawn scenario in {', '.join(differ)}"
             )
-        pts.append(_Point(scn_v, mode, split))
-    by_k = {}
-    for p in pts:
-        by_k.setdefault(p.scn.k_elements, []).append(p)
+        group, centers = by_k.setdefault(scn_v.k_elements, ([], {}))
+        by_thr = centers.setdefault(_center_key(scn_v), {})
+        thr = (scn_v.r_center_min, scn_v.r_edge_min)
+        if thr not in by_thr:
+            by_thr[thr] = (_Sums(scn_v, 1.0), _Sums(scn_v, 0.5))
+        pts.append(_Point(scn_v, mode, split, by_thr[thr]))
+        group.append(pts[-1])
     n_cells = scn.n_cells
     g_edge_direct = math.sqrt(scn.gain(scn.d_edge, scn.alpha_edge))
     for start in range(0, n, CHUNK):
@@ -282,7 +322,7 @@ def simulate_network(
             # K's phases and center gains come next in its stream; the next
             # K's normals continue from here.
             state = rng.bit_generator.state
-            group = by_k[k]
+            group, centers = by_k[k]
             by_code, by_split = _edge_gains(
                 scn, ed, stream[2 * mi:end], rng, k,
                 {c for p in group if p.n_co is None for c in p.code},
@@ -290,14 +330,21 @@ def simulate_network(
             )
             cg = _center_gains(scn, rng, m)
             rng.bit_generator.state = state
+            for (n_coop, zeta, p_w, sigma2), by_thr in centers.items():
+                c_own, c_cf, c_oma = kernels.multicell_center_sinr(
+                    cg, np.arange(n_cells) < n_coop, zeta, p_w, sigma2)
+                for noma, oma in by_thr.values():
+                    noma.add_center(c_own, c_cf)
+                    oma.add_center(c_oma)
+            del cg
             for p in group:
-                edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
-                    p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
+                edge, edge_oma = kernels.multicell_edge_sinr(
+                    p.edge_gains(by_code, by_split), p.coop, p.scn.zeta_edge,
                     p.scn.tx_power_w, p.scn.noise_w,
                 )
-                p.noma.add(edge, c_own, c_cf)
-                p.oma.add(edge_oma, c_oma)
-    return [(p.noma.aggregates(n), p.oma.aggregates(n)) for p in pts]
+                p.noma.add_edge(edge)
+                p.oma.add_edge(edge_oma)
+    return [p.aggregates(n) for p in pts]
 
 
 def _ee_rows(keyed, modes, n, seed) -> list[dict]:

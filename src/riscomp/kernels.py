@@ -72,34 +72,45 @@ def multicell_edge_gains(ed, casc, rnd, codes, n_cos=()):
     2 enhancement (|h| + S)^2 and 3 cancellation (|h| - S)^2 with
     S = sum_k |casc_k|. n_cos: element splits, each the gain
     (|h| - S_co + S_eo)^2 with the first n_co elements anti-phased (S_co) and
-    the rest co-phased (S_eo). Element sums run sequentially over k, except
-    the split sums (numpy's pairwise sum of |casc|). Returns
-    ({code: (n, I)}, {n_co: (n, I)}).
+    the rest co-phased (S_eo). Each element sum of codes 1-3 is one ordered
+    reduce: its terms are written into an element-major buffer (K + 1, n, I)
+    behind its start value, and numpy's reduce over axis 0 of that
+    contiguous buffer adds the rows in element order, start + t_1 + ... +
+    t_K entry by entry. The split sums are numpy's pairwise sums of |casc|
+    over the last axis. Returns ({code: (n, I)}, {n_co: (n, I)}).
     """
     ed_re, ed_im = ed.real, ed.imag
     h2 = ed_re * ed_re + ed_im * ed_im
-    k = casc.shape[2]
+    n, n_cells, k = casc.shape
     by_code = {}
     if 0 in codes:
         by_code[0] = h2
+    if {1, 2, 3}.intersection(codes):
+        # Rows of one entry would leave numpy a lone contiguous axis, which it
+        # sums pairwise, so such rows get a second entry, held at 0.
+        pad = int(n * n_cells == 1)
+        rows = np.empty((k + 1, n, n_cells + pad))
+        rows[:, :, n_cells:] = 0.0
+        terms = np.moveaxis(rows[1:, :, :n_cells], 0, -1)
+
+        def element_sum(start):
+            rows[0, :, :n_cells] = start
+            return np.add.reduce(rows, axis=0)[:, :n_cells]
+
     if 1 in codes:
-        hre = ed_re.copy()
-        parts = rnd.real * casc.real - rnd.imag * casc.imag
-        for q in range(k):
-            hre += parts[:, :, q]
-        him = ed_im.copy()
-        parts = rnd.real * casc.imag + rnd.imag * casc.real
-        for q in range(k):
-            him += parts[:, :, q]
-        del parts
+        np.multiply(rnd.real, casc.real, out=terms)
+        terms -= rnd.imag * casc.imag
+        hre = element_sum(ed_re)
+        np.multiply(rnd.real, casc.imag, out=terms)
+        terms += rnd.imag * casc.real
+        him = element_sum(ed_im)
         by_code[1] = hre * hre + him * him
     if 2 in codes or 3 in codes:
         c_re, c_im = casc.real, casc.imag
-        mag = np.sqrt(c_re * c_re + c_im * c_im)
-        s = np.zeros(h2.shape)
-        for q in range(k):
-            s += mag[:, :, q]
-        del mag
+        np.multiply(c_re, c_re, out=terms)
+        terms += c_im * c_im
+        np.sqrt(terms, out=terms)
+        s = element_sum(0.0)
         amp = np.sqrt(h2)
         for code, d in ((2, amp + s), (3, amp - s)):
             if code in codes:
@@ -114,15 +125,13 @@ def multicell_edge_gains(ed, casc, rnd, codes, n_cos=()):
     return by_code, by_split
 
 
-def multicell_edge_sinr(g_edge, cg, coop, zeta_f, p_w, sigma2):
-    """Multi-cell CoMP-NOMA SINRs from per-cell edge gains, in O(n I^2).
+def multicell_edge_sinr(g_edge, coop, zeta_f, p_w, sigma2):
+    """Edge-user SINRs of one multicell point, NOMA and OMA, in O(n I).
 
-    g_edge: (n, I) edge-user gain of each cell's link (multicell_edge_gains),
-    cg: (n, I, I) center gains, cg[:, j, i] from BS j to center i; coop: 1 for
-    cooperating cells. Returns (edge, edge_oma, c_own, c_cf, c_oma). For a
-    non-cooperative cell, c_cf is the center user's SIC stage against its own
-    cell's edge component only, zeta_f*own / ((1-zeta_f)*own + ICI + sigma2)
-    with own = p_w*cg[:, i, i] and every other cell interfering at full power.
+    g_edge: (n, I) edge-user gain of each cell's link (multicell_edge_gains);
+    coop: 1 for cooperating cells, whose BSs jointly serve the edge user
+    with power share zeta_f, while every other cell interferes at full
+    power. Returns (edge, edge_oma).
     """
     n, n_cells = g_edge.shape
     sig_e = np.zeros(n)
@@ -136,7 +145,22 @@ def multicell_edge_sinr(g_edge, cg, coop, zeta_f, p_w, sigma2):
             ici_e += p_w * g_edge[:, i]
     edge = sig_e / (intra_e + ici_e + sigma2)
     edge_oma = (sig_e + intra_e) / (ici_e + sigma2)
+    return edge, edge_oma
 
+
+def multicell_center_sinr(cg, coop, zeta_f, p_w, sigma2):
+    """Center-user SINRs of the multicell network, in O(n I^2); the RIS mode
+    does not enter them, so points that differ only in it share them.
+
+    cg: (n, I, I) center gains, cg[:, j, i] from BS j to center i; coop: 1
+    for cooperating cells. Returns (c_own, c_cf, c_oma), each (n, I): the
+    own-message SINR, the SIC stage's SINR of the edge message and the OMA
+    SINR. For a non-cooperative cell, c_cf is the center user's SIC stage
+    against its own cell's edge component only,
+    zeta_f*own / ((1-zeta_f)*own + ICI + sigma2) with own = p_w*cg[:, i, i]
+    and every other cell interfering at full power.
+    """
+    n, n_cells = cg.shape[0], cg.shape[1]
     c_own = np.empty((n, n_cells))
     c_cf = np.empty((n, n_cells))
     c_oma = np.empty((n, n_cells))
@@ -171,4 +195,4 @@ def multicell_edge_sinr(g_edge, cg, coop, zeta_f, p_w, sigma2):
             c_own[:, i] = (1.0 - zeta_f) * own_sig / den
             c_cf[:, i] = zeta_f * own_sig / ((1.0 - zeta_f) * own_sig + den)
         c_oma[:, i] = own_sig / (oma_ici + sigma2)
-    return edge, edge_oma, c_own, c_cf, c_oma
+    return c_own, c_cf, c_oma

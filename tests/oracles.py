@@ -4,10 +4,11 @@ effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the PPO objective and its backprop with every
 intermediate a fresh array, the per-array Adam step, the policy
-initialisation as one literal dict of arrays, MO-PPO training with its episodes rolled out
-one at a time, the multicell engine drawing every element count's channels
-afresh, and the exhaustive grid search over static aerial configurations
-that the trained policy is measured against.
+initialisation as one literal dict of arrays, MO-PPO training with its
+episodes rolled out one at a time, the multicell engine drawing every
+element count's channels afresh and scoring every point on its own, and
+the exhaustive grid search over static aerial configurations that the
+trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -25,8 +26,7 @@ from numpy.random import Generator
 
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
-from riscomp.energy import _STREAM_MC, _Point
-from riscomp.kernels import multicell_edge_gains, multicell_edge_sinr
+from riscomp.energy import _STREAM_MC, Aggregates
 from riscomp.moppo import (
     _ADAM_B1,
     _ADAM_B2,
@@ -641,26 +641,144 @@ def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     return ed, casc, rnd, cg
 
 
+def reference_edge_gains(ed, casc, rnd, n_cos):
+    """The multicell edge gains of every mode code and of each element split
+    in n_cos, each mode's element sum one sequential += per element."""
+    ed_re, ed_im = ed.real, ed.imag
+    h2 = ed_re * ed_re + ed_im * ed_im
+    k = casc.shape[2]
+    by_code = {0: h2}
+    hre = ed_re.copy()
+    parts = rnd.real * casc.real - rnd.imag * casc.imag
+    for q in range(k):
+        hre += parts[:, :, q]
+    him = ed_im.copy()
+    parts = rnd.real * casc.imag + rnd.imag * casc.real
+    for q in range(k):
+        him += parts[:, :, q]
+    by_code[1] = hre * hre + him * him
+    c_re, c_im = casc.real, casc.imag
+    mag = np.sqrt(c_re * c_re + c_im * c_im)
+    s = np.zeros(h2.shape)
+    for q in range(k):
+        s += mag[:, :, q]
+    amp = np.sqrt(h2)
+    by_code[2] = (amp + s) * (amp + s)
+    by_code[3] = (amp - s) * (amp - s)
+    amp = np.abs(ed)
+    mag = np.abs(casc)
+    by_split = {}
+    for n_co in n_cos:
+        d = amp - np.sum(mag[:, :, :n_co], axis=2) + np.sum(mag[:, :, n_co:], axis=2)
+        by_split[n_co] = d * d
+    return by_code, by_split
+
+
+def reference_multicell_sinr(g_edge, cg, coop, zeta_f, p_w, sigma2):
+    """Every multicell SINR of one point, (edge, edge_oma, c_own, c_cf,
+    c_oma), from its per-cell edge gains and the center gains, summed over
+    cells in index order."""
+    n, n_cells = g_edge.shape
+    sig_e = np.zeros(n)
+    intra_e = np.zeros(n)
+    ici_e = np.zeros(n)
+    for i in range(n_cells):
+        if coop[i]:
+            sig_e += zeta_f * p_w * g_edge[:, i]
+            intra_e += (1.0 - zeta_f) * p_w * g_edge[:, i]
+        else:
+            ici_e += p_w * g_edge[:, i]
+    edge = sig_e / (intra_e + ici_e + sigma2)
+    edge_oma = (sig_e + intra_e) / (ici_e + sigma2)
+    c_own = np.empty((n, n_cells))
+    c_cf = np.empty((n, n_cells))
+    c_oma = np.empty((n, n_cells))
+    for i in range(n_cells):
+        coop_g = np.zeros(n)
+        ici_g = np.zeros(n)
+        oma_ici = np.zeros(n)
+        for j in range(n_cells):
+            if j != i:
+                oma_ici += p_w * cg[:, j, i]
+            if coop[j]:
+                if j != i:
+                    coop_g += (1.0 - zeta_f) * p_w * cg[:, j, i]
+            else:
+                if j != i:
+                    ici_g += p_w * cg[:, j, i]
+        own_sig = cg[:, i, i] * p_w
+        if coop[i]:
+            c_own[:, i] = (1.0 - zeta_f) * own_sig / (coop_g + ici_g + sigma2)
+            num_cf = np.zeros(n)
+            den_cf = np.zeros(n)
+            for j in range(n_cells):
+                if coop[j]:
+                    num_cf += zeta_f * p_w * cg[:, j, i]
+                    den_cf += (1.0 - zeta_f) * p_w * cg[:, j, i]
+            c_cf[:, i] = num_cf / (den_cf + ici_g + sigma2)
+        else:
+            den = oma_ici + sigma2
+            c_own[:, i] = (1.0 - zeta_f) * own_sig / den
+            c_cf[:, i] = zeta_f * own_sig / ((1.0 - zeta_f) * own_sig + den)
+        c_oma[:, i] = own_sig / (oma_ici + sigma2)
+    return edge, edge_oma, c_own, c_cf, c_oma
+
+
+# Mode codes (0 off, 1 random, 2 enhancement, 3 cancellation) of the
+# cooperative and the non-cooperative cells under each network mode.
+_REFERENCE_MODES = {"no-ris": (0, 0), "random": (1, 1), "eo": (2, 1), "ec": (2, 3)}
+
+
+class _ReferenceSums:
+    """One point's running sums of one access scheme with slot share
+    `share`: every user's rate and outage count, edge and center alike."""
+
+    def __init__(self, scn: MultiCellScenario, share: float):
+        self.share = share
+        self.thr_c = 2.0 ** (scn.r_center_min / share) - 1.0
+        self.thr_f = 2.0 ** (scn.r_edge_min / share) - 1.0
+        self.c_rate = np.zeros(scn.n_cells)
+        self.c_out = np.zeros(scn.n_cells)
+        self.e_rate = self.e_out = 0.0
+
+    def add(self, edge, center, center_sic=None):
+        out = center < self.thr_c
+        if center_sic is not None:
+            out |= center_sic < self.thr_f
+        self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
+        self.e_out += float(np.sum(edge < self.thr_f))
+        self.c_rate += self.share * np.sum(np.log2(1.0 + center), axis=0)
+        self.c_out += np.sum(out, axis=0)
+
+    def aggregates(self, n: int) -> Aggregates:
+        return Aggregates(self.c_rate / n, self.c_out / n, self.e_rate / n, self.e_out / n)
+
+
 def reference_simulate_network(scn: MultiCellScenario, points, n: int, seed: int = 0):
     """The multicell engine at one element count: every chunk drawn whole by
     multicell_draws from its substream, at scn.k_elements, which every
-    point shares, and scored on all its trials at once. Returns one (NOMA,
+    point shares, and every point scored on all its trials at once, its
+    edge gains, all five SINRs and its sums of its own. Returns one (NOMA,
     OMA) pair of Aggregates per point; `riscomp.energy.simulate_network`,
-    which draws each chunk's normals once for every K and scores each K in
-    trial blocks, must give the same bits."""
-    pts = [_Point(scn_v, mode, split) for scn_v, mode, split in points]
-    assert all(p.scn.k_elements == scn.k_elements for p in pts)
-    codes = {c for p in pts if p.n_co is None for c in p.code}
-    n_cos = sorted({p.n_co for p in pts if p.n_co is not None})
+    which draws each chunk's normals once for every K, scores each K in
+    trial blocks and shares center SINRs and sums between points, must give
+    the same bits."""
+    assert all(scn_v.k_elements == scn.k_elements for scn_v, _, _ in points)
+    sums = [(_ReferenceSums(scn_v, 1.0), _ReferenceSums(scn_v, 0.5)) for scn_v, _, _ in points]
     for start in range(0, n, CHUNK):
         m = min(CHUNK, n - start)
         ed, casc, rnd, cg = multicell_draws(scn, substream(seed, _STREAM_MC, start // CHUNK), m)
-        by_code, by_split = multicell_edge_gains(ed, casc, rnd, codes, n_cos)
-        for p in pts:
-            edge, edge_oma, c_own, c_cf, c_oma = multicell_edge_sinr(
-                p.edge_gains(by_code, by_split), cg, p.coop, p.scn.zeta_edge,
-                p.scn.tx_power_w, p.scn.noise_w,
-            )
-            p.noma.add(edge, c_own, c_cf)
-            p.oma.add(edge_oma, c_oma)
-    return [(p.noma.aggregates(n), p.oma.aggregates(n)) for p in pts]
+        for (scn_v, mode, split), (noma, oma) in zip(points, sums):
+            coop = np.arange(scn_v.n_cells) < scn_v.n_coop
+            n_co = None if split is None else math.ceil(split * scn_v.k_elements)
+            by_code, by_split = reference_edge_gains(ed, casc, rnd, [] if n_co is None else [n_co])
+            if n_co is None:
+                codes = [_REFERENCE_MODES[mode][0 if c else 1] for c in coop]
+                g_edge = np.stack([by_code[c][:, i] for i, c in enumerate(codes)], axis=1)
+            else:
+                g_edge = by_split[n_co]
+            edge, edge_oma, c_own, c_cf, c_oma = reference_multicell_sinr(
+                g_edge, cg, coop, scn_v.zeta_edge, scn_v.tx_power_w, scn_v.noise_w)
+            noma.add(edge, c_own, c_cf)
+            oma.add(edge_oma, c_oma)
+    return [(noma.aggregates(n), oma.aggregates(n)) for noma, oma in sums]

@@ -481,6 +481,18 @@ def test_cli_validate_bounds_the_multicell_chunk(tmp_path, capsys, text, key):
                         r"above the budget of 1 GiB", line)
 
 
+def test_cli_validate_names_the_cell_count(tmp_path, capsys):
+    # 2000 cells' center gains alone need 244 GiB of normals per chunk of
+    # 4096 trials, so no element count is to blame.
+    _, path = _validate_error_lines(tmp_path, capsys, "kind = ee-sweep\ntrials = 4096\n"
+                                    "scenario.n_cells = 2000\nscenario.k_elements = 1\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    [line] = str(info.value).splitlines()[1:]
+    assert re.fullmatch(r"  scenario\.n_cells: 2000 cells need \S+ GiB per chunk of draws at "
+                        r"any element count, above the budget of 1 GiB", line)
+
+
 def test_unused_element_counts_are_not_bounded():
     # A K sweep alone replaces the scenario's K, which then draws nothing,
     # and the power x threshold grid reads no sweep.k_values: that key is
@@ -530,12 +542,32 @@ def test_cli_validate_bounds_the_aerial_engine(tmp_path, capsys, text, episodes)
     assert peak < 2**20
     with pytest.raises(ConfigError) as info:
         load_config(path)
-    normals, policy = str(info.value).splitlines()[1:]
+    normals, *actions, policy = str(info.value).splitlines()[1:]
     assert re.fullmatch(rf"  scenario\.k_elements: {_HUGE_K} elements need \S+ GiB of normals "
                         rf"per slot of {episodes} episodes, above the budget of 1 GiB", normals)
+    # drl-eval keeps no round of raw actions and sampling noise.
+    assert len(actions) == ("drl-train" in text)
+    for line in actions:
+        assert re.fullmatch(rf"  scenario\.k_elements: {_HUGE_K} elements need \S+ GiB of raw "
+                            rf"actions and sampling noise per round of {episodes} episodes of "
+                            r"\d+ slots, above the budget of 1 GiB", line)
     assert re.fullmatch(rf"  scenario\.k_elements = {_HUGE_K}, train\.hidden = 64 and "
                         r"train\.head_hidden = 64 give a policy network of \S+ GiB, above "
                         r"the budget of 1 GiB", policy)
+
+
+def test_validate_bounds_the_round_buffer():
+    # At K = 10^6, T = 250 and E = 6 the round's raw actions and sampling
+    # noise need 12 GB each, while one slot's normals (0.48 GB) and a policy
+    # with head_hidden = 1 (48 MB) fit: the round alone is refused, by K.
+    cfg = {"kind": "drl-train", "scenario.k_elements": 10**6, "train.head_hidden": 1,
+           "train.episodes": 6, "train.episodes_per_update": 6}
+    with pytest.raises(ConfigError) as info:
+        from_mapping(cfg)
+    assert str(info.value).splitlines()[1:] == [
+        "  scenario.k_elements: 1000000 elements need 22.4 GiB of raw actions and sampling "
+        "noise per round of 6 episodes of 250 slots, above the budget of 1 GiB"]
+    from_mapping({**cfg, "scenario.k_elements": 10**4})
 
 
 def test_validate_bounds_the_policy_width():
@@ -562,6 +594,19 @@ def test_cli_validate_rejects_integers_beyond_float_range(tmp_path, capsys, text
     if "pdf-validation" in text:  # an ee-sweep at such a K would allocate without bound
         assert main(["run", str(path), "--trials", "200", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_names_k_when_the_cascade_moments_overflow(tmp_path, capsys):
+    # At K = 10^300, (K sqrt(beta))^4 leaves the float range at every power:
+    # the fits are blamed on K, once, not on scenario.p_t_dbm.
+    k = 10**300
+    _, path = _validate_error_lines(
+        tmp_path, capsys, f"kind = pdf-validation\nscenario.k_elements = {k}\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).splitlines()[1:] == [
+        f"  scenario.k_elements: {k} elements overflow the cascade moments of the "
+        "closed-form SINR laws, (K sqrt(beta))^4"]
 
 
 @pytest.mark.parametrize("text, key", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from riscomp.channel import substream
 from riscomp.energy import (
     MODES,
     Aggregates,
+    chunk_bytes,
     energy_efficiency,
     ee_sweep,
     osum_sweep,
@@ -41,13 +43,13 @@ def _agg(center_outage_rates, edge_outage_rate):
     return Aggregates(center, np.zeros_like(center), edge_outage_rate, 0.0)
 
 
-def _split_sinr(scn, ed, casc, cg, coop, split):
-    # The engine's split path: the split gain of every cell, then the SINRs.
+def _split_edge_sinr(scn, ed, casc, coop, split):
+    # The engine's split path: the split gain of every cell, then the edge SINR.
     n_co = math.ceil(split * scn.k_elements)
     _, by_split = kernels.multicell_edge_gains(ed, casc, np.ones_like(casc), (), [n_co])
     return kernels.multicell_edge_sinr(
-        by_split[n_co], cg, coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
-    )
+        by_split[n_co], coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
+    )[0]
 
 
 def _one(scn, mode, n, seed):
@@ -113,10 +115,8 @@ def test_split_mode_matches_phase_oracle():
         n_co = math.ceil(split * k)
         theta = PhaseMatrix(np.ones(k), np.concatenate([ec[:n_co], eo[n_co:]]))
         g = abs(effective_channel(h, h_ru, theta, h_br)) ** 2
-        edge = _split_sinr(
-            scn, np.array([[h]]), casc, np.ones((1, 1, 1)),
-            np.array([1], dtype=np.uint8), split,
-        )[0]
+        edge = _split_edge_sinr(scn, np.array([[h]]), casc, np.array([1], dtype=np.uint8),
+                                split)
         assert edge[0] == pytest.approx(zf * p * g / ((1 - zf) * p * g + s2), rel=1e-9)
 
 
@@ -131,10 +131,9 @@ def test_split_applies_to_non_cooperative_cells():
     m, cells, k = 50, scn.n_cells, scn.k_elements
     ed = c * sample_rayleigh(rng, (m, cells))
     casc = (c / k) * sample_rayleigh(rng, (m, cells, k))
-    cg = np.ones((m, cells, cells))
     coop = np.array([1, 0, 0], dtype=np.uint8)
     split = 0.5
-    edge = _split_sinr(scn, ed, casc, cg, coop, split)[0]
+    edge = _split_edge_sinr(scn, ed, casc, coop, split)
     n_co = math.ceil(split * k)
     mag = np.abs(casc)
     g = (np.abs(ed) - mag[:, :, :n_co].sum(axis=2) + mag[:, :, n_co:].sum(axis=2)) ** 2
@@ -219,14 +218,25 @@ def test_sweeps_draw_each_chunk_once(monkeypatch):
 
 
 def test_mixed_points_equal_single_point_calls():
-    # One call over many points shares the draws but no accumulator: every
-    # point's aggregates are bitwise those of its own single-point call.
+    # One call over many points shares the draws, and center sums between
+    # points of one center key and thresholds, but no other accumulator:
+    # every point's aggregates are bitwise those of its own single-point call.
     points = [
         (replace(SMALL, p_t_dbm=p_t, n_coop=j), mode, None)
         for p_t, j in ((0.0, 1), (10.0, 2), (-5.0, 3)) for mode in MODES
     ]
     points += [(replace(SMALL, n_coop=j), "ec", split)
                for j, split in ((1, 0.25), (3, 0.75))]
+    base = replace(SMALL, p_t_dbm=0.0, n_coop=1)
+    # The center key of the (0 dBm, J = 1) points under a split, and under
+    # other thresholds or another zeta_edge alone: a sharing key too coarse
+    # to tell these apart would hand them the base points' center sums.
+    variants = [(base, "ec", 0.5), (base, "random", 0.5),
+                (replace(base, r_center_min=3.0), "ec", None),
+                (replace(base, r_edge_min=2.0), "ec", None),
+                (replace(base, r_center_min=3.0), "eo", None),
+                (replace(base, zeta_edge=0.9), "ec", None)]
+    points += variants
     joint = simulate_network(SMALL, points, n=CHUNK + 1, seed=11)
     assert len(joint) == len(points)
     for point, pair in zip(points, joint):
@@ -237,6 +247,13 @@ def test_mixed_points_equal_single_point_calls():
             for field in ("center_rates", "center_outage"):
                 assert np.array_equal(getattr(agg, field), getattr(one, field)), (
                     point, scheme, field)
+    # Each threshold or zeta_edge variant has center outages of its own,
+    # which a too-coarse key would overwrite with the base points' (the mode
+    # does not enter them).
+    base_outage = joint[points.index((base, "ec", None))][0].center_outage
+    for point in variants[2:]:
+        noma = joint[points.index(point)][0]
+        assert not np.array_equal(noma.center_outage, base_outage), point
 
 
 def test_mixed_k_points_equal_per_k_oracle():
@@ -266,3 +283,20 @@ def test_point_with_other_draw_fields_rejected(override):
     points = [(SMALL, "ec", None), (replace(SMALL, **override), "ec", None)]
     with pytest.raises(ValueError, match=next(iter(override))):
         simulate_network(SMALL, points, n=10, seed=0)
+
+
+@pytest.mark.parametrize("cells, k, n", [(6, 70, 4096), (12, 40, 2000)])
+def test_chunk_bytes_bounds_the_traced_peak(cells, k, n):
+    # chunk_bytes is what validate holds against the memory budget, so it
+    # must bound what one call holds: the normal stream, the center gains,
+    # the per-cell arrays and a trial block, under every mode and a split.
+    scn = MultiCellScenario(n_cells=cells, k_elements=k)
+    points = [(replace(scn, p_t_dbm=p_t), mode, None) for p_t in (0.0, 10.0) for mode in MODES]
+    points.append((scn, "ec", 0.5))
+    tracemalloc.start()
+    try:
+        simulate_network(scn, points, n=n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunk_bytes(cells, k, n)

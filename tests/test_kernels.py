@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import reference_edge_gains
 from riscomp import kernels
 from riscomp.channel import substream
+from riscomp.energy import _BLOCK
 
 
 def _coordinated_case(n=257):
@@ -67,9 +69,8 @@ def test_multicell_matches_reference():
         ed_re + 1j * ed_im, c_re + 1j * c_im, r_re + 1j * r_im, set(mode.tolist())
     )
     g_edge = np.stack([gains[c][:, i] for i, c in enumerate(mode)], axis=1)
-    edge, edge_oma, c_own, c_cf, c_oma = kernels.multicell_edge_sinr(
-        g_edge, cg, coop, zf, p, s2
-    )
+    edge, edge_oma = kernels.multicell_edge_sinr(g_edge, coop, zf, p, s2)
+    c_own, c_cf, c_oma = kernels.multicell_center_sinr(cg, coop, zf, p, s2)
     n, cells, k = c_re.shape
     for t in range(n):
         g = np.empty(cells)
@@ -102,3 +103,29 @@ def test_multicell_matches_reference():
         cf = zf * own_sig / ((1 - zf) * own_sig + den)
         assert c_cf[t, 1] == pytest.approx(cf, rel=1e-12)
         assert c_oma[t, 1] == pytest.approx(p * cg[t, 1, 1] / den, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 33, 150])
+@pytest.mark.parametrize("case", ["one-trial-one-cell", "one-trial", "above-block"])
+def test_multicell_edge_gains_equal_sequential_element_loop(k, case):
+    # Each mode's element sum is one reduce over an element-major buffer; it
+    # must add the elements in order, as one += per element does, also for a
+    # block of one trial of one cell and for a block above the engine's.
+    cells = 1 if case == "one-trial-one-cell" else 6
+    n = _BLOCK // (cells * k) + 1 if case == "above-block" else 1
+    rng = substream(97, k)
+    ed = rng.standard_normal((n, cells)) + 1j * rng.standard_normal((n, cells))
+    casc = 0.1 * (rng.standard_normal((n, cells, k)) + 1j * rng.standard_normal((n, cells, k)))
+    phi = rng.uniform(-np.pi, np.pi, (n, cells, k))
+    rnd = np.cos(phi) + 1j * np.sin(phi)
+    n_cos = sorted({0, k // 3, k})
+    by_code, by_split = kernels.multicell_edge_gains(ed, casc, rnd, {0, 1, 2, 3}, n_cos)
+    ref, _ = reference_edge_gains(ed, casc, rnd, [])
+    for code in range(4):
+        assert np.array_equal(by_code[code], ref[code]), code
+    # The split sums stay numpy's pairwise sums over a contiguous last axis.
+    amp, mag = np.abs(ed), np.abs(casc)
+    for n_co in n_cos:
+        d = (amp - np.sum(np.ascontiguousarray(mag[:, :, :n_co]), axis=2)
+             + np.sum(np.ascontiguousarray(mag[:, :, n_co:]), axis=2))
+        assert np.array_equal(by_split[n_co], d * d), n_co
