@@ -380,7 +380,8 @@ _MEMORY_BUDGET = 1 << 30
 
 def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
     """What the multicell engine would hold per chunk (energy.chunk_bytes,
-    at scn's n_cells and the run's trials) above _MEMORY_BUDGET, named by
+    at scn's n_cells, the run's trials and a split-sweep's distinct splits)
+    above _MEMORY_BUDGET, named by
     its key: scenario.n_cells when the cells alone exceed it, else every
     element count the engine would run at that does. The size is computed,
     never allocated. An ee-sweep's power x threshold grid runs at
@@ -389,7 +390,8 @@ def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
     budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
     # Trials default to at least a full chunk.
     n = math.inf if cfg.trials is None else cfg.trials
-    cells = chunk_bytes(scn.n_cells, 0, n)
+    splits = len(set(cfg.sweep_values("splits"))) if cfg.kind == "split-sweep" else 0
+    cells = chunk_bytes(scn.n_cells, 0, n, splits)
     if cells > _MEMORY_BUDGET:
         return [f"scenario.n_cells: {scn.n_cells} cells need {cells / 2**30:.3g} GiB per "
                 f"chunk of draws at any element count, {budget}"]
@@ -398,9 +400,9 @@ def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
         (f"sweep.k_values[{i}]", k) for i, k in enumerate(sweep.get("k_values", ()))]
     if not keys or sweep.keys() & {"j_values", "p_t_dbm", "r_th_values"}:
         keys.insert(0, ("scenario.k_elements", scn.k_elements))
-    return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n) / 2**30:.3g} GiB "
-            f"per chunk of draws, {budget}"
-            for key, k in keys if chunk_bytes(scn.n_cells, k, n) > _MEMORY_BUDGET]
+    return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n, splits) / 2**30:.3g} "
+            f"GiB per chunk of draws, {budget}"
+            for key, k in keys if chunk_bytes(scn.n_cells, k, n, splits) > _MEMORY_BUDGET]
 
 
 # Episodes a drl-eval run evaluates in lockstep.

@@ -174,18 +174,20 @@ _DRAW_FIELDS = (
 )
 
 
-def chunk_bytes(n_cells: int, k_max: int, n: int) -> int:
+def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
     """Bytes simulate_network holds per chunk of min(n, CHUNK) = m trials of
-    n_cells = I cells at element counts up to k_max: the normal stream,
-    8 (2mI + 4mI k_max); the center gains, 16 mI^2 while drawn
-    (_center_gains); 16 per-cell (m, I) float arrays for the edge-direct
-    links, each mode's edge gains, the center SINRs and the temporaries of
-    their sums; and one trial block's arrays, at most 8 complex arrays of
-    max(_BLOCK, I k_max) entries. Each element split adds one more (m, I)
-    array of edge gains, 8 mI bytes, which is not counted."""
+    n_cells = I cells at element counts up to k_max, for points at n_splits
+    distinct element splits: the normal stream, 8 (2mI + 4mI k_max); the
+    center gains, 16 mI^2 while drawn (_center_gains); 16 per-cell (m, I)
+    float arrays for the edge-direct links, each mode's edge gains, the
+    center SINRs and the temporaries of their sums; one more (m, I) array of
+    edge gains per distinct split count ceil(split K), of which there are at
+    most min(n_splits, k_max + 1); and one trial block's arrays, at most 8
+    complex arrays of max(_BLOCK, I k_max) entries."""
     m = min(n, CHUNK)
+    per_cell = 16 + min(n_splits, k_max + 1)
     return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2
-            + 8 * 16 * m * n_cells + 8 * 16 * max(_BLOCK, n_cells * k_max))
+            + 8 * per_cell * m * n_cells + 8 * 16 * max(_BLOCK, n_cells * k_max))
 
 
 class _Sums:

@@ -152,21 +152,26 @@ def run_trials(
 def ks_statistic(
     samples,
     cdf: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, bool, float]:
+) -> tuple:
     """One-sample KS sup-distance against an analytic CDF.
 
-    `cdf` maps an array of points to an array of probabilities of the same
-    shape; it is called once, on the sorted sample. A callable that does not
-    (a scalar-only function) raises ValueError.
+    samples is one sample (n,) or L samples stacked as rows (L, n), each row
+    tested on its own. `cdf` maps an array of points to an array of
+    probabilities of the same shape; it is called once, on the sorted sample
+    (each row sorted). A callable that does not (a scalar-only function)
+    raises ValueError.
 
     Returns (D, passed, critical) with critical = KS_COEFF/sqrt(n), the
-    alpha = 0.01 level.
+    alpha = 0.01 level: D a float and passed a bool for one sample, arrays of
+    L for a stack.
     """
     samples = np.asarray(samples, dtype=float)
-    n = samples.size
+    if samples.ndim not in (1, 2):
+        raise ValueError(f"KS samples must be (n,) or (L, n), got shape {samples.shape}")
+    n = samples.shape[-1]
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
-    s = np.sort(samples)
+    s = np.sort(samples, axis=-1)
     contract = "the KS cdf must map an array of points to an array of probabilities"
     try:
         f = np.asarray(cdf(s), dtype=float)
@@ -178,8 +183,10 @@ def ks_statistic(
         raise ValueError(f"{contract}: got shape {f.shape} for {s.shape} points")
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
-    d = max(float(np.max(np.abs(hi - f))), float(np.max(np.abs(lo - f))))
+    d = np.maximum(np.max(np.abs(hi - f), axis=-1), np.max(np.abs(lo - f), axis=-1))
     critical = KS_COEFF / math.sqrt(n)
+    if samples.ndim == 1:
+        d = float(d)
     return d, d < critical, critical
 
 

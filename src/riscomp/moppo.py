@@ -530,12 +530,12 @@ def _round_config(cfg: TrainConfig, last_episode: int) -> TrainConfig:
 
 def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) -> PolicyParams:
     """Up to cfg.epochs epochs of minibatch updates on one round's buffer,
-    each over a fresh rng permutation of its rows. After every epoch an
-    approximate-KL check on the whole buffer (discrete and continuous
-    heads, from a forward without the value head) ends the epochs early
-    when either exceeds cfg.kl_stop."""
+    each over a fresh rng permutation of its rows. After every epoch but
+    the last an approximate-KL check on the whole buffer (discrete and
+    continuous heads, from a forward without the value head) ends the epochs
+    early when either exceeds cfg.kl_stop."""
     m = buffer.states.shape[0]
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch):
             sel = order[start : start + cfg.batch]
@@ -543,6 +543,8 @@ def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) 
                            buffer.logp_d_old[sel], buffer.logp_c_old[sel], buffer.adv[sel],
                            buffer.v_target[sel])
             params = update(params, mb, cfg)
+        if epoch == cfg.epochs:
+            break
         # Approximate-KL brake against policy churn on small buffers; it
         # reads the policy heads only.
         pol = _policy(params, buffer.states)

@@ -1,14 +1,21 @@
 """Special functions needed by the closed-form SINR statistics.
 
 Regularized incomplete beta via modified-Lentz continued fraction with the
-symmetry transform, vectorized over x: one loop runs over the array of
-still-active elements, each doing the scalar recurrence's operations in the
-same order, and the prefactor x^a (1-x)^b / B(a, b) is taken per element from
-the C library (math.log, math.log1p, math.exp), whose results numpy's SIMD
-log/exp do not match in the last bit. A scalar x returns a Python float.
+symmetry transform, elementwise over a, b and x broadcast together: one loop
+runs over the still-active elements of every (a, b) pair and of both sides of
+the transform, each doing the scalar recurrence's operations in the same
+order. The prefactor x^a (1-x)^b / B(a, b) is taken per element from the C
+library (math.log, math.log1p, math.exp), whose results numpy's SIMD log/exp
+do not match in the last bit. All-scalar arguments return a Python float.
 Regularized lower incomplete gamma via series/continued fraction (scalar).
-Log-gamma comes from the C library (math.lgamma), which meets the 1e-13
-relative-error target on the argument range used here (<= a few hundred).
+
+Log-gamma comes from the C library (math.lgamma), within 1e-13 relative of
+scipy's gammaln on [0.1, 150]. betaln is lgamma(a) + lgamma(b) - lgamma(a + b),
+which cancels when b is much larger than a: its absolute error is about one
+unit in the last place of lgamma(b) ~ b (ln b - 1). At the fig3.2 center
+laws' b = 2.6e9 it is off by 5e-6 (against scipy.special.betaln), at
+b = 2.6e13 by 0.014, and that error scales the incomplete beta's prefactor by
+exp(error).
 """
 
 import math
@@ -18,6 +25,9 @@ import numpy as np
 _TINY = 1e-300
 _EPS = 1e-15
 _MAX_ITER = 2000
+# Elements per continued-fraction loop: the loop's arrays then hold a few
+# MB however many points a call takes.
+_BLOCK = 1 << 15
 
 
 class ConvergenceError(ArithmeticError):
@@ -30,12 +40,15 @@ def betaln(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _betacf(a: np.ndarray, b: np.ndarray, law: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz), per element.
 
-    Each element runs exactly the scalar recurrence, in the same order, and
-    leaves the loop at the iteration where its own |delta - 1| < _EPS; only
-    the still-active elements are carried from one iteration to the next.
+    Element i runs at the shapes a[law[i]], b[law[i]] exactly the scalar
+    recurrence's operations, in the same order, in place on its arrays: each
+    half-step forms its coefficient on the (a, b) tables, one value per law,
+    and gathers it by law. An element leaves the loop at the iteration where
+    its own |delta - 1| < _EPS; only the still-active elements are carried
+    from one iteration to the next.
     """
     qab = a + b
     qap = a + 1.0
@@ -45,67 +58,98 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         return out
     idx = np.arange(x.size)
     c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
-    h = d
+    d = 1.0 - qab[law] * x / qap[law]
+    np.copyto(d, _TINY, where=np.abs(d) < _TINY)
+    np.divide(1.0, d, out=d)
+    h = d.copy()
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        h = h * (d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _EPS
+        a_m2 = a + m2
+        # The even and the odd step: aa = num * x / den.
+        for num, den in ((m * (b - m), (qam + m2) * a_m2),
+                         (-(a + m) * (qab + m), a_m2 * (qap + m2))):
+            aa = num[law]
+            aa *= x
+            aa /= den[law]
+            d *= aa  # d = 1 + aa d
+            d += 1.0
+            np.copyto(d, _TINY, where=np.abs(d) < _TINY)
+            np.divide(aa, c, out=c)  # c = 1 + aa / c
+            c += 1.0
+            np.copyto(c, _TINY, where=np.abs(c) < _TINY)
+            np.divide(1.0, d, out=d)
+            delta = d * c
+            h *= delta
+        delta -= 1.0
+        done = np.abs(delta, out=delta) < _EPS
         if done.any():
             out[idx[done]] = h[done]
             active = ~done
             if not active.any():
                 return out
-            idx, x, c, d, h = idx[active], x[active], c[active], d[active], h[active]
+            idx, law, x = idx[active], law[active], x[active]
+            c, d, h = c[active], d[active], h[active]
     raise ConvergenceError(
-        f"incomplete beta continued fraction (a={a}, b={b}, x={x[0]})")
+        f"incomplete beta continued fraction (a={a[law[0]]}, b={b[law[0]]}, x={x[0]})")
 
 
-def betainc_reg(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b), elementwise over x.
+def _betainc_block(a: np.ndarray, b: np.ndarray, law: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I_x(a[law], b[law]) for one block of elements, with the (a, b) tables
+    of every law and each element's law."""
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    inner = np.flatnonzero(~((x <= 0.0) | (x >= 1.0)))
+    if not inner.size:
+        return out
+    law = law[inner]
+    order = np.argsort(law, kind="stable")
+    inner, law = inner[order], law[order]
+    xi = x[inner]
+    front = np.empty_like(xi)
+    starts = [0, *(np.flatnonzero(np.diff(law)) + 1).tolist(), law.size]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        p, q = float(a[law[lo]]), float(b[law[lo]])
+        lnb = betaln(p, q)
+        front[lo:hi] = [math.exp(p * math.log(v) + q * math.log1p(-v) - lnb)
+                        for v in xi[lo:hi].tolist()]
+    # Symmetry transform keeps the continued fraction in its convergent
+    # region: an element at or above (a+1)/(a+b+2) runs as law t + a.size,
+    # I_x(a, b) = 1 - I_{1-x}(b, a).
+    swap = ~(xi < ((a + 1.0) / (a + b + 2.0))[law])
+    cf_a = np.concatenate((a, b))
+    cf_law = law + a.size * swap
+    y = np.where(swap, 1.0 - xi, xi)
+    del order, law, xi  # not needed by the loop, which holds a dozen such arrays
+    val = front * _betacf(cf_a, np.concatenate((b, a)), cf_law, y) / cf_a[cf_law]
+    np.subtract(1.0, val, out=val, where=swap)
+    out[inner] = val
+    return out
 
-    A scalar x returns a Python float, an array x an array of its shape. The
-    prefactor x^a (1-x)^b / B(a, b) is taken per element with math.log,
-    math.log1p and math.exp, so every value is bit-identical to the scalar
-    recurrence.
+
+def betainc_reg(a, b, x):
+    """Regularized incomplete beta I_x(a, b), elementwise over a, b and x
+    broadcast together.
+
+    Each position of the (a, b) broadcast is one law. The elements, taken in
+    blocks of up to _BLOCK, run in one continued-fraction loop per block
+    (_betacf), whatever their laws and side of the symmetry transform, and
+    every value is bit-identical to the scalar recurrence. The prefactor
+    x^a (1-x)^b / B(a, b) is taken per element with math.log, math.log1p and
+    math.exp, one law at a time. A call whose arguments are all scalars
+    returns a Python float, any other an array of the broadcast shape.
     """
-    if a <= 0 or b <= 0:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if (a <= 0).any() or (b <= 0).any():
         raise ValueError("betainc_reg requires a, b > 0")
-    xs = np.asarray(x, dtype=float)
-    flat = xs.reshape(-1)
-    out = np.where(flat >= 1.0, 1.0, 0.0)
-    inner = np.flatnonzero(~((flat <= 0.0) | (flat >= 1.0)))
-    if inner.size:
-        xi = flat[inner]
-        lnb = betaln(a, b)
-        front = np.array([math.exp(a * math.log(v) + b * math.log1p(-v) - lnb)
-                          for v in xi.tolist()])
-        # Symmetry transform keeps the continued fraction in its convergent region.
-        lo = xi < (a + 1.0) / (a + b + 2.0)
-        hi = ~lo
-        val = np.empty_like(xi)
-        val[lo] = front[lo] * _betacf(a, b, xi[lo]) / a
-        val[hi] = 1.0 - front[hi] * _betacf(b, a, 1.0 - xi[hi]) / b
-        out[inner] = val
-    if xs.ndim == 0:
-        return float(out[0])
-    return out.reshape(xs.shape)
+    xs, law = np.broadcast_arrays(np.asarray(x, dtype=float), np.arange(a.size).reshape(a.shape))
+    a_tab, b_tab, shape = a.ravel(), b.ravel(), xs.shape
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        flat[block] = _betainc_block(a_tab, b_tab, law.flat[block], xs.flat[block])
+    if not shape:
+        return float(out)
+    return out
 
 
 def _gamma_series(a: float, x: float) -> float:

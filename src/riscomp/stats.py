@@ -86,11 +86,26 @@ class BetaPrimeParams:
         """Pr(X <= x), elementwise: 0 for x <= 0, 1 for x = +inf, otherwise
         I_{x/(x+scale)}(a, b). A scalar x returns a Python float, an array x
         an array of its shape."""
-        x = np.asarray(x, dtype=float)
-        inner = ~(x <= 0) & (x != math.inf)
-        y = np.where(x == math.inf, 1.0, 0.0)
-        np.divide(x, x + self.scale, out=y, where=inner)
-        return betainc_reg(self.a, self.b, y)
+        return _beta_prime_cdf(self.a, self.b, self.scale, x)
+
+
+def _beta_prime_cdf(a, b, scale, x):
+    """BetaPrimeParams.cdf with a, b and scale broadcast against x."""
+    x = np.asarray(x, dtype=float)
+    inner = ~(x <= 0) & (x != math.inf)
+    y = np.where(x == math.inf, 1.0, 0.0)
+    np.divide(x, x + scale, out=y, where=inner)
+    return betainc_reg(a, b, y)
+
+
+def stacked_cdf(laws, x) -> np.ndarray:
+    """Row i of x (L, n) under laws[i], a sequence of L BetaPrimeParams, in
+    one betainc_reg call; every value equals laws[i].cdf's."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != len(laws):
+        raise ValueError(f"need one row of points per law: {len(laws)} laws, shape {x.shape}")
+    a, b, scale = (np.array([[getattr(p, f)] for p in laws]) for f in ("a", "b", "scale"))
+    return _beta_prime_cdf(a, b, scale, x)
 
 
 def gamma_from_moments(m: MomentPair) -> GammaParams:

@@ -285,18 +285,23 @@ def test_point_with_other_draw_fields_rejected(override):
         simulate_network(SMALL, points, n=10, seed=0)
 
 
-@pytest.mark.parametrize("cells, k, n", [(6, 70, 4096), (12, 40, 2000)])
-def test_chunk_bytes_bounds_the_traced_peak(cells, k, n):
+@pytest.mark.parametrize("cells, k, n, splits", [
+    pytest.param(6, 70, 4096, [0.5], id="6-70-4096"),
+    pytest.param(12, 40, 2000, [0.5], id="12-40-2000"),
+    # 201 splits, 71 distinct element counts ceil(split K) at K = 70.
+    pytest.param(6, 70, 4096, [i / 200 for i in range(201)], id="6-70-4096-201-splits"),
+])
+def test_chunk_bytes_bounds_the_traced_peak(cells, k, n, splits):
     # chunk_bytes is what validate holds against the memory budget, so it
     # must bound what one call holds: the normal stream, the center gains,
-    # the per-cell arrays and a trial block, under every mode and a split.
+    # the per-cell arrays and a trial block, under every mode and each split.
     scn = MultiCellScenario(n_cells=cells, k_elements=k)
     points = [(replace(scn, p_t_dbm=p_t), mode, None) for p_t in (0.0, 10.0) for mode in MODES]
-    points.append((scn, "ec", 0.5))
+    points += [(scn, "ec", split) for split in splits]
     tracemalloc.start()
     try:
         simulate_network(scn, points, n=n, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= chunk_bytes(cells, k, n)
+    assert peak <= chunk_bytes(cells, k, n, len(splits))

@@ -1,12 +1,15 @@
+import csv
 import filecmp
 
 import numpy as np
 import pytest
 
 from riscomp import experiments
+from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
 from riscomp.config import from_mapping, load_config
 from riscomp.experiments import PRESETS, reproduce, run_experiment
+from riscomp.montecarlo import ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import tiny_aerial_scenario
 
@@ -33,6 +36,26 @@ def test_manifest_rerun_byte_identical(tmp_path):
     second_csv = [p for p in outputs2 if p.suffix == ".csv"]
     assert len(first_csv) == len(second_csv) == 1
     assert filecmp.cmp(first_csv[0], second_csv[0], shallow=False)
+
+
+def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
+    # The runner scores its ten rows in one stacked KS test; every row must
+    # read what its own one-sample test gives.
+    cfg, outputs = _run(tmp_path, "ks", {"kind": "pdf-validation", "seed": 4, "trials": 1200})
+    with open(outputs[1], newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    scn = cfg.coordinated_scenario()
+    dists = coordinated_distributions(scn)
+    laws = {"center1_own": dists.center_own[0], "center1_sic": dists.center_sic[0],
+            "center2_own": dists.center_own[1], "center2_sic": dists.center_sic[1],
+            "edge": dists.edge}
+    want = []
+    for coupling in ("fitted", "physical"):
+        batch = run_trials(scn, 1200, 4, coupling=coupling).batch(scn)
+        for kind, law in laws.items():
+            d, ok, crit = ks_statistic(batch.sinr[kind], law.cdf)
+            want.append([coupling, kind, "1200", f"{d:.17g}", f"{crit:.17g}", str(int(ok))])
+    assert rows == want
 
 
 def test_er_sweep_artifacts(tmp_path):

@@ -104,6 +104,22 @@ def test_ks_calls_cdf_once_on_sorted_sample():
     assert len(calls) == 1 and np.array_equal(calls[0], np.sort(samples))
 
 
+def test_stacked_ks_equals_per_row_calls_and_calls_cdf_once():
+    samples = substream(7, 7).exponential(1.0, (4, 300)) + np.array([[0.0], [0.02], [0.3], [0.0]])
+    calls = []
+
+    def cdf(x):
+        calls.append(x.copy())
+        return 1.0 - np.exp(-x)
+
+    d, passed, crit = ks_statistic(samples, cdf)
+    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(samples, axis=1))
+    assert d.shape == passed.shape == (4,)
+    for i, row in enumerate(samples):
+        assert (d[i], passed[i], crit) == ks_statistic(row, lambda x: 1.0 - np.exp(-x))
+    assert set(passed.tolist()) == {True, False}
+
+
 def test_estimate_outage_extremes():
     n = 100
     all_out = _synthetic_batch({k: np.zeros(n) for k in SINR_KINDS})

@@ -13,6 +13,7 @@ from oracles import (
     reference_objective_and_grads,
     reference_train,
 )
+from riscomp import moppo
 from riscomp.aerial import ArisEnv
 from riscomp.channel import substream
 from riscomp.moppo import (
@@ -22,6 +23,7 @@ from riscomp.moppo import (
     TrainConfig,
     _input_dim,
     _policy,
+    _ppo_epochs,
     advantage,
     clipped_loss,
     forward,
@@ -206,6 +208,28 @@ def test_update_no_change_for_zero_advantage():
     update(params, mb, cfg)
     for k in before:
         assert np.max(np.abs(params.weights[k] - before[k])) < 1e-8, k
+
+
+@pytest.mark.parametrize("kl_stop, epochs_run, brakes", [(1e9, 3, 2), (0.0, 1, 1)])
+def test_kl_brake_runs_between_epochs_only(monkeypatch, kl_stop, epochs_run, brakes):
+    # The brake reads the whole buffer (12 rows; minibatches hold 4) after
+    # every epoch but the last, where no epoch is left for it to stop. One
+    # that always trips stops the epochs after the first.
+    params = _params()
+    states, moves, raws, lpd, lpc = _batch(params, b=12)
+    rng = substream(7, 7)
+    buffer = Minibatch(states, moves, raws, lpd, lpc, rng.standard_normal(12),
+                       rng.standard_normal(12))
+    policy, rows = moppo._policy, []
+
+    def counting_policy(p, x):
+        rows.append(x.shape[0])
+        return policy(p, x)
+
+    monkeypatch.setattr(moppo, "_policy", counting_policy)
+    _ppo_epochs(params, buffer, TrainConfig(epochs=3, batch=4, kl_stop=kl_stop), substream(8, 8))
+    assert params.step == 3 * epochs_run
+    assert rows.count(12) == brakes
 
 
 def test_update_equals_per_array_adam_oracle():

@@ -54,6 +54,8 @@ def test_betainc_edges():
     assert betainc_reg(1.0, 1.0, 0.5) == pytest.approx(0.5, abs=1e-14)
     with pytest.raises(ValueError):
         betainc_reg(0.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        betainc_reg(np.array([[1.0], [2.0]]), np.array([[1.0], [-1.0]]), np.zeros((2, 3)))
 
 
 def test_gammainc_random_sweep():
@@ -77,29 +79,38 @@ def test_gammainc_edges():
 
 def _fig32_laws_and_points():
     """The fig3.2 fitted Beta-prime laws and their CDF arguments x/(x+scale)
-    at the preset's Monte Carlo samples (preset seed, 2,000 trials)."""
+    at the preset's Monte Carlo samples (preset seed, 2,000 trials): the five
+    laws under fitted coupling, then under physical, as the KS table runs."""
     cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
     scn = cfg.coordinated_scenario()
     dists = coordinated_distributions(scn)
-    batch = run_trials(scn, 2000, cfg.seed, coupling="physical").batch(scn)
     laws = [(dists.center_own[0], "center1_own"), (dists.center_sic[0], "center1_sic"),
             (dists.center_own[1], "center2_own"), (dists.center_sic[1], "center2_sic"),
             (dists.edge, "edge")]
     points = []
-    for p, kind in laws:
-        s = np.sort(batch.sinr[kind])
-        points.append((p, s / (s + p.scale)))
+    for coupling in ("fitted", "physical"):
+        batch = run_trials(scn, 2000, cfg.seed, coupling=coupling).batch(scn)
+        for p, kind in laws:
+            s = np.sort(batch.sinr[kind])
+            points.append((p, s / (s + p.scale)))
     return points
 
 
-def test_array_betainc_equals_scalar_oracle():
+@pytest.fixture(scope="module")
+def fig32():
+    """_fig32_laws_and_points with each row's scalar-oracle values."""
+    return [(p, y, np.array([oracles.betainc_reg(p.a, p.b, float(v)) for v in y]))
+            for p, y in _fig32_laws_and_points()]
+
+
+def test_array_betainc_equals_scalar_oracle(fig32):
     cases = []
     grid = np.linspace(0.0, 1.0, 201)  # includes x = 0 and x = 1
     for a, b in [(0.5, 0.5), (2.0, 3.0), (30.0, 2.5), (1.0, 1.0), (0.2, 40.0)]:
         cases.append((a, b, grid))
     for a, b, x in [(0.9, 4.5e4, 2e-5), (1.2, 4.4e5, 1e-6), (300.0, 2.0, 0.995)]:
         cases.append((a, b, np.array([x, 0.0, 1.0])))
-    for p, y in _fig32_laws_and_points():
+    for p, y, _ in fig32:
         cases.append((p.a, p.b, y))
     branches = set()
     for a, b, x in cases:
@@ -109,6 +120,31 @@ def test_array_betainc_equals_scalar_oracle():
         inner = x[(x > 0) & (x < 1)]
         branches.update(inner < (a + 1.0) / (a + b + 2.0))
     assert branches == {True, False}
+
+
+@pytest.mark.parametrize("block", [special._BLOCK, 777])
+def test_stacked_betainc_equals_scalar_oracle(fig32, monkeypatch, block):
+    # fig3.2's ten laws in one call: (10, 1) shapes against (10, 2000) points,
+    # in one block and in blocks that split laws.
+    monkeypatch.setattr(special, "_BLOCK", block)
+    laws, points, want = zip(*fig32)
+    a = np.array([[p.a] for p in laws])
+    b = np.array([[p.b] for p in laws])
+    assert np.array_equal(betainc_reg(a, b, np.stack(points)), np.stack(want))
+
+
+def test_broadcast_betainc_equals_scalar_oracle():
+    # Laws interleaved along the last axis, x = 0 and x = 1 among them, both
+    # sides of the symmetry transform, and a scalar shape against an array.
+    a = np.array([0.5, 2.0, 30.0])
+    b = np.array([[0.5], [3.0], [40.0]])
+    x = np.linspace(0.0, 1.0, 101)[:, None, None]
+    got = betainc_reg(a, b, x)
+    assert got.shape == (101, 3, 3)
+    for i, j, k in np.ndindex(got.shape):
+        assert got[i, j, k] == oracles.betainc_reg(a[k], b[j, 0], x[i, 0, 0]), (i, j, k)
+    got = betainc_reg(a, 2.5, 0.7)
+    assert np.array_equal(got, [oracles.betainc_reg(v, 2.5, 0.7) for v in a])
 
 
 def test_betainc_scalar_returns_float():

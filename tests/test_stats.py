@@ -22,6 +22,7 @@ from riscomp.stats import (
     outage_center_closed,
     sinr_dist_center,
     sinr_dist_edge,
+    stacked_cdf,
     weighted_sum_moments,
 )
 
@@ -133,6 +134,19 @@ def test_beta_prime_cdf_examples():
     assert p.cdf(0.0) == 0.0
     assert p.cdf(math.inf) == 1.0
     assert p.cdf(1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_stacked_cdf_equals_per_law_cdf():
+    laws = [BetaPrimeParams(1.0, 1.0, 1.0), BetaPrimeParams(2.5, 8.8e6, 4.4e3),
+            BetaPrimeParams(0.7, 3.0, 0.2)]
+    x = np.array([[-1.0, 0.0, 0.5, 3.0, math.inf],
+                  [1e-4, 2e-4, 5e-4, 1e-3, 0.0],
+                  [0.01, 0.1, 1.0, 10.0, 100.0]])
+    got = stacked_cdf(laws, x)
+    for p, row, values in zip(laws, x, got):
+        assert np.array_equal(values, p.cdf(row))
+    with pytest.raises(ValueError, match="one row of points per law"):
+        stacked_cdf(laws, x[:2])
 
 
 def test_ergodic_rate_degenerate_concentration():
