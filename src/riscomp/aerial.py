@@ -125,11 +125,9 @@ class ArisEnv:
         for i, bs in enumerate(self._bs):
             for u, pu in enumerate(self._users[:-1]):
                 alpha = scenario.alpha_direct if u == i else scenario.alpha_ici
-                d = float(np.linalg.norm(bs - pu))
-                self._amp_direct[i, u] = math.sqrt(scenario.rho_o / d**alpha)
-        kappa = scenario.kappa
-        self._w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
-        self._w_nlos = math.sqrt(1.0 / (1.0 + kappa))
+                self._amp_direct[i, u] = math.sqrt(
+                    scenario.gain(float(np.linalg.norm(bs - pu)), alpha))
+        self._w_los, self._w_nlos = scenario.rician_weights
         self._rate_mins = np.array([scenario.r_center_min] * scenario.n_bs
                                    + [scenario.r_edge_min])
         self.n_normals = slot_normals(scenario, 1)
@@ -202,7 +200,7 @@ class ArisEnv:
             for p in self._bs + self._users:
                 d = float(np.linalg.norm(uav - p))
                 aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
-                amp.append(math.sqrt(scn.rho_o / d**scn.alpha_ris))
+                amp.append(math.sqrt(scn.gain(d, scn.alpha_ris)))
                 sines.append(np.sin(aoa))
             los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.array(sines)[:, None])
             geometry = (np.array(amp)[None, :, None], self._w_los * los[None])

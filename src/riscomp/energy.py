@@ -129,8 +129,7 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
     # Rician BS->RIS and RIS->edge vectors, per cell. The LoS steering phase
     # profile is arbitrary for the statistics; a fixed broadside profile keeps
     # draws cheap. Cascade product folds both path losses.
-    w_los = math.sqrt(scn.kappa / (1.0 + scn.kappa))
-    w_nlos = math.sqrt(1.0 / (1.0 + scn.kappa))
+    w_los, w_nlos = scn.rician_weights
     g_casc = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris)) * math.sqrt(
         scn.gain(scn.d_ris_edge, scn.alpha_ris))
     br_re, br_im, ru_re, ru_im = normals.reshape(4, m, n_cells, k)
@@ -190,17 +189,27 @@ def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
             + 8 * per_cell * m * n_cells + 8 * 16 * max(_BLOCK, n_cells * k_max))
 
 
+def _sinr_threshold(r_min: float, share: float) -> float:
+    """SINR threshold 2^(r_min / share) - 1 of a rate target, or +inf where
+    that power of two leaves the float range: no SINR reaches it, so every
+    trial is in outage."""
+    try:
+        return 2.0 ** (r_min / share) - 1.0
+    except OverflowError:
+        return math.inf
+
+
 class _Sums:
     """Running sums of one access scheme whose users hold a share of the
     slot (1.0 NOMA, 0.5 OMA): a rate is share * log2(1 + SINR), and its
-    outage threshold on the SINR is 2^(R_min / share) - 1. A point sums its
-    edge user in its own _Sums (add_edge); its center users are summed in
-    the _Sums its center key shares (add_center)."""
+    outage threshold on the SINR is 2^(R_min / share) - 1 (_sinr_threshold).
+    A point sums its edge user in its own _Sums (add_edge); its center users
+    are summed in the _Sums its center key shares (add_center)."""
 
     def __init__(self, scn: MultiCellScenario, share: float):
         self.share = share
-        self.thr_c = 2.0 ** (scn.r_center_min / share) - 1.0
-        self.thr_f = 2.0 ** (scn.r_edge_min / share) - 1.0
+        self.thr_c = _sinr_threshold(scn.r_center_min, share)
+        self.thr_f = _sinr_threshold(scn.r_edge_min, share)
         self.c_rate = np.zeros(scn.n_cells)
         self.c_out = np.zeros(scn.n_cells)
         self.e_rate = self.e_out = 0.0

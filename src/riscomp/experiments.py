@@ -70,6 +70,11 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
     return path
 
 
+def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple]]:
+    """CSV content of dict rows: each row's values picked by header name."""
+    return header, [tuple(row[name] for name in header) for row in rows]
+
+
 def _trials(cfg: ExperimentConfig, default: int) -> int:
     return cfg.trials if cfg.trials is not None else default
 
@@ -154,12 +159,10 @@ def _run_ee_sweep(cfg: ExperimentConfig) -> Outputs:
     n = _trials(cfg, 10_000)
     # Joint power/threshold grid (contour) when both axes are requested.
     if "r_th_values" in cfg.sweep and "p_t_dbm" in cfg.sweep:
-        rows = [
-            (r["p_t_dbm"], r["r_th"], r["mode"], r["ee"], r["outage_sum_rate"])
-            for r in ee_grid(scn, cfg.sweep["p_t_dbm"], cfg.sweep["r_th_values"],
-                             n=n, seed=cfg.seed)
-        ]
-        return {"ee_grid.csv": (["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], rows)}
+        return {"ee_grid.csv": _columns(
+            ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"],
+            ee_grid(scn, cfg.sweep["p_t_dbm"], cfg.sweep["r_th_values"], n=n, seed=cfg.seed),
+        )}
     sweeps = []
     if "j_values" in cfg.sweep:
         sweeps.append(("J", cfg.sweep["j_values"]))
@@ -174,11 +177,8 @@ def _run_ee_sweep(cfg: ExperimentConfig) -> Outputs:
     header = ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
               "mean_center_outage"]
     return {
-        f"ee_sweep_{axis.lower()}.csv": (header, [
-            (r["axis"], r["value"], r["mode"], r["ee"], r["outage_sum_rate"],
-             r["edge_outage"], r["mean_center_outage"])
-            for r in ee_sweep(scn, axis, values, n=n, seed=cfg.seed)
-        ])
+        f"ee_sweep_{axis.lower()}.csv": _columns(
+            header, ee_sweep(scn, axis, values, n=n, seed=cfg.seed))
         for axis, values in sweeps
     }
 
@@ -187,23 +187,20 @@ def _run_osum_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
     p_values = cfg.sweep_values("p_t_dbm")
-    rows = [
-        (r["p_t_dbm"], r["mode"], r["outage_sum_rate"])
-        for r in osum_sweep(scn, p_values, n=n, seed=cfg.seed)
-    ]
-    return {"outage_sum_rate.csv": (["p_t_dbm", "mode", "outage_sum_rate"], rows)}
+    return {"outage_sum_rate.csv": _columns(
+        ["p_t_dbm", "mode", "outage_sum_rate"], osum_sweep(scn, p_values, n=n, seed=cfg.seed))}
 
 
 def _run_split_sweep(cfg: ExperimentConfig) -> Outputs:
     scn = cfg.multicell_scenario()
     n = _trials(cfg, 10_000)
     splits = cfg.sweep_values("splits")
-    coop_counts = cfg.sweep.get("j_values", [1, scn.n_cells // 2, scn.n_cells])
-    rows = [
-        (r["split"], r["J"], r["outage_sum_rate"])
-        for r in split_sweep(scn, splits, coop_counts, n=n, seed=cfg.seed)
-    ]
-    return {"split_sweep.csv": (["split", "J", "outage_sum_rate"], rows)}
+    # Default J: 1, I // 2 and I, each once and >= 1 (I = 1 gives [1]).
+    coop_counts = cfg.sweep.get(
+        "j_values", sorted({1, scn.n_cells // 2, scn.n_cells} - {0}))
+    return {"split_sweep.csv": _columns(
+        ["split", "J", "outage_sum_rate"],
+        split_sweep(scn, splits, coop_counts, n=n, seed=cfg.seed))}
 
 
 def _run_drl_train(cfg: ExperimentConfig) -> Outputs:

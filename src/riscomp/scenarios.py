@@ -1,8 +1,9 @@
 """Scenario definitions: geometry, channel parameters, powers, thresholds.
 
-One dataclass per network family, with table defaults. All dB/dBm fields are
-converted to linear scale here, once, and downstream code sees only linear
-quantities.
+One dataclass per network family, with table defaults. The families share
+one link budget (LinkBudget, and RicianLinks for the Rician families), whose
+properties convert the dB/dBm fields to linear scale on each access; downstream
+code reads only those linear quantities.
 """
 
 from __future__ import annotations
@@ -16,12 +17,53 @@ from .channel import NakagamiParams
 from .units import db_to_linear, dbm_to_watts, noise_power_watts
 
 
-def _dist(p: tuple, q: tuple) -> float:
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
+class LinkBudget:
+    """The link budget every scenario family shares, from its p_t_dbm,
+    rho_o_db, bandwidth_hz and noise_figure_db fields: the transmit power,
+    the 1 m reference gain rho_o, the thermal noise power over the bandwidth
+    with the noise figure added, and the transmit SNR rho."""
+
+    @property
+    def rho_o(self) -> float:
+        return db_to_linear(self.rho_o_db)
+
+    @property
+    def tx_power_w(self) -> float:
+        return dbm_to_watts(self.p_t_dbm)
+
+    @property
+    def noise_w(self) -> float:
+        return noise_power_watts(self.bandwidth_hz, self.noise_figure_db)
+
+    @property
+    def rho(self) -> float:
+        """Transmit SNR rho = P_t / sigma^2."""
+        return self.tx_power_w / self.noise_w
+
+    def gain(self, d: float, alpha: float) -> float:
+        """Path gain rho_o / d^alpha at distance d and exponent alpha."""
+        return self.rho_o / d**alpha
+
+
+class RicianLinks:
+    """The Rician factor kappa of a family's Rician links, from its kappa_db
+    field, and their LoS/NLoS weights."""
+
+    @property
+    def kappa(self) -> float:
+        return db_to_linear(self.kappa_db)
+
+    @property
+    def rician_weights(self) -> tuple[float, float]:
+        """(sqrt(kappa / (1 + kappa)), sqrt(1 / (1 + kappa))); pure LoS,
+        (1, 0), at kappa = inf."""
+        kappa = self.kappa
+        w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
+        return w_los, math.sqrt(1.0 / (1.0 + kappa))
 
 
 @dataclass(frozen=True)
-class CoordinatedScenario:
+class CoordinatedScenario(LinkBudget):
     """Two-cell STAR-RIS coordinated NOMA cluster.
 
     Two BSs each serve a center user; the shared edge user is served by both.
@@ -79,24 +121,6 @@ class CoordinatedScenario:
         if abs(self.zeta_center + self.zeta_edge - 1.0) > 1e-12:
             raise ValueError("allocation factors must sum to 1")
 
-    # Linear-scale deriveds ------------------------------------------------
-    @property
-    def rho_o(self) -> float:
-        return db_to_linear(self.rho_o_db)
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.p_t_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return noise_power_watts(self.bandwidth_hz, self.noise_figure_db)
-
-    @property
-    def rho(self) -> float:
-        """Transmit SNR rho = P_t / sigma^2."""
-        return self.tx_power_w / self.noise_w
-
     @property
     def threshold_center(self) -> float:
         return db_to_linear(self.thresholds_db[0])
@@ -106,7 +130,9 @@ class CoordinatedScenario:
         return db_to_linear(self.thresholds_db[1])
 
     def omega(self, p: tuple, q: tuple, alpha: float) -> float:
-        return self.rho_o / _dist(p, q) ** alpha
+        """Mean power of the link between positions p and q: its path gain."""
+        d = float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
+        return self.gain(d, alpha)
 
     def _bs(self, i: int) -> tuple:
         return (self.bs1, self.bs2)[i - 1]
@@ -114,36 +140,29 @@ class CoordinatedScenario:
     def _center(self, i: int) -> tuple:
         return (self.center1, self.center2)[i - 1]
 
+    def _links(self, i: int, user: tuple, alpha: float, alpha_ris: float) -> dict:
+        """Direct (exponent alpha), BS-RIS and RIS-user (alpha_ris) links
+        from BS i to the user at `user`."""
+        bs = self._bs(i)
+        return {
+            "direct": NakagamiParams(self.m_direct, self.omega(bs, user, alpha)),
+            "bs_ris": NakagamiParams(self.m_bs_ris, self.omega(bs, self.ris, self.alpha_bs_ris)),
+            "ris_user": NakagamiParams(self.m_ris_user, self.omega(self.ris, user, alpha_ris)),
+        }
+
     def center_links(self, i: int) -> dict[str, NakagamiParams]:
         """Nakagami parameters of every link feeding center user i's SINRs."""
         other = 2 if i == 1 else 1
+        center = self._center(i)
         return {
-            "direct": NakagamiParams(
-                self.m_direct, self.omega(self._bs(i), self._center(i), self.alpha_center)
-            ),
-            "bs_ris": NakagamiParams(
-                self.m_bs_ris, self.omega(self._bs(i), self.ris, self.alpha_bs_ris)
-            ),
-            "ris_user": NakagamiParams(
-                self.m_ris_user, self.omega(self.ris, self._center(i), self.alpha_ris_center)
-            ),
+            **self._links(i, center, self.alpha_center, self.alpha_ris_center),
             "ici": NakagamiParams(
-                self.m_direct, self.omega(self._bs(other), self._center(i), self.alpha_ici)
+                self.m_direct, self.omega(self._bs(other), center, self.alpha_ici)
             ),
         }
 
     def edge_links(self, i: int) -> dict[str, NakagamiParams]:
-        return {
-            "direct": NakagamiParams(
-                self.m_direct, self.omega(self._bs(i), self.edge, self.alpha_edge)
-            ),
-            "bs_ris": NakagamiParams(
-                self.m_bs_ris, self.omega(self._bs(i), self.ris, self.alpha_bs_ris)
-            ),
-            "ris_user": NakagamiParams(
-                self.m_ris_user, self.omega(self.ris, self.edge, self.alpha_ris_edge)
-            ),
-        }
+        return self._links(i, self.edge, self.alpha_edge, self.alpha_ris_edge)
 
     def cascade_amp_center(self) -> float:
         """Co-phased cascade multiplier K*sqrt(beta_r) for the reflection region."""
@@ -154,7 +173,7 @@ class CoordinatedScenario:
 
 
 @dataclass(frozen=True)
-class MultiCellScenario:
+class MultiCellScenario(LinkBudget, RicianLinks):
     """Symmetric I-cell CoMP-NOMA network with one RIS per cell edge.
 
     All geometry is specified through the distance table; cells are
@@ -196,22 +215,6 @@ class MultiCellScenario:
             raise ValueError("amplifier efficiency must lie in (0, 1]")
 
     @property
-    def rho_o(self) -> float:
-        return db_to_linear(self.rho_o_db)
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.p_t_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return noise_power_watts(self.bandwidth_hz, self.noise_figure_db)
-
-    @property
-    def kappa(self) -> float:
-        return db_to_linear(self.kappa_db)
-
-    @property
     def static_power_w(self) -> float:
         return dbm_to_watts(self.static_power_dbm)
 
@@ -219,12 +222,9 @@ class MultiCellScenario:
     def element_power_w(self) -> float:
         return dbm_to_watts(self.element_power_dbm)
 
-    def gain(self, d: float, alpha: float) -> float:
-        return self.rho_o / d**alpha
-
 
 @dataclass(frozen=True)
-class AerialScenario:
+class AerialScenario(LinkBudget, RicianLinks):
     """Two-cell CoMP-NOMA network served by one UAV-mounted RIS.
 
     The UAV moves on a horizontal grid inside the square area; obstacles
@@ -298,26 +298,6 @@ class AerialScenario:
     @property
     def action_dim_continuous(self) -> int:
         return self.k_elements + self.n_bs
-
-    @property
-    def rho_o(self) -> float:
-        return db_to_linear(self.rho_o_db)
-
-    @property
-    def tx_power_w(self) -> float:
-        return dbm_to_watts(self.p_t_dbm)
-
-    @property
-    def noise_w(self) -> float:
-        return noise_power_watts(self.bandwidth_hz, self.noise_figure_db)
-
-    @property
-    def rho(self) -> float:
-        return self.tx_power_w / self.noise_w
-
-    @property
-    def kappa(self) -> float:
-        return db_to_linear(self.kappa_db)
 
 
 def tiny_aerial_scenario(k_elements: int = 4, t_slots: int = 40, **kw) -> AerialScenario:

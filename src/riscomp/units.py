@@ -1,7 +1,8 @@
 """dB / dBm conversions.
 
-All internal math is linear scale; conversion from decibel figures happens
-exactly once, when a scenario is loaded.
+All internal math is linear scale. Scenarios keep their decibel fields, and
+the properties of their shared link budget (`scenarios.LinkBudget`, and
+`scenarios.RicianLinks` for kappa) convert them on every access.
 """
 
 import math

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import RicianParams, los_steering, sample_rayleigh, sample_rician_vector
 from riscomp.channel import NakagamiParams, substream
 from riscomp.montecarlo import _nakagami_pow
-from riscomp.scenarios import MultiCellScenario
+from riscomp.scenarios import AerialScenario, CoordinatedScenario, MultiCellScenario
 
 N_BIG = 100_000
 # Reference gains rho_o of 1e-3 (-30 dB) and 1 (0 dB) at 1 m.
@@ -25,6 +25,23 @@ def test_path_gain_examples():
     assert SCN_30DB.gain(1.0, 3.0) == pytest.approx(1e-3)
     assert SCN_0DB.gain(1.0, 2.0) == pytest.approx(1.0)
     assert SCN_30DB.gain(100.0, 3.0) == pytest.approx(1e-9)
+
+
+def test_families_share_one_link_budget():
+    budget = dict(p_t_dbm=7.0, rho_o_db=-25.0, bandwidth_hz=2e6, noise_figure_db=3.0)
+    ref = CoordinatedScenario(**budget)
+    for scn in (MultiCellScenario(**budget), AerialScenario(**budget)):
+        for name in ("rho_o", "tx_power_w", "noise_w", "rho"):
+            assert getattr(scn, name) == getattr(ref, name), name
+        assert scn.gain(40.0, 2.7) == ref.gain(40.0, 2.7)
+    assert ref.omega((0.0, 0.0, 0.0), (3.0, 4.0, 0.0), 2.0) == ref.gain(5.0, 2.0)
+    # Rician families only; kappa = inf is pure LoS.
+    assert not hasattr(ref, "kappa")
+    for cls in (MultiCellScenario, AerialScenario):
+        w_los, w_nlos = cls(kappa_db=3.0).rician_weights
+        assert w_los**2 + w_nlos**2 == pytest.approx(1.0)
+        assert w_los**2 / w_nlos**2 == pytest.approx(10 ** 0.3)
+        assert cls(kappa_db=math.inf).rician_weights == (1.0, 0.0)
 
 
 @given(

@@ -789,6 +789,32 @@ def test_dump_parse_roundtrip_property(kind, data):
     assert dump_config(loaded) == text
 
 
+@given(kind=st.sampled_from(("ee-sweep", "osum-sweep", "split-sweep")), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_accepted_multicell_configs_run_property(kind, data):
+    """Every multicell config that from_mapping accepts runs through its
+    runner at trials = 1: I in [1, 8] with a valid J, K <= 64, and scenario
+    keys and sweep lists drawn as the round-trip property draws them."""
+    n_cells = data.draw(st.integers(1, 8))
+    flat = {"kind": kind, "trials": 1, "scenario.n_cells": n_cells,
+            "scenario.n_coop": data.draw(st.integers(1, n_cells))}
+    for entry in _scenario_draws(kind):
+        if data.draw(st.booleans()):
+            flat.update({f"scenario.{k}": v for k, v in data.draw(entry).items()})
+    flat["scenario.k_elements"] = data.draw(st.integers(0, 64))
+    bounded = {"j_values": st.integers(1, n_cells), "k_values": st.integers(0, 64)}
+    for key, strat in _sweep_draws(kind, flat).items():
+        if data.draw(st.booleans()):
+            if key in bounded:
+                strat = st.lists(bounded[key], min_size=1, max_size=4)
+            flat[f"sweep.{key}"] = data.draw(strat)
+    try:
+        cfg = from_mapping(flat)
+    except ConfigError:
+        return
+    experiments._RUNNERS[kind](cfg)
+
+
 @pytest.mark.parametrize("line, key, value", [
     ("out = 1.50", "out", "1.50"),
     ("out = a,b", "out", "a,b"),

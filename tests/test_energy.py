@@ -305,3 +305,16 @@ def test_chunk_bytes_bounds_the_traced_peak(cells, k, n, splits):
     finally:
         tracemalloc.stop()
     assert peak <= chunk_bytes(cells, k, n, len(splits))
+
+
+def test_unreachable_rate_target_is_full_outage():
+    """R_edge = 600 under OMA's half slot needs an SINR of 2^1200 - 1, beyond
+    the float range: every trial is in edge outage, as at any target no
+    SINR reaches. Under NOMA the threshold 2^600 - 1 is finite."""
+    scn = replace(SMALL, r_edge_min=600.0)
+    [(noma, oma)] = simulate_network(scn, [(scn, "ec", None)], n=64, seed=2)
+    assert oma.edge_outage == 1.0
+    assert noma.edge_outage == 1.0
+    [(ref_noma, ref_oma)] = simulate_network(SMALL, [(SMALL, "ec", None)], n=64, seed=2)
+    assert oma.edge_rate == ref_oma.edge_rate
+    assert np.array_equal(oma.center_outage, ref_oma.center_outage)

@@ -160,6 +160,26 @@ def test_preset_parameters():
     assert fig52.train["batch"] == 128
 
 
+@pytest.mark.parametrize("n_cells, j_default", [(1, [1]), (2, [1, 2]), (3, [1, 3])])
+def test_split_sweep_default_j_is_distinct_and_positive(n_cells, j_default):
+    cfg = from_mapping({"kind": "split-sweep", "trials": 1, "scenario.n_cells": n_cells,
+                        "scenario.n_coop": 1, "scenario.k_elements": 4,
+                        "sweep.splits": [0.5]})
+    header, rows = experiments._run_split_sweep(cfg)["split_sweep.csv"]
+    assert [row[header.index("J")] for row in rows] == j_default
+
+
+@pytest.mark.parametrize("mapping", [
+    {"kind": "osum-sweep", "scenario.r_edge_min": 600.0},
+    {"kind": "ee-sweep", "sweep.r_th_values": [0.5, 1500.0]},
+], ids=["osum-r-edge-600", "ee-r-th-1500"])
+def test_rate_targets_beyond_the_float_range_run(tmp_path, mapping):
+    """2^(R / share) overflows at R / share >= 1024: the threshold is
+    scored as +inf, so every trial is in outage and the run completes."""
+    _, outputs = _run(tmp_path, "run", {**mapping, "trials": 1})
+    assert all(p.exists() for p in outputs)
+
+
 def test_ee_joint_grid(tmp_path):
     _, outputs = _run(tmp_path, "grid", {
         "kind": "ee-sweep",
