@@ -286,13 +286,10 @@ class ArisEnv:
         """Start the next n episodes, in lockstep, at the start position."""
         if n < 1:
             raise ValueError("reset needs n >= 1 episodes")
-        start = np.asarray(self.scn.uav_start, dtype=float)
-        if not self._safe(start):
-            raise ValueError("start position violates the safety constraints")
         first = self._episodes
         self._episodes += n
         self._rngs = [substream(self.seed, _STREAM_ENV, j) for j in range(first, first + n)]
-        self._pos = np.tile(start, (n, 1))
+        self._pos = np.tile(np.asarray(self.scn.uav_start, dtype=float), (n, 1))
         self._z = np.empty((n, self.n_normals))
         self._t = 0
         self._alloc = np.full((n, self.scn.n_bs), self.scn.default_alloc)

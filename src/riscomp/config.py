@@ -12,6 +12,10 @@ Only `sweep.*` values are comma-separated lists.
 All decibel quantities carry unit suffixes in their key names (_db / _dbm)
 so units are always explicit; the scenario classes convert them to linear
 scale.
+
+`plan` expands a validated config into the `Plan` of what its run does,
+with each kind's defaults (`_KINDS`, the one place they are written)
+applied; the runners read the plan, and `validate` checks it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .units import db_to_linear, dbm_to_watts
 
 def _schema(cls: type, names: tuple[str, ...], **pseudo: type) -> dict[str, type]:
     """Key -> type of the exposed fields `names` of cls, as annotated, then
-    of the pseudo-keys, which are no field of cls; the scenario methods of
-    `ExperimentConfig` turn them into fields (`tiny` picks the base scenario)."""
+    of the pseudo-keys, which are no field of cls; `_scenario` turns them
+    into fields (`tiny` picks the base scenario)."""
     hints = get_type_hints(cls)
     return {**{name: hints[name] for name in names}, **pseudo}
 
@@ -81,41 +85,47 @@ _TOP_KEYS = {
     "checkpoint": str,
 }
 
-# Element type of every sweep list and the kinds whose runners read it.
-_SWEEP_KEYS = {
-    "p_t_dbm": (float, ("er-sweep", "outage-sweep", "ee-sweep", "osum-sweep")),
-    "r_th_values": (float, ("ee-sweep",)),
-    "splits": (float, ("split-sweep",)),
-    "beta_t_values": (float, ("exhaustive-star",)),
-    "j_values": (int, ("ee-sweep", "split-sweep")),
-    "k_values": (int, ("ee-sweep",)),
-    "assignment_values": (int, ("exhaustive-star",)),
-}
-
-# The fixed lists the runners sweep when the config sets none; the other
-# defaults (assignment_values, j_values) are computed from the scenario.
-_SWEEP_DEFAULTS = {
-    "er-sweep": {"p_t_dbm": [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0]},
-    "outage-sweep": {"p_t_dbm": [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]},
-    "exhaustive-star": {"beta_t_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
-    "osum-sweep": {"p_t_dbm": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]},
-    "split-sweep": {"splits": [0.0, 0.25, 0.5, 0.75, 1.0]},
+# Each kind's scenario keys and its defaults, the one place they are written:
+# its Monte Carlo trials, the episodes a drl-eval run steps in lockstep, and
+# each sweep axis it reads, in run order, with the values it sweeps where
+# the config sets none (a list, a function of the base scenario, or None
+# where the axis runs only when set). `plan` applies them.
+_KINDS = {
+    "pdf-validation": {"keys": _COORDINATED_KEYS, "trials": 10_000},
+    "er-sweep": {"keys": _COORDINATED_KEYS, "trials": 100_000, "axes": {
+        "p_t_dbm": [-20.0, -15.0, -10.0, -5.0, 0.0, 5.0, 10.0]}},
+    "outage-sweep": {"keys": _COORDINATED_KEYS, "trials": 10_000, "axes": {
+        "p_t_dbm": [-15.0, -10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]}},
+    "exhaustive-star": {"keys": _COORDINATED_KEYS, "axes": {
+        "assignment_values": lambda scn: range(
+            0, scn.k_elements + 1, max(1, scn.k_elements // 8)),
+        "beta_t_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]}},
+    # J over every cooperative set size only when no axis is set (see _plan).
+    "ee-sweep": {"keys": _MULTICELL_KEYS, "trials": 10_000, "axes": {
+        "j_values": lambda scn: range(1, scn.n_cells + 1),
+        "k_values": None, "p_t_dbm": None, "r_th_values": None}},
+    "osum-sweep": {"keys": _MULTICELL_KEYS, "trials": 10_000, "axes": {
+        "p_t_dbm": [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]}},
+    # J = 1, I // 2 and I, each once and >= 1 (I = 1 gives [1]).
+    "split-sweep": {"keys": _MULTICELL_KEYS, "trials": 10_000, "axes": {
+        "splits": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "j_values": lambda scn: sorted({1, scn.n_cells // 2, scn.n_cells} - {0})}},
+    "drl-train": {"keys": _AERIAL_KEYS},
+    "drl-eval": {"keys": _AERIAL_KEYS, "episodes": 10},
 }
 
 # The scenario family of every kind, named by its key schema.
-_SCENARIO_KEYS_BY_KIND = {
-    "pdf-validation": _COORDINATED_KEYS,
-    "er-sweep": _COORDINATED_KEYS,
-    "outage-sweep": _COORDINATED_KEYS,
-    "exhaustive-star": _COORDINATED_KEYS,
-    "ee-sweep": _MULTICELL_KEYS,
-    "osum-sweep": _MULTICELL_KEYS,
-    "split-sweep": _MULTICELL_KEYS,
-    "drl-train": _AERIAL_KEYS,
-    "drl-eval": _AERIAL_KEYS,
-}
+_SCENARIO_KEYS_BY_KIND = {kind: d["keys"] for kind, d in _KINDS.items()}
 
-KINDS = tuple(_SCENARIO_KEYS_BY_KIND)
+KINDS = tuple(_KINDS)
+
+# Element type of every sweep list and the kinds that read it.
+_SWEEP_KEYS = {
+    key: (typ, tuple(kind for kind, d in _KINDS.items() if key in d.get("axes", {})))
+    for key, typ in (("p_t_dbm", float), ("r_th_values", float), ("splits", float),
+                     ("beta_t_values", float), ("j_values", int), ("k_values", int),
+                     ("assignment_values", int))
+}
 
 
 class ConfigError(ValueError):
@@ -133,41 +143,92 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 
-    def sweep_values(self, key: str) -> list:
-        """The values of sweep.<key> the runner uses: the config's list, or
-        the kind's fixed default."""
-        return self.sweep.get(key, _SWEEP_DEFAULTS[self.kind][key])
 
-    def coordinated_scenario(self) -> CoordinatedScenario:
-        kw = dict(self.scenario)
-        thr_c = kw.pop("threshold_center_db", 0.0)
-        thr_f = kw.pop("threshold_edge_db", 0.0)
-        a1 = kw.pop("assignment_1", None)
-        a2 = kw.pop("assignment_2", None)
-        k = kw.get("k_elements", CoordinatedScenario.k_elements)
-        if a1 is None and a2 is None:
-            assignment = (k - k // 2, k // 2)
+@dataclass(frozen=True)
+class Plan:
+    """Everything a run reads, expanded from a validated config by `plan`.
+    `sweeps` are the run's sweeps in order, each mapping its axes' sweep
+    keys, in order, to their values (a list, or a range where the default
+    is one, never built in full) and running their product; one without
+    axes is the scenario's one point. `trials` is the Monte Carlo trial
+    count, `episodes` the number of episodes an aerial run steps in
+    lockstep, and `train` its training setup."""
+
+    kind: str
+    seed: int
+    trials: int | None
+    scenario: CoordinatedScenario | MultiCellScenario | AerialScenario
+    sweeps: tuple[dict[str, list | range], ...]
+    episodes: int | None
+    train: TrainConfig | None
+    checkpoint: str
+
+    def points(self, name: str, scn_field: str = "") -> list[tuple[str, object]]:
+        """Each value of the axis `name` in run order with the config key
+        that sets it, sweep.<name>[i] (a default value included), after the
+        scenario's `scn_field`, keyed scenario.<scn_field>, when a sweep
+        without that axis runs at it."""
+        points = [(f"sweep.{name}[{i}]", v) for sweep in self.sweeps
+                  for i, v in enumerate(sweep.get(name, ()))]
+        if scn_field and any(name not in sweep for sweep in self.sweeps):
+            points.insert(0, (f"scenario.{scn_field}", getattr(self.scenario, scn_field)))
+        return points
+
+
+def _scenario(cfg: ExperimentConfig):
+    """The base scenario of cfg, of its kind's family, with the scenario
+    pseudo-keys made fields."""
+    kw = dict(cfg.scenario)
+    keys = _SCENARIO_KEYS_BY_KIND[cfg.kind]
+    if keys is _MULTICELL_KEYS:
+        return MultiCellScenario(**kw)
+    if keys is _AERIAL_KEYS:
+        make = tiny_aerial_scenario if kw.pop("tiny", False) else AerialScenario
+        x, y = kw.pop("uav_start_x", None), kw.pop("uav_start_y", None)
+        if x is not None or y is not None:  # the other coordinate: the base's
+            x0, y0 = make().uav_start
+            kw["uav_start"] = (x0 if x is None else x, y0 if y is None else y)
+        return make(**kw)
+    thresholds = (kw.pop("threshold_center_db", 0.0), kw.pop("threshold_edge_db", 0.0))
+    a1, a2 = kw.pop("assignment_1", None), kw.pop("assignment_2", None)
+    k = kw.get("k_elements", CoordinatedScenario.k_elements)
+    if a1 is None and a2 is None:
+        assignment = (k - k // 2, k // 2)
+    else:
+        a1 = k // 2 if a1 is None else a1
+        assignment = (a1, k - a1 if a2 is None else a2)
+    return CoordinatedScenario(thresholds_db=thresholds, assignment=assignment, **kw)
+
+
+def plan(cfg: ExperimentConfig) -> Plan:
+    """The Plan of a validated config's run. It builds the scenario and the
+    training setup and nothing else: no law is fitted, nothing allocated."""
+    drl = _SCENARIO_KEYS_BY_KIND[cfg.kind] is _AERIAL_KEYS
+    return _plan(cfg, _scenario(cfg), TrainConfig(**cfg.train) if drl else None)
+
+
+def _plan(cfg: ExperimentConfig, scn, tc: TrainConfig | None) -> Plan:
+    """plan(cfg) from its built scenario and training setup (None while the
+    latter is invalid, which only `validate` builds a plan through)."""
+    defaults = _KINDS[cfg.kind]
+    axes = {}
+    for name, default in defaults.get("axes", {}).items():
+        values = cfg.sweep.get(name, default)
+        if values is not None:
+            axes[name] = values(scn) if callable(values) else values
+    sweeps = (axes,)
+    if cfg.kind == "ee-sweep":
+        # One sweep per axis the config sets, or its J default when it sets
+        # none; sweep.p_t_dbm with sweep.r_th_values is their grid alone.
+        if cfg.sweep.keys() >= {"p_t_dbm", "r_th_values"}:
+            sweeps = ({name: axes[name] for name in ("p_t_dbm", "r_th_values")},)
         else:
-            a1 = k // 2 if a1 is None else a1
-            a2 = k - a1 if a2 is None else a2
-            assignment = (a1, a2)
-        return CoordinatedScenario(
-            thresholds_db=(thr_c, thr_f), assignment=assignment, **kw
-        )
-
-    def multicell_scenario(self) -> MultiCellScenario:
-        return MultiCellScenario(**self.scenario)
-
-    def aerial_scenario(self) -> AerialScenario:
-        kw = dict(self.scenario)
-        tiny = kw.pop("tiny", False)
-        x = kw.pop("uav_start_x", None)
-        y = kw.pop("uav_start_y", None)
-        scn = tiny_aerial_scenario(**kw) if tiny else AerialScenario(**kw)
-        if x is None and y is None:
-            return scn
-        return replace(scn, uav_start=(scn.uav_start[0] if x is None else x,
-                                       scn.uav_start[1] if y is None else y))
+            sweeps = tuple({name: v} for name, v in axes.items() if name in cfg.sweep) or (
+                {"j_values": axes["j_values"]},)
+    trials = defaults.get("trials") if cfg.trials is None else cfg.trials
+    episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
+                else defaults.get("episodes"))
+    return Plan(cfg.kind, cfg.seed, trials, scn, sweeps, episodes, tc, cfg.checkpoint)
 
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
@@ -316,11 +377,6 @@ def _int_range_errors(cfg: ExperimentConfig) -> list[str]:
 
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
-    if cfg.kind == "ee-sweep" and {"p_t_dbm", "r_th_values"} <= cfg.sweep.keys():
-        # _run_ee_sweep then runs the power x threshold grid alone.
-        errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
-                      "sweep.r_th_values runs only their grid" for key in ("j_values", "k_values")
-                      if key in cfg.sweep)
     ranges = _sweep_ranges(cfg)
     for key, values in cfg.sweep.items():
         lo, hi = ranges[key]
@@ -335,10 +391,11 @@ def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     return errors
 
 
-def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
+def _link_budget_errors(run: Plan) -> list[str]:
     """sigma^2 from the bandwidth and noise figure must be finite and > 0, and
-    rho = P_t / sigma^2 finite at every transmit power of the run (powers
-    already reported as invalid are skipped)."""
+    rho = P_t / sigma^2 finite at the scenario's power and every power a
+    point of the run uses (powers already reported as invalid are skipped)."""
+    scn = run.scenario
     try:
         noise = scn.noise_w
     except (ValueError, OverflowError):
@@ -346,109 +403,87 @@ def _link_budget_errors(cfg: ExperimentConfig, scn) -> list[str]:
     if not 0.0 < noise < math.inf:
         named = " and ".join(f"scenario.{key} = {getattr(scn, key)!r}"
                              for key in ("bandwidth_hz", "noise_figure_db")
-                             if key in _SCENARIO_KEYS_BY_KIND[cfg.kind])
+                             if key in _SCENARIO_KEYS_BY_KIND[run.kind])
         return [f"noise power sigma^2 from {named} is not finite and > 0"]
-    powers = [("scenario.p_t_dbm", scn.p_t_dbm),
-              *((f"sweep.p_t_dbm[{i}]", p) for i, p in enumerate(cfg.sweep.get("p_t_dbm", ())))]
+    powers = dict([("scenario.p_t_dbm", scn.p_t_dbm), *run.points("p_t_dbm")])
     return [f"{key}: {p!r} gives rho = P_t / sigma^2 beyond the float range "
-            f"(sigma^2 = {noise!r} W)" for key, p in powers
+            f"(sigma^2 = {noise!r} W)" for key, p in powers.items()
             if math.isfinite(p) and not _overflows(key, p)
             and not math.isfinite(dbm_to_watts(p) / noise)]
 
 
-def _ee_power_errors(cfg: ExperimentConfig, scn) -> list[str]:
+def _ee_power_errors(run: Plan) -> list[str]:
     """Energy efficiency divides by P_Q, P_element and every transmit power
-    a point uses, so none may be 0 W (a dBm value far below 0 underflows).
-    scenario.p_t_dbm is unused when sweep.p_t_dbm is the only axis or forms
-    the grid with sweep.r_th_values; powers already reported are skipped."""
-    sweep = cfg.sweep
-    keys = ["scenario.static_power_dbm", "scenario.element_power_dbm"]
-    if "p_t_dbm" not in sweep or ("r_th_values" not in sweep
-                                  and sweep.keys() & {"j_values", "k_values"}):
-        keys.append("scenario.p_t_dbm")
-    powers = [(key, getattr(scn, key[len("scenario."):])) for key in keys]
-    powers += [(f"sweep.p_t_dbm[{i}]", p) for i, p in enumerate(sweep.get("p_t_dbm", ()))]
+    a point uses, so none may be 0 W (a dBm value far below 0 underflows);
+    powers already reported are skipped."""
+    keys = ("scenario.static_power_dbm", "scenario.element_power_dbm")
+    powers = [(key, getattr(run.scenario, key[len("scenario."):])) for key in keys]
     return [f"{key}: {p!r} dBm is 0 W; energy efficiency needs a positive power"
-            for key, p in powers
+            for key, p in powers + run.points("p_t_dbm", "p_t_dbm")
             if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
 
 
 # Ceiling on what one multicell chunk (energy.chunk_bytes), one aerial slot's
 # normals or one policy network may hold: 1 GiB.
 _MEMORY_BUDGET = 1 << 30
+_ABOVE_BUDGET = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
 
 
-def _chunk_errors(cfg: ExperimentConfig, scn: MultiCellScenario) -> list[str]:
+def _chunk_errors(run: Plan) -> list[str]:
     """What the multicell engine would hold per chunk (energy.chunk_bytes,
-    at scn's n_cells, the run's trials and a split-sweep's distinct splits)
-    above _MEMORY_BUDGET, named by
-    its key: scenario.n_cells when the cells alone exceed it, else every
-    element count the engine would run at that does. The size is computed,
-    never allocated. An ee-sweep's power x threshold grid runs at
-    scenario.k_elements alone, which is unused when sweep.k_values is the
-    only axis."""
-    budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
-    # Trials default to at least a full chunk.
-    n = math.inf if cfg.trials is None else cfg.trials
-    splits = len(set(cfg.sweep_values("splits"))) if cfg.kind == "split-sweep" else 0
-    cells = chunk_bytes(scn.n_cells, 0, n, splits)
+    at the scenario's n_cells, the run's trials and distinct splits) above
+    _MEMORY_BUDGET, named by its key: scenario.n_cells when the cells alone
+    exceed it, else every element count a point runs at that does. The size
+    is computed, never allocated."""
+    n_cells, n = run.scenario.n_cells, run.trials
+    splits = len({split for _, split in run.points("splits")})
+    cells = chunk_bytes(n_cells, 0, n, splits)
     if cells > _MEMORY_BUDGET:
-        return [f"scenario.n_cells: {scn.n_cells} cells need {cells / 2**30:.3g} GiB per "
-                f"chunk of draws at any element count, {budget}"]
-    sweep = cfg.sweep
-    keys = [] if {"p_t_dbm", "r_th_values"} <= sweep.keys() else [
-        (f"sweep.k_values[{i}]", k) for i, k in enumerate(sweep.get("k_values", ()))]
-    if not keys or sweep.keys() & {"j_values", "p_t_dbm", "r_th_values"}:
-        keys.insert(0, ("scenario.k_elements", scn.k_elements))
-    return [f"{key}: {k} elements need {chunk_bytes(scn.n_cells, k, n, splits) / 2**30:.3g} "
-            f"GiB per chunk of draws, {budget}"
-            for key, k in keys if chunk_bytes(scn.n_cells, k, n, splits) > _MEMORY_BUDGET]
+        return [f"scenario.n_cells: {n_cells} cells need {cells / 2**30:.3g} GiB per "
+                f"chunk of draws at any element count, {_ABOVE_BUDGET}"]
+    return [f"{key}: {k} elements need {chunk_bytes(n_cells, k, n, splits) / 2**30:.3g} "
+            f"GiB per chunk of draws, {_ABOVE_BUDGET}"
+            for key, k in run.points("k_values", "k_elements")
+            if chunk_bytes(n_cells, k, n, splits) > _MEMORY_BUDGET]
 
 
-# Episodes a drl-eval run evaluates in lockstep.
-DRL_EVAL_EPISODES = 10
-
-
-def _aerial_errors(cfg: ExperimentConfig, scn: AerialScenario, tc: TrainConfig) -> list[str]:
+def _aerial_errors(run: Plan) -> list[str]:
     """The aerial engine's K-sized allocations, each refused above
-    _MEMORY_BUDGET: one lockstep slot's normals (aerial.slot_normals, for a
-    round of train.episodes_per_update episodes or drl-eval's episodes), the
-    policy network (moppo.policy_bytes) and, for drl-train, one round's raw
-    actions and sampling noise, two arrays of E T (K + n_bs) floats. The
-    sizes are computed, never allocated."""
-    episodes = tc.episodes_per_update if cfg.kind == "drl-train" else DRL_EVAL_EPISODES
-    budget = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
+    _MEMORY_BUDGET: one lockstep slot's normals (aerial.slot_normals, for
+    the run's episodes in lockstep), the policy network (moppo.policy_bytes)
+    and, for drl-train, one round's raw actions and sampling noise, two
+    arrays of E T (K + n_bs) floats. The sizes are computed, never
+    allocated."""
+    scn, tc, episodes = run.scenario, run.train, run.episodes
     errors = []
     normals = 8 * slot_normals(scn, episodes)
     if normals > _MEMORY_BUDGET:
         errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
                       f"{normals / 2**30:.3g} GiB of normals per slot of {episodes} "
-                      f"episodes, {budget}")
+                      f"episodes, {_ABOVE_BUDGET}")
     actions = 2 * 8 * episodes * scn.t_slots * scn.action_dim_continuous
-    if cfg.kind == "drl-train" and actions > _MEMORY_BUDGET:
+    if run.kind == "drl-train" and actions > _MEMORY_BUDGET:
         errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
                       f"{actions / 2**30:.3g} GiB of raw actions and sampling noise per "
-                      f"round of {episodes} episodes of {scn.t_slots} slots, {budget}")
+                      f"round of {episodes} episodes of {scn.t_slots} slots, {_ABOVE_BUDGET}")
     weights = policy_bytes(scn, tc)
     if weights > _MEMORY_BUDGET:
         errors.append(f"scenario.k_elements = {scn.k_elements}, train.hidden = {tc.hidden} "
                       f"and train.head_hidden = {tc.head_hidden} give a policy network "
-                      f"of {weights / 2**30:.3g} GiB, {budget}")
+                      f"of {weights / 2**30:.3g} GiB, {_ABOVE_BUDGET}")
     return errors
 
 
-def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
-    """Fit the closed-form SINR laws at every power and beta_t the
-    coordinated runner fits them at; a point whose fit fails is named by the
-    key that sets it."""
-    if cfg.kind == "exhaustive-star":
-        points = [(f"sweep.beta_t_values[{i}]", {"beta_t": b, "beta_r": 1.0 - b})
-                  for i, b in enumerate(cfg.sweep_values("beta_t_values"))]
-    elif cfg.kind == "pdf-validation":
-        points = [("scenario.p_t_dbm", {})]
+def _fit_errors(run: Plan) -> list[str]:
+    """Fit the closed-form SINR laws at every point of the coordinated run
+    (each beta_t of an exhaustive-star, each power otherwise); a point whose
+    fit fails is named by the key that sets it."""
+    scn = run.scenario
+    if run.kind == "exhaustive-star":
+        points = [(key, {"beta_t": b, "beta_r": 1.0 - b})
+                  for key, b in run.points("beta_t_values")]
     else:
-        points = [(f"sweep.p_t_dbm[{i}]", {"p_t_dbm": p})
-                  for i, p in enumerate(cfg.sweep_values("p_t_dbm"))]
+        points = [(key, {"p_t_dbm": p}) for key, p in run.points("p_t_dbm", "p_t_dbm")]
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
     # leaves the float range is named once, not as every point's fit.
@@ -472,7 +507,9 @@ def _fit_errors(cfg: ExperimentConfig, scn: CoordinatedScenario) -> list[str]:
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    """Range and invariant checks; also re-run after the CLI overrides fields."""
+    """Range and invariant checks of cfg, then checks over its plan: each
+    sees exactly the points the run will take. Also re-run after the CLI
+    overrides fields."""
     # The checks below do float arithmetic, which such integers would crash.
     errors = _int_range_errors(cfg)
     if errors:
@@ -508,40 +545,39 @@ def validate(cfg: ExperimentConfig) -> None:
             elif key.endswith(("_db", "_dbm")) and _overflows(key, value):
                 errors.append(f"{section}.{key}: {value!r} overflows on conversion to "
                               "linear scale")
-    # Construct the scenario (and training setup) once to surface invariant
-    # violations.
-    scn = None
-    try:
-        if schema is _COORDINATED_KEYS:
-            scn = cfg.coordinated_scenario()
-        elif schema is _MULTICELL_KEYS:
-            scn = cfg.multicell_scenario()
-        else:
-            scn = cfg.aerial_scenario()
-    except (TypeError, ValueError) as exc:
-        errors.append(str(exc))
-    else:
-        errors.extend(_link_budget_errors(cfg, scn))
-        if cfg.kind == "ee-sweep":
-            errors.extend(_ee_power_errors(cfg, scn))
-        if schema is _MULTICELL_KEYS:
-            errors.extend(_chunk_errors(cfg, scn))
-        # The fits need every value above to be usable.
-        if schema is _COORDINATED_KEYS and not errors:
-            errors.extend(_fit_errors(cfg, scn))
+    # Build the training setup and the scenario once, surfacing their
+    # invariant violations, then check the plan.
+    tc = None
     if drl:
         try:
             tc = TrainConfig(**cfg.train)
         except (TypeError, ValueError) as exc:
             errors.append(f"train: {exc}")
-        else:
-            # PPO updates once per full round of episodes_per_update episodes.
-            if cfg.kind == "drl-train" and tc.episodes < tc.episodes_per_update:
-                errors.append(f"train.episodes = {tc.episodes} is below "
-                              f"train.episodes_per_update = {tc.episodes_per_update}, "
-                              "so no update round fills and the policy is never trained")
-            if scn is not None:
-                errors.extend(_aerial_errors(cfg, scn, tc))
+    # PPO updates once per full round of episodes_per_update episodes.
+    if cfg.kind == "drl-train" and tc is not None and tc.episodes < tc.episodes_per_update:
+        errors.append(f"train.episodes = {tc.episodes} is below "
+                      f"train.episodes_per_update = {tc.episodes_per_update}, "
+                      "so no update round fills and the policy is never trained")
+    try:
+        run = _plan(cfg, _scenario(cfg), tc)
+    except (TypeError, ValueError) as exc:
+        errors.append(str(exc))
+    else:
+        # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
+        read = {name for sweep in run.sweeps for name in sweep}
+        errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
+                      "sweep.r_th_values runs only their grid"
+                      for key in sorted(cfg.sweep.keys() - read))
+        errors.extend(_link_budget_errors(run))
+        if cfg.kind == "ee-sweep":
+            errors.extend(_ee_power_errors(run))
+        if schema is _MULTICELL_KEYS:
+            errors.extend(_chunk_errors(run))
+        # The fits need every value above to be usable.
+        if schema is _COORDINATED_KEYS and not errors:
+            errors.extend(_fit_errors(run))
+        if tc is not None:
+            errors.extend(_aerial_errors(run))
     if errors:
         raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 

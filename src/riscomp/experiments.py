@@ -1,9 +1,11 @@
 """Experiment orchestration and the figure-style presets.
 
-Each runner maps a validated config to its outputs, an ordered mapping from
-file name to content, and writes nothing. `run_experiment` alone touches the
-disk: once the runner has returned it writes every output and a manifest
-that reproduces the run byte-for-byte.
+Each runner maps the plan of a validated config (`config.plan`: the scenario,
+the trials, the sweep axes with every default applied) to its outputs, an
+ordered mapping from file name to content, and writes nothing; no runner
+reads the config itself. `run_experiment` alone touches the disk: once the
+runner has returned it writes every output and a manifest that reproduces
+the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,28 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    analytic_ergodic_rates,
-    analytic_outage,
-    coordinated_distributions,
-)
-from .config import DRL_EVAL_EPISODES, ConfigError, ExperimentConfig, dump_config, from_mapping
+from .analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
+from .config import ConfigError, ExperimentConfig, Plan, dump_config, from_mapping, plan
 from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
-from .montecarlo import (
-    estimate_ergodic_rate,
-    estimate_outage,
-    ks_statistic,
-    run_trials,
-)
-from .moppo import (
-    PolicyParams,
-    TrainConfig,
-    check_checkpoint,
-    evaluate,
-    load_params,
-    save_params,
-    train,
-)
+from .montecarlo import estimate_ergodic_rate, estimate_outage, ks_statistic, run_trials
+from .moppo import PolicyParams, check_checkpoint, evaluate, load_params, save_params, train
 from .stats import stacked_cdf
 
 # File name -> content: a CSV (header, rows) or a policy checkpoint.
@@ -75,13 +60,8 @@ def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple
     return header, [tuple(row[name] for name in header) for row in rows]
 
 
-def _trials(cfg: ExperimentConfig, default: int) -> int:
-    return cfg.trials if cfg.trials is not None else default
-
-
-def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.coordinated_scenario()
-    n = _trials(cfg, 10_000)
+def _run_pdf_validation(run: Plan) -> Outputs:
+    scn, n = run.scenario, run.trials
     dists = coordinated_distributions(scn)
     analytic = {
         "center1_own": dists.center_own[0],
@@ -93,7 +73,7 @@ def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
     couplings = ("fitted", "physical")
     samples = np.empty((len(couplings), len(analytic), n))
     for row, coupling in zip(samples, couplings):
-        batch = run_trials(scn, n, cfg.seed, coupling=coupling).batch(scn)
+        batch = run_trials(scn, n, run.seed, coupling=coupling).batch(scn)
         np.stack([batch.sinr[kind] for kind in analytic], out=row)
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
@@ -103,13 +83,11 @@ def _run_pdf_validation(cfg: ExperimentConfig) -> Outputs:
     return {"ks_table.csv": (["coupling", "sinr", "n", "ks_stat", "critical", "pass"], rows)}
 
 
-def _run_er_sweep(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.coordinated_scenario()
-    n = _trials(cfg, 100_000)
-    p_values = cfg.sweep_values("p_t_dbm")
-    draws = run_trials(scn, n, cfg.seed, coupling="fitted")
+def _run_er_sweep(run: Plan) -> Outputs:
+    scn = run.scenario
+    draws = run_trials(scn, run.trials, run.seed, coupling="fitted")
     rows = []
-    for p_t in p_values:
+    for p_t in run.sweeps[0]["p_t_dbm"]:
         scn_p = replace(scn, p_t_dbm=p_t)
         er = analytic_ergodic_rates(scn_p)
         mc = estimate_ergodic_rate(draws.batch(scn_p))
@@ -121,13 +99,11 @@ def _run_er_sweep(cfg: ExperimentConfig) -> Outputs:
     return {"ergodic_rates.csv": (["p_t_dbm", "user", "er_analytic", "er_mc", "rel_err"], rows)}
 
 
-def _run_outage_sweep(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.coordinated_scenario()
-    n = _trials(cfg, 10_000)
-    p_values = cfg.sweep_values("p_t_dbm")
-    draws = run_trials(scn, n, cfg.seed, coupling="fitted")
+def _run_outage_sweep(run: Plan) -> Outputs:
+    scn = run.scenario
+    draws = run_trials(scn, run.trials, run.seed, coupling="fitted")
     rows = []
-    for p_t in p_values:
+    for p_t in run.sweeps[0]["p_t_dbm"]:
         scn_p = replace(scn, p_t_dbm=p_t)
         closed = analytic_outage(scn_p)
         mc = estimate_outage(draws.batch(scn_p), scn_p)
@@ -138,74 +114,56 @@ def _run_outage_sweep(cfg: ExperimentConfig) -> Outputs:
     return {"outage.csv": (["p_t_dbm", "user", "outage_closed", "outage_mc", "abs_err"], rows)}
 
 
-def _run_exhaustive_star(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.coordinated_scenario()
+def _run_exhaustive_star(run: Plan) -> Outputs:
+    scn = run.scenario
     k = scn.k_elements
-    k1_values = cfg.sweep.get("assignment_values", list(range(0, k + 1, max(1, k // 8))))
-    beta_values = cfg.sweep_values("beta_t_values")
+    [sweep] = run.sweeps
+    beta_values = sweep["beta_t_values"]
     # `analysis` does not read the assignment: the rates depend on beta_t only.
     ers = [analytic_ergodic_rates(replace(scn, beta_t=b, beta_r=1.0 - b)) for b in beta_values]
     rows = [(k1, k - k1, beta_t, 1.0 - beta_t, er["center1"], er["center2"],
              er["edge"], er["center1"] + er["center2"] + er["edge"])
-            for k1 in k1_values for beta_t, er in zip(beta_values, ers)]
+            for k1 in sweep["assignment_values"] for beta_t, er in zip(beta_values, ers)]
     return {"exhaustive_star.csv": (
-        ["k1", "k2", "beta_t", "beta_r", "er_center1", "er_center2", "er_edge", "er_sum"],
-        rows,
-    )}
+        ["k1", "k2", "beta_t", "beta_r", "er_center1", "er_center2", "er_edge", "er_sum"], rows)}
 
 
-def _run_ee_sweep(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.multicell_scenario()
-    n = _trials(cfg, 10_000)
-    # Joint power/threshold grid (contour) when both axes are requested.
-    if "r_th_values" in cfg.sweep and "p_t_dbm" in cfg.sweep:
+# The ee_sweep axis of each ee-sweep sweep key.
+_EE_AXES = {"j_values": "J", "k_values": "K", "p_t_dbm": "P_t", "r_th_values": "R_th"}
+
+
+def _run_ee_sweep(run: Plan) -> Outputs:
+    scn, n = run.scenario, run.trials
+    # The joint power/threshold grid (contour) runs as one sweep of two axes.
+    if len(run.sweeps[0]) == 2:
+        [sweep] = run.sweeps
         return {"ee_grid.csv": _columns(
             ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"],
-            ee_grid(scn, cfg.sweep["p_t_dbm"], cfg.sweep["r_th_values"], n=n, seed=cfg.seed),
+            ee_grid(scn, sweep["p_t_dbm"], sweep["r_th_values"], n=n, seed=run.seed),
         )}
-    sweeps = []
-    if "j_values" in cfg.sweep:
-        sweeps.append(("J", cfg.sweep["j_values"]))
-    if "k_values" in cfg.sweep:
-        sweeps.append(("K", cfg.sweep["k_values"]))
-    if "p_t_dbm" in cfg.sweep:
-        sweeps.append(("P_t", cfg.sweep["p_t_dbm"]))
-    if "r_th_values" in cfg.sweep:
-        sweeps.append(("R_th", cfg.sweep["r_th_values"]))
-    if not sweeps:
-        sweeps = [("J", list(range(1, scn.n_cells + 1)))]
     header = ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
               "mean_center_outage"]
-    return {
-        f"ee_sweep_{axis.lower()}.csv": _columns(
-            header, ee_sweep(scn, axis, values, n=n, seed=cfg.seed))
-        for axis, values in sweeps
-    }
+    axes = [(_EE_AXES[name], values) for sweep in run.sweeps for name, values in sweep.items()]
+    return {f"ee_sweep_{axis.lower()}.csv": _columns(
+        header, ee_sweep(scn, axis, values, n=n, seed=run.seed)) for axis, values in axes}
 
 
-def _run_osum_sweep(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.multicell_scenario()
-    n = _trials(cfg, 10_000)
-    p_values = cfg.sweep_values("p_t_dbm")
+def _run_osum_sweep(run: Plan) -> Outputs:
     return {"outage_sum_rate.csv": _columns(
-        ["p_t_dbm", "mode", "outage_sum_rate"], osum_sweep(scn, p_values, n=n, seed=cfg.seed))}
+        ["p_t_dbm", "mode", "outage_sum_rate"],
+        osum_sweep(run.scenario, run.sweeps[0]["p_t_dbm"], n=run.trials, seed=run.seed))}
 
 
-def _run_split_sweep(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.multicell_scenario()
-    n = _trials(cfg, 10_000)
-    splits = cfg.sweep_values("splits")
-    # Default J: 1, I // 2 and I, each once and >= 1 (I = 1 gives [1]).
-    coop_counts = cfg.sweep.get(
-        "j_values", sorted({1, scn.n_cells // 2, scn.n_cells} - {0}))
+def _run_split_sweep(run: Plan) -> Outputs:
+    [sweep] = run.sweeps
     return {"split_sweep.csv": _columns(
         ["split", "J", "outage_sum_rate"],
-        split_sweep(scn, splits, coop_counts, n=n, seed=cfg.seed))}
+        split_sweep(run.scenario, sweep["splits"], sweep["j_values"], n=run.trials,
+                    seed=run.seed))}
 
 
-def _run_drl_train(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.aerial_scenario()
-    result = train(scn, TrainConfig(**cfg.train), seed=cfg.seed)
+def _run_drl_train(run: Plan) -> Outputs:
+    result = train(run.scenario, run.train, seed=run.seed)
     ma = result.moving_average(100)
     offset = len(result.rewards) - len(ma)
     rows = [(ep, float(r), float(ma[ep - offset]) if ep >= offset else float("nan"))
@@ -214,11 +172,11 @@ def _run_drl_train(cfg: ExperimentConfig) -> Outputs:
             "policy.bin": result.params}
 
 
-def _run_drl_eval(cfg: ExperimentConfig) -> Outputs:
-    scn = cfg.aerial_scenario()
-    params = load_params(cfg.checkpoint)
-    check_checkpoint(params, scn, TrainConfig(**cfg.train), cfg.checkpoint)
-    ev = evaluate(scn, params, seed=cfg.seed, episodes=DRL_EVAL_EPISODES)
+def _run_drl_eval(run: Plan) -> Outputs:
+    scn = run.scenario
+    params = load_params(run.checkpoint)
+    check_checkpoint(params, scn, run.train, run.checkpoint)
+    ev = evaluate(scn, params, seed=run.seed, episodes=run.episodes)
     user_cols = [f"rate_center{i + 1}" for i in range(scn.n_bs)] + ["rate_edge"]
     return {
         "trajectory.csv": (
@@ -247,14 +205,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Run the experiment, then write its outputs; return their paths,
     manifest.cfg first.
 
-    The runner computes every output in memory. Only once it has returned is
+    The runner of cfg's kind maps `plan(cfg)` to every output, in memory;
+    it reads the plan, never the config. Only once it has returned is
     `cfg.out` created and each output written, in the runner's order,
     followed by manifest.cfg; running the manifest reproduces the outputs
     byte-for-byte. A run that fails therefore creates and writes nothing. An
     I/O error while writing (a full disk, `out` naming a file) can still
     leave the outputs written before it.
     """
-    outputs = _RUNNERS[cfg.kind](cfg)
+    outputs = _RUNNERS[cfg.kind](plan(cfg))
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []

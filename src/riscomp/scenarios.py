@@ -277,6 +277,11 @@ class AerialScenario(LinkBudget, RicianLinks):
             raise ValueError("episode length must be >= 1")
         if not 0.5 < self.default_alloc < 1.0:
             raise ValueError("default allocation factor must lie in (0.5, 1)")
+        start = np.asarray(self.uav_start, dtype=float)  # measured as ArisEnv does
+        if not all(float(np.linalg.norm(start - np.asarray(o[:2], dtype=float))) >= self.d_min
+                   for o in self.obstacle_positions):
+            raise ValueError(f"d_min = {self.d_min!r}: the UAV start {tuple(self.uav_start)} "
+                             "lies within d_min of an obstacle")
 
     @property
     def n_bs(self) -> int:

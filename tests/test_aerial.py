@@ -277,6 +277,19 @@ def test_center_count_must_match_bs_count():
         AerialScenario(bs_positions=bs)
 
 
+def test_start_within_d_min_of_an_obstacle_refused():
+    # The tiny scenario's obstacle is at (-15, 10) and d_min is 10: the
+    # scenario refuses a start 9.5 m away, so no env can start there.
+    with pytest.raises(ValueError, match=r"d_min = 10\.0: the UAV start \(-15\.0, 0\.5\) "
+                                         r"lies within d_min of an obstacle"):
+        tiny_aerial_scenario(uav_start=(-15.0, 0.5))
+    scn = tiny_aerial_scenario(uav_start=(-15.0, 0.0))  # exactly d_min away
+    env = ArisEnv(scn, seed=0)
+    state = env.reset()
+    assert state.obstacle_dists[0, 0] == scn.d_min
+    assert env._safe(state.uav_xy[0])
+
+
 @pytest.mark.parametrize("k, oma", [(0, False), (4, False), (4, True)])
 def test_lockstep_episodes_equal_episodes_one_at_a_time(k, oma):
     # Two rounds of 3 and 2 episodes in lockstep against the same five

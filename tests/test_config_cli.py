@@ -20,6 +20,7 @@ from riscomp.config import (
 from riscomp.montecarlo import KS_MIN_SAMPLES
 from riscomp.moppo import TrainConfig
 from riscomp.quadrature import QuadratureError
+from riscomp.scenarios import AerialScenario, tiny_aerial_scenario
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -27,7 +28,7 @@ def test_empty_file_gives_defaults(tmp_path):
     path.write_text("")
     cfg = load_config(path)
     assert cfg.kind == "pdf-validation"
-    scn = cfg.coordinated_scenario()
+    scn = config_module.plan(cfg).scenario
     # Defaults trace the two-cell setup: exponents and allocation factors.
     assert scn.alpha_edge == 3.5
     assert scn.zeta_center == 0.3
@@ -630,6 +631,43 @@ def test_ee_power_of_an_unused_scenario_p_t_not_checked():
     from_mapping({"kind": "ee-sweep", "scenario.p_t_dbm": -4000.0, "sweep.p_t_dbm": [0.0]})
 
 
+@pytest.mark.parametrize("kind", ["drl-train", "drl-eval"])
+def test_cli_validate_rejects_a_start_within_d_min(tmp_path, capsys, kind):
+    # It used to validate and then fail at run time naming no key.
+    errors, path = _validate_error_lines(
+        tmp_path, capsys, f"kind = {kind}\ncheckpoint = p.bin\nscenario.tiny = true\n"
+                          "scenario.d_min = 1000\n")
+    assert len(errors) == 1
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).splitlines()[1:] == [
+        "  d_min = 1000.0: the UAV start (-40.0, -40.0) lies within d_min of an obstacle"]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_configured_start_is_checked_not_the_default_one():
+    # At d_min = 60 the tiny scenario's default start (-40, -40) lies 55.9 m
+    # from the obstacle at (-15, 10); the configured (45, -45) lies 81.4 m away.
+    cfg = {"kind": "drl-train", "scenario.tiny": True, "scenario.d_min": 60.0}
+    with pytest.raises(ConfigError, match=r"UAV start \(-40\.0, -40\.0\)"):
+        from_mapping(cfg)
+    from_mapping({**cfg, "scenario.uav_start_x": 45.0, "scenario.uav_start_y": -45.0})
+
+
+def test_default_j_axis_is_not_built_to_bound_it():
+    # An ee-sweep without axes sweeps J = 1..I; at I = 10^12 the cells alone
+    # are refused, and the axis is never listed.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"scenario\.n_cells: 1000000000000 cells need"):
+            from_mapping({"kind": "ee-sweep", "scenario.n_cells": 10**12, "scenario.n_coop": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_cli_validate_rejects_pdf_validation_below_ks_minimum(tmp_path, capsys):
     errors, path = _validate_error_lines(
         tmp_path, capsys, "kind = pdf-validation\ntrials = 10\n")
@@ -739,6 +777,16 @@ def _manifest_safe(text):
     return text == text.strip() and len(text.splitlines()) <= 1
 
 
+def _start_within_d_min(flat):
+    """Whether the aerial scenario of flat starts the UAV within d_min of an
+    obstacle."""
+    scn = tiny_aerial_scenario() if flat.get("scenario.tiny") else AerialScenario()
+    x = flat.get("scenario.uav_start_x", scn.uav_start[0])
+    y = flat.get("scenario.uav_start_y", scn.uav_start[1])
+    d_min = flat.get("scenario.d_min", scn.d_min)
+    return any(math.hypot(x - ox, y - oy) < d_min for ox, oy in scn.obstacle_positions)
+
+
 @given(kind=st.sampled_from(config_module.KINDS), data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_dump_parse_roundtrip_property(kind, data):
@@ -773,6 +821,11 @@ def test_dump_parse_roundtrip_property(kind, data):
     if kind == "ee-sweep" and {"sweep.p_t_dbm", "sweep.r_th_values"} <= flat.keys() and (
             flat.keys() & {"sweep.j_values", "sweep.k_values"}):
         with pytest.raises(ConfigError, match=r"\n  sweep\.[jk]_values: not read"):
+            from_mapping(flat)
+        return
+    if kind in ("drl-train", "drl-eval") and _start_within_d_min(flat):
+        with pytest.raises(ConfigError, match=r"\n  d_min = .*: the UAV start .* lies within "
+                                              r"d_min of an obstacle"):
             from_mapping(flat)
         return
     try:
@@ -812,7 +865,7 @@ def test_accepted_multicell_configs_run_property(kind, data):
         cfg = from_mapping(flat)
     except ConfigError:
         return
-    experiments._RUNNERS[kind](cfg)
+    experiments._RUNNERS[kind](config_module.plan(cfg))
 
 
 @pytest.mark.parametrize("line, key, value", [

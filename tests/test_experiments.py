@@ -7,7 +7,7 @@ import pytest
 from riscomp import experiments
 from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
-from riscomp.config import from_mapping, load_config
+from riscomp.config import from_mapping, load_config, plan
 from riscomp.experiments import PRESETS, reproduce, run_experiment
 from riscomp.montecarlo import ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
@@ -44,7 +44,7 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     cfg, outputs = _run(tmp_path, "ks", {"kind": "pdf-validation", "seed": 4, "trials": 1200})
     with open(outputs[1], newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    scn = cfg.coordinated_scenario()
+    scn = plan(cfg).scenario
     dists = coordinated_distributions(scn)
     laws = {"center1_own": dists.center_own[0], "center1_sic": dists.center_sic[0],
             "center2_own": dists.center_own[1], "center2_sic": dists.center_sic[1],
@@ -144,16 +144,16 @@ def test_presets_all_validate():
 
 def test_preset_parameters():
     fig42 = reproduce("fig4.2")
-    scn = fig42.multicell_scenario()
+    scn = plan(fig42).scenario
     assert scn.n_cells == 6
     assert scn.k_elements == 70
     assert scn.p_t_dbm == 0.0
     fig34 = reproduce("fig3.4")
-    scn34 = fig34.coordinated_scenario()
+    scn34 = plan(fig34).scenario
     assert scn34.thresholds_db == (0.0, 0.0)
     assert scn34.threshold_edge == 1.0
     fig52 = reproduce("fig5.2")
-    aerial = fig52.aerial_scenario()
+    aerial = plan(fig52).scenario
     assert aerial.k_elements == 120
     assert aerial.t_slots == 250
     assert fig52.train["episodes"] == 750
@@ -165,7 +165,7 @@ def test_split_sweep_default_j_is_distinct_and_positive(n_cells, j_default):
     cfg = from_mapping({"kind": "split-sweep", "trials": 1, "scenario.n_cells": n_cells,
                         "scenario.n_coop": 1, "scenario.k_elements": 4,
                         "sweep.splits": [0.5]})
-    header, rows = experiments._run_split_sweep(cfg)["split_sweep.csv"]
+    header, rows = experiments._run_split_sweep(plan(cfg))["split_sweep.csv"]
     assert [row[header.index("J")] for row in rows] == j_default
 
 
@@ -252,3 +252,52 @@ def test_drl_eval_rejects_checkpoint_of_other_width(tmp_path, monkeypatch, capsy
     assert len(err) == 1 and err[0].startswith("error:")
     assert "array w1 has shape (8, 9)" in err[0] and "need (16, 9)" in err[0]
     assert not (tmp_path / "eval" / "trajectory.csv").exists()
+
+
+# The CSV and column to which each kind writes the values of each sweep axis.
+_AXIS_COLUMNS = {
+    "pdf-validation": {},
+    "er-sweep": {"p_t_dbm": ("ergodic_rates.csv", "p_t_dbm")},
+    "outage-sweep": {"p_t_dbm": ("outage.csv", "p_t_dbm")},
+    "exhaustive-star": {"assignment_values": ("exhaustive_star.csv", "k1"),
+                        "beta_t_values": ("exhaustive_star.csv", "beta_t")},
+    "ee-sweep": {"j_values": ("ee_sweep_j.csv", "value")},
+    "osum-sweep": {"p_t_dbm": ("outage_sum_rate.csv", "p_t_dbm")},
+    "split-sweep": {"splits": ("split_sweep.csv", "split"), "j_values": ("split_sweep.csv", "J")},
+    "drl-train": {},
+    "drl-eval": {},
+}
+_TINY_DRL = {"scenario.tiny": True, "scenario.k_elements": 2, "scenario.t_slots": 4,
+             "train.episodes": 2, "train.episodes_per_update": 1, "train.hidden": 4,
+             "train.head_hidden": 4}
+
+
+@pytest.mark.parametrize("kind", list(_AXIS_COLUMNS))
+def test_the_plan_is_what_runs(tmp_path, kind):
+    """With no sweep.* keys every kind runs its defaults, as its plan lists
+    them: each axis's values are written to its CSV column in plan order."""
+    mapping = {"kind": kind, "trials": 100 if kind == "pdf-validation" else 1}
+    if kind.startswith("drl-"):
+        mapping.update(_TINY_DRL)
+    if kind == "drl-eval":
+        _run(tmp_path, "train", {**mapping, "kind": "drl-train"})
+        mapping["checkpoint"] = str(tmp_path / "train" / "policy.bin")
+    cfg, outputs = _run(tmp_path, "run", mapping)
+    run = plan(cfg)
+    tables = {p.name: list(csv.DictReader(p.open())) for p in outputs[1:] if p.suffix == ".csv"}
+    files = {name for name, _ in _AXIS_COLUMNS[kind].values()}
+    assert files <= tables.keys()
+    assert [axis for sweep in run.sweeps for axis in sweep] == list(_AXIS_COLUMNS[kind])
+    for sweep in run.sweeps:
+        for axis, values in sweep.items():
+            name, column = _AXIS_COLUMNS[kind][axis]
+            written = [type(values[0])(row[column]) for row in tables[name]]
+            assert list(dict.fromkeys(written)) == list(values)
+    if kind == "ee-sweep":
+        assert sorted(tables) == ["ee_sweep_j.csv"]
+    if kind == "pdf-validation":
+        assert {int(row["n"]) for row in tables["ks_table.csv"]} == {run.trials}
+    if kind == "drl-train":
+        assert len(tables["learning_curve.csv"]) == run.train.episodes
+    if kind == "drl-eval":
+        assert len(tables["trajectory.csv"]) == run.episodes * run.scenario.t_slots == 40

@@ -9,7 +9,7 @@ from scipy import special as sp
 import oracles
 from riscomp import special
 from riscomp.analysis import coordinated_distributions
-from riscomp.config import from_mapping
+from riscomp.config import from_mapping, plan
 from riscomp.experiments import PRESETS
 from riscomp.montecarlo import run_trials
 from riscomp.special import betainc_reg, betaln, gammainc_lower_reg
@@ -82,7 +82,7 @@ def _fig32_laws_and_points():
     at the preset's Monte Carlo samples (preset seed, 2,000 trials): the five
     laws under fitted coupling, then under physical, as the KS table runs."""
     cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
-    scn = cfg.coordinated_scenario()
+    scn = plan(cfg).scenario
     dists = coordinated_distributions(scn)
     laws = [(dists.center_own[0], "center1_own"), (dists.center_sic[0], "center1_sic"),
             (dists.center_own[1], "center2_own"), (dists.center_sic[1], "center2_sic"),
