@@ -14,22 +14,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
-from .config import ConfigError, dump_config, load_config, validate
-from .experiments import PRESETS, reproduce, run_experiment
+from .config import ConfigError, dump_config, from_mapping, load_config, parse_text
+from .experiments import PRESETS, preset, run_experiment
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.out is not None:
-        cfg.out = args.out
-    elif cfg.out == "runs" and os.environ.get("RISCOMP_OUTDIR"):
-        cfg.out = os.environ["RISCOMP_OUTDIR"]
-    validate(cfg)
-    return cfg
+def _config(args):
+    """The config of a run or reproduce command: the file's or the preset's
+    keys with --seed, --trials and --out applied, and RISCOMP_OUTDIR where
+    there is no --out and out is absent or `runs`, typed and validated
+    once."""
+    flat = (parse_text(Path(args.config).read_text()) if args.command == "run"
+            else preset(args.figure))
+    for key in ("seed", "trials", "out"):
+        if getattr(args, key) is not None:
+            flat[key] = getattr(args, key)
+    if args.out is None and flat.get("out", "runs") == "runs" and os.environ.get("RISCOMP_OUTDIR"):
+        flat["out"] = os.environ["RISCOMP_OUTDIR"]
+    return from_mapping(flat)
 
 
 def _add_common(p):
@@ -63,9 +66,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("run", "reproduce"):
-            cfg = (load_config(args.config) if args.command == "run"
-                   else reproduce(args.figure))
-            for path in run_experiment(_apply_overrides(cfg, args)):
+            for path in run_experiment(_config(args)):
                 print(path)
             return 0
         if args.command == "validate":

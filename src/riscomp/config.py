@@ -508,8 +508,7 @@ def _fit_errors(run: Plan) -> list[str]:
 
 def validate(cfg: ExperimentConfig) -> None:
     """Range and invariant checks of cfg, then checks over its plan: each
-    sees exactly the points the run will take. Also re-run after the CLI
-    overrides fields."""
+    sees exactly the points the run will take."""
     # The checks below do float arithmetic, which such integers would crash.
     errors = _int_range_errors(cfg)
     if errors:
@@ -560,8 +559,8 @@ def validate(cfg: ExperimentConfig) -> None:
                       "so no update round fills and the policy is never trained")
     try:
         run = _plan(cfg, _scenario(cfg), tc)
-    except (TypeError, ValueError) as exc:
-        errors.append(str(exc))
+    except (TypeError, ValueError) as exc:  # a scenario lists each problem on a line
+        errors.extend(str(exc).splitlines())
     else:
         # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
         read = {name for sweep in run.sweeps for name in sweep}

@@ -2,11 +2,13 @@
 assignment (enhancement / cancellation) experiments.
 
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
-RIS links), assigns per-RIS phases according to the network configuration,
-and aggregates rates and outage over trials into one Aggregates record per
-access scheme (NOMA, and the OMA baseline on the same draws); energy
-efficiency is formed from the trial-averaged NOMA record and the powers of
-the point's scenario (ratio of means). A sweep, over K too, hands its points
+RIS links), assigns per-RIS phases according to the network configuration
+(random phases become unit phasors by the tangent half-angle identity,
+ris.phasors: one vectorized tan, not libm's cos and sin), and aggregates
+rates and outage over trials into one Aggregates record per access scheme
+(NOMA, and the OMA baseline on the same draws); energy efficiency is formed
+from the trial-averaged NOMA record and the powers of the point's scenario
+(ratio of means). A sweep, over K too, hands its points
 to one simulate_network call: each chunk's normals are drawn once and shared
 by every point and mode, each element count K reading its own prefix of
 them, and each K's element-axis reductions are formed once, in trial
@@ -27,6 +29,7 @@ import numpy as np
 from . import kernels
 from .channel import substream
 from .montecarlo import CHUNK
+from .ris import phasors
 from .scenarios import MultiCellScenario
 
 _STREAM_MC = 301
@@ -139,8 +142,9 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
     for t0 in range(0, m, step):
         t = slice(t0, t0 + step)
         shape = br_re[t].shape
-        # casc = (g conj(h_ru)) h_br and rnd = cos(phi) + j sin(phi) by the
-        # whole-chunk operations, holding few block-sized arrays at once.
+        # casc = (g conj(h_ru)) h_br and rnd = e^{j phi} (ris.phasors, by
+        # the tangent half-angle identity) by whole-block operations,
+        # holding few block-sized arrays at once.
         casc = _rician(ru_re[t], ru_im[t], w_los, w_nlos, np.empty(shape, complex))
         np.conjugate(casc, out=casc)
         np.multiply(casc, g_casc, out=casc)
@@ -150,13 +154,10 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
         # stream stays where every K's center gains expect it; only code 1
         # (random phases) turns them into phasors.
         phi = rng.uniform(-math.pi, math.pi, shape)
-        rnd = None
-        if 1 in codes:
-            rnd = np.empty(shape, complex)
-            rnd.real = np.cos(phi)
-            rnd.imag = np.sin(phi)
+        rnd = phasors(phi, np.empty(shape, complex)) if 1 in codes else None
         del phi
         codes_t, splits_t = kernels.multicell_edge_gains(ed[t], casc, rnd, codes, n_cos)
+        del casc, rnd  # before the next block allocates its own
         for full, part in ((by_code, codes_t), (by_split, splits_t)):
             for key, g in part.items():
                 full[key][t] = g
@@ -181,8 +182,11 @@ def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
     float arrays for the edge-direct links, each mode's edge gains, the
     center SINRs and the temporaries of their sums; one more (m, I) array of
     edge gains per distinct split count ceil(split K), of which there are at
-    most min(n_splits, k_max + 1); and one trial block's arrays, at most 8
-    complex arrays of max(_BLOCK, I k_max) entries."""
+    most min(n_splits, k_max + 1); and one trial block's arrays, bounded by
+    8 complex arrays of max(_BLOCK, I k_max) entries: at most 3.5 are held
+    at once, the cascade and the phasors with either the phases and
+    ris.phasors' two real temporaries or the kernel's element-major buffer
+    and its one real temporary."""
     m = min(n, CHUNK)
     per_cell = 16 + min(n_splits, k_max + 1)
     return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2

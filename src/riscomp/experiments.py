@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
-from .config import ConfigError, ExperimentConfig, Plan, dump_config, from_mapping, plan
+from .config import ConfigError, ExperimentConfig, Plan, dump_config, plan
 from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
 from .montecarlo import estimate_ergodic_rate, estimate_outage, ks_statistic, run_trials
 from .moppo import PolicyParams, check_checkpoint, evaluate, load_params, save_params, train
@@ -339,10 +339,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def reproduce(figure_id: str) -> ExperimentConfig:
-    """Preset config for a figure-style experiment id (e.g. 'fig4.2')."""
+def preset(figure_id: str) -> dict:
+    """A copy of the flat config mapping of a figure-style experiment id
+    (e.g. 'fig4.2'); `config.from_mapping` types and validates it."""
     if figure_id not in PRESETS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; available: {', '.join(sorted(PRESETS))}"
         )
-    return from_mapping(dict(PRESETS[figure_id]))
+    return dict(PRESETS[figure_id])

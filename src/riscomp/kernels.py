@@ -66,8 +66,8 @@ def multicell_edge_gains(ed, casc, rnd, codes, n_cos=()):
     each RIS assignment; the only multicell code that walks the element axis.
 
     ed: (n, I) complex direct links, casc: (n, I, K) complex cascade products,
-    rnd: (n, I, K) random unit phasors, read only for code 1 (None when
-    codes lacks it). codes: the mode codes to form, of
+    rnd: (n, I, K) random unit phasors e^{j phi} (ris.phasors), read only
+    for code 1 (None when codes lacks it). codes: the mode codes to form, of
     0 no-RIS |h|^2, 1 random phases |h + sum_k rnd_k casc_k|^2,
     2 enhancement (|h| + S)^2 and 3 cancellation (|h| - S)^2 with
     S = sum_k |casc_k|. n_cos: element splits, each the gain

@@ -62,6 +62,14 @@ class RicianLinks:
         return w_los, math.sqrt(1.0 / (1.0 + kappa))
 
 
+def _refuse(checks) -> None:
+    """Raise one ValueError naming every failed check of a scenario, one per
+    line; checks are (message, holds) pairs."""
+    problems = [message for message, holds in checks if not holds]
+    if problems:
+        raise ValueError("\n".join(problems))
+
+
 @dataclass(frozen=True)
 class CoordinatedScenario(LinkBudget):
     """Two-cell STAR-RIS coordinated NOMA cluster.
@@ -107,19 +115,20 @@ class CoordinatedScenario(LinkBudget):
     thresholds_db: tuple[float, float] = (0.0, 0.0)  # (center, edge) SINR thresholds
 
     def __post_init__(self):
-        if self.k_elements < 0:
-            raise ValueError("k_elements must be >= 0")
-        for key in ("m_direct", "m_bs_ris", "m_ris_user"):
-            if not getattr(self, key) >= 0.5:
-                raise ValueError(f"{key} = {getattr(self, key)!r}: Nakagami shape must be >= 0.5")
-        if abs(self.beta_t + self.beta_r - 1.0) > 1e-12:
-            raise ValueError("beta_t + beta_r must equal 1")
-        if min(self.assignment) < 0 or sum(self.assignment) != self.k_elements:
-            raise ValueError("assignment entries must be >= 0 and sum to k_elements")
-        if not 0.0 < self.zeta_center < 0.5 < self.zeta_edge < 1.0:
-            raise ValueError("allocation factors violate the decoding order")
-        if abs(self.zeta_center + self.zeta_edge - 1.0) > 1e-12:
-            raise ValueError("allocation factors must sum to 1")
+        k = self.k_elements
+        _refuse([
+            ("k_elements must be >= 0", k >= 0),
+            *((f"{key} = {getattr(self, key)!r}: Nakagami shape must be >= 0.5",
+               getattr(self, key) >= 0.5) for key in ("m_direct", "m_bs_ris", "m_ris_user")),
+            ("beta_t + beta_r must equal 1", not abs(self.beta_t + self.beta_r - 1.0) > 1e-12),
+            # The assignment is checked against K only where K itself is valid.
+            ("assignment entries must be >= 0 and sum to k_elements",
+             k < 0 or (min(self.assignment) >= 0 and sum(self.assignment) == k)),
+            ("allocation factors violate the decoding order",
+             0.0 < self.zeta_center < 0.5 < self.zeta_edge < 1.0),
+            ("allocation factors must sum to 1",
+             not abs(self.zeta_center + self.zeta_edge - 1.0) > 1e-12),
+        ])
 
     @property
     def threshold_center(self) -> float:
@@ -205,14 +214,12 @@ class MultiCellScenario(LinkBudget, RicianLinks):
     element_power_dbm: float = 5.0
 
     def __post_init__(self):
-        if not 1 <= self.n_coop <= self.n_cells:
-            raise ValueError("cooperative set must satisfy 1 <= J <= I")
-        if self.k_elements < 0:
-            raise ValueError("k_elements must be >= 0")
-        if not 0.5 < self.zeta_edge < 1.0:
-            raise ValueError("edge allocation factor must lie in (0.5, 1)")
-        if not 0 < self.amp_efficiency <= 1:
-            raise ValueError("amplifier efficiency must lie in (0, 1]")
+        _refuse([
+            ("cooperative set must satisfy 1 <= J <= I", 1 <= self.n_coop <= self.n_cells),
+            ("k_elements must be >= 0", self.k_elements >= 0),
+            ("edge allocation factor must lie in (0.5, 1)", 0.5 < self.zeta_edge < 1.0),
+            ("amplifier efficiency must lie in (0, 1]", 0 < self.amp_efficiency <= 1),
+        ])
 
     @property
     def static_power_w(self) -> float:
@@ -258,30 +265,28 @@ class AerialScenario(LinkBudget, RicianLinks):
     oma: bool = False
 
     def __post_init__(self):
-        if len(self.center_positions) != len(self.bs_positions):
-            raise ValueError("one center user per BS required")
         half = self.half_extent
-        for p in (*self.bs_positions, *self.center_positions, self.edge_position):
-            if abs(p[0]) > half or abs(p[1]) > half:
-                raise ValueError("entity outside the operating area")
-        for p in self.obstacle_positions:
-            if abs(p[0]) > half or abs(p[1]) > half:
-                raise ValueError("obstacle outside the operating area")
-        if not (abs(self.uav_start[0]) <= half and abs(self.uav_start[1]) <= half):
-            raise ValueError("UAV start outside the operating area")
-        if self.d_min <= 0:
-            raise ValueError("d_min must be positive")
-        if self.k_elements < 0:
-            raise ValueError("k_elements must be >= 0")
-        if self.t_slots < 1:
-            raise ValueError("episode length must be >= 1")
-        if not 0.5 < self.default_alloc < 1.0:
-            raise ValueError("default allocation factor must lie in (0.5, 1)")
+
+        def inside(p) -> bool:
+            return abs(p[0]) <= half and abs(p[1]) <= half
+
         start = np.asarray(self.uav_start, dtype=float)  # measured as ArisEnv does
-        if not all(float(np.linalg.norm(start - np.asarray(o[:2], dtype=float))) >= self.d_min
-                   for o in self.obstacle_positions):
-            raise ValueError(f"d_min = {self.d_min!r}: the UAV start {tuple(self.uav_start)} "
-                             "lies within d_min of an obstacle")
+        _refuse([
+            ("one center user per BS required",
+             len(self.center_positions) == len(self.bs_positions)),
+            ("entity outside the operating area",
+             all(map(inside, (*self.bs_positions, *self.center_positions, self.edge_position)))),
+            ("obstacle outside the operating area", all(map(inside, self.obstacle_positions))),
+            ("UAV start outside the operating area", inside(self.uav_start)),
+            ("d_min must be positive", not self.d_min <= 0),
+            ("k_elements must be >= 0", self.k_elements >= 0),
+            ("episode length must be >= 1", self.t_slots >= 1),
+            ("default allocation factor must lie in (0.5, 1)", 0.5 < self.default_alloc < 1.0),
+            (f"d_min = {self.d_min!r}: the UAV start {tuple(self.uav_start)} lies within "
+             "d_min of an obstacle",
+             all(float(np.linalg.norm(start - np.asarray(o[:2], dtype=float))) >= self.d_min
+                 for o in self.obstacle_positions)),
+        ])
 
     @property
     def n_bs(self) -> int:

@@ -54,7 +54,7 @@ from riscomp.moppo import (
 )
 from riscomp.montecarlo import CHUNK
 from riscomp.quadrature import integrate
-from riscomp.ris import wrap_phase
+from riscomp.ris import phasors, wrap_phase
 from riscomp.scenarios import AerialScenario, MultiCellScenario
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
 
@@ -629,7 +629,7 @@ def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     )
     casc = (g_br * g_ru) * np.conj(h_ru) * h_br
     phi = rng.uniform(-math.pi, math.pi, shape)
-    rnd = np.cos(phi) + 1j * np.sin(phi)
+    rnd = phasors(phi, np.empty(shape, complex))
     hij = sqrt_half * (
         rng.standard_normal((m, n_cells, n_cells))
         + 1j * rng.standard_normal((m, n_cells, n_cells))

@@ -20,7 +20,12 @@ from riscomp.config import (
 from riscomp.montecarlo import KS_MIN_SAMPLES
 from riscomp.moppo import TrainConfig
 from riscomp.quadrature import QuadratureError
-from riscomp.scenarios import AerialScenario, tiny_aerial_scenario
+from riscomp.scenarios import (
+    AerialScenario,
+    CoordinatedScenario,
+    MultiCellScenario,
+    tiny_aerial_scenario,
+)
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -953,3 +958,58 @@ def test_preset_dump_roundtrips_with_schema_types(name):
             assert all(type(v) is config_module._SWEEP_KEYS[key][0] for v in values), key
         for key, value in c.train.items():
             assert type(value) is config_module._TRAIN_KEYS[key], key
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["run", "{cfg}"], False),
+    (["run", "{cfg}", "--seed", "4", "--trials", "200", "--out", "{tmp}/o"], False),
+    (["run", "{cfg}"], True),
+    (["reproduce", "fig3.5"], False),
+    (["reproduce", "fig3.4", "--seed", "2", "--trials", "100", "--out", "{tmp}/o"], False),
+    (["reproduce", "fig3.5"], True),
+])
+def test_cli_validates_once_per_run(tmp_path, monkeypatch, argv, env):
+    # The overrides are applied to the config's keys before they are typed,
+    # so the config is validated once, not again after the overrides.
+    calls = []
+    real = config_module.validate
+    monkeypatch.setattr(config_module, "validate", lambda cfg: calls.append(cfg) or real(cfg))
+    monkeypatch.chdir(tmp_path)
+    if env:
+        monkeypatch.setenv("RISCOMP_OUTDIR", str(tmp_path / "env"))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("kind = pdf-validation\ntrials = 100\nout = runs\n")
+    assert main([a.format(cfg=cfg, tmp=tmp_path) for a in argv]) == 0
+    assert len(calls) == 1
+    out = tmp_path / ("o" if "--out" in argv else "env" if env else "runs")
+    assert (out / "manifest.cfg").exists()
+
+
+def test_cli_validate_lists_every_scenario_problem(tmp_path, capsys):
+    errors, _ = _validate_error_lines(
+        tmp_path, capsys, "kind = drl-train\nscenario.tiny = true\nscenario.k_elements = -1\n"
+                          "scenario.default_alloc = 0.3\n")
+    assert errors == ["error: config validation failed:"]
+    path = tmp_path / "c.cfg"
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).splitlines()[1:] == [
+        "  k_elements must be >= 0", "  default allocation factor must lie in (0.5, 1)"]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CoordinatedScenario(beta_t=0.6), "beta_t + beta_r must equal 1"),
+    (lambda: CoordinatedScenario(assignment=(1, 2)),
+     "assignment entries must be >= 0 and sum to k_elements"),
+    (lambda: CoordinatedScenario(zeta_center=0.2), "allocation factors must sum to 1"),
+    (lambda: MultiCellScenario(n_coop=7), "cooperative set must satisfy 1 <= J <= I"),
+    (lambda: MultiCellScenario(zeta_edge=0.5), "edge allocation factor must lie in (0.5, 1)"),
+    (lambda: AerialScenario(uav_start=(90.0, 0.0)), "UAV start outside the operating area"),
+    (lambda: AerialScenario(t_slots=0), "episode length must be >= 1"),
+])
+def test_a_single_scenario_violation_keeps_its_message(make, message):
+    # Negative K, a bad Nakagami shape, the amplifier efficiency and the
+    # start clearance have their own tests above.
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

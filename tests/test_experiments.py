@@ -8,7 +8,7 @@ from riscomp import experiments
 from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
 from riscomp.config import from_mapping, load_config, plan
-from riscomp.experiments import PRESETS, reproduce, run_experiment
+from riscomp.experiments import PRESETS, preset, run_experiment
 from riscomp.montecarlo import ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import tiny_aerial_scenario
@@ -138,21 +138,21 @@ def test_drl_roundtrip(tmp_path):
 
 def test_presets_all_validate():
     for figure in PRESETS:
-        cfg = reproduce(figure)
+        cfg = from_mapping(preset(figure))
         assert cfg.kind in PRESETS[figure]["kind"]
 
 
 def test_preset_parameters():
-    fig42 = reproduce("fig4.2")
+    fig42 = from_mapping(preset("fig4.2"))
     scn = plan(fig42).scenario
     assert scn.n_cells == 6
     assert scn.k_elements == 70
     assert scn.p_t_dbm == 0.0
-    fig34 = reproduce("fig3.4")
+    fig34 = from_mapping(preset("fig3.4"))
     scn34 = plan(fig34).scenario
     assert scn34.thresholds_db == (0.0, 0.0)
     assert scn34.threshold_edge == 1.0
-    fig52 = reproduce("fig5.2")
+    fig52 = from_mapping(preset("fig5.2"))
     aerial = plan(fig52).scenario
     assert aerial.k_elements == 120
     assert aerial.t_slots == 250

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import PhaseMatrix, ec_phases, effective_channel, eo_phases, sample_rayleigh
 from riscomp.channel import substream
-from riscomp.ris import wrap_phase
+from riscomp.ris import phasors, wrap_phase
 from riscomp.scenarios import CoordinatedScenario
 
 
@@ -172,3 +172,20 @@ def test_wrap_phase_just_below_minus_pi():
     assert float(wrap_phase(math.pi)) == -math.pi
     arr = wrap_phase(np.array([_BELOW_MINUS_PI, 1.0, -0.0]))
     assert arr.tobytes() == np.array([-math.pi, 1.0, 0.0]).tobytes()
+
+
+def test_phasors_match_libm_to_the_bound():
+    # The multicell engine's random phasors come from tan, not libm's cos and
+    # sin: each component within 4.5e-16 of them, and |z| within 4.5e-16 of
+    # 1, over the phases rng.uniform(-pi, pi) returns and its edges.
+    edges = [-math.pi, float(np.nextafter(-math.pi, 0.0)), 0.5 * math.pi, -0.5 * math.pi,
+             0.0, 1e-300, -1e-300, float(np.nextafter(math.pi, 0.0))]
+    phi = np.concatenate([substream(5, 2).uniform(-math.pi, math.pi, 10**6), edges])
+    z = phasors(phi, np.empty(phi.shape, complex))
+    assert np.all(np.isfinite(z))
+    assert np.max(np.abs(z.real - np.cos(phi))) <= 4.5e-16
+    assert np.max(np.abs(z.imag - np.sin(phi))) <= 4.5e-16
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 4.5e-16
+    # The edges exactly where the identity is exact: phi = 0 and the tiny
+    # phases, whose t^2 underflows to 0.
+    assert z[-4:-1].tolist() == [1.0, complex(1.0, 1e-300), complex(1.0, -1e-300)]
