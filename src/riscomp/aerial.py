@@ -73,9 +73,9 @@ class MdpAction:
                 move.shape[0] == phases.shape[0] == alloc.shape[0]):
             raise ValueError("an action holds moves (E,), phases (E, K) and allocation "
                              "factors (E, n_bs) of the same E episodes")
-        if move.dtype.kind not in "iu" or ((move < 0) | (move >= len(MOVES))).any():
+        if move.dtype.kind not in "iu" or np.logical_or.reduce((move < 0) | (move >= len(MOVES))):
             raise ValueError("move index out of range")
-        if not ((alloc > 0.5) & (alloc < 1.0)).all():
+        if not np.logical_and.reduce((alloc > 0.5) & (alloc < 1.0), axis=None):
             raise ValueError("allocation factors must lie in (0.5, 1)")
         object.__setattr__(self, "move", move)
         object.__setattr__(self, "phases", phases)
@@ -165,7 +165,7 @@ class ArisEnv:
         key = xy.tobytes()
         dists = self._dist_cache.get(key)
         if dists is None:
-            dists = np.array([[float(np.linalg.norm(xy - o)) for o in self._obstacles]])
+            dists = np.array([[math.sqrt(d.dot(d)) for d in (xy - o for o in self._obstacles)]])
             dists.flags.writeable = False
             _store(self._dist_cache, key, dists)
         return dists
@@ -188,21 +188,21 @@ class ArisEnv:
         """Path amplitudes (1, n_links, 1) and weighted LoS steering vectors
         (1, n_links, K) of the RIS links, BSs first, with the UAV at xy.
 
-        Per-link geometry stays scalar: numpy's vectorized norm, arctan2 and
-        power round some inputs differently.
+        Per-link distances, angles and powers stay scalar: numpy's vectorized
+        norm, arctan2 and power round some inputs differently. Each distance
+        is sqrt(v.dot(v)), which is how np.linalg.norm(v) computes it; the
+        angles are wrapped and their sines taken in one elementwise call each.
         """
         key = xy.tobytes()
         geometry = self._link_cache.get(key)
         if geometry is None:
             scn = self.scn
             uav = np.array([xy[0], xy[1], scn.ris_altitude])
-            amp, sines = [], []
-            for p in self._bs + self._users:
-                d = float(np.linalg.norm(uav - p))
-                aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
-                amp.append(math.sqrt(scn.gain(d, scn.alpha_ris)))
-                sines.append(np.sin(aoa))
-            los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.array(sines)[:, None])
+            points = self._bs + self._users
+            amp = [math.sqrt(scn.gain(math.sqrt(d.dot(d)), scn.alpha_ris))
+                   for d in (uav - p for p in points)]
+            aoa = wrap_phase([math.atan2(p[1] - uav[1], p[0] - uav[0]) for p in points])
+            los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.sin(aoa)[:, None])
             geometry = (np.array(amp)[None, :, None], self._w_los * los[None])
             _store(self._link_cache, key, geometry)
         return geometry
@@ -323,7 +323,7 @@ class ArisEnv:
             raise ValueError("one allocation factor per BS required")
         candidate = self._pos + self._move_steps[action.move]
         violated = np.array([not self._safe(xy) for xy in candidate])
-        if violated.any():
+        if np.logical_or.reduce(violated):
             candidate[violated] = self._pos[violated]
         self._pos = candidate
         self._alloc = action.alloc_factors.copy()

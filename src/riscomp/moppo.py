@@ -16,6 +16,12 @@ heads only, not the value head. A checkpoint holds the weights only: the
 magic, (version 2, state_dim, n_cont, hidden, head_hidden) as uint32, then
 theta. Only version 2 loads; an older file is refused with its version named.
 
+The training and rollout path calls ufuncs and their methods, not numpy's
+Python-level wrappers (np.mean, np.std, np.clip, np.sum, ...), which at a
+hundred rows cost more than the arithmetic they wrap: `np.add.reduce(x) / n`
+is a mean, `np.minimum(np.maximum(x, lo), hi)` a clip. Each form does the
+wrapper's arithmetic in its order, so the bits are the wrapper's.
+
 There is one agent: it moves the UAV (discrete head) and sets the RIS phases
 and allocation factors (Gaussian head). The exhaustive grid search that the
 acceptance tests compare it against lives with the test oracles.
@@ -165,9 +171,9 @@ def init_policy(
 
 def _softmax(z):
     """Softmax over the last axis, computed in z's own array."""
-    z -= np.max(z, axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -195,7 +201,7 @@ def _policy(params: PolicyParams, x: np.ndarray) -> dict:
     return {"x": x, "t1": t1, "t2": t2, "hd": hd, "hc": hc,
             "probs": _softmax(_linear(hd, w["wdo"], w["bdo"])),
             "mu": _linear(hc, w["wco"], w["bco"]),
-            "std": np.exp(np.clip(w["log_std"], LOG_STD_MIN, LOG_STD_MAX))}
+            "std": np.exp(np.minimum(np.maximum(w["log_std"], LOG_STD_MIN), LOG_STD_MAX))}
 
 
 def forward(params: PolicyParams, states) -> tuple:
@@ -210,7 +216,7 @@ def forward(params: PolicyParams, states) -> tuple:
     tanh(x @ W.T + b). The PPO epochs' KL brake runs the policy heads
     alone (`_policy`), without the value head.
     """
-    x = np.atleast_2d(np.asarray(states, dtype=float))
+    x = np.array(states, dtype=float, copy=None, ndmin=2)
     if x.shape[-1] != params.state_dim:
         raise ValueError(
             f"state dimension {x.shape[-1]} does not match network ({params.state_dim})"
@@ -224,19 +230,20 @@ def forward(params: PolicyParams, states) -> tuple:
 
 def gaussian_logp(x, mu, std):
     z = (x - mu) / std
-    return np.sum(-0.5 * z * z - np.log(std) - 0.5 * _LOG_2PI, axis=-1)
+    return np.add.reduce(-0.5 * z * z - np.log(std) - 0.5 * _LOG_2PI, axis=-1)
 
 
 def _check_probs(probs: np.ndarray) -> None:
     """Raise the ValueError of rng.choice(p=row) unless every row of probs
     is a probability vector: no NaN, no negative entry, a sum within
     sqrt(eps) of 1."""
-    p_sum = probs.sum(axis=-1)
-    if (np.abs(p_sum - 1.0) <= _P_ATOL).all() and probs.min() >= 0.0:
+    p_sum = np.add.reduce(probs, axis=-1)
+    if (np.logical_and.reduce(np.abs(p_sum - 1.0) <= _P_ATOL, axis=None)
+            and np.minimum.reduce(probs, axis=None) >= 0.0):
         return
-    if np.isnan(p_sum).any():
+    if np.logical_or.reduce(np.isnan(p_sum), axis=None):
         raise ValueError("Probabilities contain NaN")
-    if (probs < 0.0).any():
+    if np.logical_or.reduce(probs < 0.0, axis=None):
         raise ValueError("Probabilities are not non-negative")
     raise ValueError("Probabilities do not sum to 1")
 
@@ -252,9 +259,9 @@ def sample_action(probs, mu, std, uniforms, normals):
     same uniform; the rows are checked as rng.choice checks p.
     """
     _check_probs(probs)
-    cdf = np.cumsum(probs, axis=-1)
+    cdf = np.add.accumulate(probs, axis=-1)
     cdf /= cdf[:, -1:]
-    moves = (cdf <= uniforms[:, None]).sum(axis=-1)
+    moves = np.add.reduce(cdf <= uniforms[:, None], axis=-1)
     lp_d = np.log(probs[np.arange(moves.size), moves])
     raw = mu + std * normals
     return moves, raw, lp_d, gaussian_logp(raw, mu, std)
@@ -266,14 +273,20 @@ def to_env_action(moves: np.ndarray, raw: np.ndarray, scenario: AerialScenario) 
     MdpAction), allocation factors squashed into (0.5, 1)."""
     k = scenario.k_elements
     alloc = 0.5 + 0.5 / (1.0 + np.exp(-raw[:, k:]))
-    alloc = np.clip(alloc, 0.5 + 1e-9, 1.0 - 1e-9)
+    np.minimum(np.maximum(alloc, 0.5 + 1e-9, out=alloc), 1.0 - 1e-9, out=alloc)
     return MdpAction(move=moves, phases=raw[:, :k], alloc_factors=alloc)
 
 
 def advantage(rewards, values, dones, gamma: float, t_hat: int) -> np.ndarray:
     """n-step advantage: discounted reward window plus bootstrapped tail value
     minus the current value. Windows truncate at episode ends (terminal value
-    zero); values must carry one extra entry for the post-rollout state."""
+    zero); values must carry one extra entry for the post-rollout state.
+
+    Vectorized over t, one pass per window offset k: window t adds
+    gamma**k * rewards[t + k] at pass k, each power formed by repeated
+    products from 1, so every window sums its terms in the order and with
+    the factors of a scalar loop over k.
+    """
     rewards = np.asarray(rewards, dtype=float)
     values = np.asarray(values, dtype=float)
     dones = np.asarray(dones, dtype=bool)
@@ -282,32 +295,26 @@ def advantage(rewards, values, dones, gamma: float, t_hat: int) -> np.ndarray:
         raise ValueError("values must include the bootstrap entry")
     if t_hat < 1:
         raise ValueError("advantage horizon must be >= 1")
-    adv = np.empty(n)
-    for t in range(n):
-        acc = 0.0
-        g = 1.0
-        terminal = False
-        end = t
-        for k in range(t_hat):
-            if t + k >= n:
-                break
-            acc += g * rewards[t + k]
-            g *= gamma
-            end = t + k + 1
-            if dones[t + k]:
-                terminal = True
-                break
-        if not terminal:
-            acc += g * values[end]
-        adv[t] = acc - values[t]
-    return adv
+    powers = [1.0]
+    for _ in range(min(t_hat, n)):
+        powers.append(powers[-1] * gamma)
+    acc = np.zeros(n)
+    length = np.zeros(n, dtype=int)  # terms in each window
+    live = np.ones(n, dtype=bool)    # windows that no episode end has closed
+    for k in range(min(t_hat, n)):
+        on = live[: n - k]  # the windows t whose term t + k lies in the rollout
+        np.add(acc[: n - k], powers[k] * rewards[k:], out=acc[: n - k], where=on)
+        length[: n - k] += on
+        on &= ~dones[k:n]
+    end = np.arange(n) + length
+    np.add(acc, np.array(powers)[length] * values[end], out=acc, where=~dones[end - 1])
+    return acc - values[:n]
 
 
 def clipped_loss(ratio, adv, eps: float):
     """Per-sample clipped surrogate min(r*A, clip(r, 1-eps, 1+eps)*A)."""
     ratio = np.asarray(ratio, dtype=float)
-    adv = np.asarray(adv, dtype=float)
-    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    clipped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps)
     return np.minimum(ratio * adv, clipped * adv)
 
 
@@ -340,35 +347,38 @@ def objective_and_grads(params: PolicyParams, mb: Minibatch, cfg: TrainConfig):
     probs, mu, std, v, cache = forward(params, mb.states)
     adv = mb.adv
     if cfg.normalize_adv and b > 1:
-        adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
+        # np.std's arithmetic: the deviations from the mean, squared, summed, / b.
+        adv = adv - np.add.reduce(adv) / b
+        adv /= math.sqrt(np.add.reduce(adv * adv) / b) + 1e-8
 
     lp_c = gaussian_logp(mb.raw_actions, mu, std)
     r_c = np.exp(lp_c - mb.logp_c_old)
     mask_c = _surrogate_grad_mask(r_c, adv, cfg.clip_eps)
-    j_cont = float(np.mean(clipped_loss(r_c, adv, cfg.clip_eps)))
-    ent_c = float(np.sum(np.log(std) + 0.5 * (_LOG_2PI + 1.0)))
+    j_cont = float(np.add.reduce(clipped_loss(r_c, adv, cfg.clip_eps))) / b
+    ent_c = float(np.add.reduce(np.log(std) + 0.5 * (_LOG_2PI + 1.0)))
 
     w_c = (mask_c * r_c * adv)[:, None]
     diff = mb.raw_actions - mu
     dmu = w_c * diff / (std**2) / b
     z2 = (diff / std) ** 2
-    dlog_std = np.sum(w_c * (z2 - 1.0), axis=0) / b
+    dlog_std = np.add.reduce(w_c * (z2 - 1.0), axis=0) / b
     dlog_std += cfg.entropy_coef
 
-    lp_d = np.log(probs[np.arange(b), mb.moves])
+    rows = np.arange(b)
+    lp_d = np.log(probs[rows, mb.moves])
     r_d = np.exp(lp_d - mb.logp_d_old)
     mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
-    j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
+    j_disc = float(np.add.reduce(clipped_loss(r_d, adv, cfg.clip_eps))) / b
     log_probs = np.log(probs + 1e-12)
-    h_rows = -np.sum(probs * log_probs, axis=1, keepdims=True)
-    ent_d = float(np.mean(h_rows[:, 0]))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(b), mb.moves] = 1.0
+    h_rows = -np.add.reduce(probs * log_probs, axis=1, keepdims=True)
+    ent_d = float(np.add.reduce(h_rows[:, 0])) / b
+    onehot = np.zeros(probs.shape)
+    onehot[rows, mb.moves] = 1.0
     dlogits = (mask_d * r_d * adv)[:, None] * (onehot - probs) / b
     dlogits += cfg.entropy_coef * (-probs * (log_probs + h_rows)) / b
 
     v_err = v - mb.v_target
-    j_value = float(np.mean(v_err**2))
+    j_value = float(np.add.reduce(v_err * v_err)) / b
     dv = -2.0 * cfg.value_coef * v_err / b
 
     j = (
@@ -394,11 +404,11 @@ def _head_grads(g, head, d_out, h, w_out, t2):
     the hidden layer, (d_out @ w_out) * (1 - h**2), formed in place (h is
     overwritten)."""
     np.matmul(d_out.T, h, out=g[f"w{head}o"])
-    np.sum(d_out, axis=0, out=g[f"b{head}o"])
+    np.add.reduce(d_out, axis=0, out=g[f"b{head}o"])
     d_h = d_out @ w_out
     _times_tanh_slope(d_h, h)
     np.matmul(d_h.T, t2, out=g[f"w{head}"])
-    np.sum(d_h, axis=0, out=g[f"b{head}"])
+    np.add.reduce(d_h, axis=0, out=g[f"b{head}"])
     return d_h
 
 
@@ -423,11 +433,11 @@ def _backward(params, cache, dlogits, dmu, dlog_std, dv):
     d_t2 += d_hv @ w["wv"]
     _times_tanh_slope(d_t2, t2)
     np.matmul(d_t2.T, t1, out=g["w2"])
-    np.sum(d_t2, axis=0, out=g["b2"])
+    np.add.reduce(d_t2, axis=0, out=g["b2"])
     d_t1 = d_t2 @ w["w2"]
     _times_tanh_slope(d_t1, t1)
     np.matmul(d_t1.T, x, out=g["w1"])
-    np.sum(d_t1, axis=0, out=g["b1"])
+    np.add.reduce(d_t1, axis=0, out=g["b1"])
     g["log_std"][...] = dlog_std
 
 
@@ -441,8 +451,8 @@ def update(params: PolicyParams, mb: Minibatch, cfg: TrainConfig) -> PolicyParam
     """
     j, grads, info = objective_and_grads(params, mb, cfg)
     g = params.grad
-    if not np.all(np.isfinite(g)):
-        bad = next(k for k in _BACKPROP_ORDER if not np.all(np.isfinite(grads[k])))
+    if not np.logical_and.reduce(np.isfinite(g)):
+        bad = next(k for k in _BACKPROP_ORDER if not np.isfinite(grads[k]).all())
         raise RuntimeError(f"non-finite gradient in {bad}: objective parts {info}")
     params.step += 1
     t = params.step
@@ -464,7 +474,7 @@ def update(params: PolicyParams, mb: Minibatch, cfg: TrainConfig) -> PolicyParam
     np.divide(s1, s2, out=s1)
     np.subtract(params.theta, s1, out=params.theta)
     log_std = params.weights["log_std"]
-    np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX, out=log_std)
+    np.minimum(np.maximum(log_std, LOG_STD_MIN, out=log_std), LOG_STD_MAX, out=log_std)
     return params
 
 
@@ -505,8 +515,10 @@ def _net_input(svec: np.ndarray, scale: np.ndarray, t: int, t_total: int) -> np.
     remaining-time feature. The value of a fixed-horizon episode depends on
     the remaining slots, which the environment state cannot expose; the
     extra feature makes it learnable."""
-    remaining = np.full((svec.shape[0], 1), (t_total - t) / t_total)
-    return np.concatenate([svec / scale, remaining], axis=1)
+    x = np.empty((svec.shape[0], svec.shape[1] + 1))
+    np.divide(svec, scale, out=x[:, :-1])
+    x[:, -1] = (t_total - t) / t_total
+    return x
 
 
 def policy_bytes(scenario: AerialScenario, cfg: TrainConfig) -> int:
@@ -535,6 +547,7 @@ def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) 
     continuous heads, from a forward without the value head) ends the epochs
     early when either exceeds cfg.kl_stop."""
     m = buffer.states.shape[0]
+    rows = np.arange(m)
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch):
@@ -548,10 +561,10 @@ def _ppo_epochs(params: PolicyParams, buffer: Minibatch, cfg: TrainConfig, rng) 
         # Approximate-KL brake against policy churn on small buffers; it
         # reads the policy heads only.
         pol = _policy(params, buffer.states)
-        lpd_n = np.log(pol["probs"][np.arange(m), buffer.moves] + 1e-12)
+        lpd_n = np.log(pol["probs"][rows, buffer.moves] + 1e-12)
         lpc_n = gaussian_logp(buffer.raw_actions, pol["mu"], pol["std"])
-        kl_d = float(np.mean(buffer.logp_d_old - lpd_n))
-        kl_c = float(np.mean(buffer.logp_c_old - lpc_n))
+        kl_d = float(np.add.reduce(buffer.logp_d_old - lpd_n)) / m
+        kl_c = float(np.add.reduce(buffer.logp_c_old - lpc_n)) / m
         if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:
             break
     return params
@@ -650,18 +663,18 @@ def evaluate(
     svec = _net_input(env.reset(episodes).vector(), scale, 0, n)
     for t in range(n):
         probs, mu, _, _, _ = forward(params, svec[:, None])
-        moves = np.argmax(probs[:, 0], axis=-1)
+        moves = probs[:, 0].argmax(axis=-1)
         nstate, r, _ = env.step(to_env_action(moves, mu[:, 0], scenario))
-        sum_rates[:, t] = np.sum(nstate.rates, axis=-1)
+        sum_rates[:, t] = np.add.reduce(nstate.rates, axis=-1)
         rewards[:, t] = r
-        steps.append((nstate, r, env.last_violation, np.sum(env.last_qos, axis=-1)))
+        steps.append((nstate, r, env.last_violation, np.add.reduce(env.last_qos, axis=-1)))
         svec = _net_input(nstate.vector(), scale, t + 1, n)
     traces = [(t, s.uav_xy[i, 0], s.uav_xy[i, 1], float(r[i]), *s.rates[i],
                int(viol[i]), int(qos[i]))
               for i in range(episodes) for t, (s, r, viol, qos) in enumerate(steps)]
     return {
-        "mean_sum_rate": float(np.mean(sum_rates.ravel())),
-        "mean_reward": float(np.mean(rewards.ravel())),
+        "mean_sum_rate": float(np.add.reduce(sum_rates.ravel())) / sum_rates.size,
+        "mean_reward": float(np.add.reduce(rewards.ravel())) / rewards.size,
         "traces": traces,
     }
 

@@ -3,9 +3,11 @@ against: per-user NOMA SINR arithmetic, RIS phase operators and the
 effective-channel composition, half-line quadrature, per-link Rayleigh
 and Rician channel draws, one aerial slot drawn link by link, the scalar
 incomplete beta, the PPO objective and its backprop with every
-intermediate a fresh array, the per-array Adam step, the policy
-initialisation as one literal dict of arrays, MO-PPO training with its
-episodes rolled out one at a time, the multicell engine drawing every
+intermediate a fresh array and numpy's mean, std, clip and sum, the
+per-array Adam step, the policy initialisation as one literal dict of
+arrays, the n-step advantage as a double loop, MO-PPO training and
+deterministic evaluation with their episodes run one at a time on these
+forms alone, the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, and
 the exhaustive grid search over static aerial configurations that the
 trained policy is measured against.
@@ -18,13 +20,13 @@ directly, so agreement between the two is evidence for both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator
 
-from riscomp.aerial import ArisEnv
+from riscomp.aerial import ArisEnv, MdpAction
 from riscomp.channel import substream
 from riscomp.energy import _STREAM_MC, Aggregates
 from riscomp.moppo import (
@@ -39,18 +41,9 @@ from riscomp.moppo import (
     Minibatch,
     TrainConfig,
     _input_dim,
-    _net_input,
     _orthogonal,
-    _ppo_epochs,
     _round_config,
-    _surrogate_grad_mask,
-    advantage,
-    clipped_loss,
-    forward,
-    gaussian_logp,
-    init_policy,
     state_scale,
-    to_env_action,
 )
 from riscomp.montecarlo import CHUNK
 from riscomp.quadrature import integrate
@@ -393,6 +386,68 @@ def reference_forward(weights, x: np.ndarray) -> dict:
             "probs": probs, "mu": mu, "v": v, "std": std}
 
 
+def reference_gaussian_logp(x, mu, std):
+    """Diagonal Gaussian log-density of the rows of x."""
+    z = (x - mu) / std
+    return np.sum(-0.5 * z * z - np.log(std) - 0.5 * _LOG_2PI, axis=-1)
+
+
+def reference_clipped_loss(ratio, adv, eps: float):
+    """Per-sample clipped surrogate min(r*A, clip(r, 1-eps, 1+eps)*A)."""
+    return np.minimum(ratio * adv, np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv)
+
+
+def reference_grad_mask(ratio, adv, eps):
+    """1 where the unclipped branch of the surrogate is active."""
+    blocked_hi = (ratio > 1.0 + eps) & (adv > 0)
+    blocked_lo = (ratio < 1.0 - eps) & (adv < 0)
+    return ~(blocked_hi | blocked_lo)
+
+
+def reference_advantage(rewards, values, dones, gamma: float, t_hat: int) -> np.ndarray:
+    """n-step advantage, window by window and term by term: each window
+    adds g * reward with g = 1, gamma, gamma**2, ... formed by repeated
+    products, stops after an episode end (terminal value zero) or at the
+    rollout's end, and otherwise bootstraps g * values[end]."""
+    rewards = np.asarray(rewards, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dones = np.asarray(dones, dtype=bool)
+    n = rewards.size
+    adv = np.empty(n)
+    for t in range(n):
+        acc = 0.0
+        g = 1.0
+        terminal = False
+        end = t
+        for k in range(t_hat):
+            if t + k >= n:
+                break
+            acc += g * rewards[t + k]
+            g *= gamma
+            end = t + k + 1
+            if dones[t + k]:
+                terminal = True
+                break
+        if not terminal:
+            acc += g * values[end]
+        adv[t] = acc - values[t]
+    return adv
+
+
+def reference_to_env_action(moves, raw, scenario: AerialScenario) -> MdpAction:
+    """Raw policy outputs to an action: phases as they are (MdpAction wraps
+    them), allocation factors squashed into (0.5, 1) and clipped."""
+    k = scenario.k_elements
+    alloc = 0.5 + 0.5 / (1.0 + np.exp(-raw[:, k:]))
+    alloc = np.clip(alloc, 0.5 + 1e-9, 1.0 - 1e-9)
+    return MdpAction(move=moves, phases=raw[:, :k], alloc_factors=alloc)
+
+
+def _reference_net_input(state: np.ndarray, scale: np.ndarray, t: int, t_total: int):
+    """One network input row: the scaled state and the remaining-time share."""
+    return np.concatenate([state / scale, [(t_total - t) / t_total]])
+
+
 def reference_objective_and_grads(weights, mb: Minibatch, cfg: TrainConfig):
     """The PPO objective J, dJ/dtheta as a fresh dict of arrays, and the
     objective's parts, each term written out where it is used;
@@ -404,10 +459,10 @@ def reference_objective_and_grads(weights, mb: Minibatch, cfg: TrainConfig):
     if cfg.normalize_adv and b > 1:
         adv = (adv - np.mean(adv)) / (np.std(adv) + 1e-8)
 
-    lp_c = gaussian_logp(mb.raw_actions, mu, std)
+    lp_c = reference_gaussian_logp(mb.raw_actions, mu, std)
     r_c = np.exp(lp_c - mb.logp_c_old)
-    mask_c = _surrogate_grad_mask(r_c, adv, cfg.clip_eps)
-    j_cont = float(np.mean(clipped_loss(r_c, adv, cfg.clip_eps)))
+    mask_c = reference_grad_mask(r_c, adv, cfg.clip_eps)
+    j_cont = float(np.mean(reference_clipped_loss(r_c, adv, cfg.clip_eps)))
     ent_c = float(np.sum(np.log(std) + 0.5 * (_LOG_2PI + 1.0)))
 
     dmu = (mask_c * r_c * adv)[:, None] * (mb.raw_actions - mu) / (std**2) / b
@@ -417,8 +472,8 @@ def reference_objective_and_grads(weights, mb: Minibatch, cfg: TrainConfig):
 
     lp_d = np.log(probs[np.arange(b), mb.moves])
     r_d = np.exp(lp_d - mb.logp_d_old)
-    mask_d = _surrogate_grad_mask(r_d, adv, cfg.clip_eps)
-    j_disc = float(np.mean(clipped_loss(r_d, adv, cfg.clip_eps)))
+    mask_d = reference_grad_mask(r_d, adv, cfg.clip_eps)
+    j_disc = float(np.mean(reference_clipped_loss(r_d, adv, cfg.clip_eps)))
     ent_d = float(np.mean(-np.sum(probs * np.log(probs + 1e-12), axis=1)))
     onehot = np.zeros_like(probs)
     onehot[np.arange(b), mb.moves] = 1.0
@@ -558,53 +613,115 @@ def exhaustive_baseline(
     return best
 
 
+class _ReferenceAgent:
+    """The network as a dict of arrays, its Adam moments and step count."""
+
+    def __init__(self, scenario: AerialScenario, cfg: TrainConfig, rng):
+        self.weights = init_policy_arrays(
+            _input_dim(scenario), scenario.action_dim_continuous, rng,
+            hidden=cfg.hidden, head_hidden=cfg.head_hidden, log_std_init=cfg.log_std_init)
+        self.adam_m = {k: np.zeros_like(a) for k, a in self.weights.items()}
+        self.adam_v = {k: np.zeros_like(a) for k, a in self.weights.items()}
+        self.step = 0
+
+    def epochs(self, buffer: Minibatch, cfg: TrainConfig, rng) -> None:
+        """Up to cfg.epochs epochs of minibatch Adam steps over fresh rng
+        permutations of the buffer; after each epoch but the last, stop
+        when the mean approximate KL of either head, from a full forward on
+        the buffer, exceeds cfg.kl_stop."""
+        m = buffer.states.shape[0]
+        columns = [getattr(buffer, f.name) for f in fields(buffer)]
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(m)
+            for start in range(0, m, cfg.batch):
+                sel = order[start : start + cfg.batch]
+                mb = Minibatch(*(column[sel] for column in columns))
+                _, grads, _ = reference_objective_and_grads(self.weights, mb, cfg)
+                self.step += 1
+                adam_step(self.weights, self.adam_m, self.adam_v, grads, self.step,
+                          cfg.learning_rate)
+            if epoch == cfg.epochs:
+                break
+            c = reference_forward(self.weights, buffer.states)
+            lpd_n = np.log(c["probs"][np.arange(m), buffer.moves] + 1e-12)
+            lpc_n = reference_gaussian_logp(buffer.raw_actions, c["mu"], c["std"])
+            kl_d = float(np.mean(buffer.logp_d_old - lpd_n))
+            kl_c = float(np.mean(buffer.logp_c_old - lpc_n))
+            if max(abs(kl_d), abs(kl_c)) > cfg.kl_stop:
+                break
+
+
 def reference_train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0):
-    """MO-PPO training with every episode rolled out on its own: the
-    environment runs one episode at a time, the policy sees one state per
-    forward, and the move is drawn by rng.choice, then the raw continuous
-    action from one standard_normal call. Rounds of episodes_per_update
-    episodes feed the package's PPO epochs. Returns (reward curve, params);
-    `riscomp.moppo.train`, which steps a round's episodes in lockstep, must
-    give the same bits."""
+    """MO-PPO training on the forms above alone, with every episode rolled
+    out on its own: the environment runs one episode at a time, the policy
+    sees one state per forward, and the move is drawn by rng.choice, then
+    the raw continuous action from one standard_normal call. Rounds of
+    episodes_per_update episodes feed the reference epochs. Returns (reward
+    curve, weights by name); `riscomp.moppo.train`, which steps a round's
+    episodes in lockstep, must give the same bits."""
     env = ArisEnv(scenario, seed=seed)
     rng = substream(seed, _STREAM_AGENT)
-    params = init_policy(
-        _input_dim(scenario), scenario.action_dim_continuous, rng,
-        hidden=cfg.hidden, head_hidden=cfg.head_hidden, log_std_init=cfg.log_std_init,
-    )
+    agent = _ReferenceAgent(scenario, cfg, rng)
     scale = state_scale(scenario)
-    n = scenario.t_slots
+    n, n_cont = scenario.t_slots, scenario.action_dim_continuous
     curve = np.empty(cfg.episodes)
     buffers = []
     for ep in range(cfg.episodes):
-        svec = _net_input(env.reset().vector(), scale, 0, n)[0]
+        svec = _reference_net_input(env.reset().vector()[0], scale, 0, n)
         states = np.empty((n, svec.size))
         moves = np.empty(n, dtype=int)
-        raws = np.empty((n, scenario.action_dim_continuous))
+        raws = np.empty((n, n_cont))
         lpd, lpc, rewards = np.empty(n), np.empty(n), np.empty(n)
         values = np.empty(n + 1)
         dones = np.zeros(n, dtype=bool)
         total = 0.0
         for t in range(n):
-            probs, mu, std, v, _ = forward(params, svec)
-            move = int(rng.choice(N_MOVES, p=probs[0]))
-            raw = mu[0] + std * rng.standard_normal(mu.shape[1])
-            nstate, r, done = env.step(to_env_action(np.array([move]), raw[None], scenario))
+            c = reference_forward(agent.weights, svec[None])
+            probs, mu, std = c["probs"][0], c["mu"][0], c["std"]
+            move = int(rng.choice(N_MOVES, p=probs))
+            raw = mu + std * rng.standard_normal(n_cont)
+            nstate, r, done = env.step(
+                reference_to_env_action(np.array([move]), raw[None], scenario))
             states[t], moves[t], raws[t] = svec, move, raw
-            lpd[t] = float(np.log(probs[0, move]))
-            lpc[t] = float(gaussian_logp(raw, mu[0], std))
-            rewards[t], values[t], dones[t] = r[0], v[0], done
+            lpd[t] = float(np.log(probs[move]))
+            lpc[t] = float(reference_gaussian_logp(raw, mu, std))
+            rewards[t], values[t], dones[t] = r[0], c["v"][0], done
             total += float(r[0])
-            svec = _net_input(nstate.vector(), scale, t + 1, n)[0]
+            svec = _reference_net_input(nstate.vector()[0], scale, t + 1, n)
         values[n] = 0.0  # terminal
-        adv = advantage(rewards, values, dones, cfg.gamma, cfg.rollout)
+        adv = reference_advantage(rewards, values, dones, cfg.gamma, cfg.rollout)
         buffers.append((states, moves, raws, lpd, lpc, adv, adv + values[:n]))
         curve[ep] = total
         if len(buffers) == cfg.episodes_per_update:
             buffer = Minibatch(*(np.concatenate(parts) for parts in zip(*buffers)))
-            params = _ppo_epochs(params, buffer, _round_config(cfg, ep), rng)
+            agent.epochs(buffer, _round_config(cfg, ep), rng)
             buffers = []
-    return curve, params
+    return curve, agent.weights
+
+
+def reference_evaluate(scenario: AerialScenario, weights, seed: int = 0, episodes: int = 5):
+    """Deterministic evaluation (the most probable move, the mean continuous
+    action) with the episodes run one after another, one state per
+    forward: (mean per-slot sum rate, mean reward, trace rows), the rows
+    as `riscomp.moppo.evaluate` writes them."""
+    env = ArisEnv(scenario, seed=seed)
+    scale = state_scale(scenario)
+    n = scenario.t_slots
+    sum_rates, rewards, traces = [], [], []
+    for _ in range(episodes):
+        svec = _reference_net_input(env.reset().vector()[0], scale, 0, n)
+        for t in range(n):
+            c = reference_forward(weights, svec[None])
+            move = int(np.argmax(c["probs"][0]))
+            nstate, r, _ = env.step(
+                reference_to_env_action(np.array([move]), c["mu"], scenario))
+            sum_rates.append(np.sum(nstate.rates[0]))
+            rewards.append(r[0])
+            traces.append((t, nstate.uav_xy[0, 0], nstate.uav_xy[0, 1], float(r[0]),
+                           *nstate.rates[0], int(env.last_violation[0]),
+                           int(np.sum(env.last_qos[0]))))
+            svec = _reference_net_input(nstate.vector()[0], scale, t + 1, n)
+    return float(np.mean(sum_rates)), float(np.mean(rewards)), traces
 
 
 def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import aerial_slot_draw
+from oracles import aerial_slot_draw, los_steering
 from riscomp import aerial
 from riscomp.aerial import ArisEnv, MdpAction
 from riscomp.channel import substream
+from riscomp.ris import wrap_phase
 from riscomp.scenarios import AerialScenario, tiny_aerial_scenario
 
 
@@ -207,6 +210,38 @@ def test_batched_draw_and_gains_equal_per_link_reference(k):
                 ref = _reference_gains(scn, ref_ris, ref_direct, phasor)
                 assert np.array_equal(gains[p, d], ref)
                 assert np.array_equal(env._gains(*singles[d], phasor)[0], ref)
+
+
+@pytest.mark.parametrize("scn", [tiny_aerial_scenario(), AerialScenario()], ids=["tiny", "default"])
+def test_geometry_equals_per_link_scalar_form_over_the_lattice(scn):
+    # Every lattice position a move can reach, one step beyond the area
+    # included: each link's distance by np.linalg.norm, its angle wrapped on
+    # its own and its sine taken on its own give the geometry's bits.
+    env = ArisEnv(scn, seed=0)
+    step, half = scn.step_length, scn.half_extent
+    links = [np.asarray(p, dtype=float)
+             for p in (*scn.bs_positions, *scn.center_positions, scn.edge_position)]
+    reach = int(2 * (half + step) / step) + 1
+    offsets = step * np.arange(-reach, reach + 1)
+    visited = 0
+    for dx in offsets:
+        for dy in offsets:
+            xy = np.asarray(scn.uav_start, dtype=float) + (dx, dy)
+            if max(abs(xy)) > half + step:
+                continue
+            visited += 1
+            amp, los = env._link_geometry(xy)
+            uav = np.array([xy[0], xy[1], scn.ris_altitude])
+            for j, p in enumerate(links):
+                d = float(np.linalg.norm(uav - p))
+                aoa = float(wrap_phase(math.atan2(p[1] - uav[1], p[0] - uav[0])))
+                assert amp[0, j, 0] == math.sqrt(scn.gain(d, scn.alpha_ris))
+                expect = scn.rician_weights[0] * los_steering(scn.k_elements, aoa)
+                assert los[0, j].tobytes() == expect.tobytes()
+            expect = [float(np.linalg.norm(xy - np.asarray(o[:2], dtype=float)))
+                      for o in scn.obstacle_positions]
+            assert np.array_equal(env._obstacle_dists(xy)[0], expect)
+    assert visited == (int(2 * (half + step) / step) + 1) ** 2
 
 
 def _assert_draws_as_first_visit(env, state, k):

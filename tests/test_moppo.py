@@ -1,15 +1,22 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     _STREAM_GRID,
     adam_step,
     exhaustive_baseline,
     init_policy_arrays,
+    reference_advantage,
+    reference_clipped_loss,
+    reference_evaluate,
     reference_forward,
+    reference_grad_mask,
     reference_objective_and_grads,
     reference_train,
 )
@@ -24,8 +31,10 @@ from riscomp.moppo import (
     _input_dim,
     _policy,
     _ppo_epochs,
+    _surrogate_grad_mask,
     advantage,
     clipped_loss,
+    evaluate,
     forward,
     gaussian_logp,
     init_policy,
@@ -181,6 +190,37 @@ def test_advantage_truncates_at_episode_end():
     adv = advantage(rewards, values, dones, gamma=1.0, t_hat=10)
     assert adv[0] == pytest.approx(2.0)  # window stops at the done flag
     assert adv[2] == pytest.approx(5.0 + 9.0)  # bootstraps the extra value
+
+
+@given(
+    n=st.integers(0, 40),
+    t_hat=st.integers(1, 50),
+    gamma=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_advantage_equals_double_loop_reference(n, t_hat, gamma, data):
+    # Windows longer than the rollout (t_hat > n), episode ends anywhere
+    # and extra bootstrap entries: the bits of the window-by-window loop.
+    rewards = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n + 1, max_size=n + 3))
+    dones = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    adv = advantage(rewards, values, dones, gamma, t_hat)
+    ref = reference_advantage(rewards, values, dones, gamma, t_hat)
+    assert adv.tobytes() == ref.tobytes()
+
+
+def test_clipped_loss_and_mask_equal_np_clip_reference_at_the_clip_edges():
+    # Ratios exactly at 1 - eps and 1 + eps, one ulp either side, far out,
+    # zero and NaN, against advantages of both signs and zero: the clip as
+    # minimum(maximum(...)) gives np.clip's bits, NaN included.
+    eps = 0.1
+    edges = [1.0 - eps, 1.0 + eps]
+    ratios = np.array(edges + [np.nextafter(e, d) for e in edges for d in (0.0, 2.0)]
+                      + [0.0, 1.0, 1e-300, 3.5, math.nan])
+    r, a = (g.ravel() for g in np.meshgrid(ratios, [-2.0, -0.0, 0.0, 1.5]))
+    assert clipped_loss(r, a, eps).tobytes() == reference_clipped_loss(r, a, eps).tobytes()
+    assert np.array_equal(_surrogate_grad_mask(r, a, eps), reference_grad_mask(r, a, eps))
 
 
 def test_clipped_loss_examples():
@@ -469,11 +509,13 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
 
 def test_to_env_action_mapping():
     scn = tiny_aerial_scenario(k_elements=3)
-    raw = np.array([4.0, -4.0, 0.5, 10.0, -10.0])
-    action = to_env_action(np.array([1]), raw[None], scn)
+    # Row 2's squashed factors round to 1 and 0.5, which the clip keeps inside.
+    raw = np.array([[4.0, -4.0, 0.5, 10.0, -10.0], [4.0, -4.0, 0.5, 40.0, -40.0]])
+    action = to_env_action(np.array([1, 2]), raw, scn)
     assert np.all(action.phases >= -np.pi) and np.all(action.phases < np.pi)
     assert np.all((action.alloc_factors > 0.5) & (action.alloc_factors < 1.0))
     assert action.alloc_factors[0, 0] > 0.99  # large raw saturates near 1
+    assert action.alloc_factors[1].tolist() == [1.0 - 1e-9, 0.5 + 1e-9]
 
 
 def test_train_determinism():
@@ -533,22 +575,47 @@ def test_trained_reward_curve_shape():
     assert ma.size == TINY_CFG.episodes - 9
 
 
-@pytest.mark.parametrize("oma, k, per_update, episodes, decay", [
-    (False, 4, 6, 12, False),
-    (True, 4, 6, 13, False),   # a partial last round, rolled out untrained
-    (False, 2, 1, 4, False),
-    (False, 3, 3, 7, True),
-    (True, 3, 3, 6, True),
-    (True, 16, 7, 9, False),
-    (False, 16, 7, 7, False),
+@pytest.mark.parametrize("oma, k, per_update, episodes, decay, brake", [
+    (False, 4, 6, 12, False, False),
+    (True, 4, 6, 13, False, False),   # a partial last round, rolled out untrained
+    (False, 2, 1, 4, False, False),
+    (False, 3, 3, 7, True, False),
+    (True, 3, 3, 6, True, False),
+    (True, 16, 7, 9, False, False),
+    (False, 16, 7, 7, False, False),
+    (False, 0, 6, 18, False, True),
+    (True, 0, 6, 18, False, True),
 ], ids=["noma-k4-e6", "oma-k4-e6-partial", "noma-k2-e1", "noma-k3-e3-decay-partial",
-        "oma-k3-e3-decay", "oma-k16-e7-partial", "noma-k16-e7"])
+        "oma-k3-e3-decay", "oma-k16-e7-partial", "noma-k16-e7", "noma-k0-e6-brake",
+        "oma-k0-e6-brake"])
 def test_lockstep_train_equals_episode_by_episode_reference(oma, k, per_update, episodes,
-                                                            decay):
+                                                            decay, brake):
     scn = tiny_aerial_scenario(k_elements=k, t_slots=10, oma=oma)
     cfg = TrainConfig(episodes=episodes, epochs=3, batch=16, rollout=3,
                       episodes_per_update=per_update, entropy_decay=decay, kl_stop=0.05)
+    if brake:
+        # Each head's approximate KL stops some rounds' epochs early here.
+        cfg = replace(cfg, epochs=4, kl_stop=0.01, learning_rate=6e-4)
     res = train(scn, cfg, seed=19)
-    curve, params = reference_train(scn, cfg, seed=19)
+    curve, weights = reference_train(scn, cfg, seed=19)
     assert np.array_equal(res.rewards, curve)
-    assert np.array_equal(res.params.theta, params.theta)
+    for k, w in weights.items():
+        assert np.array_equal(res.params.weights[k], w), k
+
+
+@pytest.mark.parametrize("oma", [False, True], ids=["noma", "oma"])
+@pytest.mark.parametrize("episodes", [1, 3, 6])
+def test_lockstep_evaluate_equals_episode_by_episode_reference(oma, episodes):
+    # Output weights scaled up so that moves vary and phases wrap.
+    scn = tiny_aerial_scenario(k_elements=4, t_slots=12, oma=oma)
+    params = init_policy(_input_dim(scn), scn.action_dim_continuous, substream(23, 1))
+    params.weights["wdo"][...] *= 300.0
+    params.weights["wco"][...] *= 400.0
+    ev = evaluate(scn, params, seed=24, episodes=episodes)
+    mean_sum_rate, mean_reward, traces = reference_evaluate(scn, params.weights, 24, episodes)
+    assert ev["mean_sum_rate"] == mean_sum_rate
+    assert ev["mean_reward"] == mean_reward
+    assert len(ev["traces"]) == len(traces) == episodes * scn.t_slots
+    assert len({row[1:3] for row in traces}) > 3
+    for row, ref in zip(ev["traces"], traces):
+        assert np.array(row).tobytes() == np.array(ref).tobytes()
