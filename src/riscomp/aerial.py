@@ -4,8 +4,8 @@ CoMP-NOMA network with obstacles.
 Discrete time steps: the agent moves the UAV on a horizontal grid, sets the
 RIS phases and the per-BS power-allocation factors; channels are redrawn
 i.i.d. every slot; the reward is the QoS-scaled sum rate minus a safety
-penalty. Moves that would leave the area or enter a forbidden zone are
-canceled (the position holds) and flagged.
+penalty. A move to a position that `AerialScenario.clear` refuses (outside
+the area or in a forbidden zone) is canceled, the position held, and flagged.
 
 `ArisEnv` steps a batch of episodes in lockstep, as a vectorized
 environment does: `reset(n)` starts the next n episodes, and states, actions
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .scenarios import AerialScenario
 
 _STREAM_ENV = 501
 _SQRT_HALF = math.sqrt(0.5)
-# Positions a geometry cache holds before it is emptied: more than the
-# default scenario's 31 x 31 lattice, and a bound on memory when off-lattice
-# positions (a step length that drifts in floating point) keep arriving.
+# Positions the geometry cache holds before it is emptied: more than the 33 x 33
+# positions a move reaches in the default scenario, and a bound on memory when
+# off-lattice positions (a step length that drifts in floating point) keep arriving.
 _POSITION_CACHE_MAX = 2048
 
 # Left, right, down, up, hover.
@@ -82,6 +83,18 @@ class MdpAction:
         object.__setattr__(self, "alloc_factors", alloc)
 
 
+class _Position(NamedTuple):
+    """The geometry of one UAV position: obstacle distances (1, n_obstacles),
+    whether the UAV may be there, and the RIS links' path amplitudes (1,
+    n_links, 1) and weighted LoS steering vectors (1, n_links, K), BSs first.
+    The arrays are read-only; the records of a batch concatenate on axis 0."""
+
+    dists: np.ndarray
+    clear: bool
+    amp: np.ndarray
+    los: np.ndarray
+
+
 def _store(cache: dict, key: bytes, value) -> None:
     if len(cache) >= _POSITION_CACHE_MAX:
         cache.clear()
@@ -109,7 +122,7 @@ class ArisEnv:
     `reset(n)` starts the next n episodes. Episode j (counted over the
     instance's life) draws from substream (seed, 501, j), n_normals standard
     normals per slot, so a batch of n gives each episode the bits it gets
-    when the episodes run one at a time. The per-position geometry caches
+    when the episodes run one at a time. The per-position geometry records
     are shared by all episodes.
     """
 
@@ -119,7 +132,6 @@ class ArisEnv:
         self._users = [np.asarray(p, dtype=float) for p in scenario.center_positions]
         self._users.append(np.asarray(scenario.edge_position, dtype=float))
         self._bs = [np.asarray(p, dtype=float) for p in scenario.bs_positions]
-        self._obstacles = [np.asarray(p[:2], dtype=float) for p in scenario.obstacle_positions]
         # Direct BS-center link amplitudes: the UAV is on none of these links.
         self._amp_direct = np.empty((scenario.n_bs, len(self._users) - 1))
         for i, bs in enumerate(self._bs):
@@ -142,13 +154,10 @@ class ArisEnv:
         self._rate_gains = np.array(
             [[j * n_users + i for j in bs] + [i * n_users + n_users - 1]
              for i, bs in enumerate(rows)]).T
-        # Per-position geometry, keyed by the bytes of the UAV's (x, y): the
-        # UAV moves on a lattice, so the entries are few, and every hit is
-        # the same bits the scalar code computes on a miss. Each entry has a
-        # leading axis of 1, so the entries of a batch concatenate into it.
-        self._link_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        self._dist_cache: dict[bytes, np.ndarray] = {}
-        self._safe_cache: dict[bytes, bool] = {}
+        # One geometry record per position, keyed by the bytes of the UAV's
+        # (x, y): the UAV moves on a lattice, so the records are few, and
+        # every hit is the same bits the scalar code computes on a miss.
+        self._positions: dict[bytes, _Position] = {}
         self._rngs = []
         self._t = 0
         self._pos = None
@@ -159,34 +168,8 @@ class ArisEnv:
         self.last_qos = None
 
     # Geometry ------------------------------------------------------------
-    def _obstacle_dists(self, xy: np.ndarray) -> np.ndarray:
-        """Horizontal distances (1, n_obstacles) from xy to every obstacle
-        (cached, read-only)."""
-        key = xy.tobytes()
-        dists = self._dist_cache.get(key)
-        if dists is None:
-            dists = np.array([[math.sqrt(d.dot(d)) for d in (xy - o for o in self._obstacles)]])
-            dists.flags.writeable = False
-            _store(self._dist_cache, key, dists)
-        return dists
-
-    def _inside(self, xy) -> bool:
-        half = self.scn.half_extent
-        return abs(xy[0]) <= half and abs(xy[1]) <= half
-
-    def _safe(self, xy: np.ndarray) -> bool:
-        """Whether xy lies inside the area and outside every forbidden zone
-        (cached)."""
-        key = xy.tobytes()
-        safe = self._safe_cache.get(key)
-        if safe is None:
-            safe = self._inside(xy) and bool((self._obstacle_dists(xy) >= self.scn.d_min).all())
-            _store(self._safe_cache, key, safe)
-        return safe
-
-    def _link_geometry(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Path amplitudes (1, n_links, 1) and weighted LoS steering vectors
-        (1, n_links, K) of the RIS links, BSs first, with the UAV at xy.
+    def _at(self, xy: np.ndarray) -> _Position:
+        """The geometry record of the UAV at xy (cached).
 
         Per-link distances, angles and powers stay scalar: numpy's vectorized
         norm, arctan2 and power round some inputs differently. Each distance
@@ -194,8 +177,8 @@ class ArisEnv:
         angles are wrapped and their sines taken in one elementwise call each.
         """
         key = xy.tobytes()
-        geometry = self._link_cache.get(key)
-        if geometry is None:
+        record = self._positions.get(key)
+        if record is None:
             scn = self.scn
             uav = np.array([xy[0], xy[1], scn.ris_altitude])
             points = self._bs + self._users
@@ -203,9 +186,12 @@ class ArisEnv:
                    for d in (uav - p for p in points)]
             aoa = wrap_phase([math.atan2(p[1] - uav[1], p[0] - uav[0]) for p in points])
             los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.sin(aoa)[:, None])
-            geometry = (np.array(amp)[None, :, None], self._w_los * los[None])
-            _store(self._link_cache, key, geometry)
-        return geometry
+            record = _Position(np.array([scn.obstacle_dists(xy)]), scn.clear(xy),
+                               np.array(amp)[None, :, None], self._w_los * los[None])
+            for array in (record.dists, record.amp, record.los):
+                array.flags.writeable = False
+            _store(self._positions, key, record)
+        return record
 
     # Channels ------------------------------------------------------------
     def _channels(self, xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +206,9 @@ class ArisEnv:
         """
         scn = self.scn
         k = scn.k_elements
-        geometry = [self._link_geometry(p) for p in xy]
-        amp = np.concatenate([a for a, _ in geometry])
-        los = np.concatenate([w for _, w in geometry])
+        records = [self._at(p) for p in xy]
+        amp = np.concatenate([r.amp for r in records])
+        los = np.concatenate([r.los for r in records])
         n, n_links = z.shape[0], amp.shape[1]
         n_ris = 2 * k * n_links
         zr = z[:, :n_ris].reshape(n, n_links, 2, k)
@@ -279,7 +265,7 @@ class ArisEnv:
         return self._rates(self._gains(*self._channels(self._pos, self._z), phasors), self._alloc)
 
     def _state(self, rates: np.ndarray) -> MdpState:
-        dists = np.concatenate([self._obstacle_dists(xy) for xy in self._pos])
+        dists = np.concatenate([self._at(xy).dists for xy in self._pos])
         return MdpState(self._pos.copy(), dists, self._alloc.copy(), rates)
 
     def reset(self, n: int = 1) -> MdpState:
@@ -322,7 +308,7 @@ class ArisEnv:
         if action.alloc_factors.shape[1] != self.scn.n_bs:
             raise ValueError("one allocation factor per BS required")
         candidate = self._pos + self._move_steps[action.move]
-        violated = np.array([not self._safe(xy) for xy in candidate])
+        violated = np.array([not self._at(xy).clear for xy in candidate])
         if np.logical_or.reduce(violated):
             candidate[violated] = self._pos[violated]
         self._pos = candidate

@@ -3,7 +3,8 @@
 One dataclass per network family, with table defaults. The families share
 one link budget (LinkBudget, and RicianLinks for the Rician families), whose
 properties convert the dB/dBm fields to linear scale on each access; downstream
-code reads only those linear quantities.
+code reads only those linear quantities. The rule of where the UAV may be is
+AerialScenario's alone: `inside`, `obstacle_dists` and `clear`.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ class CoordinatedScenario(LinkBudget):
             ("k_elements must be >= 0", k >= 0),
             *((f"{key} = {getattr(self, key)!r}: Nakagami shape must be >= 0.5",
                getattr(self, key) >= 0.5) for key in ("m_direct", "m_bs_ris", "m_ris_user")),
+            (f"beta_t = {self.beta_t!r}, beta_r = {self.beta_r!r}: each must lie in [0, 1]",
+             not any(b < 0.0 or b > 1.0 for b in (self.beta_t, self.beta_r))),
             ("beta_t + beta_r must equal 1", not abs(self.beta_t + self.beta_r - 1.0) > 1e-12),
             # The assignment is checked against K only where K itself is valid.
             ("assignment entries must be >= 0 and sum to k_elements",
@@ -265,28 +268,39 @@ class AerialScenario(LinkBudget, RicianLinks):
     oma: bool = False
 
     def __post_init__(self):
-        half = self.half_extent
-
-        def inside(p) -> bool:
-            return abs(p[0]) <= half and abs(p[1]) <= half
-
-        start = np.asarray(self.uav_start, dtype=float)  # measured as ArisEnv does
+        start = self.uav_start
         _refuse([
             ("one center user per BS required",
              len(self.center_positions) == len(self.bs_positions)),
-            ("entity outside the operating area",
-             all(map(inside, (*self.bs_positions, *self.center_positions, self.edge_position)))),
-            ("obstacle outside the operating area", all(map(inside, self.obstacle_positions))),
-            ("UAV start outside the operating area", inside(self.uav_start)),
+            ("entity outside the operating area", all(map(self.inside, (
+                *self.bs_positions, *self.center_positions, self.edge_position)))),
+            ("obstacle outside the operating area", all(map(self.inside, self.obstacle_positions))),
+            ("UAV start outside the operating area", self.inside(start)),
             ("d_min must be positive", not self.d_min <= 0),
             ("k_elements must be >= 0", self.k_elements >= 0),
             ("episode length must be >= 1", self.t_slots >= 1),
             ("default allocation factor must lie in (0.5, 1)", 0.5 < self.default_alloc < 1.0),
-            (f"d_min = {self.d_min!r}: the UAV start {tuple(self.uav_start)} lies within "
-             "d_min of an obstacle",
-             all(float(np.linalg.norm(start - np.asarray(o[:2], dtype=float))) >= self.d_min
-                 for o in self.obstacle_positions)),
+            # Measured only for a start inside the area, which the check above names.
+            (f"d_min = {self.d_min!r}: the UAV start {tuple(start)} lies within "
+             "d_min of an obstacle", not self.inside(start) or self.clear(start)),
         ])
+
+    def inside(self, xy) -> bool:
+        """Whether the point xy (its first two coordinates) lies in the area."""
+        half = self.half_extent
+        return abs(xy[0]) <= half and abs(xy[1]) <= half
+
+    def obstacle_dists(self, xy) -> list[float]:
+        """Horizontal distances from the UAV at xy to every obstacle, each
+        sqrt(v.dot(v)), which is how np.linalg.norm(v) computes it."""
+        xy = np.asarray(xy, dtype=float)
+        return [math.sqrt(d.dot(d)) for d in
+                (xy - np.asarray(o[:2], dtype=float) for o in self.obstacle_positions)]
+
+    def clear(self, xy) -> bool:
+        """Whether the UAV may be at xy: inside the area and at least d_min
+        from every obstacle. ArisEnv cancels a move to a position not clear."""
+        return self.inside(xy) and all(d >= self.d_min for d in self.obstacle_dists(xy))
 
     @property
     def n_bs(self) -> int:

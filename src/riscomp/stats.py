@@ -164,10 +164,7 @@ def effective_power_moments(
 ) -> MomentPair:
     """Raw moments of Z = (|h| + cascade)^2 via the binomial expansion."""
     mh = [1.0] + [nakagami_moment(direct, p) for p in (1, 2, 3, 4)]
-    if k_elements == 0 or beta == 0.0:
-        mg = [1.0, 0.0, 0.0, 0.0, 0.0]
-    else:
-        mg = [1.0] + [cascade_moment(k_elements, beta, i_r, r_u, p) for p in (1, 2, 3, 4)]
+    mg = [1.0] + [cascade_moment(k_elements, beta, i_r, r_u, p) for p in (1, 2, 3, 4)]
     m1 = mh[2] + 2.0 * mh[1] * mg[1] + mg[2]
     m2 = (
         mh[4]

@@ -594,7 +594,7 @@ def exhaustive_baseline(
     for xi, x in enumerate(coords):
         for yi, y in enumerate(coords):
             pos = np.array([x, y])
-            if not env._safe(pos):
+            if not scenario.clear(pos):
                 continue
             z = substream(seed, _STREAM_GRID, xi, yi).standard_normal((n_eval, env.n_normals))
             # Gains for every phase combo and draw: (n_phase, n_eval, bs, user).

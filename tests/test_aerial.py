@@ -230,7 +230,8 @@ def test_geometry_equals_per_link_scalar_form_over_the_lattice(scn):
             if max(abs(xy)) > half + step:
                 continue
             visited += 1
-            amp, los = env._link_geometry(xy)
+            record = env._at(xy)
+            amp, los = record.amp, record.los
             uav = np.array([xy[0], xy[1], scn.ris_altitude])
             for j, p in enumerate(links):
                 d = float(np.linalg.norm(uav - p))
@@ -240,8 +241,35 @@ def test_geometry_equals_per_link_scalar_form_over_the_lattice(scn):
                 assert los[0, j].tobytes() == expect.tobytes()
             expect = [float(np.linalg.norm(xy - np.asarray(o[:2], dtype=float)))
                       for o in scn.obstacle_positions]
-            assert np.array_equal(env._obstacle_dists(xy)[0], expect)
+            assert np.array_equal(record.dists[0], expect)
     assert visited == (int(2 * (half + step) / step) + 1) ** 2
+
+
+@pytest.mark.parametrize("scn", [tiny_aerial_scenario(), AerialScenario()], ids=["tiny", "default"])
+def test_a_move_is_canceled_exactly_where_the_scenario_is_not_clear(scn):
+    # Every clear lattice position takes every move at once, one episode
+    # each: the candidates cover the lattice one step beyond the area.
+    step, half = scn.step_length, scn.half_extent
+    reach = int(2 * half / step) + 1
+    offsets = step * np.arange(-reach, reach + 1)
+    origins = np.array([p for dx in offsets for dy in offsets
+                        if scn.clear(p := np.asarray(scn.uav_start, dtype=float) + (dx, dy))])
+    env = ArisEnv(scn, seed=0)
+    moves = np.arange(len(aerial.MOVES))
+    n = len(origins) * len(moves)
+    env.reset(n)
+    start = np.repeat(origins, len(moves), axis=0)
+    env._pos = start.copy()
+    move = np.tile(moves, len(origins))
+    candidates = start + step * np.array(aerial.MOVES)[move]
+    state = env.step(MdpAction(move=move, phases=np.zeros((n, scn.k_elements)),
+                               alloc_factors=np.full((n, scn.n_bs), 0.75)))[0]
+    refused = np.array([not scn.clear(c) for c in candidates])
+    assert np.array_equal(env.last_violation, refused)
+    assert np.array_equal(state.uav_xy, np.where(refused[:, None], start, candidates))
+    inside = np.array([scn.inside(c) for c in candidates])
+    # Both halves of the rule cancel some move here.
+    assert (refused & ~inside).any() and (refused & inside).any()
 
 
 def _assert_draws_as_first_visit(env, state, k):
@@ -288,7 +316,7 @@ def test_geometry_caches_stay_bounded(monkeypatch):
     env.reset()
     for _ in range(10):
         state = env.step(_action(scn, move=1))[0]  # ten new positions
-        assert len(env._link_cache) <= 4 and len(env._dist_cache) <= 4
+        assert len(env._positions) <= 4
     _assert_draws_as_first_visit(env, state, scn.k_elements)
 
 
@@ -296,8 +324,10 @@ def test_cached_obstacle_distances_are_read_only():
     scn = tiny_aerial_scenario()
     env = ArisEnv(scn, seed=0)
     state = env.reset()
-    with pytest.raises(ValueError):
-        env._obstacle_dists(state.uav_xy[0])[0, 0] = 0.0
+    record = env._at(state.uav_xy[0])
+    for array in (record.dists, record.amp, record.los):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
     # A state holds its own copy: writing into it leaves the cache intact.
     expect = state.obstacle_dists.copy()
     state.obstacle_dists[0, 0] = 0.0
@@ -322,7 +352,7 @@ def test_start_within_d_min_of_an_obstacle_refused():
     env = ArisEnv(scn, seed=0)
     state = env.reset()
     assert state.obstacle_dists[0, 0] == scn.d_min
-    assert env._safe(state.uav_xy[0])
+    assert scn.clear(state.uav_xy[0]) and env._at(state.uav_xy[0]).clear
 
 
 @pytest.mark.parametrize("k, oma", [(0, False), (4, False), (4, True)])

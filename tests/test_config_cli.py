@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -658,6 +659,37 @@ def test_configured_start_is_checked_not_the_default_one():
     with pytest.raises(ConfigError, match=r"UAV start \(-40\.0, -40\.0\)"):
         from_mapping(cfg)
     from_mapping({**cfg, "scenario.uav_start_x": 45.0, "scenario.uav_start_y": -45.0})
+
+
+@pytest.mark.parametrize("kind, beta_t, beta_r", [("er-sweep", 1.5, -0.5),
+                                                   ("pdf-validation", -0.5, 1.5)])
+def test_cli_validate_refuses_a_star_ris_split_outside_the_unit_range(
+        tmp_path, capsys, kind, beta_t, beta_r):
+    # The split sums to 1: it used to pass and then crash the fit's overflow
+    # check on the square root of the negative share (exit 1).
+    path = tmp_path / "c.cfg"
+    path.write_text(f"kind = {kind}\nscenario.beta_t = {beta_t}\nscenario.beta_r = {beta_r}\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config validation failed:",
+        f"  beta_t = {beta_t}, beta_r = {beta_r}: each must lie in [0, 1]"]
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    for edge in (0.0, 1.0):  # the ends of the range are splits the run takes
+        from_mapping({"kind": kind, "scenario.beta_t": edge, "scenario.beta_r": 1.0 - edge})
+
+
+def test_cli_validate_names_a_far_away_start_and_nothing_else(tmp_path, capsys):
+    # A start at 1e300 overflowed the clearance's dot product, and numpy's
+    # RuntimeWarning went to stderr before the message.
+    path = tmp_path / "c.cfg"
+    path.write_text("kind = drl-train\nscenario.tiny = true\nscenario.uav_start_x = 1e300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", str(path)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config validation failed:", "  UAV start outside the operating area"]
 
 
 def test_default_j_axis_is_not_built_to_bound_it():

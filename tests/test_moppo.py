@@ -550,7 +550,7 @@ def test_exhaustive_baseline_is_maximum_of_grid(oma):
     values = []
     for (xi, x), (yi, y) in itertools.product(enumerate(coords), repeat=2):
         pos = np.array([x, y])
-        if not env._safe(pos):
+        if not scn.clear(pos):
             continue
         rng = substream(seed, _STREAM_GRID, xi, yi)
         draws = [env._channels(pos[None], rng.standard_normal((1, env.n_normals)))
