@@ -252,8 +252,9 @@ def test_a_move_is_canceled_exactly_where_the_scenario_is_not_clear(scn):
     step, half = scn.step_length, scn.half_extent
     reach = int(2 * half / step) + 1
     offsets = step * np.arange(-reach, reach + 1)
-    origins = np.array([p for dx in offsets for dy in offsets
-                        if scn.clear(p := np.asarray(scn.uav_start, dtype=float) + (dx, dy))])
+    lattice = np.asarray(scn.uav_start, dtype=float) + [(dx, dy) for dx in offsets
+                                                         for dy in offsets]
+    origins = np.array([p for p in lattice if scn.clear(p)])
     env = ArisEnv(scn, seed=0)
     moves = np.arange(len(aerial.MOVES))
     n = len(origins) * len(moves)
