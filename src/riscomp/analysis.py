@@ -1,8 +1,12 @@
 """Scenario-level assembly of the closed-form SINR laws.
 
-Maps a CoordinatedScenario onto the fitted Gamma / Beta-prime distributions
-of every user SINR, and evaluates ergodic rates and outage probabilities
-from them, at the scenario's own SINR thresholds.
+Maps a CoordinatedScenario onto the fitted Beta-prime law of every SINR,
+keyed by sample kind: the `montecarlo.SINR_KINDS` name of the Monte Carlo
+sample the law models (the no-CoMP edge SINR has no law), plus
+`edge_high_snr`, the edge law without its noise term. From them it
+evaluates ergodic rates and outage probabilities, at the scenario's own
+SINR thresholds, each user reading the SINR that `montecarlo.USER_SINR`
+names.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import NakagamiParams
+from .montecarlo import USER_SINR
 from .scenarios import CoordinatedScenario
 from .stats import (
     BetaPrimeParams,
@@ -26,12 +31,12 @@ from .stats import (
 
 @dataclass(frozen=True)
 class CoordinatedDistributions:
-    """Fitted laws for the coordinated cluster's SINRs."""
+    """Fitted laws for the coordinated cluster's SINRs: `laws` maps each
+    sample kind, in `SINR_KINDS` order, then `edge_high_snr` to its
+    Beta-prime law; `z_center` holds the Gamma fits of the center users'
+    effective channel powers."""
 
-    center_own: tuple[BetaPrimeParams, BetaPrimeParams]
-    center_sic: tuple[BetaPrimeParams, BetaPrimeParams]
-    edge: BetaPrimeParams
-    edge_high_snr: BetaPrimeParams
+    laws: dict[str, BetaPrimeParams]
     z_center: tuple[GammaParams, GammaParams]
 
 
@@ -46,43 +51,36 @@ def _power_moments(
 
 def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributions:
     rho, zc, zf = scn.rho, scn.zeta_center, scn.zeta_edge
-    own = []
-    sic = []
+    laws = {}
     z_c = []
     for i in (1, 2):
         links = scn.center_links(i)
         zm = _power_moments(scn, links, scn.beta_r)
-        own.append(sinr_dist_center(zm, links["ici"], rho, zc, 0.0))
-        sic.append(sinr_dist_center(zm, links["ici"], rho, zf, zc))
+        laws[f"center{i}_own"] = sinr_dist_center(zm, links["ici"], rho, zc, 0.0)
+        laws[f"center{i}_sic"] = sinr_dist_center(zm, links["ici"], rho, zf, zc)
         z_c.append(gamma_from_moments(zm))
     z1 = _power_moments(scn, scn.edge_links(1), scn.beta_t)
     z2 = _power_moments(scn, scn.edge_links(2), scn.beta_t)
-    return CoordinatedDistributions(
-        center_own=tuple(own),
-        center_sic=tuple(sic),
-        edge=sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=1.0),
-        edge_high_snr=sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=0.0),
-        z_center=tuple(z_c),
-    )
+    laws["edge"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=1.0)
+    laws["edge_high_snr"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=0.0)
+    return CoordinatedDistributions(laws=laws, z_center=tuple(z_c))
 
 
 def analytic_ergodic_rates(scn: CoordinatedScenario) -> dict[str, float]:
-    d = coordinated_distributions(scn)
-    return {
-        "center1": ergodic_rate(d.center_own[0]),
-        "center2": ergodic_rate(d.center_own[1]),
-        "edge": ergodic_rate(d.edge),
-        "edge_high_snr": ergodic_rate(d.edge_high_snr),
-    }
+    """Each user's ergodic rate from the law of its SINR, then the edge
+    user's high-SNR approximation, `edge_high_snr`."""
+    laws = coordinated_distributions(scn).laws
+    return {user: ergodic_rate(laws[kind])
+            for user, kind in {**USER_SINR, "edge_high_snr": "edge_high_snr"}.items()}
 
 
 def analytic_outage(scn: CoordinatedScenario) -> dict[str, float]:
     d = coordinated_distributions(scn)
-    out = {"edge": d.edge.cdf(scn.threshold_edge)}
+    out = {"edge": d.laws["edge"].cdf(scn.threshold_edge)}
     for i in (1, 2):
         out[f"center{i}"] = outage_center_closed(
-            d.center_sic[i - 1],
-            d.center_own[i - 1],
+            d.laws[f"center{i}_sic"],
+            d.laws[f"center{i}_own"],
             d.z_center[i - 1],
             scn.rho,
             scn.zeta_center,

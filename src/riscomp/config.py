@@ -16,6 +16,8 @@ scale.
 `plan` expands a validated config into the `Plan` of what its run does,
 with each kind's defaults (`_KINDS`, the one place they are written)
 applied; the runners read the plan, and `validate` checks it.
+`coordinated_points` lists a coordinated run's points, each with its
+scenario, for `validate`'s fits and the runners alike.
 """
 
 from __future__ import annotations
@@ -229,6 +231,19 @@ def _plan(cfg: ExperimentConfig, scn, tc: TrainConfig | None) -> Plan:
     episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
                 else defaults.get("episodes"))
     return Plan(cfg.kind, cfg.seed, trials, scn, sweeps, episodes, tc, cfg.checkpoint)
+
+
+def coordinated_points(run: Plan) -> list[tuple[str, CoordinatedScenario]]:
+    """Each point of a coordinated run in run order, as the config key that
+    sets it and the scenario it runs at: each beta_t of an exhaustive-star,
+    with beta_r = 1 - beta_t, and each power otherwise (pdf-validation's
+    one, the scenario's). `validate` fits the closed-form laws at exactly
+    these points, and the runners run them."""
+    scn = run.scenario
+    if run.kind == "exhaustive-star":
+        return [(key, replace(scn, beta_t=b, beta_r=1.0 - b))
+                for key, b in run.points("beta_t_values")]
+    return [(key, replace(scn, p_t_dbm=p)) for key, p in run.points("p_t_dbm", "p_t_dbm")]
 
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
@@ -475,32 +490,26 @@ def _aerial_errors(run: Plan) -> list[str]:
 
 
 def _fit_errors(run: Plan) -> list[str]:
-    """Fit the closed-form SINR laws at every point of the coordinated run
-    (each beta_t of an exhaustive-star, each power otherwise); a point whose
-    fit fails is named by the key that sets it."""
-    scn = run.scenario
-    if run.kind == "exhaustive-star":
-        points = [(key, {"beta_t": b, "beta_r": 1.0 - b})
-                  for key, b in run.points("beta_t_values")]
-    else:
-        points = [(key, {"p_t_dbm": p}) for key, p in run.points("p_t_dbm", "p_t_dbm")]
+    """Fit the closed-form SINR laws at every point of the coordinated run;
+    a point whose fit fails is named by the key that sets it."""
+    points = coordinated_points(run)
+    k = run.scenario.k_elements
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
     # leaves the float range is named once, not as every point's fit.
-    betas = {changes.get(b, getattr(scn, b)) for _, changes in points
-             for b in ("beta_t", "beta_r")}
     try:
-        for beta in betas:
-            (scn.k_elements * math.sqrt(beta)) ** 4
+        for beta in {b for _, scn in points for b in (scn.beta_t, scn.beta_r)}:
+            (k * math.sqrt(beta)) ** 4
     except OverflowError:
-        return [f"scenario.k_elements: {scn.k_elements} elements overflow the cascade "
+        return [f"scenario.k_elements: {k} elements overflow the cascade "
                 "moments of the closed-form SINR laws, (K sqrt(beta))^4"]
     errors = []
-    for key, changes in points:
-        at = ", ".join(f"{k} = {v!r}" for k, v in
-                       {"p_t_dbm": scn.p_t_dbm, "beta_t": scn.beta_t, **changes}.items())
+    for key, scn in points:
+        at = f"p_t_dbm = {scn.p_t_dbm!r}, beta_t = {scn.beta_t!r}"
+        if run.kind == "exhaustive-star":
+            at += f", beta_r = {scn.beta_r!r}"
         try:
-            coordinated_distributions(replace(scn, **changes))
+            coordinated_distributions(scn)
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"{key}: the closed-form SINR laws cannot be fitted at {at}: {exc}")
     return errors
@@ -587,14 +596,10 @@ def load_config(path) -> ExperimentConfig:
     return from_mapping(parse_text(text))
 
 
-def dump_config(cfg: ExperimentConfig, header: str = "") -> str:
+def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical serialization; loading it back reproduces a validated
     config exactly (floats are written with 17 significant digits)."""
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.append(f"kind = {cfg.kind}")
-    lines.append(f"seed = {cfg.seed}")
+    lines = [f"kind = {cfg.kind}", f"seed = {cfg.seed}"]
     if cfg.trials is not None:
         lines.append(f"trials = {cfg.trials}")
     lines.append(f"out = {cfg.out}")

@@ -222,12 +222,12 @@ class _Sums:
         self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
         self.e_out += float(np.sum(edge < self.thr_f))
 
-    def add_center(self, center, center_sic=None):
+    def add_center(self, center, sic=None):
         """One chunk's center SINRs. A NOMA center user is also in outage
-        when its SIC stage (center_sic) misses the edge user's target."""
+        when its SIC stage's SINR, sic, misses the edge user's target."""
         out = center < self.thr_c
-        if center_sic is not None:
-            out |= center_sic < self.thr_f
+        if sic is not None:
+            out |= sic < self.thr_f
         self.c_rate += self.share * np.sum(np.log2(1.0 + center), axis=0)
         self.c_out += np.sum(out, axis=0)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
-from dataclasses import replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -22,9 +21,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
-from .config import ConfigError, ExperimentConfig, Plan, dump_config, plan
+from .config import ConfigError, ExperimentConfig, Plan, coordinated_points, dump_config, plan
 from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
-from .montecarlo import estimate_ergodic_rate, estimate_outage, ks_statistic, run_trials
+from .montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
+                         ks_statistic, run_trials)
 from .moppo import PolicyParams, check_checkpoint, evaluate, load_params, save_params, train
 from .stats import stacked_cdf
 
@@ -42,15 +42,17 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 
 def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
     body = dump_config(cfg)
-    digest = hashlib.sha256(body.encode()).hexdigest()[:16]
+    # The hash names the configuration, not the directory it was run into.
+    hashed = "".join(line for line in body.splitlines(keepends=True)
+                     if not line.startswith("out = "))
     header = (
-        f"run manifest (re-run with: riscomp run <this file>)\n"
-        f"version = {__version__}\n"
-        f"config sha256/16 = {digest}"
+        f"# run manifest (re-run with: riscomp run <this file>)\n"
+        f"# version = {__version__}\n"
+        f"# config sha256/16 = {hashlib.sha256(hashed.encode()).hexdigest()[:16]}\n"
     )
     path = outdir / "manifest.cfg"
     tmp = outdir / "manifest.cfg.tmp"
-    tmp.write_text(dump_config(cfg, header=header))
+    tmp.write_text(header + body)
     os.replace(tmp, path)
     return path
 
@@ -61,71 +63,62 @@ def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
-    scn, n = run.scenario, run.trials
-    dists = coordinated_distributions(scn)
-    analytic = {
-        "center1_own": dists.center_own[0],
-        "center1_sic": dists.center_sic[0],
-        "center2_own": dists.center_own[1],
-        "center2_sic": dists.center_sic[1],
-        "edge": dists.edge,
-    }
+    [(_, scn)] = coordinated_points(run)
+    n = run.trials
+    fitted = coordinated_distributions(scn).laws
+    # Each sampled SINR's law, in the sample kinds' order.
+    laws = {kind: fitted[kind] for kind in SINR_KINDS if kind in fitted}
     couplings = ("fitted", "physical")
-    samples = np.empty((len(couplings), len(analytic), n))
+    samples = np.empty((len(couplings), len(laws), n))
     for row, coupling in zip(samples, couplings):
         batch = run_trials(scn, n, run.seed, coupling=coupling).batch(scn)
-        np.stack([batch.sinr[kind] for kind in analytic], out=row)
+        np.stack([batch.sinr[kind] for kind in laws], out=row)
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
-                                   partial(stacked_cdf, list(analytic.values()) * len(couplings)))
+                                   partial(stacked_cdf, list(laws.values()) * len(couplings)))
     rows = [(coupling, kind, n, di, crit, int(ok))
-            for (coupling, kind), di, ok in zip(product(couplings, analytic), d.tolist(), passed)]
+            for (coupling, kind), di, ok in zip(product(couplings, laws), d.tolist(), passed)]
     return {"ks_table.csv": (["coupling", "sinr", "n", "ks_stat", "critical", "pass"], rows)}
 
 
 def _run_er_sweep(run: Plan) -> Outputs:
-    scn = run.scenario
-    draws = run_trials(scn, run.trials, run.seed, coupling="fitted")
+    draws = run_trials(run.scenario, run.trials, run.seed, coupling="fitted")
     rows = []
-    for p_t in run.sweeps[0]["p_t_dbm"]:
-        scn_p = replace(scn, p_t_dbm=p_t)
-        er = analytic_ergodic_rates(scn_p)
-        mc = estimate_ergodic_rate(draws.batch(scn_p))
-        for user in ("center1", "center2", "edge"):
+    for _, scn in coordinated_points(run):
+        er = analytic_ergodic_rates(scn)
+        mc = estimate_ergodic_rate(draws.batch(scn))
+        for user in USER_SINR:
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
-            rows.append((p_t, user, er[user], mc[user], rel))
-        rows.append((p_t, "edge_high_snr", er["edge_high_snr"], mc["edge"],
+            rows.append((scn.p_t_dbm, user, er[user], mc[user], rel))
+        rows.append((scn.p_t_dbm, "edge_high_snr", er["edge_high_snr"], mc["edge"],
                      abs(er["edge_high_snr"] / mc["edge"] - 1.0)))
     return {"ergodic_rates.csv": (["p_t_dbm", "user", "er_analytic", "er_mc", "rel_err"], rows)}
 
 
 def _run_outage_sweep(run: Plan) -> Outputs:
-    scn = run.scenario
-    draws = run_trials(scn, run.trials, run.seed, coupling="fitted")
+    draws = run_trials(run.scenario, run.trials, run.seed, coupling="fitted")
     rows = []
-    for p_t in run.sweeps[0]["p_t_dbm"]:
-        scn_p = replace(scn, p_t_dbm=p_t)
-        closed = analytic_outage(scn_p)
-        mc = estimate_outage(draws.batch(scn_p), scn_p)
-        for user in ("center1", "center2", "edge"):
-            rows.append((p_t, user, closed[user], mc[user],
+    for _, scn in coordinated_points(run):
+        closed = analytic_outage(scn)
+        mc = estimate_outage(draws.batch(scn), scn)
+        for user in USER_SINR:
+            rows.append((scn.p_t_dbm, user, closed[user], mc[user],
                          abs(closed[user] - mc[user])))
-        rows.append((p_t, "edge_nocomp", float("nan"), mc["edge_nocomp"], float("nan")))
+        rows.append((scn.p_t_dbm, "edge_nocomp", float("nan"), mc["edge_nocomp"], float("nan")))
     return {"outage.csv": (["p_t_dbm", "user", "outage_closed", "outage_mc", "abs_err"], rows)}
 
 
 def _run_exhaustive_star(run: Plan) -> Outputs:
-    scn = run.scenario
-    k = scn.k_elements
-    [sweep] = run.sweeps
-    beta_values = sweep["beta_t_values"]
+    k = run.scenario.k_elements
     # `analysis` does not read the assignment: the rates depend on beta_t only.
-    ers = [analytic_ergodic_rates(replace(scn, beta_t=b, beta_r=1.0 - b)) for b in beta_values]
-    rows = [(k1, k - k1, beta_t, 1.0 - beta_t, er["center1"], er["center2"],
-             er["edge"], er["center1"] + er["center2"] + er["edge"])
-            for k1 in sweep["assignment_values"] for beta_t, er in zip(beta_values, ers)]
+    points = []
+    for _, scn in coordinated_points(run):
+        er = analytic_ergodic_rates(scn)
+        points.append((scn.beta_t, scn.beta_r, [er[user] for user in USER_SINR]))
+    rows = [(k1, k - k1, beta_t, beta_r, *rates, sum(rates))
+            for k1 in run.sweeps[0]["assignment_values"] for beta_t, beta_r, rates in points]
     return {"exhaustive_star.csv": (
-        ["k1", "k2", "beta_t", "beta_r", "er_center1", "er_center2", "er_edge", "er_sum"], rows)}
+        ["k1", "k2", "beta_t", "beta_r", *(f"er_{user}" for user in USER_SINR), "er_sum"], rows)}
 
 
 # The ee_sweep axis of each ee-sweep sweep key.

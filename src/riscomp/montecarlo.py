@@ -44,6 +44,10 @@ _STREAM_TRIALS = 101
 SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
               "edge", "edge_nocomp")
 
+# The SINR kind each user's rate reads, in the order the sweep tables list
+# the users; the no-CoMP edge SINR is a baseline, not a user.
+USER_SINR = {"center1": "center1_own", "center2": "center2_own", "edge": "edge"}
+
 KS_COEFF = 1.63  # asymptotic KS critical value times sqrt(n) at alpha = 0.01
 KS_MIN_SAMPLES = 100  # below this the asymptotic critical values do not hold
 
@@ -210,11 +214,10 @@ def estimate_outage(batch: TrialBatch, scn: CoordinatedScenario) -> dict[str, fl
 
 
 def estimate_ergodic_rate(batch: TrialBatch) -> dict[str, float]:
-    """Per-user mean Shannon rate log2(1 + sinr) in bps/Hz."""
+    """Per-user mean Shannon rate log2(1 + sinr) in bps/Hz, then the
+    no-CoMP edge baseline's, `edge_nocomp`."""
     if batch.n_trials == 0:
         raise ValueError("cannot estimate from an empty batch")
     s = batch.sinr
-    kinds = {"center1": "center1_own", "center2": "center2_own",
-             "edge": "edge", "edge_nocomp": "edge_nocomp"}
     return {user: float(np.mean(np.log1p(s[kind]) / math.log(2.0)))
-            for user, kind in kinds.items()}
+            for user, kind in {**USER_SINR, "edge_nocomp": "edge_nocomp"}.items()}

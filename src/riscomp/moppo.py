@@ -647,8 +647,8 @@ def train(scenario: AerialScenario, cfg: TrainConfig, seed: int = 0) -> TrainRes
 def evaluate(
     scenario: AerialScenario,
     params: PolicyParams,
-    seed: int = 0,
-    episodes: int = 5,
+    seed: int,
+    episodes: int,
 ) -> dict:
     """Deterministic-policy evaluation (the most probable move and the mean
     continuous action) of the network params holds, over `episodes`

@@ -31,7 +31,8 @@ from oracles import (
 from riscomp.analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
 from riscomp.channel import substream
 from riscomp.energy import ee_sweep, osum_sweep
-from riscomp.montecarlo import estimate_ergodic_rate, estimate_outage, ks_statistic, run_trials
+from riscomp.montecarlo import (SINR_KINDS, estimate_ergodic_rate, estimate_outage, ks_statistic,
+                                run_trials)
 from riscomp.moppo import (
     Minibatch,
     TrainConfig,
@@ -74,14 +75,8 @@ OPTIMALITY_CFG = TrainConfig(
 
 def test_criterion_1_distribution_fit_ks():
     """KS statistic of 1e4 MC samples below 1.63/sqrt(1e4) for every SINR."""
-    dists = coordinated_distributions(FIG32)
-    analytic = {
-        "center1_own": dists.center_own[0],
-        "center1_sic": dists.center_sic[0],
-        "center2_own": dists.center_own[1],
-        "center2_sic": dists.center_sic[1],
-        "edge": dists.edge,
-    }
+    laws = coordinated_distributions(FIG32).laws
+    analytic = {kind: laws[kind] for kind in SINR_KINDS if kind in laws}
     ok = True
     for coupling in ("fitted", "physical"):
         batch = run_trials(FIG32, 10_000, seed=1, coupling=coupling).batch(FIG32)

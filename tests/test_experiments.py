@@ -9,7 +9,7 @@ from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
 from riscomp.config import from_mapping, load_config, plan
 from riscomp.experiments import PRESETS, preset, run_experiment
-from riscomp.montecarlo import ks_statistic, run_trials
+from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import tiny_aerial_scenario
 
@@ -38,6 +38,23 @@ def test_manifest_rerun_byte_identical(tmp_path):
     assert filecmp.cmp(first_csv[0], second_csv[0], shallow=False)
 
 
+def _hash_line(manifest):
+    [line] = [ln for ln in manifest.read_text().splitlines() if ln.startswith("# config sha256")]
+    return line
+
+
+def test_manifest_hash_names_the_config_not_the_directory(tmp_path):
+    # The same config run into two directories carries one hash; a changed
+    # key changes it.
+    base = {"kind": "exhaustive-star", "sweep.beta_t_values": [0.3, 0.6]}
+    _, first = _run(tmp_path, "a", base)
+    _, second = _run(tmp_path, "b", base)
+    _, other = _run(tmp_path, "c", {**base, "scenario.p_t_dbm": -5.0})
+    assert first[0].read_text() != second[0].read_text()
+    assert _hash_line(first[0]) == _hash_line(second[0])
+    assert _hash_line(other[0]) != _hash_line(first[0])
+
+
 def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     # The runner scores its ten rows in one stacked KS test; every row must
     # read what its own one-sample test gives.
@@ -45,10 +62,8 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     with open(outputs[1], newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     scn = plan(cfg).scenario
-    dists = coordinated_distributions(scn)
-    laws = {"center1_own": dists.center_own[0], "center1_sic": dists.center_sic[0],
-            "center2_own": dists.center_own[1], "center2_sic": dists.center_sic[1],
-            "edge": dists.edge}
+    fitted = coordinated_distributions(scn).laws
+    laws = {kind: fitted[kind] for kind in SINR_KINDS if kind in fitted}
     want = []
     for coupling in ("fitted", "physical"):
         batch = run_trials(scn, 1200, 4, coupling=coupling).batch(scn)
@@ -56,6 +71,41 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
             d, ok, crit = ks_statistic(batch.sinr[kind], law.cdf)
             want.append([coupling, kind, "1200", f"{d:.17g}", f"{crit:.17g}", str(int(ok))])
     assert rows == want
+    # Each coupling lists every sampled SINR with a law once, in the order
+    # of the sample kinds.
+    assert [row[1] for row in rows] == [kind for kind in SINR_KINDS if kind != "edge_nocomp"] * 2
+
+
+def test_law_keys_are_sample_kinds():
+    laws = coordinated_distributions(plan(from_mapping({"kind": "pdf-validation"})).scenario).laws
+    assert list(laws) == [kind for kind in (*SINR_KINDS, "edge_high_snr") if kind in laws]
+    assert set(laws) == {*SINR_KINDS, "edge_high_snr"} - {"edge_nocomp"}
+
+
+@pytest.mark.parametrize("mapping", [
+    {"kind": "er-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]},
+    {"kind": "outage-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]},
+    {"kind": "exhaustive-star", "sweep.beta_t_values": [0.3, 0.6]},
+    {"kind": "pdf-validation", "trials": 200},
+], ids=lambda m: m["kind"])
+def test_validate_fits_the_laws_at_the_points_the_runner_runs(monkeypatch, mapping):
+    # `validate` and the runner list a coordinated run's points through one
+    # function: the scenarios each fits the laws at are the same, in order.
+    fit = coordinated_distributions
+    fitted = []
+
+    def recording(scn):
+        fitted.append(scn)
+        return fit(scn)
+
+    for module in ("analysis", "config", "experiments"):
+        monkeypatch.setattr(f"riscomp.{module}.coordinated_distributions", recording)
+    cfg = from_mapping(mapping)
+    validated = list(fitted)
+    fitted.clear()
+    experiments._RUNNERS[cfg.kind](plan(cfg))
+    assert len(validated) == (1 if cfg.kind == "pdf-validation" else 2)
+    assert fitted == validated
 
 
 def test_er_sweep_artifacts(tmp_path):

@@ -11,7 +11,7 @@ from riscomp import special
 from riscomp.analysis import coordinated_distributions
 from riscomp.config import from_mapping, plan
 from riscomp.experiments import PRESETS
-from riscomp.montecarlo import run_trials
+from riscomp.montecarlo import SINR_KINDS, run_trials
 from riscomp.special import betainc_reg, betaln, gammainc_lower_reg
 
 
@@ -83,10 +83,8 @@ def _fig32_laws_and_points():
     laws under fitted coupling, then under physical, as the KS table runs."""
     cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
     scn = plan(cfg).scenario
-    dists = coordinated_distributions(scn)
-    laws = [(dists.center_own[0], "center1_own"), (dists.center_sic[0], "center1_sic"),
-            (dists.center_own[1], "center2_own"), (dists.center_sic[1], "center2_sic"),
-            (dists.edge, "edge")]
+    fitted = coordinated_distributions(scn).laws
+    laws = [(fitted[kind], kind) for kind in SINR_KINDS if kind in fitted]
     points = []
     for coupling in ("fitted", "physical"):
         batch = run_trials(scn, 2000, cfg.seed, coupling=coupling).batch(scn)

@@ -116,7 +116,7 @@ def test_densities_normalize():
     # The fitted laws' densities integrate to 1, and the CDF at the scale
     # equals the density's integral up to it.
     _, dists = _fig_style_dists()
-    for dist in (dists.center_own[0], dists.center_sic[0], dists.edge):
+    for dist in (dists.laws["center1_own"], dists.laws["center1_sic"], dists.laws["edge"]):
         pdf = functools.partial(beta_prime_pdf, dist)
         total = integrate_half_line(
             pdf, rtol=1e-9, breakpoints=[dist.scale * 0.01, dist.scale, dist.scale * 100]
@@ -165,7 +165,7 @@ def test_ergodic_rate_monotone_in_scale():
 
 def test_ergodic_rate_vs_mc_sampling():
     _, dists = _fig_style_dists()
-    p = dists.edge
+    p = dists.laws["edge"]
     rng = substream(23, 1)
     n = 100_000
     v = rng.gamma(p.a, 1.0, n)
@@ -209,7 +209,7 @@ def test_high_snr_saturation_with_concentrated_fits():
 
 def test_outage_edge_examples():
     scn, dists = _fig_style_dists()
-    p = dists.edge
+    p = dists.laws["edge"]
     assert p.cdf(0.0) == 0.0
     assert p.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
     # The closed-form edge outage is the law's CDF at the scenario threshold.
@@ -220,15 +220,15 @@ def test_outage_center_closed_limits():
     scn, dists = _fig_style_dists()
     z = dists.z_center[0]
     val = outage_center_closed(
-        dists.center_sic[0], dists.center_own[0], z, scn.rho, scn.zeta_center, 0.0, 0.0
+        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 0.0, 0.0
     )
     assert val == 0.0
     # SIC-pass factor vanishes as the edge threshold grows.
-    p = dists.center_sic[0]
+    p = dists.laws["center1_sic"]
     psi = p.scale / (p.scale + 1e9)
     assert betainc_reg(p.b, p.a, psi) < 1e-6
     total = outage_center_closed(
-        dists.center_sic[0], dists.center_own[0], z, scn.rho, scn.zeta_center, 1e9, 1.0
+        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 1e9, 1.0
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -238,7 +238,7 @@ def test_outage_center_floor_applies():
     z = dists.z_center[0]
     floor = z.cdf(1.0 / (scn.rho * scn.zeta_center))
     val = outage_center_closed(
-        dists.center_sic[0], dists.center_own[0], z, scn.rho, scn.zeta_center, 1.0, 1.0
+        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 1.0, 1.0
     )
     assert val >= floor
 
