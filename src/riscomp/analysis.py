@@ -3,10 +3,10 @@
 Maps a CoordinatedScenario onto the fitted Beta-prime law of every SINR,
 keyed by sample kind: the `montecarlo.SINR_KINDS` name of the Monte Carlo
 sample the law models (the no-CoMP edge SINR has no law), plus
-`edge_high_snr`, the edge law without its noise term. From them it
-evaluates ergodic rates and outage probabilities, at the scenario's own
-SINR thresholds, each user reading the SINR that `montecarlo.USER_SINR`
-names.
+`edge_high_snr`, the edge law without its noise term. From a fit, which
+`config.validate` makes once per point of a run, it evaluates ergodic rates
+and outage probabilities, at the fitted scenario's own SINR thresholds,
+each user reading the SINR that `montecarlo.USER_SINR` names.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .stats import (
 
 @dataclass(frozen=True)
 class CoordinatedDistributions:
-    """Fitted laws for the coordinated cluster's SINRs: `laws` maps each
-    sample kind, in `SINR_KINDS` order, then `edge_high_snr` to its
-    Beta-prime law; `z_center` holds the Gamma fits of the center users'
-    effective channel powers."""
+    """Fitted laws for the coordinated cluster's SINRs at `scenario`: `laws`
+    maps each sample kind, in `SINR_KINDS` order, then `edge_high_snr` to
+    its Beta-prime law; `z_center` holds the Gamma fits of the center
+    users' effective channel powers."""
 
+    scenario: CoordinatedScenario
     laws: dict[str, BetaPrimeParams]
     z_center: tuple[GammaParams, GammaParams]
 
@@ -63,19 +64,19 @@ def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributi
     z2 = _power_moments(scn, scn.edge_links(2), scn.beta_t)
     laws["edge"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=1.0)
     laws["edge_high_snr"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=0.0)
-    return CoordinatedDistributions(laws=laws, z_center=tuple(z_c))
+    return CoordinatedDistributions(scenario=scn, laws=laws, z_center=tuple(z_c))
 
 
-def analytic_ergodic_rates(scn: CoordinatedScenario) -> dict[str, float]:
-    """Each user's ergodic rate from the law of its SINR, then the edge
-    user's high-SNR approximation, `edge_high_snr`."""
-    laws = coordinated_distributions(scn).laws
-    return {user: ergodic_rate(laws[kind])
+def analytic_ergodic_rates(d: CoordinatedDistributions) -> dict[str, float]:
+    """Each user's ergodic rate from the fitted law of its SINR, then the
+    edge user's high-SNR approximation, `edge_high_snr`."""
+    return {user: ergodic_rate(d.laws[kind])
             for user, kind in {**USER_SINR, "edge_high_snr": "edge_high_snr"}.items()}
 
 
-def analytic_outage(scn: CoordinatedScenario) -> dict[str, float]:
-    d = coordinated_distributions(scn)
+def analytic_outage(d: CoordinatedDistributions) -> dict[str, float]:
+    """Each user's outage probability at the fitted scenario's thresholds."""
+    scn = d.scenario
     out = {"edge": d.laws["edge"].cdf(scn.threshold_edge)}
     for i in (1, 2):
         out[f"center{i}"] = outage_center_closed(

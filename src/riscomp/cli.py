@@ -20,8 +20,8 @@ from .config import ConfigError, dump_config, from_mapping, load_config, parse_t
 from .experiments import PRESETS, preset, run_experiment
 
 
-def _config(args):
-    """The config of a run or reproduce command: the file's or the preset's
+def _plan(args):
+    """The plan of a run or reproduce command: of the file's or the preset's
     keys with --seed, --trials and --out applied, and RISCOMP_OUTDIR where
     there is no --out and out is absent or `runs`, typed and validated
     once."""
@@ -66,12 +66,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("run", "reproduce"):
-            for path in run_experiment(_config(args)):
+            for path in run_experiment(_plan(args)):
                 print(path)
             return 0
         if args.command == "validate":
-            cfg = load_config(args.config)
-            sys.stdout.write(dump_config(cfg))
+            sys.stdout.write(dump_config(load_config(args.config).config))
             return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

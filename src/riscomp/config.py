@@ -13,11 +13,11 @@ All decibel quantities carry unit suffixes in their key names (_db / _dbm)
 so units are always explicit; the scenario classes convert them to linear
 scale.
 
-`plan` expands a validated config into the `Plan` of what its run does,
-with each kind's defaults (`_KINDS`, the one place they are written)
-applied; the runners read the plan, and `validate` checks it.
-`coordinated_points` lists a coordinated run's points, each with its
-scenario, for `validate`'s fits and the runners alike.
+`validate` turns a config into the `Plan` of its run, with each kind's
+defaults (`_KINDS`, the one place they are written) applied, or refuses it
+naming every violation by its key. The plan carries the frozen config, and
+for a coordinated run the closed-form SINR laws of every point, fitted
+once; the runners read the plan and nothing else.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import get_type_hints
+from types import MappingProxyType
+from typing import Mapping, get_type_hints
 
 from .aerial import slot_normals
-from .analysis import coordinated_distributions
+from .analysis import CoordinatedDistributions, coordinated_distributions
 from .energy import chunk_bytes
 from .moppo import TrainConfig, policy_bytes
 from .montecarlo import KS_MIN_SAMPLES
@@ -91,7 +92,7 @@ _TOP_KEYS = {
 # its Monte Carlo trials, the episodes a drl-eval run steps in lockstep, and
 # each sweep axis it reads, in run order, with the values it sweeps where
 # the config sets none (a list, a function of the base scenario, or None
-# where the axis runs only when set). `plan` applies them.
+# where the axis runs only when set). `validate` applies them.
 _KINDS = {
     "pdf-validation": {"keys": _COORDINATED_KEYS, "trials": 10_000},
     "er-sweep": {"keys": _COORDINATED_KEYS, "trials": 100_000, "axes": {
@@ -102,7 +103,7 @@ _KINDS = {
         "assignment_values": lambda scn: range(
             0, scn.k_elements + 1, max(1, scn.k_elements // 8)),
         "beta_t_values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]}},
-    # J over every cooperative set size only when no axis is set (see _plan).
+    # J over every cooperative set size only when no axis is set (see _sweeps).
     "ee-sweep": {"keys": _MULTICELL_KEYS, "trials": 10_000, "axes": {
         "j_values": lambda scn: range(1, scn.n_cells + 1),
         "k_values": None, "p_t_dbm": None, "r_th_values": None}},
@@ -115,9 +116,6 @@ _KINDS = {
     "drl-train": {"keys": _AERIAL_KEYS},
     "drl-eval": {"keys": _AERIAL_KEYS, "episodes": 10},
 }
-
-# The scenario family of every kind, named by its key schema.
-_SCENARIO_KEYS_BY_KIND = {kind: d["keys"] for kind, d in _KINDS.items()}
 
 KINDS = tuple(_KINDS)
 
@@ -134,36 +132,43 @@ class ConfigError(ValueError):
     """Parse or validation failure; message lists every violation."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A typed config, frozen, with read-only copies of its three mappings."""
+
     kind: str = "pdf-validation"
     seed: int = 1
     trials: int | None = None
     out: str = "runs"
     checkpoint: str = ""
-    scenario: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
+    scenario: Mapping = field(default_factory=dict)
+    sweep: Mapping = field(default_factory=dict)
+    train: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("scenario", "sweep", "train"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 @dataclass(frozen=True)
 class Plan:
-    """Everything a run reads, expanded from a validated config by `plan`.
+    """Everything a run reads, built from its frozen `config` by `validate`.
     `sweeps` are the run's sweeps in order, each mapping its axes' sweep
     keys, in order, to their values (a list, or a range where the default
     is one, never built in full) and running their product; one without
     axes is the scenario's one point. `trials` is the Monte Carlo trial
     count, `episodes` the number of episodes an aerial run steps in
-    lockstep, and `train` its training setup."""
+    lockstep, and `train` its training setup. `fits` holds each point of a
+    coordinated run in run order, as the config key that sets it and the
+    closed-form laws fitted at its scenario."""
 
-    kind: str
-    seed: int
+    config: ExperimentConfig
     trials: int | None
     scenario: CoordinatedScenario | MultiCellScenario | AerialScenario
     sweeps: tuple[dict[str, list | range], ...]
     episodes: int | None
     train: TrainConfig | None
-    checkpoint: str
+    fits: tuple[tuple[str, CoordinatedDistributions], ...] = ()
 
     def points(self, name: str, scn_field: str = "") -> list[tuple[str, object]]:
         """Each value of the axis `name` in run order with the config key
@@ -181,7 +186,7 @@ def _scenario(cfg: ExperimentConfig):
     """The base scenario of cfg, of its kind's family, with the scenario
     pseudo-keys made fields."""
     kw = dict(cfg.scenario)
-    keys = _SCENARIO_KEYS_BY_KIND[cfg.kind]
+    keys = _KINDS[cfg.kind]["keys"]
     if keys is _MULTICELL_KEYS:
         return MultiCellScenario(**kw)
     if keys is _AERIAL_KEYS:
@@ -202,48 +207,34 @@ def _scenario(cfg: ExperimentConfig):
     return CoordinatedScenario(thresholds_db=thresholds, assignment=assignment, **kw)
 
 
-def plan(cfg: ExperimentConfig) -> Plan:
-    """The Plan of a validated config's run. It builds the scenario and the
-    training setup and nothing else: no law is fitted, nothing allocated."""
-    drl = _SCENARIO_KEYS_BY_KIND[cfg.kind] is _AERIAL_KEYS
-    return _plan(cfg, _scenario(cfg), TrainConfig(**cfg.train) if drl else None)
-
-
-def _plan(cfg: ExperimentConfig, scn, tc: TrainConfig | None) -> Plan:
-    """plan(cfg) from its built scenario and training setup (None while the
-    latter is invalid, which only `validate` builds a plan through)."""
-    defaults = _KINDS[cfg.kind]
+def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
+    """The sweeps of cfg's run at its base scenario, each axis's default
+    applied where cfg sets no values (see `Plan`)."""
     axes = {}
-    for name, default in defaults.get("axes", {}).items():
+    for name, default in _KINDS[cfg.kind].get("axes", {}).items():
         values = cfg.sweep.get(name, default)
         if values is not None:
             axes[name] = values(scn) if callable(values) else values
-    sweeps = (axes,)
-    if cfg.kind == "ee-sweep":
-        # One sweep per axis the config sets, or its J default when it sets
-        # none; sweep.p_t_dbm with sweep.r_th_values is their grid alone.
-        if cfg.sweep.keys() >= {"p_t_dbm", "r_th_values"}:
-            sweeps = ({name: axes[name] for name in ("p_t_dbm", "r_th_values")},)
-        else:
-            sweeps = tuple({name: v} for name, v in axes.items() if name in cfg.sweep) or (
-                {"j_values": axes["j_values"]},)
-    trials = defaults.get("trials") if cfg.trials is None else cfg.trials
-    episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
-                else defaults.get("episodes"))
-    return Plan(cfg.kind, cfg.seed, trials, scn, sweeps, episodes, tc, cfg.checkpoint)
+    if cfg.kind != "ee-sweep":
+        return (axes,)
+    # One sweep per axis the config sets, or its J default when it sets
+    # none; sweep.p_t_dbm with sweep.r_th_values is their grid alone.
+    if cfg.sweep.keys() >= {"p_t_dbm", "r_th_values"}:
+        return ({name: axes[name] for name in ("p_t_dbm", "r_th_values")},)
+    return tuple({name: v} for name, v in axes.items() if name in cfg.sweep) or (
+        {"j_values": axes["j_values"]},)
 
 
-def coordinated_points(run: Plan) -> list[tuple[str, CoordinatedScenario]]:
-    """Each point of a coordinated run in run order, as the config key that
-    sets it and the scenario it runs at: each beta_t of an exhaustive-star,
-    with beta_r = 1 - beta_t, and each power otherwise (pdf-validation's
-    one, the scenario's). `validate` fits the closed-form laws at exactly
-    these points, and the runners run them."""
-    scn = run.scenario
-    if run.kind == "exhaustive-star":
-        return [(key, replace(scn, beta_t=b, beta_r=1.0 - b))
-                for key, b in run.points("beta_t_values")]
-    return [(key, replace(scn, p_t_dbm=p)) for key, p in run.points("p_t_dbm", "p_t_dbm")]
+# The scenario at a value of each sweep axis that sets a scenario field,
+# from the base scenario: beta_r = 1 - beta_t, and an exhaustive-star's k1
+# is the assignment (k1, K - k1) that its runner writes.
+_AXIS_FIELDS = {
+    "p_t_dbm": lambda scn, p: replace(scn, p_t_dbm=p),
+    "beta_t_values": lambda scn, b: replace(scn, beta_t=b, beta_r=1.0 - b),
+    "j_values": lambda scn, j: replace(scn, n_coop=j),
+    "k_values": lambda scn, k: replace(scn, k_elements=k),
+    "assignment_values": lambda scn, k1: replace(scn, assignment=(k1, scn.k_elements - k1)),
+}
 
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
@@ -295,8 +286,8 @@ def parse_text(text: str) -> dict:
     return out
 
 
-def from_mapping(flat: dict) -> ExperimentConfig:
-    """Validated ExperimentConfig from a flat dotted-key mapping.
+def from_mapping(flat: dict) -> Plan:
+    """The Plan of the config in a flat dotted-key mapping (see `validate`).
 
     Each value is converted to its key's type (see `_convert`); a `sweep.*`
     string is first split on commas, and each element is converted to the
@@ -307,20 +298,20 @@ def from_mapping(flat: dict) -> ExperimentConfig:
     kind = flat.get("kind", "pdf-validation")
     if kind not in KINDS:
         errors.append(f"kind {kind!r} unknown; choose from {', '.join(KINDS)}")
-        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
-    scenario_schema = _SCENARIO_KEYS_BY_KIND[kind]
-    cfg = ExperimentConfig(kind=kind)
+        raise _refused(errors)
+    scenario_schema = _KINDS[kind]["keys"]
+    top, sections = {}, {"scenario": {}, "sweep": {}, "train": {}}
     for key, value in flat.items():
         if key == "kind":
             continue
         if key in _TOP_KEYS:
-            setattr(cfg, key, _convert(value, _TOP_KEYS[key], key, errors))
+            top[key] = _convert(value, _TOP_KEYS[key], key, errors)
         elif key.startswith("scenario."):
             sub = key[len("scenario."):]
             if sub not in scenario_schema:
                 errors.append(f"unknown scenario key {sub!r} for kind {kind}")
             else:
-                cfg.scenario[sub] = _convert(value, scenario_schema[sub], key, errors)
+                sections["scenario"][sub] = _convert(value, scenario_schema[sub], key, errors)
         elif key.startswith("sweep."):
             sub = key[len("sweep."):]
             typ, kinds = _SWEEP_KEYS.get(sub, (None, ()))
@@ -329,8 +320,8 @@ def from_mapping(flat: dict) -> ExperimentConfig:
             elif isinstance(value, (str, list)):
                 if isinstance(value, str):
                     value = [part for part in value.split(",") if part.strip()]
-                cfg.sweep[sub] = [_convert(v, typ, f"{key}[{i}]", errors)
-                                  for i, v in enumerate(value)]
+                sections["sweep"][sub] = [_convert(v, typ, f"{key}[{i}]", errors)
+                                          for i, v in enumerate(value)]
             else:
                 errors.append(f"{key}: expected a list, got {value!r}")
         elif key.startswith("train."):
@@ -338,35 +329,21 @@ def from_mapping(flat: dict) -> ExperimentConfig:
             if sub not in _TRAIN_KEYS:
                 errors.append(f"unknown train key {sub!r}")
             else:
-                cfg.train[sub] = _convert(value, _TRAIN_KEYS[sub], key, errors)
+                sections["train"][sub] = _convert(value, _TRAIN_KEYS[sub], key, errors)
         else:
             errors.append(f"unknown key {key!r}")
     if errors:
-        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
-    validate(cfg)
-    return cfg
+        raise _refused(errors)
+    return validate(ExperimentConfig(kind=kind, **top, **sections))
 
 
-def _sweep_ranges(cfg: ExperimentConfig) -> dict[str, tuple[float, float]]:
-    """Closed range of the elements of every sweep list."""
-    k = cfg.scenario.get("k_elements", CoordinatedScenario.k_elements)
-    n_cells = cfg.scenario.get("n_cells", MultiCellScenario.n_cells)
-    return {
-        "p_t_dbm": (-math.inf, math.inf),
-        "r_th_values": (0.0, math.inf),
-        "splits": (0.0, 1.0),
-        "beta_t_values": (0.0, 1.0),
-        "j_values": (1, n_cells),
-        "k_values": (0, math.inf),
-        "assignment_values": (0, k),
-    }
+def _refused(errors: list[str]) -> ConfigError:
+    return ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 
 
-def _describe(typ: type, lo: float, hi: float) -> str:
-    name = "integer" if typ is int else "finite number"
-    if math.isinf(hi):
-        return name if math.isinf(lo) else f"{name} >= {lo}"
-    return f"{name} in [{lo}, {hi}]"
+# Closed range of the elements of the sweep lists that set no scenario field;
+# the scenario at each point checks the values of the others (_AXIS_FIELDS).
+_SWEEP_RANGES = {"r_th_values": (0.0, math.inf), "splits": (0.0, 1.0)}
 
 
 def _overflows(key: str, value: float) -> bool:
@@ -392,15 +369,16 @@ def _int_range_errors(cfg: ExperimentConfig) -> list[str]:
 
 def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
     errors = []
-    ranges = _sweep_ranges(cfg)
     for key, values in cfg.sweep.items():
-        lo, hi = ranges[key]
+        lo, hi = _SWEEP_RANGES.get(key, (-math.inf, math.inf))
         if not values:
             errors.append(f"sweep.{key}: needs at least one value")
         for i, v in enumerate(values):
-            if not (math.isfinite(v) and lo <= v <= hi):
-                errors.append(f"sweep.{key}[{i}]: expected "
-                              f"{_describe(_SWEEP_KEYS[key][0], lo, hi)}, got {v!r}")
+            if not math.isfinite(v):
+                errors.append(f"sweep.{key}[{i}]: expected a finite number, got {v!r}")
+            elif not lo <= v <= hi:
+                errors.append(f"sweep.{key}[{i}]: expected a number in [{lo:g}, {hi:g}], "
+                              f"got {v!r}")
             elif key.endswith("_dbm") and _overflows(key, v):
                 errors.append(f"sweep.{key}[{i}]: {v!r} overflows on conversion to linear scale")
     return errors
@@ -418,7 +396,7 @@ def _link_budget_errors(run: Plan) -> list[str]:
     if not 0.0 < noise < math.inf:
         named = " and ".join(f"scenario.{key} = {getattr(scn, key)!r}"
                              for key in ("bandwidth_hz", "noise_figure_db")
-                             if key in _SCENARIO_KEYS_BY_KIND[run.kind])
+                             if key in _KINDS[run.config.kind]["keys"])
         return [f"noise power sigma^2 from {named} is not finite and > 0"]
     powers = dict([("scenario.p_t_dbm", scn.p_t_dbm), *run.points("p_t_dbm")])
     return [f"{key}: {p!r} gives rho = P_t / sigma^2 beyond the float range "
@@ -477,7 +455,7 @@ def _aerial_errors(run: Plan) -> list[str]:
                       f"{normals / 2**30:.3g} GiB of normals per slot of {episodes} "
                       f"episodes, {_ABOVE_BUDGET}")
     actions = 2 * 8 * episodes * scn.t_slots * scn.action_dim_continuous
-    if run.kind == "drl-train" and actions > _MEMORY_BUDGET:
+    if run.config.kind == "drl-train" and actions > _MEMORY_BUDGET:
         errors.append(f"scenario.k_elements: {scn.k_elements} elements need "
                       f"{actions / 2**30:.3g} GiB of raw actions and sampling noise per "
                       f"round of {episodes} episodes of {scn.t_slots} slots, {_ABOVE_BUDGET}")
@@ -489,10 +467,14 @@ def _aerial_errors(run: Plan) -> list[str]:
     return errors
 
 
-def _fit_errors(run: Plan) -> list[str]:
-    """Fit the closed-form SINR laws at every point of the coordinated run;
-    a point whose fit fails is named by the key that sets it."""
-    points = coordinated_points(run)
+def _fits(run: Plan, errors: list[str]) -> tuple[tuple[str, CoordinatedDistributions], ...]:
+    """The closed-form SINR laws fitted at every point of a coordinated run
+    in run order, each with the config key that sets it: each beta_t of an
+    exhaustive-star, and each power otherwise (pdf-validation's one, the
+    scenario's). A point whose fit fails is named in errors by its key."""
+    exhaustive = run.config.kind == "exhaustive-star"
+    name, base = ("beta_t_values", "") if exhaustive else ("p_t_dbm", "p_t_dbm")
+    points = [(key, _AXIS_FIELDS[name](run.scenario, v)) for key, v in run.points(name, base)]
     k = run.scenario.k_elements
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
@@ -501,27 +483,30 @@ def _fit_errors(run: Plan) -> list[str]:
         for beta in {b for _, scn in points for b in (scn.beta_t, scn.beta_r)}:
             (k * math.sqrt(beta)) ** 4
     except OverflowError:
-        return [f"scenario.k_elements: {k} elements overflow the cascade "
-                "moments of the closed-form SINR laws, (K sqrt(beta))^4"]
-    errors = []
+        errors.append(f"scenario.k_elements: {k} elements overflow the cascade "
+                      "moments of the closed-form SINR laws, (K sqrt(beta))^4")
+        return ()
+    fits = []
     for key, scn in points:
-        at = f"p_t_dbm = {scn.p_t_dbm!r}, beta_t = {scn.beta_t!r}"
-        if run.kind == "exhaustive-star":
-            at += f", beta_r = {scn.beta_r!r}"
         try:
-            coordinated_distributions(scn)
+            fits.append((key, coordinated_distributions(scn)))
         except (ValueError, ArithmeticError) as exc:
-            errors.append(f"{key}: the closed-form SINR laws cannot be fitted at {at}: {exc}")
-    return errors
+            errors.append(f"{key}: the closed-form SINR laws cannot be fitted at p_t_dbm = "
+                          f"{scn.p_t_dbm!r}, beta_t = {scn.beta_t!r}, beta_r = {scn.beta_r!r}: "
+                          f"{exc}")
+    return tuple(fits)
 
 
-def validate(cfg: ExperimentConfig) -> None:
-    """Range and invariant checks of cfg, then checks over its plan: each
-    sees exactly the points the run will take."""
+def validate(cfg: ExperimentConfig) -> Plan:
+    """The Plan of cfg's run, the one way a config becomes a run. Range and
+    invariant checks of cfg come first, then checks over the plan, each of
+    which sees exactly the points the run will take; a coordinated run's
+    laws are fitted here, once per point. Raises ConfigError naming every
+    violation by its key."""
     # The checks below do float arithmetic, which such integers would crash.
     errors = _int_range_errors(cfg)
     if errors:
-        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
+        raise _refused(errors)
     # pdf-validation runs a KS test on each SINR sample of `trials` draws.
     least = KS_MIN_SAMPLES if cfg.kind == "pdf-validation" else 1
     if cfg.trials is not None and cfg.trials < least:
@@ -536,7 +521,7 @@ def validate(cfg: ExperimentConfig) -> None:
             errors.append(f"{key}: {text!r} has surrounding whitespace or a line break, "
                           "which the manifest cannot record")
     errors.extend(_sweep_errors(cfg))
-    schema = _SCENARIO_KEYS_BY_KIND[cfg.kind]
+    schema = _KINDS[cfg.kind]["keys"]
     drl = schema is _AERIAL_KEYS
     sections = [("scenario", cfg.scenario, schema)]
     if drl:
@@ -554,7 +539,7 @@ def validate(cfg: ExperimentConfig) -> None:
                 errors.append(f"{section}.{key}: {value!r} overflows on conversion to "
                               "linear scale")
     # Build the training setup and the scenario once, surfacing their
-    # invariant violations, then check the plan.
+    # invariant violations, then build the plan and check it.
     tc = None
     if drl:
         try:
@@ -567,31 +552,45 @@ def validate(cfg: ExperimentConfig) -> None:
                       f"train.episodes_per_update = {tc.episodes_per_update}, "
                       "so no update round fills and the policy is never trained")
     try:
-        run = _plan(cfg, _scenario(cfg), tc)
+        scn = _scenario(cfg)
     except (TypeError, ValueError) as exc:  # a scenario lists each problem on a line
-        errors.extend(str(exc).splitlines())
-    else:
-        # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
-        read = {name for sweep in run.sweeps for name in sweep}
-        errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
-                      "sweep.r_th_values runs only their grid"
-                      for key in sorted(cfg.sweep.keys() - read))
-        errors.extend(_link_budget_errors(run))
-        if cfg.kind == "ee-sweep":
-            errors.extend(_ee_power_errors(run))
-        if schema is _MULTICELL_KEYS:
-            errors.extend(_chunk_errors(run))
-        # The fits need every value above to be usable.
-        if schema is _COORDINATED_KEYS and not errors:
-            errors.extend(_fit_errors(run))
-        if tc is not None:
-            errors.extend(_aerial_errors(run))
+        raise _refused(errors + str(exc).splitlines()) from None
+    # A sweep value that sets a scenario field is checked by its point's
+    # scenario; values already reported as not finite are skipped.
+    for name, values in cfg.sweep.items():
+        for i, v in enumerate(values):
+            if name in _AXIS_FIELDS and math.isfinite(v):
+                try:
+                    _AXIS_FIELDS[name](scn, v)
+                except ValueError as exc:  # a scenario lists each problem on a line
+                    errors.extend(f"sweep.{name}[{i}]: {line}" for line in str(exc).splitlines())
+    defaults = _KINDS[cfg.kind]
+    trials = defaults.get("trials") if cfg.trials is None else cfg.trials
+    episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
+                else defaults.get("episodes"))
+    run = Plan(cfg, trials, scn, _sweeps(cfg, scn), episodes, tc)
+    # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
+    read = {name for sweep in run.sweeps for name in sweep}
+    errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
+                  "sweep.r_th_values runs only their grid"
+                  for key in sorted(cfg.sweep.keys() - read))
+    errors.extend(_link_budget_errors(run))
+    if cfg.kind == "ee-sweep":
+        errors.extend(_ee_power_errors(run))
+    if schema is _MULTICELL_KEYS:
+        errors.extend(_chunk_errors(run))
+    # The fits need every value above to be usable.
+    if schema is _COORDINATED_KEYS and not errors:
+        run = replace(run, fits=_fits(run, errors))
+    if tc is not None:
+        errors.extend(_aerial_errors(run))
     if errors:
-        raise ConfigError("config validation failed:\n  " + "\n  ".join(errors))
+        raise _refused(errors)
+    return run
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; empty files mean all defaults."""
+def load_config(path) -> Plan:
+    """The Plan of a config file; empty files mean all defaults."""
     text = Path(path).read_text()
     return from_mapping(parse_text(text))
 

@@ -1,11 +1,11 @@
 """Experiment orchestration and the figure-style presets.
 
-Each runner maps the plan of a validated config (`config.plan`: the scenario,
-the trials, the sweep axes with every default applied) to its outputs, an
-ordered mapping from file name to content, and writes nothing; no runner
-reads the config itself. `run_experiment` alone touches the disk: once the
-runner has returned it writes every output and a manifest that reproduces
-the run byte-for-byte.
+Each runner maps the plan that `config.validate` makes of a config (the
+scenario, the trials, the sweep axes with every default applied, a
+coordinated run's fitted laws) to its outputs, an ordered mapping from file
+name to content, and writes nothing. `run_experiment` alone touches the
+disk: once the runner has returned it writes every output and a manifest
+that reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
-from .config import ConfigError, ExperimentConfig, Plan, coordinated_points, dump_config, plan
+from .analysis import analytic_ergodic_rates, analytic_outage
+from .config import ConfigError, ExperimentConfig, Plan, dump_config
 from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
 from .montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
                          ks_statistic, run_trials)
@@ -63,15 +63,14 @@ def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
-    [(_, scn)] = coordinated_points(run)
-    n = run.trials
-    fitted = coordinated_distributions(scn).laws
+    [(_, fit)] = run.fits
+    scn, n = fit.scenario, run.trials
     # Each sampled SINR's law, in the sample kinds' order.
-    laws = {kind: fitted[kind] for kind in SINR_KINDS if kind in fitted}
+    laws = {kind: fit.laws[kind] for kind in SINR_KINDS if kind in fit.laws}
     couplings = ("fitted", "physical")
     samples = np.empty((len(couplings), len(laws), n))
     for row, coupling in zip(samples, couplings):
-        batch = run_trials(scn, n, run.seed, coupling=coupling).batch(scn)
+        batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn)
         np.stack([batch.sinr[kind] for kind in laws], out=row)
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
@@ -82,10 +81,10 @@ def _run_pdf_validation(run: Plan) -> Outputs:
 
 
 def _run_er_sweep(run: Plan) -> Outputs:
-    draws = run_trials(run.scenario, run.trials, run.seed, coupling="fitted")
+    draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
-    for _, scn in coordinated_points(run):
-        er = analytic_ergodic_rates(scn)
+    for _, fit in run.fits:
+        scn, er = fit.scenario, analytic_ergodic_rates(fit)
         mc = estimate_ergodic_rate(draws.batch(scn))
         for user in USER_SINR:
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
@@ -96,10 +95,10 @@ def _run_er_sweep(run: Plan) -> Outputs:
 
 
 def _run_outage_sweep(run: Plan) -> Outputs:
-    draws = run_trials(run.scenario, run.trials, run.seed, coupling="fitted")
+    draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
-    for _, scn in coordinated_points(run):
-        closed = analytic_outage(scn)
+    for _, fit in run.fits:
+        scn, closed = fit.scenario, analytic_outage(fit)
         mc = estimate_outage(draws.batch(scn), scn)
         for user in USER_SINR:
             rows.append((scn.p_t_dbm, user, closed[user], mc[user],
@@ -112,9 +111,9 @@ def _run_exhaustive_star(run: Plan) -> Outputs:
     k = run.scenario.k_elements
     # `analysis` does not read the assignment: the rates depend on beta_t only.
     points = []
-    for _, scn in coordinated_points(run):
-        er = analytic_ergodic_rates(scn)
-        points.append((scn.beta_t, scn.beta_r, [er[user] for user in USER_SINR]))
+    for _, fit in run.fits:
+        er = analytic_ergodic_rates(fit)
+        points.append((fit.scenario.beta_t, fit.scenario.beta_r, [er[user] for user in USER_SINR]))
     rows = [(k1, k - k1, beta_t, beta_r, *rates, sum(rates))
             for k1 in run.sweeps[0]["assignment_values"] for beta_t, beta_r, rates in points]
     return {"exhaustive_star.csv": (
@@ -132,19 +131,19 @@ def _run_ee_sweep(run: Plan) -> Outputs:
         [sweep] = run.sweeps
         return {"ee_grid.csv": _columns(
             ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"],
-            ee_grid(scn, sweep["p_t_dbm"], sweep["r_th_values"], n=n, seed=run.seed),
+            ee_grid(scn, sweep["p_t_dbm"], sweep["r_th_values"], n=n, seed=run.config.seed),
         )}
     header = ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
               "mean_center_outage"]
     axes = [(_EE_AXES[name], values) for sweep in run.sweeps for name, values in sweep.items()]
     return {f"ee_sweep_{axis.lower()}.csv": _columns(
-        header, ee_sweep(scn, axis, values, n=n, seed=run.seed)) for axis, values in axes}
+        header, ee_sweep(scn, axis, values, n=n, seed=run.config.seed)) for axis, values in axes}
 
 
 def _run_osum_sweep(run: Plan) -> Outputs:
     return {"outage_sum_rate.csv": _columns(
         ["p_t_dbm", "mode", "outage_sum_rate"],
-        osum_sweep(run.scenario, run.sweeps[0]["p_t_dbm"], n=run.trials, seed=run.seed))}
+        osum_sweep(run.scenario, run.sweeps[0]["p_t_dbm"], n=run.trials, seed=run.config.seed))}
 
 
 def _run_split_sweep(run: Plan) -> Outputs:
@@ -152,11 +151,11 @@ def _run_split_sweep(run: Plan) -> Outputs:
     return {"split_sweep.csv": _columns(
         ["split", "J", "outage_sum_rate"],
         split_sweep(run.scenario, sweep["splits"], sweep["j_values"], n=run.trials,
-                    seed=run.seed))}
+                    seed=run.config.seed))}
 
 
 def _run_drl_train(run: Plan) -> Outputs:
-    result = train(run.scenario, run.train, seed=run.seed)
+    result = train(run.scenario, run.train, seed=run.config.seed)
     ma = result.moving_average(100)
     offset = len(result.rewards) - len(ma)
     rows = [(ep, float(r), float(ma[ep - offset]) if ep >= offset else float("nan"))
@@ -167,9 +166,9 @@ def _run_drl_train(run: Plan) -> Outputs:
 
 def _run_drl_eval(run: Plan) -> Outputs:
     scn = run.scenario
-    params = load_params(run.checkpoint)
-    check_checkpoint(params, scn, run.train, run.checkpoint)
-    ev = evaluate(scn, params, seed=run.seed, episodes=run.episodes)
+    params = load_params(run.config.checkpoint)
+    check_checkpoint(params, scn, run.train, run.config.checkpoint)
+    ev = evaluate(scn, params, seed=run.config.seed, episodes=run.episodes)
     user_cols = [f"rate_center{i + 1}" for i in range(scn.n_bs)] + ["rate_edge"]
     return {
         "trajectory.csv": (
@@ -194,20 +193,20 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[Path]:
-    """Run the experiment, then write its outputs; return their paths,
-    manifest.cfg first.
+def run_experiment(run: Plan) -> list[Path]:
+    """Run the plan that `config.validate` made, then write its outputs;
+    return their paths, manifest.cfg first.
 
-    The runner of cfg's kind maps `plan(cfg)` to every output, in memory;
-    it reads the plan, never the config. Only once it has returned is
-    `cfg.out` created and each output written, in the runner's order,
-    followed by manifest.cfg; running the manifest reproduces the outputs
-    byte-for-byte. A run that fails therefore creates and writes nothing. An
-    I/O error while writing (a full disk, `out` naming a file) can still
-    leave the outputs written before it.
+    The runner of the plan's kind maps the plan to every output, in memory.
+    Only once it has returned is the config's `out` created and each output
+    written, in the runner's order, followed by manifest.cfg, the config's
+    dump; running the manifest reproduces the outputs byte-for-byte. A run
+    that fails therefore creates and writes nothing. An I/O error while
+    writing (a full disk, `out` naming a file) can still leave the outputs
+    written before it.
     """
-    outputs = _RUNNERS[cfg.kind](plan(cfg))
-    outdir = Path(cfg.out)
+    outputs = _RUNNERS[run.config.kind](run)
+    outdir = Path(run.config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, content in outputs.items():
@@ -217,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
         else:
             _write_csv(path, *content)
         paths.append(path)
-    return [_manifest(cfg, outdir), *paths]
+    return [_manifest(run.config, outdir), *paths]
 
 
 # Figure-style presets -------------------------------------------------------
@@ -334,7 +333,7 @@ PRESETS: dict[str, dict] = {
 
 def preset(figure_id: str) -> dict:
     """A copy of the flat config mapping of a figure-style experiment id
-    (e.g. 'fig4.2'); `config.from_mapping` types and validates it."""
+    (e.g. 'fig4.2'); `config.from_mapping` makes it a plan."""
     if figure_id not in PRESETS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; available: {', '.join(sorted(PRESETS))}"

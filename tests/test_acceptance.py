@@ -97,7 +97,7 @@ def test_criterion_2_ergodic_rate_consistency():
                        100_000, seed=2, coupling="fitted")
     for p_t in range(-20, 11, 5):
         scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
-        er = analytic_ergodic_rates(scn)
+        er = analytic_ergodic_rates(coordinated_distributions(scn))
         mc = estimate_ergodic_rate(draws.batch(scn))
         for user in ("center1", "center2", "edge"):
             rel = abs(er[user] / mc[user] - 1.0)
@@ -121,7 +121,7 @@ def test_criterion_3_outage_closed_forms():
                        10_000, seed=3, coupling="fitted")
     for p_t in range(-15, 21, 5):
         scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
-        closed = analytic_outage(scn)
+        closed = analytic_outage(coordinated_distributions(scn))
         # The scenario's default thresholds_db = (0, 0): 0 dB SINR thresholds.
         mc = estimate_outage(draws.batch(scn), scn)
         for user in ("center1", "center2", "edge"):
@@ -364,21 +364,21 @@ def test_criterion_11_manifest_determinism(tmp_path):
     CSV output."""
     import filecmp
 
-    from riscomp.config import from_mapping, load_config
+    from riscomp.config import from_mapping, parse_text
     from riscomp.experiments import run_experiment
 
-    cfg = from_mapping({
+    run = from_mapping({
         "kind": "outage-sweep",
         "seed": 11,
         "trials": 2000,
+        "out": str(tmp_path / "a"),
         "sweep.p_t_dbm": [-10, 0],
     })
-    cfg.out = str(tmp_path / "a")
-    outputs = run_experiment(cfg)
+    outputs = run_experiment(run)
     manifest = outputs[0]
-    cfg2 = load_config(manifest)
-    cfg2.out = str(tmp_path / "b")
-    outputs2 = run_experiment(cfg2)
+    # As --out does, the second directory replaces the manifest's out.
+    rerun = from_mapping({**parse_text(manifest.read_text()), "out": str(tmp_path / "b")})
+    outputs2 = run_experiment(rerun)
     csv_a = sorted(p for p in outputs if p.suffix == ".csv")
     csv_b = sorted(p for p in outputs2 if p.suffix == ".csv")
     identical = all(

@@ -32,9 +32,9 @@ from riscomp.scenarios import (
 def test_empty_file_gives_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
-    cfg = load_config(path)
-    assert cfg.kind == "pdf-validation"
-    scn = config_module.plan(cfg).scenario
+    run = load_config(path)
+    assert run.config.kind == "pdf-validation"
+    scn = run.scenario
     # Defaults trace the two-cell setup: exponents and allocation factors.
     assert scn.alpha_edge == 3.5
     assert scn.zeta_center == 0.3
@@ -48,7 +48,7 @@ seed = 7
 sweep.p_t_dbm = -10, -5, 0
 scenario.k_elements = 16
 """
-    cfg = from_mapping(parse_text(text))
+    cfg = from_mapping(parse_text(text)).config
     assert cfg.kind == "er-sweep"
     assert cfg.seed == 7
     assert cfg.sweep["p_t_dbm"] == [-10, -5, 0]
@@ -101,10 +101,10 @@ def test_dump_load_roundtrip(tmp_path):
         "trials": 500,
         "scenario.k_elements": 42,
         "sweep.j_values": [1, 2, 3],
-    })
+    }).config
     path = tmp_path / "dump.cfg"
     path.write_text(dump_config(cfg))
-    cfg2 = load_config(path)
+    cfg2 = load_config(path).config
     assert dump_config(cfg2) == dump_config(cfg)
 
 
@@ -232,6 +232,26 @@ def test_fuzzed_sweep_elements_rejected(case, data):
         from_mapping({"kind": kind, f"sweep.{key}": values})
 
 
+@pytest.mark.parametrize("text, lines", [
+    ("kind = ee-sweep\nsweep.j_values = 0, 7\nsweep.k_values = -1\n", [
+        "sweep.j_values[0]: cooperative set must satisfy 1 <= J <= I",
+        "sweep.j_values[1]: cooperative set must satisfy 1 <= J <= I",
+        "sweep.k_values[0]: k_elements must be >= 0"]),
+    ("kind = exhaustive-star\nsweep.beta_t_values = 1.5\nsweep.assignment_values = 40\n", [
+        "sweep.beta_t_values[0]: beta_t = 1.5, beta_r = -0.5: each must lie in [0, 1]",
+        "sweep.assignment_values[0]: assignment entries must be >= 0 and sum to k_elements"]),
+], ids=["ee-sweep", "exhaustive-star"])
+def test_sweep_values_refused_by_the_scenario_at_their_point(tmp_path, capsys, text, lines):
+    # A sweep value that sets a scenario field is checked by the scenario
+    # built at its point, and each problem is named under the value's key.
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.splitlines() == ["error: config validation failed:", *(f"  {ln}" for ln in lines)]
+
+
 def test_cli_library_error_is_one_line(tmp_path, monkeypatch, capsys):
     def failing(cfg):
         raise QuadratureError("quadrature did not reach tolerance")
@@ -287,7 +307,7 @@ def test_cli_validate_rejects_nan_power(tmp_path, capsys):
 @pytest.mark.parametrize(
     "kind, key",
     [(kind, key) for kind in ("pdf-validation", "ee-sweep", "drl-train")
-     for key, typ in config_module._SCENARIO_KEYS_BY_KIND[kind].items() if typ is float],
+     for key, typ in config_module._KINDS[kind]["keys"].items() if typ is float],
 )
 def test_nonfinite_scenario_floats_rejected(kind, key):
     for value in (math.nan, math.inf, -math.inf):
@@ -345,8 +365,7 @@ def test_train_keys_rejected_on_non_drl_kinds(kind, tmp_path, capsys):
         from_mapping({"kind": kind, "train.hidden": 0, "train.gamma": math.nan})
     for key in ("hidden", "gamma"):
         assert f"train.{key}: kind {kind} reads no train keys" in str(err.value)
-    cfg = from_mapping({"kind": kind})
-    cfg.train["episodes"] = 10
+    cfg = config_module.ExperimentConfig(kind=kind, train={"episodes": 10})
     with pytest.raises(ConfigError, match=r"train\.episodes: kind .* reads no train keys"):
         config_module.validate(cfg)
     path = tmp_path / "c.cfg"
@@ -388,7 +407,7 @@ def test_cli_validate_rejects_negative_k_elements(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind", ("pdf-validation", "ee-sweep", "drl-train"))
 def test_every_db_scenario_key_checked_for_overflow(kind):
-    keys = [key for key, typ in config_module._SCENARIO_KEYS_BY_KIND[kind].items()
+    keys = [key for key, typ in config_module._KINDS[kind]["keys"].items()
             if typ is float and key.endswith(("_db", "_dbm"))]
     assert keys
     for key in keys:
@@ -750,7 +769,7 @@ def _one_minus(key, partner, lo, hi):
 
 def _scenario_draws(kind):
     """Strategies of valid scenario entries for kind, each a dict of keys."""
-    schema = config_module._SCENARIO_KEYS_BY_KIND[kind]
+    schema = config_module._KINDS[kind]["keys"]
     if schema is config_module._COORDINATED_KEYS:
         draws = [_one_minus("zeta_center", "zeta_edge", 1e-6, 0.5 - 1e-6),
                  _one_minus("beta_t", "beta_r", 0.0, 1.0)]
@@ -866,17 +885,17 @@ def test_dump_parse_roundtrip_property(kind, data):
             from_mapping(flat)
         return
     try:
-        cfg = from_mapping(flat)
+        run = from_mapping(flat)
     except ConfigError as exc:
         # At extreme powers and shapes the coordinated moment fits degenerate;
         # validate rejects each such point, and nothing else may be rejected.
         assert all(": the closed-form SINR laws cannot be fitted at " in line
                    for line in str(exc).splitlines()[1:]), exc
         return
-    text = dump_config(cfg)
+    text = dump_config(run.config)
     loaded = from_mapping(parse_text(text))
-    assert loaded == cfg
-    assert dump_config(loaded) == text
+    assert loaded == run
+    assert dump_config(loaded.config) == text
 
 
 @given(kind=st.sampled_from(("ee-sweep", "osum-sweep", "split-sweep")), data=st.data())
@@ -899,10 +918,10 @@ def test_accepted_multicell_configs_run_property(kind, data):
                 strat = st.lists(bounded[key], min_size=1, max_size=4)
             flat[f"sweep.{key}"] = data.draw(strat)
     try:
-        cfg = from_mapping(flat)
+        run = from_mapping(flat)
     except ConfigError:
         return
-    experiments._RUNNERS[kind](config_module.plan(cfg))
+    experiments._RUNNERS[kind](run)
 
 
 @pytest.mark.parametrize("line, key, value", [
@@ -918,11 +937,11 @@ def test_string_values_kept_verbatim(line, key, value):
     lines = ["kind = drl-eval", "scenario.tiny = true", line]
     if key != "checkpoint":
         lines.append("checkpoint = p.bin")
-    cfg = from_mapping(parse_text("\n".join(lines)))
+    cfg = from_mapping(parse_text("\n".join(lines))).config
     assert getattr(cfg, key) == value
     dumped = dump_config(cfg)
     assert f"\n{line}\n" in dumped
-    assert from_mapping(parse_text(dumped)) == cfg
+    assert from_mapping(parse_text(dumped)).config == cfg
 
 
 @pytest.mark.parametrize("key, value", [
@@ -942,9 +961,9 @@ def test_value_of_other_type_rejected(key, value):
 
 
 def test_negative_zero_keeps_its_sign():
-    cfg = from_mapping(parse_text("kind = er-sweep\nscenario.p_t_dbm = -0\n"))
+    cfg = from_mapping(parse_text("kind = er-sweep\nscenario.p_t_dbm = -0\n")).config
     assert math.copysign(1.0, cfg.scenario["p_t_dbm"]) == -1.0
-    reloaded = from_mapping(parse_text(dump_config(cfg)))
+    reloaded = from_mapping(parse_text(dump_config(cfg))).config
     assert math.copysign(1.0, reloaded.scenario["p_t_dbm"]) == -1.0
 
 
@@ -953,8 +972,8 @@ def test_cli_validate_prints_sweep_as_floats(tmp_path, capsys):
     path.write_text("kind = er-sweep\nsweep.p_t_dbm = -10, -5.5, 0\n")
     assert main(["validate", str(path)]) == 0
     assert "\nsweep.p_t_dbm = -10, -5.5, 0\n" in capsys.readouterr().out
-    assert load_config(path).sweep["p_t_dbm"] == [-10.0, -5.5, 0.0]
-    assert {type(v) for v in load_config(path).sweep["p_t_dbm"]} == {float}
+    assert load_config(path).config.sweep["p_t_dbm"] == [-10.0, -5.5, 0.0]
+    assert {type(v) for v in load_config(path).config.sweep["p_t_dbm"]} == {float}
 
 
 @pytest.mark.parametrize("out", [" runs", "runs ", "a\nb", "runs\r"])
@@ -976,11 +995,11 @@ def test_checkpoint_the_manifest_cannot_record_rejected():
 
 @pytest.mark.parametrize("name", sorted(experiments.PRESETS))
 def test_preset_dump_roundtrips_with_schema_types(name):
-    cfg = from_mapping(dict(experiments.PRESETS[name]))
+    cfg = from_mapping(dict(experiments.PRESETS[name])).config
     text = dump_config(cfg)
-    loaded = from_mapping(parse_text(text))
+    loaded = from_mapping(parse_text(text)).config
     assert dump_config(loaded) == text
-    scenario_schema = config_module._SCENARIO_KEYS_BY_KIND[cfg.kind]
+    scenario_schema = config_module._KINDS[cfg.kind]["keys"]
     for c in (cfg, loaded):
         assert (type(c.seed), type(c.out)) == (int, str)
         assert c.trials is None or type(c.trials) is int

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from riscomp import experiments
 from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
-from riscomp.config import from_mapping, load_config, plan
+from riscomp.config import from_mapping, parse_text
 from riscomp.experiments import PRESETS, preset, run_experiment
 from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
@@ -15,9 +16,8 @@ from riscomp.scenarios import tiny_aerial_scenario
 
 
 def _run(tmp_path, name, mapping):
-    cfg = from_mapping(dict(mapping))
-    cfg.out = str(tmp_path / name)
-    return cfg, run_experiment(cfg)
+    run = from_mapping({**mapping, "out": str(tmp_path / name)})
+    return run, run_experiment(run)
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
@@ -26,12 +26,12 @@ def test_manifest_rerun_byte_identical(tmp_path):
         "seed": 4,
         "trials": 1200,
     }
-    cfg, outputs = _run(tmp_path, "first", base)
+    _, outputs = _run(tmp_path, "first", base)
     manifest = outputs[0]
     # Re-run from the manifest into a second directory.
-    cfg2 = load_config(manifest)
-    cfg2.out = str(tmp_path / "second")
-    outputs2 = run_experiment(cfg2)
+    # As --out does, the second directory replaces the manifest's out.
+    rerun = from_mapping({**parse_text(manifest.read_text()), "out": str(tmp_path / "second")})
+    outputs2 = run_experiment(rerun)
     first_csv = [p for p in outputs if p.suffix == ".csv"]
     second_csv = [p for p in outputs2 if p.suffix == ".csv"]
     assert len(first_csv) == len(second_csv) == 1
@@ -58,10 +58,10 @@ def test_manifest_hash_names_the_config_not_the_directory(tmp_path):
 def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     # The runner scores its ten rows in one stacked KS test; every row must
     # read what its own one-sample test gives.
-    cfg, outputs = _run(tmp_path, "ks", {"kind": "pdf-validation", "seed": 4, "trials": 1200})
+    run, outputs = _run(tmp_path, "ks", {"kind": "pdf-validation", "seed": 4, "trials": 1200})
     with open(outputs[1], newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    scn = plan(cfg).scenario
+    scn = run.scenario
     fitted = coordinated_distributions(scn).laws
     laws = {kind: fitted[kind] for kind in SINR_KINDS if kind in fitted}
     want = []
@@ -77,20 +77,22 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
 
 
 def test_law_keys_are_sample_kinds():
-    laws = coordinated_distributions(plan(from_mapping({"kind": "pdf-validation"})).scenario).laws
+    laws = coordinated_distributions(from_mapping({"kind": "pdf-validation"}).scenario).laws
     assert list(laws) == [kind for kind in (*SINR_KINDS, "edge_high_snr") if kind in laws]
     assert set(laws) == {*SINR_KINDS, "edge_high_snr"} - {"edge_nocomp"}
 
 
-@pytest.mark.parametrize("mapping", [
-    {"kind": "er-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]},
-    {"kind": "outage-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]},
-    {"kind": "exhaustive-star", "sweep.beta_t_values": [0.3, 0.6]},
-    {"kind": "pdf-validation", "trials": 200},
-], ids=lambda m: m["kind"])
-def test_validate_fits_the_laws_at_the_points_the_runner_runs(monkeypatch, mapping):
-    # `validate` and the runner list a coordinated run's points through one
-    # function: the scenarios each fits the laws at are the same, in order.
+@pytest.mark.parametrize("mapping, axis, values", [
+    ({"kind": "er-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]}, "p_t_dbm", [-10, 0]),
+    ({"kind": "outage-sweep", "trials": 200, "sweep.p_t_dbm": [-10, 0]}, "p_t_dbm", [-10, 0]),
+    ({"kind": "exhaustive-star", "sweep.beta_t_values": [0.3, 0.6]}, "beta_t", [0.3, 0.6]),
+    ({"kind": "pdf-validation", "trials": 200}, "p_t_dbm", [-10]),
+], ids=["er-sweep", "outage-sweep", "exhaustive-star", "pdf-validation"])
+def test_validate_fits_the_laws_at_the_points_the_runner_runs(
+        monkeypatch, tmp_path, mapping, axis, values):
+    # `validate` fits the laws once per point, in run order, and the run
+    # reads those fits: from_mapping then run_experiment fit each point
+    # exactly once, and the runner fits nothing.
     fit = coordinated_distributions
     fitted = []
 
@@ -99,17 +101,27 @@ def test_validate_fits_the_laws_at_the_points_the_runner_runs(monkeypatch, mappi
         return fit(scn)
 
     for module in ("analysis", "config", "experiments"):
-        monkeypatch.setattr(f"riscomp.{module}.coordinated_distributions", recording)
-    cfg = from_mapping(mapping)
+        monkeypatch.setattr(f"riscomp.{module}.coordinated_distributions", recording,
+                            raising=False)
+    run = from_mapping({**mapping, "out": str(tmp_path / "out")})
     validated = list(fitted)
-    fitted.clear()
-    experiments._RUNNERS[cfg.kind](plan(cfg))
-    assert len(validated) == (1 if cfg.kind == "pdf-validation" else 2)
+    run_experiment(run)
     assert fitted == validated
+    assert [getattr(scn, axis) for scn in validated] == values
+    assert [d.scenario for _, d in run.fits] == validated
+
+
+def test_the_plans_config_is_frozen():
+    run = from_mapping({"kind": "drl-train", "scenario.tiny": True, "train.episodes": 6})
+    with pytest.raises(FrozenInstanceError):
+        run.config.out = "elsewhere"
+    with pytest.raises(TypeError):
+        run.config.train["episodes"] = 10
+    assert run.config.train["episodes"] == run.train.episodes == 6
 
 
 def test_er_sweep_artifacts(tmp_path):
-    cfg, outputs = _run(tmp_path, "er", {
+    _, outputs = _run(tmp_path, "er", {
         "kind": "er-sweep",
         "seed": 1,
         "trials": 4000,
@@ -122,7 +134,7 @@ def test_er_sweep_artifacts(tmp_path):
 
 
 def test_exhaustive_star_grid(tmp_path):
-    cfg, outputs = _run(tmp_path, "star", {
+    _, outputs = _run(tmp_path, "star", {
         "kind": "exhaustive-star",
         "seed": 1,
         "scenario.k_elements": 8,
@@ -172,50 +184,48 @@ def test_drl_roundtrip(tmp_path):
     curve = [p for p in outputs if p.name == "learning_curve.csv"][0]
     ckpt = [p for p in outputs if p.name == "policy.bin"][0]
     assert curve.read_text().startswith("episode,reward,ma100")
-    cfg = from_mapping({
+    run = from_mapping({
         "kind": "drl-eval",
         "seed": 1,
         "checkpoint": str(ckpt),
+        "out": str(tmp_path / "eval"),
         "scenario.tiny": True,
         "scenario.k_elements": 2,
         "scenario.t_slots": 8,
     })
-    cfg.out = str(tmp_path / "eval")
-    outputs = run_experiment(cfg)
+    outputs = run_experiment(run)
     names = {p.name for p in outputs}
     assert {"trajectory.csv", "eval_summary.csv"} <= names
 
 
 def test_presets_all_validate():
     for figure in PRESETS:
-        cfg = from_mapping(preset(figure))
-        assert cfg.kind in PRESETS[figure]["kind"]
+        run = from_mapping(preset(figure))
+        assert run.config.kind in PRESETS[figure]["kind"]
 
 
 def test_preset_parameters():
-    fig42 = from_mapping(preset("fig4.2"))
-    scn = plan(fig42).scenario
+    scn = from_mapping(preset("fig4.2")).scenario
     assert scn.n_cells == 6
     assert scn.k_elements == 70
     assert scn.p_t_dbm == 0.0
-    fig34 = from_mapping(preset("fig3.4"))
-    scn34 = plan(fig34).scenario
+    scn34 = from_mapping(preset("fig3.4")).scenario
     assert scn34.thresholds_db == (0.0, 0.0)
     assert scn34.threshold_edge == 1.0
     fig52 = from_mapping(preset("fig5.2"))
-    aerial = plan(fig52).scenario
+    aerial = fig52.scenario
     assert aerial.k_elements == 120
     assert aerial.t_slots == 250
-    assert fig52.train["episodes"] == 750
-    assert fig52.train["batch"] == 128
+    assert fig52.config.train["episodes"] == 750
+    assert fig52.config.train["batch"] == 128
 
 
 @pytest.mark.parametrize("n_cells, j_default", [(1, [1]), (2, [1, 2]), (3, [1, 3])])
 def test_split_sweep_default_j_is_distinct_and_positive(n_cells, j_default):
-    cfg = from_mapping({"kind": "split-sweep", "trials": 1, "scenario.n_cells": n_cells,
+    run = from_mapping({"kind": "split-sweep", "trials": 1, "scenario.n_cells": n_cells,
                         "scenario.n_coop": 1, "scenario.k_elements": 4,
                         "sweep.splits": [0.5]})
-    header, rows = experiments._run_split_sweep(plan(cfg))["split_sweep.csv"]
+    header, rows = experiments._run_split_sweep(run)["split_sweep.csv"]
     assert [row[header.index("J")] for row in rows] == j_default
 
 
@@ -252,10 +262,9 @@ def test_failed_run_leaves_no_manifest(tmp_path, monkeypatch):
         raise ValueError("runner failed")
 
     monkeypatch.setitem(experiments._RUNNERS, "pdf-validation", failing)
-    cfg = from_mapping({"kind": "pdf-validation"})
-    cfg.out = str(tmp_path / "out")
+    run = from_mapping({"kind": "pdf-validation", "out": str(tmp_path / "out")})
     with pytest.raises(ValueError, match="runner failed"):
-        run_experiment(cfg)
+        run_experiment(run)
     assert not (tmp_path / "out").exists()
 
 
@@ -332,8 +341,7 @@ def test_the_plan_is_what_runs(tmp_path, kind):
     if kind == "drl-eval":
         _run(tmp_path, "train", {**mapping, "kind": "drl-train"})
         mapping["checkpoint"] = str(tmp_path / "train" / "policy.bin")
-    cfg, outputs = _run(tmp_path, "run", mapping)
-    run = plan(cfg)
+    run, outputs = _run(tmp_path, "run", mapping)
     tables = {p.name: list(csv.DictReader(p.open())) for p in outputs[1:] if p.suffix == ".csv"}
     files = {name for name, _ in _AXIS_COLUMNS[kind].values()}
     assert files <= tables.keys()

@@ -9,7 +9,7 @@ from scipy import special as sp
 import oracles
 from riscomp import special
 from riscomp.analysis import coordinated_distributions
-from riscomp.config import from_mapping, plan
+from riscomp.config import from_mapping
 from riscomp.experiments import PRESETS
 from riscomp.montecarlo import SINR_KINDS, run_trials
 from riscomp.special import betainc_reg, betaln, gammainc_lower_reg
@@ -81,13 +81,13 @@ def _fig32_laws_and_points():
     """The fig3.2 fitted Beta-prime laws and their CDF arguments x/(x+scale)
     at the preset's Monte Carlo samples (preset seed, 2,000 trials): the five
     laws under fitted coupling, then under physical, as the KS table runs."""
-    cfg = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
-    scn = plan(cfg).scenario
+    run = from_mapping({**PRESETS["fig3.2"], "out": "unused"})
+    scn = run.scenario
     fitted = coordinated_distributions(scn).laws
     laws = [(fitted[kind], kind) for kind in SINR_KINDS if kind in fitted]
     points = []
     for coupling in ("fitted", "physical"):
-        batch = run_trials(scn, 2000, cfg.seed, coupling=coupling).batch(scn)
+        batch = run_trials(scn, 2000, run.config.seed, coupling=coupling).batch(scn)
         for p, kind in laws:
             s = np.sort(batch.sinr[kind])
             points.append((p, s / (s + p.scale)))

@@ -213,7 +213,7 @@ def test_outage_edge_examples():
     assert p.cdf(0.0) == 0.0
     assert p.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
     # The closed-form edge outage is the law's CDF at the scenario threshold.
-    assert analytic_outage(scn)["edge"] == p.cdf(scn.threshold_edge)
+    assert analytic_outage(coordinated_distributions(scn))["edge"] == p.cdf(scn.threshold_edge)
 
 
 def test_outage_center_closed_limits():
