@@ -3,14 +3,15 @@
 Maps a CoordinatedScenario onto the fitted Beta-prime law of every SINR,
 keyed by sample kind: the `montecarlo.SINR_KINDS` name of the Monte Carlo
 sample the law models (the no-CoMP edge SINR has no law), plus
-`edge_high_snr`, the edge law without its noise term. From a fit, which
-`config.validate` makes once per point of a run, it evaluates ergodic rates
-and outage probabilities, at the fitted scenario's own SINR thresholds,
-each user reading the SINR that `montecarlo.USER_SINR` names.
+`edge_high_snr`, the edge law without its noise term. From the fits, which
+`config.validate` makes once per point of a run, it evaluates ergodic rates,
+all of a run's at once, and outage probabilities, at the fitted scenario's
+own SINR thresholds, each user reading the SINR `montecarlo.USER_SINR` names.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .channel import NakagamiParams
@@ -21,7 +22,7 @@ from .stats import (
     GammaParams,
     MomentPair,
     effective_power_moments,
-    ergodic_rate,
+    ergodic_rates,
     gamma_from_moments,
     outage_center_closed,
     sinr_dist_center,
@@ -67,11 +68,12 @@ def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributi
     return CoordinatedDistributions(scenario=scn, laws=laws, z_center=tuple(z_c))
 
 
-def analytic_ergodic_rates(d: CoordinatedDistributions) -> dict[str, float]:
-    """Each user's ergodic rate from the fitted law of its SINR, then the
-    edge user's high-SNR approximation, `edge_high_snr`."""
-    return {user: ergodic_rate(d.laws[kind])
-            for user, kind in {**USER_SINR, "edge_high_snr": "edge_high_snr"}.items()}
+def analytic_ergodic_rates(fits: Sequence[CoordinatedDistributions],
+                           users: dict[str, str]) -> list[dict[str, float]]:
+    """Per fit, the rate of each user of `users` (user -> the sample kind of
+    its law) from that fitted law, all in one `ergodic_rates` call."""
+    rates = iter(ergodic_rates([d.laws[kind] for d in fits for kind in users.values()]))
+    return [{user: next(rates) for user in users} for _ in fits]
 
 
 def analytic_outage(d: CoordinatedDistributions) -> dict[str, float]:

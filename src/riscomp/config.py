@@ -35,6 +35,7 @@ from .energy import chunk_bytes
 from .moppo import TrainConfig, policy_bytes
 from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
+    NOT_FINITE,
     AerialScenario,
     CoordinatedScenario,
     MultiCellScenario,
@@ -158,9 +159,8 @@ class Plan:
     is one, never built in full) and running their product; one without
     axes is the scenario's one point. `trials` is the Monte Carlo trial
     count, `episodes` the number of episodes an aerial run steps in
-    lockstep, and `train` its training setup. `fits` holds each point of a
-    coordinated run in run order, as the config key that sets it and the
-    closed-form laws fitted at its scenario."""
+    lockstep, and `train` its training setup. `fits` holds the closed-form
+    laws fitted at each point of a coordinated run, in run order."""
 
     config: ExperimentConfig
     trials: int | None
@@ -168,7 +168,7 @@ class Plan:
     sweeps: tuple[dict[str, list | range], ...]
     episodes: int | None
     train: TrainConfig | None
-    fits: tuple[tuple[str, CoordinatedDistributions], ...] = ()
+    fits: tuple[CoordinatedDistributions, ...] = ()
 
     def points(self, name: str, scn_field: str = "") -> list[tuple[str, object]]:
         """Each value of the axis `name` in run order with the config key
@@ -467,11 +467,11 @@ def _aerial_errors(run: Plan) -> list[str]:
     return errors
 
 
-def _fits(run: Plan, errors: list[str]) -> tuple[tuple[str, CoordinatedDistributions], ...]:
+def _fits(run: Plan, errors: list[str]) -> tuple[CoordinatedDistributions, ...]:
     """The closed-form SINR laws fitted at every point of a coordinated run
-    in run order, each with the config key that sets it: each beta_t of an
-    exhaustive-star, and each power otherwise (pdf-validation's one, the
-    scenario's). A point whose fit fails is named in errors by its key."""
+    in run order: at each beta_t of an exhaustive-star, and at each power
+    otherwise (pdf-validation's one, the scenario's). A point whose fit
+    fails is named in errors by the config key that sets it."""
     exhaustive = run.config.kind == "exhaustive-star"
     name, base = ("beta_t_values", "") if exhaustive else ("p_t_dbm", "p_t_dbm")
     points = [(key, _AXIS_FIELDS[name](run.scenario, v)) for key, v in run.points(name, base)]
@@ -489,7 +489,7 @@ def _fits(run: Plan, errors: list[str]) -> tuple[tuple[str, CoordinatedDistribut
     fits = []
     for key, scn in points:
         try:
-            fits.append((key, coordinated_distributions(scn)))
+            fits.append(coordinated_distributions(scn))
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"{key}: the closed-form SINR laws cannot be fitted at p_t_dbm = "
                           f"{scn.p_t_dbm!r}, beta_t = {scn.beta_t!r}, beta_r = {scn.beta_r!r}: "
@@ -554,7 +554,9 @@ def validate(cfg: ExperimentConfig) -> Plan:
     try:
         scn = _scenario(cfg)
     except (TypeError, ValueError) as exc:  # a scenario lists each problem on a line
-        raise _refused(errors + str(exc).splitlines()) from None
+        # A field that is not a finite number is named above by its key.
+        raise _refused(errors + [line for line in str(exc).splitlines()
+                                 if not line.endswith(NOT_FINITE)]) from None
     # A sweep value that sets a scenario field is checked by its point's
     # scenario; values already reported as not finite are skipped.
     for name, values in cfg.sweep.items():

@@ -63,7 +63,7 @@ def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
-    [(_, fit)] = run.fits
+    [fit] = run.fits
     scn, n = fit.scenario, run.trials
     # Each sampled SINR's law, in the sample kinds' order.
     laws = {kind: fit.laws[kind] for kind in SINR_KINDS if kind in fit.laws}
@@ -82,9 +82,10 @@ def _run_pdf_validation(run: Plan) -> Outputs:
 
 def _run_er_sweep(run: Plan) -> Outputs:
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
+    ers = analytic_ergodic_rates(run.fits, {**USER_SINR, "edge_high_snr": "edge_high_snr"})
     rows = []
-    for _, fit in run.fits:
-        scn, er = fit.scenario, analytic_ergodic_rates(fit)
+    for fit, er in zip(run.fits, ers):
+        scn = fit.scenario
         mc = estimate_ergodic_rate(draws.batch(scn))
         for user in USER_SINR:
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
@@ -97,7 +98,7 @@ def _run_er_sweep(run: Plan) -> Outputs:
 def _run_outage_sweep(run: Plan) -> Outputs:
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
-    for _, fit in run.fits:
+    for fit in run.fits:
         scn, closed = fit.scenario, analytic_outage(fit)
         mc = estimate_outage(draws.batch(scn), scn)
         for user in USER_SINR:
@@ -110,10 +111,9 @@ def _run_outage_sweep(run: Plan) -> Outputs:
 def _run_exhaustive_star(run: Plan) -> Outputs:
     k = run.scenario.k_elements
     # `analysis` does not read the assignment: the rates depend on beta_t only.
-    points = []
-    for _, fit in run.fits:
-        er = analytic_ergodic_rates(fit)
-        points.append((fit.scenario.beta_t, fit.scenario.beta_r, [er[user] for user in USER_SINR]))
+    # Only the users' own rates are written, so only their laws are integrated.
+    points = [(fit.scenario.beta_t, fit.scenario.beta_r, [er[user] for user in USER_SINR])
+              for fit, er in zip(run.fits, analytic_ergodic_rates(run.fits, USER_SINR))]
     rows = [(k1, k - k1, beta_t, beta_r, *rates, sum(rates))
             for k1 in run.sweeps[0]["assignment_values"] for beta_t, beta_r, rates in points]
     return {"exhaustive_star.csv": (

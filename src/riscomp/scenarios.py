@@ -10,7 +10,7 @@ AerialScenario's alone: `inside`, `obstacle_dists` and `clear`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,17 @@ class RicianLinks:
         kappa = self.kappa
         w_los = math.sqrt(kappa / (1.0 + kappa)) if math.isfinite(kappa) else 1.0
         return w_los, math.sqrt(1.0 / (1.0 + kappa))
+
+
+NOT_FINITE = "not a finite number"  # ends each line _numbers refuses
+
+
+def _numbers(scn, limits=()) -> list:
+    """A failed check for each float field of scn that holds NaN or, unless
+    it is in `limits`, whose infinities are limiting cases, an infinity."""
+    values = {f.name: getattr(scn, f.name) for f in fields(scn) if f.type == "float"}
+    return [(f"{name} = {v!r}: {NOT_FINITE}", False) for name, v in values.items()
+            if not (math.isfinite(v) or (name in limits and not math.isnan(v)))]
 
 
 def _refuse(checks) -> None:
@@ -118,11 +129,12 @@ class CoordinatedScenario(LinkBudget):
     def __post_init__(self):
         k = self.k_elements
         _refuse([
+            *_numbers(self),
             ("k_elements must be >= 0", k >= 0),
             *((f"{key} = {getattr(self, key)!r}: Nakagami shape must be >= 0.5",
                getattr(self, key) >= 0.5) for key in ("m_direct", "m_bs_ris", "m_ris_user")),
             (f"beta_t = {self.beta_t!r}, beta_r = {self.beta_r!r}: each must lie in [0, 1]",
-             not any(b < 0.0 or b > 1.0 for b in (self.beta_t, self.beta_r))),
+             all(0.0 <= b <= 1.0 for b in (self.beta_t, self.beta_r))),
             ("beta_t + beta_r must equal 1", not abs(self.beta_t + self.beta_r - 1.0) > 1e-12),
             # The assignment is checked against K only where K itself is valid.
             ("assignment entries must be >= 0 and sum to k_elements",
@@ -218,6 +230,7 @@ class MultiCellScenario(LinkBudget, RicianLinks):
 
     def __post_init__(self):
         _refuse([
+            *_numbers(self, limits=("kappa_db",)),
             ("cooperative set must satisfy 1 <= J <= I", 1 <= self.n_coop <= self.n_cells),
             ("k_elements must be >= 0", self.k_elements >= 0),
             ("edge allocation factor must lie in (0.5, 1)", 0.5 < self.zeta_edge < 1.0),
@@ -270,6 +283,7 @@ class AerialScenario(LinkBudget, RicianLinks):
     def __post_init__(self):
         start = self.uav_start
         _refuse([
+            *_numbers(self, limits=("kappa_db",)),
             ("one center user per BS required",
              len(self.center_positions) == len(self.bs_positions)),
             ("entity outside the operating area", all(map(self.inside, (

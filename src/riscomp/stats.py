@@ -6,9 +6,9 @@ get Gamma fits the same way; SINRs, as ratios of (approximately) independent
 Gamma variables, follow Beta-prime laws. One builder per law: the center
 SINR (`sinr_dist_center`, own message or SIC of the edge message) and the
 JT-CoMP edge SINR (`sinr_dist_edge`, with or without the noise term). Ergodic
-rates come from adaptive quadrature of the defining integral, outage
-probabilities from regularized incomplete beta evaluations of the Beta-prime
-CDF.
+rates come from one lockstep adaptive quadrature of the defining integrals
+on numpy ufuncs, outage probabilities from regularized incomplete beta
+evaluations of the Beta-prime CDF.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NakagamiParams
-from .quadrature import integrate
+from .quadrature import QuadratureError, integrate
 from .special import betainc_reg, betaln, gammainc_lower_reg
 
 _LN2 = math.log(2.0)
@@ -225,62 +225,50 @@ def sinr_dist_edge(
     V = rho(zf1 Z1 + zf2 Z2) and W = rho(zc1 Z1 + zc2 Z2) for independent
     Z1, Z2. noise = 1 is the SINR; noise = 0 is the interference-limited
     high-SNR law V / W, whose scale does not depend on rho."""
-    v = MomentPair(
-        rho * (zeta_f1 * z1.m1 + zeta_f2 * z2.m1),
-        rho * rho * (
-            zeta_f1**2 * z1.m2
-            + 2.0 * zeta_f1 * zeta_f2 * z1.m1 * z2.m1
-            + zeta_f2**2 * z2.m2
-        ),
-    )
-    w = MomentPair(
-        rho * (zeta_c1 * z1.m1 + zeta_c2 * z2.m1),
-        rho * rho * (
-            zeta_c1**2 * z1.m2
-            + 2.0 * zeta_c1 * zeta_c2 * z1.m1 * z2.m1
-            + zeta_c2**2 * z2.m2
-        ),
-    )
-    vg = gamma_from_moments(v)
-    wg = gamma_from_moments(w.shifted(noise))
+    def mix(c1: float, c2: float) -> MomentPair:
+        """Moments of rho (c1 Z1 + c2 Z2)."""
+        return MomentPair(rho * (c1 * z1.m1 + c2 * z2.m1), rho * rho * (
+            c1**2 * z1.m2 + 2.0 * c1 * c2 * z1.m1 * z2.m1 + c2**2 * z2.m2))
+
+    vg = gamma_from_moments(mix(zeta_f1, zeta_f2))
+    wg = gamma_from_moments(mix(zeta_c1, zeta_c2).shifted(noise))
     return BetaPrimeParams(vg.k, wg.k, vg.theta / wg.theta)
 
 
 def _er_breakpoints(a: float, b: float) -> list[float]:
-    """Support landmarks (in Beta u-space) seeding the adaptive subdivision;
-    critical for near-degenerate fits whose density is a narrow spike."""
+    """Support landmarks (in Beta u-space) seeding the adaptive subdivision,
+    the mean and 1, 5 and 20 standard deviations either side, of which
+    `integrate` keeps those inside (0, 1); critical for near-degenerate fits
+    whose density is a narrow spike."""
     mu = a / (a + b)
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    pts = []
-    for c in (-20.0, -5.0, -1.0, 1.0, 5.0, 20.0):
-        u = mu + c * sd
-        if 0.0 < u < 1.0:
-            pts.append(u)
-    pts.append(mu)
-    return pts
+    return [mu + c * sd for c in (-20.0, -5.0, -1.0, 0.0, 1.0, 5.0, 20.0)]
 
 
-def ergodic_rate(p: BetaPrimeParams, rtol: float = 1e-8) -> float:
-    """E[log2(1 + X)] for X ~ scaled Beta-prime, by adaptive quadrature.
+def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
+    """E[log2(1 + X)] for X ~ each scaled Beta-prime law of `laws`, in order,
+    by one lockstep adaptive quadrature whose nodes read their law's
+    parameters from per-law arrays: a law's rate does not depend on the laws
+    beside it. Substituting x = scale * u/(1-u) maps the half line onto
+    (0, 1) with a Beta(a, b) weight, smooth away from the endpoints. An
+    overflow or a missed tolerance raises QuadratureError naming the law."""
+    a, b, q = (np.array([getattr(p, f) for p in laws], dtype=float) for f in ("a", "b", "scale"))
+    lnb = np.array([betaln(p.a, p.b) for p in laws], dtype=float)
 
-    Substituting x = scale * u/(1-u) maps the half line onto (0, 1) with a
-    Beta(a, b) weight, so the integrand is smooth away from the endpoints.
-    """
-    a, b, q = p.a, p.b, p.scale
-    lnB = betaln(a, b)
+    def integrand(u: np.ndarray, j: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = q[j] * u / (1.0 - u)
+            w = np.exp((a[j] - 1.0) * np.log(u) + (b[j] - 1.0) * np.log1p(-u) - lnb[j])
+            value = w * np.log1p(x) / _LN2
+        return np.where((u <= 0.0) | (u >= 1.0) | (x <= 0.0) | np.isinf(x), 0.0, value)
 
-    def integrand(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        x = q * u / (1.0 - u)
-        if x <= 0.0 or math.isinf(x):
-            return 0.0
-        w = math.exp((a - 1.0) * math.log(u) + (b - 1.0) * math.log1p(-u) - lnB)
-        return w * math.log1p(x) / _LN2
-
-    return integrate(
-        integrand, 0.0, 1.0, rtol=rtol, atol=1e-12, breakpoints=_er_breakpoints(a, b)
-    )
+    try:
+        return integrate(integrand, [(0.0, 1.0)] * len(laws), rtol=rtol, atol=1e-12,
+                         breakpoints=[_er_breakpoints(p.a, p.b) for p in laws]).tolist()
+    except QuadratureError as exc:
+        p = laws[exc.index]
+        raise QuadratureError(f"ergodic rate of the Beta-prime law a={p.a!r}, b={p.b!r}, "
+                              f"scale={p.scale!r}: {exc}", exc.index) from None
 
 
 def outage_center_closed(

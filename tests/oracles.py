@@ -1,11 +1,12 @@
 """Independent reference implementations that the tests check the engines
 against: per-user NOMA SINR arithmetic, RIS phase operators and the
-effective-channel composition, half-line quadrature, per-link Rayleigh
-and Rician channel draws, one aerial slot drawn link by link, the scalar
-incomplete beta, the PPO objective and its backprop with every
-intermediate a fresh array and numpy's mean, std, clip and sum, the
-per-array Adam step, the policy initialisation as one literal dict of
-arrays, the n-step advantage as a double loop, MO-PPO training and
+effective-channel composition, scalar adaptive Gauss-Kronrod quadrature
+(half-line integrals and the ergodic rate of a Beta-prime law, one node at
+a time on libm), per-link Rayleigh and Rician channel draws, one aerial
+slot drawn link by link, the scalar incomplete beta, the PPO objective and
+its backprop with every intermediate a fresh array and numpy's mean, std,
+clip and sum, the per-array Adam step, the policy initialisation as one
+literal dict of arrays, the n-step advantage as a double loop, MO-PPO training and
 deterministic evaluation with their episodes run one at a time on these
 forms alone, the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, and
@@ -19,6 +20,7 @@ directly, so agreement between the two is evidence for both.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
@@ -46,10 +48,11 @@ from riscomp.moppo import (
     state_scale,
 )
 from riscomp.montecarlo import CHUNK
-from riscomp.quadrature import integrate
+from riscomp.quadrature import _NODES, _WG, _WK, QuadratureError
 from riscomp.ris import phasors, wrap_phase
 from riscomp.scenarios import AerialScenario, MultiCellScenario
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
+from riscomp.stats import _er_breakpoints
 
 _STREAM_GRID = 801
 
@@ -192,6 +195,88 @@ def ec_phases(h_direct: complex, h_ris_user, h_bs_ris) -> np.ndarray:
     """Anti-phasing: every cascade term opposes arg(h_direct), so the
     effective magnitude drops to | |h_direct| - sum_k |cascade_k| |."""
     return wrap_phase(eo_phases(h_direct, h_ris_user, h_bs_ris) + math.pi)
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(K15, |K15 - G7|) of f over [a, b], one node at a time."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fc = f(mid)
+    k15 = _WK[7] * fc
+    g7 = _WG[3] * fc
+    for i in range(7):
+        x = half * float(_NODES[i])
+        f1 = f(mid - x)
+        f2 = f(mid + x)
+        k15 += _WK[i] * (f1 + f2)
+        if i % 2 == 1:
+            g7 += _WG[i // 2] * (f1 + f2)
+    k15 *= half
+    g7 *= half
+    return k15, abs(k15 - g7)
+
+
+def integrate(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    rtol: float = 1e-8,
+    atol: float = 1e-12,
+    breakpoints: Sequence[float] = (),
+    limit: int = 4000,
+) -> float:
+    """Integral of a scalar f over [a, b]: adaptive GK15 that bisects the
+    panel with the largest error estimate, one integral at a time."""
+    if not b > a:
+        raise ValueError("integrate requires b > a")
+    edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    heap: list[tuple[float, float, float, float]] = []
+    total = 0.0
+    total_err = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, err = _gk15(f, lo, hi)
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, lo, hi, val))
+    splits = 0
+    while total_err > max(atol, rtol * abs(total)):
+        if splits >= limit or not heap:
+            raise QuadratureError(
+                f"quadrature did not reach tolerance (err={total_err:.3e}, value={total:.6e})"
+            )
+        neg_err, lo, hi, val = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            total_err += neg_err
+            continue
+        v1, e1 = _gk15(f, lo, mid)
+        v2, e2 = _gk15(f, mid, hi)
+        total += (v1 + v2) - val
+        total_err += (e1 + e2) + neg_err
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        splits += 1
+    return total
+
+
+def reference_ergodic_rate(p, rtol: float = 1e-8) -> float:
+    """E[log2(1 + X)] for X ~ the scaled Beta-prime law p, by the scalar
+    quadrature above with libm's log, log1p and exp at each node of
+    u = x/(scale + x), where the weight is Beta(a, b)'s density."""
+    a, b, q = p.a, p.b, p.scale
+    lnb = betaln(a, b)
+
+    def integrand(u: float) -> float:
+        if u <= 0.0 or u >= 1.0:
+            return 0.0
+        x = q * u / (1.0 - u)
+        if x <= 0.0 or math.isinf(x):
+            return 0.0
+        w = math.exp((a - 1.0) * math.log(u) + (b - 1.0) * math.log1p(-u) - lnb)
+        return w * math.log1p(x) / math.log(2.0)
+
+    return integrate(integrand, 0.0, 1.0, rtol=rtol, atol=1e-12,
+                     breakpoints=_er_breakpoints(a, b))
 
 
 def integrate_half_line(

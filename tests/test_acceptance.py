@@ -31,8 +31,8 @@ from oracles import (
 from riscomp.analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
 from riscomp.channel import substream
 from riscomp.energy import ee_sweep, osum_sweep
-from riscomp.montecarlo import (SINR_KINDS, estimate_ergodic_rate, estimate_outage, ks_statistic,
-                                run_trials)
+from riscomp.montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
+                                ks_statistic, run_trials)
 from riscomp.moppo import (
     Minibatch,
     TrainConfig,
@@ -48,7 +48,7 @@ from riscomp.scenarios import (
     MultiCellScenario,
     tiny_aerial_scenario,
 )
-from riscomp.stats import effective_power_moments, ergodic_rate
+from riscomp.stats import effective_power_moments, ergodic_rates
 from riscomp.stats import sinr_dist_edge
 from riscomp.channel import NakagamiParams
 from riscomp.aerial import ArisEnv, MdpAction
@@ -95,9 +95,11 @@ def test_criterion_2_ergodic_rate_consistency():
     # The draws do not depend on P_t: drawn once, scored at every power.
     draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
                        100_000, seed=2, coupling="fitted")
-    for p_t in range(-20, 11, 5):
-        scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
-        er = analytic_ergodic_rates(coordinated_distributions(scn))
+    powers = range(-20, 11, 5)
+    scns = [CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
+            for p_t in powers]
+    ers = analytic_ergodic_rates([coordinated_distributions(scn) for scn in scns], USER_SINR)
+    for p_t, scn, er in zip(powers, scns, ers):
         mc = estimate_ergodic_rate(draws.batch(scn))
         for user in ("center1", "center2", "edge"):
             rel = abs(er[user] / mc[user] - 1.0)
@@ -106,8 +108,8 @@ def test_criterion_2_ergodic_rate_consistency():
     unit = NakagamiParams(1.0, 1.0)
     m2 = NakagamiParams(2.0, 1.0)
     z = effective_power_moments(unit, 34, 0.5, m2, m2)
-    exact = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=1.0))
-    approx = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=0.0))
+    exact, approx = ergodic_rates(
+        [sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)])
     gap = abs(exact - approx)
     ok = _report("2 high-SNR rho=1e6", gap < 0.05, f"|gap|={gap:.4f}") and ok
     assert ok

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -1064,3 +1065,26 @@ def test_a_single_scenario_violation_keeps_its_message(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+_SCENARIO_FLOATS = [(cls, f.name) for cls in (CoordinatedScenario, MultiCellScenario, AerialScenario)
+                    for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("cls, name", _SCENARIO_FLOATS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name in _SCENARIO_FLOATS])
+def test_a_scenario_refuses_a_float_field_that_is_not_a_finite_number(cls, name):
+    # NaN passes every comparison-based check, so each float field is
+    # checked for it by name. kappa_db's infinities are the pure-LoS and
+    # Rayleigh limits, and only it takes them.
+    for value in (math.nan, math.inf, -math.inf):
+        if name == "kappa_db" and math.isinf(value):
+            cls(**{name: value})
+            continue
+        with pytest.raises(ValueError) as info:
+            cls(**{name: value})
+        assert f"{name} = {value!r}: not a finite number" in str(info.value).splitlines()
+    # A NaN beta no longer passes the range check either.
+    if name == "beta_t":
+        with pytest.raises(ValueError, match=r"beta_t = nan, beta_r = nan: each must lie"):
+            CoordinatedScenario(beta_t=math.nan, beta_r=math.nan)

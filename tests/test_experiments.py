@@ -13,6 +13,7 @@ from riscomp.experiments import PRESETS, preset, run_experiment
 from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import tiny_aerial_scenario
+from riscomp.stats import ergodic_rates
 
 
 def _run(tmp_path, name, mapping):
@@ -108,7 +109,28 @@ def test_validate_fits_the_laws_at_the_points_the_runner_runs(
     run_experiment(run)
     assert fitted == validated
     assert [getattr(scn, axis) for scn in validated] == values
-    assert [d.scenario for _, d in run.fits] == validated
+    assert [d.scenario for d in run.fits] == validated
+
+
+@pytest.mark.parametrize("fig, kinds", [
+    ("fig3.3", ["center1_own", "center2_own", "edge", "edge_high_snr"]),
+    ("fig3.5", ["center1_own", "center2_own", "edge"]),
+])
+def test_a_rate_runner_integrates_the_laws_it_writes_in_one_call(monkeypatch, tmp_path, fig,
+                                                                kinds):
+    # er-sweep writes each user's rate and the high-SNR approximation;
+    # exhaustive-star writes the users' rates alone, so it integrates no
+    # edge_high_snr law. Each runner integrates every law of its run at once.
+    integrated = []
+
+    def recording(laws):
+        integrated.append(list(laws))
+        return ergodic_rates(laws)
+
+    monkeypatch.setattr("riscomp.analysis.ergodic_rates", recording)
+    run, _ = _run(tmp_path, fig, {**preset(fig), "trials": 200})
+    assert integrated == [[d.laws[kind] for d in run.fits for kind in kinds]]
+    assert len(integrated[0]) == {"fig3.3": 7 * 4, "fig3.5": 9 * 3}[fig]
 
 
 def test_the_plans_config_is_frozen():

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import beta_prime_pdf, integrate_half_line
+from oracles import beta_prime_pdf, integrate_half_line, reference_ergodic_rate
 from riscomp.analysis import analytic_outage, coordinated_distributions
 from riscomp.channel import NakagamiParams, substream
+from riscomp.config import from_mapping
+from riscomp.experiments import preset
+from riscomp.montecarlo import USER_SINR
+from riscomp.quadrature import QuadratureError
 from riscomp.scenarios import CoordinatedScenario
 from riscomp.special import betainc_reg
 from riscomp.stats import (
@@ -16,7 +22,7 @@ from riscomp.stats import (
     MomentPair,
     cascade_moment,
     effective_power_moments,
-    ergodic_rate,
+    ergodic_rates,
     gamma_from_moments,
     nakagami_moment,
     outage_center_closed,
@@ -33,6 +39,12 @@ M2 = NakagamiParams(2.0, 1.0)
 def _moments(g: GammaParams) -> MomentPair:
     """Raw moments of a Gamma law: k theta and k (k + 1) theta^2."""
     return MomentPair(g.k * g.theta, g.k * (g.k + 1.0) * g.theta**2)
+
+
+def _rate(p: BetaPrimeParams) -> float:
+    """The ergodic rate of the law p, integrated alone."""
+    [rate] = ergodic_rates([p])
+    return rate
 
 
 def test_nakagami_moment_examples():
@@ -154,13 +166,13 @@ def test_ergodic_rate_degenerate_concentration():
     for gamma0 in (0.5, 2.0, 11.0):
         big = 1e6
         p = BetaPrimeParams(big, big, gamma0 * (big - 1.0) / big)
-        assert ergodic_rate(p) == pytest.approx(math.log2(1 + gamma0), abs=1e-3)
+        assert _rate(p) == pytest.approx(math.log2(1 + gamma0), abs=1e-3)
 
 
 def test_ergodic_rate_monotone_in_scale():
     p1 = BetaPrimeParams(2.0, 3.0, 1.0)
     p2 = BetaPrimeParams(2.0, 3.0, 1.5)
-    assert ergodic_rate(p2) > ergodic_rate(p1)
+    assert _rate(p2) > _rate(p1)
 
 
 def test_ergodic_rate_vs_mc_sampling():
@@ -171,7 +183,7 @@ def test_ergodic_rate_vs_mc_sampling():
     v = rng.gamma(p.a, 1.0, n)
     w = rng.gamma(p.b, 1.0, n)
     mc = float(np.mean(np.log2(1.0 + p.scale * v / w)))
-    assert ergodic_rate(p) == pytest.approx(mc, rel=0.02)
+    assert _rate(p) == pytest.approx(mc, rel=0.02)
 
 
 def test_ergodic_rate_symmetry_under_bs_swap():
@@ -179,14 +191,14 @@ def test_ergodic_rate_symmetry_under_bs_swap():
     z2 = effective_power_moments(NakagamiParams(1.0, 2.0), 8, 0.5, M2, M2)
     a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
     b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
-    assert ergodic_rate(a) == pytest.approx(ergodic_rate(b), rel=1e-12)
+    assert _rate(a) == pytest.approx(_rate(b), rel=1e-12)
 
 
 def test_high_snr_agreement_at_rho_1e6():
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
     rho = 1e6
-    exact = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=1.0))
-    approx = ergodic_rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=0.0))
+    exact = _rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=1.0))
+    approx = _rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=0.0))
     assert abs(exact - approx) < 0.05
 
 
@@ -195,7 +207,7 @@ def test_high_snr_scale_cancellation():
     a = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e4, noise=0.0)
     b = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e7, noise=0.0)
     assert a.scale == pytest.approx(b.scale, rel=1e-12)
-    assert ergodic_rate(a) == pytest.approx(ergodic_rate(b), rel=1e-10)
+    assert _rate(a) == pytest.approx(_rate(b), rel=1e-10)
 
 
 def test_high_snr_saturation_with_concentrated_fits():
@@ -204,7 +216,57 @@ def test_high_snr_saturation_with_concentrated_fits():
     conc = NakagamiParams(50.0, 1.0)
     z = effective_power_moments(conc, 0, 0.0, M2, M2)
     p = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e9, noise=0.0)
-    assert ergodic_rate(p) == pytest.approx(math.log2(1 + 0.7 / 0.3), abs=0.05)
+    assert _rate(p) == pytest.approx(math.log2(1 + 0.7 / 0.3), abs=0.05)
+
+
+@functools.cache
+def _run_laws() -> tuple[BetaPrimeParams, ...]:
+    """The laws whose rates fig3.3 and fig3.5 write, then criterion 2's: its
+    users' laws over its power sweep and its two laws at rho = 1e6."""
+    laws = []
+    for fig, kinds in (("fig3.3", (*USER_SINR.values(), "edge_high_snr")),
+                       ("fig3.5", USER_SINR.values())):
+        laws += [fit.laws[kind] for fit in from_mapping(preset(fig)).fits for kind in kinds]
+    for p_t in range(-20, 11, 5):
+        fit = coordinated_distributions(
+            CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17)))
+        laws += [fit.laws[kind] for kind in USER_SINR.values()]
+    z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
+    laws += [sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)]
+    return tuple(laws)
+
+
+def test_ergodic_rates_equal_the_scalar_reference():
+    # numpy's log, log1p and exp may round differently from libm's in the
+    # last bit, which may move a rate in its last digits and no further.
+    laws = _run_laws()
+    for p, rate in zip(laws, ergodic_rates(laws)):
+        assert rate == pytest.approx(reference_ergodic_rate(p), rel=1e-14, abs=0.0), p
+
+
+_DRAWN_LAWS = st.lists(st.builds(BetaPrimeParams, st.floats(0.3, 200.0), st.floats(1.5, 1e5),
+                                 st.floats(1e-3, 1e3)), max_size=4)
+
+
+@given(drawn=_DRAWN_LAWS)
+@settings(max_examples=25, deadline=None)
+def test_a_laws_rate_does_not_depend_on_the_laws_beside_it(drawn):
+    laws = [*_run_laws(), *drawn]
+    alone = [_rate(p) for p in laws]
+    assert ergodic_rates(laws) == alone
+    assert ergodic_rates(laws[::-1]) == alone[::-1]
+
+
+def test_an_ergodic_rate_that_fails_names_its_law():
+    ok = BetaPrimeParams(2.0, 3.0, 1.0)
+    # The integrand overflows (betaln cancels at these shapes).
+    with pytest.raises(QuadratureError, match=r"law a=1e\+30, b=1e\+30, scale=1\.0: integral 1 "
+                                              r"has a non-finite integrand value inf") as info:
+        ergodic_rates([ok, BetaPrimeParams(1e30, 1e30, 1.0)])
+    assert info.value.index == 1
+    with pytest.raises(QuadratureError, match=r"law a=10000000000\.0, b=10000000000\.0, "
+                                              r"scale=1e\+300: quadrature of integral 0 did not"):
+        ergodic_rates([BetaPrimeParams(1e10, 1e10, 1e300), ok])
 
 
 def test_outage_edge_examples():
