@@ -160,7 +160,9 @@ class Plan:
     axes is the scenario's one point. `trials` is the Monte Carlo trial
     count, `episodes` the number of episodes an aerial run steps in
     lockstep, and `train` its training setup. `fits` holds the closed-form
-    laws fitted at each point of a coordinated run, in run order."""
+    laws fitted at each point of a coordinated run, in run order. The
+    checks, the fits and the runners all read a point's scenario from
+    `scenario_at`."""
 
     config: ExperimentConfig
     trials: int | None
@@ -180,6 +182,14 @@ class Plan:
         if scn_field and any(name not in sweep for sweep in self.sweeps):
             points.insert(0, (f"scenario.{scn_field}", getattr(self.scenario, scn_field)))
         return points
+
+    def scenario_at(self, **values):
+        """The base scenario with each sweep axis of values, named by its
+        sweep key, set to its value by _AXIS_FIELDS."""
+        scn = self.scenario
+        for name, value in values.items():
+            scn = _AXIS_FIELDS[name](scn, value)
+        return scn
 
 
 def _scenario(cfg: ExperimentConfig):
@@ -226,10 +236,12 @@ def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
 
 
 # The scenario at a value of each sweep axis that sets a scenario field,
-# from the base scenario: beta_r = 1 - beta_t, and an exhaustive-star's k1
-# is the assignment (k1, K - k1) that its runner writes.
+# from the base scenario (Plan.scenario_at): one rate threshold r sets both
+# users' targets, beta_r = 1 - beta_t, and an exhaustive-star's k1 is the
+# assignment (k1, K - k1) that its runner writes.
 _AXIS_FIELDS = {
     "p_t_dbm": lambda scn, p: replace(scn, p_t_dbm=p),
+    "r_th_values": lambda scn, r: replace(scn, r_center_min=r, r_edge_min=r),
     "beta_t_values": lambda scn, b: replace(scn, beta_t=b, beta_r=1.0 - b),
     "j_values": lambda scn, j: replace(scn, n_coop=j),
     "k_values": lambda scn, k: replace(scn, k_elements=k),
@@ -243,7 +255,8 @@ _TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
 def _convert(value, typ: type, key: str, errors: list[str]):
     """value as typ, or None with an error appended. A string is parsed by
     typ, except that a str key keeps it as is; any other value must already
-    be a typ, where an int also counts as a float and a bool is no number."""
+    be a typ, where an int that a float can hold also counts as a float and
+    a bool is no number."""
     if isinstance(value, str) and typ is not str:
         value = value.strip()
         if typ is not bool:
@@ -255,7 +268,11 @@ def _convert(value, typ: type, key: str, errors: list[str]):
             return value.lower() == "true"
     elif (isinstance(value, (int, float) if typ is float else typ)
           and isinstance(value, bool) == (typ is bool)):
-        return typ(value)
+        try:
+            return typ(value)
+        except OverflowError:
+            errors.append(f"{key}: integer beyond the float range")
+            return None
     errors.append(f"{key}: expected {_TYPE_NAMES[typ]}, got {value!r}")
     return None
 
@@ -341,7 +358,7 @@ def _refused(errors: list[str]) -> ConfigError:
     return ConfigError("config validation failed:\n  " + "\n  ".join(errors))
 
 
-# Closed range of the elements of the sweep lists that set no scenario field;
+# Closed range of the elements of the sweep lists that no scenario checks;
 # the scenario at each point checks the values of the others (_AXIS_FIELDS).
 _SWEEP_RANGES = {"r_th_values": (0.0, math.inf), "splits": (0.0, 1.0)}
 
@@ -474,7 +491,7 @@ def _fits(run: Plan, errors: list[str]) -> tuple[CoordinatedDistributions, ...]:
     fails is named in errors by the config key that sets it."""
     exhaustive = run.config.kind == "exhaustive-star"
     name, base = ("beta_t_values", "") if exhaustive else ("p_t_dbm", "p_t_dbm")
-    points = [(key, _AXIS_FIELDS[name](run.scenario, v)) for key, v in run.points(name, base)]
+    points = [(key, run.scenario_at(**{name: v})) for key, v in run.points(name, base)]
     k = run.scenario.k_elements
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
@@ -557,20 +574,20 @@ def validate(cfg: ExperimentConfig) -> Plan:
         # A field that is not a finite number is named above by its key.
         raise _refused(errors + [line for line in str(exc).splitlines()
                                  if not line.endswith(NOT_FINITE)]) from None
+    defaults = _KINDS[cfg.kind]
+    trials = defaults.get("trials") if cfg.trials is None else cfg.trials
+    episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
+                else defaults.get("episodes"))
+    run = Plan(cfg, trials, scn, _sweeps(cfg, scn), episodes, tc)
     # A sweep value that sets a scenario field is checked by its point's
     # scenario; values already reported as not finite are skipped.
     for name, values in cfg.sweep.items():
         for i, v in enumerate(values):
             if name in _AXIS_FIELDS and math.isfinite(v):
                 try:
-                    _AXIS_FIELDS[name](scn, v)
+                    run.scenario_at(**{name: v})
                 except ValueError as exc:  # a scenario lists each problem on a line
                     errors.extend(f"sweep.{name}[{i}]: {line}" for line in str(exc).splitlines())
-    defaults = _KINDS[cfg.kind]
-    trials = defaults.get("trials") if cfg.trials is None else cfg.trials
-    episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
-                else defaults.get("episodes"))
-    run = Plan(cfg, trials, scn, _sweeps(cfg, scn), episodes, tc)
     # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
     read = {name for sweep in run.sweeps for name in sweep}
     errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "

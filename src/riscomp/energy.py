@@ -1,5 +1,6 @@
-"""Multi-cell energy efficiency, outage sum rate, and passive-beamforming
-assignment (enhancement / cancellation) experiments.
+"""Multi-cell energy efficiency and outage sum rate of the network's
+passive-beamforming assignments (enhancement / cancellation), by Monte
+Carlo; experiments' runners turn a run's plan into its points.
 
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
 RIS links), assigns per-RIS phases according to the network configuration
@@ -8,10 +9,11 @@ ris.phasors: one vectorized tan, not libm's cos and sin), and aggregates
 rates and outage over trials into one Aggregates record per access scheme
 (NOMA, and the OMA baseline on the same draws); energy efficiency is formed
 from the trial-averaged NOMA record and the powers of the point's scenario
-(ratio of means). A sweep, over K too, hands its points
-to one simulate_network call: each chunk's normals are drawn once and shared
-by every point and mode, each element count K reading its own prefix of
-them, and each K's element-axis reductions are formed once, in trial
+(ratio of means). A multicell run (experiments' ee-sweep, osum-sweep and
+split-sweep runners) hands all its points, over K and over several sweeps
+too, to one simulate_network call: each chunk's normals are drawn once and
+shared by every point and mode, each element count K reading its own prefix
+of them, and each K's element-axis reductions are formed once, in trial
 blocks, before any of its points is scored, each element sum one ordered
 reduce (kernels.multicell_edge_gains). The mode changes only the edge
 user's gains, so per K the center SINRs are formed once per center key
@@ -22,7 +24,7 @@ per center key and rate thresholds; each point scores only its edge user.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,125 +363,3 @@ def simulate_network(
                 p.oma.add_edge(edge_oma)
     return [p.aggregates(n) for p in pts]
 
-
-def _ee_rows(keyed, modes, n, seed) -> list[dict]:
-    """EE rows of every (key, scenario) pair and mode, pair-major, each row
-    starting with its key's fields; one simulate_network call, so the
-    scenarios must share their draw fields."""
-    if not keyed:
-        return []
-    points = [(key, scn_v, mode) for key, scn_v in keyed for mode in modes]
-    aggs = simulate_network(keyed[0][1], [(s, m, None) for _, s, m in points], n, seed)
-    return [
-        {
-            **key,
-            "mode": mode,
-            "ee": energy_efficiency(scn_v, mode, noma),
-            "outage_sum_rate": noma.outage_sum_rate,
-            "edge_outage": noma.edge_outage,
-            "mean_center_outage": float(np.mean(noma.center_outage)),
-        }
-        for (key, scn_v, mode), (noma, _) in zip(points, aggs)
-    ]
-
-
-def ee_sweep(
-    scn: MultiCellScenario,
-    axis: str,
-    values,
-    modes=MODES,
-    *,
-    n: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Energy-efficiency sweep along one axis (J, K, P_t, or R_th) over n
-    trials.
-
-    Sweep points share trial substreams (common random numbers), so
-    per-seed orderings are not noise artifacts. The whole sweep is one
-    simulate_network call: each chunk is drawn once and shared by every
-    point and mode, and along K each value reads its own prefix of the
-    chunk's normal stream (see simulate_network).
-    """
-    field_by_axis = {
-        "J": "n_coop",
-        "K": "k_elements",
-        "P_t": "p_t_dbm",
-        "R_th": None,
-    }
-    if axis not in field_by_axis:
-        raise ValueError(f"axis must be one of {sorted(field_by_axis)}")
-    keyed = []
-    for value in values:
-        if axis == "R_th":
-            scn_v = replace(scn, r_center_min=value, r_edge_min=value)
-        else:
-            scn_v = replace(scn, **{field_by_axis[axis]: value})
-        keyed.append(({"axis": axis, "value": value}, scn_v))
-    return _ee_rows(keyed, modes, n, seed)
-
-
-def ee_grid(
-    scn: MultiCellScenario,
-    p_t_values,
-    r_th_values,
-    modes=MODES,
-    *,
-    n: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Energy efficiency over the joint transmit-power x rate-threshold grid
-    (power-major, then threshold, then mode), from one simulate_network call
-    of n trials."""
-    keyed = [
-        ({"p_t_dbm": p_t, "r_th": r},
-         replace(scn, p_t_dbm=p_t, r_center_min=r, r_edge_min=r))
-        for p_t in p_t_values for r in r_th_values
-    ]
-    return _ee_rows(keyed, modes, n, seed)
-
-
-def osum_sweep(
-    scn: MultiCellScenario,
-    p_t_values,
-    modes=MODES,
-    *,
-    n: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Outage sum rate vs transmit power, NOMA modes plus the OMA baseline
-    (on the "ec" draws), from one simulate_network call of n trials."""
-    modes = tuple(modes)
-    point_modes = modes + (("ec",) if "ec" not in modes else ())
-    p_t_values = list(p_t_values)
-    points = [
-        (replace(scn, p_t_dbm=p_t), mode, None)
-        for p_t in p_t_values for mode in point_modes
-    ]
-    aggs = iter(simulate_network(scn, points, n, seed))
-    rows = []
-    for p_t in p_t_values:
-        by_mode = {mode: next(aggs) for mode in point_modes}
-        rows += [{"p_t_dbm": p_t, "mode": f"noma-{mode}",
-                  "outage_sum_rate": by_mode[mode][0].outage_sum_rate} for mode in modes]
-        rows.append({"p_t_dbm": p_t, "mode": "oma-ec",
-                     "outage_sum_rate": by_mode["ec"][1].outage_sum_rate})
-    return rows
-
-
-def split_sweep(
-    scn: MultiCellScenario,
-    splits,
-    coop_counts,
-    n: int,
-    seed: int = 0,
-) -> list[dict]:
-    """Outage sum rate vs cancellation/enhancement element split ratio, from
-    one simulate_network call of n trials."""
-    keys = [(j, split) for j in coop_counts for split in splits]
-    points = [(replace(scn, n_coop=j), "ec", split) for j, split in keys]
-    aggs = simulate_network(scn, points, n, seed)
-    return [
-        {"split": split, "J": j, "outage_sum_rate": noma.outage_sum_rate}
-        for (j, split), (noma, _) in zip(keys, aggs)
-    ]

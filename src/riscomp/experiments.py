@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .analysis import analytic_ergodic_rates, analytic_outage
 from .config import ConfigError, ExperimentConfig, Plan, dump_config
-from .energy import ee_grid, ee_sweep, osum_sweep, split_sweep
+from .energy import MODES, energy_efficiency, simulate_network
 from .montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
                          ks_statistic, run_trials)
 from .moppo import PolicyParams, check_checkpoint, evaluate, load_params, save_params, train
@@ -55,11 +55,6 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
     tmp.write_text(header + body)
     os.replace(tmp, path)
     return path
-
-
-def _columns(header: list[str], rows: list[dict]) -> tuple[list[str], list[tuple]]:
-    """CSV content of dict rows: each row's values picked by header name."""
-    return header, [tuple(row[name] for name in header) for row in rows]
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
@@ -120,38 +115,55 @@ def _run_exhaustive_star(run: Plan) -> Outputs:
         ["k1", "k2", "beta_t", "beta_r", *(f"er_{user}" for user in USER_SINR), "er_sum"], rows)}
 
 
-# The ee_sweep axis of each ee-sweep sweep key.
+# The CSV name and axis label of each single-axis ee-sweep sweep key.
 _EE_AXES = {"j_values": "J", "k_values": "K", "p_t_dbm": "P_t", "r_th_values": "R_th"}
 
 
 def _run_ee_sweep(run: Plan) -> Outputs:
-    scn, n = run.scenario, run.trials
-    # The joint power/threshold grid (contour) runs as one sweep of two axes.
-    if len(run.sweeps[0]) == 2:
-        [sweep] = run.sweeps
-        return {"ee_grid.csv": _columns(
-            ["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"],
-            ee_grid(scn, sweep["p_t_dbm"], sweep["r_th_values"], n=n, seed=run.config.seed),
-        )}
-    header = ["axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
-              "mean_center_outage"]
-    axes = [(_EE_AXES[name], values) for sweep in run.sweeps for name, values in sweep.items()]
-    return {f"ee_sweep_{axis.lower()}.csv": _columns(
-        header, ee_sweep(scn, axis, values, n=n, seed=run.config.seed)) for axis, values in axes}
+    # Each sweep's points, the product of its axes, in every mode; the whole
+    # run is one simulate_network call, so every chunk is drawn once. zip
+    # reads MODES first, so each zip(MODES, aggs) takes one point's modes.
+    sweeps = [(sweep, [(values, run.scenario_at(**dict(zip(sweep, values))))
+                       for values in product(*sweep.values())]) for sweep in run.sweeps]
+    points = [(scn, mode, None) for _, keyed in sweeps for _, scn in keyed for mode in MODES]
+    aggs = iter(simulate_network(run.scenario, points, run.trials, run.config.seed))
+    outputs = {}
+    for sweep, keyed in sweeps:
+        scored = [(values, mode, energy_efficiency(scn, mode, noma), noma)
+                  for values, scn in keyed for mode, (noma, _) in zip(MODES, aggs)]
+        if len(sweep) == 2:  # the joint power/threshold grid (contour)
+            outputs["ee_grid.csv"] = (["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], [
+                (*values, mode, ee, noma.outage_sum_rate) for values, mode, ee, noma in scored])
+        else:
+            axis = _EE_AXES[next(iter(sweep))]
+            outputs[f"ee_sweep_{axis.lower()}.csv"] = ([
+                "axis", "value", "mode", "ee", "outage_sum_rate", "edge_outage",
+                "mean_center_outage"], [
+                (axis, value, mode, ee, noma.outage_sum_rate, noma.edge_outage,
+                 float(np.mean(noma.center_outage))) for (value,), mode, ee, noma in scored])
+    return outputs
 
 
 def _run_osum_sweep(run: Plan) -> Outputs:
-    return {"outage_sum_rate.csv": _columns(
-        ["p_t_dbm", "mode", "outage_sum_rate"],
-        osum_sweep(run.scenario, run.sweeps[0]["p_t_dbm"], n=run.trials, seed=run.config.seed))}
+    powers = run.sweeps[0]["p_t_dbm"]
+    points = [(run.scenario_at(p_t_dbm=p), mode, None) for p in powers for mode in MODES]
+    aggs = iter(simulate_network(run.scenario, points, run.trials, run.config.seed))
+    rows = []
+    for p in powers:
+        by_mode = dict(zip(MODES, aggs))
+        rows += [(p, f"noma-{mode}", noma.outage_sum_rate) for mode, (noma, _) in by_mode.items()]
+        # The OMA baseline, on the "ec" point's draws.
+        rows.append((p, "oma-ec", by_mode["ec"][1].outage_sum_rate))
+    return {"outage_sum_rate.csv": (["p_t_dbm", "mode", "outage_sum_rate"], rows)}
 
 
 def _run_split_sweep(run: Plan) -> Outputs:
     [sweep] = run.sweeps
-    return {"split_sweep.csv": _columns(
-        ["split", "J", "outage_sum_rate"],
-        split_sweep(run.scenario, sweep["splits"], sweep["j_values"], n=run.trials,
-                    seed=run.config.seed))}
+    keys = [(j, split) for j in sweep["j_values"] for split in sweep["splits"]]
+    points = [(run.scenario_at(j_values=j), "ec", split) for j, split in keys]
+    aggs = simulate_network(run.scenario, points, run.trials, run.config.seed)
+    return {"split_sweep.csv": (["split", "J", "outage_sum_rate"], [
+        (split, j, noma.outage_sum_rate) for (j, split), (noma, _) in zip(keys, aggs)])}
 
 
 def _run_drl_train(run: Plan) -> Outputs:

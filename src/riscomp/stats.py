@@ -251,7 +251,19 @@ def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
     parameters from per-law arrays: a law's rate does not depend on the laws
     beside it. Substituting x = scale * u/(1-u) maps the half line onto
     (0, 1) with a Beta(a, b) weight, smooth away from the endpoints. An
-    overflow or a missed tolerance raises QuadratureError naming the law."""
+    overflow (of the integrand or of the breakpoints) or a missed tolerance
+    raises QuadratureError naming the law, with its index."""
+    def named(j: int, why) -> QuadratureError:
+        p = laws[j]
+        return QuadratureError(f"ergodic rate of the Beta-prime law a={p.a!r}, b={p.b!r}, "
+                               f"scale={p.scale!r}: {why}", j)
+
+    breakpoints = []
+    for j, p in enumerate(laws):
+        try:
+            breakpoints.append(_er_breakpoints(p.a, p.b))
+        except OverflowError:
+            raise named(j, "(a + b)^2 of its breakpoints overflows") from None
     a, b, q = (np.array([getattr(p, f) for p in laws], dtype=float) for f in ("a", "b", "scale"))
     lnb = np.array([betaln(p.a, p.b) for p in laws], dtype=float)
 
@@ -264,11 +276,9 @@ def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
 
     try:
         return integrate(integrand, [(0.0, 1.0)] * len(laws), rtol=rtol, atol=1e-12,
-                         breakpoints=[_er_breakpoints(p.a, p.b) for p in laws]).tolist()
+                         breakpoints=breakpoints).tolist()
     except QuadratureError as exc:
-        p = laws[exc.index]
-        raise QuadratureError(f"ergodic rate of the Beta-prime law a={p.a!r}, b={p.b!r}, "
-                              f"scale={p.scale!r}: {exc}", exc.index) from None
+        raise named(exc.index, exc) from None
 
 
 def outage_center_closed(

@@ -30,7 +30,7 @@ from oracles import (
 )
 from riscomp.analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
 from riscomp.channel import substream
-from riscomp.energy import ee_sweep, osum_sweep
+from riscomp.energy import MODES, energy_efficiency, simulate_network
 from riscomp.montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
                                 ks_statistic, run_trials)
 from riscomp.moppo import (
@@ -190,20 +190,22 @@ def test_criterion_5_pbf_optimality():
     assert _report("5 PBF optimality (1000 instances)", ok)
 
 
-def _ee_values(axis, values, seeds=(0, 1, 2), modes=("ec",), k=None, n=10_000):
+def _ee_values(field, values, seeds=(0, 1, 2), modes=("ec",), k=None, n=10_000):
+    # Mean EE over the seeds at each value of one scenario field, per mode.
     scn = MultiCellScenario(n_cells=6, k_elements=70 if k is None else k, p_t_dbm=0.0)
+    points = [(replace(scn, **{field: v}), mode, None) for v in values for mode in modes]
     acc = {m: {v: [] for v in values} for m in modes}
     for seed in seeds:
-        rows = ee_sweep(scn, axis, values, modes=modes, n=n, seed=seed)
-        for r in rows:
-            acc[r["mode"]][r["value"]].append(r["ee"])
+        aggs = simulate_network(scn, points, n, seed)
+        for (scn_v, mode, _), (noma, _) in zip(points, aggs):
+            acc[mode][getattr(scn_v, field)].append(energy_efficiency(scn_v, mode, noma))
     return {m: {v: float(np.mean(acc[m][v])) for v in values} for m in modes}
 
 
 def test_criterion_6_energy_efficiency_orderings():
     """Attainable EE orderings: EE(J=4) > EE(J=1) under EC; EC >= EO at every
     J with exact equality at J = I; EE(K=90) > EE(K=30)."""
-    ee_j = _ee_values("J", [1, 2, 3, 4, 5, 6], modes=("ec", "eo"))
+    ee_j = _ee_values("n_coop", [1, 2, 3, 4, 5, 6], modes=("ec", "eo"))
     ok = _report("6 EC EE(J=4) > EE(J=1)", ee_j["ec"][4] > ee_j["ec"][1],
                  f"{ee_j['ec'][4]:.3f} > {ee_j['ec'][1]:.3f}")
     for j in range(1, 7):
@@ -212,7 +214,7 @@ def test_criterion_6_energy_efficiency_orderings():
                      f"{ee_j['ec'][j]:.4f} >= {ee_j['eo'][j]:.4f}") and ok
     equal = ee_j["ec"][6] == ee_j["eo"][6]
     ok = _report("6 EC == EO at J=6", equal) and ok
-    ee_k = _ee_values("K", [30, 90], modes=("ec",))
+    ee_k = _ee_values("k_elements", [30, 90], modes=("ec",))
     ok = _report("6 EE(K=90) > EE(K=30)", ee_k["ec"][90] > ee_k["ec"][30],
                  f"{ee_k['ec'][90]:.3f} > {ee_k['ec'][30]:.3f}") and ok
     assert ok
@@ -230,10 +232,10 @@ def test_criterion_6_energy_efficiency_orderings():
 )
 def test_criterion_6_peak_positions():
     """EE(J=4) > EE(J=6) and EE(K=90) > EE(K=150), as stated."""
-    ee_j = _ee_values("J", [4, 6], modes=("ec",))
+    ee_j = _ee_values("n_coop", [4, 6], modes=("ec",))
     ok = _report("6 EC EE(J=4) > EE(J=6)", ee_j["ec"][4] > ee_j["ec"][6],
                  f"{ee_j['ec'][4]:.3f} > {ee_j['ec'][6]:.3f}")
-    ee_k = _ee_values("K", [90, 150], modes=("ec",))
+    ee_k = _ee_values("k_elements", [90, 150], modes=("ec",))
     ok = _report("6 EE(K=90) > EE(K=150)", ee_k["ec"][90] > ee_k["ec"][150],
                  f"{ee_k['ec'][90]:.3f} > {ee_k['ec'][150]:.3f}") and ok
     assert ok
@@ -244,10 +246,12 @@ def test_criterion_7_outage_sum_rate_sweep():
     mode (OMA included) at every swept power."""
     scn = MultiCellScenario(n_cells=6, n_coop=4, k_elements=70)
     p_values = [-10, -5, 0, 5, 10, 15, 20]
-    rows = osum_sweep(scn, p_values, n=10_000, seed=0)
+    points = [(replace(scn, p_t_dbm=p), mode, None) for p in p_values for mode in MODES]
     by_mode: dict = {}
-    for r in rows:
-        by_mode.setdefault(r["mode"], {})[r["p_t_dbm"]] = r["outage_sum_rate"]
+    for (scn_p, mode, _), (noma, oma) in zip(points, simulate_network(scn, points, 10_000, 0)):
+        by_mode.setdefault(f"noma-{mode}", {})[scn_p.p_t_dbm] = noma.outage_sum_rate
+        if mode == "ec":  # the OMA baseline, on the "ec" draws
+            by_mode.setdefault("oma-ec", {})[scn_p.p_t_dbm] = oma.outage_sum_rate
     ok = True
     for mode, vals in by_mode.items():
         series = [vals[p] for p in p_values]

@@ -623,6 +623,17 @@ def test_cli_validate_rejects_integers_beyond_float_range(tmp_path, capsys, text
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, key, value, named", [
+    ("er-sweep", "scenario.p_t_dbm", 10**400, r"scenario\.p_t_dbm"),
+    ("ee-sweep", "sweep.r_th_values", [1.0, 10**400], r"sweep\.r_th_values\[1\]"),
+    ("drl-train", "train.learning_rate", 10**400, r"train\.learning_rate"),
+])
+def test_float_key_given_an_integer_beyond_float_range_is_refused(kind, key, value, named):
+    # A Python int no float holds fails its conversion to the key's float type.
+    with pytest.raises(ConfigError, match=named + ": integer beyond the float range$"):
+        from_mapping({"kind": kind, key: value})
+
+
 def test_cli_validate_names_k_when_the_cascade_moments_overflow(tmp_path, capsys):
     # At K = 10^300, (K sqrt(beta))^4 leaves the float range at every power:
     # the fits are blamed on K, once, not on scenario.p_t_dbm.

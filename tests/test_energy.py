@@ -16,21 +16,21 @@ from oracles import (
 )
 from riscomp import kernels
 from riscomp.channel import substream
+from riscomp.config import ConfigError, from_mapping
 from riscomp.energy import (
     MODES,
     Aggregates,
     chunk_bytes,
     energy_efficiency,
-    ee_sweep,
-    osum_sweep,
     simulate_network,
-    split_sweep,
 )
+from riscomp.experiments import _RUNNERS, run_experiment
 from riscomp.montecarlo import CHUNK
 from riscomp.scenarios import MultiCellScenario
 
 SCN = MultiCellScenario()
 SMALL = MultiCellScenario(n_cells=3, n_coop=2, k_elements=8)
+SMALL_KEYS = {"scenario.n_cells": 3, "scenario.n_coop": 2, "scenario.k_elements": 8}
 # P_t = 1 W, lambda = 0.4, P_Q = 1 W and P_element = 3.16e-3 W (about 5 dBm),
 # so every cell's base power P_t/lambda + P_Q is 3.5 W.
 EE_SCN = MultiCellScenario(p_t_dbm=30.0, amp_efficiency=0.4, static_power_dbm=30.0,
@@ -54,6 +54,11 @@ def _split_edge_sinr(scn, ed, casc, coop, split):
 
 def _one(scn, mode, n, seed):
     return simulate_network(scn, [(scn, mode, None)], n=n, seed=seed)[0][0]
+
+
+def _outputs(flat):
+    """A multicell run's outputs, from its plan by its kind's runner."""
+    return _RUNNERS[flat["kind"]](from_mapping(flat))
 
 
 def test_energy_efficiency_single_cell():
@@ -171,10 +176,12 @@ def test_ec_not_worse_than_eo():
 
 
 def test_osum_monotone_in_power_per_seed():
-    rows = osum_sweep(SCN, [-10, 0, 10, 20], modes=("ec",), n=1500, seed=7)
+    [(_, rows)] = _outputs({"kind": "osum-sweep", "trials": 1500, "seed": 7,
+                            "sweep.p_t_dbm": [-10, 0, 10, 20]}).values()
     by_mode = {}
-    for r in rows:
-        by_mode.setdefault(r["mode"], []).append((r["p_t_dbm"], r["outage_sum_rate"]))
+    for p_t, mode, osr in rows:
+        by_mode.setdefault(mode, []).append((p_t, osr))
+    assert list(by_mode) == [*(f"noma-{mode}" for mode in MODES), "oma-ec"]
     for mode, vals in by_mode.items():
         vals.sort()
         osr = [v for _, v in vals]
@@ -182,18 +189,29 @@ def test_osum_monotone_in_power_per_seed():
 
 
 def test_ee_sweep_axes():
-    rows = ee_sweep(SCN, "R_th", [0.5, 1.0], modes=("ec",), n=500, seed=8)
-    assert len(rows) == 2
-    assert rows[0]["ee"] > 0
-    with pytest.raises(ValueError):
-        ee_sweep(SCN, "bogus", [1], n=10, seed=0)
+    # One threshold r sets both users' rate targets; every mode is scored.
+    out = _outputs({"kind": "ee-sweep", "trials": 500, "seed": 8,
+                    "sweep.r_th_values": [0.5, 1.0]})
+    [(_, rows)] = out.values()
+    assert list(out) == ["ee_sweep_r_th.csv"]
+    points = [(replace(SCN, r_center_min=r, r_edge_min=r), mode, None)
+              for r in (0.5, 1.0) for mode in MODES]
+    aggs = simulate_network(SCN, points, n=500, seed=8)
+    assert [row[:3] for row in rows] == [("R_th", r, mode) for r in (0.5, 1.0) for mode in MODES]
+    assert [row[3] for row in rows] == [energy_efficiency(scn, mode, noma)
+                                        for (scn, mode, _), (noma, _) in zip(points, aggs)]
+    assert all(row[3] > 0 for row in rows if row[2] == "ec")
+    with pytest.raises(ConfigError, match="unknown sweep key 'bogus'"):
+        from_mapping({"kind": "ee-sweep", "sweep.bogus": [1]})
 
 
 def test_split_sweep_runs():
-    rows = split_sweep(SCN, [0.0, 1.0], [1, 6], n=500, seed=9)
-    assert len(rows) == 4
+    [(_, rows)] = _outputs({"kind": "split-sweep", "trials": 500, "seed": 9,
+                            "sweep.splits": [0.0, 1.0], "sweep.j_values": [1, 6]}).values()
+    # J-major: each cooperative set size over every split.
+    assert [(j, split) for split, j, _ in rows] == [(1, 0.0), (1, 1.0), (6, 0.0), (6, 1.0)]
     # Full cooperation loses sum rate as cancellation elements grow.
-    full = {r["split"]: r["outage_sum_rate"] for r in rows if r["J"] == 6}
+    full = {split: osr for split, j, osr in rows if j == 6}
     assert full[0.0] > full[1.0]
 
 
@@ -210,11 +228,32 @@ def _count_mc_draws(monkeypatch):
 
 def test_sweeps_draw_each_chunk_once(monkeypatch):
     draws = _count_mc_draws(monkeypatch)
-    osum_sweep(SMALL, [-10, 0, 10, 20], modes=MODES, n=CHUNK + 1, seed=3)
+    base = {**SMALL_KEYS, "trials": CHUNK + 1, "seed": 3}
+    _outputs({**base, "kind": "osum-sweep", "sweep.p_t_dbm": [-10, 0, 10, 20]})
     assert draws() == 2
     # Every K reads its prefix of one stream per chunk: one call, one pass.
-    ee_sweep(SMALL, "K", [4, 8], n=CHUNK + 1, seed=3)
+    _outputs({**base, "kind": "ee-sweep", "sweep.k_values": [4, 8]})
     assert draws() == 2 + 2
+    _outputs({**base, "kind": "split-sweep", "sweep.splits": [0.0, 0.5, 1.0]})
+    assert draws() == 2 + 2 + 2
+
+
+def test_ee_sweep_of_several_axes_is_one_pass(monkeypatch, tmp_path):
+    # Every sweep of an ee-sweep run shares one simulate_network call, so
+    # each chunk is drawn once, and each sweep's CSV is byte for byte that
+    # of a run of that axis alone.
+    axes = {"sweep.j_values": [1, 3], "sweep.k_values": [4, 8], "sweep.r_th_values": [0.5, 2.0]}
+    base = {**SMALL_KEYS, "kind": "ee-sweep", "trials": CHUNK + 1, "seed": 3}
+    draws = _count_mc_draws(monkeypatch)
+    joint = run_experiment(from_mapping({**base, **axes, "out": str(tmp_path / "joint")}))
+    assert draws() == 2
+    csvs = [path for path in joint if path.suffix == ".csv"]
+    assert [path.name for path in csvs] == ["ee_sweep_j.csv", "ee_sweep_k.csv",
+                                            "ee_sweep_r_th.csv"]
+    for path, (key, values) in zip(csvs, axes.items()):
+        alone = from_mapping({**base, key: values, "out": str(tmp_path / key)})
+        [_, single] = run_experiment(alone)
+        assert single.read_bytes() == path.read_bytes(), key
 
 
 def test_mixed_points_equal_single_point_calls():

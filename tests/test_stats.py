@@ -269,6 +269,15 @@ def test_an_ergodic_rate_that_fails_names_its_law():
         ergodic_rates([BetaPrimeParams(1e10, 1e10, 1e300), ok])
 
 
+def test_an_ergodic_rate_whose_breakpoints_overflow_names_its_law():
+    # (a + b)^2 leaves the float range before any node is evaluated.
+    ok = BetaPrimeParams(2.0, 3.0, 1.0)
+    with pytest.raises(QuadratureError, match=r"law a=1e\+300, b=1e\+300, scale=1\.0: "
+                                              r"\(a \+ b\)\^2 of its breakpoints overflows") as info:
+        ergodic_rates([ok, BetaPrimeParams(1e300, 1e300, 1.0)])
+    assert info.value.index == 1
+
+
 def test_outage_edge_examples():
     scn, dists = _fig_style_dists()
     p = dists.laws["edge"]
