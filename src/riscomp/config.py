@@ -360,7 +360,7 @@ def _refused(errors: list[str]) -> ConfigError:
 
 # Closed range of the elements of the sweep lists that no scenario checks;
 # the scenario at each point checks the values of the others (_AXIS_FIELDS).
-_SWEEP_RANGES = {"r_th_values": (0.0, math.inf), "splits": (0.0, 1.0)}
+_SWEEP_RANGES = {"splits": (0.0, 1.0)}
 
 
 def _overflows(key: str, value: float) -> bool:

@@ -1,11 +1,12 @@
 """Multi-cell energy efficiency and outage sum rate of the network's
-passive-beamforming assignments (enhancement / cancellation), by Monte
-Carlo; experiments' runners turn a run's plan into its points.
+passive-beamforming modes (enhancement / cancellation), by Monte Carlo;
+experiments' runners turn a run's plan into its points.
 
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
-RIS links), assigns per-RIS phases according to the network configuration
-(random phases become unit phasors by the tangent half-angle identity,
-ris.phasors: one vectorized tan, not libm's cos and sin), and aggregates
+RIS links), gives each cell's RIS one setting by the network mode or
+element split: off, random phases (unit phasors by the tangent half-angle
+identity, ris.phasors: one vectorized tan, not libm's cos and sin) or the
+count of its elements anti-phased, the rest co-phased; and aggregates
 rates and outage over trials into one Aggregates record per access scheme
 (NOMA, and the OMA baseline on the same draws); energy efficiency is formed
 from the trial-averaged NOMA record and the powers of the point's scenario
@@ -13,12 +14,13 @@ from the trial-averaged NOMA record and the powers of the point's scenario
 split-sweep runners) hands all its points, over K and over several sweeps
 too, to one simulate_network call: each chunk's normals are drawn once and
 shared by every point and mode, each element count K reading its own prefix
-of them, and each K's element-axis reductions are formed once, in trial
-blocks, before any of its points is scored, each element sum one ordered
-reduce (kernels.multicell_edge_gains). The mode changes only the edge
-user's gains, so per K the center SINRs are formed once per center key
-(cooperative set, zeta_edge, transmit and noise powers) and their sums once
-per center key and rate thresholds; each point scores only its edge user.
+of them, and each K's element-axis reductions are formed once per
+setting, in trial blocks, before any of its points is scored, each element
+sum one ordered reduce (kernels.multicell_edge_gains). The setting changes
+only the edge user's gains, so per K the center SINRs are formed once per
+center key (cooperative set, zeta_edge, transmit and noise powers) and
+their sums once per center key and rate thresholds; each point scores only
+its edge user.
 """
 
 from __future__ import annotations
@@ -38,18 +40,15 @@ _STREAM_MC = 301
 
 MODES = ("no-ris", "random", "eo", "ec")
 
-# Network-level configurations: the kernel's RIS mode code
-# (kernels.multicell_edge_gains: 0 off, 1 random, 2 enhancement,
-# 3 cancellation) of cooperative / non-cooperative cells. Under "eo" only
-# cooperative surfaces are optimized; non-cooperative ones keep random
-# phases. Under "ec" they anti-phase their own interference cascade. At
-# J = I the two coincide.
-_NETWORK_MODES = {
-    "no-ris": (0, 0),
-    "random": (1, 1),
-    "eo": (2, 1),
-    "ec": (2, 3),
-}
+# The RIS setting of cooperative / non-cooperative cells under each network
+# mode: "off", "random" or the share of a cell's K elements anti-phased,
+# ceil(share K) of them (kernels.multicell_edge_gains), 0.0 enhancement and
+# 1.0 cancellation. Under "eo" only cooperative surfaces are optimized;
+# non-cooperative ones keep random phases. Under "ec" they anti-phase their
+# own interference cascade. At J = I the two coincide. A split point sets
+# every cell to its split.
+_NETWORK_MODES = {"no-ris": ("off", "off"), "random": ("random", "random"),
+                  "eo": (0.0, "random"), "ec": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,14 @@ def _center_gains(scn: MultiCellScenario, rng, m: int):
     return re
 
 
-def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
-    """Per-cell edge gains of m trials at K = k elements under each mode code
-    and element split (kernels.multicell_edge_gains), formed one trial block
-    at a time into full (m, I) arrays.
+def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
+    """Per-cell edge gains of m trials at K = k elements under each RIS
+    setting (kernels.multicell_edge_gains), formed one trial block at a
+    time into full (m, I) arrays.
 
     ed: (m, I) edge-direct links; normals: the 4 mIK normals of h_br re/im,
     then h_ru re/im. The random phases are drawn from rng, block by block,
-    and become phasors only when codes holds 1."""
+    and become phasors only when settings holds "random"."""
     m, n_cells = ed.shape
     # Rician BS->RIS and RIS->edge vectors, per cell. The LoS steering phase
     # profile is arbitrary for the statistics; a fixed broadside profile keeps
@@ -138,8 +137,7 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
     g_casc = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris)) * math.sqrt(
         scn.gain(scn.d_ris_edge, scn.alpha_ris))
     br_re, br_im, ru_re, ru_im = normals.reshape(4, m, n_cells, k)
-    by_code = {c: np.empty((m, n_cells)) for c in codes}
-    by_split = {n_co: np.empty((m, n_cells)) for n_co in n_cos}
+    gains = {s: np.empty((m, n_cells)) for s in settings}
     step = max(1, _BLOCK // max(1, n_cells * k))
     for t0 in range(0, m, step):
         t = slice(t0, t0 + step)
@@ -152,18 +150,16 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, codes, n_cos):
         np.multiply(casc, g_casc, out=casc)
         h_br = _rician(br_re[t], br_im[t], w_los, w_nlos, np.empty(shape, complex))
         casc = np.multiply(casc, h_br, out=h_br)
-        # The phases are drawn whether or not a code reads them, so the
-        # stream stays where every K's center gains expect it; only code 1
-        # (random phases) turns them into phasors.
+        # The phases are drawn whether or not a setting reads them, so the
+        # stream stays where every K's center gains expect it; only "random"
+        # turns them into phasors.
         phi = rng.uniform(-math.pi, math.pi, shape)
-        rnd = phasors(phi, np.empty(shape, complex)) if 1 in codes else None
+        rnd = phasors(phi, np.empty(shape, complex)) if "random" in settings else None
         del phi
-        codes_t, splits_t = kernels.multicell_edge_gains(ed[t], casc, rnd, codes, n_cos)
+        for key, g in kernels.multicell_edge_gains(ed[t], casc, rnd, settings).items():
+            gains[key][t] = g
         del casc, rnd  # before the next block allocates its own
-        for full, part in ((by_code, codes_t), (by_split, splits_t)):
-            for key, g in part.items():
-                full[key][t] = g
-    return by_code, by_split
+    return gains
 
 
 # MultiCellScenario fields the draws read besides k_elements: points of one
@@ -181,14 +177,16 @@ def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
     n_cells = I cells at element counts up to k_max, for points at n_splits
     distinct element splits: the normal stream, 8 (2mI + 4mI k_max); the
     center gains, 16 mI^2 while drawn (_center_gains); 16 per-cell (m, I)
-    float arrays for the edge-direct links, each mode's edge gains, the
+    float arrays for the edge-direct links, the edge gains of the modes'
+    settings ("off", "random" and the anti-phased counts 0 and K), the
     center SINRs and the temporaries of their sums; one more (m, I) array of
-    edge gains per distinct split count ceil(split K), of which there are at
-    most min(n_splits, k_max + 1); and one trial block's arrays, bounded by
-    8 complex arrays of max(_BLOCK, I k_max) entries: at most 3.5 are held
-    at once, the cascade and the phasors with either the phases and
-    ris.phasors' two real temporaries or the kernel's element-major buffer
-    and its one real temporary."""
+    edge gains per other anti-phased count ceil(split K) of a split point,
+    of which there are at most min(n_splits, k_max + 1); and one trial
+    block's arrays, bounded by 8 complex arrays of max(_BLOCK, I k_max)
+    entries: at most 5.5 are held at once, the cascade and the phasors with
+    either the phases and ris.phasors' two real temporaries or the kernel's
+    element-major buffer, its one real temporary and its element sums, at
+    most 2 (K + 1) of a block's trials x cells."""
     m = min(n, CHUNK)
     per_cell = 16 + min(n_splits, k_max + 1)
     return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2
@@ -251,16 +249,14 @@ class _Point:
             raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
         self.scn = scn
         self.coop = np.arange(scn.n_cells) < scn.n_coop
-        coop_code, noncoop_code = _NETWORK_MODES[mode]
-        self.code = [coop_code if c else noncoop_code for c in self.coop]
-        self.n_co = None if split is None else math.ceil(split * scn.k_elements)
+        coop_s, noncoop_s = _NETWORK_MODES[mode] if split is None else (split, split)
+        self.settings = [s if isinstance(s, str) else math.ceil(s * scn.k_elements)
+                         for s in (coop_s if c else noncoop_s for c in self.coop)]
         self.noma, self.oma = _Sums(scn, 1.0), _Sums(scn, 0.5)
         self.center = center
 
-    def edge_gains(self, by_code, by_split):
-        if self.n_co is not None:
-            return by_split[self.n_co]
-        return np.stack([by_code[c][:, i] for i, c in enumerate(self.code)], axis=1)
+    def edge_gains(self, gains):
+        return np.stack([gains[s][:, i] for i, s in enumerate(self.settings)], axis=1)
 
     def aggregates(self, n: int) -> tuple[Aggregates, Aggregates]:
         return tuple(
@@ -284,9 +280,9 @@ def simulate_network(
     ValueError, as for a mode not in MODES. The powers, thresholds,
     cooperative set (the first n_coop cells), element count K and mode of a
     point come from its scn_v. split, when not None, replaces the mode's RIS
-    assignment of every cell, cooperative or not, by the
-    cancellation/enhancement element split; used by the split-ratio
-    experiment. OMA is equal-time TDMA on the same draws.
+    setting of every cell, cooperative or not, by ceil(split K) anti-phased
+    elements, the rest co-phased; used by the split-ratio experiment. OMA
+    is equal-time TDMA on the same draws.
 
     Chunk c of m trials comes from substream (seed, 301, c), and a point's
     draws are those of a call at its K alone: edge-direct normals (2mI),
@@ -299,7 +295,7 @@ def simulate_network(
     chunk is scored, so each K's element work runs in trial blocks
     (_edge_gains).
 
-    The RIS mode and split change only the edge user's gains. So, per chunk
+    The RIS settings change only the edge user's gains. So, per chunk
     and K, the center SINRs are formed once per distinct center key
     (_center_key), and their NOMA and OMA rate and outage sums once per
     center key and (r_center_min, r_edge_min); each point keeps only its
@@ -340,11 +336,8 @@ def simulate_network(
             # K's normals continue from here.
             state = rng.bit_generator.state
             group, centers = by_k[k]
-            by_code, by_split = _edge_gains(
-                scn, ed, stream[2 * mi:end], rng, k,
-                {c for p in group if p.n_co is None for c in p.code},
-                sorted({p.n_co for p in group if p.n_co is not None}),
-            )
+            gains = _edge_gains(scn, ed, stream[2 * mi:end], rng, k,
+                                {s for p in group for s in p.settings})
             cg = _center_gains(scn, rng, m)
             rng.bit_generator.state = state
             for (n_coop, zeta, p_w, sigma2), by_thr in centers.items():
@@ -356,7 +349,7 @@ def simulate_network(
             del cg
             for p in group:
                 edge, edge_oma = kernels.multicell_edge_sinr(
-                    p.edge_gains(by_code, by_split), p.coop, p.scn.zeta_edge,
+                    p.edge_gains(gains), p.coop, p.scn.zeta_edge,
                     p.scn.tx_power_w, p.scn.noise_w,
                 )
                 p.noma.add_edge(edge)

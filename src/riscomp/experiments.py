@@ -146,7 +146,8 @@ def _run_ee_sweep(run: Plan) -> Outputs:
 
 def _run_osum_sweep(run: Plan) -> Outputs:
     powers = run.sweeps[0]["p_t_dbm"]
-    points = [(run.scenario_at(p_t_dbm=p), mode, None) for p in powers for mode in MODES]
+    scn_at = {p: run.scenario_at(p_t_dbm=p) for p in powers}
+    points = [(scn_at[p], mode, None) for p in powers for mode in MODES]
     aggs = iter(simulate_network(run.scenario, points, run.trials, run.config.seed))
     rows = []
     for p in powers:
@@ -160,7 +161,8 @@ def _run_osum_sweep(run: Plan) -> Outputs:
 def _run_split_sweep(run: Plan) -> Outputs:
     [sweep] = run.sweeps
     keys = [(j, split) for j in sweep["j_values"] for split in sweep["splits"]]
-    points = [(run.scenario_at(j_values=j), "ec", split) for j, split in keys]
+    scn_at = {j: run.scenario_at(j_values=j) for j in sweep["j_values"]}
+    points = [(scn_at[j], "ec", split) for j, split in keys]
     aggs = simulate_network(run.scenario, points, run.trials, run.config.seed)
     return {"split_sweep.csv": (["split", "J", "outage_sum_rate"], [
         (split, j, noma.outage_sum_rate) for (j, split), (noma, _) in zip(keys, aggs)])}

@@ -1,9 +1,10 @@
-"""Hot numeric kernels of the two Monte Carlo engines, in numpy.
+"""Hot numeric kernels of the two Monte Carlo engines, in numpy: the
+coordinated engine's (coordinated_*) and the multicell engine's
+(multicell_*); the engines share none.
 
-Kernels receive pre-drawn variates and perform only +, -, *, /, sqrt and
-complex magnitudes with a fixed accumulation order (sequential over elements
-/ cells); every transcendental (log2, phases, gamma draws) happens in the
-calling engine.
+Kernels receive pre-drawn variates and perform only +, -, *, / and sqrt
+with a fixed accumulation order (sequential over elements / cells); every
+transcendental (log2, phases, gamma draws) happens in the calling engine.
 """
 
 from __future__ import annotations
@@ -61,68 +62,61 @@ def coordinated_sinr(z, x_pow, zeta_c1, zeta_c2, zeta_f, rho):
     return out
 
 
-def multicell_edge_gains(ed, casc, rnd, codes, n_cos=()):
+def multicell_edge_gains(ed, casc, rnd, settings):
     """Per-cell edge-user channel gains of one chunk of multicell draws under
-    each RIS assignment; the only multicell code that walks the element axis.
+    each RIS setting; the only multicell code that walks the element axis.
 
     ed: (n, I) complex direct links, casc: (n, I, K) complex cascade products,
     rnd: (n, I, K) random unit phasors e^{j phi} (ris.phasors), read only
-    for code 1 (None when codes lacks it). codes: the mode codes to form, of
-    0 no-RIS |h|^2, 1 random phases |h + sum_k rnd_k casc_k|^2,
-    2 enhancement (|h| + S)^2 and 3 cancellation (|h| - S)^2 with
-    S = sum_k |casc_k|. n_cos: element splits, each the gain
-    (|h| - S_co + S_eo)^2 with the first n_co elements anti-phased (S_co) and
-    the rest co-phased (S_eo). Each element sum of codes 1-3 is one ordered
-    reduce: its terms are written into an element-major buffer (K + 1, n, I)
-    behind its start value, and numpy's reduce over axis 0 of that
-    contiguous buffer adds the rows in element order, start + t_1 + ... +
-    t_K entry by entry. The split sums are numpy's pairwise sums of |casc|
-    over the last axis. Returns ({code: (n, I)}, {n_co: (n, I)}).
+    for "random" (None when settings lacks it). settings: the settings to
+    form, of "off" |h|^2, "random" |h + sum_k rnd_k casc_k|^2 and an
+    anti-phased count n_co, (|h| - S_co + S_eo)^2 with the first n_co
+    elements anti-phased (S_co = |casc_1| + ... + |casc_n_co|) and the rest
+    co-phased (S_eo); n_co = 0 is enhancement, (|h| + S)^2, and n_co = K
+    cancellation, (|h| - S)^2. Every element sum is one ordered reduce: the
+    terms t_1..t_K fill rows 1..K of an element-major buffer (K + 1, n, I),
+    row 0 holding the start value of the random-phase sums, and numpy's
+    reduce over axis 0 of a run of its rows adds them in element order,
+    entry by entry; an empty run sums to 0. Returns {setting: (n, I)}.
     """
     ed_re, ed_im = ed.real, ed.imag
     h2 = ed_re * ed_re + ed_im * ed_im
     n, n_cells, k = casc.shape
-    by_code = {}
-    if 0 in codes:
-        by_code[0] = h2
-    if {1, 2, 3}.intersection(codes):
-        # Rows of one entry would leave numpy a lone contiguous axis, which it
-        # sums pairwise, so such rows get a second entry, held at 0.
-        pad = int(n * n_cells == 1)
-        rows = np.empty((k + 1, n, n_cells + pad))
-        rows[:, :, n_cells:] = 0.0
-        terms = np.moveaxis(rows[1:, :, :n_cells], 0, -1)
+    gains = {"off": h2} if "off" in settings else {}
+    # Rows of one entry would leave numpy a lone contiguous axis, which it
+    # sums pairwise, so such rows get a second entry, held at 0.
+    pad = int(n * n_cells == 1)
+    rows = np.empty((k + 1, n, n_cells + pad))
+    rows[:, :, n_cells:] = 0.0
+    terms = np.moveaxis(rows[1:, :, :n_cells], 0, -1)
 
-        def element_sum(start):
-            rows[0, :, :n_cells] = start
-            return np.add.reduce(rows, axis=0)[:, :n_cells]
+    def element_sum(lo, hi):
+        return np.add.reduce(rows[lo:hi], axis=0)[:, :n_cells]
 
-    if 1 in codes:
+    if "random" in settings:
         np.multiply(rnd.real, casc.real, out=terms)
         terms -= rnd.imag * casc.imag
-        hre = element_sum(ed_re)
+        rows[0, :, :n_cells] = ed_re
+        hre = element_sum(0, k + 1)
         np.multiply(rnd.real, casc.imag, out=terms)
         terms += rnd.imag * casc.real
-        him = element_sum(ed_im)
-        by_code[1] = hre * hre + him * him
-    if 2 in codes or 3 in codes:
-        c_re, c_im = casc.real, casc.imag
-        np.multiply(c_re, c_re, out=terms)
-        terms += c_im * c_im
-        np.sqrt(terms, out=terms)
-        s = element_sum(0.0)
-        amp = np.sqrt(h2)
-        for code, d in ((2, amp + s), (3, amp - s)):
-            if code in codes:
-                by_code[code] = d * d
-    by_split = {}
+        rows[0, :, :n_cells] = ed_im
+        him = element_sum(0, k + 1)
+        gains["random"] = hre * hre + him * him
+    n_cos = [s for s in settings if not isinstance(s, str)]
     if n_cos:
-        amp = np.abs(ed)
-        mag = np.abs(casc)
+        np.multiply(casc.real, casc.real, out=terms)
+        terms += casc.imag * casc.imag
+        np.sqrt(terms, out=terms)
+        amp = np.sqrt(h2)
+        # S_co of n_co sums rows 1..n_co and S_eo rows n_co+1..K, each span
+        # once: enhancement's S_eo and cancellation's S_co are one reduce.
+        spans = {(lo, hi) for n_co in n_cos for lo, hi in ((1, n_co + 1), (n_co + 1, k + 1))}
+        sums = {span: element_sum(*span) for span in spans}
         for n_co in n_cos:
-            d = amp - np.sum(mag[:, :, :n_co], axis=2) + np.sum(mag[:, :, n_co:], axis=2)
-            by_split[n_co] = d * d
-    return by_code, by_split
+            d = amp - sums[1, n_co + 1] + sums[n_co + 1, k + 1]
+            gains[n_co] = d * d
+    return gains
 
 
 def multicell_edge_sinr(g_edge, coop, zeta_f, p_w, sigma2):

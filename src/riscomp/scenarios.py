@@ -233,6 +233,8 @@ class MultiCellScenario(LinkBudget, RicianLinks):
             *_numbers(self, limits=("kappa_db",)),
             ("cooperative set must satisfy 1 <= J <= I", 1 <= self.n_coop <= self.n_cells),
             ("k_elements must be >= 0", self.k_elements >= 0),
+            ("r_center_min must be >= 0", not self.r_center_min < 0),
+            ("r_edge_min must be >= 0", not self.r_edge_min < 0),
             ("edge allocation factor must lie in (0.5, 1)", 0.5 < self.zeta_edge < 1.0),
             ("amplifier efficiency must lie in (0, 1]", 0 < self.amp_efficiency <= 1),
         ])
@@ -293,6 +295,8 @@ class AerialScenario(LinkBudget, RicianLinks):
             ("d_min must be positive", not self.d_min <= 0),
             ("k_elements must be >= 0", self.k_elements >= 0),
             ("episode length must be >= 1", self.t_slots >= 1),
+            ("r_center_min must be >= 0", not self.r_center_min < 0),
+            ("r_edge_min must be >= 0", not self.r_edge_min < 0),
             ("default allocation factor must lie in (0.5, 1)", 0.5 < self.default_alloc < 1.0),
             # Measured only for a start inside the area, which the check above names.
             (f"d_min = {self.d_min!r}: the UAV start {tuple(start)} lies within "

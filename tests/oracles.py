@@ -844,8 +844,9 @@ def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
 
 
 def reference_edge_gains(ed, casc, rnd, n_cos):
-    """The multicell edge gains of every mode code and of each element split
-    in n_cos, each mode's element sum one sequential += per element."""
+    """The multicell edge gains of every mode code (0 off, 1 random,
+    2 enhancement, 3 cancellation) and of each anti-phased count in n_cos,
+    each element sum one sequential += per element."""
     ed_re, ed_im = ed.real, ed.imag
     h2 = ed_re * ed_re + ed_im * ed_im
     k = casc.shape[2]
@@ -867,11 +868,15 @@ def reference_edge_gains(ed, casc, rnd, n_cos):
     amp = np.sqrt(h2)
     by_code[2] = (amp + s) * (amp + s)
     by_code[3] = (amp - s) * (amp - s)
-    amp = np.abs(ed)
-    mag = np.abs(casc)
     by_split = {}
     for n_co in n_cos:
-        d = amp - np.sum(mag[:, :, :n_co], axis=2) + np.sum(mag[:, :, n_co:], axis=2)
+        s_co = np.zeros(h2.shape)
+        for q in range(n_co):
+            s_co += mag[:, :, q]
+        s_eo = np.zeros(h2.shape)
+        for q in range(n_co, k):
+            s_eo += mag[:, :, q]
+        d = amp - s_co + s_eo
         by_split[n_co] = d * d
     return by_code, by_split
 

@@ -241,7 +241,10 @@ def test_fuzzed_sweep_elements_rejected(case, data):
     ("kind = exhaustive-star\nsweep.beta_t_values = 1.5\nsweep.assignment_values = 40\n", [
         "sweep.beta_t_values[0]: beta_t = 1.5, beta_r = -0.5: each must lie in [0, 1]",
         "sweep.assignment_values[0]: assignment entries must be >= 0 and sum to k_elements"]),
-], ids=["ee-sweep", "exhaustive-star"])
+    ("kind = ee-sweep\nsweep.r_th_values = 0.5, -1\n", [
+        "sweep.r_th_values[1]: r_center_min must be >= 0",
+        "sweep.r_th_values[1]: r_edge_min must be >= 0"]),
+], ids=["ee-sweep", "exhaustive-star", "ee-sweep-r_th"])
 def test_sweep_values_refused_by_the_scenario_at_their_point(tmp_path, capsys, text, lines):
     # A sweep value that sets a scenario field is checked by the scenario
     # built at its point, and each problem is named under the value's key.
@@ -251,6 +254,18 @@ def test_sweep_values_refused_by_the_scenario_at_their_point(tmp_path, capsys, t
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert err.splitlines() == ["error: config validation failed:", *(f"  {ln}" for ln in lines)]
+
+
+@pytest.mark.parametrize("kind", ["ee-sweep", "osum-sweep", "split-sweep", "drl-train"])
+@pytest.mark.parametrize("key", ["r_center_min", "r_edge_min"])
+def test_negative_rate_target_refused(kind, key):
+    # A negative rate target puts its SINR threshold below every SINR, so no
+    # trial would ever be in outage; the scenario refuses it by name, as it
+    # refuses a negative sweep.r_th_values element.
+    from_mapping({"kind": kind, f"scenario.{key}": 0.0})
+    with pytest.raises(ConfigError) as exc:
+        from_mapping({"kind": kind, f"scenario.{key}": -1.0})
+    assert str(exc.value) == f"config validation failed:\n  {key} must be >= 0"
 
 
 def test_cli_library_error_is_one_line(tmp_path, monkeypatch, capsys):

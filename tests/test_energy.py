@@ -46,9 +46,9 @@ def _agg(center_outage_rates, edge_outage_rate):
 def _split_edge_sinr(scn, ed, casc, coop, split):
     # The engine's split path: the split gain of every cell, then the edge SINR.
     n_co = math.ceil(split * scn.k_elements)
-    _, by_split = kernels.multicell_edge_gains(ed, casc, np.ones_like(casc), (), [n_co])
+    gains = kernels.multicell_edge_gains(ed, casc, None, {n_co})
     return kernels.multicell_edge_sinr(
-        by_split[n_co], coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
+        gains[n_co], coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
     )[0]
 
 
@@ -213,6 +213,18 @@ def test_split_sweep_runs():
     # Full cooperation loses sum rate as cancellation elements grow.
     full = {split: osr for split, j, osr in rows if j == 6}
     assert full[0.0] > full[1.0]
+
+
+def test_split_sweep_with_no_elements():
+    # An empty element axis: every split anti-phases 0 of 0 elements, so each
+    # J's rows are bitwise its "ec" point's, whose sums are empty too.
+    flat = {**SMALL_KEYS, "kind": "split-sweep", "trials": 300, "seed": 4,
+            "scenario.k_elements": 0}
+    [(_, rows)] = _outputs(flat).values()
+    assert [j for _, j, _ in rows] == [1] * 5 + [3] * 5
+    scn = replace(SMALL, k_elements=0)
+    for _, j, osr in rows:
+        assert osr == _one(replace(scn, n_coop=j), "ec", n=300, seed=4).outage_sum_rate, j
 
 
 def _count_mc_draws(monkeypatch):

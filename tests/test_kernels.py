@@ -63,26 +63,28 @@ def test_coordinated_matches_direct_formula():
 def test_multicell_matches_reference():
     args = _multicell_case(16, 3, 4)
     ed_re, ed_im, c_re, c_im, r_re, r_im, cg, coop, mode, zf, p, s2 = args
-    mode = np.array([2, 3, 1], dtype=np.uint8)
+    n, cells, k = c_re.shape
+    # Enhancement, cancellation and random phases: the anti-phased counts 0
+    # and K, and "random".
+    mode = [0, k, "random"]
     coop = np.array([1, 0, 0], dtype=np.uint8)
-    gains, _ = kernels.multicell_edge_gains(
-        ed_re + 1j * ed_im, c_re + 1j * c_im, r_re + 1j * r_im, set(mode.tolist())
+    gains = kernels.multicell_edge_gains(
+        ed_re + 1j * ed_im, c_re + 1j * c_im, r_re + 1j * r_im, set(mode)
     )
-    g_edge = np.stack([gains[c][:, i] for i, c in enumerate(mode)], axis=1)
+    g_edge = np.stack([gains[s][:, i] for i, s in enumerate(mode)], axis=1)
     edge, edge_oma = kernels.multicell_edge_sinr(g_edge, coop, zf, p, s2)
     c_own, c_cf, c_oma = kernels.multicell_center_sinr(cg, coop, zf, p, s2)
-    n, cells, k = c_re.shape
     for t in range(n):
         g = np.empty(cells)
         for i in range(cells):
-            if mode[i] == 1:
+            if mode[i] == "random":
                 h = ed_re[t, i] + 1j * ed_im[t, i]
                 h += np.sum((r_re[t, i] + 1j * r_im[t, i]) * (c_re[t, i] + 1j * c_im[t, i]))
                 g[i] = abs(h) ** 2
             else:
                 amp = abs(ed_re[t, i] + 1j * ed_im[t, i])
                 s = np.sum(np.hypot(c_re[t, i], c_im[t, i]))
-                d = amp + s if mode[i] == 2 else amp - s
+                d = amp + s if mode[i] == 0 else amp - s
                 g[i] = d * d
         sig = zf * p * g[0]
         intra = (1 - zf) * p * g[0]
@@ -105,27 +107,30 @@ def test_multicell_matches_reference():
         assert c_oma[t, 1] == pytest.approx(p * cg[t, 1, 1] / den, rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2, 33, 150])
+@pytest.mark.parametrize("k", [0, 1, 2, 33, 150])
 @pytest.mark.parametrize("case", ["one-trial-one-cell", "one-trial", "above-block"])
 def test_multicell_edge_gains_equal_sequential_element_loop(k, case):
-    # Each mode's element sum is one reduce over an element-major buffer; it
-    # must add the elements in order, as one += per element does, also for a
-    # block of one trial of one cell and for a block above the engine's.
+    # Each element sum is one reduce over a run of an element-major buffer;
+    # it must add the elements in order, as one += per element does, for an
+    # empty element axis, a block of one trial of one cell and a block above
+    # the engine's. Enhancement and cancellation are the anti-phased counts
+    # 0 and K of the one split rule.
     cells = 1 if case == "one-trial-one-cell" else 6
-    n = _BLOCK // (cells * k) + 1 if case == "above-block" else 1
+    n = _BLOCK // max(1, cells * k) + 1 if case == "above-block" else 1
     rng = substream(97, k)
     ed = rng.standard_normal((n, cells)) + 1j * rng.standard_normal((n, cells))
     casc = 0.1 * (rng.standard_normal((n, cells, k)) + 1j * rng.standard_normal((n, cells, k)))
     phi = rng.uniform(-np.pi, np.pi, (n, cells, k))
     rnd = np.cos(phi) + 1j * np.sin(phi)
     n_cos = sorted({0, k // 3, k})
-    by_code, by_split = kernels.multicell_edge_gains(ed, casc, rnd, {0, 1, 2, 3}, n_cos)
-    ref, _ = reference_edge_gains(ed, casc, rnd, [])
-    for code in range(4):
-        assert np.array_equal(by_code[code], ref[code]), code
-    # The split sums stay numpy's pairwise sums over a contiguous last axis.
-    amp, mag = np.abs(ed), np.abs(casc)
+    gains = kernels.multicell_edge_gains(ed, casc, rnd, {"off", "random", *n_cos})
+    by_code, by_split = reference_edge_gains(ed, casc, rnd, n_cos)
+    for setting, code in (("off", 0), ("random", 1), (0, 2), (k, 3)):
+        assert np.array_equal(gains[setting], by_code[code]), setting
     for n_co in n_cos:
-        d = (amp - np.sum(np.ascontiguousarray(mag[:, :, :n_co]), axis=2)
-             + np.sum(np.ascontiguousarray(mag[:, :, n_co:]), axis=2))
-        assert np.array_equal(by_split[n_co], d * d), n_co
+        assert np.array_equal(gains[n_co], by_split[n_co]), n_co
+    # A setting's gains do not depend on which others are formed beside it.
+    for setting, g in gains.items():
+        alone = kernels.multicell_edge_gains(
+            ed, casc, rnd if setting == "random" else None, {setting})
+        assert alone.keys() == {setting} and np.array_equal(alone[setting], g), setting
