@@ -4,9 +4,9 @@ Maps a CoordinatedScenario onto the fitted Beta-prime law of every SINR,
 keyed by sample kind: the `montecarlo.SINR_KINDS` name of the Monte Carlo
 sample the law models (the no-CoMP edge SINR has no law), plus
 `edge_high_snr`, the edge law without its noise term. From the fits, which
-`config.validate` makes once per point of a run, it evaluates ergodic rates,
-all of a run's at once, and outage probabilities, at the fitted scenario's
-own SINR thresholds, each user reading the SINR `montecarlo.USER_SINR` names.
+`config.validate` makes once per point of a run, it evaluates ergodic rates
+and outage probabilities, each all of a run's at once, the outages at each
+fitted scenario's own SINR thresholds.
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import NakagamiParams
-from .montecarlo import USER_SINR
 from .scenarios import CoordinatedScenario
 from .stats import (
     BetaPrimeParams,
     GammaParams,
     MomentPair,
+    _beta_prime_cdf,
     effective_power_moments,
     ergodic_rates,
     gamma_from_moments,
-    outage_center_closed,
     sinr_dist_center,
     sinr_dist_edge,
 )
@@ -76,18 +77,23 @@ def analytic_ergodic_rates(fits: Sequence[CoordinatedDistributions],
     return [{user: next(rates) for user in users} for _ in fits]
 
 
-def analytic_outage(d: CoordinatedDistributions) -> dict[str, float]:
-    """Each user's outage probability at the fitted scenario's thresholds."""
-    scn = d.scenario
-    out = {"edge": d.laws["edge"].cdf(scn.threshold_edge)}
-    for i in (1, 2):
-        out[f"center{i}"] = outage_center_closed(
-            d.laws[f"center{i}_sic"],
-            d.laws[f"center{i}_own"],
-            d.z_center[i - 1],
-            scn.rho,
-            scn.zeta_center,
-            scn.threshold_edge,
-            scn.threshold_center,
-        )
-    return out
+def analytic_outages(fits: Sequence[CoordinatedDistributions]) -> list[dict[str, float]]:
+    """Per fit, each user's outage at the fitted scenario's thresholds t_c and
+    t_e, every Beta-prime CDF in one call. The edge user is out below t_e. A
+    center user is out when SIC fails (its SIC law below t_e) or passes, with
+    Pr(X > t_e) = I_{s/(s+t_e)}(b, a) for X/s ~ BetaPrime(a, b), and its own
+    SINR is below t_c; floored by its noise-only outage, its Gamma-fitted
+    channel power below t_c / (rho zeta_center)."""
+    cdfs, floors = [], []  # per fit: seven (a, b, scale, x), in the order read below; two floors
+    for d in fits:
+        scn = d.scenario
+        t_e, t_c, e = scn.threshold_edge, scn.threshold_center, d.laws["edge"]
+        cdfs.append((e.a, e.b, e.scale, t_e))
+        for i, z in zip((1, 2), d.z_center):
+            sic, own = d.laws[f"center{i}_sic"], d.laws[f"center{i}_own"]
+            cdfs += [(sic.a, sic.b, sic.scale, t_e), (sic.b, sic.a, t_e, sic.scale),
+                     (own.a, own.b, own.scale, t_c)]
+            floors.append(z.cdf(t_c / (scn.rho * scn.zeta_center)) if t_c > 0 else 0.0)
+    values = _beta_prime_cdf(*np.array(cdfs).reshape(-1, 4).T).reshape(-1, 7).tolist()
+    return [{"edge": edge, "center1": max(s1 + p1 * o1, f1), "center2": max(s2 + p2 * o2, f2)}
+            for (edge, s1, p1, o1, s2, p2, o2), f1, f2 in zip(values, floors[::2], floors[1::2])]

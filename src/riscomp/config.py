@@ -35,6 +35,7 @@ from .energy import chunk_bytes
 from .moppo import TrainConfig, policy_bytes
 from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
+    COOP_RANGE,
     NOT_FINITE,
     AerialScenario,
     CoordinatedScenario,
@@ -198,7 +199,19 @@ def _scenario(cfg: ExperimentConfig):
     kw = dict(cfg.scenario)
     keys = _KINDS[cfg.kind]["keys"]
     if keys is _MULTICELL_KEYS:
-        return MultiCellScenario(**kw)
+        # A run that sets J at every point reads no base J: unless the config
+        # sets one, the base takes the default clipped to [1, I].
+        cells = kw.get("n_cells", MultiCellScenario.n_cells)
+        named = f"scenario.n_cells = {cells}"
+        if "n_coop" in kw or not all("j_values" in names for names in _axis_names(cfg)):
+            coop = kw.get("n_coop", f"{MultiCellScenario.n_coop} (default)")
+            named = f"scenario.n_coop = {coop}, {named}"
+        else:
+            kw["n_coop"] = max(1, min(MultiCellScenario.n_coop, cells))
+        try:
+            return MultiCellScenario(**kw)
+        except ValueError as exc:  # J and I named by their keys
+            raise ValueError(str(exc).replace(COOP_RANGE, f"{named}: {COOP_RANGE}")) from None
     if keys is _AERIAL_KEYS:
         make = tiny_aerial_scenario if kw.pop("tiny", False) else AerialScenario
         x, y = kw.pop("uav_start_x", None), kw.pop("uav_start_y", None)
@@ -217,22 +230,26 @@ def _scenario(cfg: ExperimentConfig):
     return CoordinatedScenario(thresholds_db=thresholds, assignment=assignment, **kw)
 
 
-def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
-    """The sweeps of cfg's run at its base scenario, each axis's default
-    applied where cfg sets no values (see `Plan`)."""
-    axes = {}
-    for name, default in _KINDS[cfg.kind].get("axes", {}).items():
-        values = cfg.sweep.get(name, default)
-        if values is not None:
-            axes[name] = values(scn) if callable(values) else values
+def _axis_names(cfg: ExperimentConfig) -> tuple[tuple[str, ...], ...]:
+    """The sweep keys of each sweep of cfg's run, in run order (see `Plan`)."""
+    axes = _KINDS[cfg.kind].get("axes", {})
     if cfg.kind != "ee-sweep":
-        return (axes,)
+        return (tuple(name for name, default in axes.items()
+                      if name in cfg.sweep or default is not None),)
     # One sweep per axis the config sets, or its J default when it sets
     # none; sweep.p_t_dbm with sweep.r_th_values is their grid alone.
     if cfg.sweep.keys() >= {"p_t_dbm", "r_th_values"}:
-        return ({name: axes[name] for name in ("p_t_dbm", "r_th_values")},)
-    return tuple({name: v} for name, v in axes.items() if name in cfg.sweep) or (
-        {"j_values": axes["j_values"]},)
+        return (("p_t_dbm", "r_th_values"),)
+    return tuple((name,) for name in axes if name in cfg.sweep) or (("j_values",),)
+
+
+def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
+    """The sweeps of cfg's run at its base scenario, each axis's default
+    applied where cfg sets no values (see `Plan`)."""
+    values = {name: cfg.sweep.get(name, default)
+              for name, default in _KINDS[cfg.kind].get("axes", {}).items()}
+    return tuple({name: values[name](scn) if callable(values[name]) else values[name]
+                  for name in names} for names in _axis_names(cfg))
 
 
 # The scenario at a value of each sweep axis that sets a scenario field,

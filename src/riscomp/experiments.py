@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_ergodic_rates, analytic_outage
+from .analysis import analytic_ergodic_rates, analytic_outages
 from .config import ConfigError, ExperimentConfig, Plan, dump_config
 from .energy import MODES, energy_efficiency, simulate_network
 from .montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
@@ -93,8 +93,8 @@ def _run_er_sweep(run: Plan) -> Outputs:
 def _run_outage_sweep(run: Plan) -> Outputs:
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
-    for fit in run.fits:
-        scn, closed = fit.scenario, analytic_outage(fit)
+    for fit, closed in zip(run.fits, analytic_outages(run.fits)):
+        scn = fit.scenario
         mc = estimate_outage(draws.batch(scn), scn)
         for user in USER_SINR:
             rows.append((scn.p_t_dbm, user, closed[user], mc[user],

@@ -64,6 +64,7 @@ class RicianLinks:
 
 
 NOT_FINITE = "not a finite number"  # ends each line _numbers refuses
+COOP_RANGE = "cooperative set must satisfy 1 <= J <= I"
 
 
 def _numbers(scn, limits=()) -> list:
@@ -231,7 +232,7 @@ class MultiCellScenario(LinkBudget, RicianLinks):
     def __post_init__(self):
         _refuse([
             *_numbers(self, limits=("kappa_db",)),
-            ("cooperative set must satisfy 1 <= J <= I", 1 <= self.n_coop <= self.n_cells),
+            (COOP_RANGE, 1 <= self.n_coop <= self.n_cells),
             ("k_elements must be >= 0", self.k_elements >= 0),
             ("r_center_min must be >= 0", not self.r_center_min < 0),
             ("r_edge_min must be >= 0", not self.r_edge_min < 0),

@@ -279,28 +279,3 @@ def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
                          breakpoints=breakpoints).tolist()
     except QuadratureError as exc:
         raise named(exc.index, exc) from None
-
-
-def outage_center_closed(
-    dist_cf: BetaPrimeParams,
-    dist_c: BetaPrimeParams,
-    z: GammaParams,
-    rho: float,
-    zeta_center: float,
-    threshold_edge: float,
-    threshold_center: float,
-) -> float:
-    """Two-stage center outage: SIC failure plus (SIC success and own-message
-    failure), floored by the interference-free noise-only outage."""
-    if threshold_edge < 0 or threshold_center < 0:
-        raise ValueError("thresholds must be >= 0")
-    p1 = dist_cf.cdf(threshold_edge)
-    if threshold_edge == 0.0:
-        p_pass = 1.0
-    else:
-        # I_{psi}(b, a) with psi = scale/(scale+thr) equals Pr(gamma_cf > thr).
-        psi_pass = dist_cf.scale / (dist_cf.scale + threshold_edge)
-        p_pass = betainc_reg(dist_cf.b, dist_cf.a, psi_pass)
-    p2 = p_pass * dist_c.cdf(threshold_center)
-    floor = z.cdf(threshold_center / (rho * zeta_center)) if threshold_center > 0 else 0.0
-    return max(p1 + p2, floor)

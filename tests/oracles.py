@@ -425,8 +425,9 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         return 0.0
     if x >= 1.0:
         return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - betaln(a, b)
-    front = math.exp(ln_front)
+    # numpy's log, log1p and exp on the scalar: the same bits as on any
+    # element of an array, where the C library's differ in the last bits.
+    front = float(np.exp(a * np.log(x) + b * np.log1p(-x) - betaln(a, b)))
     # Symmetry transform keeps the continued fraction in its convergent region.
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a

@@ -28,7 +28,7 @@ from oracles import (
     exhaustive_baseline,
     sinr_edge_comp,
 )
-from riscomp.analysis import analytic_ergodic_rates, analytic_outage, coordinated_distributions
+from riscomp.analysis import analytic_ergodic_rates, analytic_outages, coordinated_distributions
 from riscomp.channel import substream
 from riscomp.energy import MODES, energy_efficiency, simulate_network
 from riscomp.montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
@@ -121,9 +121,11 @@ def test_criterion_3_outage_closed_forms():
     ok = True
     draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
                        10_000, seed=3, coupling="fitted")
-    for p_t in range(-15, 21, 5):
-        scn = CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
-        closed = analytic_outage(coordinated_distributions(scn))
+    powers = range(-15, 21, 5)
+    scns = [CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
+            for p_t in powers]
+    outages = analytic_outages([coordinated_distributions(scn) for scn in scns])
+    for p_t, scn, closed in zip(powers, scns, outages):
         # The scenario's default thresholds_db = (0, 0): 0 dB SINR thresholds.
         mc = estimate_outage(draws.batch(scn), scn)
         for user in ("center1", "center2", "edge"):

@@ -738,6 +738,30 @@ def test_cli_validate_names_a_far_away_start_and_nothing_else(tmp_path, capsys):
         "error: config validation failed:", "  UAV start outside the operating area"]
 
 
+@pytest.mark.parametrize("flat", [
+    {"kind": "osum-sweep", "scenario.n_cells": 3},
+    {"kind": "ee-sweep", "scenario.n_cells": 3, "sweep.k_values": [8]},
+])
+def test_a_base_j_that_the_run_reads_is_refused_by_its_key(flat):
+    # These runs read the base J at every point: its default 4 does not fit
+    # I = 3 cells, and the refusal names the key that sets it.
+    with pytest.raises(ConfigError) as info:
+        from_mapping(flat)
+    assert str(info.value).splitlines()[1:] == [
+        "  scenario.n_coop = 4 (default), scenario.n_cells = 3: "
+        "cooperative set must satisfy 1 <= J <= I"]
+    with pytest.raises(ConfigError, match=r"scenario\.n_coop = 5, scenario\.n_cells = 3: "):
+        from_mapping({**flat, "scenario.n_coop": 5})
+
+
+def test_a_j_the_config_sets_is_checked_even_where_no_point_reads_it():
+    with pytest.raises(ConfigError, match=r"scenario\.n_coop = 5, scenario\.n_cells = 3: "):
+        from_mapping({"kind": "split-sweep", "scenario.n_cells": 3, "scenario.n_coop": 5})
+    # Without a J, too few cells are named by their key alone.
+    with pytest.raises(ConfigError, match=r"  scenario\.n_cells = 0: cooperative set"):
+        from_mapping({"kind": "split-sweep", "scenario.n_cells": 0})
+
+
 def test_default_j_axis_is_not_built_to_bound_it():
     # An ee-sweep without axes sweeps J = 1..I; at I = 10^12 the cells alone
     # are refused, and the axis is never listed.

@@ -227,6 +227,22 @@ def test_split_sweep_with_no_elements():
         assert osr == _one(replace(scn, n_coop=j), "ec", n=300, seed=4).outage_sum_rate, j
 
 
+def test_runs_that_set_j_at_every_point_take_fewer_cells_than_the_default_j():
+    # I = 3 cells, below the base scenario's default J = 4, which no point of
+    # these runs reads: a split-sweep takes its J default [1, 3] and an
+    # ee-sweep over J its own values, each writing what it writes under any
+    # valid base J.
+    base = {"trials": 300, "seed": 4, "scenario.n_cells": 3, "scenario.k_elements": 8}
+    split = {**base, "kind": "split-sweep"}
+    [(_, rows)] = _outputs(split).values()
+    assert [j for _, j, _ in rows] == [1] * 5 + [3] * 5
+    ee = {**base, "kind": "ee-sweep", "sweep.j_values": [1, 2]}
+    [(_, ee_rows)] = _outputs(ee).values()
+    assert [row[1] for row in ee_rows] == [j for j in (1, 2) for _ in MODES]
+    for flat in (split, ee):
+        assert _outputs(flat) == _outputs({**flat, "scenario.n_coop": 2})
+
+
 def _count_mc_draws(monkeypatch):
     labels = []
 

@@ -131,6 +131,41 @@ def test_stacked_betainc_equals_scalar_oracle(fig32, monkeypatch, block):
     assert np.array_equal(betainc_reg(a, b, np.stack(points)), np.stack(want))
 
 
+def test_prefactor_within_rounding_of_the_c_library(fig32):
+    # numpy's log, log1p and exp against math's on the fig3.2 points and the
+    # edge cases above: each prefactor within 4 eps relative per unit of its
+    # exponent's terms, 1 + |a ln x| + |b ln(1-x)| + |ln B(a, b)|, the size
+    # of a few roundings of the exponent after exp.
+    grid = np.linspace(0.0, 1.0, 201)[1:-1]
+    cases = [(a, b, grid) for a, b in [(0.5, 0.5), (2.0, 3.0), (30.0, 2.5), (1.0, 1.0),
+                                       (0.2, 40.0)]]
+    cases += [(a, b, np.array([x])) for a, b, x in
+              [(0.9, 4.5e4, 2e-5), (1.2, 4.4e5, 1e-6), (300.0, 2.0, 0.995)]]
+    cases += [(p.a, p.b, y[(y > 0) & (y < 1)]) for p, y, _ in fig32]
+    differ = 0
+    for a, b, x in cases:
+        lnb = betaln(a, b)
+        got = special._prefactor(np.full(x.size, a), np.full(x.size, b), np.full(x.size, lnb), x)
+        libm = np.array([math.exp(a * math.log(v) + b * math.log1p(-v) - lnb)
+                         for v in x.tolist()])
+        terms = 1.0 + np.abs(a * np.log(x)) + np.abs(b * np.log1p(-x)) + abs(lnb)
+        assert np.all(np.abs(got / libm - 1.0) <= 4 * np.finfo(float).eps * terms), (a, b)
+        differ += np.count_nonzero(got != libm)
+    assert differ  # the two libraries do differ in the last bits
+
+
+def test_betainc_is_independent_of_element_order(fig32, monkeypatch):
+    # fig3.2's ten laws, one element per (a, b, x) triple, in a shuffled
+    # order and in blocks that split laws: the output is the input's
+    # permutation, bit for bit.
+    monkeypatch.setattr(special, "_BLOCK", 777)
+    a = np.concatenate([np.full(y.size, p.a) for p, y, _ in fig32])
+    b = np.concatenate([np.full(y.size, p.b) for p, y, _ in fig32])
+    x = np.concatenate([y for _, y, _ in fig32])
+    perm = np.random.default_rng(5).permutation(x.size)
+    assert np.array_equal(betainc_reg(a[perm], b[perm], x[perm]), betainc_reg(a, b, x)[perm])
+
+
 def test_broadcast_betainc_equals_scalar_oracle():
     # Laws interleaved along the last axis, x = 0 and x = 1 among them, both
     # sides of the symmetry transform, and a scalar shape against an array.

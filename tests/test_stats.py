@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import beta_prime_pdf, integrate_half_line, reference_ergodic_rate
-from riscomp.analysis import analytic_outage, coordinated_distributions
+from riscomp.analysis import analytic_outages, coordinated_distributions
 from riscomp.channel import NakagamiParams, substream
 from riscomp.config import from_mapping
 from riscomp.experiments import preset
@@ -25,7 +25,6 @@ from riscomp.stats import (
     ergodic_rates,
     gamma_from_moments,
     nakagami_moment,
-    outage_center_closed,
     sinr_dist_center,
     sinr_dist_edge,
     stacked_cdf,
@@ -284,34 +283,54 @@ def test_outage_edge_examples():
     assert p.cdf(0.0) == 0.0
     assert p.cdf(1e12) == pytest.approx(1.0, abs=1e-9)
     # The closed-form edge outage is the law's CDF at the scenario threshold.
-    assert analytic_outage(coordinated_distributions(scn))["edge"] == p.cdf(scn.threshold_edge)
+    assert analytic_outages([dists])[0]["edge"] == p.cdf(scn.threshold_edge)
+
+
+def _at_thresholds(center_db, edge_db, p_t_dbm=-30.0):
+    """The fig-style fit with SINR thresholds of center_db and edge_db dB."""
+    return coordinated_distributions(
+        CoordinatedScenario(p_t_dbm=p_t_dbm, thresholds_db=(center_db, edge_db)))
 
 
 def test_outage_center_closed_limits():
-    scn, dists = _fig_style_dists()
-    z = dists.z_center[0]
-    val = outage_center_closed(
-        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 0.0, 0.0
-    )
-    assert val == 0.0
+    # Zero thresholds (-inf dB): no user is ever in outage.
+    [zero] = analytic_outages([_at_thresholds(-math.inf, -math.inf)])
+    assert zero == {"edge": 0.0, "center1": 0.0, "center2": 0.0}
     # SIC-pass factor vanishes as the edge threshold grows.
-    p = dists.laws["center1_sic"]
+    p = _fig_style_dists()[1].laws["center1_sic"]
     psi = p.scale / (p.scale + 1e9)
     assert betainc_reg(p.b, p.a, psi) < 1e-6
-    total = outage_center_closed(
-        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 1e9, 1.0
-    )
-    assert total == pytest.approx(1.0, abs=1e-6)
+    [total] = analytic_outages([_at_thresholds(0.0, 90.0)])  # t_e = 1e9, t_c = 1
+    assert total["center1"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_outage_center_floor_applies():
-    scn, dists = _fig_style_dists(p_t_dbm=-25.0)
-    z = dists.z_center[0]
-    floor = z.cdf(1.0 / (scn.rho * scn.zeta_center))
-    val = outage_center_closed(
-        dists.laws["center1_sic"], dists.laws["center1_own"], z, scn.rho, scn.zeta_center, 1.0, 1.0
-    )
-    assert val >= floor
+    d = _at_thresholds(0.0, 0.0, p_t_dbm=-25.0)
+    scn = d.scenario
+    floor = d.z_center[0].cdf(1.0 / (scn.rho * scn.zeta_center))
+    assert analytic_outages([d])[0]["center1"] >= floor
+
+
+def _per_fit_outages(d):
+    """d's outages, each CDF its own scalar call."""
+    scn = d.scenario
+    thr_e, thr_c = scn.threshold_edge, scn.threshold_center
+    out = {"edge": d.laws["edge"].cdf(thr_e)}
+    for i, z in zip((1, 2), d.z_center):
+        sic, own = d.laws[f"center{i}_sic"], d.laws[f"center{i}_own"]
+        p_pass = betainc_reg(sic.b, sic.a, sic.scale / (sic.scale + thr_e))
+        floor = z.cdf(thr_c / (scn.rho * scn.zeta_center))
+        out[f"center{i}"] = max(sic.cdf(thr_e) + p_pass * own.cdf(thr_c), floor)
+    return out
+
+
+def test_outages_in_one_call_equal_the_per_fit_values():
+    # fig3.4's eight fits and two at other thresholds, scored together:
+    # every value equals its fit's own scalar calls.
+    fits = [*from_mapping(preset("fig3.4")).fits,
+            _at_thresholds(3.0, -2.0, p_t_dbm=10.0), _at_thresholds(-3.0, 5.0, p_t_dbm=0.0)]
+    assert analytic_outages(fits) == [_per_fit_outages(d) for d in fits]
+    assert analytic_outages([]) == []
 
 
 def test_sinr_dist_edge_symmetric():
