@@ -80,20 +80,22 @@ def analytic_ergodic_rates(fits: Sequence[CoordinatedDistributions],
 def analytic_outages(fits: Sequence[CoordinatedDistributions]) -> list[dict[str, float]]:
     """Per fit, each user's outage at the fitted scenario's thresholds t_c and
     t_e, every Beta-prime CDF in one call. The edge user is out below t_e. A
-    center user is out when SIC fails (its SIC law below t_e) or passes, with
-    Pr(X > t_e) = I_{s/(s+t_e)}(b, a) for X/s ~ BetaPrime(a, b), and its own
-    SINR is below t_c; floored by its noise-only outage, its Gamma-fitted
-    channel power below t_c / (rho zeta_center)."""
-    cdfs, floors = [], []  # per fit: seven (a, b, scale, x), in the order read below; two floors
+    center user is out when SIC fails, with probability F, the CDF of its
+    SIC law at t_e, or passes and its own SINR is below t_c: F + (1 - F)
+    o_own, which cannot exceed 1 (1 - F, not the pass probability as a CDF
+    of its own, whose argument s/(s + t_e) rounds near 1); floored by its
+    noise-only outage, its Gamma-fitted channel power below
+    t_c / (rho zeta_center)."""
+    cdfs, floors = [], []  # per fit: five (a, b, scale, x), in the order read below; two floors
     for d in fits:
         scn = d.scenario
         t_e, t_c, e = scn.threshold_edge, scn.threshold_center, d.laws["edge"]
         cdfs.append((e.a, e.b, e.scale, t_e))
         for i, z in zip((1, 2), d.z_center):
             sic, own = d.laws[f"center{i}_sic"], d.laws[f"center{i}_own"]
-            cdfs += [(sic.a, sic.b, sic.scale, t_e), (sic.b, sic.a, t_e, sic.scale),
-                     (own.a, own.b, own.scale, t_c)]
+            cdfs += [(sic.a, sic.b, sic.scale, t_e), (own.a, own.b, own.scale, t_c)]
             floors.append(z.cdf(t_c / (scn.rho * scn.zeta_center)) if t_c > 0 else 0.0)
-    values = _beta_prime_cdf(*np.array(cdfs).reshape(-1, 4).T).reshape(-1, 7).tolist()
-    return [{"edge": edge, "center1": max(s1 + p1 * o1, f1), "center2": max(s2 + p2 * o2, f2)}
-            for (edge, s1, p1, o1, s2, p2, o2), f1, f2 in zip(values, floors[::2], floors[1::2])]
+    values = _beta_prime_cdf(*np.array(cdfs).reshape(-1, 4).T).reshape(-1, 5).tolist()
+    return [{"edge": edge, "center1": max(s1 + (1.0 - s1) * o1, f1),
+             "center2": max(s2 + (1.0 - s2) * o2, f2)}
+            for (edge, s1, o1, s2, o2), f1, f2 in zip(values, floors[::2], floors[1::2])]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, get_type_hints
@@ -157,13 +158,11 @@ class Plan:
     """Everything a run reads, built from its frozen `config` by `validate`.
     `sweeps` are the run's sweeps in order, each mapping its axes' sweep
     keys, in order, to their values (a list, or a range where the default
-    is one, never built in full) and running their product; one without
-    axes is the scenario's one point. `trials` is the Monte Carlo trial
-    count, `episodes` the number of episodes an aerial run steps in
+    is one). `points` holds each sweep's points in run order (`_points`),
+    which the checks and the runners read. `trials` is the Monte Carlo
+    trial count, `episodes` the number of episodes an aerial run steps in
     lockstep, and `train` its training setup. `fits` holds the closed-form
-    laws fitted at each point of a coordinated run, in run order. The
-    checks, the fits and the runners all read a point's scenario from
-    `scenario_at`."""
+    laws fitted at each point of a coordinated run, in run order."""
 
     config: ExperimentConfig
     trials: int | None
@@ -171,26 +170,8 @@ class Plan:
     sweeps: tuple[dict[str, list | range], ...]
     episodes: int | None
     train: TrainConfig | None
+    points: tuple[tuple[tuple, ...], ...] = ()
     fits: tuple[CoordinatedDistributions, ...] = ()
-
-    def points(self, name: str, scn_field: str = "") -> list[tuple[str, object]]:
-        """Each value of the axis `name` in run order with the config key
-        that sets it, sweep.<name>[i] (a default value included), after the
-        scenario's `scn_field`, keyed scenario.<scn_field>, when a sweep
-        without that axis runs at it."""
-        points = [(f"sweep.{name}[{i}]", v) for sweep in self.sweeps
-                  for i, v in enumerate(sweep.get(name, ()))]
-        if scn_field and any(name not in sweep for sweep in self.sweeps):
-            points.insert(0, (f"scenario.{scn_field}", getattr(self.scenario, scn_field)))
-        return points
-
-    def scenario_at(self, **values):
-        """The base scenario with each sweep axis of values, named by its
-        sweep key, set to its value by _AXIS_FIELDS."""
-        scn = self.scenario
-        for name, value in values.items():
-            scn = _AXIS_FIELDS[name](scn, value)
-        return scn
 
 
 def _scenario(cfg: ExperimentConfig):
@@ -252,18 +233,47 @@ def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
                   for name in names} for names in _axis_names(cfg))
 
 
-# The scenario at a value of each sweep axis that sets a scenario field,
-# from the base scenario (Plan.scenario_at): one rate threshold r sets both
-# users' targets, beta_r = 1 - beta_t, and an exhaustive-star's k1 is the
-# assignment (k1, K - k1) that its runner writes.
+# The scenario at a value of each sweep axis that sets a field, from the one
+# before it (_points): one rate threshold r sets both users' targets.
 _AXIS_FIELDS = {
     "p_t_dbm": lambda scn, p: replace(scn, p_t_dbm=p),
     "r_th_values": lambda scn, r: replace(scn, r_center_min=r, r_edge_min=r),
     "beta_t_values": lambda scn, b: replace(scn, beta_t=b, beta_r=1.0 - b),
     "j_values": lambda scn, j: replace(scn, n_coop=j),
     "k_values": lambda scn, k: replace(scn, k_elements=k),
-    "assignment_values": lambda scn, k1: replace(scn, assignment=(k1, scn.k_elements - k1)),
 }
+
+
+def _points(run: Plan, errors: list[str]) -> tuple[tuple[tuple, ...], ...]:
+    """Each sweep's points in run order, built once: a point is the scenario
+    at one value of each axis that sets a field (_AXIS_FIELDS), the values,
+    and {axis: the key of its value, sweep.<axis>[i]}; a split or an
+    exhaustive-star's k1 only labels the rows of each point. A value that
+    its point's scenario refuses adds no point and is named by its key,
+    each problem once (a grid meets it in every row), in the config's key
+    order; values reported as not finite are skipped. A k1 is checked as
+    the scenario checks its assignment (k1, K - k1)."""
+    refused = {"assignment_values": {  # axis -> each problem once, in the order met
+        f"sweep.assignment_values[{i}]: assignment entries must be >= 0 and sum to "
+        "k_elements": None for i, k1 in enumerate(run.config.sweep.get("assignment_values", ()))
+        if not 0 <= k1 <= run.scenario.k_elements}}
+    sweeps = []
+    for sweep in run.sweeps:
+        points = [(run.scenario, (), {})]
+        for name in [name for name in sweep if name in _AXIS_FIELDS]:
+            points, last = [], points
+            for (scn, values, keys), (i, v) in product(last, enumerate(sweep[name])):
+                key = f"sweep.{name}[{i}]"
+                try:
+                    if math.isfinite(v):
+                        at = _AXIS_FIELDS[name](scn, v)
+                        points.append((at, (*values, v), {**keys, name: key}))
+                except ValueError as exc:  # a scenario lists each problem on a line
+                    refused.setdefault(name, {}).update(
+                        dict.fromkeys(f"{key}: {line}" for line in str(exc).splitlines()))
+        sweeps.append(tuple(points))
+    errors.extend(line for name in run.config.sweep for line in refused.get(name, ()))
+    return tuple(sweeps)
 
 
 _TYPE_NAMES = {int: "integer", float: "number", bool: "true/false", str: "text"}
@@ -376,7 +386,7 @@ def _refused(errors: list[str]) -> ConfigError:
 
 
 # Closed range of the elements of the sweep lists that no scenario checks;
-# the scenario at each point checks the values of the others (_AXIS_FIELDS).
+# the scenario at each point checks the values of the others (_points).
 _SWEEP_RANGES = {"splits": (0.0, 1.0)}
 
 
@@ -420,8 +430,8 @@ def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
 
 def _link_budget_errors(run: Plan) -> list[str]:
     """sigma^2 from the bandwidth and noise figure must be finite and > 0, and
-    rho = P_t / sigma^2 finite at the scenario's power and every power a
-    point of the run uses (powers already reported as invalid are skipped)."""
+    rho = P_t / sigma^2 finite at the scenario's power and at every point's
+    (powers already reported as overflowing are skipped)."""
     scn = run.scenario
     try:
         noise = scn.noise_w
@@ -432,22 +442,23 @@ def _link_budget_errors(run: Plan) -> list[str]:
                              for key in ("bandwidth_hz", "noise_figure_db")
                              if key in _KINDS[run.config.kind]["keys"])
         return [f"noise power sigma^2 from {named} is not finite and > 0"]
-    powers = dict([("scenario.p_t_dbm", scn.p_t_dbm), *run.points("p_t_dbm")])
-    return [f"{key}: {p!r} gives rho = P_t / sigma^2 beyond the float range "
-            f"(sigma^2 = {noise!r} W)" for key, p in powers.items()
-            if math.isfinite(p) and not _overflows(key, p)
-            and not math.isfinite(dbm_to_watts(p) / noise)]
+    scns = {"scenario.p_t_dbm": scn, **{keys.get("p_t_dbm", "scenario.p_t_dbm"): s
+                                        for points in run.points for s, _, keys in points}}
+    return [f"{key}: {s.p_t_dbm!r} gives rho = P_t / sigma^2 beyond the float range "
+            f"(sigma^2 = {noise!r} W)" for key, s in scns.items()
+            if not _overflows("p_t_dbm", s.p_t_dbm) and not math.isfinite(s.rho)]
 
 
 def _ee_power_errors(run: Plan) -> list[str]:
-    """Energy efficiency divides by P_Q, P_element and every transmit power
-    a point uses, so none may be 0 W (a dBm value far below 0 underflows);
-    powers already reported are skipped."""
-    keys = ("scenario.static_power_dbm", "scenario.element_power_dbm")
-    powers = [(key, getattr(run.scenario, key[len("scenario."):])) for key in keys]
+    """Energy efficiency divides by P_Q, P_element and every point's
+    transmit power, so none may be 0 W (only a dBm value far below 0
+    underflows, and only one above 0 can overflow)."""
+    powers = {f"scenario.{key}": getattr(run.scenario, key)
+              for key in ("static_power_dbm", "element_power_dbm")}
+    powers.update((keys.get("p_t_dbm", "scenario.p_t_dbm"), scn.p_t_dbm)
+                  for points in run.points for scn, _, keys in points)
     return [f"{key}: {p!r} dBm is 0 W; energy efficiency needs a positive power"
-            for key, p in powers + run.points("p_t_dbm", "p_t_dbm")
-            if math.isfinite(p) and not _overflows(key, p) and dbm_to_watts(p) == 0.0]
+            for key, p in powers.items() if p < 0 and dbm_to_watts(p) == 0.0]
 
 
 # Ceiling on what one multicell chunk (energy.chunk_bytes), one aerial slot's
@@ -463,15 +474,16 @@ def _chunk_errors(run: Plan) -> list[str]:
     exceed it, else every element count a point runs at that does. The size
     is computed, never allocated."""
     n_cells, n = run.scenario.n_cells, run.trials
-    splits = len({split for _, split in run.points("splits")})
+    splits = len({split for sweep in run.sweeps for split in sweep.get("splits", ())})
     cells = chunk_bytes(n_cells, 0, n, splits)
     if cells > _MEMORY_BUDGET:
         return [f"scenario.n_cells: {n_cells} cells need {cells / 2**30:.3g} GiB per "
                 f"chunk of draws at any element count, {_ABOVE_BUDGET}"]
+    counts = {keys.get("k_values", "scenario.k_elements"): scn.k_elements
+              for points in run.points for scn, _, keys in points}
     return [f"{key}: {k} elements need {chunk_bytes(n_cells, k, n, splits) / 2**30:.3g} "
             f"GiB per chunk of draws, {_ABOVE_BUDGET}"
-            for key, k in run.points("k_values", "k_elements")
-            if chunk_bytes(n_cells, k, n, splits) > _MEMORY_BUDGET]
+            for key, k in counts.items() if chunk_bytes(n_cells, k, n, splits) > _MEMORY_BUDGET]
 
 
 def _aerial_errors(run: Plan) -> list[str]:
@@ -506,25 +518,22 @@ def _fits(run: Plan, errors: list[str]) -> tuple[CoordinatedDistributions, ...]:
     in run order: at each beta_t of an exhaustive-star, and at each power
     otherwise (pdf-validation's one, the scenario's). A point whose fit
     fails is named in errors by the config key that sets it."""
-    exhaustive = run.config.kind == "exhaustive-star"
-    name, base = ("beta_t_values", "") if exhaustive else ("p_t_dbm", "p_t_dbm")
-    points = [(key, run.scenario_at(**{name: v})) for key, v in run.points(name, base)]
-    k = run.scenario.k_elements
+    k, [points] = run.scenario.k_elements, run.points
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
     # leaves the float range is named once, not as every point's fit.
     try:
-        for beta in {b for _, scn in points for b in (scn.beta_t, scn.beta_r)}:
-            (k * math.sqrt(beta)) ** 4
+        (k * math.sqrt(max(b for scn, _, _ in points for b in (scn.beta_t, scn.beta_r)))) ** 4
     except OverflowError:
         errors.append(f"scenario.k_elements: {k} elements overflow the cascade "
                       "moments of the closed-form SINR laws, (K sqrt(beta))^4")
         return ()
     fits = []
-    for key, scn in points:
+    for scn, _, keys in points:
         try:
             fits.append(coordinated_distributions(scn))
         except (ValueError, ArithmeticError) as exc:
+            key = next(iter(keys.values()), "scenario.p_t_dbm")
             errors.append(f"{key}: the closed-form SINR laws cannot be fitted at p_t_dbm = "
                           f"{scn.p_t_dbm!r}, beta_t = {scn.beta_t!r}, beta_r = {scn.beta_r!r}: "
                           f"{exc}")
@@ -596,25 +605,19 @@ def validate(cfg: ExperimentConfig) -> Plan:
     episodes = (tc.episodes_per_update if cfg.kind == "drl-train" and tc is not None
                 else defaults.get("episodes"))
     run = Plan(cfg, trials, scn, _sweeps(cfg, scn), episodes, tc)
-    # A sweep value that sets a scenario field is checked by its point's
-    # scenario; values already reported as not finite are skipped.
-    for name, values in cfg.sweep.items():
-        for i, v in enumerate(values):
-            if name in _AXIS_FIELDS and math.isfinite(v):
-                try:
-                    run.scenario_at(**{name: v})
-                except ValueError as exc:  # a scenario lists each problem on a line
-                    errors.extend(f"sweep.{name}[{i}]: {line}" for line in str(exc).splitlines())
+    # A multicell run whose cells alone exceed the chunk budget builds no
+    # points: its default J axis lists every J up to I.
+    cells = _chunk_errors(run) if schema is _MULTICELL_KEYS else []
+    run = run if cells else replace(run, points=_points(run, errors))
     # Only an ee-sweep's power x threshold grid leaves a sweep key unread.
-    read = {name for sweep in run.sweeps for name in sweep}
     errors.extend(f"sweep.{key}: not read, since an ee-sweep with sweep.p_t_dbm and "
                   "sweep.r_th_values runs only their grid"
-                  for key in sorted(cfg.sweep.keys() - read))
+                  for key in sorted(cfg.sweep.keys() - {n for sweep in run.sweeps for n in sweep}))
     errors.extend(_link_budget_errors(run))
     if cfg.kind == "ee-sweep":
         errors.extend(_ee_power_errors(run))
     if schema is _MULTICELL_KEYS:
-        errors.extend(_chunk_errors(run))
+        errors.extend(cells or _chunk_errors(run))
     # The fits need every value above to be usable.
     if schema is _COORDINATED_KEYS and not errors:
         run = replace(run, fits=_fits(run, errors))

@@ -1,6 +1,6 @@
 """Multi-cell energy efficiency and outage sum rate of the network's
 passive-beamforming modes (enhancement / cancellation), by Monte Carlo;
-experiments' runners turn a run's plan into its points.
+the scenario of each point comes from the run's plan (config.validate).
 
 The Monte Carlo engine draws complex channels (Rayleigh direct links, Rician
 RIS links), gives each cell's RIS one setting by the network mode or

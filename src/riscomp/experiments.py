@@ -1,11 +1,11 @@
 """Experiment orchestration and the figure-style presets.
 
 Each runner maps the plan that `config.validate` makes of a config (the
-scenario, the trials, the sweep axes with every default applied, a
-coordinated run's fitted laws) to its outputs, an ordered mapping from file
-name to content, and writes nothing. `run_experiment` alone touches the
-disk: once the runner has returned it writes every output and a manifest
-that reproduces the run byte-for-byte.
+scenario, its sweeps and the scenario at each of their points, the trials,
+a coordinated run's fitted laws) to its outputs, an ordered mapping from
+file name to content; it builds no scenario and writes nothing.
+`run_experiment` alone touches the disk: once the runner has returned it
+writes every output and a manifest that reproduces the run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -120,17 +120,16 @@ _EE_AXES = {"j_values": "J", "k_values": "K", "p_t_dbm": "P_t", "r_th_values": "
 
 
 def _run_ee_sweep(run: Plan) -> Outputs:
-    # Each sweep's points, the product of its axes, in every mode; the whole
-    # run is one simulate_network call, so every chunk is drawn once. zip
-    # reads MODES first, so each zip(MODES, aggs) takes one point's modes.
-    sweeps = [(sweep, [(values, run.scenario_at(**dict(zip(sweep, values))))
-                       for values in product(*sweep.values())]) for sweep in run.sweeps]
-    points = [(scn, mode, None) for _, keyed in sweeps for _, scn in keyed for mode in MODES]
-    aggs = iter(simulate_network(run.scenario, points, run.trials, run.config.seed))
+    # Every sweep's points in every mode; the whole run is one
+    # simulate_network call, so every chunk is drawn once. zip reads MODES
+    # first, so each zip(MODES, aggs) takes one point's modes.
+    aggs = iter(simulate_network(run.scenario, [
+        (scn, mode, None) for points in run.points for scn, _, _ in points for mode in MODES],
+        run.trials, run.config.seed))
     outputs = {}
-    for sweep, keyed in sweeps:
+    for sweep, points in zip(run.sweeps, run.points):
         scored = [(values, mode, energy_efficiency(scn, mode, noma), noma)
-                  for values, scn in keyed for mode, (noma, _) in zip(MODES, aggs)]
+                  for scn, values, _ in points for mode, (noma, _) in zip(MODES, aggs)]
         if len(sweep) == 2:  # the joint power/threshold grid (contour)
             outputs["ee_grid.csv"] = (["p_t_dbm", "r_th", "mode", "ee", "outage_sum_rate"], [
                 (*values, mode, ee, noma.outage_sum_rate) for values, mode, ee, noma in scored])
@@ -145,12 +144,11 @@ def _run_ee_sweep(run: Plan) -> Outputs:
 
 
 def _run_osum_sweep(run: Plan) -> Outputs:
-    powers = run.sweeps[0]["p_t_dbm"]
-    scn_at = {p: run.scenario_at(p_t_dbm=p) for p in powers}
-    points = [(scn_at[p], mode, None) for p in powers for mode in MODES]
-    aggs = iter(simulate_network(run.scenario, points, run.trials, run.config.seed))
+    [points] = run.points
+    aggs = iter(simulate_network(run.scenario, [(scn, mode, None) for scn, _, _ in points
+                                                for mode in MODES], run.trials, run.config.seed))
     rows = []
-    for p in powers:
+    for _, [p], _ in points:
         by_mode = dict(zip(MODES, aggs))
         rows += [(p, f"noma-{mode}", noma.outage_sum_rate) for mode, (noma, _) in by_mode.items()]
         # The OMA baseline, on the "ec" point's draws.
@@ -159,13 +157,12 @@ def _run_osum_sweep(run: Plan) -> Outputs:
 
 
 def _run_split_sweep(run: Plan) -> Outputs:
-    [sweep] = run.sweeps
-    keys = [(j, split) for j in sweep["j_values"] for split in sweep["splits"]]
-    scn_at = {j: run.scenario_at(j_values=j) for j in sweep["j_values"]}
-    points = [(scn_at[j], "ec", split) for j, split in keys]
-    aggs = simulate_network(run.scenario, points, run.trials, run.config.seed)
+    [sweep], [points] = run.sweeps, run.points
+    keys = [(scn, j, split) for scn, [j], _ in points for split in sweep["splits"]]
+    aggs = simulate_network(run.scenario, [(scn, "ec", split) for scn, _, split in keys],
+                            run.trials, run.config.seed)
     return {"split_sweep.csv": (["split", "J", "outage_sum_rate"], [
-        (split, j, noma.outage_sum_rate) for (j, split), (noma, _) in zip(keys, aggs)])}
+        (split, j, noma.outage_sum_rate) for (_, j, split), (noma, _) in zip(keys, aggs)])}
 
 
 def _run_drl_train(run: Plan) -> Outputs:

@@ -256,6 +256,25 @@ def test_sweep_values_refused_by_the_scenario_at_their_point(tmp_path, capsys, t
     assert err.splitlines() == ["error: config validation failed:", *(f"  {ln}" for ln in lines)]
 
 
+def test_a_grid_names_each_refused_value_once():
+    # The grid builds each threshold at every power, and meets a refused
+    # threshold once per power; it is named once.
+    with pytest.raises(ConfigError) as info:
+        from_mapping({"kind": "ee-sweep", "sweep.p_t_dbm": [0.0, 5.0],
+                      "sweep.r_th_values": [0.5, -1.0]})
+    assert str(info.value).splitlines()[1:] == [
+        "  sweep.r_th_values[1]: r_center_min must be >= 0",
+        "  sweep.r_th_values[1]: r_edge_min must be >= 0"]
+
+
+@pytest.mark.parametrize("kind", ["er-sweep", "osum-sweep"])
+def test_a_swept_power_that_converts_but_overflows_rho_is_refused(kind):
+    # 3100 dBm is 1.3e307 W, a finite power, but rho = P_t / sigma^2 is not.
+    with pytest.raises(ConfigError, match=r"sweep\.p_t_dbm\[1\]: 3100\.0 gives rho = P_t / "
+                                          r"sigma\^2 beyond the float range"):
+        from_mapping({"kind": kind, "sweep.p_t_dbm": [0.0, 3100.0]})
+
+
 @pytest.mark.parametrize("kind", ["ee-sweep", "osum-sweep", "split-sweep", "drl-train"])
 @pytest.mark.parametrize("key", ["r_center_min", "r_edge_min"])
 def test_negative_rate_target_refused(kind, key):

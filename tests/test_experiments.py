@@ -12,7 +12,7 @@ from riscomp.config import from_mapping, parse_text
 from riscomp.experiments import PRESETS, preset, run_experiment
 from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_trials
 from riscomp.moppo import init_policy, save_params
-from riscomp.scenarios import tiny_aerial_scenario
+from riscomp.scenarios import CoordinatedScenario, MultiCellScenario, tiny_aerial_scenario
 from riscomp.stats import ergodic_rates
 
 
@@ -110,6 +110,38 @@ def test_validate_fits_the_laws_at_the_points_the_runner_runs(
     assert fitted == validated
     assert [getattr(scn, axis) for scn in validated] == values
     assert [d.scenario for d in run.fits] == validated
+
+
+# Scenarios that from_mapping builds per preset: the base, then one per
+# point, and for fig4.5's grid one per power too, from which each of its
+# power x threshold points is built.
+_SCENARIOS_BUILT = {"fig3.2": 1, "fig3.3": 8, "fig3.4": 9, "fig3.5": 10, "fig4.2": 7,
+                    "fig4.3": 8, "fig4.4": 8, "fig4.5": 36, "fig4.6": 4}
+
+
+@pytest.mark.parametrize("fig", sorted(_SCENARIOS_BUILT))
+def test_each_point_is_built_once_in_the_plan(monkeypatch, tmp_path, fig):
+    # validate builds every scenario a run reads, and the run builds none: a
+    # coordinated fit is at its point's scenario itself, not at a copy.
+    built = []
+
+    def counting(post_init):
+        def wrapped(scn):
+            built.append(scn)
+            post_init(scn)
+        return wrapped
+
+    for cls in (CoordinatedScenario, MultiCellScenario):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+    trials = 100 if fig == "fig3.2" else 10
+    run = from_mapping({**preset(fig), "trials": trials, "out": str(tmp_path / "out")})
+    assert len(built) == _SCENARIOS_BUILT[fig]
+    run_experiment(run)
+    assert len(built) == _SCENARIOS_BUILT[fig]
+    if run.fits:
+        [points] = run.points
+        assert len(run.fits) == len(points)
+        assert all(fit.scenario is scn for fit, (scn, _, _) in zip(run.fits, points))
 
 
 @pytest.mark.parametrize("fig, kinds", [

@@ -311,6 +311,19 @@ def test_outage_center_floor_applies():
     assert analytic_outages([d])[0]["center1"] >= floor
 
 
+def test_outage_lies_in_the_unit_interval_where_sic_almost_never_fails():
+    # Center1's SIC law is (a, b) = (0.5, 1.32e4) with t_e / (t_e + s) =
+    # 1.4e-12, and its own SINR is always below t_c. The SIC pass
+    # probability taken as a CDF of its own, at s / (s + t_e) rounded, put
+    # the outage at 1.0000000021.
+    run = from_mapping({"kind": "outage-sweep", "trials": 200, "scenario.k_elements": 0,
+                        "scenario.m_direct": 0.5, "scenario.zeta_center": 1e-6,
+                        "scenario.zeta_edge": 0.999999, "scenario.threshold_edge_db": -62.4,
+                        "sweep.p_t_dbm": [-15.0]})
+    [outage] = analytic_outages(run.fits)
+    assert all(0.0 <= value <= 1.0 for value in outage.values())
+
+
 def _per_fit_outages(d):
     """d's outages, each CDF its own scalar call."""
     scn = d.scenario
@@ -318,9 +331,9 @@ def _per_fit_outages(d):
     out = {"edge": d.laws["edge"].cdf(thr_e)}
     for i, z in zip((1, 2), d.z_center):
         sic, own = d.laws[f"center{i}_sic"], d.laws[f"center{i}_own"]
-        p_pass = betainc_reg(sic.b, sic.a, sic.scale / (sic.scale + thr_e))
+        fail = sic.cdf(thr_e)
         floor = z.cdf(thr_c / (scn.rho * scn.zeta_center))
-        out[f"center{i}"] = max(sic.cdf(thr_e) + p_pass * own.cdf(thr_c), floor)
+        out[f"center{i}"] = max(fail + (1.0 - fail) * own.cdf(thr_c), floor)
     return out
 
 
