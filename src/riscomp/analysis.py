@@ -22,12 +22,12 @@ from .stats import (
     BetaPrimeParams,
     GammaParams,
     MomentPair,
-    _beta_prime_cdf,
     effective_power_moments,
     ergodic_rates,
     gamma_from_moments,
     sinr_dist_center,
     sinr_dist_edge,
+    stacked_cdf,
 )
 
 
@@ -64,8 +64,8 @@ def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributi
         z_c.append(gamma_from_moments(zm))
     z1 = _power_moments(scn, scn.edge_links(1), scn.beta_t)
     z2 = _power_moments(scn, scn.edge_links(2), scn.beta_t)
-    laws["edge"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=1.0)
-    laws["edge_high_snr"] = sinr_dist_edge(z1, z2, zc, zc, zf, zf, rho, noise=0.0)
+    laws["edge"] = sinr_dist_edge(z1, z2, zc, zf, rho, noise=1.0)
+    laws["edge_high_snr"] = sinr_dist_edge(z1, z2, zc, zf, rho, noise=0.0)
     return CoordinatedDistributions(scenario=scn, laws=laws, z_center=tuple(z_c))
 
 
@@ -86,16 +86,16 @@ def analytic_outages(fits: Sequence[CoordinatedDistributions]) -> list[dict[str,
     of its own, whose argument s/(s + t_e) rounds near 1); floored by its
     noise-only outage, its Gamma-fitted channel power below
     t_c / (rho zeta_center)."""
-    cdfs, floors = [], []  # per fit: five (a, b, scale, x), in the order read below; two floors
+    cdfs, floors = [], []  # per fit: five (law, x), in the order read below; two floors
     for d in fits:
         scn = d.scenario
-        t_e, t_c, e = scn.threshold_edge, scn.threshold_center, d.laws["edge"]
-        cdfs.append((e.a, e.b, e.scale, t_e))
+        t_e, t_c = scn.threshold_edge, scn.threshold_center
+        cdfs.append((d.laws["edge"], t_e))
         for i, z in zip((1, 2), d.z_center):
-            sic, own = d.laws[f"center{i}_sic"], d.laws[f"center{i}_own"]
-            cdfs += [(sic.a, sic.b, sic.scale, t_e), (own.a, own.b, own.scale, t_c)]
+            cdfs += [(d.laws[f"center{i}_sic"], t_e), (d.laws[f"center{i}_own"], t_c)]
             floors.append(z.cdf(t_c / (scn.rho * scn.zeta_center)) if t_c > 0 else 0.0)
-    values = _beta_prime_cdf(*np.array(cdfs).reshape(-1, 4).T).reshape(-1, 5).tolist()
+    column = np.reshape([x for _, x in cdfs], (-1, 1))  # one point per law
+    values = stacked_cdf([law for law, _ in cdfs], column).reshape(-1, 5).tolist()
     return [{"edge": edge, "center1": max(s1 + (1.0 - s1) * o1, f1),
              "center2": max(s2 + (1.0 - s2) * o2, f2)}
             for (edge, s1, o1, s2, o2), f1, f2 in zip(values, floors[::2], floors[1::2])]

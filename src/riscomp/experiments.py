@@ -66,7 +66,7 @@ def _run_pdf_validation(run: Plan) -> Outputs:
     samples = np.empty((len(couplings), len(laws), n))
     for row, coupling in zip(samples, couplings):
         batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn)
-        np.stack([batch.sinr[kind] for kind in laws], out=row)
+        np.stack([batch[kind] for kind in laws], out=row)
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
                                    partial(stacked_cdf, list(laws.values()) * len(couplings)))

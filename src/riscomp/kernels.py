@@ -5,6 +5,8 @@ coordinated engine's (coordinated_*) and the multicell engine's
 Kernels receive pre-drawn variates and perform only +, -, *, / and sqrt
 with a fixed accumulation order (sequential over elements / cells); every
 transcendental (log2, phases, gamma draws) happens in the calling engine.
+The coordinated kernel returns its batch as one mapping, kind -> (n,) SINR
+samples, in SINR_KINDS order.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ N_Z_ROWS = 13
 X_CF1, X_C1, X_CF2, X_C2 = 0, 1, 2, 3
 N_X_ROWS = 4
 
-# Output rows: own-message and SIC-stage SINR per center, CoMP edge SINR,
-# and the no-CoMP edge SINR.
-OUT_C1, OUT_CF1, OUT_C2, OUT_CF2, OUT_F, OUT_F_NC = 0, 1, 2, 3, 4, 5
-N_OUT_ROWS = 6
+# Coordinated SINR sample kinds: own-message and SIC-stage SINR per center,
+# CoMP edge SINR, and the no-CoMP edge SINR; the one place their order is set.
+SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
+              "edge", "edge_nocomp")
 
 
 def coordinated_z(z_pow, amp):
@@ -41,25 +43,22 @@ def coordinated_z(z_pow, amp):
     return z
 
 
-def coordinated_sinr(z, x_pow, zeta_c1, zeta_c2, zeta_f, rho):
-    """Two-cell coordinated-cluster SINRs, (N_OUT_ROWS, n), from the rows z
-    of coordinated_z and x_pow: (N_X_ROWS, n) interference power draws."""
-    out = np.empty((N_OUT_ROWS, z.shape[1]))
-    out[OUT_CF1] = (rho * zeta_f * z[Z_CF1_S]) / (
-        rho * zeta_c1 * z[Z_CF1_I] + rho * x_pow[X_CF1] + 1.0
-    )
-    out[OUT_C1] = (rho * zeta_c1 * z[Z_C1_S]) / (rho * x_pow[X_C1] + 1.0)
-    out[OUT_CF2] = (rho * zeta_f * z[Z_CF2_S]) / (
-        rho * zeta_c2 * z[Z_CF2_I] + rho * x_pow[X_CF2] + 1.0
-    )
-    out[OUT_C2] = (rho * zeta_c2 * z[Z_C2_S]) / (rho * x_pow[X_C2] + 1.0)
-    out[OUT_F] = (rho * zeta_f * z[Z_F1_V] + rho * zeta_f * z[Z_F2_V]) / (
-        rho * zeta_c1 * z[Z_F1_W] + rho * zeta_c2 * z[Z_F2_W] + 1.0
-    )
-    out[OUT_F_NC] = (rho * zeta_f * z[Z_NC1_V]) / (
-        rho * zeta_c1 * z[Z_NC1_W] + rho * z[Z_NC2_W] + 1.0
-    )
-    return out
+def coordinated_sinr(z, x_pow, zeta_c, zeta_f, rho):
+    """Two-cell coordinated-cluster SINRs, {kind: (n,)} in SINR_KINDS order,
+    from the rows z of coordinated_z and x_pow: (N_X_ROWS, n) interference
+    power draws; zeta_c is both centers' power share, zeta_f the edge's."""
+    return {
+        "center1_own": (rho * zeta_c * z[Z_C1_S]) / (rho * x_pow[X_C1] + 1.0),
+        "center1_sic": (rho * zeta_f * z[Z_CF1_S]) / (
+            rho * zeta_c * z[Z_CF1_I] + rho * x_pow[X_CF1] + 1.0),
+        "center2_own": (rho * zeta_c * z[Z_C2_S]) / (rho * x_pow[X_C2] + 1.0),
+        "center2_sic": (rho * zeta_f * z[Z_CF2_S]) / (
+            rho * zeta_c * z[Z_CF2_I] + rho * x_pow[X_CF2] + 1.0),
+        "edge": (rho * zeta_f * z[Z_F1_V] + rho * zeta_f * z[Z_F2_V]) / (
+            rho * zeta_c * z[Z_F1_W] + rho * zeta_c * z[Z_F2_W] + 1.0),
+        "edge_nocomp": (rho * zeta_f * z[Z_NC1_V]) / (
+            rho * zeta_c * z[Z_NC1_W] + rho * z[Z_NC2_W] + 1.0),
+    }
 
 
 def multicell_edge_gains(ed, casc, rnd, settings):

@@ -16,7 +16,9 @@ chunk j draws from substream (seed, label, j), so results are independent of
 worker count and scheduling.
 
 No draw depends on power or allocation: `run_trials` draws once, 17 float64
-per trial held until a sweep ends, and `TrialDraws.batch` scores per scenario.
+per trial held until a sweep ends, and `TrialDraws.batch` scores per
+scenario. A batch is the kernel's mapping, kind -> (n,) SINR samples, in
+`SINR_KINDS` order.
 
 The estimators score a batch at the scenario's own SINR thresholds, the
 numbers the closed forms in `analysis` read, and the KS test compares a
@@ -33,6 +35,7 @@ import numpy as np
 
 from . import kernels
 from .channel import substream
+from .kernels import SINR_KINDS  # re-exported, beside USER_SINR
 from .scenarios import CoordinatedScenario
 
 CHUNK = 4096
@@ -40,29 +43,12 @@ CHUNK = 4096
 # Stream labels (part of the documented substream scheme).
 _STREAM_TRIALS = 101
 
-# In the order of the kernel's output rows.
-SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
-              "edge", "edge_nocomp")
-
 # The SINR kind each user's rate reads, in the order the sweep tables list
 # the users; the no-CoMP edge SINR is a baseline, not a user.
 USER_SINR = {"center1": "center1_own", "center2": "center2_own", "edge": "edge"}
 
 KS_COEFF = 1.63  # asymptotic KS critical value times sqrt(n) at alpha = 0.01
 KS_MIN_SAMPLES = 100  # below this the asymptotic critical values do not hold
-
-
-@dataclass(frozen=True)
-class TrialBatch:
-    """Per-kind SINR sample arrays of n_trials trials each."""
-
-    sinr: dict[str, np.ndarray]
-    n_trials: int
-
-    def __post_init__(self):
-        for name, arr in self.sinr.items():
-            if arr.shape != (self.n_trials,):
-                raise ValueError(f"sample array {name} does not match n_trials")
 
 
 def _drawn_from(scn: CoordinatedScenario) -> tuple:
@@ -81,14 +67,14 @@ class TrialDraws:
     x: np.ndarray
     drawn_from: tuple
 
-    def batch(self, scenario: CoordinatedScenario) -> TrialBatch:
-        """The trials' SINRs at the scenario's rho and zeta; ValueError if
-        its links or cascade amplitudes are not those drawn from."""
+    def batch(self, scenario: CoordinatedScenario) -> dict[str, np.ndarray]:
+        """The trials' SINRs at the scenario's rho and zeta, kind -> (n,)
+        samples in SINR_KINDS order; ValueError if its links or cascade
+        amplitudes are not those drawn from."""
         if _drawn_from(scenario) != self.drawn_from:
             raise ValueError("the scenario's links or cascade amplitudes are not those drawn from")
-        res = kernels.coordinated_sinr(self.z, self.x, scenario.zeta_center, scenario.zeta_center,
-                                       scenario.zeta_edge, scenario.rho)
-        return TrialBatch(sinr=dict(zip(SINR_KINDS, res)), n_trials=self.z.shape[1])
+        return kernels.coordinated_sinr(self.z, self.x, scenario.zeta_center,
+                                        scenario.zeta_edge, scenario.rho)
 
 
 def _nakagami_pow(rng, p, size):
@@ -194,30 +180,29 @@ def ks_statistic(
     return d, d < critical, critical
 
 
-def estimate_outage(batch: TrialBatch, scn: CoordinatedScenario) -> dict[str, float]:
-    """Per-user empirical outage frequencies at the scenario's SINR
-    thresholds. The events are strict, SINR < threshold, as in the closed
+def estimate_outage(batch: dict[str, np.ndarray], scn: CoordinatedScenario) -> dict[str, float]:
+    """Per-user empirical outage frequencies of a batch (TrialDraws.batch)
+    at the scenario's SINR thresholds, then the no-CoMP edge baseline's,
+    `edge_nocomp`. The events are strict, SINR < threshold, as in the closed
     forms' CDFs; a center user is out when SIC of the edge message fails or
     its own message does."""
-    if batch.n_trials == 0:
+    if not batch["edge"].size:
         raise ValueError("cannot estimate from an empty batch")
-    s = batch.sinr
     thr_c, thr_f = scn.threshold_center, scn.threshold_edge
     out = {}
     for i in (1, 2):
-        sic_fail = s[f"center{i}_sic"] < thr_f
-        own_fail = s[f"center{i}_own"] < thr_c
+        sic_fail = batch[f"center{i}_sic"] < thr_f
+        own_fail = batch[f"center{i}_own"] < thr_c
         out[f"center{i}"] = float(np.mean(sic_fail | own_fail))
-    out["edge"] = float(np.mean(s["edge"] < thr_f))
-    out["edge_nocomp"] = float(np.mean(s["edge_nocomp"] < thr_f))
+    out["edge"] = float(np.mean(batch["edge"] < thr_f))
+    out["edge_nocomp"] = float(np.mean(batch["edge_nocomp"] < thr_f))
     return out
 
 
-def estimate_ergodic_rate(batch: TrialBatch) -> dict[str, float]:
-    """Per-user mean Shannon rate log2(1 + sinr) in bps/Hz, then the
-    no-CoMP edge baseline's, `edge_nocomp`."""
-    if batch.n_trials == 0:
+def estimate_ergodic_rate(batch: dict[str, np.ndarray]) -> dict[str, float]:
+    """Per-user mean Shannon rate log2(1 + sinr) in bps/Hz of a batch
+    (TrialDraws.batch)."""
+    if not batch["edge"].size:
         raise ValueError("cannot estimate from an empty batch")
-    s = batch.sinr
-    return {user: float(np.mean(np.log1p(s[kind]) / math.log(2.0)))
-            for user, kind in {**USER_SINR, "edge_nocomp": "edge_nocomp"}.items()}
+    return {user: float(np.mean(np.log1p(batch[kind]) / math.log(2.0)))
+            for user, kind in USER_SINR.items()}

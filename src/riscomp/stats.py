@@ -100,11 +100,12 @@ def _beta_prime_cdf(a, b, scale, x):
 
 def stacked_cdf(laws, x) -> np.ndarray:
     """Row i of x (L, n) under laws[i], a sequence of L BetaPrimeParams, in
-    one betainc_reg call; every value equals laws[i].cdf's."""
+    one betainc_reg call on (L, 1) parameter columns; every value equals
+    laws[i].cdf's, and L = 0 gives (0, n)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != len(laws):
         raise ValueError(f"need one row of points per law: {len(laws)} laws, shape {x.shape}")
-    a, b, scale = (np.array([[getattr(p, f)] for p in laws]) for f in ("a", "b", "scale"))
+    a, b, scale = np.reshape([(p.a, p.b, p.scale) for p in laws], (-1, 3)).T[:, :, None]
     return _beta_prime_cdf(a, b, scale, x)
 
 
@@ -211,27 +212,19 @@ def sinr_dist_center(
     return BetaPrimeParams(zg.k, w.k, rho * zeta_signal * zg.theta / w.theta)
 
 
-def sinr_dist_edge(
-    z1: MomentPair,
-    z2: MomentPair,
-    zeta_c1: float,
-    zeta_c2: float,
-    zeta_f1: float,
-    zeta_f2: float,
-    rho: float,
-    noise: float,
-) -> BetaPrimeParams:
+def sinr_dist_edge(z1: MomentPair, z2: MomentPair, zeta_c: float, zeta_f: float,
+                   rho: float, noise: float) -> BetaPrimeParams:
     """Law of the non-coherent JT-CoMP edge SINR gamma_f = V / (W + noise),
-    V = rho(zf1 Z1 + zf2 Z2) and W = rho(zc1 Z1 + zc2 Z2) for independent
-    Z1, Z2. noise = 1 is the SINR; noise = 0 is the interference-limited
-    high-SNR law V / W, whose scale does not depend on rho."""
-    def mix(c1: float, c2: float) -> MomentPair:
-        """Moments of rho (c1 Z1 + c2 Z2)."""
-        return MomentPair(rho * (c1 * z1.m1 + c2 * z2.m1), rho * rho * (
-            c1**2 * z1.m2 + 2.0 * c1 * c2 * z1.m1 * z2.m1 + c2**2 * z2.m2))
+    V = rho zeta_f (Z1 + Z2) and W = rho zeta_c (Z1 + Z2), Z1, Z2 independent.
+    noise = 1 is the SINR; noise = 0 is the interference-limited high-SNR
+    law V / W, whose scale does not depend on rho."""
+    def mix(c: float) -> MomentPair:
+        """Moments of rho (c Z1 + c Z2)."""
+        return MomentPair(rho * (c * z1.m1 + c * z2.m1), rho * rho * (
+            c**2 * z1.m2 + 2.0 * c * c * z1.m1 * z2.m1 + c**2 * z2.m2))
 
-    vg = gamma_from_moments(mix(zeta_f1, zeta_f2))
-    wg = gamma_from_moments(mix(zeta_c1, zeta_c2).shifted(noise))
+    vg = gamma_from_moments(mix(zeta_f))
+    wg = gamma_from_moments(mix(zeta_c).shifted(noise))
     return BetaPrimeParams(vg.k, wg.k, vg.theta / wg.theta)
 
 
@@ -245,14 +238,15 @@ def _er_breakpoints(a: float, b: float) -> list[float]:
     return [mu + c * sd for c in (-20.0, -5.0, -1.0, 0.0, 1.0, 5.0, 20.0)]
 
 
-def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
+def ergodic_rates(laws) -> list[float]:
     """E[log2(1 + X)] for X ~ each scaled Beta-prime law of `laws`, in order,
     by one lockstep adaptive quadrature whose nodes read their law's
     parameters from per-law arrays: a law's rate does not depend on the laws
-    beside it. Substituting x = scale * u/(1-u) maps the half line onto
-    (0, 1) with a Beta(a, b) weight, smooth away from the endpoints. An
-    overflow (of the integrand or of the breakpoints) or a missed tolerance
-    raises QuadratureError naming the law, with its index."""
+    beside it, and is held to 1e-8 relative. Substituting x = scale *
+    u/(1-u) maps the half line onto (0, 1) with a Beta(a, b) weight, smooth
+    away from the endpoints. An overflow (of the integrand or of the
+    breakpoints) or a missed tolerance raises QuadratureError naming the
+    law, with its index."""
     def named(j: int, why) -> QuadratureError:
         p = laws[j]
         return QuadratureError(f"ergodic rate of the Beta-prime law a={p.a!r}, b={p.b!r}, "
@@ -275,7 +269,7 @@ def ergodic_rates(laws, rtol: float = 1e-8) -> list[float]:
         return np.where((u <= 0.0) | (u >= 1.0) | (x <= 0.0) | np.isinf(x), 0.0, value)
 
     try:
-        return integrate(integrand, [(0.0, 1.0)] * len(laws), rtol=rtol, atol=1e-12,
+        return integrate(integrand, [(0.0, 1.0)] * len(laws), rtol=1e-8, atol=1e-12,
                          breakpoints=breakpoints).tolist()
     except QuadratureError as exc:
         raise named(exc.index, exc) from None

@@ -9,9 +9,10 @@ clip and sum, the per-array Adam step, the policy initialisation as one
 literal dict of arrays, the n-step advantage as a double loop, MO-PPO training and
 deterministic evaluation with their episodes run one at a time on these
 forms alone, the multicell engine drawing every
-element count's channels afresh and scoring every point on its own, and
-the exhaustive grid search over static aerial configurations that the
-trained policy is measured against.
+element count's channels afresh and scoring every point on its own, the
+exact OMA center outage of the multicell network under Rayleigh
+interference, and the exhaustive grid search over static aerial
+configurations that the trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
 in vectorized closed forms; these scalar versions state the definitions
@@ -990,3 +991,19 @@ def reference_simulate_network(scn: MultiCellScenario, points, n: int, seed: int
             noma.add(edge, c_own, c_cf)
             oma.add(edge_oma, c_oma)
     return [(noma.aggregates(n), oma.aggregates(n)) for noma, oma in sums]
+
+
+def exact_oma_center_outage(scn: MultiCellScenario) -> float:
+    """Exact OMA outage of each cell's center user, Pr(SINR < theta), which
+    the RIS does not enter. Under equal-time TDMA the rate is
+    0.5 log2(1 + SINR), so theta = 2^(r_center_min / 0.5) - 1. The own gain
+    X and the I - 1 cross gains Y_j are exponential (Rayleigh), of means
+    mu_X = gain(d_center, alpha_center) and mu_Y = gain(d_ici, alpha_ici),
+    and the user is out when X < theta (sum_j Y_j + sigma^2 / P):
+    p = 1 - exp(-theta sigma^2 / (P mu_X)) (1 + theta mu_Y / mu_X)^-(I - 1)
+    (Simon & Alouini, Digital Communication over Fading Channels, ch. 9)."""
+    theta = 2.0 ** (scn.r_center_min / 0.5) - 1.0
+    mu_x = scn.gain(scn.d_center, scn.alpha_center)
+    mu_y = scn.gain(scn.d_ici, scn.alpha_ici)
+    noise_term = math.exp(-theta * scn.noise_w / (scn.tx_power_w * mu_x))
+    return 1.0 - noise_term * (1.0 + theta * mu_y / mu_x) ** -(scn.n_cells - 1)

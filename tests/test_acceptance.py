@@ -81,7 +81,7 @@ def test_criterion_1_distribution_fit_ks():
     for coupling in ("fitted", "physical"):
         batch = run_trials(FIG32, 10_000, seed=1, coupling=coupling).batch(FIG32)
         for kind, dist in analytic.items():
-            d, passed, crit = ks_statistic(batch.sinr[kind], dist.cdf)
+            d, passed, crit = ks_statistic(batch[kind], dist.cdf)
             _report(f"1 KS {coupling} {kind}", passed, f"D={d:.4f} < {crit:.4f}")
             if coupling == "fitted":
                 ok = ok and passed
@@ -109,7 +109,7 @@ def test_criterion_2_ergodic_rate_consistency():
     m2 = NakagamiParams(2.0, 1.0)
     z = effective_power_moments(unit, 34, 0.5, m2, m2)
     exact, approx = ergodic_rates(
-        [sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)])
+        [sinr_dist_edge(z, z, 0.3, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)])
     gap = abs(exact - approx)
     ok = _report("2 high-SNR rho=1e6", gap < 0.05, f"|gap|={gap:.4f}") and ok
     assert ok

@@ -11,6 +11,7 @@ from oracles import (
     ec_phases,
     effective_channel,
     eo_phases,
+    exact_oma_center_outage,
     reference_simulate_network,
     sample_rayleigh,
 )
@@ -150,6 +151,17 @@ def test_split_applies_to_non_cooperative_cells():
     ici_ec = p * (g_ec[:, 1] + g_ec[:, 2])
     assert not np.allclose(edge, zf * p * g[:, 0] / ((1 - zf) * p * g[:, 0] + ici_ec + s2),
                            rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("k", [0, 8])
+def test_oma_center_outage_matches_the_exact_law(k):
+    # Every cell's center outage against the closed form, in binomial SE
+    # units of the exact p; a breach is a finding about the engine.
+    scn, n = replace(SCN, k_elements=k), 40_000
+    p = exact_oma_center_outage(scn)
+    got = simulate_network(scn, [(scn, "ec", None)], n=n, seed=3)[0][1].center_outage
+    z = (got - p) / math.sqrt(p * (1.0 - p) / n)
+    assert np.all(np.abs(z) <= 4.5), (p, got.tolist(), z.tolist())
 
 
 def test_simulate_network_deterministic():

@@ -69,7 +69,7 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     for coupling in ("fitted", "physical"):
         batch = run_trials(scn, 1200, 4, coupling=coupling).batch(scn)
         for kind, law in laws.items():
-            d, ok, crit = ks_statistic(batch.sinr[kind], law.cdf)
+            d, ok, crit = ks_statistic(batch[kind], law.cdf)
             want.append([coupling, kind, "1200", f"{d:.17g}", f"{crit:.17g}", str(int(ok))])
     assert rows == want
     # Each coupling lists every sampled SINR with a law once, in the order

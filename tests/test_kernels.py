@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import reference_edge_gains
-from riscomp import kernels
+from riscomp import kernels, montecarlo
 from riscomp.channel import substream
 from riscomp.energy import _BLOCK
 
@@ -14,7 +14,7 @@ def _coordinated_case(n=257):
     z = rng.gamma(1.5, 1.0, (kernels.N_Z_ROWS, 3, n))
     x = rng.gamma(1.0, 1.0, (kernels.N_X_ROWS, n))
     amp = rng.uniform(0.0, 30.0, kernels.N_Z_ROWS)
-    return (z, x, amp, 0.3, 0.3, 0.7, 123.4)
+    return (z, x, amp, 0.3, 0.7, 123.4)
 
 
 def _multicell_case(n=101, cells=4, k=7):
@@ -23,10 +23,7 @@ def _multicell_case(n=101, cells=4, k=7):
     casc = rng.standard_normal((2, n, cells, k)) * 0.1
     phi = rng.uniform(-np.pi, np.pi, (n, cells, k))
     cg = rng.gamma(1.0, 1.0, (n, cells, cells))
-    coop = np.array([1, 1, 0, 0], dtype=np.uint8)
-    mode = np.array([2, 2, 3, 1], dtype=np.uint8)
-    return (ed[0], ed[1], casc[0], casc[1], np.cos(phi), np.sin(phi), cg,
-            coop, mode, 0.7, 1e-3, 4e-14)
+    return (ed[0], ed[1], casc[0], casc[1], np.cos(phi), np.sin(phi), cg, 0.7, 1e-3, 4e-14)
 
 
 def test_coordinated_z_matches_direct_formula():
@@ -40,29 +37,37 @@ def test_coordinated_z_matches_direct_formula():
 
 def test_coordinated_matches_direct_formula():
     # The SINR half, fed the combined rows of the direct formula.
-    z_pow, x, amp, zc1, zc2, zf, rho = _coordinated_case(64)
+    z_pow, x, amp, zc, zf, rho = _coordinated_case(64)
     zz = (np.sqrt(z_pow[:, 0]) + amp[:, None] * np.sqrt(z_pow[:, 1]) * np.sqrt(z_pow[:, 2])) ** 2
-    out = kernels.coordinated_sinr(zz, x, zc1, zc2, zf, rho)
+    out = kernels.coordinated_sinr(zz, x, zc, zf, rho)
     expect = {
-        kernels.OUT_CF1: (rho * zf * zz[kernels.Z_CF1_S]) / (
-            rho * zc1 * zz[kernels.Z_CF1_I] + rho * x[kernels.X_CF1] + 1.0),
-        kernels.OUT_C1: rho * zc1 * zz[kernels.Z_C1_S] / (rho * x[kernels.X_C1] + 1.0),
-        kernels.OUT_CF2: (rho * zf * zz[kernels.Z_CF2_S]) / (
-            rho * zc2 * zz[kernels.Z_CF2_I] + rho * x[kernels.X_CF2] + 1.0),
-        kernels.OUT_C2: rho * zc2 * zz[kernels.Z_C2_S] / (rho * x[kernels.X_C2] + 1.0),
-        kernels.OUT_F: (rho * zf * (zz[kernels.Z_F1_V] + zz[kernels.Z_F2_V])) / (
-            rho * zc1 * zz[kernels.Z_F1_W] + rho * zc2 * zz[kernels.Z_F2_W] + 1.0),
-        kernels.OUT_F_NC: (rho * zf * zz[kernels.Z_NC1_V]) / (
-            rho * zc1 * zz[kernels.Z_NC1_W] + rho * zz[kernels.Z_NC2_W] + 1.0),
+        "center1_sic": (rho * zf * zz[kernels.Z_CF1_S]) / (
+            rho * zc * zz[kernels.Z_CF1_I] + rho * x[kernels.X_CF1] + 1.0),
+        "center1_own": rho * zc * zz[kernels.Z_C1_S] / (rho * x[kernels.X_C1] + 1.0),
+        "center2_sic": (rho * zf * zz[kernels.Z_CF2_S]) / (
+            rho * zc * zz[kernels.Z_CF2_I] + rho * x[kernels.X_CF2] + 1.0),
+        "center2_own": rho * zc * zz[kernels.Z_C2_S] / (rho * x[kernels.X_C2] + 1.0),
+        "edge": (rho * zf * (zz[kernels.Z_F1_V] + zz[kernels.Z_F2_V])) / (
+            rho * zc * zz[kernels.Z_F1_W] + rho * zc * zz[kernels.Z_F2_W] + 1.0),
+        "edge_nocomp": (rho * zf * zz[kernels.Z_NC1_V]) / (
+            rho * zc * zz[kernels.Z_NC1_W] + rho * zz[kernels.Z_NC2_W] + 1.0),
     }
-    assert sorted(expect) == list(range(kernels.N_OUT_ROWS))
-    for row, e in expect.items():
-        assert np.allclose(out[row], e, rtol=1e-14), row
+    assert sorted(expect) == sorted(out)
+    for kind, e in expect.items():
+        assert np.allclose(out[kind], e, rtol=1e-14), kind
+
+
+def test_coordinated_sinr_keys_are_the_sinr_kinds_in_order():
+    z_pow, x, amp, zc, zf, rho = _coordinated_case(8)
+    out = kernels.coordinated_sinr(kernels.coordinated_z(z_pow, amp), x, zc, zf, rho)
+    assert tuple(out) == kernels.SINR_KINDS
+    assert montecarlo.SINR_KINDS is kernels.SINR_KINDS
+    assert all(v.shape == (8,) for v in out.values())
 
 
 def test_multicell_matches_reference():
     args = _multicell_case(16, 3, 4)
-    ed_re, ed_im, c_re, c_im, r_re, r_im, cg, coop, mode, zf, p, s2 = args
+    ed_re, ed_im, c_re, c_im, r_re, r_im, cg, zf, p, s2 = args
     n, cells, k = c_re.shape
     # Enhancement, cancellation and random phases: the anti-phased counts 0
     # and K, and "random".

@@ -7,7 +7,6 @@ import pytest
 from riscomp.channel import substream
 from riscomp.montecarlo import (
     SINR_KINDS,
-    TrialBatch,
     estimate_ergodic_rate,
     estimate_outage,
     ks_statistic,
@@ -19,17 +18,18 @@ from riscomp.stats import GammaParams
 SCN = CoordinatedScenario(p_t_dbm=-20.0)
 
 
-def _synthetic_batch(arrays: dict) -> TrialBatch:
+def _synthetic_batch(arrays: dict) -> dict:
     n = len(next(iter(arrays.values())))
-    full = {k: np.asarray(arrays.get(k, np.ones(n)), dtype=float) for k in SINR_KINDS}
-    return TrialBatch(sinr=full, n_trials=n)
+    return {k: np.asarray(arrays.get(k, np.ones(n)), dtype=float) for k in SINR_KINDS}
 
 
 def test_empty_batch():
     batch = run_trials(SCN, 0, seed=1).batch(SCN)
-    assert batch.n_trials == 0
+    assert [v.shape for v in batch.values()] == [(0,)] * len(SINR_KINDS)
     with pytest.raises(ValueError):
         estimate_ergodic_rate(batch)
+    with pytest.raises(ValueError):
+        estimate_outage(batch, SCN)
 
 
 def test_determinism_both_couplings():
@@ -37,7 +37,7 @@ def test_determinism_both_couplings():
         a = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
         b = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
         for kind in SINR_KINDS:
-            assert np.array_equal(a.sinr[kind], b.sinr[kind]), (coupling, kind)
+            assert np.array_equal(a[kind], b[kind]), (coupling, kind)
 
 
 def test_chunking_invariance():
@@ -45,7 +45,7 @@ def test_chunking_invariance():
     a = run_trials(SCN, 5000, seed=9).batch(SCN)
     b = run_trials(SCN, 4096, seed=9).batch(SCN)
     for kind in SINR_KINDS:
-        assert np.array_equal(a.sinr[kind][:4096], b.sinr[kind])
+        assert np.array_equal(a[kind][:4096], b[kind])
 
 
 def test_vanishing_power_means_outage_everywhere():
@@ -54,7 +54,7 @@ def test_vanishing_power_means_outage_everywhere():
     scn = replace(SCN, p_t_dbm=-200.0)
     batch = run_trials(scn, 500, seed=5).batch(scn)
     for kind in SINR_KINDS:
-        assert np.all(batch.sinr[kind] < 1e-9)
+        assert np.all(batch[kind] < 1e-9)
     outage = estimate_outage(batch, scn)
     assert all(v == 1.0 for v in outage.values())
 
@@ -153,6 +153,7 @@ def test_estimate_outage_binomial():
 def test_estimate_ergodic_rate_constant():
     batch = _synthetic_batch({k: np.ones(64) for k in SINR_KINDS})
     er = estimate_ergodic_rate(batch)
+    assert list(er) == ["center1", "center2", "edge"]
     assert er["center1"] == 1.0
     assert er["edge"] == 1.0
 
@@ -195,7 +196,7 @@ def test_draws_do_not_depend_on_power_or_allocation(coupling):
         scored = draws.batch(other)
         direct = run_trials(other, 5000, seed=4, coupling=coupling).batch(other)
         for kind in SINR_KINDS:
-            assert np.array_equal(scored.sinr[kind], direct.sinr[kind]), (coupling, kind)
+            assert np.array_equal(scored[kind], direct[kind]), (coupling, kind)
 
 
 @pytest.mark.parametrize("changes", [

@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import LinkBudget, NomaPair, sinr_edge_comp
-from riscomp.montecarlo import SINR_KINDS, TrialBatch, estimate_outage
+from riscomp.montecarlo import SINR_KINDS, estimate_outage
 from riscomp.scenarios import CoordinatedScenario
 
 PAIR = NomaPair(zeta_center=0.3, zeta_edge=0.7, tx_power=1.0)
 SCN = CoordinatedScenario()  # 0 dB thresholds: both SINR thresholds = 1
 
 
-def _batch(**sinr) -> TrialBatch:
+def _batch(**sinr) -> dict:
     """One-trial batch: the given SINRs, every other kind at 1.0."""
-    full = {k: np.array([float(sinr.get(k, 1.0))]) for k in SINR_KINDS}
-    return TrialBatch(sinr=full, n_trials=1)
+    return {k: np.array([float(sinr.get(k, 1.0))]) for k in SINR_KINDS}
 
 
 def test_pair_validation():

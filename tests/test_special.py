@@ -89,7 +89,7 @@ def _fig32_laws_and_points():
     for coupling in ("fitted", "physical"):
         batch = run_trials(scn, 2000, run.config.seed, coupling=coupling).batch(scn)
         for p, kind in laws:
-            s = np.sort(batch.sinr[kind])
+            s = np.sort(batch[kind])
             points.append((p, s / (s + p.scale)))
     return points
 

@@ -160,6 +160,12 @@ def test_stacked_cdf_equals_per_law_cdf():
         stacked_cdf(laws, x[:2])
 
 
+def test_stacked_cdf_of_zero_laws_is_empty():
+    # The parameter columns are (L, 1) for every L, L = 0 included.
+    for n in (0, 1, 3):
+        assert stacked_cdf([], np.empty((0, n))).shape == (0, n)
+
+
 def test_ergodic_rate_degenerate_concentration():
     # k -> inf limit with matched mean gamma_0: ER -> log2(1 + gamma_0).
     for gamma0 in (0.5, 2.0, 11.0):
@@ -188,23 +194,23 @@ def test_ergodic_rate_vs_mc_sampling():
 def test_ergodic_rate_symmetry_under_bs_swap():
     z1 = effective_power_moments(UNIT, 8, 0.5, M2, M2)
     z2 = effective_power_moments(NakagamiParams(1.0, 2.0), 8, 0.5, M2, M2)
-    a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
-    b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 100.0, noise=1.0)
+    a = sinr_dist_edge(z1, z2, 0.3, 0.7, 100.0, noise=1.0)
+    b = sinr_dist_edge(z2, z1, 0.3, 0.7, 100.0, noise=1.0)
     assert _rate(a) == pytest.approx(_rate(b), rel=1e-12)
 
 
 def test_high_snr_agreement_at_rho_1e6():
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
     rho = 1e6
-    exact = _rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=1.0))
-    approx = _rate(sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, rho, noise=0.0))
+    exact = _rate(sinr_dist_edge(z, z, 0.3, 0.7, rho, noise=1.0))
+    approx = _rate(sinr_dist_edge(z, z, 0.3, 0.7, rho, noise=0.0))
     assert abs(exact - approx) < 0.05
 
 
 def test_high_snr_scale_cancellation():
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
-    a = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e4, noise=0.0)
-    b = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e7, noise=0.0)
+    a = sinr_dist_edge(z, z, 0.3, 0.7, 1e4, noise=0.0)
+    b = sinr_dist_edge(z, z, 0.3, 0.7, 1e7, noise=0.0)
     assert a.scale == pytest.approx(b.scale, rel=1e-12)
     assert _rate(a) == pytest.approx(_rate(b), rel=1e-10)
 
@@ -214,7 +220,7 @@ def test_high_snr_saturation_with_concentrated_fits():
     # value approaches log2(1 + zeta_f / zeta_c).
     conc = NakagamiParams(50.0, 1.0)
     z = effective_power_moments(conc, 0, 0.0, M2, M2)
-    p = sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e9, noise=0.0)
+    p = sinr_dist_edge(z, z, 0.3, 0.7, 1e9, noise=0.0)
     assert _rate(p) == pytest.approx(math.log2(1 + 0.7 / 0.3), abs=0.05)
 
 
@@ -231,7 +237,7 @@ def _run_laws() -> tuple[BetaPrimeParams, ...]:
             CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17)))
         laws += [fit.laws[kind] for kind in USER_SINR.values()]
     z = effective_power_moments(UNIT, 34, 0.5, M2, M2)
-    laws += [sinr_dist_edge(z, z, 0.3, 0.3, 0.7, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)]
+    laws += [sinr_dist_edge(z, z, 0.3, 0.7, 1e6, noise=noise) for noise in (1.0, 0.0)]
     return tuple(laws)
 
 
@@ -352,8 +358,8 @@ def test_sinr_dist_edge_symmetric():
     z1 = MomentPair(1.0, 2.5)
     z2 = MomentPair(2.0, 9.0)
     for noise in (1.0, 0.0):
-        a = sinr_dist_edge(z1, z2, 0.3, 0.3, 0.7, 0.7, 10.0, noise)
-        b = sinr_dist_edge(z2, z1, 0.3, 0.3, 0.7, 0.7, 10.0, noise)
+        a = sinr_dist_edge(z1, z2, 0.3, 0.7, 10.0, noise)
+        b = sinr_dist_edge(z2, z1, 0.3, 0.7, 10.0, noise)
         assert (b.a, b.b, b.scale) == (
             pytest.approx(a.a), pytest.approx(a.b), pytest.approx(a.scale))
 
