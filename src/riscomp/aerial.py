@@ -186,7 +186,8 @@ class ArisEnv:
                    for d in (uav - p for p in points)]
             aoa = wrap_phase([math.atan2(p[1] - uav[1], p[0] - uav[0]) for p in points])
             los = np.exp(1j * np.arange(scn.k_elements) * np.pi * np.sin(aoa)[:, None])
-            record = _Position(np.array([scn.obstacle_dists(xy)]), scn.clear(xy),
+            dists = scn.obstacle_dists(xy)
+            record = _Position(np.array([dists]), scn.clear(xy, dists),
                                np.array(amp)[None, :, None], self._w_los * los[None])
             for array in (record.dists, record.amp, record.los):
                 array.flags.writeable = False

@@ -3,7 +3,9 @@
 Substreams derived from one master seed keep every downstream experiment
 reproducible. The engines draw their own fading: `montecarlo` Nakagami
 powers, `energy` the multicell Rayleigh/Rician channels, `aerial` the UAV
-links.
+links. Engines are imported by the code that runs them, and numpy.random
+with them: this module names `np.random.Generator` only in an annotation,
+so validating a config loads no generator code.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class NakagamiParams:
             raise ValueError("Nakagami spread omega must be positive")
 
 
-def substream(master_seed: int, *key: int) -> Generator:
+def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived from (master seed, key...).
 
     The spawn key is the documented counter scheme: equal (seed, key) tuples

@@ -18,6 +18,11 @@ defaults (`_KINDS`, the one place they are written) applied, or refuses it
 naming every violation by its key. The plan carries the frozen config, and
 for a coordinated run the closed-form SINR laws of every point, fitted
 once; the runners read the plan and nothing else.
+
+Engines are imported by the code that runs them: this module imports none
+at load, and each kind's check imports the one engine helper it reads, so
+validating a config loads only its own family's engine. `TrainConfig`, the
+parsed `train.*` section, lives here for that reason; `moppo` reads it.
 """
 
 from __future__ import annotations
@@ -28,13 +33,8 @@ from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, get_type_hints
+from typing import TYPE_CHECKING, Mapping, get_type_hints
 
-from .aerial import slot_normals
-from .analysis import CoordinatedDistributions, coordinated_distributions
-from .energy import chunk_bytes
-from .moppo import TrainConfig, policy_bytes
-from .montecarlo import KS_MIN_SAMPLES
 from .scenarios import (
     COOP_RANGE,
     NOT_FINITE,
@@ -44,6 +44,9 @@ from .scenarios import (
     tiny_aerial_scenario,
 )
 from .units import db_to_linear, dbm_to_watts
+
+if TYPE_CHECKING:
+    from .analysis import CoordinatedDistributions
 
 
 def _schema(cls: type, names: tuple[str, ...], **pseudo: type) -> dict[str, type]:
@@ -75,6 +78,40 @@ _AERIAL_KEYS = _schema(
      "step_length", "k_viol", "r_center_min", "r_edge_min", "default_alloc", "oma"),
     tiny=bool, uav_start_x=float, uav_start_y=float,
 )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """PPO hyperparameters (defaults follow the full-scale training setup)."""
+
+    learning_rate: float = 2.75e-4
+    clip_eps: float = 0.1
+    gamma: float = 0.98
+    episodes: int = 750
+    epochs: int = 20
+    batch: int = 128
+    rollout: int = 128  # n-step advantage horizon
+    hidden: int = 64
+    head_hidden: int = 64
+    value_coef: float = 0.5
+    entropy_coef: float = 0.01
+    log_std_init: float = -0.5
+    normalize_adv: bool = True
+    episodes_per_update: int = 1
+    kl_stop: float = 0.05
+    entropy_decay: bool = False
+
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError("learning rate must be > 0")
+        if not 0 < self.clip_eps < 1:
+            raise ValueError("clip epsilon must lie in (0, 1)")
+        if not 0 < self.gamma <= 1:
+            raise ValueError("discount must lie in (0, 1]")
+        if min(self.episodes, self.epochs, self.batch, self.rollout, self.hidden,
+               self.head_hidden, self.episodes_per_update) < 1:
+            raise ValueError("counts must be >= 1")
+
 
 _TRAIN_KEYS = _schema(
     TrainConfig,
@@ -473,6 +510,7 @@ def _chunk_errors(run: Plan) -> list[str]:
     _MEMORY_BUDGET, named by its key: scenario.n_cells when the cells alone
     exceed it, else every element count a point runs at that does. The size
     is computed, never allocated."""
+    from .energy import chunk_bytes
     n_cells, n = run.scenario.n_cells, run.trials
     splits = len({split for sweep in run.sweeps for split in sweep.get("splits", ())})
     cells = chunk_bytes(n_cells, 0, n, splits)
@@ -493,6 +531,8 @@ def _aerial_errors(run: Plan) -> list[str]:
     and, for drl-train, one round's raw actions and sampling noise, two
     arrays of E T (K + n_bs) floats. The sizes are computed, never
     allocated."""
+    from .aerial import slot_normals
+    from .moppo import policy_bytes
     scn, tc, episodes = run.scenario, run.train, run.episodes
     errors = []
     normals = 8 * slot_normals(scn, episodes)
@@ -518,6 +558,7 @@ def _fits(run: Plan, errors: list[str]) -> tuple[CoordinatedDistributions, ...]:
     in run order: at each beta_t of an exhaustive-star, and at each power
     otherwise (pdf-validation's one, the scenario's). A point whose fit
     fails is named in errors by the config key that sets it."""
+    from .analysis import coordinated_distributions
     k, [points] = run.scenario.k_elements, run.points
     # K enters every fit through the cascade moments, up to (K sqrt(beta))^4
     # (stats.cascade_moment), which no power changes: a K at which that
@@ -551,7 +592,9 @@ def validate(cfg: ExperimentConfig) -> Plan:
     if errors:
         raise _refused(errors)
     # pdf-validation runs a KS test on each SINR sample of `trials` draws.
-    least = KS_MIN_SAMPLES if cfg.kind == "pdf-validation" else 1
+    least = 1
+    if cfg.kind == "pdf-validation":
+        from .montecarlo import KS_MIN_SAMPLES as least
     if cfg.trials is not None and cfg.trials < least:
         errors.append(f"trials must be >= {least}, got {cfg.trials}")
     if cfg.seed < 0:

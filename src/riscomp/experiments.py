@@ -6,6 +6,10 @@ a coordinated run's fitted laws) to its outputs, an ordered mapping from
 file name to content; it builds no scenario and writes nothing.
 `run_experiment` alone touches the disk: once the runner has returned it
 writes every output and a manifest that reproduces the run byte-for-byte.
+
+Engines are imported by the code that runs them: each runner imports its
+own engine when called, so a process loads only the engine of the kind it
+runs, and this module (with `config`) loads none.
 """
 
 from __future__ import annotations
@@ -16,20 +20,18 @@ import os
 from functools import partial
 from itertools import product
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .analysis import analytic_ergodic_rates, analytic_outages
 from .config import ConfigError, ExperimentConfig, Plan, dump_config
-from .energy import MODES, energy_efficiency, simulate_network
-from .montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
-                         ks_statistic, run_trials)
-from .moppo import PolicyParams, check_checkpoint, evaluate, load_params, save_params, train
-from .stats import stacked_cdf
+
+if TYPE_CHECKING:
+    from .moppo import PolicyParams
 
 # File name -> content: a CSV (header, rows) or a policy checkpoint.
-Outputs = dict[str, tuple[list[str], list[tuple]] | PolicyParams]
+Outputs = dict[str, "tuple[list[str], list[tuple]] | PolicyParams"]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -58,6 +60,8 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
+    from .montecarlo import SINR_KINDS, ks_statistic, run_trials
+    from .stats import stacked_cdf
     [fit] = run.fits
     scn, n = fit.scenario, run.trials
     # Each sampled SINR's law, in the sample kinds' order.
@@ -76,6 +80,8 @@ def _run_pdf_validation(run: Plan) -> Outputs:
 
 
 def _run_er_sweep(run: Plan) -> Outputs:
+    from .analysis import analytic_ergodic_rates
+    from .montecarlo import USER_SINR, estimate_ergodic_rate, run_trials
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     ers = analytic_ergodic_rates(run.fits, {**USER_SINR, "edge_high_snr": "edge_high_snr"})
     rows = []
@@ -91,6 +97,8 @@ def _run_er_sweep(run: Plan) -> Outputs:
 
 
 def _run_outage_sweep(run: Plan) -> Outputs:
+    from .analysis import analytic_outages
+    from .montecarlo import USER_SINR, estimate_outage, run_trials
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
     for fit, closed in zip(run.fits, analytic_outages(run.fits)):
@@ -104,6 +112,8 @@ def _run_outage_sweep(run: Plan) -> Outputs:
 
 
 def _run_exhaustive_star(run: Plan) -> Outputs:
+    from .analysis import analytic_ergodic_rates
+    from .montecarlo import USER_SINR
     k = run.scenario.k_elements
     # `analysis` does not read the assignment: the rates depend on beta_t only.
     # Only the users' own rates are written, so only their laws are integrated.
@@ -120,6 +130,7 @@ _EE_AXES = {"j_values": "J", "k_values": "K", "p_t_dbm": "P_t", "r_th_values": "
 
 
 def _run_ee_sweep(run: Plan) -> Outputs:
+    from .energy import MODES, energy_efficiency, simulate_network
     # Every sweep's points in every mode; the whole run is one
     # simulate_network call, so every chunk is drawn once. zip reads MODES
     # first, so each zip(MODES, aggs) takes one point's modes.
@@ -144,6 +155,7 @@ def _run_ee_sweep(run: Plan) -> Outputs:
 
 
 def _run_osum_sweep(run: Plan) -> Outputs:
+    from .energy import MODES, simulate_network
     [points] = run.points
     aggs = iter(simulate_network(run.scenario, [(scn, mode, None) for scn, _, _ in points
                                                 for mode in MODES], run.trials, run.config.seed))
@@ -157,6 +169,7 @@ def _run_osum_sweep(run: Plan) -> Outputs:
 
 
 def _run_split_sweep(run: Plan) -> Outputs:
+    from .energy import simulate_network
     [sweep], [points] = run.sweeps, run.points
     keys = [(scn, j, split) for scn, [j], _ in points for split in sweep["splits"]]
     aggs = simulate_network(run.scenario, [(scn, "ec", split) for scn, _, split in keys],
@@ -166,6 +179,7 @@ def _run_split_sweep(run: Plan) -> Outputs:
 
 
 def _run_drl_train(run: Plan) -> Outputs:
+    from .moppo import train
     result = train(run.scenario, run.train, seed=run.config.seed)
     ma = result.moving_average(100)
     offset = len(result.rewards) - len(ma)
@@ -176,6 +190,7 @@ def _run_drl_train(run: Plan) -> Outputs:
 
 
 def _run_drl_eval(run: Plan) -> Outputs:
+    from .moppo import check_checkpoint, evaluate, load_params
     scn = run.scenario
     params = load_params(run.config.checkpoint)
     check_checkpoint(params, scn, run.train, run.config.checkpoint)
@@ -210,9 +225,10 @@ def run_experiment(run: Plan) -> list[Path]:
 
     The runner of the plan's kind maps the plan to every output, in memory.
     Only once it has returned is the config's `out` created and each output
-    written, in the runner's order, followed by manifest.cfg, the config's
-    dump; running the manifest reproduces the outputs byte-for-byte. A run
-    that fails therefore creates and writes nothing. An I/O error while
+    written, in the runner's order (a tuple as a CSV, a checkpoint by
+    `moppo.save_params`), followed by manifest.cfg, the config's dump;
+    running the manifest reproduces the outputs byte-for-byte. A run that
+    fails therefore creates and writes nothing. An I/O error while
     writing (a full disk, `out` naming a file) can still leave the outputs
     written before it.
     """
@@ -222,10 +238,11 @@ def run_experiment(run: Plan) -> list[Path]:
     paths = []
     for name, content in outputs.items():
         path = outdir / name
-        if isinstance(content, PolicyParams):
-            save_params(path, content)
-        else:
+        if isinstance(content, tuple):
             _write_csv(path, *content)
+        else:  # a policy checkpoint
+            from .moppo import save_params
+            save_params(path, content)
         paths.append(path)
     return [_manifest(run.config, outdir), *paths]
 

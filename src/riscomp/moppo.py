@@ -38,6 +38,7 @@ import numpy as np
 
 from .aerial import MOVES, ArisEnv, MdpAction
 from .channel import substream
+from .config import TrainConfig
 from .scenarios import AerialScenario
 
 _STREAM_AGENT = 601
@@ -50,39 +51,6 @@ _P_ATOL = math.sqrt(np.finfo(float).eps)  # rng.choice's tolerance on sum(p)
 
 CHECKPOINT_MAGIC = b"RCPPO1\n"
 CHECKPOINT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """PPO hyperparameters (defaults follow the full-scale training setup)."""
-
-    learning_rate: float = 2.75e-4
-    clip_eps: float = 0.1
-    gamma: float = 0.98
-    episodes: int = 750
-    epochs: int = 20
-    batch: int = 128
-    rollout: int = 128  # n-step advantage horizon
-    hidden: int = 64
-    head_hidden: int = 64
-    value_coef: float = 0.5
-    entropy_coef: float = 0.01
-    log_std_init: float = -0.5
-    normalize_adv: bool = True
-    episodes_per_update: int = 1
-    kl_stop: float = 0.05
-    entropy_decay: bool = False
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be > 0")
-        if not 0 < self.clip_eps < 1:
-            raise ValueError("clip epsilon must lie in (0, 1)")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("discount must lie in (0, 1]")
-        if min(self.episodes, self.epochs, self.batch, self.rollout, self.hidden,
-               self.head_hidden, self.episodes_per_update) < 1:
-            raise ValueError("counts must be >= 1")
 
 
 def _layout(state_dim: int, n_cont: int, hidden: int, head_hidden: int) -> dict:

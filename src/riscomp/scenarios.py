@@ -316,10 +316,13 @@ class AerialScenario(LinkBudget, RicianLinks):
         return [math.sqrt(d.dot(d)) for d in
                 (xy - np.asarray(o[:2], dtype=float) for o in self.obstacle_positions)]
 
-    def clear(self, xy) -> bool:
+    def clear(self, xy, dists=None) -> bool:
         """Whether the UAV may be at xy: inside the area and at least d_min
-        from every obstacle. ArisEnv cancels a move to a position not clear."""
-        return self.inside(xy) and all(d >= self.d_min for d in self.obstacle_dists(xy))
+        from every obstacle, at the distances `dists` where the caller has
+        measured them (obstacle_dists(xy)). ArisEnv cancels a move to a
+        position not clear."""
+        return self.inside(xy) and all(
+            d >= self.d_min for d in (self.obstacle_dists(xy) if dists is None else dists))
 
     @property
     def n_bs(self) -> int:

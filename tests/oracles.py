@@ -1002,8 +1002,30 @@ def exact_oma_center_outage(scn: MultiCellScenario) -> float:
     and the user is out when X < theta (sum_j Y_j + sigma^2 / P):
     p = 1 - exp(-theta sigma^2 / (P mu_X)) (1 + theta mu_Y / mu_X)^-(I - 1)
     (Simon & Alouini, Digital Communication over Fading Channels, ch. 9)."""
-    theta = 2.0 ** (scn.r_center_min / 0.5) - 1.0
+    return _center_outage(scn, 2.0 ** (scn.r_center_min / 0.5) - 1.0)
+
+
+def exact_noma_noncoop_center_outage(scn: MultiCellScenario) -> float:
+    """Exact NOMA outage of a non-cooperative cell's center user, whose
+    slot is whole (share 1), so each target r_min sets t = 2^r_min - 1.
+    With zeta = zeta_edge and X, Y_j as in `exact_oma_center_outage`, its
+    own message, SINR (1 - zeta) X / (sum_j Y_j + sigma^2 / P), fails when
+    X < c1 (sum_j Y_j + sigma^2 / P) with c1 = t_c / (1 - zeta); its SIC
+    stage, SINR zeta X / ((1 - zeta) X + sum_j Y_j + sigma^2 / P), fails
+    when X < c2 (...) with c2 = t_f / (zeta - t_f (1 - zeta)), and always
+    when zeta <= t_f (1 - zeta). The user is out when either fails, the
+    OMA law's event at the larger factor: p = that law at max(c1, c2)."""
+    zeta = scn.zeta_edge
+    t_c, t_f = 2.0 ** scn.r_center_min - 1.0, 2.0 ** scn.r_edge_min - 1.0
+    sic_margin = zeta - t_f * (1.0 - zeta)
+    c2 = t_f / sic_margin if sic_margin > 0 else math.inf
+    return _center_outage(scn, max(t_c / (1.0 - zeta), c2))
+
+
+def _center_outage(scn: MultiCellScenario, c: float) -> float:
+    """Pr(X < c (sum_j Y_j + sigma^2 / P)) for a center user's exponential
+    own gain X and its I - 1 exponential cross gains Y_j; 1 at c = inf."""
     mu_x = scn.gain(scn.d_center, scn.alpha_center)
     mu_y = scn.gain(scn.d_ici, scn.alpha_ici)
-    noise_term = math.exp(-theta * scn.noise_w / (scn.tx_power_w * mu_x))
-    return 1.0 - noise_term * (1.0 + theta * mu_y / mu_x) ** -(scn.n_cells - 1)
+    noise_term = math.exp(-c * scn.noise_w / (scn.tx_power_w * mu_x))
+    return 1.0 - noise_term * (1.0 + c * mu_y / mu_x) ** -(scn.n_cells - 1)

@@ -20,7 +20,7 @@ from riscomp.config import (
     parse_text,
 )
 from riscomp.montecarlo import KS_MIN_SAMPLES
-from riscomp.moppo import TrainConfig
+from riscomp.config import TrainConfig
 from riscomp.quadrature import QuadratureError
 from riscomp.scenarios import (
     AerialScenario,

@@ -11,6 +11,7 @@ from oracles import (
     ec_phases,
     effective_channel,
     eo_phases,
+    exact_noma_noncoop_center_outage,
     exact_oma_center_outage,
     reference_simulate_network,
     sample_rayleigh,
@@ -155,13 +156,27 @@ def test_split_applies_to_non_cooperative_cells():
 
 @pytest.mark.parametrize("k", [0, 8])
 def test_oma_center_outage_matches_the_exact_law(k):
-    # Every cell's center outage against the closed form, in binomial SE
-    # units of the exact p; a breach is a finding about the engine.
+    # Every cell's OMA center outage, and each non-cooperative cell's NOMA
+    # one, against the closed forms, in binomial SE units of the exact p; a
+    # breach is a finding about the engine. The NOMA outage is checked where
+    # the own message binds (the default targets), where the SIC stage does
+    # (r_edge_min = 1.5) and where the SIC stage always fails (r_edge_min =
+    # 2: zeta <= t_f (1 - zeta)), all on the same draws.
     scn, n = replace(SCN, k_elements=k), 40_000
+    scns = [replace(scn, r_edge_min=r) for r in (0.5, 1.5, 2.0)]
+    aggs = simulate_network(scn, [(s, "ec", None) for s in scns], n=n, seed=3)
     p = exact_oma_center_outage(scn)
-    got = simulate_network(scn, [(scn, "ec", None)], n=n, seed=3)[0][1].center_outage
+    got = aggs[0][1].center_outage
     z = (got - p) / math.sqrt(p * (1.0 - p) / n)
     assert np.all(np.abs(z) <= 4.5), (p, got.tolist(), z.tolist())
+    for s, (noma, _) in zip(scns, aggs):
+        p = exact_noma_noncoop_center_outage(s)
+        got = noma.center_outage[s.n_coop:]
+        if p == 1.0:
+            assert np.all(got == 1.0), got.tolist()
+            continue
+        z = (got - p) / math.sqrt(p * (1.0 - p) / n)
+        assert np.all(np.abs(z) <= 4.5), (s.r_edge_min, p, got.tolist(), z.tolist())
 
 
 def test_simulate_network_deterministic():

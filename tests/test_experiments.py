@@ -353,7 +353,7 @@ def test_drl_eval_rejects_checkpoint_of_other_width(tmp_path, monkeypatch, capsy
     def never(*args, **kwargs):
         raise AssertionError("evaluate must not run on a mismatched checkpoint")
 
-    monkeypatch.setattr(experiments, "evaluate", never)
+    monkeypatch.setattr("riscomp.moppo.evaluate", never)
     path = tmp_path / "eval.cfg"
     path.write_text(
         f"kind = drl-eval\ncheckpoint = {ckpt}\nout = {tmp_path / 'eval'}\n"
