@@ -15,8 +15,9 @@ split-sweep runners) hands all its points, over K and over several sweeps
 too, to one simulate_network call: each chunk's normals are drawn once and
 shared by every point and mode, each element count K reading its own prefix
 of them, and each K's element-axis reductions are formed once per
-setting, in trial blocks, before any of its points is scored, each element
-sum one ordered reduce (kernels.multicell_edge_gains). The setting changes
+setting, in trial blocks on element-major real planes, before any of its
+points is scored, each element sum one ordered reduce
+(kernels.multicell_edge_gains). The setting changes
 only the edge user's gains, so per K the center SINRs are formed once per
 center key (cooperative set, zeta_edge, transmit and noise powers) and
 their sums once per center key and rate thresholds; each point scores only
@@ -85,25 +86,33 @@ def energy_efficiency(scn: MultiCellScenario, mode: str, agg: Aggregates) -> flo
 
 
 # Trial x cell x element entries of one trial block: each K's element-axis
-# work (Rician vectors, cascades, phasors, kernels.multicell_edge_gains) runs
-# one block of trials at a time, so its temporaries stay this small while the
-# chunk's normal stream is held.
+# work (Rician vectors, the cascade and phasor planes (K, b, I) of b trials,
+# kernels.multicell_edge_gains) runs one block at a time, so its arrays stay
+# this small while the chunk's normal stream is held.
 _BLOCK = 1 << 15
 
 
-def _rician(re, im, w_los: float, w_nlos: float, out):
-    """Rician vectors w_los + w_nlos sqrt(1/2) (re + j im), written to out."""
-    out.real = re
-    out.imag = im
-    np.multiply(out, w_nlos * math.sqrt(0.5), out=out)
-    return np.add(out, w_los, out=out)
+def _rician(re, im, w_los: float, w_nlos: float, scale: float | None = None):
+    """Complex Rician vectors w_los + w_nlos sqrt(1/2) (re + j im), or, given
+    scale, their conjugates times scale; each part is formed on a real array
+    and written once (the bits of numpy's complex ops by real scalars)."""
+    out, c = np.empty(re.shape, complex), w_nlos * math.sqrt(0.5)
+    part = np.multiply(re, c)
+    if scale is None:
+        np.add(part, w_los, out=out.real)
+        np.multiply(im, c, out=out.imag)
+        return out
+    part += w_los
+    np.multiply(part, scale, out=out.real)
+    np.multiply(np.multiply(im, c, out=part), -scale, out=out.imag)
+    return out
 
 
 def _center_gains(scn: MultiCellScenario, rng, m: int):
-    """Center-user direct gains |h_{j -> center_i}|^2, (m, I, I), with
-    own-cell distance d_center and cross distances d_ici: |h|^2 of
-    h = sqrt(1/2) (re + j im), formed in place on the real and imaginary
-    normals."""
+    """Center-user direct gains |h_{j -> center_i}|^2, source-major
+    (I, m, I), [j, :, i], with own-cell distance d_center and cross
+    distances d_ici: |h|^2 of h = sqrt(1/2) (re + j im), formed in place on
+    the real and imaginary normals, drawn (m, I, I)."""
     n_cells = scn.n_cells
     sqrt_half = math.sqrt(0.5)
     re = rng.standard_normal((m, n_cells, n_cells))
@@ -112,13 +121,12 @@ def _center_gains(scn: MultiCellScenario, rng, m: int):
         part *= sqrt_half
         np.multiply(part, part, out=part)
     re += im
-    del im
     own = scn.gain(scn.d_center, scn.alpha_center)
     cross = scn.gain(scn.d_ici, scn.alpha_ici)
     scale = np.full((n_cells, n_cells), cross)
     np.fill_diagonal(scale, own)
-    re *= scale[None, :, :]
-    return re
+    return np.multiply(np.moveaxis(re, 1, 0), scale[:, None, :],
+                       out=im.reshape(n_cells, m, n_cells))
 
 
 def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
@@ -142,23 +150,24 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
     for t0 in range(0, m, step):
         t = slice(t0, t0 + step)
         shape = br_re[t].shape
-        # casc = (g conj(h_ru)) h_br and rnd = e^{j phi} (ris.phasors, by
-        # the tangent half-angle identity) by whole-block operations,
-        # holding few block-sized arrays at once.
-        casc = _rician(ru_re[t], ru_im[t], w_los, w_nlos, np.empty(shape, complex))
-        np.conjugate(casc, out=casc)
-        np.multiply(casc, g_casc, out=casc)
-        h_br = _rician(br_re[t], br_im[t], w_los, w_nlos, np.empty(shape, complex))
-        casc = np.multiply(casc, h_br, out=h_br)
+        # casc = (g conj(h_ru)) h_br by numpy's complex multiply, whose loop
+        # fixes its bits, copied once into element-major planes (re, im),
+        # each (K, b, I); the phasors' planes (cos, sin) follow them
+        # (ris.phasors, by the tangent half-angle identity).
+        casc = _rician(br_re[t], br_im[t], w_los, w_nlos)
+        np.multiply(_rician(ru_re[t], ru_im[t], w_los, w_nlos, g_casc), casc, out=casc)
+        planes = np.stack([np.moveaxis(part, -1, 0) for part in (casc.real, casc.imag)])
+        del casc
         # The phases are drawn whether or not a setting reads them, so the
         # stream stays where every K's center gains expect it; only "random"
         # turns them into phasors.
         phi = rng.uniform(-math.pi, math.pi, shape)
-        rnd = phasors(phi, np.empty(shape, complex)) if "random" in settings else None
-        del phi
-        for key, g in kernels.multicell_edge_gains(ed[t], casc, rnd, settings).items():
+        rnd = (phasors(np.moveaxis(phi, -1, 0), np.empty_like(planes))
+               if "random" in settings else None)
+        del phi  # before the kernel allocates its temporaries
+        for key, g in kernels.multicell_edge_gains(ed[t], planes, rnd, settings).items():
             gains[key][t] = g
-        del casc, rnd  # before the next block allocates its own
+        del planes, rnd  # before the next block allocates its own
     return gains
 
 
@@ -176,21 +185,24 @@ def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
     """Bytes simulate_network holds per chunk of min(n, CHUNK) = m trials of
     n_cells = I cells at element counts up to k_max, for points at n_splits
     distinct element splits: the normal stream, 8 (2mI + 4mI k_max); the
-    center gains, 16 mI^2 while drawn (_center_gains); 16 per-cell (m, I)
+    center gains, 16 mI^2 while drawn (_center_gains); 24 per-cell (m, I)
     float arrays for the edge-direct links, the edge gains of the modes'
-    settings ("off", "random" and the anti-phased counts 0 and K), the
-    center SINRs and the temporaries of their sums; one more (m, I) array of
+    settings ("off", "random" and the anti-phased counts 0 and K), two
+    center keys' SINRs and the center kernel's accumulators and temporaries
+    (at most 12); one more (m, I) array of
     edge gains per other anti-phased count ceil(split K) of a split point,
     of which there are at most min(n_splits, k_max + 1); and one trial
-    block's arrays, bounded by 8 complex arrays of max(_BLOCK, I k_max)
-    entries: at most 5.5 are held at once, the cascade and the phasors with
-    either the phases and ris.phasors' two real temporaries or the kernel's
-    element-major buffer, its one real temporary and its element sums, at
-    most 2 (K + 1) of a block's trials x cells."""
+    block's arrays, each of E <= max(_BLOCK, I k_max) entries or of its
+    b <= m trials x I cells: at most 9 E-arrays and 11 bI-arrays at once.
+    Forming the cascade holds its complex factors and a real temporary (5),
+    its element-major planes the phases, the phasors' planes and t^2 (6);
+    the kernel holds both planes, its K + 1 rows and a temporary (6), with
+    element sums of at most 2K + 1 rows and gains of K + 3 settings."""
     m = min(n, CHUNK)
-    per_cell = 16 + min(n_splits, k_max + 1)
+    per_cell = 24 + min(n_splits, k_max + 1)
     return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2
-            + 8 * per_cell * m * n_cells + 8 * 16 * max(_BLOCK, n_cells * k_max))
+            + 8 * per_cell * m * n_cells
+            + 8 * (9 * max(_BLOCK, n_cells * k_max) + 11 * m * n_cells))
 
 
 def _sinr_threshold(r_min: float, share: float) -> float:

@@ -5,6 +5,7 @@ coordinated engine's (coordinated_*) and the multicell engine's
 Kernels receive pre-drawn variates and perform only +, -, *, / and sqrt
 with a fixed accumulation order (sequential over elements / cells); every
 transcendental (log2, phases, gamma draws) happens in the calling engine.
+The multicell element axis arrives as element-major real planes, (K, n, I).
 The coordinated kernel returns its batch as one mapping, kind -> (n,) SINR
 samples, in SINR_KINDS order.
 """
@@ -65,47 +66,51 @@ def multicell_edge_gains(ed, casc, rnd, settings):
     """Per-cell edge-user channel gains of one chunk of multicell draws under
     each RIS setting; the only multicell code that walks the element axis.
 
-    ed: (n, I) complex direct links, casc: (n, I, K) complex cascade products,
-    rnd: (n, I, K) random unit phasors e^{j phi} (ris.phasors), read only
-    for "random" (None when settings lacks it). settings: the settings to
-    form, of "off" |h|^2, "random" |h + sum_k rnd_k casc_k|^2 and an
-    anti-phased count n_co, (|h| - S_co + S_eo)^2 with the first n_co
-    elements anti-phased (S_co = |casc_1| + ... + |casc_n_co|) and the rest
+    ed: (n, I) complex direct links. casc: (2, K, n, I) real and imaginary
+    planes of the cascade products, element-major; rnd: (2, K, n, I) planes
+    cos and sin of the random phases (ris.phasors), read only for "random"
+    (None when settings lacks it). settings: the settings to form, of "off"
+    |h|^2, "random" |h + sum_k e^{j phi_k} casc_k|^2 and an anti-phased
+    count n_co, (|h| - S_co + S_eo)^2 with the first n_co elements
+    anti-phased (S_co = |casc_1| + ... + |casc_n_co|) and the rest
     co-phased (S_eo); n_co = 0 is enhancement, (|h| + S)^2, and n_co = K
     cancellation, (|h| - S)^2. Every element sum is one ordered reduce: the
-    terms t_1..t_K fill rows 1..K of an element-major buffer (K + 1, n, I),
-    row 0 holding the start value of the random-phase sums, and numpy's
-    reduce over axis 0 of a run of its rows adds them in element order,
-    entry by entry; an empty run sums to 0. Returns {setting: (n, I)}.
+    terms t_1..t_K fill rows 1..K of a buffer (K + 1, n, I) in the planes'
+    order, row 0 holding the start value of the random-phase sums, and
+    numpy's reduce over axis 0 of a run of its rows adds them in element
+    order, entry by entry; an empty run sums to 0. Returns {setting: (n, I)}.
     """
     ed_re, ed_im = ed.real, ed.imag
     h2 = ed_re * ed_re + ed_im * ed_im
-    n, n_cells, k = casc.shape
+    re, im = casc
+    k, n, n_cells = re.shape
     gains = {"off": h2} if "off" in settings else {}
     # Rows of one entry would leave numpy a lone contiguous axis, which it
     # sums pairwise, so such rows get a second entry, held at 0.
     pad = int(n * n_cells == 1)
     rows = np.empty((k + 1, n, n_cells + pad))
     rows[:, :, n_cells:] = 0.0
-    terms = np.moveaxis(rows[1:, :, :n_cells], 0, -1)
+    terms = rows[1:, :, :n_cells]
+    tmp = np.empty_like(re)  # each product that terms cannot hold
 
     def element_sum(lo, hi):
         return np.add.reduce(rows[lo:hi], axis=0)[:, :n_cells]
 
     if "random" in settings:
-        np.multiply(rnd.real, casc.real, out=terms)
-        terms -= rnd.imag * casc.imag
+        cos, sin = rnd
+        np.multiply(cos, re, out=terms)
+        terms -= np.multiply(sin, im, out=tmp)
         rows[0, :, :n_cells] = ed_re
         hre = element_sum(0, k + 1)
-        np.multiply(rnd.real, casc.imag, out=terms)
-        terms += rnd.imag * casc.real
+        np.multiply(cos, im, out=terms)
+        terms += np.multiply(sin, re, out=tmp)
         rows[0, :, :n_cells] = ed_im
         him = element_sum(0, k + 1)
         gains["random"] = hre * hre + him * him
     n_cos = [s for s in settings if not isinstance(s, str)]
     if n_cos:
-        np.multiply(casc.real, casc.real, out=terms)
-        terms += casc.imag * casc.imag
+        np.multiply(re, re, out=terms)
+        terms += np.multiply(im, im, out=tmp)
         np.sqrt(terms, out=terms)
         amp = np.sqrt(h2)
         # S_co of n_co sums rows 1..n_co and S_eo rows n_co+1..K, each span
@@ -145,47 +150,36 @@ def multicell_center_sinr(cg, coop, zeta_f, p_w, sigma2):
     """Center-user SINRs of the multicell network, in O(n I^2); the RIS mode
     does not enter them, so points that differ only in it share them.
 
-    cg: (n, I, I) center gains, cg[:, j, i] from BS j to center i; coop: 1
+    cg: (I, n, I) center gains, cg[j, :, i] from BS j to center i; coop: 1
     for cooperating cells. Returns (c_own, c_cf, c_oma), each (n, I): the
     own-message SINR, the SIC stage's SINR of the edge message and the OMA
     SINR. For a non-cooperative cell, c_cf is the center user's SIC stage
     against its own cell's edge component only,
-    zeta_f*own / ((1-zeta_f)*own + ICI + sigma2) with own = p_w*cg[:, i, i]
-    and every other cell interfering at full power.
+    zeta_f*own / ((1-zeta_f)*own + ICI + sigma2) with own = p_w*cg[i, :, i]
+    and every other cell interfering at full power. Every sum runs over the
+    source cell j on all centers at once, (n, I), in index order; a term
+    a sum skips (j = i) adds +0.0, which changes no sum of gains.
     """
-    n, n_cells = cg.shape[0], cg.shape[1]
-    c_own = np.empty((n, n_cells))
-    c_cf = np.empty((n, n_cells))
-    c_oma = np.empty((n, n_cells))
-    for i in range(n_cells):
-        coop_g = np.zeros(n)
-        ici_g = np.zeros(n)
-        oma_ici = np.zeros(n)
-        for j in range(n_cells):
-            if j != i:
-                oma_ici += p_w * cg[:, j, i]
-            if coop[j]:
-                if j != i:
-                    coop_g += (1.0 - zeta_f) * p_w * cg[:, j, i]
-            else:
-                if j != i:
-                    ici_g += p_w * cg[:, j, i]
-        own_sig = cg[:, i, i] * p_w
-        if coop[i]:
-            c_own[:, i] = (1.0 - zeta_f) * own_sig / (coop_g + ici_g + sigma2)
-            num_cf = np.zeros(n)
-            den_cf = np.zeros(n)
-            for j in range(n_cells):
-                if coop[j]:
-                    num_cf += zeta_f * p_w * cg[:, j, i]
-                    den_cf += (1.0 - zeta_f) * p_w * cg[:, j, i]
-            c_cf[:, i] = num_cf / (den_cf + ici_g + sigma2)
+    n_cells, n = cg.shape[0], cg.shape[1]
+    oma_ici, coop_g, ici_g, num_cf, den_cf = np.zeros((5, n, n_cells))
+    for j, row in enumerate(cg):
+        full = p_w * row
+        full[:, j] = 0.0  # center j's own link, which no interference sum holds
+        oma_ici += full
+        if coop[j]:
+            intra = ((1.0 - zeta_f) * p_w) * row
+            den_cf += intra
+            intra[:, j] = 0.0
+            coop_g += intra
+            num_cf += (zeta_f * p_w) * row
         else:
-            # Non-cooperative cells still run their own NOMA pair; only the
-            # own-cell edge component is SIC-removable, every other cell
-            # interferes at full power.
-            den = oma_ici + sigma2
-            c_own[:, i] = (1.0 - zeta_f) * own_sig / den
-            c_cf[:, i] = zeta_f * own_sig / ((1.0 - zeta_f) * own_sig + den)
-        c_oma[:, i] = own_sig / (oma_ici + sigma2)
-    return c_own, c_cf, c_oma
+            ici_g += full
+    own_sig = np.diagonal(cg, axis1=0, axis2=2) * p_w
+    den = oma_ici + sigma2
+    # Non-cooperative cells still run their own NOMA pair; only the own-cell
+    # edge component is SIC-removable, every other cell interferes at full
+    # power.
+    c_own = ((1.0 - zeta_f) * own_sig) / np.where(coop, coop_g + ici_g + sigma2, den)
+    c_cf = np.where(coop, num_cf / (den_cf + ici_g + sigma2),
+                    (zeta_f * own_sig) / ((1.0 - zeta_f) * own_sig + den))
+    return c_own, c_cf, own_sig / den

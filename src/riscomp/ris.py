@@ -23,23 +23,27 @@ def wrap_phase(theta):
 
 
 def phasors(phi, out):
-    """e^{j phi} of every phase in phi, in [-pi, pi], written into the
-    complex array out of phi's shape, which is returned.
+    """cos phi and sin phi of every phase in phi, in [-pi, pi], written into
+    the planes out[0] and out[1] of the real array out, of shape
+    (2, *phi.shape), which is returned. phi may be any view of the phases
+    (the multicell engine passes its draws element-major); tan runs on the
+    contiguous plane out[1].
 
     By the tangent half-angle identity: with t = tan(phi / 2),
     cos phi = (1 - t^2) / (1 + t^2) and sin phi = 2t / (1 + t^2), so one
-    vectorized tan replaces the scalar libm cos and sin. Each component
-    lies within 4.5e-16 of np.cos / np.sin and |z| within 4.5e-16 of 1
+    vectorized tan replaces the scalar libm cos and sin. Each lies within
+    4.5e-16 of np.cos / np.sin and |cos + j sin| within 4.5e-16 of 1
     (tests/test_ris.py); the bits are not libm's. At phi = -pi,
-    t = -1.6e16 and t^2 = 2.7e32 stay finite. Holds two real temporaries
-    of phi's size: t and t^2.
+    t = -1.6e16 and t^2 = 2.7e32 stay finite. Holds one real temporary of
+    phi's size, t^2.
     """
-    t = np.multiply(phi, 0.5)
+    cos, t = out
+    np.multiply(phi, 0.5, out=t)
     np.tan(t, out=t)
     u = np.multiply(t, t)
-    np.subtract(1.0, u, out=out.real)
+    np.subtract(1.0, u, out=cos)
     u += 1.0
-    np.divide(out.real, u, out=out.real)
+    np.divide(cos, u, out=cos)
     t += t
-    np.divide(t, u, out=out.imag)
+    np.divide(t, u, out=t)
     return out

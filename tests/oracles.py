@@ -11,7 +11,8 @@ deterministic evaluation with their episodes run one at a time on these
 forms alone, the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, the
 exact OMA center outage of the multicell network under Rayleigh
-interference, and the exhaustive grid search over static aerial
+interference and the exact edge-gain means of each RIS setting, and the
+exhaustive grid search over static aerial
 configurations that the trained policy is measured against.
 
 Nothing in the package calls these. The engines compute the same quantities
@@ -833,7 +834,8 @@ def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     )
     casc = (g_br * g_ru) * np.conj(h_ru) * h_br
     phi = rng.uniform(-math.pi, math.pi, shape)
-    rnd = phasors(phi, np.empty(shape, complex))
+    rnd = np.empty(shape, complex)
+    rnd.real, rnd.imag = phasors(phi, np.empty((2, *shape)))
     hij = sqrt_half * (
         rng.standard_normal((m, n_cells, n_cells))
         + 1j * rng.standard_normal((m, n_cells, n_cells))
@@ -843,6 +845,13 @@ def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     np.fill_diagonal(scale, scn.gain(scn.d_center, scn.alpha_center))
     cg = cg * scale[None, :, :]
     return ed, casc, rnd, cg
+
+
+def element_planes(z):
+    """The element-major real and imaginary planes, (2, K, n, I), of
+    complex (n, I, K) element values: the layout in which the multicell
+    engine hands its cascade and phasors to kernels.multicell_edge_gains."""
+    return np.ascontiguousarray(np.moveaxis(np.stack([z.real, z.imag]), -1, 1))
 
 
 def reference_edge_gains(ed, casc, rnd, n_cos):
@@ -991,6 +1000,33 @@ def reference_simulate_network(scn: MultiCellScenario, points, n: int, seed: int
             noma.add(edge, c_own, c_cf)
             oma.add(edge_oma, c_oma)
     return [(noma.aggregates(n), oma.aggregates(n)) for noma, oma in sums]
+
+
+def exact_edge_gain_means(scn: MultiCellScenario, n_cos) -> dict:
+    """Exact means of one cell's edge gain under "off", "random" and each
+    anti-phased count in n_cos, at K = scn.k_elements. With the cascade
+    c = g conj(h_ru) h_br of Rician links, S = sum_k eps_k |c_k| (eps = -1
+    on the first n_co elements, +1 on the rest) and s = K - 2 n_co:
+    off E|h_d|^2, random E|h_d|^2 + K E|c|^2, and n_co
+    E|h_d|^2 + 2s E|h_d| E|c| + K E|c|^2 + (s^2 - K) (E|c|)^2, since the
+    links are independent. E|c|^2 = g^2 (w_los^2 + w_nlos^2)^2,
+    E|c| = g (E|h|)^2 with E|h| the Rician mean, and the Rayleigh direct
+    link has E|h_d| = sqrt(pi/4 E|h_d|^2) (Simon & Alouini, ch. 2)."""
+    from scipy.stats import rice
+
+    k = scn.k_elements
+    w_los, w_nlos = scn.rician_weights
+    g = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris) * scn.gain(scn.d_ris_edge, scn.alpha_ris))
+    sigma = w_nlos * math.sqrt(0.5)
+    e_h = float(rice(w_los / sigma, scale=sigma).mean())
+    e_c, e_c2 = g * e_h**2, g**2 * (w_los**2 + w_nlos**2) ** 2
+    h2 = scn.gain(scn.d_edge, scn.alpha_edge)
+    e_hd = math.sqrt(math.pi / 4.0 * h2)
+    means = {"off": h2, "random": h2 + k * e_c2}
+    for n_co in n_cos:
+        s = k - 2 * n_co
+        means[n_co] = h2 + 2 * s * e_hd * e_c + k * e_c2 + (s * s - k) * e_c**2
+    return means
 
 
 def exact_oma_center_outage(scn: MultiCellScenario) -> float:

@@ -10,7 +10,9 @@ from oracles import (
     PhaseMatrix,
     ec_phases,
     effective_channel,
+    element_planes,
     eo_phases,
+    exact_edge_gain_means,
     exact_noma_noncoop_center_outage,
     exact_oma_center_outage,
     reference_simulate_network,
@@ -48,7 +50,7 @@ def _agg(center_outage_rates, edge_outage_rate):
 def _split_edge_sinr(scn, ed, casc, coop, split):
     # The engine's split path: the split gain of every cell, then the edge SINR.
     n_co = math.ceil(split * scn.k_elements)
-    gains = kernels.multicell_edge_gains(ed, casc, None, {n_co})
+    gains = kernels.multicell_edge_gains(ed, element_planes(casc), None, {n_co})
     return kernels.multicell_edge_sinr(
         gains[n_co], coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
     )[0]
@@ -152,6 +154,34 @@ def test_split_applies_to_non_cooperative_cells():
     ici_ec = p * (g_ec[:, 1] + g_ec[:, 2])
     assert not np.allclose(edge, zf * p * g[:, 0] / ((1 - zf) * p * g[:, 0] + ici_ec + s2),
                            rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("k", [8, 70])
+def test_edge_gain_increments_match_the_exact_means(k):
+    # Each RIS setting's per-trial increment over "off", g_setting - g_off,
+    # on the engine's draws (a chunk's stream, as simulate_network lays it
+    # out), against the exact means (oracles), in SE units of the sample
+    # mean; the increment is much sharper than the raw mean, whose spread
+    # the direct link dominates. A breach is a finding about the engine.
+    scn, n_chunks = replace(SCN, k_elements=k), 4
+    n_cos = sorted({0, k // 3, k})
+    exact = exact_edge_gain_means(scn, n_cos)
+    mi = CHUNK * scn.n_cells
+    incs = {s: [] for s in ["random", *n_cos]}
+    for c in range(n_chunks):
+        rng = substream(11, riscomp.energy._STREAM_MC, c)
+        stream = rng.standard_normal(2 * mi + 4 * mi * k)
+        ed = (stream[:mi] + 1j * stream[mi:2 * mi]).reshape(CHUNK, scn.n_cells)
+        ed *= math.sqrt(0.5 * scn.gain(scn.d_edge, scn.alpha_edge))
+        gains = riscomp.energy._edge_gains(scn, ed, stream[2 * mi:], rng, k,
+                                           {"off", *incs})
+        for s, parts in incs.items():
+            parts.append(gains[s] - gains["off"])
+    for s, parts in incs.items():
+        x = np.concatenate(parts).ravel()
+        want = exact[s] - exact["off"]
+        z = (x.mean() - want) / (x.std(ddof=1) / math.sqrt(x.size))
+        assert abs(z) <= 4.5, (s, float(x.mean()), want, float(z))
 
 
 @pytest.mark.parametrize("k", [0, 8])

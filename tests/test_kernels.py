@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_edge_gains
+from oracles import element_planes, reference_edge_gains
 from riscomp import kernels, montecarlo
 from riscomp.channel import substream
 from riscomp.energy import _BLOCK
@@ -74,11 +74,12 @@ def test_multicell_matches_reference():
     mode = [0, k, "random"]
     coop = np.array([1, 0, 0], dtype=np.uint8)
     gains = kernels.multicell_edge_gains(
-        ed_re + 1j * ed_im, c_re + 1j * c_im, r_re + 1j * r_im, set(mode)
+        ed_re + 1j * ed_im, element_planes(c_re + 1j * c_im), element_planes(r_re + 1j * r_im),
+        set(mode)
     )
     g_edge = np.stack([gains[s][:, i] for i, s in enumerate(mode)], axis=1)
     edge, edge_oma = kernels.multicell_edge_sinr(g_edge, coop, zf, p, s2)
-    c_own, c_cf, c_oma = kernels.multicell_center_sinr(cg, coop, zf, p, s2)
+    c_own, c_cf, c_oma = kernels.multicell_center_sinr(np.moveaxis(cg, 1, 0), coop, zf, p, s2)
     for t in range(n):
         g = np.empty(cells)
         for i in range(cells):
@@ -128,14 +129,23 @@ def test_multicell_edge_gains_equal_sequential_element_loop(k, case):
     phi = rng.uniform(-np.pi, np.pi, (n, cells, k))
     rnd = np.cos(phi) + 1j * np.sin(phi)
     n_cos = sorted({0, k // 3, k})
-    gains = kernels.multicell_edge_gains(ed, casc, rnd, {"off", "random", *n_cos})
+    # The kernel reads the element-major planes the engine lays out; at K = 0
+    # they are empty, (0, n, I) each.
+    casc_p, rnd_p = element_planes(casc), element_planes(rnd)
+    assert casc_p.shape == rnd_p.shape == (2, k, n, cells)
+    gains = kernels.multicell_edge_gains(ed, casc_p, rnd_p, {"off", "random", *n_cos})
     by_code, by_split = reference_edge_gains(ed, casc, rnd, n_cos)
     for setting, code in (("off", 0), ("random", 1), (0, 2), (k, 3)):
         assert np.array_equal(gains[setting], by_code[code]), setting
     for n_co in n_cos:
         assert np.array_equal(gains[n_co], by_split[n_co]), n_co
-    # A setting's gains do not depend on which others are formed beside it.
+    # A setting's gains do not depend on which others are formed beside it,
+    # alone or in a set without "random", whose phasors are then None.
+    without = kernels.multicell_edge_gains(ed, casc_p, None, {"off", *n_cos})
+    assert without.keys() == {"off", *n_cos}
+    for setting, g in without.items():
+        assert np.array_equal(g, gains[setting]), setting
     for setting, g in gains.items():
         alone = kernels.multicell_edge_gains(
-            ed, casc, rnd if setting == "random" else None, {setting})
+            ed, casc_p, rnd_p if setting == "random" else None, {setting})
         assert alone.keys() == {setting} and np.array_equal(alone[setting], g), setting
