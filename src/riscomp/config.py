@@ -498,8 +498,9 @@ def _ee_power_errors(run: Plan) -> list[str]:
             for key, p in powers.items() if p < 0 and dbm_to_watts(p) == 0.0]
 
 
-# Ceiling on what one multicell chunk (energy.chunk_bytes), one aerial slot's
-# normals or one policy network may hold: 1 GiB.
+# Ceiling on what one multicell chunk (energy.chunk_bytes), a coordinated
+# run's trials (montecarlo.run_bytes), one aerial slot's normals or one
+# policy network may hold: 1 GiB.
 _MEMORY_BUDGET = 1 << 30
 _ABOVE_BUDGET = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
 
@@ -522,6 +523,19 @@ def _chunk_errors(run: Plan) -> list[str]:
     return [f"{key}: {k} elements need {chunk_bytes(n_cells, k, n, splits) / 2**30:.3g} "
             f"GiB per chunk of draws, {_ABOVE_BUDGET}"
             for key, k in counts.items() if chunk_bytes(n_cells, k, n, splits) > _MEMORY_BUDGET]
+
+
+def _trial_errors(run: Plan) -> list[str]:
+    """What a coordinated run would hold at its trials (montecarlo.run_bytes:
+    the draws, the SINR samples and pdf-validation's KS arrays) above
+    _MEMORY_BUDGET, named by `trials`. The size is computed, never
+    allocated."""
+    from .montecarlo import run_bytes
+    size = run_bytes(run.config.kind, run.trials)
+    if size <= _MEMORY_BUDGET:
+        return []
+    return [f"trials: {run.trials} trials need {size / 2**30:.3g} GiB of draws and SINR "
+            f"samples, {_ABOVE_BUDGET}"]
 
 
 def _aerial_errors(run: Plan) -> list[str]:
@@ -661,6 +675,8 @@ def validate(cfg: ExperimentConfig) -> Plan:
         errors.extend(_ee_power_errors(run))
     if schema is _MULTICELL_KEYS:
         errors.extend(cells or _chunk_errors(run))
+    if schema is _COORDINATED_KEYS and "trials" in defaults:
+        errors.extend(_trial_errors(run))
     # The fits need every value above to be usable.
     if schema is _COORDINATED_KEYS and not errors:
         run = replace(run, fits=_fits(run, errors))

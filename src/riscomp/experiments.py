@@ -60,16 +60,16 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
-    from .montecarlo import SINR_KINDS, ks_statistic, run_trials
+    from .montecarlo import BATCH_KINDS, ks_statistic, run_trials
     from .stats import stacked_cdf
     [fit] = run.fits
     scn, n = fit.scenario, run.trials
     # Each sampled SINR's law, in the sample kinds' order.
-    laws = {kind: fit.laws[kind] for kind in SINR_KINDS if kind in fit.laws}
+    laws = {kind: fit.laws[kind] for kind in BATCH_KINDS["pdf-validation"]}
     couplings = ("fitted", "physical")
     samples = np.empty((len(couplings), len(laws), n))
     for row, coupling in zip(samples, couplings):
-        batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn)
+        batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn, laws)
         np.stack([batch[kind] for kind in laws], out=row)
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
@@ -81,13 +81,13 @@ def _run_pdf_validation(run: Plan) -> Outputs:
 
 def _run_er_sweep(run: Plan) -> Outputs:
     from .analysis import analytic_ergodic_rates
-    from .montecarlo import USER_SINR, estimate_ergodic_rate, run_trials
+    from .montecarlo import BATCH_KINDS, USER_SINR, estimate_ergodic_rate, run_trials
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     ers = analytic_ergodic_rates(run.fits, {**USER_SINR, "edge_high_snr": "edge_high_snr"})
     rows = []
     for fit, er in zip(run.fits, ers):
         scn = fit.scenario
-        mc = estimate_ergodic_rate(draws.batch(scn))
+        mc = estimate_ergodic_rate(draws.batch(scn, BATCH_KINDS["er-sweep"]))
         for user in USER_SINR:
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
             rows.append((scn.p_t_dbm, user, er[user], mc[user], rel))
@@ -98,12 +98,12 @@ def _run_er_sweep(run: Plan) -> Outputs:
 
 def _run_outage_sweep(run: Plan) -> Outputs:
     from .analysis import analytic_outages
-    from .montecarlo import USER_SINR, estimate_outage, run_trials
+    from .montecarlo import BATCH_KINDS, USER_SINR, estimate_outage, run_trials
     draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
     rows = []
     for fit, closed in zip(run.fits, analytic_outages(run.fits)):
         scn = fit.scenario
-        mc = estimate_outage(draws.batch(scn), scn)
+        mc = estimate_outage(draws.batch(scn, BATCH_KINDS["outage-sweep"]), scn)
         for user in USER_SINR:
             rows.append((scn.p_t_dbm, user, closed[user], mc[user],
                          abs(closed[user] - mc[user])))

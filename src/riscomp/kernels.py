@@ -6,8 +6,8 @@ Kernels receive pre-drawn variates and perform only +, -, *, / and sqrt
 with a fixed accumulation order (sequential over elements / cells); every
 transcendental (log2, phases, gamma draws) happens in the calling engine.
 The multicell element axis arrives as element-major real planes, (K, n, I).
-The coordinated kernel returns its batch as one mapping, kind -> (n,) SINR
-samples, in SINR_KINDS order.
+coordinated_z forms one cascade row in the caller's row; the coordinated
+SINR kernel returns the kinds asked for, kind -> (n,), in SINR_KINDS order.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 
-# Row roles for the coordinated two-cell SINR kernel. Each Z row holds the
+# Row roles for the coordinated two-cell SINR kernel. Each Z row combines the
 # (h^2, a^2, b^2) power draws of one effective-channel block; fitted-mode
-# sampling fills every role independently, physical mode repeats shared draws.
+# sampling draws every role independently, physical mode copies shared rows.
 Z_CF1_S, Z_CF1_I, Z_C1_S = 0, 1, 2
 Z_CF2_S, Z_CF2_I, Z_C2_S = 3, 4, 5
 Z_F1_V, Z_F2_V, Z_F1_W, Z_F2_W = 6, 7, 8, 9
@@ -33,33 +33,37 @@ SINR_KINDS = ("center1_own", "center1_sic", "center2_own", "center2_sic",
               "edge", "edge_nocomp")
 
 
-def coordinated_z(z_pow, amp):
-    """Combined rows (sqrt(h^2) + amp*sqrt(a^2)*sqrt(b^2))^2, (N_Z_ROWS, n),
-    of z_pow: (N_Z_ROWS, 3, n) gamma power draws (h^2, a^2, b^2) per block,
-    amp: per-row cascade multiplier K*sqrt(beta)."""
-    z = np.empty((N_Z_ROWS, z_pow.shape[2]))
-    for r in range(N_Z_ROWS):
-        s = np.sqrt(z_pow[r, 0]) + amp[r] * np.sqrt(z_pow[r, 1]) * np.sqrt(z_pow[r, 2])
-        z[r] = s * s
-    return z
+def coordinated_z(pow3, amp, out):
+    """One combined row (sqrt(h^2) + amp*sqrt(a^2)*sqrt(b^2))^2 into out (n,)
+    from pow3: (3, n) power draws (h^2, a^2, b^2), square-rooted in place;
+    amp: the row's cascade multiplier K*sqrt(beta)."""
+    h, a, b = np.sqrt(pow3, out=pow3)
+    np.multiply(amp, a, out=out)
+    out *= b
+    out += h
+    out *= out
 
 
-def coordinated_sinr(z, x_pow, zeta_c, zeta_f, rho):
-    """Two-cell coordinated-cluster SINRs, {kind: (n,)} in SINR_KINDS order,
-    from the rows z of coordinated_z and x_pow: (N_X_ROWS, n) interference
-    power draws; zeta_c is both centers' power share, zeta_f the edge's."""
-    return {
-        "center1_own": (rho * zeta_c * z[Z_C1_S]) / (rho * x_pow[X_C1] + 1.0),
-        "center1_sic": (rho * zeta_f * z[Z_CF1_S]) / (
+def coordinated_sinr(z, x_pow, zeta_c, zeta_f, rho, kinds):
+    """Two-cell coordinated-cluster SINRs of `kinds` alone, {kind: (n,)} in
+    SINR_KINDS order, from the rows z of coordinated_z and x_pow:
+    (N_X_ROWS, n) interference power draws; zeta_c is both centers' power
+    share, zeta_f the edge's. ValueError names any unknown kind."""
+    forms = {
+        "center1_own": lambda: (rho * zeta_c * z[Z_C1_S]) / (rho * x_pow[X_C1] + 1.0),
+        "center1_sic": lambda: (rho * zeta_f * z[Z_CF1_S]) / (
             rho * zeta_c * z[Z_CF1_I] + rho * x_pow[X_CF1] + 1.0),
-        "center2_own": (rho * zeta_c * z[Z_C2_S]) / (rho * x_pow[X_C2] + 1.0),
-        "center2_sic": (rho * zeta_f * z[Z_CF2_S]) / (
+        "center2_own": lambda: (rho * zeta_c * z[Z_C2_S]) / (rho * x_pow[X_C2] + 1.0),
+        "center2_sic": lambda: (rho * zeta_f * z[Z_CF2_S]) / (
             rho * zeta_c * z[Z_CF2_I] + rho * x_pow[X_CF2] + 1.0),
-        "edge": (rho * zeta_f * z[Z_F1_V] + rho * zeta_f * z[Z_F2_V]) / (
+        "edge": lambda: (rho * zeta_f * z[Z_F1_V] + rho * zeta_f * z[Z_F2_V]) / (
             rho * zeta_c * z[Z_F1_W] + rho * zeta_c * z[Z_F2_W] + 1.0),
-        "edge_nocomp": (rho * zeta_f * z[Z_NC1_V]) / (
+        "edge_nocomp": lambda: (rho * zeta_f * z[Z_NC1_V]) / (
             rho * zeta_c * z[Z_NC1_W] + rho * z[Z_NC2_W] + 1.0),
     }
+    if unknown := [kind for kind in kinds if kind not in forms]:
+        raise ValueError(f"unknown SINR kinds {unknown}; the kinds are {SINR_KINDS}")
+    return {kind: forms[kind]() for kind in SINR_KINDS if kind in kinds}
 
 
 def multicell_edge_gains(ed, casc, rnd, settings):

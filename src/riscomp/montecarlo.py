@@ -17,8 +17,8 @@ worker count and scheduling.
 
 No draw depends on power or allocation: `run_trials` draws once, 17 float64
 per trial held until a sweep ends, and `TrialDraws.batch` scores per
-scenario. A batch is the kernel's mapping, kind -> (n,) SINR samples, in
-`SINR_KINDS` order.
+scenario the kinds its caller reads, kind -> (n,) SINR samples in
+`SINR_KINDS` order. `run_bytes` is a run's peak size, which `validate` bounds.
 
 The estimators score a batch at the scenario's own SINR thresholds, the
 numbers the closed forms in `analysis` read, and the KS test compares a
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -47,15 +47,19 @@ _STREAM_TRIALS = 101
 # the users; the no-CoMP edge SINR is a baseline, not a user.
 USER_SINR = {"center1": "center1_own", "center2": "center2_own", "edge": "edge"}
 
+# The SINR kinds each coordinated run kind reads: those with a closed-form
+# law (all but the no-CoMP edge baseline), the users' kinds, and all.
+BATCH_KINDS = {"pdf-validation": SINR_KINDS[:-1], "er-sweep": tuple(USER_SINR.values()),
+               "outage-sweep": SINR_KINDS}
+
 KS_COEFF = 1.63  # asymptotic KS critical value times sqrt(n) at alpha = 0.01
 KS_MIN_SAMPLES = 100  # below this the asymptotic critical values do not hold
 
 
 def _drawn_from(scn: CoordinatedScenario) -> tuple:
-    """The links (center 1, 2, edge 1, 2) and cascade amplitudes (center,
+    """The links (CoordinatedScenario.links) and cascade amplitudes (center,
     edge) that a scenario's trials are drawn from."""
-    return (scn.center_links(1), scn.center_links(2), scn.edge_links(1), scn.edge_links(2),
-            scn.cascade_amp_center(), scn.cascade_amp_edge())
+    return (*scn.links, scn.cascade_amp_center(), scn.cascade_amp_edge())
 
 
 @dataclass(frozen=True)
@@ -67,33 +71,32 @@ class TrialDraws:
     x: np.ndarray
     drawn_from: tuple
 
-    def batch(self, scenario: CoordinatedScenario) -> dict[str, np.ndarray]:
-        """The trials' SINRs at the scenario's rho and zeta, kind -> (n,)
-        samples in SINR_KINDS order; ValueError if its links or cascade
-        amplitudes are not those drawn from."""
+    def batch(self, scenario: CoordinatedScenario,
+              kinds: Collection[str] = SINR_KINDS) -> dict[str, np.ndarray]:
+        """The trials' SINRs of `kinds` alone (default every kind) at the
+        scenario's rho and zeta, kind -> (n,) samples in SINR_KINDS order.
+        ValueError if a kind is unknown (naming it) or the scenario's links
+        or cascade amplitudes are not those drawn from."""
         if _drawn_from(scenario) != self.drawn_from:
             raise ValueError("the scenario's links or cascade amplitudes are not those drawn from")
         return kernels.coordinated_sinr(self.z, self.x, scenario.zeta_center,
-                                        scenario.zeta_edge, scenario.rho)
+                                        scenario.zeta_edge, scenario.rho, kinds)
 
 
-def _nakagami_pow(rng, p, size):
-    """Squared-magnitude draws: Gamma(m, omega/m)."""
-    return rng.gamma(p.m, p.omega / p.m, size)
+# The kernel's Z rows of each (BS, user) block in draw order (center 1, 2,
+# edge 1, 2, as CoordinatedScenario.links), then the interference rows.
+_Z_BLOCKS = ((kernels.Z_CF1_S, kernels.Z_CF1_I, kernels.Z_C1_S),
+             (kernels.Z_CF2_S, kernels.Z_CF2_I, kernels.Z_C2_S),
+             (kernels.Z_F1_V, kernels.Z_F1_W, kernels.Z_NC1_V, kernels.Z_NC1_W),
+             (kernels.Z_F2_V, kernels.Z_F2_W, kernels.Z_NC2_W))
+_X_BLOCKS = ((kernels.X_CF1, kernels.X_C1), (kernels.X_CF2, kernels.X_C2))
 
 
-def _fill_z_rows(rng, z_pow, rows, links, n, shared):
-    """Fill kernel Z rows for one (BS,user) block.
-
-    The first row always draws; each later row draws afresh unless shared,
-    in which case it reuses the first row's arrays.
-    """
-    for i, r in enumerate(rows):
-        if i == 0 or not shared:
-            h = _nakagami_pow(rng, links["direct"], n)
-            a = _nakagami_pow(rng, links["bs_ris"], n)
-            b = _nakagami_pow(rng, links["ris_user"], n)
-        z_pow[r, 0], z_pow[r, 1], z_pow[r, 2] = h, a, b
+def _nakagami_pow_into(rng, p, out) -> None:
+    """Squared-magnitude draws Gamma(m, omega/m) into out: numpy's
+    gamma(m, s) is s * standard_gamma(m), bit for bit."""
+    rng.standard_gamma(p.m, out=out)
+    out *= p.omega / p.m
 
 
 def run_trials(
@@ -103,40 +106,63 @@ def run_trials(
     coupling: str = "physical",
 ) -> TrialDraws:
     """n independent channel realizations, drawn once: 17 float64 per
-    trial, which `TrialDraws.batch` scores at any power and allocation."""
+    trial, which `TrialDraws.batch` scores at any power and allocation. A Z
+    row's powers are drawn into one reused (3, CHUNK) buffer and combined in
+    its row of z, an x row is drawn in place; physical mode copies shared rows."""
     if n < 0:
         raise ValueError("trial count must be >= 0")
     if coupling not in ("physical", "fitted"):
         raise ValueError("coupling must be 'physical' or 'fitted'")
     shared = coupling == "physical"
-    c1, c2, e1, e2, amp_center, amp_edge = drawn_from = _drawn_from(scenario)
-    amp = np.repeat([amp_center, amp_edge], [6, kernels.N_Z_ROWS - 6])
+    c1, c2, e1, e2, amp_c, amp_e = drawn_from = _drawn_from(scenario)
     z = np.empty((kernels.N_Z_ROWS, n))
     x = np.empty((kernels.N_X_ROWS, n))
-    start = 0
-    while start < n:
-        chunk_index = start // CHUNK
-        m = min(CHUNK, n - start)
-        rng = substream(seed, _STREAM_TRIALS, chunk_index)
-        z_pow = np.empty((kernels.N_Z_ROWS, 3, m))
-        _fill_z_rows(rng, z_pow, (kernels.Z_CF1_S, kernels.Z_CF1_I, kernels.Z_C1_S),
-                     c1, m, shared)
-        _fill_z_rows(rng, z_pow, (kernels.Z_CF2_S, kernels.Z_CF2_I, kernels.Z_C2_S),
-                     c2, m, shared)
-        _fill_z_rows(rng, z_pow, (kernels.Z_F1_V, kernels.Z_F1_W, kernels.Z_NC1_V,
-                                  kernels.Z_NC1_W), e1, m, shared)
-        _fill_z_rows(rng, z_pow, (kernels.Z_F2_V, kernels.Z_F2_W, kernels.Z_NC2_W),
-                     e2, m, shared)
-        # Interference rows, coupled as the Z rows are.
-        for links, rows in ((c1, (kernels.X_CF1, kernels.X_C1)),
-                            (c2, (kernels.X_CF2, kernels.X_C2))):
-            for i, r in enumerate(rows):
-                if i == 0 or not shared:
-                    draw = _nakagami_pow(rng, links["ici"], m)
-                x[r, start:start + m] = draw
-        z[:, start:start + m] = kernels.coordinated_z(z_pow, amp)
-        start += m
+    buf = np.empty((3, min(n, CHUNK)))
+    for start in range(0, n, CHUNK):
+        cols = slice(start, min(start + CHUNK, n))
+        pow3 = buf[:, :cols.stop - start]
+        rng = substream(seed, _STREAM_TRIALS, start // CHUNK)
+        for links, amp, rows in zip((c1, c2, e1, e2), (amp_c, amp_c, amp_e, amp_e), _Z_BLOCKS):
+            for r in rows[:1] if shared else rows:
+                for row, link in zip(pow3, ("direct", "bs_ris", "ris_user")):
+                    _nakagami_pow_into(rng, links[link], row)
+                kernels.coordinated_z(pow3, amp, z[r, cols])
+        for links, rows in zip((c1, c2), _X_BLOCKS):
+            for r in rows[:1] if shared else rows:
+                _nakagami_pow_into(rng, links["ici"], x[r, cols])
+        if shared:
+            for a, blocks in ((z, _Z_BLOCKS), (x, _X_BLOCKS)):
+                for rows in blocks:
+                    a[list(rows[1:]), cols] = a[rows[0], cols]
     return TrialDraws(z=z, x=x, drawn_from=drawn_from)
+
+
+# What a coordinated run holds that no trial count scales: the (3, CHUNK)
+# draw buffer, one block of the incomplete beta's continued fraction
+# (special._BLOCK entries, about 22 arrays of it at once in pdf-validation's
+# KS CDF), the closed forms and the rows of the table.
+_FIXED_BYTES = 8 << 20
+
+
+def run_bytes(kind: str, n: int) -> int:
+    """Bytes a coordinated run of `kind` (a key of BATCH_KINDS) holds at its
+    peak at n trials, computed, never allocated: 8 per entry of each
+    trial-sized array, plus _FIXED_BYTES. Every run holds the 17 rows of z
+    and x. A batch of K kinds forms each beside the kinds formed before it
+    and at most 3 temporaries (an edge SINR's numerator and its
+    denominator's two terms): 17 + K + 3 arrays of n. pdf-validation also
+    holds its (2, L, n) samples of L = K laws, and while the second
+    coupling's batch forms, the first coupling's: 2L + L + 17 + K + 3. Its
+    KS test then holds the samples, the last batch and the 2L sorted
+    rows; beside them the CDF holds 2L points and 2L values, and then the
+    sup distance the values, a difference and its absolute value, 2L rows
+    each, and the grids hi and lo: 5 (2L) + L + 2 arrays."""
+    k = len(BATCH_KINDS[kind])
+    rows = kernels.N_Z_ROWS + kernels.N_X_ROWS
+    arrays = rows + k + 3
+    if kind == "pdf-validation":
+        arrays = max(3 * k + arrays, 11 * k + 2)
+    return 8 * arrays * n + _FIXED_BYTES
 
 
 def ks_statistic(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -175,8 +176,7 @@ class CoordinatedScenario(LinkBudget):
             "ris_user": NakagamiParams(self.m_ris_user, self.omega(self.ris, user, alpha_ris)),
         }
 
-    def center_links(self, i: int) -> dict[str, NakagamiParams]:
-        """Nakagami parameters of every link feeding center user i's SINRs."""
+    def _center_links(self, i: int) -> dict[str, NakagamiParams]:
         other = 2 if i == 1 else 1
         center = self._center(i)
         return {
@@ -186,8 +186,21 @@ class CoordinatedScenario(LinkBudget):
             ),
         }
 
+    @cached_property
+    def links(self) -> tuple[dict[str, NakagamiParams], ...]:
+        """Nakagami parameters of the links of center 1, center 2, edge 1
+        and edge 2 (center_links, edge_links), computed once per instance:
+        the trial engine draws from them and checks each batch against
+        them, and `analysis` fits the laws at them."""
+        return (self._center_links(1), self._center_links(2),
+                *(self._links(i, self.edge, self.alpha_edge, self.alpha_ris_edge) for i in (1, 2)))
+
+    def center_links(self, i: int) -> dict[str, NakagamiParams]:
+        """Nakagami parameters of every link feeding center user i's SINRs."""
+        return self.links[i - 1]
+
     def edge_links(self, i: int) -> dict[str, NakagamiParams]:
-        return self._links(i, self.edge, self.alpha_edge, self.alpha_ris_edge)
+        return self.links[i + 1]
 
     def cascade_amp_center(self) -> float:
         """Co-phased cascade multiplier K*sqrt(beta_r) for the reflection region."""

@@ -8,7 +8,8 @@ its backprop with every intermediate a fresh array and numpy's mean, std,
 clip and sum, the per-array Adam step, the policy initialisation as one
 literal dict of arrays, the n-step advantage as a double loop, MO-PPO training and
 deterministic evaluation with their episodes run one at a time on these
-forms alone, the multicell engine drawing every
+forms alone, the coordinated engine's trial draws drawn row by row,
+the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, the
 exact OMA center outage of the multicell network under Rayleigh
 interference and the exact edge-gain means of each RIS setting, and the
@@ -49,10 +50,11 @@ from riscomp.moppo import (
     _round_config,
     state_scale,
 )
-from riscomp.montecarlo import CHUNK
+from riscomp import kernels
+from riscomp.montecarlo import _STREAM_TRIALS, CHUNK
 from riscomp.quadrature import _NODES, _WG, _WK, QuadratureError
 from riscomp.ris import phasors, wrap_phase
-from riscomp.scenarios import AerialScenario, MultiCellScenario
+from riscomp.scenarios import AerialScenario, CoordinatedScenario, MultiCellScenario
 from riscomp.special import _EPS, _MAX_ITER, _TINY, ConvergenceError, betaln
 from riscomp.stats import _er_breakpoints
 
@@ -810,6 +812,43 @@ def reference_evaluate(scenario: AerialScenario, weights, seed: int = 0, episode
                            int(np.sum(env.last_qos[0]))))
             svec = _reference_net_input(nstate.vector()[0], scale, t + 1, n)
     return float(np.mean(sum_rates)), float(np.mean(rewards)), traces
+
+
+def reference_trial_draws(scn: CoordinatedScenario, n: int, seed: int, coupling: str):
+    """The coordinated engine's draws (z, x) of n trials, row by row: chunk j
+    of CHUNK trials draws from substream (seed, _STREAM_TRIALS, j) the rows
+    of center 1, center 2, edge 1 and edge 2 in turn, each row a fresh
+    rng.gamma(m, omega/m) array per role (direct, BS-RIS, RIS-user), then
+    the interference rows of center 1 and center 2; in physical mode a
+    block's later rows copy its first row's draws. Each Z row is
+    (sqrt(h^2) + K sqrt(beta) sqrt(a^2) sqrt(b^2))^2, written out."""
+    k = kernels
+    shared = coupling == "physical"
+    amp_c, amp_e = scn.cascade_amp_center(), scn.cascade_amp_edge()
+    blocks = [(scn.center_links(1), amp_c, (k.Z_CF1_S, k.Z_CF1_I, k.Z_C1_S)),
+              (scn.center_links(2), amp_c, (k.Z_CF2_S, k.Z_CF2_I, k.Z_C2_S)),
+              (scn.edge_links(1), amp_e, (k.Z_F1_V, k.Z_F1_W, k.Z_NC1_V, k.Z_NC1_W)),
+              (scn.edge_links(2), amp_e, (k.Z_F2_V, k.Z_F2_W, k.Z_NC2_W))]
+    ici = [(scn.center_links(1)["ici"], (k.X_CF1, k.X_C1)),
+           (scn.center_links(2)["ici"], (k.X_CF2, k.X_C2))]
+    z = np.empty((k.N_Z_ROWS, n))
+    x = np.empty((k.N_X_ROWS, n))
+    for start in range(0, n, CHUNK):
+        m = min(CHUNK, n - start)
+        rng = substream(seed, _STREAM_TRIALS, start // CHUNK)
+        for links, amp, rows in blocks:
+            for i, r in enumerate(rows):
+                if i == 0 or not shared:
+                    h, a, b = [rng.gamma(links[role].m, links[role].omega / links[role].m, m)
+                               for role in ("direct", "bs_ris", "ris_user")]
+                s = np.sqrt(h) + amp * np.sqrt(a) * np.sqrt(b)
+                z[r, start:start + m] = s * s
+        for p, rows in ici:
+            for i, r in enumerate(rows):
+                if i == 0 or not shared:
+                    draw = rng.gamma(p.m, p.omega / p.m, m)
+                x[r, start:start + m] = draw
+    return z, x
 
 
 def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):

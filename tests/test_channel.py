@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import RicianParams, los_steering, sample_rayleigh, sample_rician_vector
 from riscomp.channel import NakagamiParams, substream
-from riscomp.montecarlo import _nakagami_pow
+from riscomp.montecarlo import _nakagami_pow_into
 from riscomp.scenarios import AerialScenario, CoordinatedScenario, MultiCellScenario
 
 N_BIG = 100_000
@@ -18,7 +18,19 @@ SCN_0DB = MultiCellScenario(rho_o_db=0.0)
 
 def _sample_nakagami(p, rng, size):
     """Nakagami magnitude: square root of the engine's Gamma power draws."""
-    return np.sqrt(_nakagami_pow(rng, p, size))
+    out = np.empty(size)
+    _nakagami_pow_into(rng, p, out)
+    return np.sqrt(out)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 2.7])
+def test_engine_power_draws_are_numpys_gamma_bits(m):
+    # The engine draws standard_gamma(m) in place and scales it by omega/m;
+    # numpy's gamma(m, omega/m) is the same stream and the same product.
+    p = NakagamiParams(m, 3.7e-9)
+    out = np.empty(N_BIG)
+    _nakagami_pow_into(substream(5, 1), p, out)
+    assert np.array_equal(out, substream(5, 1).gamma(p.m, p.omega / p.m, N_BIG))
 
 
 def test_path_gain_examples():

@@ -19,7 +19,7 @@ from riscomp.config import (
     load_config,
     parse_text,
 )
-from riscomp.montecarlo import KS_MIN_SAMPLES
+from riscomp.montecarlo import KS_MIN_SAMPLES, run_bytes
 from riscomp.config import TrainConfig
 from riscomp.quadrature import QuadratureError
 from riscomp.scenarios import (
@@ -540,6 +540,23 @@ def test_cli_validate_bounds_the_multicell_chunk(tmp_path, capsys, text, key):
     [line] = str(info.value).splitlines()[1:]
     assert re.fullmatch(rf"  {key}: {_HUGE_K} elements need \S+ GiB per chunk of draws, "
                         r"above the budget of 1 GiB", line)
+
+
+@pytest.mark.parametrize("kind", ["pdf-validation", "er-sweep", "outage-sweep"])
+def test_cli_validate_bounds_the_coordinated_trials(tmp_path, capsys, kind):
+    # Only the size is computed: at 10^9 trials z alone would be 104 GB.
+    _, path = _validate_error_lines(tmp_path, capsys, f"kind = {kind}\ntrials = 1000000000\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    [line] = str(info.value).splitlines()[1:]
+    assert re.fullmatch(r"  trials: 1000000000 trials need \S+ GiB of draws and SINR "
+                        r"samples, above the budget of 1 GiB", line)
+    # The refusal starts at the first trial count run_bytes puts above it.
+    per_trial = run_bytes(kind, 1) - run_bytes(kind, 0)
+    most = (config_module._MEMORY_BUDGET - run_bytes(kind, 0)) // per_trial
+    from_mapping({"kind": kind, "trials": most})
+    with pytest.raises(ConfigError, match="trials: "):
+        from_mapping({"kind": kind, "trials": most + 1})
 
 
 def test_cli_validate_names_the_cell_count(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -10,7 +11,7 @@ from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
 from riscomp.config import from_mapping, parse_text
 from riscomp.experiments import PRESETS, preset, run_experiment
-from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_trials
+from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_bytes, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import CoordinatedScenario, MultiCellScenario, tiny_aerial_scenario
 from riscomp.stats import ergodic_rates
@@ -19,6 +20,23 @@ from riscomp.stats import ergodic_rates
 def _run(tmp_path, name, mapping):
     run = from_mapping({**mapping, "out": str(tmp_path / name)})
     return run, run_experiment(run)
+
+
+@pytest.mark.parametrize("fig", ["fig3.2", "fig3.3", "fig3.4"])
+@pytest.mark.parametrize("n", [4133, 100_000])
+def test_run_bytes_bounds_the_traced_peak(tmp_path, fig, n):
+    # run_bytes is what validate holds against the memory budget, so it must
+    # bound what a run holds: the draws and their buffer, the batches, and
+    # pdf-validation's samples and KS arrays; at two chunks with a short
+    # last one, and where the trial-sized arrays outweigh the rest.
+    run = from_mapping({**preset(fig), "trials": n, "out": str(tmp_path)})
+    tracemalloc.start()
+    try:
+        run_experiment(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= run_bytes(run.config.kind, n)
 
 
 def test_manifest_rerun_byte_identical(tmp_path):

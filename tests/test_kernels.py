@@ -28,7 +28,12 @@ def _multicell_case(n=101, cells=4, k=7):
 
 def test_coordinated_z_matches_direct_formula():
     z, _, amp, *_ = _coordinated_case(64)
-    out = kernels.coordinated_z(z, amp)
+    out = np.empty((kernels.N_Z_ROWS, 64))
+    for r in range(kernels.N_Z_ROWS):
+        pow3 = z[r].copy()
+        kernels.coordinated_z(pow3, amp[r], out[r])
+        # The square roots are taken in the draw buffer.
+        assert np.array_equal(pow3, np.sqrt(z[r]))
     for r in range(kernels.N_Z_ROWS):
         for t in range(64):
             s = np.sqrt(z[r, 0, t]) + amp[r] * np.sqrt(z[r, 1, t]) * np.sqrt(z[r, 2, t])
@@ -39,7 +44,7 @@ def test_coordinated_matches_direct_formula():
     # The SINR half, fed the combined rows of the direct formula.
     z_pow, x, amp, zc, zf, rho = _coordinated_case(64)
     zz = (np.sqrt(z_pow[:, 0]) + amp[:, None] * np.sqrt(z_pow[:, 1]) * np.sqrt(z_pow[:, 2])) ** 2
-    out = kernels.coordinated_sinr(zz, x, zc, zf, rho)
+    out = kernels.coordinated_sinr(zz, x, zc, zf, rho, kernels.SINR_KINDS)
     expect = {
         "center1_sic": (rho * zf * zz[kernels.Z_CF1_S]) / (
             rho * zc * zz[kernels.Z_CF1_I] + rho * x[kernels.X_CF1] + 1.0),
@@ -59,7 +64,11 @@ def test_coordinated_matches_direct_formula():
 
 def test_coordinated_sinr_keys_are_the_sinr_kinds_in_order():
     z_pow, x, amp, zc, zf, rho = _coordinated_case(8)
-    out = kernels.coordinated_sinr(kernels.coordinated_z(z_pow, amp), x, zc, zf, rho)
+    z = np.empty((kernels.N_Z_ROWS, 8))
+    for r, row in enumerate(z):
+        kernels.coordinated_z(z_pow[r], amp[r], row)
+    # Asked for in reverse, the kinds still come in SINR_KINDS order.
+    out = kernels.coordinated_sinr(z, x, zc, zf, rho, kernels.SINR_KINDS[::-1])
     assert tuple(out) == kernels.SINR_KINDS
     assert montecarlo.SINR_KINDS is kernels.SINR_KINDS
     assert all(v.shape == (8,) for v in out.values())

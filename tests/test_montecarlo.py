@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import reference_trial_draws
 from riscomp.channel import substream
 from riscomp.montecarlo import (
+    BATCH_KINDS,
     SINR_KINDS,
     estimate_ergodic_rate,
     estimate_outage,
@@ -46,6 +48,41 @@ def test_chunking_invariance():
     b = run_trials(SCN, 4096, seed=9).batch(SCN)
     for kind in SINR_KINDS:
         assert np.array_equal(a[kind][:4096], b[kind])
+
+
+@pytest.mark.parametrize("coupling", ["physical", "fitted"])
+@pytest.mark.parametrize("n", [1, 4096, 4133, 8193])
+def test_draws_match_the_row_by_row_reference(coupling, n):
+    # One trial, a full chunk, a short last chunk and a one-trial last chunk;
+    # shapes below 1, at 1 and fractional take each of numpy's gamma paths.
+    scn = replace(SCN, m_direct=1.0, m_bs_ris=0.5, m_ris_user=2.7)
+    draws = run_trials(scn, n, seed=6, coupling=coupling)
+    z, x = reference_trial_draws(scn, n, 6, coupling)
+    assert np.array_equal(draws.z, z)
+    assert np.array_equal(draws.x, x)
+
+
+def test_a_scenario_makes_its_links_once():
+    # Every batch checks its scenario's links, so a scenario keeps them; a
+    # replaced scenario makes its own, and equality still reads the fields.
+    scn = replace(SCN, p_t_dbm=3.0)
+    assert scn.links is scn.links
+    assert scn.center_links(2) is scn.links[1] and scn.edge_links(1) is scn.links[2]
+    assert replace(scn, p_t_dbm=3.0) == scn
+    assert replace(scn, alpha_ici=3.9).center_links(1)["ici"] != scn.center_links(1)["ici"]
+
+
+def test_batch_forms_just_the_named_kinds():
+    draws = run_trials(SCN, 300, seed=2)
+    full = draws.batch(SCN)
+    assert tuple(full) == SINR_KINDS
+    for kinds in ((), ("edge",), ("edge", "center1_own"), *BATCH_KINDS.values()):
+        batch = draws.batch(SCN, kinds)
+        assert tuple(batch) == tuple(kind for kind in SINR_KINDS if kind in kinds)
+        for kind, samples in batch.items():
+            assert np.array_equal(samples, full[kind]), (kinds, kind)
+    with pytest.raises(ValueError, match="'edge_high_snr'"):
+        draws.batch(SCN, ("edge", "edge_high_snr"))
 
 
 def test_vanishing_power_means_outage_everywhere():
