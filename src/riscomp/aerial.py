@@ -195,19 +195,22 @@ class ArisEnv:
         return record
 
     # Channels ------------------------------------------------------------
-    def _channels(self, xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _channels(self, xy: np.ndarray, z: np.ndarray,
+                  records=None) -> tuple[np.ndarray, np.ndarray]:
         """Channels of n i.i.d. slots from their normals z (n, n_normals),
         with the UAV at xy (n, 2), one position per slot, or (1, 2) for all:
         RIS-side Rician vectors (n, n_bs + n_users, K), BSs first, and direct
         BS-center Rayleigh links (n, n_bs, n_centers); the BS-edge links are
-        blocked by obstacles.
+        blocked by obstacles. records, when given, are xy's geometry records
+        (_at), which are then not looked up again.
 
         Each slot reads K real then K imaginary normals per RIS link, then
         each direct link's real and imaginary part.
         """
         scn = self.scn
         k = scn.k_elements
-        records = [self._at(p) for p in xy]
+        if records is None:
+            records = [self._at(p) for p in xy]
         amp = np.concatenate([r.amp for r in records])
         los = np.concatenate([r.los for r in records])
         n, n_links = z.shape[0], amp.shape[1]
@@ -258,15 +261,17 @@ class ArisEnv:
         return (0.5 if oma else 1.0) * log2(args)
 
     # MDP interface ---------------------------------------------------------
-    def _slot(self, phasors: np.ndarray) -> np.ndarray:
+    def _slot(self, phasors: np.ndarray, records) -> np.ndarray:
         """Rates (E, n_users) of one new slot of every episode, each drawn
-        from its episode's stream at its UAV position."""
+        from its episode's stream at its UAV position; records: the
+        positions' geometry records (_at)."""
         for rng, row in zip(self._rngs, self._z):
             rng.standard_normal(out=row)
-        return self._rates(self._gains(*self._channels(self._pos, self._z), phasors), self._alloc)
+        ris, direct = self._channels(self._pos, self._z, records)
+        return self._rates(self._gains(ris, direct, phasors), self._alloc)
 
-    def _state(self, rates: np.ndarray) -> MdpState:
-        dists = np.concatenate([self._at(xy).dists for xy in self._pos])
+    def _state(self, rates: np.ndarray, records) -> MdpState:
+        dists = np.concatenate([r.dists for r in records])
         return MdpState(self._pos.copy(), dists, self._alloc.copy(), rates)
 
     def reset(self, n: int = 1) -> MdpState:
@@ -280,7 +285,9 @@ class ArisEnv:
         self._z = np.empty((n, self.n_normals))
         self._t = 0
         self._alloc = np.full((n, self.scn.n_bs), self.scn.default_alloc)
-        return self._state(self._slot(np.ones(self.scn.k_elements, dtype=complex)))
+        records = [self._at(xy) for xy in self._pos]
+        return self._state(self._slot(np.ones(self.scn.k_elements, dtype=complex), records),
+                           records)
 
     def qos_indicators(self, rates: np.ndarray) -> np.ndarray:
         """1 when the rate is at or below its target (violation uses <=)."""
@@ -309,15 +316,19 @@ class ArisEnv:
         if action.alloc_factors.shape[1] != self.scn.n_bs:
             raise ValueError("one allocation factor per BS required")
         candidate = self._pos + self._move_steps[action.move]
-        violated = np.array([not self._at(xy).clear for xy in candidate])
+        # One geometry lookup per episode: a canceled move looks up its
+        # episode's current position instead.
+        records = [self._at(xy) for xy in candidate]
+        violated = np.array([not r.clear for r in records])
         if np.logical_or.reduce(violated):
             candidate[violated] = self._pos[violated]
+            records = [self._at(xy) if v else r for xy, r, v in zip(candidate, records, violated)]
         self._pos = candidate
         self._alloc = action.alloc_factors.copy()
-        rates = self._slot(np.exp(1j * action.phases))
+        rates = self._slot(np.exp(1j * action.phases), records)
         qos = self.qos_indicators(rates)
         reward = self.reward(rates, qos, violated)
         self._t += 1
         self.last_violation = violated
         self.last_qos = qos
-        return self._state(rates), reward, self._t >= self.scn.t_slots
+        return self._state(rates, records), reward, self._t >= self.scn.t_slots

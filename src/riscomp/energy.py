@@ -17,11 +17,10 @@ shared by every point and mode, each element count K reading its own prefix
 of them, and each K's element-axis reductions are formed once per
 setting, in trial blocks on element-major real planes, before any of its
 points is scored, each element sum one ordered reduce
-(kernels.multicell_edge_gains). The setting changes
-only the edge user's gains, so per K the center SINRs are formed once per
-center key (cooperative set, zeta_edge, transmit and noise powers) and
-their sums once per center key and rate thresholds; each point scores only
-its edge user.
+(kernels.multicell_edge_gains). The points are then scored as a table per
+K and cooperative set, in blocks of points and, since the setting changes
+only the edge user's gains, of center keys, one SINR kernel call per
+block; the rate and outage tallies are arrays over points and keys.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ def _center_gains(scn: MultiCellScenario, rng, m: int):
 def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
     """Per-cell edge gains of m trials at K = k elements under each RIS
     setting (kernels.multicell_edge_gains), formed one trial block at a
-    time into full (m, I) arrays.
+    time into one table, settings[s] the row of setting s, (rows, m, I).
 
     ed: (m, I) edge-direct links; normals: the 4 mIK normals of h_br re/im,
     then h_ru re/im. The random phases are drawn from rng, block by block,
@@ -145,7 +144,7 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
     g_casc = math.sqrt(scn.gain(scn.d_bs_ris, scn.alpha_ris)) * math.sqrt(
         scn.gain(scn.d_ris_edge, scn.alpha_ris))
     br_re, br_im, ru_re, ru_im = normals.reshape(4, m, n_cells, k)
-    gains = {s: np.empty((m, n_cells)) for s in settings}
+    gains = np.empty((len(settings), m, n_cells))
     step = max(1, _BLOCK // max(1, n_cells * k))
     for t0 in range(0, m, step):
         t = slice(t0, t0 + step)
@@ -166,7 +165,7 @@ def _edge_gains(scn: MultiCellScenario, ed, normals, rng, k: int, settings):
                if "random" in settings else None)
         del phi  # before the kernel allocates its temporaries
         for key, g in kernels.multicell_edge_gains(ed[t], planes, rnd, settings).items():
-            gains[key][t] = g
+            gains[settings[key], t] = g
         del planes, rnd  # before the next block allocates its own
     return gains
 
@@ -186,18 +185,21 @@ def chunk_bytes(n_cells: int, k_max: int, n: int, n_splits: int) -> int:
     n_cells = I cells at element counts up to k_max, for points at n_splits
     distinct element splits: the normal stream, 8 (2mI + 4mI k_max); the
     center gains, 16 mI^2 while drawn (_center_gains); 24 per-cell (m, I)
-    float arrays for the edge-direct links, the edge gains of the modes'
-    settings ("off", "random" and the anti-phased counts 0 and K), two
-    center keys' SINRs and the center kernel's accumulators and temporaries
-    (at most 12); one more (m, I) array of
-    edge gains per other anti-phased count ceil(split K) of a split point,
-    of which there are at most min(n_splits, k_max + 1); and one trial
-    block's arrays, each of E <= max(_BLOCK, I k_max) entries or of its
-    b <= m trials x I cells: at most 9 E-arrays and 11 bI-arrays at once.
-    Forming the cascade holds its complex factors and a real temporary (5),
-    its element-major planes the phases, the phasors' planes and t^2 (6);
-    the kernel holds both planes, its K + 1 rows and a temporary (6), with
-    element sums of at most 2K + 1 rows and gains of K + 3 settings."""
+    float arrays: the edge-direct links, the gain table's rows of the
+    modes' settings ("off", "random" and the anti-phased counts 0 and K)
+    and a center block of one key (18); one more row per other anti-phased
+    count ceil(split K) of a split point, at most min(n_splits, k_max + 1);
+    and one trial block's or one scoring block's arrays. A trial block's
+    arrays each hold E <= max(_BLOCK, I k_max) entries or its b <= m trials
+    x I cells: at most 9 E-arrays and 11 bI-arrays. Forming the cascade holds
+    its complex factors and a real temporary (5), its element-major planes
+    the phases, the phasors' planes and t^2 (6); the kernel holds both
+    planes, its K + 1 rows and a temporary (6), with element sums of at most
+    2K + 1 rows and gains of K + 3 settings. A scoring block of P points
+    holds at most 8 arrays of Pm <= max(m, _BLOCK) entries (two gain rows,
+    three sums, two SINRs, a temporary); one of C center keys at most 16 of
+    CmI <= max(mI, _BLOCK / 2) (five sums, 3 + 5 temporaries, three SINRs):
+    single rows fit the per-cell arrays, larger blocks the 9 E-arrays."""
     m = min(n, CHUNK)
     per_cell = 24 + min(n_splits, k_max + 1)
     return (8 * (2 * m * n_cells + 4 * m * n_cells * k_max) + 16 * m * n_cells**2
@@ -215,66 +217,71 @@ def _sinr_threshold(r_min: float, share: float) -> float:
         return math.inf
 
 
-class _Sums:
-    """Running sums of one access scheme whose users hold a share of the
-    slot (1.0 NOMA, 0.5 OMA): a rate is share * log2(1 + SINR), and its
-    outage threshold on the SINR is 2^(R_min / share) - 1 (_sinr_threshold).
-    A point sums its edge user in its own _Sums (add_edge); its center users
-    are summed in the _Sums its center key shares (add_center)."""
-
-    def __init__(self, scn: MultiCellScenario, share: float):
-        self.share = share
-        self.thr_c = _sinr_threshold(scn.r_center_min, share)
-        self.thr_f = _sinr_threshold(scn.r_edge_min, share)
-        self.c_rate = np.zeros(scn.n_cells)
-        self.c_out = np.zeros(scn.n_cells)
-        self.e_rate = self.e_out = 0.0
-
-    def add_edge(self, edge):
-        self.e_rate += self.share * float(np.sum(np.log2(1.0 + edge)))
-        self.e_out += float(np.sum(edge < self.thr_f))
-
-    def add_center(self, center, sic=None):
-        """One chunk's center SINRs. A NOMA center user is also in outage
-        when its SIC stage's SINR, sic, misses the edge user's target."""
-        out = center < self.thr_c
-        if sic is not None:
-            out |= sic < self.thr_f
-        self.c_rate += self.share * np.sum(np.log2(1.0 + center), axis=0)
-        self.c_out += np.sum(out, axis=0)
+# Each scheme's slot share, NOMA then OMA: a rate is share * log2(1 + SINR),
+# and a rate target R_min is the SINR threshold 2^(R_min / share) - 1.
+_SHARES = (1.0, 0.5)
+# A point's center key: what its SINRs read besides draws and cooperative set.
+_KEY = ("zeta_edge", "tx_power_w", "noise_w")
 
 
-def _center_key(scn: MultiCellScenario):
-    """What a point's center SINRs read besides the draws: the cooperative
-    set (the first n_coop cells), zeta_edge, the transmit power and the
-    noise power."""
-    return scn.n_coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
+class _Group:
+    """The points of one simulate_network call at one K and cooperative set
+    as a table: point and center-key columns and, per scheme (NOMA, OMA),
+    tallies as arrays: each point's edge rate and outage sums, each key's
+    center rate sums and each key and rate-target pair's outage counts."""
 
+    def __init__(self, pts, rows):
+        self.index, scns, settings = zip(*pts)
+        self.coop = np.arange(scns[0].n_cells) < scns[0].n_coop
+        self.sel = np.array([[rows[s] for s in st] for st in settings]).T  # (I, P)
+        keys, self.at = {}, []  # key -> (row, {rate targets: column}); per point (row, column)
+        for s in scns:
+            c, thr = keys.setdefault(tuple(getattr(s, f) for f in _KEY), (len(keys), {}))
+            self.at.append((c, thr.setdefault((s.r_center_min, s.r_edge_min), len(thr))))
+        self.point_cols = [np.array([getattr(s, f) for s in scns])[:, None] for f in _KEY]
+        self.key_cols = [np.array(col)[:, None, None] for col in zip(*keys)]
+        # Edge thresholds (2, P, 1); per rate-target column, (3, C, 1, 1),
+        # the NOMA own and SIC and the OMA center thresholds, -inf where a
+        # key has fewer columns: no SINR is below it.
+        self.thr_f = np.array([[_sinr_threshold(s.r_edge_min, sh) for s in scns]
+                               for sh in _SHARES])[..., None]
+        self.thr_c = np.full((1 + max(t for _, t in self.at), 3, len(keys), 1, 1), -np.inf)
+        for s, (c, t) in zip(scns, self.at):
+            self.thr_c[t, :, c, 0, 0] = [_sinr_threshold(r, sh) for r, sh in (
+                (s.r_center_min, 1.0), (s.r_edge_min, 1.0), (s.r_center_min, 0.5))]
+        self.e_rate, self.e_out = np.zeros((2, 2, len(scns)))
+        self.c_rate = np.zeros((2, len(keys), len(self.coop)))
+        self.c_out = np.zeros((len(self.thr_c), 2, len(keys), len(self.coop)))
 
-class _Point:
-    """Per-point constants, the NOMA and OMA edge sums of one
-    simulate_network point, and the center sums (center: NOMA, OMA) it
-    shares with every point of its K, center key and rate thresholds."""
+    def score(self, gains, cg):
+        """Adds one chunk from the K's gain table (rows, m, I) and center
+        gains (I, m, I), in blocks (chunk_bytes): per block one kernel call,
+        one log2, one sum over trials and, per rate-target column, one count."""
+        n_cells, m = cg.shape[:2]
+        shares = np.array(_SHARES)[:, None]
+        step = max(1, _BLOCK // (2 * m * n_cells))
+        for b in (slice(c, c + step) for c in range(0, self.c_rate.shape[1], step)):
+            sinr = kernels.multicell_center_sinr(cg, self.coop, *(x[b] for x in self.key_cols))
+            self.c_rate[:, b] += shares[:, None] * np.sum(np.log2(1.0 + sinr[::2]), axis=2)
+            for thr, out in zip(self.thr_c[:, :, b], self.c_out):
+                below = sinr < thr
+                below[1] |= below[0]  # NOMA: own message or SIC stage
+                out[:, b] += np.count_nonzero(below[1:], axis=2)
+            del sinr, below  # before the next block's kernel call
+        step = max(1, _BLOCK // m)
+        for b in (slice(p, p + step) for p in range(0, len(self.at), step)):
+            edge = kernels.multicell_edge_sinr(
+                (gains[sel, :, i] for i, sel in enumerate(self.sel[:, b])), self.coop,
+                *(x[b] for x in self.point_cols))
+            self.e_rate[:, b] += shares * np.sum(np.log2(1.0 + edge), axis=-1)
+            self.e_out[:, b] += np.count_nonzero(edge < self.thr_f[:, b], axis=-1)
+            del edge
 
-    def __init__(self, scn: MultiCellScenario, mode: str, split: float | None, center):
-        if mode not in _NETWORK_MODES:
-            raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
-        self.scn = scn
-        self.coop = np.arange(scn.n_cells) < scn.n_coop
-        coop_s, noncoop_s = _NETWORK_MODES[mode] if split is None else (split, split)
-        self.settings = [s if isinstance(s, str) else math.ceil(s * scn.k_elements)
-                         for s in (coop_s if c else noncoop_s for c in self.coop)]
-        self.noma, self.oma = _Sums(scn, 1.0), _Sums(scn, 0.5)
-        self.center = center
-
-    def edge_gains(self, gains):
-        return np.stack([gains[s][:, i] for i, s in enumerate(self.settings)], axis=1)
-
-    def aggregates(self, n: int) -> tuple[Aggregates, Aggregates]:
-        return tuple(
-            Aggregates(c.c_rate / n, c.c_out / n, e.e_rate / n, e.e_out / n)
-            for e, c in zip((self.noma, self.oma), self.center)
-        )
+    def aggregates(self, n: int):
+        for p, (c, t) in enumerate(self.at):
+            yield tuple(Aggregates(self.c_rate[s, c] / n, self.c_out[t, s, c] / n,
+                                   float(self.e_rate[s, p]) / n, float(self.e_out[s, p]) / n)
+                        for s in range(2))
 
 
 def simulate_network(
@@ -307,64 +314,57 @@ def simulate_network(
     chunk is scored, so each K's element work runs in trial blocks
     (_edge_gains).
 
-    The RIS settings change only the edge user's gains. So, per chunk
-    and K, the center SINRs are formed once per distinct center key
-    (_center_key), and their NOMA and OMA rate and outage sums once per
-    center key and (r_center_min, r_edge_min); each point keeps only its
-    edge sums. Every sum adds its chunks in order, so a point's aggregates
-    are bitwise those of a call with that point alone.
+    The points are scored as a table per K and cooperative set (_Group):
+    per chunk, a block of center keys (_KEY) gets its SINRs from one kernel
+    call with (C, 1, 1) columns, each key its rate sums once and outage
+    counts once per rate-target pair (r_center_min, r_edge_min), and a block
+    of points its edge SINRs from one call with (P, 1) columns. Every sum
+    adds its chunks in order, each trial sum over a C-ordered block as over
+    one point's trials, so a point's aggregates are bitwise those of a call
+    with that point alone.
     """
-    by_k = {}  # K -> (points, {center key: {thresholds: (NOMA, OMA) center sums}})
-    pts = []
-    for scn_v, mode, split in points:
-        differ = [f for f in _DRAW_FIELDS if getattr(scn_v, f) != getattr(scn, f)]
-        if differ:
-            raise ValueError(
-                f"point ({mode!r}) differs from the drawn scenario in {', '.join(differ)}"
-            )
-        group, centers = by_k.setdefault(scn_v.k_elements, ([], {}))
-        by_thr = centers.setdefault(_center_key(scn_v), {})
-        thr = (scn_v.r_center_min, scn_v.r_edge_min)
-        if thr not in by_thr:
-            by_thr[thr] = (_Sums(scn_v, 1.0), _Sums(scn_v, 0.5))
-        pts.append(_Point(scn_v, mode, split, by_thr[thr]))
-        group.append(pts[-1])
+    by_k = {}  # K -> {n_coop: [(index, scn_v, each cell's RIS setting)]}
+    for i, (scn_v, mode, split) in enumerate(points):
+        if differ := [f for f in _DRAW_FIELDS if getattr(scn_v, f) != getattr(scn, f)]:
+            raise ValueError(f"point ({mode!r}) differs from the drawn scenario in "
+                             f"{', '.join(differ)}")
+        if mode not in _NETWORK_MODES:
+            raise ValueError(f"unknown network mode {mode!r}; choose from {MODES}")
+        coop_s, noncoop_s = _NETWORK_MODES[mode] if split is None else (split, split)
+        settings = [s if isinstance(s, str) else math.ceil(s * scn_v.k_elements)
+                    for s in [coop_s] * scn_v.n_coop + [noncoop_s] * (scn.n_cells - scn_v.n_coop)]
+        by_k.setdefault(scn_v.k_elements, {}).setdefault(scn_v.n_coop, []).append(
+            (i, scn_v, settings))
+    tables = {}  # K -> ({setting: its gain-table row}, the K's groups)
+    for k, by_j in by_k.items():
+        rows = {kind: r for r, kind in enumerate(dict.fromkeys(
+            s for pts in by_j.values() for _, _, st in pts for s in st))}
+        tables[k] = rows, [_Group(pts, rows) for pts in by_j.values()]
     n_cells = scn.n_cells
     g_edge_direct = math.sqrt(scn.gain(scn.d_edge, scn.alpha_edge))
     for start in range(0, n, CHUNK):
         m = min(CHUNK, n - start)
         rng = substream(seed, _STREAM_MC, start // CHUNK)
         mi = m * n_cells
-        stream = np.empty(2 * mi + 4 * mi * max(by_k, default=0))
+        stream = np.empty(2 * mi + 4 * mi * max(tables, default=0))
         rng.standard_normal(out=stream[:2 * mi])
         ed = stream[:mi].reshape(m, n_cells) + 1j * stream[mi:2 * mi].reshape(m, n_cells)
         ed *= math.sqrt(0.5) * g_edge_direct
         filled = 2 * mi
-        for k in sorted(by_k):
+        for k in sorted(tables):
             end = 2 * mi + 4 * mi * k
             rng.standard_normal(out=stream[filled:end])
             filled = end
             # K's phases and center gains come next in its stream; the next
             # K's normals continue from here.
             state = rng.bit_generator.state
-            group, centers = by_k[k]
-            gains = _edge_gains(scn, ed, stream[2 * mi:end], rng, k,
-                                {s for p in group for s in p.settings})
+            rows, groups = tables[k]
+            gains = _edge_gains(scn, ed, stream[2 * mi:end], rng, k, rows)
             cg = _center_gains(scn, rng, m)
             rng.bit_generator.state = state
-            for (n_coop, zeta, p_w, sigma2), by_thr in centers.items():
-                c_own, c_cf, c_oma = kernels.multicell_center_sinr(
-                    cg, np.arange(n_cells) < n_coop, zeta, p_w, sigma2)
-                for noma, oma in by_thr.values():
-                    noma.add_center(c_own, c_cf)
-                    oma.add_center(c_oma)
-            del cg
-            for p in group:
-                edge, edge_oma = kernels.multicell_edge_sinr(
-                    p.edge_gains(gains), p.coop, p.scn.zeta_edge,
-                    p.scn.tx_power_w, p.scn.noise_w,
-                )
-                p.noma.add_edge(edge)
-                p.oma.add_edge(edge_oma)
-    return [p.aggregates(n) for p in pts]
-
+            for group in groups:
+                group.score(gains, cg)
+            del gains, cg  # before the next K's are formed
+    out = {i: pair for _, groups in tables.values() for group in groups
+           for i, pair in zip(group.index, group.aggregates(n))}
+    return [out[i] for i in range(len(points))]

@@ -71,6 +71,7 @@ def _run_pdf_validation(run: Plan) -> Outputs:
     for row, coupling in zip(samples, couplings):
         batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn, laws)
         np.stack([batch[kind] for kind in laws], out=row)
+        del batch  # before the next coupling's trials are drawn
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
                                    partial(stacked_cdf, list(laws.values()) * len(couplings)))

@@ -128,26 +128,22 @@ def multicell_edge_gains(ed, casc, rnd, settings):
 
 
 def multicell_edge_sinr(g_edge, coop, zeta_f, p_w, sigma2):
-    """Edge-user SINRs of one multicell point, NOMA and OMA, in O(n I).
+    """Edge-user SINRs of multicell points, NOMA and OMA, in O(n I).
 
-    g_edge: (n, I) edge-user gain of each cell's link (multicell_edge_gains);
-    coop: 1 for cooperating cells, whose BSs jointly serve the edge user
-    with power share zeta_f, while every other cell interferes at full
-    power. Returns (edge, edge_oma).
+    g_edge: the I cells' edge-user gains (multicell_edge_gains) in order,
+    each (n,), or (P, n) for P points whose zeta_f, p_w and sigma2 are (P, 1)
+    columns; coop: 1 for cooperating cells, whose BSs jointly serve the edge
+    user with power share zeta_f, while every other cell interferes at full
+    power. Returns (2, ..., n): edge, edge_oma.
     """
-    n, n_cells = g_edge.shape
-    sig_e = np.zeros(n)
-    intra_e = np.zeros(n)
-    ici_e = np.zeros(n)
-    for i in range(n_cells):
-        if coop[i]:
-            sig_e += zeta_f * p_w * g_edge[:, i]
-            intra_e += (1.0 - zeta_f) * p_w * g_edge[:, i]
+    sig_e = intra_e = ici_e = 0.0  # 0.0 + t is t: every term is >= 0
+    for c, g in zip(coop, g_edge):
+        if c:
+            sig_e += zeta_f * p_w * g
+            intra_e += (1.0 - zeta_f) * p_w * g
         else:
-            ici_e += p_w * g_edge[:, i]
-    edge = sig_e / (intra_e + ici_e + sigma2)
-    edge_oma = (sig_e + intra_e) / (ici_e + sigma2)
-    return edge, edge_oma
+            ici_e += p_w * g
+    return np.stack((sig_e / (intra_e + ici_e + sigma2), (sig_e + intra_e) / (ici_e + sigma2)))
 
 
 def multicell_center_sinr(cg, coop, zeta_f, p_w, sigma2):
@@ -155,35 +151,39 @@ def multicell_center_sinr(cg, coop, zeta_f, p_w, sigma2):
     does not enter them, so points that differ only in it share them.
 
     cg: (I, n, I) center gains, cg[j, :, i] from BS j to center i; coop: 1
-    for cooperating cells. Returns (c_own, c_cf, c_oma), each (n, I): the
-    own-message SINR, the SIC stage's SINR of the edge message and the OMA
-    SINR. For a non-cooperative cell, c_cf is the center user's SIC stage
-    against its own cell's edge component only,
-    zeta_f*own / ((1-zeta_f)*own + ICI + sigma2) with own = p_w*cg[i, :, i]
-    and every other cell interfering at full power. Every sum runs over the
-    source cell j on all centers at once, (n, I), in index order; a term
-    a sum skips (j = i) adds +0.0, which changes no sum of gains.
+    for cooperating cells; zeta_f, p_w and sigma2 scalars, or (C, 1, 1)
+    columns of C center keys. Returns (3, [C,] n, I), C-ordered, whatever
+    the diagonal's strides, so a trial sum runs row by row: the own-message
+    SINR c_own, the SIC stage's SINR of the edge message c_cf and the OMA
+    SINR c_oma. For a non-cooperative cell, c_cf is the center user's SIC
+    stage against its own cell's edge component only, zeta_f*own /
+    ((1-zeta_f)*own + ICI + sigma2) with own = p_w*cg[i, :, i] and every
+    other cell interfering at full power. Every sum runs over the source
+    cell j on all centers at once, (n, I), in index order; a term a sum
+    skips (j = i) adds +0.0, which changes no sum of gains.
     """
-    n_cells, n = cg.shape[0], cg.shape[1]
-    oma_ici, coop_g, ici_g, num_cf, den_cf = np.zeros((5, n, n_cells))
+    shape = np.broadcast_shapes(np.shape(p_w), cg.shape[1:])
+    oma_ici, coop_g, ici_g, num_cf, den_cf = np.zeros((5, *shape))
     for j, row in enumerate(cg):
         full = p_w * row
-        full[:, j] = 0.0  # center j's own link, which no interference sum holds
+        full[..., j] = 0.0  # center j's own link, which no interference sum holds
         oma_ici += full
         if coop[j]:
             intra = ((1.0 - zeta_f) * p_w) * row
             den_cf += intra
-            intra[:, j] = 0.0
+            intra[..., j] = 0.0
             coop_g += intra
             num_cf += (zeta_f * p_w) * row
         else:
             ici_g += full
     own_sig = np.diagonal(cg, axis1=0, axis2=2) * p_w
     den = oma_ici + sigma2
+    out = np.empty((3, *shape))
     # Non-cooperative cells still run their own NOMA pair; only the own-cell
     # edge component is SIC-removable, every other cell interferes at full
     # power.
-    c_own = ((1.0 - zeta_f) * own_sig) / np.where(coop, coop_g + ici_g + sigma2, den)
-    c_cf = np.where(coop, num_cf / (den_cf + ici_g + sigma2),
-                    (zeta_f * own_sig) / ((1.0 - zeta_f) * own_sig + den))
-    return c_own, c_cf, own_sig / den
+    np.divide((1.0 - zeta_f) * own_sig, np.where(coop, coop_g + ici_g + sigma2, den), out=out[0])
+    out[1] = np.where(coop, num_cf / (den_cf + ici_g + sigma2),
+                      (zeta_f * own_sig) / ((1.0 - zeta_f) * own_sig + den))
+    np.divide(own_sig, den, out=out[2])
+    return out

@@ -151,17 +151,17 @@ def run_bytes(kind: str, n: int) -> int:
     and x. A batch of K kinds forms each beside the kinds formed before it
     and at most 3 temporaries (an edge SINR's numerator and its
     denominator's two terms): 17 + K + 3 arrays of n. pdf-validation also
-    holds its (2, L, n) samples of L = K laws, and while the second
-    coupling's batch forms, the first coupling's: 2L + L + 17 + K + 3. Its
-    KS test then holds the samples, the last batch and the 2L sorted
-    rows; beside them the CDF holds 2L points and 2L values, and then the
-    sup distance the values, a difference and its absolute value, 2L rows
-    each, and the grids hi and lo: 5 (2L) + L + 2 arrays."""
+    holds its (2, L, n) samples of L = K laws, each coupling's batch freed
+    once copied into them: 2L + 17 + K + 3. Its KS test then holds the
+    samples and the 2L sorted rows; beside them the CDF holds 2L points and
+    2L values, and then the sup distance the values, a difference and its
+    absolute value, 2L rows each, and the grids hi and lo: 5 (2L) + 2
+    arrays."""
     k = len(BATCH_KINDS[kind])
     rows = kernels.N_Z_ROWS + kernels.N_X_ROWS
     arrays = rows + k + 3
     if kind == "pdf-validation":
-        arrays = max(3 * k + arrays, 11 * k + 2)
+        arrays = max(2 * k + arrays, 10 * k + 2)
     return 8 * arrays * n + _FIXED_BYTES
 
 

@@ -52,7 +52,7 @@ def _split_edge_sinr(scn, ed, casc, coop, split):
     n_co = math.ceil(split * scn.k_elements)
     gains = kernels.multicell_edge_gains(ed, element_planes(casc), None, {n_co})
     return kernels.multicell_edge_sinr(
-        gains[n_co], coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
+        gains[n_co].T, coop, scn.zeta_edge, scn.tx_power_w, scn.noise_w
     )[0]
 
 
@@ -173,8 +173,9 @@ def test_edge_gain_increments_match_the_exact_means(k):
         stream = rng.standard_normal(2 * mi + 4 * mi * k)
         ed = (stream[:mi] + 1j * stream[mi:2 * mi]).reshape(CHUNK, scn.n_cells)
         ed *= math.sqrt(0.5 * scn.gain(scn.d_edge, scn.alpha_edge))
-        gains = riscomp.energy._edge_gains(scn, ed, stream[2 * mi:], rng, k,
-                                           {"off", *incs})
+        kinds = {s: r for r, s in enumerate(["off", *incs])}
+        gains = dict(zip(kinds, riscomp.energy._edge_gains(scn, ed, stream[2 * mi:], rng, k,
+                                                           kinds)))
         for s, parts in incs.items():
             parts.append(gains[s] - gains["off"])
     for s, parts in incs.items():
@@ -401,6 +402,39 @@ def test_mixed_k_points_equal_per_k_oracle():
                         points[i][1:], k, field)
 
 
+def test_blocks_equal_single_point_calls_and_the_oracle(monkeypatch):
+    # One chunk of n = 2000 trials, well above 256, where a block's trial
+    # sums would run in another order were its arrays not C-ordered. Per J,
+    # a power x rate-target grid in every mode and a split point, 25 points
+    # over 3 center keys, of which the 0 dBm key holds a third rate-target
+    # pair (the split's): blocks of 16 points and of 2 keys, so each group
+    # spans two blocks of each.
+    n = 2000
+    assert riscomp.energy._BLOCK // n == 16
+    assert riscomp.energy._BLOCK // (2 * n * SMALL.n_cells) == 2
+    points = [(replace(SMALL, n_coop=j, p_t_dbm=p_t, r_center_min=r, r_edge_min=r), mode, None)
+              for j in (1, 3) for p_t in (-5.0, 0.0, 10.0) for r in (0.5, 1.5) for mode in MODES]
+    points += [(replace(SMALL, n_coop=1), "ec", 0.25), (replace(SMALL, n_coop=3), "ec", 0.75)]
+    calls = []
+    for name in ("multicell_edge_sinr", "multicell_center_sinr"):
+        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    joint = simulate_network(SMALL, points, n=n, seed=13)
+    # Per J group, one kernel call per block: none per point or per key.
+    assert sorted(calls) == ["multicell_center_sinr"] * 4 + ["multicell_edge_sinr"] * 4
+    monkeypatch.undo()
+    oracle = reference_simulate_network(SMALL, points, n=n, seed=13)
+    for point, pair, ref in zip(points, joint, oracle):
+        single = simulate_network(SMALL, [point], n=n, seed=13)[0]
+        for agg, one, want in zip(pair, single, ref):
+            for field in ("center_rates", "center_outage", "edge_rate", "edge_outage"):
+                got = getattr(agg, field)
+                assert np.array_equal(got, getattr(one, field)), (point[1:], field)
+                assert np.array_equal(got, getattr(want, field)), (point[1:], field)
+
+
 @pytest.mark.parametrize("override", [{"d_edge": 120.0},
                                       {"kappa_db": 6.0}, {"alpha_ici": 3.5}])
 def test_point_with_other_draw_fields_rejected(override):
@@ -409,18 +443,29 @@ def test_point_with_other_draw_fields_rejected(override):
         simulate_network(SMALL, points, n=10, seed=0)
 
 
-@pytest.mark.parametrize("cells, k, n, splits", [
-    pytest.param(6, 70, 4096, [0.5], id="6-70-4096"),
-    pytest.param(12, 40, 2000, [0.5], id="12-40-2000"),
+_FIG45_GRID = ([-10.0, -5.0, 0.0, 5.0, 10.0],
+               [{"r_center_min": r, "r_edge_min": r} for r in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)])
+
+
+@pytest.mark.parametrize("cells, k, n, splits, grid", [
+    pytest.param(6, 70, 4096, [0.5], None, id="6-70-4096"),
+    pytest.param(12, 40, 2000, [0.5], None, id="12-40-2000"),
     # 201 splits, 71 distinct element counts ceil(split K) at K = 70.
-    pytest.param(6, 70, 4096, [i / 200 for i in range(201)], id="6-70-4096-201-splits"),
+    pytest.param(6, 70, 4096, [i / 200 for i in range(201)], None, id="6-70-4096-201-splits"),
+    # fig4.5's 30 power x rate-target points in 4 modes, in full scoring
+    # blocks; at K = 0 and 256 trials its 120-point block sets the peak.
+    pytest.param(6, 70, 4096, [], _FIG45_GRID, id="6-70-4096-fig4.5-grid"),
+    pytest.param(6, 0, 256, [], _FIG45_GRID, id="6-0-256-fig4.5-grid"),
 ])
-def test_chunk_bytes_bounds_the_traced_peak(cells, k, n, splits):
+def test_chunk_bytes_bounds_the_traced_peak(cells, k, n, splits, grid):
     # chunk_bytes is what validate holds against the memory budget, so it
     # must bound what one call holds: the normal stream, the center gains,
-    # the per-cell arrays and a trial block, under every mode and each split.
+    # the per-cell arrays and a trial or scoring block, under every mode and
+    # each split.
     scn = MultiCellScenario(n_cells=cells, k_elements=k)
-    points = [(replace(scn, p_t_dbm=p_t), mode, None) for p_t in (0.0, 10.0) for mode in MODES]
+    powers, targets = grid or ([0.0, 10.0], [{}])
+    points = [(replace(scn, p_t_dbm=p_t, **r), mode, None)
+              for r in targets for p_t in powers for mode in MODES]
     points += [(scn, "ec", split) for split in splits]
     tracemalloc.start()
     try:

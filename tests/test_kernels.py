@@ -86,7 +86,7 @@ def test_multicell_matches_reference():
         ed_re + 1j * ed_im, element_planes(c_re + 1j * c_im), element_planes(r_re + 1j * r_im),
         set(mode)
     )
-    g_edge = np.stack([gains[s][:, i] for i, s in enumerate(mode)], axis=1)
+    g_edge = np.stack([gains[s][:, i] for i, s in enumerate(mode)])
     edge, edge_oma = kernels.multicell_edge_sinr(g_edge, coop, zf, p, s2)
     c_own, c_cf, c_oma = kernels.multicell_center_sinr(np.moveaxis(cg, 1, 0), coop, zf, p, s2)
     for t in range(n):
