@@ -498,9 +498,9 @@ def _ee_power_errors(run: Plan) -> list[str]:
             for key, p in powers.items() if p < 0 and dbm_to_watts(p) == 0.0]
 
 
-# Ceiling on what one multicell chunk (energy.chunk_bytes), a coordinated
-# run's trials (montecarlo.run_bytes), one aerial slot's normals or one
-# policy network may hold: 1 GiB.
+# Ceiling on what one multicell chunk (energy.chunk_bytes), pdf-validation's
+# samples (montecarlo.run_bytes), one aerial slot's normals or one policy
+# network may hold: 1 GiB.
 _MEMORY_BUDGET = 1 << 30
 _ABOVE_BUDGET = f"above the budget of {_MEMORY_BUDGET / 2**30:g} GiB"
 
@@ -526,12 +526,12 @@ def _chunk_errors(run: Plan) -> list[str]:
 
 
 def _trial_errors(run: Plan) -> list[str]:
-    """What a coordinated run would hold at its trials (montecarlo.run_bytes:
-    the draws, the SINR samples and pdf-validation's KS arrays) above
-    _MEMORY_BUDGET, named by `trials`. The size is computed, never
-    allocated."""
+    """What a pdf-validation run would hold at its trials
+    (montecarlo.run_bytes: the SINR samples and the KS arrays) above
+    _MEMORY_BUDGET, named by `trials`; the sweeps hold no trial-sized
+    array. The size is computed, never allocated."""
     from .montecarlo import run_bytes
-    size = run_bytes(run.config.kind, run.trials)
+    size = run_bytes(run.trials)
     if size <= _MEMORY_BUDGET:
         return []
     return [f"trials: {run.trials} trials need {size / 2**30:.3g} GiB of draws and SINR "
@@ -609,7 +609,10 @@ def validate(cfg: ExperimentConfig) -> Plan:
     least = 1
     if cfg.kind == "pdf-validation":
         from .montecarlo import KS_MIN_SAMPLES as least
-    if cfg.trials is not None and cfg.trials < least:
+    if cfg.trials is not None and "trials" not in _KINDS[cfg.kind]:
+        errors.append(f"trials: kind {cfg.kind} draws no Monte Carlo trials, so it reads "
+                      "no trials")
+    elif cfg.trials is not None and cfg.trials < least:
         errors.append(f"trials must be >= {least}, got {cfg.trials}")
     if cfg.seed < 0:
         errors.append(f"seed must be >= 0, got {cfg.seed}")
@@ -675,7 +678,7 @@ def validate(cfg: ExperimentConfig) -> Plan:
         errors.extend(_ee_power_errors(run))
     if schema is _MULTICELL_KEYS:
         errors.extend(cells or _chunk_errors(run))
-    if schema is _COORDINATED_KEYS and "trials" in defaults:
+    if cfg.kind == "pdf-validation":
         errors.extend(_trial_errors(run))
     # The fits need every value above to be usable.
     if schema is _COORDINATED_KEYS and not errors:

@@ -60,18 +60,20 @@ def _manifest(cfg: ExperimentConfig, outdir: Path) -> Path:
 
 
 def _run_pdf_validation(run: Plan) -> Outputs:
-    from .montecarlo import BATCH_KINDS, ks_statistic, run_trials
+    from .montecarlo import BATCH_KINDS, CHUNK, ks_statistic, run_trials
     from .stats import stacked_cdf
     [fit] = run.fits
     scn, n = fit.scenario, run.trials
     # Each sampled SINR's law, in the sample kinds' order.
     laws = {kind: fit.laws[kind] for kind in BATCH_KINDS["pdf-validation"]}
     couplings = ("fitted", "physical")
+    # The KS test reads whole samples: each chunk's batch is copied in.
     samples = np.empty((len(couplings), len(laws), n))
     for row, coupling in zip(samples, couplings):
-        batch = run_trials(scn, n, run.config.seed, coupling=coupling).batch(scn, laws)
-        np.stack([batch[kind] for kind in laws], out=row)
-        del batch  # before the next coupling's trials are drawn
+        for start, draws in zip(range(0, n, CHUNK), run_trials(scn, n, run.config.seed, coupling)):
+            batch = draws.batch(scn, laws)
+            np.stack([batch[kind] for kind in laws], out=row[:, start:start + CHUNK])
+        del draws, batch  # the last chunk's, before more draws or the KS arrays
     # One stacked KS test: one betainc_reg call scores all ten rows.
     d, passed, crit = ks_statistic(samples.reshape(-1, n),
                                    partial(stacked_cdf, list(laws.values()) * len(couplings)))
@@ -82,13 +84,16 @@ def _run_pdf_validation(run: Plan) -> Outputs:
 
 def _run_er_sweep(run: Plan) -> Outputs:
     from .analysis import analytic_ergodic_rates
-    from .montecarlo import BATCH_KINDS, USER_SINR, estimate_ergodic_rate, run_trials
-    draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
+    from .montecarlo import BATCH_KINDS, USER_SINR, rate_sums, run_trials
+    # No draw depends on the power: every point scores each chunk, adding
+    # its rate sums; they are divided by n once.
+    sums = np.zeros((len(run.fits), len(USER_SINR)))
+    for draws in run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted"):
+        sums += [rate_sums(draws.batch(fit.scenario, BATCH_KINDS["er-sweep"])) for fit in run.fits]
     ers = analytic_ergodic_rates(run.fits, {**USER_SINR, "edge_high_snr": "edge_high_snr"})
     rows = []
-    for fit, er in zip(run.fits, ers):
-        scn = fit.scenario
-        mc = estimate_ergodic_rate(draws.batch(scn, BATCH_KINDS["er-sweep"]))
+    for fit, er, means in zip(run.fits, ers, (sums / run.trials).tolist()):
+        scn, mc = fit.scenario, dict(zip(USER_SINR, means))
         for user in USER_SINR:
             rel = abs(er[user] / mc[user] - 1.0) if mc[user] else float("inf")
             rows.append((scn.p_t_dbm, user, er[user], mc[user], rel))
@@ -99,16 +104,19 @@ def _run_er_sweep(run: Plan) -> Outputs:
 
 def _run_outage_sweep(run: Plan) -> Outputs:
     from .analysis import analytic_outages
-    from .montecarlo import BATCH_KINDS, USER_SINR, estimate_outage, run_trials
-    draws = run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted")
+    from .montecarlo import BATCH_KINDS, USER_SINR, outage_counts, run_trials
+    # As er-sweep's rate sums: every point adds each chunk's outage counts.
+    counts = np.zeros((len(run.fits), len(USER_SINR) + 1), dtype=np.int64)
+    for draws in run_trials(run.scenario, run.trials, run.config.seed, coupling="fitted"):
+        counts += [outage_counts(draws.batch(fit.scenario, BATCH_KINDS["outage-sweep"]),
+                                 fit.scenario) for fit in run.fits]
     rows = []
-    for fit, closed in zip(run.fits, analytic_outages(run.fits)):
-        scn = fit.scenario
-        mc = estimate_outage(draws.batch(scn, BATCH_KINDS["outage-sweep"]), scn)
-        for user in USER_SINR:
-            rows.append((scn.p_t_dbm, user, closed[user], mc[user],
-                         abs(closed[user] - mc[user])))
-        rows.append((scn.p_t_dbm, "edge_nocomp", float("nan"), mc["edge_nocomp"], float("nan")))
+    for fit, closed, mc in zip(run.fits, analytic_outages(run.fits),
+                               (counts / run.trials).tolist()):
+        p = fit.scenario.p_t_dbm
+        rows += [(p, user, closed[user], out, abs(closed[user] - out))
+                 for user, out in zip(USER_SINR, mc)]
+        rows.append((p, "edge_nocomp", float("nan"), mc[-1], float("nan")))
     return {"outage.csv": (["p_t_dbm", "user", "outage_closed", "outage_mc", "abs_err"], rows)}
 
 

@@ -15,10 +15,14 @@ Reproducibility: trials are partitioned into fixed chunks of CHUNK trials;
 chunk j draws from substream (seed, label, j), so results are independent of
 worker count and scheduling.
 
-No draw depends on power or allocation: `run_trials` draws once, 17 float64
-per trial held until a sweep ends, and `TrialDraws.batch` scores per
-scenario the kinds its caller reads, kind -> (n,) SINR samples in
-`SINR_KINDS` order. `run_bytes` is a run's peak size, which `validate` bounds.
+No draw depends on power or allocation: `run_trials` yields a run's draws
+chunk by chunk, 17 float64 per trial of one chunk in one reused buffer, and
+`TrialDraws.batch` scores a chunk per scenario at the kinds its caller
+reads, kind -> (m,) SINR samples in `SINR_KINDS` order. No code path holds
+a whole run's draws. The sweeps add each chunk's `rate_sums` and
+`outage_counts` into per-point tallies and divide by n once;
+pdf-validation copies each chunk's batch into its whole samples, which the
+KS test needs, and `run_bytes` is its peak size, which `validate` bounds.
 
 The estimators score a batch at the scenario's own SINR thresholds, the
 numbers the closed forms in `analysis` read, and the KS test compares a
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -64,8 +68,8 @@ def _drawn_from(scn: CoordinatedScenario) -> tuple:
 
 @dataclass(frozen=True)
 class TrialDraws:
-    """Combined cascade rows z (N_Z_ROWS, n) and interference powers x
-    (N_X_ROWS, n) of n trials, and what they were drawn from."""
+    """Combined cascade rows z (N_Z_ROWS, m) and interference powers x
+    (N_X_ROWS, m) of one chunk of m trials, and what they were drawn from."""
 
     z: np.ndarray
     x: np.ndarray
@@ -74,7 +78,8 @@ class TrialDraws:
     def batch(self, scenario: CoordinatedScenario,
               kinds: Collection[str] = SINR_KINDS) -> dict[str, np.ndarray]:
         """The trials' SINRs of `kinds` alone (default every kind) at the
-        scenario's rho and zeta, kind -> (n,) samples in SINR_KINDS order.
+        scenario's rho and zeta, kind -> (m,) samples in SINR_KINDS order,
+        fresh arrays that outlive the chunk's draws.
         ValueError if a kind is unknown (naming it) or the scenario's links
         or cascade amplitudes are not those drawn from."""
         if _drawn_from(scenario) != self.drawn_from:
@@ -104,65 +109,61 @@ def run_trials(
     n: int,
     seed: int,
     coupling: str = "physical",
-) -> TrialDraws:
-    """n independent channel realizations, drawn once: 17 float64 per
-    trial, which `TrialDraws.batch` scores at any power and allocation. A Z
-    row's powers are drawn into one reused (3, CHUNK) buffer and combined in
-    its row of z, an x row is drawn in place; physical mode copies shared rows."""
+) -> Iterator[TrialDraws]:
+    """n independent channel realizations, one TrialDraws per chunk of
+    CHUNK trials in chunk order (the last chunk may be short), which
+    `TrialDraws.batch` scores at any power and allocation. Every chunk is
+    drawn into the same (17, CHUNK) buffer, so a chunk's draws hold only
+    until the next chunk is asked for: score each before that. A Z row's
+    powers are drawn into one reused (3, CHUNK) buffer and combined in its
+    row of z, an x row is drawn in place; physical mode copies shared rows.
+    ValueError, once iteration starts, for n < 0 or an unknown coupling."""
     if n < 0:
         raise ValueError("trial count must be >= 0")
     if coupling not in ("physical", "fitted"):
         raise ValueError("coupling must be 'physical' or 'fitted'")
     shared = coupling == "physical"
     c1, c2, e1, e2, amp_c, amp_e = drawn_from = _drawn_from(scenario)
-    z = np.empty((kernels.N_Z_ROWS, n))
-    x = np.empty((kernels.N_X_ROWS, n))
-    buf = np.empty((3, min(n, CHUNK)))
+    z_buf = np.empty((kernels.N_Z_ROWS, min(n, CHUNK)))
+    x_buf = np.empty((kernels.N_X_ROWS, min(n, CHUNK)))
+    pow_buf = np.empty((3, min(n, CHUNK)))
     for start in range(0, n, CHUNK):
-        cols = slice(start, min(start + CHUNK, n))
-        pow3 = buf[:, :cols.stop - start]
+        m = min(CHUNK, n - start)
+        z, x, pow3 = z_buf[:, :m], x_buf[:, :m], pow_buf[:, :m]
         rng = substream(seed, _STREAM_TRIALS, start // CHUNK)
         for links, amp, rows in zip((c1, c2, e1, e2), (amp_c, amp_c, amp_e, amp_e), _Z_BLOCKS):
             for r in rows[:1] if shared else rows:
                 for row, link in zip(pow3, ("direct", "bs_ris", "ris_user")):
                     _nakagami_pow_into(rng, links[link], row)
-                kernels.coordinated_z(pow3, amp, z[r, cols])
+                kernels.coordinated_z(pow3, amp, z[r])
         for links, rows in zip((c1, c2), _X_BLOCKS):
             for r in rows[:1] if shared else rows:
-                _nakagami_pow_into(rng, links["ici"], x[r, cols])
+                _nakagami_pow_into(rng, links["ici"], x[r])
         if shared:
             for a, blocks in ((z, _Z_BLOCKS), (x, _X_BLOCKS)):
                 for rows in blocks:
-                    a[list(rows[1:]), cols] = a[rows[0], cols]
-    return TrialDraws(z=z, x=x, drawn_from=drawn_from)
+                    a[list(rows[1:])] = a[rows[0]]
+        yield TrialDraws(z=z, x=x, drawn_from=drawn_from)
 
 
-# What a coordinated run holds that no trial count scales: the (3, CHUNK)
-# draw buffer, one block of the incomplete beta's continued fraction
-# (special._BLOCK entries, about 22 arrays of it at once in pdf-validation's
-# KS CDF), the closed forms and the rows of the table.
+# What pdf-validation holds that no trial count scales: the draws of one
+# chunk and their (3, CHUNK) buffer, one chunk's batch, one block of the
+# incomplete beta's continued fraction (special._BLOCK entries, about 22
+# arrays of it at once in the KS CDF), the closed forms and the rows of the
+# table.
 _FIXED_BYTES = 8 << 20
 
 
-def run_bytes(kind: str, n: int) -> int:
-    """Bytes a coordinated run of `kind` (a key of BATCH_KINDS) holds at its
-    peak at n trials, computed, never allocated: 8 per entry of each
-    trial-sized array, plus _FIXED_BYTES. Every run holds the 17 rows of z
-    and x. A batch of K kinds forms each beside the kinds formed before it
-    and at most 3 temporaries (an edge SINR's numerator and its
-    denominator's two terms): 17 + K + 3 arrays of n. pdf-validation also
-    holds its (2, L, n) samples of L = K laws, each coupling's batch freed
-    once copied into them: 2L + 17 + K + 3. Its KS test then holds the
-    samples and the 2L sorted rows; beside them the CDF holds 2L points and
-    2L values, and then the sup distance the values, a difference and its
-    absolute value, 2L rows each, and the grids hi and lo: 5 (2L) + 2
-    arrays."""
-    k = len(BATCH_KINDS[kind])
-    rows = kernels.N_Z_ROWS + kernels.N_X_ROWS
-    arrays = rows + k + 3
-    if kind == "pdf-validation":
-        arrays = max(2 * k + arrays, 10 * k + 2)
-    return 8 * arrays * n + _FIXED_BYTES
+def run_bytes(n: int) -> int:
+    """Bytes pdf-validation holds at its peak at n trials, computed, never
+    allocated: 8 per entry of each trial-sized array, plus _FIXED_BYTES.
+    The sweeps hold no trial-sized array. pdf-validation fills its (2, L, n)
+    samples of L laws chunk by chunk; its KS test then holds the samples
+    and the 2L sorted rows, and beside them the CDF holds 2L points and 2L
+    values, and then the sup distance the values, a difference and its
+    absolute value, 2L rows each, and the grids hi and lo: 10 L + 2 arrays
+    of n."""
+    return 8 * (10 * len(BATCH_KINDS["pdf-validation"]) + 2) * n + _FIXED_BYTES
 
 
 def ks_statistic(
@@ -206,29 +207,21 @@ def ks_statistic(
     return d, d < critical, critical
 
 
-def estimate_outage(batch: dict[str, np.ndarray], scn: CoordinatedScenario) -> dict[str, float]:
-    """Per-user empirical outage frequencies of a batch (TrialDraws.batch)
-    at the scenario's SINR thresholds, then the no-CoMP edge baseline's,
-    `edge_nocomp`. The events are strict, SINR < threshold, as in the closed
-    forms' CDFs; a center user is out when SIC of the edge message fails or
-    its own message does."""
-    if not batch["edge"].size:
-        raise ValueError("cannot estimate from an empty batch")
+def outage_counts(batch: dict[str, np.ndarray], scn: CoordinatedScenario) -> np.ndarray:
+    """Per-user outage counts of a batch (TrialDraws.batch) at the
+    scenario's SINR thresholds, as integers in USER_SINR order, then the
+    no-CoMP edge baseline's, `edge_nocomp`. The events are strict, SINR <
+    threshold, as in the closed forms' CDFs; a center user is out when SIC
+    of the edge message fails or its own message does. A run's outage
+    frequencies are its chunks' counts added, divided by n once."""
     thr_c, thr_f = scn.threshold_center, scn.threshold_edge
-    out = {}
-    for i in (1, 2):
-        sic_fail = batch[f"center{i}_sic"] < thr_f
-        own_fail = batch[f"center{i}_own"] < thr_c
-        out[f"center{i}"] = float(np.mean(sic_fail | own_fail))
-    out["edge"] = float(np.mean(batch["edge"] < thr_f))
-    out["edge_nocomp"] = float(np.mean(batch["edge_nocomp"] < thr_f))
-    return out
+    return np.array([*(np.count_nonzero((batch[f"center{i}_sic"] < thr_f)
+                                        | (batch[f"center{i}_own"] < thr_c)) for i in (1, 2)),
+                     *(np.count_nonzero(batch[kind] < thr_f) for kind in ("edge", "edge_nocomp"))])
 
 
-def estimate_ergodic_rate(batch: dict[str, np.ndarray]) -> dict[str, float]:
-    """Per-user mean Shannon rate log2(1 + sinr) in bps/Hz of a batch
-    (TrialDraws.batch)."""
-    if not batch["edge"].size:
-        raise ValueError("cannot estimate from an empty batch")
-    return {user: float(np.mean(np.log1p(batch[kind]) / math.log(2.0)))
-            for user, kind in USER_SINR.items()}
+def rate_sums(batch: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-user sums of the Shannon rate log2(1 + sinr) in bps/Hz over a
+    batch (TrialDraws.batch), in USER_SINR order. A run's ergodic rates are
+    its chunks' sums added in chunk order, divided by n once."""
+    return np.array([np.sum(np.log1p(batch[kind]) / math.log(2.0)) for kind in USER_SINR.values()])

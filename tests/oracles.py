@@ -8,7 +8,8 @@ its backprop with every intermediate a fresh array and numpy's mean, std,
 clip and sum, the per-array Adam step, the policy initialisation as one
 literal dict of arrays, the n-step advantage as a double loop, MO-PPO training and
 deterministic evaluation with their episodes run one at a time on these
-forms alone, the coordinated engine's trial draws drawn row by row,
+forms alone, the coordinated engine's trial draws drawn row by row and
+its estimates from a whole run's draws at once,
 the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, the
 exact OMA center outage of the multicell network under Rayleigh
@@ -51,7 +52,7 @@ from riscomp.moppo import (
     state_scale,
 )
 from riscomp import kernels
-from riscomp.montecarlo import _STREAM_TRIALS, CHUNK
+from riscomp.montecarlo import _STREAM_TRIALS, CHUNK, SINR_KINDS, USER_SINR
 from riscomp.quadrature import _NODES, _WG, _WK, QuadratureError
 from riscomp.ris import phasors, wrap_phase
 from riscomp.scenarios import AerialScenario, CoordinatedScenario, MultiCellScenario
@@ -850,6 +851,34 @@ def reference_trial_draws(scn: CoordinatedScenario, n: int, seed: int, coupling:
                 x[r, start:start + m] = draw
     return z, x
 
+
+
+def reference_batch(scn: CoordinatedScenario, n: int, seed: int, coupling: str,
+                    kinds=SINR_KINDS) -> dict[str, np.ndarray]:
+    """The SINR samples of `kinds` of n trials, kind -> (n,): all n trials
+    drawn at once (reference_trial_draws), then scored in one kernel call."""
+    z, x = reference_trial_draws(scn, n, seed, coupling)
+    return kernels.coordinated_sinr(z, x, scn.zeta_center, scn.zeta_edge, scn.rho, kinds)
+
+
+def reference_outage_frequencies(batch: dict[str, np.ndarray],
+                                 scn: CoordinatedScenario) -> dict[str, float]:
+    """Per-user outage frequencies of a whole batch, each np.mean of its
+    strict events at the scenario's thresholds (a center user is out when
+    SIC or its own message fails), then the no-CoMP edge baseline's."""
+    thr_c, thr_f = scn.threshold_center, scn.threshold_edge
+    out = {f"center{i}": float(np.mean((batch[f"center{i}_sic"] < thr_f)
+                                       | (batch[f"center{i}_own"] < thr_c))) for i in (1, 2)}
+    out["edge"] = float(np.mean(batch["edge"] < thr_f))
+    out["edge_nocomp"] = float(np.mean(batch["edge_nocomp"] < thr_f))
+    return out
+
+
+def reference_mean_rates(batch: dict[str, np.ndarray]) -> dict[str, float]:
+    """Per-user mean Shannon rate log2(1 + sinr) of a whole batch, np.mean
+    over every trial at once."""
+    return {user: float(np.mean(np.log1p(batch[kind]) / math.log(2.0)))
+            for user, kind in USER_SINR.items()}
 
 def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     """Complex channel draws for m trials at the element count scn.k_elements,

@@ -31,8 +31,8 @@ from oracles import (
 from riscomp.analysis import analytic_ergodic_rates, analytic_outages, coordinated_distributions
 from riscomp.channel import substream
 from riscomp.energy import MODES, energy_efficiency, simulate_network
-from riscomp.montecarlo import (SINR_KINDS, USER_SINR, estimate_ergodic_rate, estimate_outage,
-                                ks_statistic, run_trials)
+from riscomp.montecarlo import (SINR_KINDS, USER_SINR, ks_statistic, outage_counts, rate_sums,
+                                run_trials)
 from riscomp.moppo import (
     Minibatch,
     TrainConfig,
@@ -79,9 +79,11 @@ def test_criterion_1_distribution_fit_ks():
     analytic = {kind: laws[kind] for kind in SINR_KINDS if kind in laws}
     ok = True
     for coupling in ("fitted", "physical"):
-        batch = run_trials(FIG32, 10_000, seed=1, coupling=coupling).batch(FIG32)
+        chunks = [draws.batch(FIG32, analytic)
+                  for draws in run_trials(FIG32, 10_000, seed=1, coupling=coupling)]
         for kind, dist in analytic.items():
-            d, passed, crit = ks_statistic(batch[kind], dist.cdf)
+            sample = np.concatenate([chunk[kind] for chunk in chunks])
+            d, passed, crit = ks_statistic(sample, dist.cdf)
             _report(f"1 KS {coupling} {kind}", passed, f"D={d:.4f} < {crit:.4f}")
             if coupling == "fitted":
                 ok = ok and passed
@@ -92,15 +94,18 @@ def test_criterion_2_ergodic_rate_consistency():
     """Quadrature vs MC within 2% for all users across P_t in {-20..10} dBm;
     high-SNR approximation within 0.05 bps/Hz at rho = 1e6."""
     ok = True
-    # The draws do not depend on P_t: drawn once, scored at every power.
-    draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
-                       100_000, seed=2, coupling="fitted")
     powers = range(-20, 11, 5)
     scns = [CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
             for p_t in powers]
+    # The draws do not depend on P_t: each chunk is drawn once and scored at
+    # every power, its rate sums added; they are divided by n once.
+    sums = 0
+    for draws in run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
+                            100_000, seed=2, coupling="fitted"):
+        sums = sums + np.array([rate_sums(draws.batch(scn)) for scn in scns])
     ers = analytic_ergodic_rates([coordinated_distributions(scn) for scn in scns], USER_SINR)
-    for p_t, scn, er in zip(powers, scns, ers):
-        mc = estimate_ergodic_rate(draws.batch(scn))
+    for p_t, er, means in zip(powers, ers, sums / 100_000):
+        mc = dict(zip(USER_SINR, means))
         for user in ("center1", "center2", "edge"):
             rel = abs(er[user] / mc[user] - 1.0)
             passed = rel < 0.02
@@ -119,15 +124,17 @@ def test_criterion_3_outage_closed_forms():
     """Closed forms within 0.03 absolute of MC at 0 dB thresholds across the
     power sweep; no-CoMP edge outage strictly above the CoMP case."""
     ok = True
-    draws = run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
-                       10_000, seed=3, coupling="fitted")
     powers = range(-15, 21, 5)
     scns = [CoordinatedScenario(p_t_dbm=float(p_t), k_elements=34, assignment=(17, 17))
             for p_t in powers]
+    # The scenario's default thresholds_db = (0, 0): 0 dB SINR thresholds.
+    counts = 0
+    for draws in run_trials(CoordinatedScenario(k_elements=34, assignment=(17, 17)),
+                            10_000, seed=3, coupling="fitted"):
+        counts = counts + np.array([outage_counts(draws.batch(scn), scn) for scn in scns])
     outages = analytic_outages([coordinated_distributions(scn) for scn in scns])
-    for p_t, scn, closed in zip(powers, scns, outages):
-        # The scenario's default thresholds_db = (0, 0): 0 dB SINR thresholds.
-        mc = estimate_outage(draws.batch(scn), scn)
+    for p_t, closed, fractions in zip(powers, outages, counts / 10_000):
+        mc = dict(zip((*USER_SINR, "edge_nocomp"), fractions))
         for user in ("center1", "center2", "edge"):
             err = abs(closed[user] - mc[user])
             ok = _report(f"3 outage P_t={p_t} {user}", err < 0.03, f"|err|={err:.4f}") and ok

@@ -157,11 +157,22 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "manifest.cfg").exists()
 
 
+_NO_TRIALS = ("exhaustive-star", "drl-train", "drl-eval")  # the kinds that draw no trials
+
+
 def test_trials_must_be_positive_for_every_kind():
+    # A kind that draws no trials refuses the key by name, whatever its value.
     for kind in KINDS:
-        for trials in (0, -3):
-            with pytest.raises(ConfigError, match="trials must be >= 1"):
-                from_mapping({"kind": kind, "trials": trials})
+        for trials in (0, -3, 5):
+            if kind in _NO_TRIALS:
+                message = (rf"\n  trials: kind {kind} draws no Monte Carlo trials, so it "
+                           "reads no trials$")
+            elif trials < 1:
+                message = "trials must be >= 1"
+            else:
+                continue
+            with pytest.raises(ConfigError, match=message):
+                from_mapping({"kind": kind, "trials": trials, "checkpoint": "p.bin"})
     with pytest.raises(ConfigError, match="unknown scenario key 'n_trials' for kind osum-sweep"):
         from_mapping({"kind": "osum-sweep", "scenario.n_trials": 0})
 
@@ -544,7 +555,14 @@ def test_cli_validate_bounds_the_multicell_chunk(tmp_path, capsys, text, key):
 
 @pytest.mark.parametrize("kind", ["pdf-validation", "er-sweep", "outage-sweep"])
 def test_cli_validate_bounds_the_coordinated_trials(tmp_path, capsys, kind):
-    # Only the size is computed: at 10^9 trials z alone would be 104 GB.
+    if kind != "pdf-validation":
+        # The sweeps hold one chunk of draws at a time, whatever n is.
+        path = tmp_path / "c.cfg"
+        path.write_text(f"kind = {kind}\ntrials = 1000000000\n")
+        assert main(["validate", str(path)]) == 0
+        assert "\ntrials = 1000000000\n" in capsys.readouterr().out
+        return
+    # Only the size is computed: at 10^9 trials the samples alone would be 80 GB.
     _, path = _validate_error_lines(tmp_path, capsys, f"kind = {kind}\ntrials = 1000000000\n")
     with pytest.raises(ConfigError) as info:
         load_config(path)
@@ -552,8 +570,8 @@ def test_cli_validate_bounds_the_coordinated_trials(tmp_path, capsys, kind):
     assert re.fullmatch(r"  trials: 1000000000 trials need \S+ GiB of draws and SINR "
                         r"samples, above the budget of 1 GiB", line)
     # The refusal starts at the first trial count run_bytes puts above it.
-    per_trial = run_bytes(kind, 1) - run_bytes(kind, 0)
-    most = (config_module._MEMORY_BUDGET - run_bytes(kind, 0)) // per_trial
+    per_trial = run_bytes(1) - run_bytes(0)
+    most = (config_module._MEMORY_BUDGET - run_bytes(0)) // per_trial
     from_mapping({"kind": kind, "trials": most})
     with pytest.raises(ConfigError, match="trials: "):
         from_mapping({"kind": kind, "trials": most + 1})
@@ -934,7 +952,7 @@ def _start_within_d_min(flat):
 @settings(max_examples=300, deadline=None)
 def test_dump_parse_roundtrip_property(kind, data):
     flat = {"kind": kind, "seed": data.draw(st.integers(0, 2**63)), "out": data.draw(st.text())}
-    if data.draw(st.booleans()):
+    if kind not in _NO_TRIALS and data.draw(st.booleans()):
         least = KS_MIN_SAMPLES if kind == "pdf-validation" else 1
         flat["trials"] = data.draw(st.integers(least, 10**9))
     if kind == "drl-eval" or data.draw(st.booleans()):
@@ -964,6 +982,12 @@ def test_dump_parse_roundtrip_property(kind, data):
     if kind == "ee-sweep" and {"sweep.p_t_dbm", "sweep.r_th_values"} <= flat.keys() and (
             flat.keys() & {"sweep.j_values", "sweep.k_values"}):
         with pytest.raises(ConfigError, match=r"\n  sweep\.[jk]_values: not read"):
+            from_mapping(flat)
+        return
+    if kind == "pdf-validation" and run_bytes(flat.get("trials", 0)) > config_module._MEMORY_BUDGET:
+        # Its KS test holds whole samples: the trial counts above the budget
+        # are refused by name.
+        with pytest.raises(ConfigError, match=r"\n  trials: \d+ trials need .* above the budget"):
             from_mapping(flat)
         return
     if kind in ("drl-train", "drl-eval") and _start_within_d_min(flat):

@@ -6,12 +6,14 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from oracles import reference_batch, reference_mean_rates, reference_outage_frequencies
 from riscomp import experiments
 from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
 from riscomp.config import from_mapping, parse_text
 from riscomp.experiments import PRESETS, preset, run_experiment
-from riscomp.montecarlo import SINR_KINDS, ks_statistic, run_bytes, run_trials
+from riscomp import montecarlo
+from riscomp.montecarlo import BATCH_KINDS, SINR_KINDS, ks_statistic, run_bytes, run_trials
 from riscomp.moppo import init_policy, save_params
 from riscomp.scenarios import CoordinatedScenario, MultiCellScenario, tiny_aerial_scenario
 from riscomp.stats import ergodic_rates
@@ -22,13 +24,19 @@ def _run(tmp_path, name, mapping):
     return run, run_experiment(run)
 
 
+# What an er-sweep or outage-sweep holds at its peak at any trial count: one
+# chunk's draws and batch, the closed forms and the table (under 1 MiB).
+_SWEEP_PEAK_BYTES = 2 << 20
+
+
 @pytest.mark.parametrize("fig", ["fig3.2", "fig3.3", "fig3.4"])
 @pytest.mark.parametrize("n", [4133, 100_000])
 def test_run_bytes_bounds_the_traced_peak(tmp_path, fig, n):
     # run_bytes is what validate holds against the memory budget, so it must
-    # bound what a run holds: the draws and their buffer, the batches, and
-    # pdf-validation's samples and KS arrays; at two chunks with a short
-    # last one, and where the trial-sized arrays outweigh the rest.
+    # bound what pdf-validation holds: a chunk's draws and batch, and the
+    # samples and KS arrays. The sweeps hold one chunk at a time, so one
+    # bound serves every trial count. At two chunks with a short last one,
+    # and where the trial-sized arrays would outweigh the rest.
     run = from_mapping({**preset(fig), "trials": n, "out": str(tmp_path)})
     tracemalloc.start()
     try:
@@ -36,7 +44,41 @@ def test_run_bytes_bounds_the_traced_peak(tmp_path, fig, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= run_bytes(run.config.kind, n)
+    assert peak <= (run_bytes(n) if fig == "fig3.2" else _SWEEP_PEAK_BYTES)
+
+
+@pytest.mark.parametrize("n", [1, 4096, 4097, 20_000])
+def test_the_runners_stream_the_whole_run_estimates(monkeypatch, tmp_path, n):
+    # Against all n trials drawn and scored at once and averaged by np.mean:
+    # the outage-sweep's frequencies and pdf-validation's KS samples keep
+    # every bit, and the er-sweep's rates, summed chunk by chunk, agree
+    # within 1e-13. Each at a short, a full and a one-trial last chunk.
+    powers = [-10.0, 5.0]
+    sweep = {"seed": 5, "trials": n, "sweep.p_t_dbm": powers}
+    er_run, er_out = _run(tmp_path, "er", {"kind": "er-sweep", **sweep})
+    _, out_out = _run(tmp_path, "outage", {"kind": "outage-sweep", **sweep})
+    er_rows = list(csv.DictReader(er_out[1].open()))
+    out_rows = list(csv.DictReader(out_out[1].open()))
+    for fit in er_run.fits:
+        scn = fit.scenario
+        whole = reference_batch(scn, n, 5, "fitted")
+        p = f"{scn.p_t_dbm:.17g}"
+        rates = {r["user"]: float(r["er_mc"]) for r in er_rows if r["p_t_dbm"] == p}
+        for user, want in reference_mean_rates(whole).items():
+            assert rates[user] == pytest.approx(want, rel=1e-13, abs=0), (p, user)
+        outages = {r["user"]: float(r["outage_mc"]) for r in out_rows if r["p_t_dbm"] == p}
+        assert outages == reference_outage_frequencies(whole, scn), p
+    if n < 100:  # below the KS minimum
+        return
+    tested = []
+    monkeypatch.setattr(montecarlo, "ks_statistic",
+                        lambda samples, cdf: tested.append(samples.copy()) or ks_statistic(
+                            samples, cdf))
+    run, _ = _run(tmp_path, "pdf", {"kind": "pdf-validation", "seed": 5, "trials": n})
+    laws = BATCH_KINDS["pdf-validation"]
+    want = [reference_batch(run.scenario, n, 5, coupling, laws)[kind]
+            for coupling in ("fitted", "physical") for kind in laws]
+    assert np.array_equal(tested[0], want)
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
@@ -85,7 +127,7 @@ def test_pdf_validation_rows_equal_one_ks_test_each(tmp_path):
     laws = {kind: fitted[kind] for kind in SINR_KINDS if kind in fitted}
     want = []
     for coupling in ("fitted", "physical"):
-        batch = run_trials(scn, 1200, 4, coupling=coupling).batch(scn)
+        batch = next(run_trials(scn, 1200, 4, coupling=coupling)).batch(scn)  # one chunk
         for kind, law in laws.items():
             d, ok, crit = ks_statistic(batch[kind], law.cdf)
             want.append([coupling, kind, "1200", f"{d:.17g}", f"{crit:.17g}", str(int(ok))])
@@ -151,8 +193,8 @@ def test_each_point_is_built_once_in_the_plan(monkeypatch, tmp_path, fig):
 
     for cls in (CoordinatedScenario, MultiCellScenario):
         monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
-    trials = 100 if fig == "fig3.2" else 10
-    run = from_mapping({**preset(fig), "trials": trials, "out": str(tmp_path / "out")})
+    trials = {"fig3.2": {"trials": 100}, "fig3.5": {}}.get(fig, {"trials": 10})
+    run = from_mapping({**preset(fig), **trials, "out": str(tmp_path / "out")})
     assert len(built) == _SCENARIOS_BUILT[fig]
     run_experiment(run)
     assert len(built) == _SCENARIOS_BUILT[fig]
@@ -178,7 +220,7 @@ def test_a_rate_runner_integrates_the_laws_it_writes_in_one_call(monkeypatch, tm
         return ergodic_rates(laws)
 
     monkeypatch.setattr("riscomp.analysis.ergodic_rates", recording)
-    run, _ = _run(tmp_path, fig, {**preset(fig), "trials": 200})
+    run, _ = _run(tmp_path, fig, {**preset(fig), **({"trials": 200} if fig == "fig3.3" else {})})
     assert integrated == [[d.laws[kind] for d in run.fits for kind in kinds]]
     assert len(integrated[0]) == {"fig3.3": 7 * 4, "fig3.5": 9 * 3}[fig]
 
@@ -407,7 +449,9 @@ _TINY_DRL = {"scenario.tiny": True, "scenario.k_elements": 2, "scenario.t_slots"
 def test_the_plan_is_what_runs(tmp_path, kind):
     """With no sweep.* keys every kind runs its defaults, as its plan lists
     them: each axis's values are written to its CSV column in plan order."""
-    mapping = {"kind": kind, "trials": 100 if kind == "pdf-validation" else 1}
+    mapping = {"kind": kind}
+    if kind not in ("exhaustive-star", "drl-train", "drl-eval"):  # kinds that draw no trials
+        mapping["trials"] = 100 if kind == "pdf-validation" else 1
     if kind.startswith("drl-"):
         mapping.update(_TINY_DRL)
     if kind == "drl-eval":

@@ -36,12 +36,11 @@ _COORDINATED = _BASE | {"analysis", "stats", "special", "quadrature"}
 # Presets in the order validated, and the modules loaded after each.
 _FAMILIES = {
     "coordinated": [
-        # exhaustive-star draws no trials; the trial budget of every other
-        # coordinated kind is montecarlo.run_bytes, and pdf-validation's
-        # trial minimum montecarlo.KS_MIN_SAMPLES.
-        ("fig3.5", _COORDINATED),
-        *((fig, _COORDINATED | {"montecarlo", "kernels"})
-          for fig in ("fig3.3", "fig3.4", "fig3.2")),
+        # exhaustive-star draws no trials, and the sweeps hold one chunk of
+        # draws whatever their trials; pdf-validation's trial budget is
+        # montecarlo.run_bytes and its trial minimum montecarlo.KS_MIN_SAMPLES.
+        *((fig, _COORDINATED) for fig in ("fig3.5", "fig3.3", "fig3.4")),
+        ("fig3.2", _COORDINATED | {"montecarlo", "kernels"}),
     ],
     "multicell": [(fig, _BASE | {"energy", "kernels", "montecarlo", "ris"})
                   for fig in ("fig4.2", "fig4.3", "fig4.4", "fig4.5", "fig4.6")],

@@ -4,20 +4,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_trial_draws
+from oracles import (reference_batch, reference_mean_rates, reference_outage_frequencies,
+                     reference_trial_draws)
 from riscomp.channel import substream
 from riscomp.montecarlo import (
     BATCH_KINDS,
+    CHUNK,
     SINR_KINDS,
-    estimate_ergodic_rate,
-    estimate_outage,
+    USER_SINR,
     ks_statistic,
+    outage_counts,
+    rate_sums,
     run_trials,
 )
 from riscomp.scenarios import CoordinatedScenario
 from riscomp.stats import GammaParams
 
 SCN = CoordinatedScenario(p_t_dbm=-20.0)
+OUTAGE_USERS = (*USER_SINR, "edge_nocomp")  # the order of outage_counts
+
+
+def _streamed(scn, n, seed, coupling="physical", at=None):
+    """kind -> (n,) SINR samples of run_trials' chunks drawn at scn and
+    scored at `at` (default scn), each chunk's batch formed before the next
+    chunk is drawn, then joined."""
+    at = at or scn
+    chunks = [draws.batch(at) for draws in run_trials(scn, n, seed, coupling)]
+    return {kind: np.concatenate([c[kind] for c in chunks]) for kind in SINR_KINDS}
 
 
 def _synthetic_batch(arrays: dict) -> dict:
@@ -25,27 +38,31 @@ def _synthetic_batch(arrays: dict) -> dict:
     return {k: np.asarray(arrays.get(k, np.ones(n)), dtype=float) for k in SINR_KINDS}
 
 
-def test_empty_batch():
-    batch = run_trials(SCN, 0, seed=1).batch(SCN)
-    assert [v.shape for v in batch.values()] == [(0,)] * len(SINR_KINDS)
-    with pytest.raises(ValueError):
-        estimate_ergodic_rate(batch)
-    with pytest.raises(ValueError):
-        estimate_outage(batch, SCN)
+def test_no_trials_yield_no_chunk():
+    assert list(run_trials(SCN, 0, seed=1)) == []
+
+
+def test_chunks_share_one_buffer():
+    # No run holds more than one chunk of draws: every chunk is drawn into
+    # the first one's buffer, the last one short.
+    chunks = [(d.z, d.x) for d in run_trials(SCN, 2 * CHUNK + 5, seed=1)]
+    assert [z.shape[1] for z, _ in chunks] == [CHUNK, CHUNK, 5]
+    (z0, x0), *rest = chunks
+    assert all(np.shares_memory(z, z0) and np.shares_memory(x, x0) for z, x in rest)
 
 
 def test_determinism_both_couplings():
     for coupling in ("physical", "fitted"):
-        a = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
-        b = run_trials(SCN, 5000, seed=3, coupling=coupling).batch(SCN)
+        a = _streamed(SCN, 5000, 3, coupling)
+        b = _streamed(SCN, 5000, 3, coupling)
         for kind in SINR_KINDS:
             assert np.array_equal(a[kind], b[kind]), (coupling, kind)
 
 
 def test_chunking_invariance():
     # Results must not depend on how many chunks the trial range spans.
-    a = run_trials(SCN, 5000, seed=9).batch(SCN)
-    b = run_trials(SCN, 4096, seed=9).batch(SCN)
+    a = _streamed(SCN, 5000, 9)
+    b = _streamed(SCN, 4096, 9)
     for kind in SINR_KINDS:
         assert np.array_equal(a[kind][:4096], b[kind])
 
@@ -56,10 +73,33 @@ def test_draws_match_the_row_by_row_reference(coupling, n):
     # One trial, a full chunk, a short last chunk and a one-trial last chunk;
     # shapes below 1, at 1 and fractional take each of numpy's gamma paths.
     scn = replace(SCN, m_direct=1.0, m_bs_ris=0.5, m_ris_user=2.7)
-    draws = run_trials(scn, n, seed=6, coupling=coupling)
+    chunks = [(d.z.copy(), d.x.copy()) for d in run_trials(scn, n, seed=6, coupling=coupling)]
     z, x = reference_trial_draws(scn, n, 6, coupling)
-    assert np.array_equal(draws.z, z)
-    assert np.array_equal(draws.x, x)
+    assert np.array_equal(np.concatenate([c[0] for c in chunks], axis=1), z)
+    assert np.array_equal(np.concatenate([c[1] for c in chunks], axis=1), x)
+
+
+@pytest.mark.parametrize("coupling", ["physical", "fitted"])
+@pytest.mark.parametrize("n", [1, 4096, 4097, 20_000])
+def test_streamed_estimates_match_the_whole_run_oracle(coupling, n):
+    # The runners never hold a whole run's draws: pdf-validation copies each
+    # chunk's batch into its samples, the sweeps add each chunk's outage
+    # counts and rate sums and divide by n once. Against all n trials drawn
+    # and scored at once, then averaged by np.mean, the samples and outage
+    # frequencies keep every bit; the rates are summed in another order.
+    scn = replace(SCN, p_t_dbm=-15.0)
+    whole = reference_batch(scn, n, 8, coupling)
+    counts = sums = 0
+    for draws in run_trials(scn, n, 8, coupling):
+        batch = draws.batch(scn)
+        counts, sums = counts + outage_counts(batch, scn), sums + rate_sums(batch)
+    samples = _streamed(scn, n, 8, coupling)
+    for kind in SINR_KINDS:
+        assert np.array_equal(samples[kind], whole[kind]), kind
+    frequencies = dict(zip(OUTAGE_USERS, (counts / n).tolist()))
+    assert frequencies == reference_outage_frequencies(whole, scn)
+    want = reference_mean_rates(whole)
+    np.testing.assert_allclose(sums / n, [want[user] for user in USER_SINR], rtol=1e-13, atol=0)
 
 
 def test_a_scenario_makes_its_links_once():
@@ -73,7 +113,7 @@ def test_a_scenario_makes_its_links_once():
 
 
 def test_batch_forms_just_the_named_kinds():
-    draws = run_trials(SCN, 300, seed=2)
+    draws = next(run_trials(SCN, 300, seed=2))
     full = draws.batch(SCN)
     assert tuple(full) == SINR_KINDS
     for kinds in ((), ("edge",), ("edge", "center1_own"), *BATCH_KINDS.values()):
@@ -89,11 +129,10 @@ def test_vanishing_power_means_outage_everywhere():
     # Degenerate scenario: transmit power so low every link is effectively
     # blocked; all SINRs ~ 0 and every outage indicator is true.
     scn = replace(SCN, p_t_dbm=-200.0)
-    batch = run_trials(scn, 500, seed=5).batch(scn)
+    batch = next(run_trials(scn, 500, seed=5)).batch(scn)
     for kind in SINR_KINDS:
         assert np.all(batch[kind] < 1e-9)
-    outage = estimate_outage(batch, scn)
-    assert all(v == 1.0 for v in outage.values())
+    assert outage_counts(batch, scn).tolist() == [500] * len(OUTAGE_USERS)
 
 
 def test_ks_calibration():
@@ -157,12 +196,12 @@ def test_stacked_ks_equals_per_row_calls_and_calls_cdf_once():
     assert set(passed.tolist()) == {True, False}
 
 
-def test_estimate_outage_extremes():
+def test_outage_counts_extremes():
     n = 100
     all_out = _synthetic_batch({k: np.zeros(n) for k in SINR_KINDS})
-    assert all(v == 1.0 for v in estimate_outage(all_out, SCN).values())
+    assert outage_counts(all_out, SCN).tolist() == [n] * len(OUTAGE_USERS)
     none_out = _synthetic_batch({k: np.full(n, 100.0) for k in SINR_KINDS})
-    assert all(v == 0.0 for v in estimate_outage(none_out, SCN).values())
+    assert outage_counts(none_out, SCN).tolist() == [0] * len(OUTAGE_USERS)
 
 
 def test_outage_at_the_threshold_is_not_outage_at_minus_10_db():
@@ -173,26 +212,24 @@ def test_outage_at_the_threshold_is_not_outage_at_minus_10_db():
     scn = replace(SCN, thresholds_db=(-10.0, -10.0))
     assert scn.threshold_center == scn.threshold_edge == 0.1
     batch = _synthetic_batch({k: np.full(8, scn.threshold_edge) for k in SINR_KINDS})
-    assert estimate_outage(batch, scn) == dict.fromkeys(
-        ("center1", "center2", "edge", "edge_nocomp"), 0.0)
+    assert outage_counts(batch, scn).tolist() == [0] * len(OUTAGE_USERS)
 
 
-def test_estimate_outage_binomial():
+def test_outage_counts_binomial():
     rng = substream(6, 6)
     n = 10_000
     # Edge SINR below the threshold with probability 0.3.
     edge = np.where(rng.uniform(size=n) < 0.3, 0.0, 10.0)
     batch = _synthetic_batch({"edge": edge})
-    out = estimate_outage(batch, SCN)
+    out = dict(zip(OUTAGE_USERS, outage_counts(batch, SCN) / n))
     assert out["edge"] == pytest.approx(0.30, abs=0.015)
 
 
-def test_estimate_ergodic_rate_constant():
+def test_rate_sums_constant():
+    # log2(1 + 1) = 1 bps/Hz per trial, for each user in USER_SINR order.
     batch = _synthetic_batch({k: np.ones(64) for k in SINR_KINDS})
-    er = estimate_ergodic_rate(batch)
-    assert list(er) == ["center1", "center2", "edge"]
-    assert er["center1"] == 1.0
-    assert er["edge"] == 1.0
+    assert list(USER_SINR) == ["center1", "center2", "edge"]
+    assert rate_sums(batch).tolist() == [64.0] * 3
 
 
 def test_estimator_consistency_sqrt_n():
@@ -200,38 +237,34 @@ def test_estimator_consistency_sqrt_n():
     # ~1/sqrt(2); 40 seeds keep the std-of-std noise inside the 20% band.
     scn = replace(SCN, p_t_dbm=-22.0)
     est1, est2 = [], []
-    for seed in range(40):
-        est1.append(estimate_outage(run_trials(scn, 1000, seed=seed).batch(scn), scn)["center1"])
-        est2.append(estimate_outage(run_trials(scn, 2000, seed=1000 + seed).batch(scn),
-                                    scn)["center1"])
+    for est, n, offset in ((est1, 1000, 0), (est2, 2000, 1000)):
+        for seed in range(40):
+            batch = next(run_trials(scn, n, seed=offset + seed)).batch(scn)
+            est.append(outage_counts(batch, scn)[0] / n)
     ratio = np.std(est2) / np.std(est1)
     assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.20)
 
 
 def test_outage_monotone_in_power_common_random_numbers():
-    draws = run_trials(SCN, 10_000, seed=11)
-    prev = None
-    for p_t in (-20, -15, -10, -5, 0, 5):
-        scn = replace(SCN, p_t_dbm=float(p_t))
-        out = estimate_outage(draws.batch(scn), scn)
-        if prev is not None:
-            assert out["edge"] <= prev + 1e-12
-        prev = out["edge"]
+    scns = [replace(SCN, p_t_dbm=float(p_t)) for p_t in (-20, -15, -10, -5, 0, 5)]
+    edge = 0
+    for draws in run_trials(SCN, 10_000, seed=11):
+        edge = edge + np.array([outage_counts(draws.batch(scn), scn)[2] for scn in scns])
+    assert np.all(np.diff(edge) <= 0)
 
 
 def test_invalid_coupling():
     with pytest.raises(ValueError):
-        run_trials(SCN, 10, seed=0, coupling="other")
+        next(run_trials(SCN, 10, seed=0, coupling="other"))
 
 
 @pytest.mark.parametrize("coupling", ["physical", "fitted"])
 def test_draws_do_not_depend_on_power_or_allocation(coupling):
     # Scoring one power's draws at another scenario equals drawing there.
-    draws = run_trials(SCN, 5000, seed=4, coupling=coupling)
     for other in (replace(SCN, p_t_dbm=7.5),
                   replace(SCN, p_t_dbm=-33.0, zeta_center=0.2, zeta_edge=0.8)):
-        scored = draws.batch(other)
-        direct = run_trials(other, 5000, seed=4, coupling=coupling).batch(other)
+        scored = _streamed(SCN, 5000, 4, coupling, at=other)
+        direct = _streamed(other, 5000, 4, coupling)
         for kind in SINR_KINDS:
             assert np.array_equal(scored[kind], direct[kind]), (coupling, kind)
 
@@ -249,6 +282,6 @@ def test_draws_do_not_depend_on_power_or_allocation(coupling):
     {"rho_o_db": -31.0},
 ])
 def test_scoring_at_other_links_or_amplitudes_raises(changes):
-    draws = run_trials(SCN, 100, seed=4)
+    draws = next(run_trials(SCN, 100, seed=4))
     with pytest.raises(ValueError, match="drawn from"):
         draws.batch(replace(SCN, **changes))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import LinkBudget, NomaPair, sinr_edge_comp
-from riscomp.montecarlo import SINR_KINDS, estimate_outage
+from riscomp.montecarlo import SINR_KINDS, outage_counts
 from riscomp.scenarios import CoordinatedScenario
 
 PAIR = NomaPair(zeta_center=0.3, zeta_edge=0.7, tx_power=1.0)
@@ -45,16 +45,16 @@ def test_outage_center_examples():
     # Two-stage center outage: SIC failure alone is an outage, and so is an
     # own-message failure after SIC succeeded.
     for sic, own, want in ((2.0, 2.0, 0.0), (0.5, 2.0, 1.0), (2.0, 0.5, 1.0)):
-        out = estimate_outage(_batch(center1_sic=sic, center1_own=own), SCN)
-        assert out["center1"] == want, (sic, own)
+        out = outage_counts(_batch(center1_sic=sic, center1_own=own), SCN)
+        assert out[0] == want, (sic, own)
 
 
 def test_outage_edge_boundary_is_non_outage():
     # Exact tie in binary floating point: 0.75/(0.25 + 0.5) == 1.0 == 0 dB.
     tie = sinr_edge_comp(NomaPair(0.25, 0.75, 1.0), LinkBudget([1.0], noise_power=0.5))
     assert tie == SCN.threshold_edge == 1.0
-    assert estimate_outage(_batch(edge=tie), SCN)["edge"] == 0.0
-    assert estimate_outage(_batch(edge=0.0), SCN)["edge"] == 1.0
+    assert outage_counts(_batch(edge=tie), SCN)[2] == 0
+    assert outage_counts(_batch(edge=0.0), SCN)[2] == 1
 
 
 @given(
@@ -90,9 +90,9 @@ def test_outage_threshold_monotonicity(sic, own, t_base, t_delta):
     hi_center = CoordinatedScenario(thresholds_db=(t_base + t_delta, t_base))
     hi_edge = CoordinatedScenario(thresholds_db=(t_base, t_base + t_delta))
     lo = CoordinatedScenario(thresholds_db=(t_base, t_base))
-    if estimate_outage(batch, lo)["center1"] == 1.0:
-        assert estimate_outage(batch, hi_center)["center1"] == 1.0
-        assert estimate_outage(batch, hi_edge)["center1"] == 1.0
+    if outage_counts(batch, lo)[0] == 1:
+        assert outage_counts(batch, hi_center)[0] == 1
+        assert outage_counts(batch, hi_edge)[0] == 1
 
 
 def test_edge_comp_monotonicity():

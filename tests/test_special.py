@@ -87,7 +87,8 @@ def _fig32_laws_and_points():
     laws = [(fitted[kind], kind) for kind in SINR_KINDS if kind in fitted]
     points = []
     for coupling in ("fitted", "physical"):
-        batch = run_trials(scn, 2000, run.config.seed, coupling=coupling).batch(scn)
+        # 2,000 trials: one chunk.
+        batch = next(run_trials(scn, 2000, run.config.seed, coupling=coupling)).batch(scn)
         for p, kind in laws:
             s = np.sort(batch[kind])
             points.append((p, s / (s + p.scale)))
