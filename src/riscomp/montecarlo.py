@@ -26,7 +26,14 @@ KS test needs, and `run_bytes` is its peak size, which `validate` bounds.
 
 The estimators score a batch at the scenario's own SINR thresholds, the
 numbers the closed forms in `analysis` read, and the KS test compares a
-sample with a fitted CDF at the fixed level alpha = 0.01.
+sample with a fitted CDF at the fixed level alpha = 0.01. The KS test
+evaluates the CDF only where the sup distance can lie, in at most two
+calls on points of the sorted rows: a grid of every _KS_GRID-th point, then
+the gaps between grid points whose bound, which a nondecreasing CDF sets
+from the gap's ends, still reaches the row's grid maximum less _KS_MARGIN,
+and every gap of a row whose grid decreases by more than _KS_MARGIN. D then
+has the bits of evaluating every point. A sample value that is not finite
+and a CDF value that is NaN or outside [0, 1] are refused.
 """
 
 from __future__ import annotations
@@ -158,12 +165,62 @@ def run_bytes(n: int) -> int:
     """Bytes pdf-validation holds at its peak at n trials, computed, never
     allocated: 8 per entry of each trial-sized array, plus _FIXED_BYTES.
     The sweeps hold no trial-sized array. pdf-validation fills its (2, L, n)
-    samples of L laws chunk by chunk; its KS test then holds the samples
-    and the 2L sorted rows, and beside them the CDF holds 2L points and 2L
-    values, and then the sup distance the values, a difference and its
-    absolute value, 2L rows each, and the grids hi and lo: 10 L + 2 arrays
-    of n."""
+    samples of L laws chunk by chunk, and its KS test reads them. The bound
+    holds where every gap of the KS grid opens (ks_statistic): beside the
+    samples, its second CDF call holds 2L rows of points and of their int32
+    indices (half an array each), and inside it the incomplete beta's
+    arguments, one temporary and then its values, 2L rows each; after it
+    the values, the indices and the two sides of the sup distance. With
+    masks of 2L bytes per trial, that is within 10 L + 2 arrays of n, the
+    bound of the single full evaluation."""
     return 8 * (10 * len(BATCH_KINDS["pdf-validation"]) + 2) * n + _FIXED_BYTES
+
+
+# The KS grid: the first CDF call takes every _KS_GRID-th sorted point of
+# each row and the row's last. Spacings from 4 to 16 evaluated alike on
+# fig3.2's laws; a finer grid costs more first-call points, a coarser one
+# opens wider gaps.
+_KS_GRID = 8
+# How far a gap's bound may lie below its row's grid maximum and the gap
+# still open, and how far a grid row may decrease before all its gaps open.
+# It must exceed any decrease of the computed CDF inside a gap. Rounding
+# alone stays below 1e-13 (the continued fraction stops at 1e-15, the
+# prefactor is within 2.9e-14 relative), but special.betaln's cancellation
+# at large b (ROADMAP item 2) scales the two sides of the incomplete beta's
+# symmetry transform apart: fig3.2's center2_own law drops 8.4e-6 there,
+# and the default scenario's laws at most 7.4e-5 down to p_t = -45 dBm
+# (0.012 at -60 dBm, where the grid sees the drop and opens the row). The
+# margin is ten times fig3.2's drop; on fig3.2's laws (4 seeds) it
+# evaluates at most 1.2% of the points more than a margin of 1e-9 does at
+# n from 2,000 to 1e5, and 1.4% at 3e5.
+_KS_MARGIN = 1e-4
+
+
+def _ks_cdf(cdf: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+            lead: tuple) -> np.ndarray:
+    """cdf at the (L, k) points, passed in the samples' shape, lead + (k,):
+    the (L, k) values. ValueError if cdf does not map the array to an array
+    of its shape, or gives a value that is NaN or outside [0, 1] (naming
+    the row)."""
+    contract = "the KS cdf must map an array of points to an array of probabilities"
+    try:
+        f = np.asarray(cdf(points.reshape(lead + points.shape[-1:])), dtype=float)
+    except (TypeError, ValueError) as exc:
+        # What scalar-only code raises on an array: math.* a TypeError, an
+        # `if x <= 0` test a ValueError.
+        raise ValueError(f"{contract}; on the sample array it raised: {exc}") from exc
+    if f.shape != lead + points.shape[-1:]:
+        raise ValueError(f"{contract}: got shape {f.shape} for {lead + points.shape[-1:]} points")
+    f = f.reshape(points.shape)
+    _refuse_rows(~((f >= 0.0) & (f <= 1.0)).all(axis=1),
+                 "the cdf gave a value that is NaN or outside [0, 1]")
+    return f
+
+
+def _refuse_rows(bad: np.ndarray, what: str) -> None:
+    """ValueError naming the first row flagged in bad, if any."""
+    if bad.any():
+        raise ValueError(f"KS sample row {np.flatnonzero(bad)[0]}: {what}")
 
 
 def ks_statistic(
@@ -173,10 +230,27 @@ def ks_statistic(
     """One-sample KS sup-distance against an analytic CDF.
 
     samples is one sample (n,) or L samples stacked as rows (L, n), each row
-    tested on its own. `cdf` maps an array of points to an array of
-    probabilities of the same shape; it is called once, on the sorted sample
-    (each row sorted). A callable that does not (a scalar-only function)
-    raises ValueError.
+    tested on its own; a row that holds a value that is not finite raises
+    ValueError naming it. `cdf` maps an array of points to an array of
+    probabilities of the same shape, (k,) for one sample and (L, k) for a
+    stack, row i at row i's points; a callable that does not (a scalar-only
+    function) raises ValueError, and so does a value that is NaN or outside
+    [0, 1]. cdf is called at most twice, each time on points of the sorted
+    rows, and is taken not to decrease along them.
+
+    D is the largest of the terms max(hi_i - F_i, F_i - lo_i), with
+    hi_i = (i + 1)/n and lo_i = i/n, over the sorted points i; it equals
+    max(|hi_i - F_i|, |lo_i - F_i|) bit for bit, since fl(x - y) = -fl(y - x).
+    The first call evaluates a grid, every _KS_GRID-th point and the last.
+    Between grid points a < b a nondecreasing F bounds every term:
+    hi_i - F_i <= hi_{b-1} - F_a and F_i - lo_i <= F_b - lo_{a+1}. A gap
+    whose bound lies below the row's largest grid term less _KS_MARGIN
+    cannot hold the sup, and the second call evaluates the points of every
+    other gap, each row padded with its last point to the longest; a row
+    whose grid decreases by more than _KS_MARGIN opens every gap. So D is
+    the largest of the terms that evaluating every point forms, bit for
+    bit, unless the CDF decreases by more than _KS_MARGIN inside a gap the
+    grid does not see, which can lower D by at most that excess.
 
     Returns (D, passed, critical) with critical = KS_COEFF/sqrt(n), the
     alpha = 0.01 level: D a float and passed a bool for one sample, arrays of
@@ -188,22 +262,42 @@ def ks_statistic(
     n = samples.shape[-1]
     if n < KS_MIN_SAMPLES:
         raise ValueError(f"KS test needs at least {KS_MIN_SAMPLES} samples")
-    s = np.sort(samples, axis=-1)
-    contract = "the KS cdf must map an array of points to an array of probabilities"
-    try:
-        f = np.asarray(cdf(s), dtype=float)
-    except (TypeError, ValueError) as exc:
-        # What scalar-only code raises on an array: math.* a TypeError, an
-        # `if x <= 0` test a ValueError.
-        raise ValueError(f"{contract}; on the sample array it raised: {exc}") from exc
-    if f.shape != s.shape:
-        raise ValueError(f"{contract}: got shape {f.shape} for {s.shape} points")
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    d = np.maximum(np.max(np.abs(hi - f), axis=-1), np.max(np.abs(lo - f), axis=-1))
+    lead = samples.shape[:-1]
+    s = np.sort(samples, axis=-1).reshape(-1, n)
+    # Sorted, a row's -inf comes first, its inf and NaN last.
+    _refuse_rows(~np.isfinite(s[:, [0, -1]]).all(axis=1),
+                 "the sample holds a value that is not finite")
+    grid = np.append(np.arange(0, n - 1, _KS_GRID), n - 1)
+    f = _ks_cdf(cdf, s[:, grid], lead)
+    d = np.maximum((grid + 1) / n - f, f - grid / n).max(axis=1)
+    a, b = grid[:-1], grid[1:]
+    bound = np.maximum(b / n - f[:, :-1], f[:, 1:] - (a + 1) / n)
+    # A gap opens where its bound reaches the grid maximum, and every gap of
+    # a row whose grid decreases by more than the margin.
+    falls = (np.diff(f, axis=1) < -_KS_MARGIN).any(axis=1, keepdims=True)
+    opened = (bound >= d[:, None] - _KS_MARGIN) | falls
+    # Each point below n - 1 marked by its gap's verdict, grid points cleared.
+    need = np.repeat(opened, b - a, axis=1)
+    need[:, a] = False
+    counts = need.sum(axis=1)
+    if counts.any():
+        idx = np.full((len(s), counts.max()), n - 1, dtype=np.int32)
+        for row, k, mask in zip(idx, counts, need):
+            row[:k] = np.flatnonzero(mask)
+        points = np.take_along_axis(s, idx, axis=1)
+        del s, need  # before the second call's arrays
+        f = _ks_cdf(cdf, points, lead)
+        del points
+        lo = idx / n
+        idx += 1
+        hi = idx / n
+        del idx
+        np.subtract(hi, f, out=hi)
+        np.subtract(f, lo, out=lo)
+        d = np.maximum(d, np.maximum(hi, lo, out=hi).max(axis=1))
     critical = KS_COEFF / math.sqrt(n)
     if samples.ndim == 1:
-        d = float(d)
+        d = float(d[0])
     return d, d < critical, critical
 
 

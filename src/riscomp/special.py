@@ -104,8 +104,9 @@ def _betainc_block(a: np.ndarray, b: np.ndarray, lnb: np.ndarray, law: np.ndarra
                    x: np.ndarray) -> np.ndarray:
     """I_x(a[law], b[law]) for one block of elements, with the (a, b, ln B(a, b))
     tables of every law and each element's law."""
-    out = np.where(x >= 1.0, 1.0, 0.0)
-    inner = np.flatnonzero(~((x <= 0.0) | (x >= 1.0)))
+    # x <= 0 gives 0, x >= 1 gives 1 and a NaN x NaN, none of them in the loop.
+    out = np.where(x >= 1.0, 1.0, np.where(x <= 0.0, 0.0, np.nan))
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     if not inner.size:
         return out
     law, xi = law[inner], x[inner]
@@ -131,13 +132,15 @@ def betainc_reg(a, b, x):
     blocks of up to _BLOCK, run in one continued-fraction loop per block
     (_betacf), whatever their laws, order and side of the symmetry
     transform, and every value is bit-identical to the scalar recurrence.
+    A NaN x gives NaN, as numpy and scipy do; a NaN a or b raises
+    ValueError with the nonpositive ones.
     ln B(a, b) is taken once per law (betaln); the prefactor
     x^a (1-x)^b / B(a, b) is one numpy pass over each block (_prefactor). A
     call whose arguments are all scalars returns a Python float, any other
     an array of the broadcast shape.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if (a <= 0).any() or (b <= 0).any():
+    if not ((a > 0).all() and (b > 0).all()):  # NaN shapes too
         raise ValueError("betainc_reg requires a, b > 0")
     xs, law = np.broadcast_arrays(np.asarray(x, dtype=float), np.arange(a.size).reshape(a.shape))
     a_tab, b_tab, shape = a.ravel(), b.ravel(), xs.shape

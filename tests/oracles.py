@@ -9,7 +9,8 @@ clip and sum, the per-array Adam step, the policy initialisation as one
 literal dict of arrays, the n-step advantage as a double loop, MO-PPO training and
 deterministic evaluation with their episodes run one at a time on these
 forms alone, the coordinated engine's trial draws drawn row by row and
-its estimates from a whole run's draws at once,
+its estimates from a whole run's draws at once, the KS test evaluating
+the CDF at every sorted point,
 the multicell engine drawing every
 element count's channels afresh and scoring every point on its own, the
 exact OMA center outage of the multicell network under Rayleigh
@@ -879,6 +880,24 @@ def reference_mean_rates(batch: dict[str, np.ndarray]) -> dict[str, float]:
     over every trial at once."""
     return {user: float(np.mean(np.log1p(batch[kind]) / math.log(2.0)))
             for user, kind in USER_SINR.items()}
+
+
+def reference_ks_statistic(samples, cdf) -> tuple:
+    """The one-sample KS test on whole samples: cdf called once on every
+    sorted point of (n,) or (L, n) samples, D = max(max |hi - F|, max |lo - F|)
+    per row with hi_i = (i + 1)/n and lo_i = i/n, and (D, D < critical,
+    critical) at critical = 1.63/sqrt(n), D a float for one sample."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
+    s = np.sort(samples, axis=-1)
+    f = np.asarray(cdf(s), dtype=float)
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
+    d = np.maximum(np.max(np.abs(hi - f), axis=-1), np.max(np.abs(lo - f), axis=-1))
+    critical = 1.63 / math.sqrt(n)
+    if samples.ndim == 1:
+        d = float(d)
+    return d, d < critical, critical
 
 def multicell_draws(scn: MultiCellScenario, rng: Generator, m: int):
     """Complex channel draws for m trials at the element count scn.k_elements,

@@ -6,7 +6,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from oracles import reference_batch, reference_mean_rates, reference_outage_frequencies
+from oracles import (reference_batch, reference_ks_statistic, reference_mean_rates,
+                     reference_outage_frequencies)
 from riscomp import experiments
 from riscomp.analysis import coordinated_distributions
 from riscomp.cli import main
@@ -79,6 +80,29 @@ def test_the_runners_stream_the_whole_run_estimates(monkeypatch, tmp_path, n):
     want = [reference_batch(run.scenario, n, 5, coupling, laws)[kind]
             for coupling in ("fitted", "physical") for kind in laws]
     assert np.array_equal(tested[0], want)
+
+
+@pytest.mark.parametrize("n", [100, 2000, 4097, 10_000])
+def test_pdf_validation_ks_equals_the_whole_sample_oracle(monkeypatch, tmp_path, n):
+    # fig3.2's ten laws at 16 seeds: the bracketed KS test reads the D and
+    # verdict of every row that evaluating the CDF at every sorted point
+    # gives, bit for bit. At the KS minimum, where the grid is coarsest
+    # relative to n, at a chunk and one point past two, and at the preset's n.
+    tested = []
+
+    def recorded(samples, cdf):
+        result = ks_statistic(samples, cdf)
+        tested.append((samples.copy(), cdf, result))
+        return result
+
+    monkeypatch.setattr(montecarlo, "ks_statistic", recorded)
+    for seed in range(16):
+        _run(tmp_path, f"{seed}", {**preset("fig3.2"), "seed": seed, "trials": n})
+    assert len(tested) == 16
+    for samples, cdf, (d, passed, crit) in tested:
+        want_d, want_passed, want_crit = reference_ks_statistic(samples, cdf)
+        assert np.array_equal(d, want_d) and np.array_equal(passed, want_passed)
+        assert crit == want_crit
 
 
 def test_manifest_rerun_byte_identical(tmp_path):

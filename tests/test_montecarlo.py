@@ -1,11 +1,18 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import (reference_batch, reference_mean_rates, reference_outage_frequencies,
-                     reference_trial_draws)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (reference_batch, reference_ks_statistic, reference_mean_rates,
+                     reference_outage_frequencies, reference_trial_draws)
+from riscomp import montecarlo
+from riscomp.analysis import coordinated_distributions
 from riscomp.channel import substream
 from riscomp.montecarlo import (
     BATCH_KINDS,
@@ -15,10 +22,11 @@ from riscomp.montecarlo import (
     ks_statistic,
     outage_counts,
     rate_sums,
+    run_bytes,
     run_trials,
 )
 from riscomp.scenarios import CoordinatedScenario
-from riscomp.stats import GammaParams
+from riscomp.stats import BetaPrimeParams, GammaParams, stacked_cdf
 
 SCN = CoordinatedScenario(p_t_dbm=-20.0)
 OUTAGE_USERS = (*USER_SINR, "edge_nocomp")  # the order of outage_counts
@@ -168,7 +176,14 @@ def test_ks_rejects_cdf_not_mapping_arrays(cdf):
         ks_statistic(samples, cdf)
 
 
-def test_ks_calls_cdf_once_on_sorted_sample():
+def _points_of_sorted_rows(call, sorted_rows):
+    """Whether each row of a cdf call's points is a sorted run of its row's
+    sorted sample values."""
+    return all(np.all(np.diff(pts) >= 0) and np.isin(pts, row).all()
+               for pts, row in zip(np.atleast_2d(call), np.atleast_2d(sorted_rows)))
+
+
+def test_ks_calls_cdf_at_most_twice_on_sorted_points():
     samples = substream(6, 6).exponential(1.0, 300)
     calls = []
 
@@ -176,11 +191,13 @@ def test_ks_calls_cdf_once_on_sorted_sample():
         calls.append(x.copy())
         return 1.0 - np.exp(-x)
 
-    ks_statistic(samples, cdf)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(samples))
+    d = ks_statistic(samples, cdf)
+    assert 1 <= len(calls) <= 2 and all(c.ndim == 1 for c in calls)
+    assert all(_points_of_sorted_rows(c, np.sort(samples)) for c in calls)
+    assert d == reference_ks_statistic(samples, lambda x: 1.0 - np.exp(-x))
 
 
-def test_stacked_ks_equals_per_row_calls_and_calls_cdf_once():
+def test_stacked_ks_equals_per_row_calls_and_calls_cdf_at_most_twice():
     samples = substream(7, 7).exponential(1.0, (4, 300)) + np.array([[0.0], [0.02], [0.3], [0.0]])
     calls = []
 
@@ -189,11 +206,138 @@ def test_stacked_ks_equals_per_row_calls_and_calls_cdf_once():
         return 1.0 - np.exp(-x)
 
     d, passed, crit = ks_statistic(samples, cdf)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.sort(samples, axis=1))
+    assert 1 <= len(calls) <= 2 and all(c.shape[0] == 4 for c in calls)
+    assert all(_points_of_sorted_rows(c, np.sort(samples, axis=1)) for c in calls)
     assert d.shape == passed.shape == (4,)
     for i, row in enumerate(samples):
         assert (d[i], passed[i], crit) == ks_statistic(row, lambda x: 1.0 - np.exp(-x))
     assert set(passed.tolist()) == {True, False}
+
+
+@st.composite
+def _ks_cases(draw):
+    """(samples, cdf): 1-D or stacked samples of n from 100 to 5,000 at a
+    multiple of the KS grid's spacing, one below or one above, some rounded
+    to make ties, under the exponential CDF or a random Beta-prime law per
+    row, drawn from that law scaled by a misfit factor."""
+    n = draw(st.integers(13, 624)) * montecarlo._KS_GRID + draw(st.sampled_from([-1, 0, 1]))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    rng = substream(draw(st.integers(0, 2**16)), 38)
+    shape = (n,) if rows is None else (rows, n)
+    misfit = draw(st.sampled_from([1.0, 0.97, 1.05]))
+    if draw(st.booleans()):
+        samples, cdf = rng.exponential(misfit, shape), lambda x: 1.0 - np.exp(-x)
+    else:
+        laws = [BetaPrimeParams(draw(st.floats(0.5, 5.0)), 10 ** draw(st.floats(0.0, 9.5)),
+                                draw(st.floats(0.1, 10.0))) for _ in range(rows or 1)]
+        # X/scale ~ G_a/G_b, a Beta-prime(a, b) variate.
+        samples = np.array([misfit * p.scale * rng.standard_gamma(p.a, n)
+                            / rng.standard_gamma(p.b, n) for p in laws]).reshape(shape)
+        cdf = laws[0].cdf if rows is None else functools.partial(stacked_cdf, laws)
+    decimals = draw(st.sampled_from([None, 1, 2]))
+    return (samples if decimals is None else np.round(samples, decimals)), cdf
+
+
+@settings(max_examples=60)
+@given(_ks_cases())
+def test_ks_equals_the_whole_sample_oracle_bit_for_bit(case):
+    samples, cdf = case
+    got, want = ks_statistic(samples, cdf), reference_ks_statistic(samples, cdf)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ks_refuses_a_sample_that_is_not_finite(bad):
+    samples = substream(8, 8).exponential(1.0, (3, 200))
+    samples[2, 17] = bad
+    calls = []
+    with pytest.raises(ValueError, match="row 2: the sample holds a value that is not finite"):
+        ks_statistic(samples, lambda x: calls.append(x) or 1.0 - np.exp(-x))
+    with pytest.raises(ValueError, match="row 0: the sample holds a value that is not finite"):
+        ks_statistic(samples[2], lambda x: calls.append(x) or 1.0 - np.exp(-x))
+    assert not calls
+
+
+@pytest.mark.parametrize("value", [math.nan, -1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("call", [0, 1])
+def test_ks_refuses_cdf_values_outside_0_1(value, call):
+    # In the grid's call and in the refinement's.
+    samples = substream(9, 9).exponential(1.0, (3, 400))
+    calls = []
+
+    def cdf(x):
+        f = 1.0 - np.exp(-x)
+        if len(calls) == call:
+            f[1, -1] = value
+        calls.append(x)
+        return f
+
+    with pytest.raises(ValueError, match="row 1: the cdf gave a value that is NaN or outside"):
+        ks_statistic(samples, cdf)
+    assert len(calls) == call + 1
+
+
+def test_a_row_whose_grid_decreases_is_evaluated_at_every_point():
+    # Row 0's cdf decreases: its gaps all open and its D is the whole-sample
+    # formula's; row 1 is a CDF and keeps its bracketing.
+    samples = substream(10, 10).exponential(1.0, (2, 400))
+    calls = []
+
+    def cdf(x):
+        calls.append(x.copy())
+        return np.stack([np.exp(-x[0]), 1.0 - np.exp(-x[1])])
+
+    got = ks_statistic(samples, cdf)
+    grid = len(range(0, 399, montecarlo._KS_GRID)) + 1
+    assert [c.shape for c in calls] == [(2, grid), (2, 400 - grid)]
+    assert np.array_equal(np.sort(np.concatenate(calls, axis=1)[0]), np.sort(samples[0]))
+    assert (np.diff(calls[1][1]) == 0).any()  # row 1 padded with its last point
+    want = reference_ks_statistic(samples, cdf)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("p_t_dbm, n", [(-60.0, 2000), (-55.0, 10_000)])
+def test_ks_keeps_its_bits_where_the_fitted_cdf_decreases(p_t_dbm, n):
+    # At low power, betaln's cancellation at large b (ROADMAP item 2) makes
+    # the center laws' computed CDFs drop by 1.3e-3 (-55 dBm) and 0.012
+    # (-60 dBm) at the incomplete beta's symmetry point, far above the
+    # margin: the grid sees the drop and the row is evaluated whole.
+    scn = CoordinatedScenario(p_t_dbm=p_t_dbm)
+    fitted = coordinated_distributions(scn).laws
+    kinds = BATCH_KINDS["pdf-validation"]
+    cdf = functools.partial(stacked_cdf, [fitted[kind] for kind in kinds] * 2)
+    for seed in range(4):
+        samples = np.array([reference_batch(scn, n, seed, coupling, kinds)[kind]
+                            for coupling in ("fitted", "physical") for kind in kinds])
+        got, want = ks_statistic(samples, cdf), reference_ks_statistic(samples, cdf)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), seed
+
+
+def test_run_bytes_bounds_the_ks_test_when_every_gap_opens():
+    # Every term the same: a Beta-prime(1, 1) law, whose CDF is x/(x + 1),
+    # at its (i + 1/2)/n quantiles, so every gap's bound reaches the grid
+    # maximum and the second call takes every point but the grid's. The
+    # traced peak, the samples included, stays within run_bytes, whose
+    # bound counts this worst case.
+    n, rows = 200_000, 2 * len(BATCH_KINDS["pdf-validation"])
+    law = BetaPrimeParams(1.0, 1.0, 1.0)
+    points = []
+
+    def cdf(x):
+        points.append(x.size)
+        return stacked_cdf([law] * rows, x)
+
+    tracemalloc.start()
+    try:
+        p = (np.arange(n) + 0.5) / n
+        samples = np.tile(p / (1.0 - p), (rows, 1))
+        ks_statistic(samples, cdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points[1] == rows * (n - len(range(0, n - 1, montecarlo._KS_GRID)) - 1)
+    assert peak <= run_bytes(n)
 
 
 def test_outage_counts_extremes():

@@ -181,6 +181,26 @@ def test_broadcast_betainc_equals_scalar_oracle():
     assert np.array_equal(got, [oracles.betainc_reg(v, 2.5, 0.7) for v in a])
 
 
+def test_betainc_nan_point_is_nan_and_leaves_the_loop(monkeypatch):
+    # A NaN x gives NaN, as numpy and scipy do, and is kept out of the
+    # continued fraction: with no iteration allowed, any point in the loop
+    # raises ConvergenceError. The other points keep their bits.
+    out = betainc_reg(1.0, 2.0, [0.5, math.nan, 0.0, 1.0])
+    assert out[0] == oracles.betainc_reg(1.0, 2.0, 0.5) and math.isnan(out[1])
+    assert out[2:].tolist() == [0.0, 1.0]
+    assert math.isnan(betainc_reg(1.0, 2.0, math.nan))
+    assert np.isnan(sp.betainc(1.0, 2.0, math.nan))
+    monkeypatch.setattr(special, "_MAX_ITER", 0)
+    out = betainc_reg(1.0, 2.0, [math.nan, -1.0, 2.0, math.nan])
+    assert np.isnan(out[[0, 3]]).all() and out[1:3].tolist() == [0.0, 1.0]
+
+
+def test_betainc_refuses_nan_shapes():
+    for a, b in [(math.nan, 2.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="requires a, b > 0"):
+            betainc_reg(a, b, 0.5)
+
+
 def test_betainc_scalar_returns_float():
     r = betainc_reg(2.0, 3.0, 0.25)
     assert type(r) is float and r == oracles.betainc_reg(2.0, 3.0, 0.25)
