@@ -703,6 +703,66 @@ def test_float_key_given_an_integer_beyond_float_range_is_refused(kind, key, val
         from_mapping({"kind": kind, key: value})
 
 
+@pytest.mark.parametrize("kind, key", [("pdf-validation", "trials"), ("ee-sweep", "trials"),
+                                       ("drl-train", "train.epochs")])
+def test_an_integer_key_beyond_float_range_is_refused(kind, key):
+    with pytest.raises(ConfigError) as info:
+        from_mapping({"kind": kind, key: _BEYOND_FLOAT})
+    assert str(info.value).splitlines()[1:] == [f"  {key}: integer beyond the float range"]
+
+
+def test_a_seed_beyond_float_range_is_accepted_and_its_manifest_reruns(tmp_path, capsys):
+    # The seed only seeds the generators, which take any nonnegative integer.
+    path = tmp_path / "c.cfg"
+    path.write_text(f"kind = pdf-validation\ntrials = 100\nseed = {_BEYOND_FLOAT}\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", str(path), "--out", str(first)]) == 0
+    assert main(["run", str(first / "manifest.cfg"), "--out", str(second)]) == 0
+    assert f"seed = {_BEYOND_FLOAT}\n" in (first / "manifest.cfg").read_text()
+    assert (first / "ks_table.csv").read_bytes() == (second / "ks_table.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["validate", str(first / "manifest.cfg")]) == 0
+    assert f"seed = {_BEYOND_FLOAT}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flat, lines", [
+    ({"kind": "er-sweep", "trials": 0, "seed": -1, "out": " runs",
+      "sweep.p_t_dbm": [math.nan, 5000.0], "scenario.rho_o_db": math.inf,
+      "scenario.noise_figure_db": 4000.0, "scenario.m_direct": 0.2,
+      "scenario.k_elements": -1}, [
+        "trials must be >= 1, got 0",
+        "seed must be >= 0, got -1",
+        "out: ' runs' has surrounding whitespace or a line break, which the manifest "
+        "cannot record",
+        "sweep.p_t_dbm[0]: expected a finite number, got nan",
+        "sweep.p_t_dbm[1]: 5000.0 overflows on conversion to linear scale",
+        "scenario.rho_o_db: expected a finite number, got inf",
+        "scenario.noise_figure_db: 4000.0 overflows on conversion to linear scale",
+        "k_elements must be >= 0",
+        "m_direct = 0.2: Nakagami shape must be >= 0.5"]),
+    ({"kind": "drl-eval", "trials": 5, "seed": -1, "out": "a\nb", "scenario.kappa_db": math.nan,
+      "scenario.p_t_dbm": 4000.0, "train.learning_rate": math.inf, "train.clip_eps": 2.0,
+      "scenario.t_slots": 0}, [
+        "trials: kind drl-eval draws no Monte Carlo trials, so it reads no trials",
+        "seed must be >= 0, got -1",
+        "drl-eval requires checkpoint = <policy.bin path>",
+        "out: 'a\\nb' has surrounding whitespace or a line break, which the manifest "
+        "cannot record",
+        "scenario.kappa_db: expected a finite number, got nan",
+        "scenario.p_t_dbm: 4000.0 overflows on conversion to linear scale",
+        "train.learning_rate: expected a finite number, got inf",
+        "train: clip epsilon must lie in (0, 1)",
+        "episode length must be >= 1"]),
+], ids=["er-sweep", "drl-eval"])
+def test_validate_reports_every_problem_in_its_order(flat, lines):
+    # The top-level keys, then each value by its key (the sweep elements,
+    # the scenario's, the train section's), then the training setup's and
+    # the scenario's invariants.
+    with pytest.raises(ConfigError) as info:
+        from_mapping(flat)
+    assert str(info.value).splitlines()[1:] == [f"  {line}" for line in lines]
+
+
 def test_cli_validate_names_k_when_the_cascade_moments_overflow(tmp_path, capsys):
     # At K = 10^300, (K sqrt(beta))^4 leaves the float range at every power:
     # the fits are blamed on K, once, not on scenario.p_t_dbm.
