@@ -57,13 +57,13 @@ def coordinated_distributions(scn: CoordinatedScenario) -> CoordinatedDistributi
     laws = {}
     z_c = []
     for i in (1, 2):
-        links = scn.center_links(i)
+        links = scn.links[i - 1]
         zm = _power_moments(scn, links, scn.beta_r)
         laws[f"center{i}_own"] = sinr_dist_center(zm, links["ici"], rho, zc, 0.0)
         laws[f"center{i}_sic"] = sinr_dist_center(zm, links["ici"], rho, zf, zc)
         z_c.append(gamma_from_moments(zm))
-    z1 = _power_moments(scn, scn.edge_links(1), scn.beta_t)
-    z2 = _power_moments(scn, scn.edge_links(2), scn.beta_t)
+    z1 = _power_moments(scn, scn.links[2], scn.beta_t)
+    z2 = _power_moments(scn, scn.links[3], scn.beta_t)
     laws["edge"] = sinr_dist_edge(z1, z2, zc, zf, rho, noise=1.0)
     laws["edge_high_snr"] = sinr_dist_edge(z1, z2, zc, zf, rho, noise=0.0)
     return CoordinatedDistributions(scenario=scn, laws=laws, z_center=tuple(z_c))

@@ -3,11 +3,17 @@ keys and comments, typed and validated against per-kind schemas.
 
 The type of every scenario and train key is the annotation of its field in
 the scenario dataclass or `TrainConfig`; only the top-level keys, the sweep
-lists and the few scenario pseudo-keys that are no field are typed here.
-Every value is converted once, in `from_mapping`, to the type of its key:
-config text arrives as strings and is parsed by that type (a string key
-keeps its text), and Python values (presets, tests) must already have it.
-Only `sweep.*` values are comma-separated lists.
+axes (`_AXES`) and the few scenario pseudo-keys that are no field are typed
+here. Only `sweep.*` values are comma-separated lists.
+
+Two walks name every value by its key. `from_mapping` walks the keys once:
+a key's section picks its schema (a sweep's is its kind's axes), which
+refuses an unknown key and converts the value to the key's type; config
+text arrives as strings and is parsed by that type (a string key keeps its
+text), and Python values (presets, tests) must already have it. `validate`
+lists every value once as (config key, schema key, value) and walks that
+list once for the checks that read a value alone, after refusing the
+integers no float holds.
 
 All decibel quantities carry unit suffixes in their key names (_db / _dbm)
 so units are always explicit; the scenario classes convert them to linear
@@ -159,12 +165,17 @@ _KINDS = {
 
 KINDS = tuple(_KINDS)
 
-# Element type of every sweep list and the kinds that read it.
-_SWEEP_KEYS = {
-    key: (typ, tuple(kind for kind, d in _KINDS.items() if key in d.get("axes", {})))
-    for key, typ in (("p_t_dbm", float), ("r_th_values", float), ("splits", float),
-                     ("beta_t_values", float), ("j_values", int), ("k_values", int),
-                     ("assignment_values", int))
+# Each sweep axis's element type and the scenario at one of its values from
+# the one before it (_points), or None where its values only label rows: one
+# rate threshold r sets both users' targets.
+_AXES = {
+    "p_t_dbm": (float, lambda scn, p: replace(scn, p_t_dbm=p)),
+    "r_th_values": (float, lambda scn, r: replace(scn, r_center_min=r, r_edge_min=r)),
+    "splits": (float, None),
+    "beta_t_values": (float, lambda scn, b: replace(scn, beta_t=b, beta_r=1.0 - b)),
+    "j_values": (int, lambda scn, j: replace(scn, n_coop=j)),
+    "k_values": (int, lambda scn, k: replace(scn, k_elements=k)),
+    "assignment_values": (int, None),
 }
 
 
@@ -270,20 +281,9 @@ def _sweeps(cfg: ExperimentConfig, scn) -> tuple[dict[str, list | range], ...]:
                   for name in names} for names in _axis_names(cfg))
 
 
-# The scenario at a value of each sweep axis that sets a field, from the one
-# before it (_points): one rate threshold r sets both users' targets.
-_AXIS_FIELDS = {
-    "p_t_dbm": lambda scn, p: replace(scn, p_t_dbm=p),
-    "r_th_values": lambda scn, r: replace(scn, r_center_min=r, r_edge_min=r),
-    "beta_t_values": lambda scn, b: replace(scn, beta_t=b, beta_r=1.0 - b),
-    "j_values": lambda scn, j: replace(scn, n_coop=j),
-    "k_values": lambda scn, k: replace(scn, k_elements=k),
-}
-
-
 def _points(run: Plan, errors: list[str]) -> tuple[tuple[tuple, ...], ...]:
     """Each sweep's points in run order, built once: a point is the scenario
-    at one value of each axis that sets a field (_AXIS_FIELDS), the values,
+    at one value of each axis that sets a field (_AXES), the values,
     and {axis: the key of its value, sweep.<axis>[i]}; a split or an
     exhaustive-star's k1 only labels the rows of each point. A value that
     its point's scenario refuses adds no point and is named by its key,
@@ -297,13 +297,13 @@ def _points(run: Plan, errors: list[str]) -> tuple[tuple[tuple, ...], ...]:
     sweeps = []
     for sweep in run.sweeps:
         points = [(run.scenario, (), {})]
-        for name in [name for name in sweep if name in _AXIS_FIELDS]:
+        for name, rule in [(name, _AXES[name][1]) for name in sweep if _AXES[name][1]]:
             points, last = [], points
             for (scn, values, keys), (i, v) in product(last, enumerate(sweep[name])):
                 key = f"sweep.{name}[{i}]"
                 try:
                     if math.isfinite(v):
-                        at = _AXIS_FIELDS[name](scn, v)
+                        at = rule(scn, v)
                         points.append((at, (*values, v), {**keys, name: key}))
                 except ValueError as exc:  # a scenario lists each problem on a line
                     refused.setdefault(name, {}).update(
@@ -375,56 +375,39 @@ def from_mapping(flat: dict) -> Plan:
     key's element type. Unknown keys and values of the wrong type are
     reported together, before the range and invariant checks of `validate`.
     """
-    errors: list[str] = []
     kind = flat.get("kind", "pdf-validation")
     if kind not in KINDS:
-        errors.append(f"kind {kind!r} unknown; choose from {', '.join(KINDS)}")
-        raise _refused(errors)
-    scenario_schema = _KINDS[kind]["keys"]
-    top, sections = {}, {"scenario": {}, "sweep": {}, "train": {}}
+        raise _refused([f"kind {kind!r} unknown; choose from {', '.join(KINDS)}"])
+    schemas = {"scenario": _KINDS[kind]["keys"], "train": _TRAIN_KEYS,
+               "sweep": {axis: _AXES[axis][0] for axis in _KINDS[kind].get("axes", {})}}
+    errors: list[str] = []
+    top, sections = {}, {section: {} for section in schemas}
     for key, value in flat.items():
-        if key == "kind":
-            continue
+        section, dot, sub = key.partition(".")
+        schema = schemas.get(section) if dot else None
         if key in _TOP_KEYS:
             top[key] = _convert(value, _TOP_KEYS[key], key, errors)
-        elif key.startswith("scenario."):
-            sub = key[len("scenario."):]
-            if sub not in scenario_schema:
-                errors.append(f"unknown scenario key {sub!r} for kind {kind}")
-            else:
-                sections["scenario"][sub] = _convert(value, scenario_schema[sub], key, errors)
-        elif key.startswith("sweep."):
-            sub = key[len("sweep."):]
-            typ, kinds = _SWEEP_KEYS.get(sub, (None, ()))
-            if kind not in kinds:
-                errors.append(f"unknown sweep key {sub!r} for kind {kind}")
-            elif isinstance(value, (str, list)):
-                if isinstance(value, str):
-                    value = [part for part in value.split(",") if part.strip()]
-                sections["sweep"][sub] = [_convert(v, typ, f"{key}[{i}]", errors)
-                                          for i, v in enumerate(value)]
-            else:
-                errors.append(f"{key}: expected a list, got {value!r}")
-        elif key.startswith("train."):
-            sub = key[len("train."):]
-            if sub not in _TRAIN_KEYS:
-                errors.append(f"unknown train key {sub!r}")
-            else:
-                sections["train"][sub] = _convert(value, _TRAIN_KEYS[sub], key, errors)
-        else:
+        elif schema is None:
             errors.append(f"unknown key {key!r}")
+        elif sub not in schema:  # the train keys are the same for every kind
+            errors.append(f"unknown {section} key {sub!r}"
+                          + ("" if section == "train" else f" for kind {kind}"))
+        elif section != "sweep":
+            sections[section][sub] = _convert(value, schema[sub], key, errors)
+        elif isinstance(value, (str, list)):
+            if isinstance(value, str):
+                value = [part for part in value.split(",") if part.strip()]
+            sections[section][sub] = [_convert(v, schema[sub], f"{key}[{i}]", errors)
+                                      for i, v in enumerate(value)]
+        else:
+            errors.append(f"{key}: expected a list, got {value!r}")
     if errors:
         raise _refused(errors)
-    return validate(ExperimentConfig(kind=kind, **top, **sections))
+    return validate(ExperimentConfig(**top, **sections))
 
 
 def _refused(errors: list[str]) -> ConfigError:
     return ConfigError("config validation failed:\n  " + "\n  ".join(errors))
-
-
-# Closed range of the elements of the sweep lists that no scenario checks;
-# the scenario at each point checks the values of the others (_points).
-_SWEEP_RANGES = {"splits": (0.0, 1.0)}
 
 
 def _overflows(key: str, value: float) -> bool:
@@ -434,35 +417,6 @@ def _overflows(key: str, value: float) -> bool:
         return not math.isfinite(to_linear(value))
     except OverflowError:
         return True
-
-
-def _int_range_errors(cfg: ExperimentConfig) -> list[str]:
-    """Integers that no float can hold, each named. The seed is exempt: it
-    only seeds the generators, which take any nonnegative integer."""
-    named = [("trials", cfg.trials),
-             *((f"scenario.{k}", v) for k, v in cfg.scenario.items()),
-             *((f"train.{k}", v) for k, v in cfg.train.items()),
-             *((f"sweep.{k}[{i}]", v) for k, vs in cfg.sweep.items()
-               for i, v in enumerate(vs))]
-    return [f"{key}: integer beyond the float range" for key, value in named
-            if type(value) is int and abs(value) > sys.float_info.max]
-
-
-def _sweep_errors(cfg: ExperimentConfig) -> list[str]:
-    errors = []
-    for key, values in cfg.sweep.items():
-        lo, hi = _SWEEP_RANGES.get(key, (-math.inf, math.inf))
-        if not values:
-            errors.append(f"sweep.{key}: needs at least one value")
-        for i, v in enumerate(values):
-            if not math.isfinite(v):
-                errors.append(f"sweep.{key}[{i}]: expected a finite number, got {v!r}")
-            elif not lo <= v <= hi:
-                errors.append(f"sweep.{key}[{i}]: expected a number in [{lo:g}, {hi:g}], "
-                              f"got {v!r}")
-            elif key.endswith("_dbm") and _overflows(key, v):
-                errors.append(f"sweep.{key}[{i}]: {v!r} overflows on conversion to linear scale")
-    return errors
 
 
 def _link_budget_errors(run: Plan) -> list[str]:
@@ -596,13 +550,23 @@ def _fits(run: Plan, errors: list[str]) -> tuple[CoordinatedDistributions, ...]:
 
 
 def validate(cfg: ExperimentConfig) -> Plan:
-    """The Plan of cfg's run, the one way a config becomes a run. Range and
-    invariant checks of cfg come first, then checks over the plan, each of
-    which sees exactly the points the run will take; a coordinated run's
-    laws are fitted here, once per point. Raises ConfigError naming every
-    violation by its key."""
-    # The checks below do float arithmetic, which such integers would crash.
-    errors = _int_range_errors(cfg)
+    """The Plan of cfg's run, the one way a config becomes a run. Integers
+    no float holds are refused alone; then come the checks of the top-level
+    keys, of each value alone (one walk), and of the training setup's and
+    the scenario's invariants, then checks over the plan, each of which sees
+    exactly the points the run will take; a coordinated run's laws are
+    fitted here, once per point. Raises ConfigError naming every violation
+    by its key."""
+    # Every value but the seed and the texts, as (config key, schema key,
+    # value): an integer no float holds is refused alone, since the checks
+    # below do float arithmetic; the seed only seeds the generators, which
+    # take any nonnegative integer.
+    named = [("trials", "trials", cfg.trials),
+             *((f"sweep.{k}[{i}]", k, v) for k, vs in cfg.sweep.items() for i, v in enumerate(vs)),
+             *((f"scenario.{k}", k, v) for k, v in cfg.scenario.items()),
+             *((f"train.{k}", k, v) for k, v in cfg.train.items())]
+    errors = [f"{key}: integer beyond the float range" for key, _, value in named
+              if type(value) is int and abs(value) > sys.float_info.max]
     if errors:
         raise _refused(errors)
     # pdf-validation runs a KS test on each SINR sample of `trials` draws.
@@ -623,24 +587,20 @@ def validate(cfg: ExperimentConfig) -> Plan:
         if text != text.strip() or len(text.splitlines()) > 1:
             errors.append(f"{key}: {text!r} has surrounding whitespace or a line break, "
                           "which the manifest cannot record")
-    errors.extend(_sweep_errors(cfg))
+    errors.extend(f"sweep.{key}: needs at least one value"
+                  for key, values in cfg.sweep.items() if not values)
     schema = _KINDS[cfg.kind]["keys"]
     drl = schema is _AERIAL_KEYS
-    sections = [("scenario", cfg.scenario, schema)]
-    if drl:
-        sections.append(("train", cfg.train, _TRAIN_KEYS))
-    else:
-        errors.extend(f"train.{key}: kind {cfg.kind} reads no train keys (only "
-                      "drl-train and drl-eval do)" for key in cfg.train)
-    for section, values, keys in sections:
-        for key, value in values.items():
-            if keys.get(key) is not float:
-                continue
-            if not math.isfinite(value):
-                errors.append(f"{section}.{key}: expected a finite number, got {value!r}")
-            elif key.endswith(("_db", "_dbm")) and _overflows(key, value):
-                errors.append(f"{section}.{key}: {value!r} overflows on conversion to "
-                              "linear scale")
+    for key, name, value in named:
+        if key.startswith("train.") and not drl:
+            errors.append(f"{key}: kind {cfg.kind} reads no train keys (only drl-train "
+                          "and drl-eval do)")
+        elif isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{key}: expected a finite number, got {value!r}")
+        elif name == "splits" and not 0.0 <= value <= 1.0:  # no scenario checks a split
+            errors.append(f"{key}: expected a number in [0, 1], got {value!r}")
+        elif name.endswith(("_db", "_dbm")) and _overflows(name, value):
+            errors.append(f"{key}: {value!r} overflows on conversion to linear scale")
     # Build the training setup and the scenario once, surfacing their
     # invariant violations, then build the plan and check it.
     tc = None

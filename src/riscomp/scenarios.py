@@ -188,19 +188,12 @@ class CoordinatedScenario(LinkBudget):
 
     @cached_property
     def links(self) -> tuple[dict[str, NakagamiParams], ...]:
-        """Nakagami parameters of the links of center 1, center 2, edge 1
-        and edge 2 (center_links, edge_links), computed once per instance:
+        """Nakagami parameters of the links of center 1, center 2 (each with
+        its "ici" link), edge 1 and edge 2, computed once per instance:
         the trial engine draws from them and checks each batch against
         them, and `analysis` fits the laws at them."""
         return (self._center_links(1), self._center_links(2),
                 *(self._links(i, self.edge, self.alpha_edge, self.alpha_ris_edge) for i in (1, 2)))
-
-    def center_links(self, i: int) -> dict[str, NakagamiParams]:
-        """Nakagami parameters of every link feeding center user i's SINRs."""
-        return self.links[i - 1]
-
-    def edge_links(self, i: int) -> dict[str, NakagamiParams]:
-        return self.links[i + 1]
 
     def cascade_amp_center(self) -> float:
         """Co-phased cascade multiplier K*sqrt(beta_r) for the reflection region."""

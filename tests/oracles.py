@@ -827,12 +827,12 @@ def reference_trial_draws(scn: CoordinatedScenario, n: int, seed: int, coupling:
     k = kernels
     shared = coupling == "physical"
     amp_c, amp_e = scn.cascade_amp_center(), scn.cascade_amp_edge()
-    blocks = [(scn.center_links(1), amp_c, (k.Z_CF1_S, k.Z_CF1_I, k.Z_C1_S)),
-              (scn.center_links(2), amp_c, (k.Z_CF2_S, k.Z_CF2_I, k.Z_C2_S)),
-              (scn.edge_links(1), amp_e, (k.Z_F1_V, k.Z_F1_W, k.Z_NC1_V, k.Z_NC1_W)),
-              (scn.edge_links(2), amp_e, (k.Z_F2_V, k.Z_F2_W, k.Z_NC2_W))]
-    ici = [(scn.center_links(1)["ici"], (k.X_CF1, k.X_C1)),
-           (scn.center_links(2)["ici"], (k.X_CF2, k.X_C2))]
+    blocks = [(scn.links[0], amp_c, (k.Z_CF1_S, k.Z_CF1_I, k.Z_C1_S)),
+              (scn.links[1], amp_c, (k.Z_CF2_S, k.Z_CF2_I, k.Z_C2_S)),
+              (scn.links[2], amp_e, (k.Z_F1_V, k.Z_F1_W, k.Z_NC1_V, k.Z_NC1_W)),
+              (scn.links[3], amp_e, (k.Z_F2_V, k.Z_F2_W, k.Z_NC2_W))]
+    ici = [(scn.links[0]["ici"], (k.X_CF1, k.X_C1)),
+           (scn.links[1]["ici"], (k.X_CF2, k.X_C2))]
     z = np.empty((k.N_Z_ROWS, n))
     x = np.empty((k.N_X_ROWS, n))
     for start in range(0, n, CHUNK):

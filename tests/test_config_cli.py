@@ -989,7 +989,7 @@ def _sweep_draws(kind, flat):
         "assignment_values": st.integers(0, k),
     }
     return {key: st.lists(elements[key], min_size=1, max_size=4)
-            for key, (_, kinds) in config_module._SWEEP_KEYS.items() if kind in kinds}
+            for key in config_module._KINDS[kind].get("axes", {})}
 
 
 def _manifest_safe(text):
@@ -1177,7 +1177,7 @@ def test_preset_dump_roundtrips_with_schema_types(name):
         for key, value in c.scenario.items():
             assert type(value) is scenario_schema[key], key
         for key, values in c.sweep.items():
-            assert all(type(v) is config_module._SWEEP_KEYS[key][0] for v in values), key
+            assert all(type(v) is config_module._AXES[key][0] for v in values), key
         for key, value in c.train.items():
             assert type(value) is config_module._TRAIN_KEYS[key], key
 

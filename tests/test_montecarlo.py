@@ -115,9 +115,8 @@ def test_a_scenario_makes_its_links_once():
     # replaced scenario makes its own, and equality still reads the fields.
     scn = replace(SCN, p_t_dbm=3.0)
     assert scn.links is scn.links
-    assert scn.center_links(2) is scn.links[1] and scn.edge_links(1) is scn.links[2]
     assert replace(scn, p_t_dbm=3.0) == scn
-    assert replace(scn, alpha_ici=3.9).center_links(1)["ici"] != scn.center_links(1)["ici"]
+    assert replace(scn, alpha_ici=3.9).links[0]["ici"] != scn.links[0]["ici"]
 
 
 def test_batch_forms_just_the_named_kinds():
